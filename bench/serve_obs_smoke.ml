@@ -6,8 +6,9 @@
    disabled.
 
    Both daemons serve the same dense treebank workload over real unix
-   sockets; each is warmed until fully cache-served, then timed over
-   best-of-N batches of warm repeats.  Gates:
+   sockets, side by side; each is warmed until fully cache-served, then
+   both are timed over best-of-N batches of warm repeats, their batches
+   interleaved.  Gates:
 
    - overhead: the instrumented batch must cost <= 5% more than the
      bare one (the baseline batch is floored at 20 ms so scheduler
@@ -95,18 +96,31 @@ let connect d =
   | Ok c -> c
   | Error msg -> die "serve-obs-smoke: connect: %s" msg
 
-(* Best-of-N wall time of [batch] warm round trips on one connection. *)
-let measure conn ~doc =
-  let best = ref infinity in
-  for _ = 1 to rounds do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      ignore (cube_exn conn ~doc : string * Protocol.provenance)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
+(* Wall time of [batch] warm round trips on one connection. *)
+let time_batch conn ~doc =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to batch do
+    ignore (cube_exn conn ~doc : string * Protocol.provenance)
   done;
-  !best
+  Unix.gettimeofday () -. t0
+
+(* Best-of-N batch times of both daemons, their batches interleaved (and
+   the order swapped every round) so a load change on the machine during
+   the run lands on both sides instead of biasing one. *)
+let measure_pair a b ~doc =
+  let best_a = ref infinity and best_b = ref infinity in
+  let run conn best = best := Float.min !best (time_batch conn ~doc) in
+  for r = 1 to rounds do
+    if r mod 2 = 1 then begin
+      run a best_a;
+      run b best_b
+    end
+    else begin
+      run b best_b;
+      run a best_a
+    end
+  done;
+  (!best_a, !best_b)
 
 let http_get port path =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -159,14 +173,10 @@ let () =
     "  serve observability overhead (dense treebank trees=%d axes=%d, \
      best-of-%d batches of %d warm requests):\n"
     trees axes rounds batch;
-  (* --- bare daemon: no access log, no endpoint, no tracing --------------- *)
+  (* Both daemons run side by side: bare (no access log, no endpoint, no
+     tracing) and instrumented (access log + scrape endpoint). *)
   let bare = start_daemon () in
   let bare_conn = connect bare in
-  let bare_payload, _ = cube_exn bare_conn ~doc:doc_path in
-  let bare_seconds = measure bare_conn ~doc:doc_path in
-  Server.Client.close bare_conn;
-  stop_daemon bare;
-  (* --- instrumented daemon: access log + scrape endpoint ----------------- *)
   let obs =
     start_daemon
       ~tune:(fun c ->
@@ -178,8 +188,13 @@ let () =
       ()
   in
   let obs_conn = connect obs in
+  let bare_payload, _ = cube_exn bare_conn ~doc:doc_path in
   let obs_payload, _ = cube_exn obs_conn ~doc:doc_path in
-  let obs_seconds = measure obs_conn ~doc:doc_path in
+  let bare_seconds, obs_seconds =
+    measure_pair bare_conn obs_conn ~doc:doc_path
+  in
+  Server.Client.close bare_conn;
+  stop_daemon bare;
   (* Scrape while the daemon is warm and loaded: the text must carry the
      per-provenance latency family. *)
   let scrape =

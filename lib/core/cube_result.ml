@@ -2,8 +2,8 @@ module Lattice = X3_lattice.Lattice
 module Witness = X3_pattern.Witness
 
 (* Cells are stored under coded (packed-integer) keys; the legacy
-   string-keyed API below decodes through the witness dictionaries, so the
-   export/pivot/test boundary still sees length-prefixed value lists. *)
+   string-keyed API below decodes through the witness dictionaries, so
+   pivot and tests still see length-prefixed value lists. *)
 
 type t = {
   lattice : Lattice.t;

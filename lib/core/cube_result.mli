@@ -1,10 +1,10 @@
 (** A computed cube: one aggregate cell per (cuboid, group).
 
     Cells live under coded integer keys ({!Group_key.t}) — the algorithms
-    never touch strings. The string-keyed half of this interface is the
-    {e decode-on-export} boundary: it translates through the witness
-    table's dictionaries so export, pivot and tests keep exchanging
-    length-prefixed value lists ({!Group_key.encode}). *)
+    never touch strings. The string-keyed half of this interface
+    translates through the witness table's dictionaries so pivot and
+    tests can exchange length-prefixed value lists ({!Group_key.encode});
+    export reads the coded half and decodes ids itself. *)
 
 type t
 
@@ -37,7 +37,7 @@ val cuboid_size : t -> int -> int
 val total_cells : t -> int
 (** The paper's "cube result size" — cells summed over all cuboids. *)
 
-(** {1 String access — the decode-on-export boundary} *)
+(** {1 String access — legacy encoded keys} *)
 
 val find : t -> cuboid:int -> key:string -> Aggregate.cell option
 (** [key] is a legacy encoded value list. [None] when some value never

@@ -3,10 +3,9 @@ module Witness = X3_pattern.Witness
 module Dict = Witness.Dict
 
 (* --- legacy string keys ------------------------------------------------- *)
-(* Components encoded as [u16 length | bytes]. This codec remains the
-   external boundary (export, pivot, tests): the algorithms group on the
-   packed integer keys below and decode through the dictionaries only when
-   a result leaves the engine. *)
+(* Components encoded as [u16 length | bytes]. This codec remains for view
+   snapshots, pivot and string-keyed lookups: the algorithms group on the
+   packed integer keys below, and export decodes dictionary ids itself. *)
 
 let encode parts =
   let buf = Buffer.create 32 in

@@ -9,12 +9,14 @@
     for already-seen groups), hash them with the specialised {!Tbl}, and
     re-key between cuboids with {!project} (a mask on the packed form).
 
-    The legacy length-prefixed string codec ({!encode} / {!decode}) remains
-    the external boundary: export, pivot and the test suite exchange keys
-    as encoded value lists, which [Cube_result] maps onto coded keys via
-    the dictionaries ({!of_parts} / {!to_parts}). *)
+    The legacy length-prefixed string codec ({!encode} / {!decode})
+    remains in three places: the portable snapshot form of a materialised
+    view, pivot, and [Cube_result]'s string-keyed lookups and comparison
+    (which tests use). Each maps encoded value lists onto coded keys via
+    the dictionaries ({!of_parts} / {!to_parts}). Export does not use it:
+    it decodes dictionary ids at print. *)
 
-(** {1 Legacy string keys — the export boundary} *)
+(** {1 Legacy string keys — snapshots, pivot and lookups} *)
 
 val encode : string list -> string
 (** Length-prefixed components ([u16 length | bytes] each). Raises

@@ -5,6 +5,13 @@ module Witness = X3_pattern.Witness
 
 module Int_set = Set.Make (Int)
 
+(* One group: its fact set and the aggregate cell computed from it. The
+   cell is always exactly [cell_of_facts facts] — recomputed whenever the
+   set changes — so a read copies it instead of re-aggregating. Cells are
+   shared with the results [to_result] builds (and with rolled-up views),
+   so a cell once installed is replaced, never mutated. *)
+type group = { mutable facts : Int_set.t; mutable cell : Aggregate.cell }
+
 (* Groups are kept under coded keys relative to the source table's
    dictionaries; the string-keyed accessors decode at the boundary, like
    Cube_result. *)
@@ -14,13 +21,31 @@ type t = {
   layout : Group_key.layout;
   dicts : Witness.Dict.t array;
   measure : int -> float;
-  groups : Int_set.t ref Group_key.Tbl.t;
+  groups : group Group_key.Tbl.t;
 }
 
 let cuboid_id t = t.cuboid_id
 let group_count t = Group_key.Tbl.length t.groups
 
 let states t = Lattice.cuboid t.lattice t.cuboid_id
+
+(* Ascending fact order, the one every cell of a view is computed in, so
+   float totals are reproducible bit for bit. *)
+let cell_of_facts measure facts =
+  let cell = Aggregate.create () in
+  Int_set.iter (fun fact -> Aggregate.add cell (measure fact)) facts;
+  cell
+
+(* Placeholder for a cell not yet computed from its group's final fact
+   set; never handed out. *)
+let stale = Aggregate.create ()
+
+let new_group () = { facts = Int_set.empty; cell = stale }
+
+let fill_stale measure groups =
+  Group_key.Tbl.iter
+    (fun _ g -> if g.cell == stale then g.cell <- cell_of_facts measure g.facts)
+    groups
 
 let fact_items t ~key =
   match
@@ -29,7 +54,7 @@ let fact_items t ~key =
   | None -> []
   | Some coded -> (
       match Group_key.Tbl.find_opt t.groups coded with
-      | Some facts -> Int_set.elements !facts
+      | Some g -> Int_set.elements g.facts
       | None -> [])
 
 let materialize (ctx : Context.t) ~cuboid =
@@ -41,12 +66,10 @@ let materialize (ctx : Context.t) ~cuboid =
         Group_key.load scratch c row;
         ctx.instr.Instrument.keys_built <-
           ctx.instr.Instrument.keys_built + 1;
-        let facts =
-          Group_key.Tbl.find_or_add groups scratch ~default:(fun () ->
-              ref Int_set.empty)
-        in
-        facts := Int_set.add row.Witness.fact !facts
+        let g = Group_key.Tbl.find_or_add groups scratch ~default:new_group in
+        g.facts <- Int_set.add row.Witness.fact g.facts
       end);
+  fill_stale ctx.measure groups;
   {
     cuboid_id = cuboid;
     lattice = ctx.lattice;
@@ -61,7 +84,13 @@ let materialize (ctx : Context.t) ~cuboid =
    union semantics), so non-disjoint repeats across the new rows cost
    memory, never correctness — the same §3.6 discipline as rollup
    merging. The rows must be coded against the same table (and layout)
-   the view was built on. *)
+   the view was built on.
+
+   A fact larger than every fact already in its group (the common case:
+   ingested facts get ids above every document node) extends the group's
+   ascending fold by one step, so the new cell is a copy of the old one
+   plus that fact — the same bits [cell_of_facts] would produce. Any other
+   new fact recomputes the cell from the whole set. *)
 let apply_rows (ctx : Context.t) t rows =
   let c = Lattice.cuboid t.lattice t.cuboid_id in
   let scratch = Group_key.make_scratch t.layout in
@@ -72,55 +101,73 @@ let apply_rows (ctx : Context.t) t rows =
         Group_key.load scratch c row;
         ctx.Context.instr.Instrument.keys_built <-
           ctx.Context.instr.Instrument.keys_built + 1;
-        let facts =
-          Group_key.Tbl.find_or_add t.groups scratch ~default:(fun () ->
-              ref Int_set.empty)
-        in
-        facts := Int_set.add row.Witness.fact !facts;
+        let g = Group_key.Tbl.find_or_add t.groups scratch ~default:new_group in
+        let fact = row.Witness.fact in
+        let facts = Int_set.add fact g.facts in
+        if facts != g.facts then begin
+          let appended =
+            Int_set.is_empty g.facts || fact > Int_set.max_elt g.facts
+          in
+          let cell =
+            if appended then begin
+              (* a new group's cell is [stale], which is empty *)
+              let cell = Aggregate.copy g.cell in
+              Aggregate.add cell (t.measure fact);
+              cell
+            end
+            else cell_of_facts t.measure facts
+          in
+          g.facts <- facts;
+          g.cell <- cell
+        end;
         incr touched
       end)
     rows;
   !touched
 
 (* Estimated resident bytes, in the spirit of the Governor cost model:
-   per group one Tbl slot + boxed key + the ref cell (~96 bytes, like
-   counter_cost), plus one balanced-set node per fact id (4 fields +
-   header = 5 words). The fixed tail covers the record itself. *)
+   per group one Tbl slot + boxed key + the group record (~96 bytes, like
+   counter_cost), its aggregate cell (5 words + 3 boxed floats, ~96
+   bytes), plus one balanced-set node per fact id (4 fields + header = 5
+   words). The fixed tail covers the record itself. *)
 let group_cost = 96
+let cell_cost = 96
 let fact_cost = 40
 
 let approx_bytes t =
   Group_key.Tbl.fold
-    (fun _ facts acc -> acc + group_cost + (fact_cost * Int_set.cardinal !facts))
+    (fun _ g acc ->
+      acc + group_cost + cell_cost + (fact_cost * Int_set.cardinal g.facts))
     t.groups 128
-
-let cell_of_facts t facts =
-  let cell = Aggregate.create () in
-  Int_set.iter (fun fact -> Aggregate.add cell (t.measure fact)) facts;
-  cell
 
 let legacy_key t key =
   Group_key.encode (Group_key.to_parts t.layout ~dicts:t.dicts (states t) key)
 
 let cells t =
   Group_key.Tbl.fold
-    (fun key facts acc -> (legacy_key t key, cell_of_facts t !facts) :: acc)
+    (fun key g acc -> (legacy_key t key, g.cell) :: acc)
     t.groups []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* A coarse group fed by one finer group has the same fact set, so it
+   shares that group's cell; a merged group's cell is recomputed from the
+   union. *)
 let rollup_unchecked (ctx : Context.t) t ~coarser =
   let coarse = Lattice.cuboid ctx.lattice coarser in
   let groups = Group_key.Tbl.create 256 in
   Group_key.Tbl.iter
-    (fun key facts ->
+    (fun key g ->
       let key' = Group_key.project t.layout ~to_:coarse key in
       match Group_key.Tbl.find_opt groups key' with
       | Some merged ->
           (* The fact sets make the merge duplicate-safe: a fact present in
              two finer groups counts once here. *)
-          merged := Int_set.union !merged !facts
-      | None -> Group_key.Tbl.replace groups key' (ref !facts))
+          merged.facts <- Int_set.union merged.facts g.facts;
+          merged.cell <- stale
+      | None ->
+          Group_key.Tbl.replace groups key' { facts = g.facts; cell = g.cell })
     t.groups;
+  fill_stale t.measure groups;
   { t with cuboid_id = coarser; groups }
 
 (* A covered path from [finer] to [coarser] in the lattice DAG: every step
@@ -194,14 +241,14 @@ let to_records t =
   add_u32 header (Group_key.Tbl.length t.groups);
   let records =
     Group_key.Tbl.fold
-      (fun key facts acc ->
+      (fun key g acc ->
         let buf = Buffer.create 64 in
         Buffer.add_char buf 'G';
         let legacy = legacy_key t key in
         add_u32 buf (String.length legacy);
         Buffer.add_string buf legacy;
-        add_u32 buf (Int_set.cardinal !facts);
-        Int_set.iter (fun fact -> add_u32 buf fact) !facts;
+        add_u32 buf (Int_set.cardinal g.facts);
+        Int_set.iter (fun fact -> add_u32 buf fact) g.facts;
         Buffer.contents buf :: acc)
       t.groups []
   in
@@ -250,7 +297,8 @@ let of_records (ctx : Context.t) records =
             | [] ->
                 if Group_key.Tbl.length groups <> expected then
                   Error "view snapshot: group count mismatch"
-                else
+                else begin
+                  fill_stale ctx.measure groups;
                   Ok
                     {
                       cuboid_id;
@@ -260,6 +308,7 @@ let of_records (ctx : Context.t) records =
                       measure = ctx.measure;
                       groups;
                     }
+                end
             | record :: rest -> (
                 match parse_group record with
                 | Error _ as e -> e
@@ -276,7 +325,8 @@ let of_records (ctx : Context.t) records =
                               to this witness table"
                              key)
                     | Some coded ->
-                        Group_key.Tbl.replace groups coded (ref facts);
+                        Group_key.Tbl.replace groups coded
+                          { facts; cell = stale };
                         go rest))
           in
           go rest
@@ -286,19 +336,10 @@ let of_records (ctx : Context.t) records =
 let load (ctx : Context.t) store =
   of_records ctx (X3_storage.Snapshot_store.read store)
 
+(* The result is over the view's own table (same dictionaries, same key
+   layout) — true by construction for the session that built both — so
+   keys and cells are copied as they are. *)
 let to_result t result =
-  let cuboid = states t in
-  let layout = Cube_result.layout result in
-  let dicts = Witness.dicts (Cube_result.table result) in
   Group_key.Tbl.iter
-    (fun key facts ->
-      let parts = Group_key.to_parts t.layout ~dicts:t.dicts cuboid key in
-      match Group_key.of_parts layout ~dicts cuboid parts with
-      | Some key' ->
-          Cube_result.set_cell result ~cuboid:t.cuboid_id ~key:key'
-            (cell_of_facts t !facts)
-      | None ->
-          invalid_arg
-            "Materialized.to_result: group value unknown to the result's \
-             table")
+    (fun key g -> Cube_result.set_cell result ~cuboid:t.cuboid_id ~key g.cell)
     t.groups

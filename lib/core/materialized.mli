@@ -14,7 +14,13 @@
     Coverage is the one thing fact sets cannot repair: a fact absent from
     every group of the intermediate (because the relaxed-away axis was
     missing) is simply not there to be rolled up; [rollup] therefore
-    refuses edges that are not covered unless explicitly forced. *)
+    refuses edges that are not covered unless explicitly forced.
+
+    The cell is always the aggregate of the group's current fact set, in
+    ascending fact order: {!materialize}, {!rollup}, {!apply_rows} and
+    {!of_records} recompute it whenever the set changes, so reading a view
+    ({!cells}, {!to_result}) never re-aggregates. A cell once installed is
+    replaced, never mutated, so results and views may share it. *)
 
 type t
 
@@ -35,12 +41,12 @@ val apply_rows : Context.t -> t -> X3_pattern.Witness.row list -> int
     coded against the same table and layout the view was built on. *)
 
 val approx_bytes : t -> int
-(** Estimated resident bytes of the view (groups, keys and fact sets),
-    following the {!Governor} cost-model conventions — what a byte-budgeted
-    cuboid cache charges per entry. *)
+(** Estimated resident bytes of the view (groups, keys, cells and fact
+    sets), following the {!Governor} cost-model conventions — what a
+    byte-budgeted cuboid cache charges per entry. *)
 
 val cells : t -> (string * Aggregate.cell) list
-(** The group aggregates, sorted by key. *)
+(** The group aggregates under legacy encoded keys, sorted by key. *)
 
 val rollup :
   Context.t ->
@@ -59,7 +65,9 @@ val rollup_unchecked : Context.t -> t -> coarser:int -> t
     demonstrate the §3.6 failure mode. *)
 
 val to_result : t -> Cube_result.t -> unit
-(** Copy the intermediate's cells into a cube result. *)
+(** Copy the intermediate's coded keys and cells into a cube result. The
+    result must be over the witness table and key layout the view was
+    built on (as {!Engine.Session.result_of_views} guarantees). *)
 
 (** {1 Crash-safe persistence} *)
 

@@ -7,20 +7,34 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+(* End of the run of bytes from [i] that print as themselves inside a
+   JSON string; such runs are copied whole. *)
+let rec plain_end s i =
+  if i = String.length s then i
+  else
+    match s.[i] with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> plain_end s (i + 1)
+
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n do
+    let start = !i in
+    i := plain_end s start;
+    if !i > start then Buffer.add_substring buf s start (!i - start);
+    if !i < n then begin
+      (match s.[!i] with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      incr i
+    end
+  done;
   Buffer.add_char buf '"'
 
 (* JSON has no NaN/infinity; render them as null rather than emitting an
@@ -77,8 +91,20 @@ let rec write ~pretty buf level t =
       indent level;
       Buffer.add_char buf '}'
 
+(* Roughly the encoded length of a value: enough that a document carrying
+   one large string (a cube payload) is written without regrowing the
+   buffer. Escapes are allowed one byte in eight. *)
+let rec size_hint = function
+  | Null | Bool _ | Int _ | Float _ -> 24
+  | Str s -> String.length s + (String.length s lsr 3) + 2
+  | Arr items -> List.fold_left (fun acc v -> acc + size_hint v + 8) 2 items
+  | Obj fields ->
+      List.fold_left
+        (fun acc (k, v) -> acc + String.length k + size_hint v + 12)
+        2 fields
+
 let to_string ?(pretty = true) t =
-  let buf = Buffer.create 1024 in
+  let buf = Buffer.create (size_hint t) in
   write ~pretty buf 0 t;
   if pretty then Buffer.add_char buf '\n';
   Buffer.contents buf
@@ -161,7 +187,14 @@ let parse s =
   in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
+    (* sized from the distance to the next quote: exact for a string
+       without escaped quotes *)
+    let buf =
+      Buffer.create
+        (match String.index_from_opt s !pos '"' with
+        | Some close -> max 16 (close - !pos)
+        | None -> 16)
+    in
     let rec go () =
       if !pos >= n then fail "unterminated string";
       match s.[!pos] with
@@ -186,9 +219,10 @@ let parse s =
            | c -> fail (Printf.sprintf "bad escape \\%c" c));
           go ()
       | c when Char.code c < 0x20 -> fail "unescaped control character"
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
+      | _ ->
+          let start = !pos in
+          pos := plain_end s start;
+          Buffer.add_substring buf s start (!pos - start);
           go ()
     in
     go ()

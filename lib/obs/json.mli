@@ -21,6 +21,10 @@ val to_string : ?pretty:bool -> t -> string
 
 val to_file : ?pretty:bool -> string -> t -> unit
 
+val escape : Buffer.t -> string -> unit
+(** Append a string as a quoted JSON string literal — how {!to_string}
+    renders [Str], for writers that stream a document into a buffer. *)
+
 val parse : string -> (t, string) result
 (** Decode one JSON document — the inverse of {!to_string} for everything
     the encoder emits. Numbers without a fraction or exponent decode as

@@ -72,29 +72,32 @@ let writer_loop t =
           (List.rev batch, t.closed))
     in
     if batch <> [] then begin
-      if !size >= t.max_bytes then begin
-        close_channel ();
-        rotate t;
-        size := 0
-      end;
-      match channel () with
-      | Some ch -> (
-          match
-            List.iter
-              (fun line ->
+      (* The cap is checked before every record, not once per batch: a
+         batch can hold many records when the writer falls behind, and
+         the disk bound must not depend on how they were batched. *)
+      match
+        List.iter
+          (fun line ->
+            if !size >= t.max_bytes then begin
+              close_channel ();
+              rotate t;
+              size := 0
+            end;
+            match channel () with
+            | Some ch ->
                 output_string ch line;
                 output_char ch '\n';
-                size := !size + String.length line + 1)
-              batch;
-            flush ch
-          with
-          | () -> ()
-          | exception Sys_error _ ->
-              (* An unwritable log never takes the daemon down; the
-                 records are lost but counted. *)
-              close_channel ();
-              Metrics.inc ~by:(List.length batch) t.m_dropped)
-      | None -> Metrics.inc ~by:(List.length batch) t.m_dropped
+                size := !size + String.length line + 1
+            | None -> Metrics.inc t.m_dropped)
+          batch;
+        Option.iter flush !oc
+      with
+      | () -> ()
+      | exception Sys_error _ ->
+          (* An unwritable log never takes the daemon down; the records
+             are lost but counted. *)
+          close_channel ();
+          Metrics.inc ~by:(List.length batch) t.m_dropped
     end;
     if stop then running := false
   done;

@@ -1089,7 +1089,9 @@ let restore_snapshot t =
                         | Ok v -> v)
                       ds.Warm_store.ws_views
                   in
-                  (* Replay ingests the snapshot never saw. *)
+                  (* Replay ingests the snapshot never saw, oldest first:
+                     each record advances [de_wal_lsn], which the guard
+                     compares against. *)
                   List.iter
                     (fun (lsn, fragment) ->
                       if lsn > entry.de_wal_lsn then begin
@@ -1111,7 +1113,7 @@ let restore_snapshot t =
                             | Ok _ -> ()));
                         entry.de_wal_lsn <- lsn
                       end)
-                    (List.rev (doc_frags t.wal_frags doc_path));
+                    (doc_frags t.wal_frags doc_path);
                   let bytes = Engine.Session.table_bytes session in
                   if
                     Cuboid_cache.insert t.cache ~key:(doc_key skey) ~bytes

@@ -1673,6 +1673,415 @@ let test_stage_fragment_classification () =
       Alcotest.fail
         "a fragment nesting further facts must be refused (descendant path)"
 
+(* --- view cells track fact sets ------------------------------------------ *)
+
+(* Every group's stored cell must be exactly (bit for bit) the aggregate
+   of its fact set folded in ascending order. *)
+let check_cells_track_facts ~name (ctx : X3_core.Context.t) view =
+  List.iter
+    (fun (key, cell) ->
+      let expected = Aggregate.create () in
+      List.iter
+        (fun fact -> Aggregate.add expected (ctx.X3_core.Context.measure fact))
+        (Materialized.fact_items view ~key);
+      Alcotest.(check bool)
+        (Format.asprintf "%s: cell of %a = aggregate of its facts" name
+           Group_key.pp key)
+        true (cell = expected))
+    (Materialized.cells view)
+
+let test_view_cells_track_count () =
+  let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
+  let session =
+    Engine.Session.create
+      (Engine.prepare ~pool:(small_pool ()) ~store:(figure1_store ()) spec)
+  in
+  let ctx = Engine.Session.context session in
+  let prepared = Engine.Session.prepared session in
+  let lattice = Engine.lattice prepared in
+  let views =
+    List.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
+        Engine.Session.materialize session ~cuboid)
+  in
+  List.iter (check_cells_track_facts ~name:"materialize" ctx) views;
+  (* Publication 1 has two authors, so it sits in two groups of the
+     by-author-and-year view; rolled up to by-year it must count once. *)
+  let finer = cuboid_id prepared [ present 1; removed; present 0 ] in
+  let coarser = cuboid_id prepared [ removed; removed; present 0 ] in
+  (match
+     Engine.Session.rollup session (List.nth views finer) ~coarser
+   with
+  | Error msg -> Alcotest.failf "rollup refused: %s" msg
+  | Ok rolled ->
+      check_cells_track_facts ~name:"rollup" ctx rolled;
+      let reference, _ = Engine.run prepared Engine.Naive in
+      List.iter
+        (fun (key, cell) ->
+          Alcotest.(check (option (float 0.)))
+            (Format.asprintf "rollup %a = naive" Group_key.pp key)
+            (Option.map
+               (Aggregate.value Aggregate.Count)
+               (Cube_result.find reference ~cuboid:coarser ~key))
+            (Some (Aggregate.value Aggregate.Count cell)))
+        (Materialized.cells rolled));
+  (* Re-adding facts a view already holds changes nothing. *)
+  let table = Engine.table prepared in
+  let before = List.map Materialized.cells views in
+  List.iter
+    (fun view ->
+      ignore (Materialized.apply_rows ctx view (Witness.to_list table) : int))
+    views;
+  List.iter2
+    (fun cells view ->
+      Alcotest.(check bool) "re-adding present facts keeps every cell" true
+        (List.for_all2
+           (fun (k, a) (k', b) -> String.equal k k' && a == b)
+           cells (Materialized.cells view)))
+    before views;
+  (* New facts, the later one applied first: the earlier fact lands below
+     its groups' maximum and takes the full recompute. *)
+  List.iter
+    (fun (lsn, src) ->
+      match
+        Engine.stage_fragment spec ~fragment:(frag_of_source src)
+          ~fact_id:(Engine.synthetic_fact_id ~lsn)
+      with
+      | Engine.Staged staged -> (
+          match Engine.Session.apply_delta session staged ~views with
+          | Ok _ -> ()
+          | Error fb ->
+              Alcotest.failf "delta refused: %s"
+                (Engine.fallback_reason_name fb))
+      | _ -> Alcotest.fail "fragment should stage")
+    [ (7, pub5); (3, pub6) ];
+  List.iter (check_cells_track_facts ~name:"apply_rows" ctx) views;
+  (* And the snapshot form restores the same cells. *)
+  List.iter
+    (fun view ->
+      match Materialized.of_records ctx (Materialized.to_records view) with
+      | Error msg -> Alcotest.failf "of_records: %s" msg
+      | Ok restored ->
+          check_cells_track_facts ~name:"of_records" ctx restored;
+          Alcotest.(check bool) "restored cells equal the originals" true
+            (Materialized.cells restored = Materialized.cells view))
+    views
+
+(* A 'G' snapshot record without its smallest fact id. *)
+let drop_smallest_fact record =
+  let u32 pos =
+    Char.code record.[pos]
+    lor (Char.code record.[pos + 1] lsl 8)
+    lor (Char.code record.[pos + 2] lsl 16)
+    lor (Char.code record.[pos + 3] lsl 24)
+  in
+  let keylen = u32 1 in
+  let nfacts = u32 (5 + keylen) in
+  if nfacts < 2 then record
+  else begin
+    let b = Bytes.of_string record in
+    let n = nfacts - 1 in
+    for shift = 0 to 3 do
+      Bytes.set b (5 + keylen + shift)
+        (Char.chr ((n lsr (8 * shift)) land 0xFF))
+    done;
+    let head = Bytes.sub_string b 0 (9 + keylen) in
+    head ^ String.sub record (13 + keylen) (String.length record - 13 - keylen)
+  end
+
+let test_view_cells_track_sum () =
+  let doc =
+    parse_ok
+      {|<db>
+         <r><a>x</a><b>u</b><price>10.1</price></r>
+         <r><a>x</a><b>v</b><price>5.7</price></r>
+         <r><a>x</a><b>u</b><b>v</b><price>0.3</price></r>
+         <r><a>y</a><b>u</b><price>2.5</price></r>
+       </db>|}
+  in
+  let axes =
+    [|
+      X3_pattern.Axis.make_exn ~name:"$a" ~steps:[ step c "a" ]
+        ~allowed:[ Relax.Lnd ];
+      X3_pattern.Axis.make_exn ~name:"$b" ~steps:[ step c "b" ]
+        ~allowed:[ Relax.Lnd ];
+    |]
+  in
+  let spec =
+    {
+      Engine.fact_path = [ step d "r" ];
+      axes;
+      func = Aggregate.Sum;
+      measure_path = Some [ step c "price" ];
+      filters = [];
+    }
+  in
+  let p =
+    Engine.prepare ~pool:(small_pool ()) ~store:(X3_xdb.Store.of_document doc)
+      spec
+  in
+  let ctx = context_of p in
+  let lattice = Engine.lattice p in
+  let views =
+    List.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
+        Materialized.materialize ctx ~cuboid)
+  in
+  List.iter (check_cells_track_facts ~name:"sum materialize" ctx) views;
+  (* Fact 3 sits in both $b groups: rolling the ($a, $b) view up to the
+     ALL cuboid must count its price once. *)
+  let all = cuboid_id p [ removed; removed ] in
+  let rigid = X3_lattice.Lattice.rigid_id lattice in
+  let rolled =
+    Materialized.rollup_unchecked ctx (List.nth views rigid) ~coarser:all
+  in
+  check_cells_track_facts ~name:"sum rollup" ctx rolled;
+  Alcotest.(check bool) "sum rollup = direct" true
+    (Materialized.cells rolled = Materialized.cells (List.nth views all));
+  (* A view restored without each group's smallest fact, then patched
+     with every row of the table: each re-added fact is below its group's
+     maximum, so every touched cell is recomputed — and must come back to
+     exactly the materialised one. *)
+  List.iter
+    (fun view ->
+      let records =
+        match Materialized.to_records view with
+        | header :: groups -> header :: List.map drop_smallest_fact groups
+        | [] -> []
+      in
+      match Materialized.of_records ctx records with
+      | Error msg -> Alcotest.failf "of_records: %s" msg
+      | Ok thinned ->
+          check_cells_track_facts ~name:"sum of_records" ctx thinned;
+          let rows = Witness.to_list (Engine.table p) in
+          ignore (Materialized.apply_rows ctx thinned rows : int);
+          check_cells_track_facts ~name:"sum apply_rows" ctx thinned;
+          Alcotest.(check bool) "patched cells = materialised cells" true
+            (Materialized.cells thinned = Materialized.cells view))
+    views
+
+(* --- export: values of any length, in the historical order ---------------- *)
+
+let doc_of_facts facts =
+  match Tree.elem "db" facts with
+  | Tree.Element e -> Tree.document e
+  | _ -> assert false
+
+(* The export as it was written over legacy encoded keys: groups from
+   [Cube_result.cuboid_cells] (sorted by [String.compare] over the
+   encoding), columns decoded from the key. *)
+let legacy_float_repr v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%g" v
+
+let legacy_csv_quote field =
+  if String.exists (function '"' | ',' | '\n' | '\r' -> true | _ -> false) field
+  then "\"" ^ String.concat "\"\"" (String.split_on_char '"' field) ^ "\""
+  else field
+
+let legacy_json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let legacy_columns cuboid key =
+  let parts = ref (Group_key.decode key) in
+  Array.to_list
+    (Array.map
+       (function
+         | X3_lattice.State.Removed -> "(ALL)"
+         | X3_lattice.State.Present _ -> (
+             match !parts with
+             | part :: rest ->
+                 parts := rest;
+                 part
+             | [] -> assert false))
+       cuboid)
+
+let legacy_csv ~func result =
+  let lattice = Cube_result.lattice result in
+  let axes = X3_lattice.Lattice.axes lattice in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "cuboid,degree";
+  Array.iter
+    (fun a -> Buffer.add_string buf ("," ^ legacy_csv_quote a.Axis.name))
+    axes;
+  Buffer.add_string buf ("," ^ Aggregate.func_to_string func ^ "\n");
+  Array.iter
+    (fun id ->
+      let cuboid = X3_lattice.Lattice.cuboid lattice id in
+      List.iter
+        (fun (key, cell) ->
+          Buffer.add_string buf
+            (Printf.sprintf "%d,%d" id (X3_lattice.Lattice.degree lattice id));
+          List.iter
+            (fun col -> Buffer.add_string buf ("," ^ legacy_csv_quote col))
+            (legacy_columns cuboid key);
+          Buffer.add_string buf
+            ("," ^ legacy_float_repr (Aggregate.value func cell) ^ "\n"))
+        (Cube_result.cuboid_cells result id))
+    (X3_lattice.Lattice.by_degree lattice);
+  Buffer.contents buf
+
+let legacy_json ~func result =
+  let lattice = Cube_result.lattice result in
+  let axes = X3_lattice.Lattice.axes lattice in
+  let cuboid_json id =
+    let cuboid = X3_lattice.Lattice.cuboid lattice id in
+    let states =
+      Array.to_list
+        (Array.mapi
+           (fun i state ->
+             legacy_json_string
+               (Printf.sprintf "%s:%s" axes.(i).Axis.name
+                  (X3_lattice.State.to_string axes.(i) state)))
+           cuboid)
+    in
+    let groups =
+      List.map
+        (fun (key, cell) ->
+          let v = Aggregate.value func cell in
+          Printf.sprintf "{\"key\": [%s], \"value\": %s}"
+            (String.concat ", "
+               (List.map legacy_json_string (Group_key.decode key)))
+            (if Float.is_nan v then "null" else legacy_float_repr v))
+        (Cube_result.cuboid_cells result id)
+    in
+    Printf.sprintf "\n  {\"cuboid\": %d, \"states\": [%s], \"groups\": [%s]}" id
+      (String.concat ", " states)
+      (String.concat ", " groups)
+  in
+  "["
+  ^ String.concat ","
+      (List.map cuboid_json
+         (Array.to_list (X3_lattice.Lattice.by_degree lattice)))
+  ^ "\n]\n"
+
+(* Values whose lengths straddle the legacy encoding's length bytes (255 /
+   256 / 257, 511 / 512), plus empty strings, NUL, high bytes and CSV
+   metacharacters. *)
+let gen_export_case =
+  let open QCheck2.Gen in
+  let value =
+    map3
+      (fun len fill last ->
+        if len = 0 then "" else String.make (len - 1) fill ^ String.make 1 last)
+      (oneofl [ 0; 1; 2; 255; 256; 257; 511; 512 ])
+      (oneofl [ 'a'; '\000'; '\xff' ])
+      (oneofl [ 'a'; 'b'; '\000'; '\x80'; '\xff'; ','; '"' ])
+  in
+  let child tag = map (fun v -> Tree.elem tag [ Tree.text v ]) value in
+  map doc_of_facts
+    (list_size (int_range 1 10)
+       (map2
+          (fun xs ys -> Tree.elem "r" (xs @ ys))
+          (list_size (int_bound 2) (child "a"))
+          (list_size (int_bound 2) (child "b"))))
+
+let prop_export_matches_legacy_order =
+  QCheck2.Test.make ~name:"export bytes = legacy string-key export" ~count:150
+    gen_export_case (fun doc ->
+      let store = X3_xdb.Store.of_document doc in
+      let spec =
+        Engine.count_spec ~fact_path:[ step d "r" ] ~axes:(random_axes ())
+      in
+      let p = Engine.prepare ~pool:(small_pool ()) ~store spec in
+      let result, _ = Engine.run p Engine.Counter in
+      let func = Aggregate.Count in
+      let csv = Export.csv_string ~func result in
+      (* the serve path: cells copied out of materialised views *)
+      let session = Engine.Session.create p in
+      let from_views =
+        Engine.Session.result_of_views session
+          (List.init
+             (X3_lattice.Lattice.size (Engine.lattice p))
+             (fun cuboid -> Engine.Session.materialize session ~cuboid))
+      in
+      String.equal csv (legacy_csv ~func result)
+      && String.equal
+           (Export.json_string ~func result)
+           (legacy_json ~func result)
+      && String.equal csv (Export.csv_string ~func from_views))
+
+let test_export_long_binary_values () =
+  let long = String.make 70_000 'L' in
+  let binary = "bin\000\001\x7f\xfe\xff" in
+  let utf8 = "caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac" in
+  let doc =
+    doc_of_facts
+      (List.map
+         (fun v -> Tree.elem "r" [ Tree.elem "a" [ Tree.text v ] ])
+         [ long; binary; long; utf8; "plain" ])
+  in
+  let axes =
+    [|
+      X3_pattern.Axis.make_exn ~name:"$a" ~steps:[ step c "a" ]
+        ~allowed:[ Relax.Lnd ];
+    |]
+  in
+  let spec = Engine.count_spec ~fact_path:[ step d "r" ] ~axes in
+  let p =
+    Engine.prepare ~pool:(small_pool ()) ~store:(X3_xdb.Store.of_document doc)
+      spec
+  in
+  let exports alg =
+    let result, _ = Engine.run p alg in
+    ( Export.csv_string ~func:Aggregate.Count result,
+      Export.json_string ~func:Aggregate.Count result )
+  in
+  let csv, json = exports Engine.Naive in
+  List.iter
+    (fun alg ->
+      Alcotest.(check bool)
+        (Engine.algorithm_to_string alg ^ " exports = NAIVE's")
+        true
+        (exports alg = (csv, json)))
+    Engine.[ Counter; Buc; Td ];
+  let rigid = X3_lattice.Lattice.rigid_id (Engine.lattice p) in
+  let row v n = Printf.sprintf "%d,0,%s,%d" rigid v n in
+  let lines = String.split_on_char '\n' csv in
+  List.iter
+    (fun (v, n) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "csv row for a %d-byte value" (String.length v))
+        true
+        (List.mem (row v n) lines))
+    [ (long, 2); (binary, 1); (utf8, 1); ("plain", 1) ];
+  let module Json = X3_obs.Json in
+  match Json.parse json with
+  | Error msg -> Alcotest.failf "json export does not parse: %s" msg
+  | Ok (Json.Arr cuboids) ->
+      let keys =
+        List.concat_map
+          (fun cuboid ->
+            match Json.member "groups" cuboid with
+            | Some (Json.Arr groups) ->
+                List.filter_map
+                  (fun g ->
+                    match (Json.member "key" g, Json.member "value" g) with
+                    | Some (Json.Arr [ Json.Str k ]), Some (Json.Int n) ->
+                        Some (k, n)
+                    | _ -> None)
+                  groups
+            | _ -> [])
+          cuboids
+      in
+      Alcotest.(check (list (pair string int)))
+        "json keys decode back to the values"
+        (List.sort compare [ (long, 2); (binary, 1); (utf8, 1); ("plain", 1) ])
+        (List.sort compare keys)
+  | Ok _ -> Alcotest.fail "json export is not an array"
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "x3_core"
@@ -1754,6 +2163,10 @@ let () =
             test_materialized_rollup_refuses_uncovered;
           Alcotest.test_case "rollup rejects non-relaxation" `Quick
             test_materialized_rollup_rejects_non_relaxation;
+          Alcotest.test_case "cells track fact sets (COUNT)" `Quick
+            test_view_cells_track_count;
+          Alcotest.test_case "cells track fact sets (SUM)" `Quick
+            test_view_cells_track_sum;
         ] );
       ( "ingest deltas",
         [
@@ -1771,6 +2184,8 @@ let () =
           Alcotest.test_case "csv" `Quick test_export_csv;
           Alcotest.test_case "csv quoting" `Quick test_export_csv_quoting;
           Alcotest.test_case "json shape" `Quick test_export_json_shape;
+          Alcotest.test_case "long, binary and non-ASCII values" `Quick
+            test_export_long_binary_values;
         ] );
       ( "pivot",
         [
@@ -1824,5 +2239,6 @@ let () =
             prop_parallel_matches_sequential;
             prop_sp_algorithms_agree;
             prop_sp_monotone_match_sets;
+            prop_export_matches_legacy_order;
           ] );
     ]

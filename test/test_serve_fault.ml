@@ -723,6 +723,77 @@ let test_warm_restart_recovers_the_cache () =
                     provenance.Protocol.p_base
               | _ -> Alcotest.fail "warm-restart request failed")))
 
+(* Ingests logged after the snapshot was drained must all be replayed on
+   restore, oldest first — not just the newest. *)
+let test_warm_restart_replays_every_later_ingest () =
+  with_figure1 @@ fun doc_path ->
+  let snap = Filename.temp_file "x3snap" ".bin" in
+  let wal = Filename.temp_file "x3wal" ".wal" in
+  Sys.remove snap;
+  Sys.remove wal;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ snap; wal ])
+    (fun () ->
+      let cube h ~no_cache =
+        with_client h (fun conn ->
+            match
+              Server.Client.request ~deadline:30.0 conn
+                (cube_req ~no_cache ~doc:doc_path figure1_query)
+            with
+            | Ok (Protocol.Cube_ok { payload; provenance; _ }) ->
+                (payload, provenance)
+            | _ -> Alcotest.fail "cube request failed")
+      in
+      (* First life: warm the cache, drain, snapshot at LSN 0. *)
+      let h =
+        start_server
+          ~tune:(fun c ->
+            { c with Server.snapshot_path = Some snap; wal_path = Some wal })
+          ()
+      in
+      ignore (cube h ~no_cache:false);
+      stop_server h;
+      (* Second life, no snapshot path: three ingests the snapshot never
+         sees. *)
+      let h =
+        start_server ~tune:(fun c -> { c with Server.wal_path = Some wal }) ()
+      in
+      with_client h (fun conn ->
+          List.iter
+            (fun id ->
+              match
+                Server.Client.request conn
+                  (Protocol.Ingest
+                     {
+                       doc = doc_path;
+                       fragment =
+                         Printf.sprintf
+                           {|<publication id="%d"><author id="a9"><name>John</name></author>|}
+                           id
+                         ^ {|<publisher id="p2"/><year>2003</year></publication>|};
+                     })
+              with
+              | Ok (Protocol.Ingest_ok _) -> ()
+              | _ -> Alcotest.fail "ingest failed")
+            [ 90; 91; 92 ]);
+      stop_server h;
+      (* Third life: restore the snapshot, replay all three records. *)
+      with_server
+        ~tune:(fun c ->
+          { c with Server.snapshot_path = Some snap; wal_path = Some wal })
+        (fun h3 ->
+          Alcotest.(check bool) "views were restored" true
+            (stats_metric h3 "serve.cache.restored_views" >= 1);
+          let restored, provenance = cube h3 ~no_cache:false in
+          let reference, _ = cube h3 ~no_cache:true in
+          Alcotest.(check bool) "served from the restored cache" true
+            (provenance.Protocol.p_cached > 0);
+          Alcotest.(check string) "restored == cold graft of every ingest"
+            reference restored))
+
 let test_corrupt_snapshot_cold_starts () =
   with_figure1 @@ fun doc_path ->
   let snap = Filename.temp_file "x3snap" ".bin" in
@@ -942,6 +1013,8 @@ let () =
             `Quick test_forced_drain_cancels_with_a_typed_answer;
           Alcotest.test_case "warm restart recovers the cuboid cache" `Quick
             test_warm_restart_recovers_the_cache;
+          Alcotest.test_case "warm restart replays every later ingest" `Quick
+            test_warm_restart_replays_every_later_ingest;
           Alcotest.test_case "corrupt snapshot cold-starts without error"
             `Quick test_corrupt_snapshot_cold_starts;
           Alcotest.test_case "changed document bytes refuse the snapshot"
