@@ -20,7 +20,9 @@
    budget is not binding, if disabled tracing costs more than 2% or
    enabled tracing more than 10% on the grouping workload, or — on
    hardware with at least 4 cores — if 4 workers fail to reach a 2x
-   NAIVE speedup, so `dune runtest` gates on all of it. *)
+   NAIVE speedup, so `dune runtest` gates on all of it.  The three
+   overhead gates read medians of interleaved per-round ratios (see
+   [interleaved]). *)
 
 module Engine = X3_core.Engine
 module Instrument = X3_core.Instrument
@@ -120,52 +122,67 @@ let page_io_rate ~format =
   Disk.close disk;
   float_of_int (2 * n_pages) /. dt
 
-(* The grouping workload (materialise + COUNTER) end to end on each page
-   format; the checksum cost must stay amortised against the cube work.
-   Best of several samples to keep scheduler noise out of the gate. *)
-let grouping_seconds ~store ~spec ~config ~format =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to 5 do
-      let pool =
-        Buffer_pool.create ~capacity_pages:256
-          (Disk.in_memory ~page_size:1024 ~format ())
-      in
-      let prepared = Engine.prepare ~pool ~store spec in
-      ignore (Engine.run ~config prepared Engine.Counter)
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. 5. in
-    if dt < !best then best := dt
-  done;
-  !best
+(* --- overhead gates --------------------------------------------------- *)
 
-(* --- governor overhead (PR 4) ------------------------------------------- *)
+(* Process CPU seconds (getrusage, microsecond resolution): unlike wall
+   time it leaves out the intervals the process sat descheduled, which on
+   a shared machine are noise, not overhead. *)
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
 
-(* The same grouping workload (prepare + COUNTER), once through the plain
-   engine and once through run_safe under a byte budget far above the
-   workload's peak.  With the budget not binding, every reservation is a
-   couple of atomic operations — the governed path must stay within 20%
-   of the ungoverned one.  Best of several samples, like the checksum
-   gate. *)
-let grouping_seconds_run ~store ~spec ~run =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to 5 do
-      let pool =
-        Buffer_pool.create ~capacity_pages:256
-          (Disk.in_memory ~page_size:1024 ())
-      in
-      let prepared = Engine.prepare ~pool ~store spec in
-      run prepared
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. 5. in
-    if dt < !best then best := dt
+(* One batch of the grouping workload (materialise + COUNTER via [run],
+   five times over a fresh pool of [format] pages): mean CPU seconds per
+   run. *)
+let grouping_batch ?format ~store ~spec run =
+  Gc.full_major ();
+  let t0 = cpu_seconds () in
+  for _ = 1 to 5 do
+    let pool =
+      Buffer_pool.create ~capacity_pages:256
+        (Disk.in_memory ~page_size:1024 ?format ())
+    in
+    let prepared = Engine.prepare ~pool ~store spec in
+    run prepared
   done;
-  !best
+  (cpu_seconds () -. t0) /. 5.
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* The checksum, governor and tracing gates each compare variants of the
+   grouping workload whose true difference is a few percent, on a shared
+   machine whose speed drifts by more than that within a run.  Each round
+   runs one batch of every variant back to back, cycling through every
+   rotation of the variants and its reverse, so each variant precedes and
+   follows each other equally often; a round yields each variant's ratio
+   to the baseline batch (variant 0) beside it.  Returns per variant the
+   median batch seconds and the median ratio: a load change cancels out
+   of every ratio instead of biasing whichever variant it fell on.  The
+   2% gate between two identical paths needs the most rounds. *)
+let interleaved ~rounds variants =
+  let n = Array.length variants in
+  let rotation k = List.init n (fun i -> (i + k) mod n) in
+  let orders =
+    Array.of_list
+      (List.concat_map
+         (fun k -> [ rotation k; List.rev (rotation k) ])
+         (List.init n Fun.id))
+  in
+  let samples =
+    List.init rounds (fun round ->
+        let t = Array.make n 0. in
+        List.iter
+          (fun v -> t.(v) <- variants.(v) ())
+          orders.(round mod Array.length orders);
+        t)
+  in
+  let col f = median (List.map f samples) in
+  ( Array.init n (fun v -> col (fun t -> t.(v))),
+    Array.init n (fun v -> col (fun t -> t.(v) /. t.(0))) )
 
 let () =
   let out_path =
@@ -254,9 +271,19 @@ let () =
   let v0_rate = page_io_rate ~format:Disk.V0 in
   let v1_rate = page_io_rate ~format:Disk.V1 in
   let io_overhead = (v0_rate /. v1_rate) -. 1.0 in
-  let v0_group = grouping_seconds ~store ~spec ~config:run_config ~format:Disk.V0 in
-  let v1_group = grouping_seconds ~store ~spec ~config:run_config ~format:Disk.V1 in
-  let group_overhead = (v1_group /. v0_group) -. 1.0 in
+  (* The grouping workload end to end on each page format: the checksum
+     cost must stay amortised against the cube work. *)
+  let counter prepared =
+    ignore (Engine.run ~config:run_config prepared Engine.Counter)
+  in
+  let group_seconds, group_ratios =
+    interleaved ~rounds:12
+      (Array.map
+         (fun format () -> grouping_batch ~format ~store ~spec counter)
+         [| Disk.V0; Disk.V1 |])
+  in
+  let v0_group = group_seconds.(0) and v1_group = group_seconds.(1) in
+  let group_overhead = group_ratios.(1) -. 1.0 in
   Printf.printf
     "  checksum overhead (V1 CRC-32+LSN pages vs V0 raw):\n\
     \    raw page I/O        V0 %10.0f pages/s   V1 %10.0f pages/s  (%+.1f%%)\n\
@@ -264,25 +291,31 @@ let () =
     v0_rate v1_rate (100. *. io_overhead) v0_group v1_group
     (100. *. group_overhead);
   (* --- governor overhead ----------------------------------------------- *)
+  (* The plain engine against run_safe under a byte budget far above the
+     workload's peak: with the budget not binding, every reservation is a
+     couple of atomic operations. *)
   let governor_budget = 1 lsl 30 in
-  let ungoverned_group =
-    grouping_seconds_run ~store ~spec ~run:(fun prepared ->
-        ignore (Engine.run ~config:run_config prepared Engine.Counter))
+  let governed prepared =
+    match
+      Engine.run_safe ~config:run_config ~max_bytes:governor_budget prepared
+        Engine.Counter
+    with
+    | Engine.Complete _ -> ()
+    | _ ->
+        prerr_endline
+          "smoke: governed grouping run did not complete under a \
+           non-binding budget";
+        exit 1
   in
-  let governed_group =
-    grouping_seconds_run ~store ~spec ~run:(fun prepared ->
-        match
-          Engine.run_safe ~config:run_config ~max_bytes:governor_budget
-            prepared Engine.Counter
-        with
-        | Engine.Complete _ -> ()
-        | _ ->
-            prerr_endline
-              "smoke: governed grouping run did not complete under a \
-               non-binding budget";
-            exit 1)
+  let governor_seconds, governor_ratios =
+    interleaved ~rounds:12
+      (Array.map
+         (fun run () -> grouping_batch ~store ~spec run)
+         [| counter; governed |])
   in
-  let governed_overhead = (governed_group /. ungoverned_group) -. 1.0 in
+  let ungoverned_group = governor_seconds.(0)
+  and governed_group = governor_seconds.(1) in
+  let governed_overhead = governor_ratios.(1) -. 1.0 in
   let top_heap_after_grouping = (Gc.quick_stat ()).Gc.top_heap_words in
   Printf.printf
     "  governor overhead (byte-budgeted run_safe vs plain run):\n\
@@ -292,29 +325,32 @@ let () =
     ungoverned_group governed_group
     (100. *. governed_overhead)
     top_heap_after_grouping;
-  (* --- tracing overhead (PR 5) ----------------------------------------- *)
+  (* --- tracing overhead ------------------------------------------------ *)
   (* Tracing is always compiled in, so the disabled path — one atomic load
-     per instrumentation point — is measured against the governor
-     section's ungoverned baseline; then the same workload runs with the
-     rings live. *)
-  let traced_off_group =
-    grouping_seconds_run ~store ~spec ~run:(fun prepared ->
-        ignore (Engine.run ~config:run_config prepared Engine.Counter))
+     per instrumentation point — runs the same code as the baseline; the
+     third variant runs with the rings live. *)
+  let traced () =
+    Trace.enable ~ring_size:65536 ();
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.disable ();
+        Trace.reset ())
+      (fun () -> grouping_batch ~store ~spec counter)
   in
-  Trace.enable ~ring_size:65536 ();
-  let traced_on_group =
-    grouping_seconds_run ~store ~spec ~run:(fun prepared ->
-        ignore (Engine.run ~config:run_config prepared Engine.Counter))
+  let untraced () = grouping_batch ~store ~spec counter in
+  let tracing_seconds, tracing_ratios =
+    interleaved ~rounds:48 [| untraced; untraced; traced |]
   in
-  Trace.disable ();
-  Trace.reset ();
-  let traced_off_overhead = (traced_off_group /. ungoverned_group) -. 1.0 in
-  let traced_on_overhead = (traced_on_group /. ungoverned_group) -. 1.0 in
+  let tracing_baseline = tracing_seconds.(0)
+  and traced_off_group = tracing_seconds.(1)
+  and traced_on_group = tracing_seconds.(2) in
+  let traced_off_overhead = tracing_ratios.(1) -. 1.0 in
+  let traced_on_overhead = tracing_ratios.(2) -. 1.0 in
   Printf.printf
     "  tracing overhead (grouping workload, baseline %8.4fs):\n\
     \    traced off  %8.4fs  (%+.1f%%, gate 2%%)\n\
     \    traced on   %8.4fs  (%+.1f%%, gate 10%%)\n"
-    ungoverned_group traced_off_group
+    tracing_baseline traced_off_group
     (100. *. traced_off_overhead)
     traced_on_group
     (100. *. traced_on_overhead);
@@ -520,7 +556,7 @@ let () =
       ( "tracing_overhead",
         Json.Obj
           [
-            ("baseline_seconds", Json.Float ungoverned_group);
+            ("baseline_seconds", Json.Float tracing_baseline);
             ("traced_off_seconds", Json.Float traced_off_group);
             ("traced_off_overhead", Json.Float traced_off_overhead);
             ("traced_off_gate", Json.Float 0.02);

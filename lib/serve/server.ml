@@ -493,24 +493,46 @@ let graft_fragments t doc ~doc_path ~upto =
     { doc with Tree.root = { root with Tree.children = root.Tree.children @ frags } }
   end
 
-let load_session ?(graft_upto = max_int) t ~doc_path ~spec =
+(* The document's bytes, read once after the input-cap check: warm
+   restore digests and parses this same string, so a view is never bound
+   to bytes nobody checked. *)
+let read_document t doc_path =
   check_input_cap t doc_path;
-  match X3_xml.Parser.parse_file_with_dtd doc_path with
+  match In_channel.with_open_bin doc_path In_channel.input_all with
+  | src -> src
+  | exception Sys_error msg -> fail "bad_document" "%s" msg
+
+(* The query-independent half of a session load: parse [src] (the bytes
+   of [doc_path]), graft its ingested fragments up to [graft_upto] and
+   label the result. The store is immutable, so any number of sessions
+   may be prepared over it. *)
+let load_store ?(graft_upto = max_int) t ~doc_path src =
+  match X3_xml.Parser.parse src with
   | Error e ->
       fail "bad_document" "%s" (Format.asprintf "%a" X3_xml.Parser.pp_error e)
-  | Ok (doc, _dtd) ->
+  | Ok doc ->
       let doc = graft_fragments t doc ~doc_path ~upto:graft_upto in
       let store = X3_xdb.Store.of_document doc in
-      let prepared = Engine.prepare ~pool:(make_pool ()) ~store spec in
       Metrics.inc t.m_docs_loaded;
-      let session = Engine.Session.create ~workers:t.cfg.workers prepared in
-      (* Every session cooperates with drain: once the drain deadline
-         passes, the next checkpoint in any compute on this session
-         stops it with a typed Cancelled. *)
-      Context.set_cancel_hook
-        (Engine.Session.context session)
-        (fun () -> Atomic.get t.shutdown_cancel);
-      session
+      store
+
+(* A session over [store], or over a fresh load of [doc_path] with every
+   durable fragment grafted in. *)
+let load_session ?store t ~doc_path ~spec =
+  let store =
+    match store with
+    | Some store -> store
+    | None -> load_store t ~doc_path (read_document t doc_path)
+  in
+  let prepared = Engine.prepare ~pool:(make_pool ()) ~store spec in
+  let session = Engine.Session.create ~workers:t.cfg.workers prepared in
+  (* Every session cooperates with drain: once the drain deadline passes,
+     the next checkpoint in any compute on this session stops it with a
+     typed Cancelled. *)
+  Context.set_cancel_hook
+    (Engine.Session.context session)
+    (fun () -> Atomic.get t.shutdown_cancel);
+  session
 
 (* The resident session for (doc, query): served from the cache when
    possible, loaded (and offered to the cache) otherwise. Runs under the
@@ -1009,13 +1031,16 @@ let persist_snapshot t =
               (* Snapshot loss is degraded service, never an error. *)
               Printf.eprintf "x3 serve: cache snapshot not saved: %s\n%!" msg)
 
-(* Restore at startup: verify-on-load, then per document re-compile the
-   query, re-check the document digest, re-parse with the WAL fragments
-   up to the snapshot's LSN grafted in, re-intern each view against the
-   fresh table, and replay any WAL records past the snapshot's high
-   water on top. Any failure — checksum, digest drift, missing file,
-   unknown group values, an unreplayable fragment — is a cold start for
-   that document (or the whole cache), never an error. Each fallback
+(* Restore at startup: verify-on-load, then group the snapshot's entries
+   by the document load they were saved against — (path, digest, WAL
+   high water). Per group the document is read, digested and parsed
+   once, with the WAL fragments up to that LSN grafted in; per entry the
+   query is re-compiled and prepared over the group's shared store, each
+   view re-interned against the fresh table, and any WAL records past
+   the snapshot's high water replayed on top. The store is dropped when
+   its group finishes. Any failure — checksum, digest drift, missing
+   file, unknown group values, an unreplayable fragment — is a cold start
+   for that entry (or the whole cache), never an error. Each fallback
    records {e why} on a per-reason counter
    ([serve.cache.restore_failures.<reason>]) and one stderr line, so a
    fleet of daemons that quietly stopped restoring is diagnosable. *)
@@ -1029,6 +1054,125 @@ let note_restore_failure t ~what (reason, detail) =
     (Metrics.counter t.registry ("serve.cache.restore_failures." ^ reason));
   Printf.eprintf "x3 serve: cold start for %s (%s): %s\n%!" what reason detail
 
+(* The entries in snapshot order, grouped by document load; groups in
+   order of first appearance. *)
+let group_by_load entries =
+  let groups = Hashtbl.create 8 and order = ref [] in
+  List.iter
+    (fun ds ->
+      let key =
+        Warm_store.(ds.ws_doc_path, ds.ws_digest, ds.ws_wal_lsn)
+      in
+      match Hashtbl.find_opt groups key with
+      | Some members -> members := ds :: !members
+      | None ->
+          Hashtbl.add groups key (ref [ ds ]);
+          order := key :: !order)
+    entries;
+  List.rev_map (fun key -> List.rev !(Hashtbl.find groups key)) !order
+
+(* One entry's session, views and WAL replay, over the group's [store]. *)
+let restore_entry t ~store ~spec ds =
+  let doc_path = ds.Warm_store.ws_doc_path in
+  let query = ds.Warm_store.ws_query in
+  let session = load_session t ~store ~doc_path ~spec in
+  let skey = session_key ~doc_path ~query in
+  let entry =
+    {
+      de_key = skey;
+      de_session = session;
+      de_query = query;
+      de_doc_path = doc_path;
+      de_wal_lsn = ds.Warm_store.ws_wal_lsn;
+      de_views = [];
+    }
+  in
+  let ctx = Engine.Session.context session in
+  let views =
+    List.map
+      (fun records ->
+        match Materialized.of_records ctx records with
+        | Error msg -> restore_fail "view_decode_failed" "%s" msg
+        | Ok v -> v)
+      ds.Warm_store.ws_views
+  in
+  (* Replay ingests the snapshot never saw, oldest first: each record
+     advances [de_wal_lsn], which the guard compares against. *)
+  List.iter
+    (fun (lsn, fragment) ->
+      if lsn > entry.de_wal_lsn then begin
+        (match
+           Engine.stage_fragment spec ~fragment
+             ~fact_id:(Engine.synthetic_fact_id ~lsn)
+         with
+        | Engine.Not_a_fact -> ()
+        | Engine.Unsupported reason ->
+            restore_fail "replay_failed" "lsn %d: %s" lsn reason
+        | Engine.Staged staged -> (
+            match Engine.Session.apply_delta session staged ~views with
+            | Error fb ->
+                restore_fail "replay_failed" "lsn %d: %s" lsn
+                  (Format.asprintf "%a" Engine.pp_fallback fb)
+            | Ok _ -> ()));
+        entry.de_wal_lsn <- lsn
+      end)
+    (doc_frags t.wal_frags doc_path);
+  let bytes = Engine.Session.table_bytes session in
+  if Cuboid_cache.insert t.cache ~key:(doc_key skey) ~bytes (Doc entry) then begin
+    Metrics.inc t.m_restored_docs;
+    List.iter
+      (fun v ->
+        let vk = view_key skey (Materialized.cuboid_id v) in
+        let vbytes = Materialized.approx_bytes v in
+        if Cuboid_cache.insert t.cache ~key:vk ~bytes:vbytes (View v) then begin
+          entry.de_views <- vk :: entry.de_views;
+          Metrics.inc t.m_restored_views
+        end)
+      views
+  end
+
+let restore_group t group =
+  let first = List.hd group in
+  let doc_path = first.Warm_store.ws_doc_path in
+  (* Forced by the first entry whose query compiles; a failure is
+     memoized by [Lazy] and re-raised for every later entry. Facts up to
+     the snapshot's high water are grafted into the parsed document (they
+     get real node ids, exactly as at save time); later WAL records are
+     replayed on top with synthetic ids, so every fact lands in the table
+     exactly once. *)
+  let store =
+    lazy
+      (let load f =
+         try f ()
+         with Reply (Protocol.Failed { message; _ }) ->
+           restore_fail "doc_load_failed" "%s" message
+       in
+       let src = load (fun () -> read_document t doc_path) in
+       if Digest.string src <> first.Warm_store.ws_digest then
+         restore_fail "digest_mismatch" "document bytes changed since snapshot";
+       load (fun () ->
+           load_store t ~doc_path ~graft_upto:first.Warm_store.ws_wal_lsn src))
+  in
+  List.iter
+    (fun ds ->
+      let query = ds.Warm_store.ws_query in
+      match
+        let spec =
+          match X3_ql.Compile.parse_and_compile query with
+          | Ok c -> c.X3_ql.Compile.spec
+          | Error msg -> restore_fail "recompile_failed" "%s" msg
+        in
+        restore_entry t ~store:(Lazy.force store) ~spec ds
+      with
+      | () -> ()
+      | exception e ->
+          Cuboid_cache.remove t.cache (doc_key (session_key ~doc_path ~query));
+          note_restore_failure t ~what:doc_path
+            (match e with
+            | Restore_failure (reason, detail) -> (reason, detail)
+            | e -> ("doc_load_failed", Printexc.to_string e)))
+    group
+
 let restore_snapshot t =
   match t.cfg.snapshot_path with
   | None -> ()
@@ -1037,114 +1181,7 @@ let restore_snapshot t =
         match Warm_store.load ~path with
         | Error msg ->
             note_restore_failure t ~what:"cache" ("snapshot_corrupt", msg)
-        | Ok docs ->
-            List.iter
-              (fun ds ->
-                let doc_path = ds.Warm_store.ws_doc_path in
-                let query = ds.Warm_store.ws_query in
-                match
-                  (match Digest.file doc_path with
-                  | digest ->
-                      if digest <> ds.Warm_store.ws_digest then
-                        restore_fail "digest_mismatch"
-                          "document bytes changed since snapshot"
-                  | exception e ->
-                      restore_fail "digest_mismatch" "cannot digest %s: %s"
-                        doc_path (Printexc.to_string e));
-                  let spec =
-                    match X3_ql.Compile.parse_and_compile query with
-                    | Ok c -> c.X3_ql.Compile.spec
-                    | Error msg -> restore_fail "recompile_failed" "%s" msg
-                  in
-                  (* Facts up to the snapshot's high water are grafted into
-                     the parsed document (they get real node ids, exactly
-                     as at save time); later WAL records are replayed on
-                     top with synthetic ids, so every fact lands in the
-                     table exactly once. *)
-                  let session =
-                    try
-                      load_session t ~doc_path ~spec
-                        ~graft_upto:ds.Warm_store.ws_wal_lsn
-                    with Reply (Protocol.Failed { message; _ }) ->
-                      restore_fail "doc_load_failed" "%s" message
-                  in
-                  let skey = session_key ~doc_path ~query in
-                  let entry =
-                    {
-                      de_key = skey;
-                      de_session = session;
-                      de_query = query;
-                      de_doc_path = doc_path;
-                      de_wal_lsn = ds.Warm_store.ws_wal_lsn;
-                      de_views = [];
-                    }
-                  in
-                  let ctx = Engine.Session.context session in
-                  let views =
-                    List.map
-                      (fun records ->
-                        match Materialized.of_records ctx records with
-                        | Error msg ->
-                            restore_fail "view_decode_failed" "%s" msg
-                        | Ok v -> v)
-                      ds.Warm_store.ws_views
-                  in
-                  (* Replay ingests the snapshot never saw, oldest first:
-                     each record advances [de_wal_lsn], which the guard
-                     compares against. *)
-                  List.iter
-                    (fun (lsn, fragment) ->
-                      if lsn > entry.de_wal_lsn then begin
-                        (match
-                           Engine.stage_fragment spec ~fragment
-                             ~fact_id:(Engine.synthetic_fact_id ~lsn)
-                         with
-                        | Engine.Not_a_fact -> ()
-                        | Engine.Unsupported reason ->
-                            restore_fail "replay_failed" "lsn %d: %s" lsn
-                              reason
-                        | Engine.Staged staged -> (
-                            match
-                              Engine.Session.apply_delta session staged ~views
-                            with
-                            | Error fb ->
-                                restore_fail "replay_failed" "lsn %d: %s" lsn
-                                  (Format.asprintf "%a" Engine.pp_fallback fb)
-                            | Ok _ -> ()));
-                        entry.de_wal_lsn <- lsn
-                      end)
-                    (doc_frags t.wal_frags doc_path);
-                  let bytes = Engine.Session.table_bytes session in
-                  if
-                    Cuboid_cache.insert t.cache ~key:(doc_key skey) ~bytes
-                      (Doc entry)
-                  then begin
-                    Metrics.inc t.m_restored_docs;
-                    List.iter
-                      (fun v ->
-                        let vk = view_key skey (Materialized.cuboid_id v) in
-                        let vbytes = Materialized.approx_bytes v in
-                        if
-                          Cuboid_cache.insert t.cache ~key:vk ~bytes:vbytes
-                            (View v)
-                        then begin
-                          entry.de_views <- vk :: entry.de_views;
-                          Metrics.inc t.m_restored_views
-                        end)
-                      views
-                  end
-                with
-                | () -> ()
-                | exception Restore_failure (reason, detail) ->
-                    Cuboid_cache.remove t.cache
-                      (doc_key (session_key ~doc_path ~query));
-                    note_restore_failure t ~what:doc_path (reason, detail)
-                | exception e ->
-                    Cuboid_cache.remove t.cache
-                      (doc_key (session_key ~doc_path ~query));
-                    note_restore_failure t ~what:doc_path
-                      ("doc_load_failed", Printexc.to_string e))
-              docs
+        | Ok entries -> List.iter (restore_group t) (group_by_load entries)
       end
 
 let () = restore_hook := restore_snapshot

@@ -96,7 +96,8 @@ val create : config -> (t, string) result
     bind/listen failure. SIGPIPE is ignored process-wide — a client
     dying mid-response must not kill the daemon. With [snapshot_path]
     set, attempts a warm restore before returning: every document whose
-    bytes still match the snapshot's digest is re-parsed and its views
+    bytes still match the snapshot's digest is re-parsed — once per
+    (document, WAL LSN), shared by all its queries — and its views
     re-interned; anything that fails verification cold-starts with a
     note to stderr. *)
 

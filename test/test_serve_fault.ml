@@ -635,10 +635,10 @@ let test_forced_drain_cancels_with_a_typed_answer () =
       ()
   in
   (* Synchronize on the server's own progress instead of sleeping:
-     serve.docs.loaded ticks once the request is past parse/prepare and
-     about to start the 243-cuboid cube compute, which far outlasts the
-     0.01 s drain — so stopping here guarantees the cancel flag lands
-     mid-compute. *)
+     serve.docs.loaded ticks once the request is past parse and labelling
+     and about to prepare and start the 243-cuboid cube compute, which
+     far outlasts the 0.01 s drain — so stopping here guarantees the
+     cancel flag lands before the compute ends. *)
   let deadline = Unix.gettimeofday () +. 30.0 in
   while
     stats_metric h "serve.docs.loaded" < 1
@@ -869,13 +869,15 @@ let test_changed_document_cold_starts () =
    cannot be restored: each failure must land in its own typed
    [serve.cache.restore_failures.<reason>] counter, cold-start that
    document, and leave the daemon serving correctly. *)
-let crafted_snapshot_cold_starts ~name ~reason ~ws_query ~tune2 =
+let crafted_snapshot_cold_starts ?(ws_views = []) ?(setup = ignore) ~name
+    ~reason ~ws_query ~tune2 () =
   with_figure1 @@ fun doc_path ->
   let snap = Filename.temp_file "x3snap" ".bin" in
   Sys.remove snap;
   Fun.protect
     ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
     (fun () ->
+      setup doc_path;
       (match
          Warm_store.save ~path:snap
            [
@@ -884,7 +886,7 @@ let crafted_snapshot_cold_starts ~name ~reason ~ws_query ~tune2 =
                ws_doc_path = doc_path;
                ws_digest = Digest.file doc_path;
                ws_wal_lsn = 0;
-               ws_views = [];
+               ws_views;
              };
            ]
        with
@@ -901,7 +903,7 @@ let crafted_snapshot_cold_starts ~name ~reason ~ws_query ~tune2 =
 
 let test_recompile_failure_cold_starts () =
   crafted_snapshot_cold_starts ~name:"recompile" ~reason:"recompile_failed"
-    ~ws_query:"this is not an x3 query" ~tune2:Fun.id
+    ~ws_query:"this is not an x3 query" ~tune2:Fun.id ()
 
 let test_doc_load_failure_cold_starts () =
   (* The query and digest verify, but the restart's input cap refuses the
@@ -909,6 +911,226 @@ let test_doc_load_failure_cold_starts () =
   crafted_snapshot_cold_starts ~name:"doc load" ~reason:"doc_load_failed"
     ~ws_query:figure1_query
     ~tune2:(fun c -> { c with Server.max_input_bytes = Some 16 })
+    ()
+
+(* A well-formed view header naming a cuboid the lattice does not have. *)
+let test_view_decode_failure_cold_starts () =
+  crafted_snapshot_cold_starts ~name:"view decode" ~reason:"view_decode_failed"
+    ~ws_query:figure1_query
+    ~ws_views:[ [ "M\xff\xff\xff\x00\x00\x00\x00\x00" ] ]
+    ~tune2:Fun.id ()
+
+(* A logged fact the snapshot never saw and delta maintenance cannot
+   stage — a fact element nested in another — fails its replay. *)
+let test_replay_failure_cold_starts () =
+  let wal = Filename.temp_file "x3wal" ".wal" in
+  Sys.remove wal;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove wal with Sys_error _ -> ())
+    (fun () ->
+      let tune c = { c with Server.wal_path = Some wal } in
+      let setup doc_path =
+        with_server ~tune (fun h ->
+            with_client h (fun conn ->
+                match
+                  Server.Client.request conn
+                    (Protocol.Ingest
+                       {
+                         doc = doc_path;
+                         fragment =
+                           {|<publication id="91"><publication id="92"/></publication>|};
+                       })
+                with
+                | Ok (Protocol.Ingest_ok _) -> ()
+                | _ -> Alcotest.fail "ingest failed"))
+      in
+      crafted_snapshot_cold_starts ~name:"replay" ~reason:"replay_failed"
+        ~ws_query:figure1_query ~setup ~tune2:tune ())
+
+(* The snapshot's document is gone by the next life: nothing can be
+   read, so the entry cold-starts as a load failure (not a digest
+   mismatch), the missing document is a typed error, and once the file
+   is back the daemon answers it cold and correctly. *)
+let test_missing_document_cold_starts () =
+  with_figure1 @@ fun doc_path ->
+  let snap = Filename.temp_file "x3snap" ".bin" in
+  Sys.remove snap;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+    (fun () ->
+      let tune c = { c with Server.snapshot_path = Some snap } in
+      let expected = cold_export ~doc_path ~query:figure1_query in
+      let h = start_server ~tune () in
+      with_client h (fun conn ->
+          ignore
+            (Server.Client.request ~deadline:30.0 conn
+               (cube_req ~doc:doc_path figure1_query)));
+      stop_server h;
+      Sys.remove doc_path;
+      with_server ~tune (fun h2 ->
+          Alcotest.(check int) "missing document is not restored" 0
+            (stats_metric h2 "serve.cache.restored_docs");
+          Alcotest.(check int) "reason counter names the load failure" 1
+            (stats_metric h2 "serve.cache.restore_failures.doc_load_failed");
+          with_client h2 (fun conn ->
+              let cube () =
+                Server.Client.request ~deadline:30.0 conn
+                  (cube_req ~doc:doc_path figure1_query)
+              in
+              (match cube () with
+              | Ok (Protocol.Failed { code; _ }) ->
+                  Alcotest.(check string) "missing document is typed"
+                    "bad_document" code
+              | _ -> Alcotest.fail "cube over a missing document answered");
+              let oc = open_out doc_path in
+              output_string oc Fixtures.figure1_source;
+              close_out oc;
+              match cube () with
+              | Ok (Protocol.Cube_ok { payload; provenance; _ }) ->
+                  Alcotest.(check string) "cold answer once the file is back"
+                    expected payload;
+                  Alcotest.(check bool) "computed cold" true
+                    (provenance.Protocol.p_base > 0)
+              | _ -> Alcotest.fail "request after the file came back failed")))
+
+(* Two more figure-1 queries, so three sessions share one document. *)
+let figure1_year_query =
+  {|for $b in doc("book.xml")//publication,
+    $n in $b/author/name,
+    $y in $b/year
+X^3 $b/@id by $n (LND), $y (LND)
+return COUNT($b).|}
+
+let figure1_publisher_query =
+  {|for $b in doc("book.xml")//publication,
+    $p in $b//publisher/@id
+X^3 $b/@id by $p (LND, PC-AD)
+return COUNT($b).|}
+
+(* [query]'s restored answer against the daemon's own no_cache
+   reference: byte-identical, and served without a base scan. *)
+let check_restored_answer h ~doc_path query =
+  with_client h (fun conn ->
+      let cube ~no_cache =
+        match
+          Server.Client.request ~deadline:30.0 conn
+            (cube_req ~no_cache ~doc:doc_path query)
+        with
+        | Ok (Protocol.Cube_ok { payload; provenance; _ }) ->
+            (payload, provenance)
+        | _ -> Alcotest.fail "cube request failed"
+      in
+      let restored, provenance = cube ~no_cache:false in
+      let reference, _ = cube ~no_cache:true in
+      Alcotest.(check string) "restored == no_cache reference" reference
+        restored;
+      Alcotest.(check int) "no base scans after warm restart" 0
+        provenance.Protocol.p_base)
+
+(* Three queries over one document: restore parses the document once and
+   prepares every session over the shared store. *)
+let test_warm_restart_shares_one_document_load () =
+  with_figure1 @@ fun doc_path ->
+  let snap = Filename.temp_file "x3snap" ".bin" in
+  Sys.remove snap;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+    (fun () ->
+      let queries =
+        [ figure1_query; figure1_year_query; figure1_publisher_query ]
+      in
+      let tune c = { c with Server.snapshot_path = Some snap } in
+      let h = start_server ~tune () in
+      with_client h (fun conn ->
+          List.iter
+            (fun query ->
+              match
+                Server.Client.request ~deadline:30.0 conn
+                  (cube_req ~doc:doc_path query)
+              with
+              | Ok (Protocol.Cube_ok _) -> ()
+              | _ -> Alcotest.fail "first-life request failed")
+            queries);
+      stop_server h;
+      with_server ~tune (fun h2 ->
+          Alcotest.(check int) "every session restored" 3
+            (stats_metric h2 "serve.cache.restored_docs");
+          Alcotest.(check int) "the document was parsed once" 1
+            (stats_metric h2 "serve.docs.loaded");
+          List.iter (check_restored_answer h2 ~doc_path) queries))
+
+(* The group key includes the WAL high water: entries saved at LSN 0 and
+   LSN 1 over the same bytes need different grafts, so restore builds two
+   stores, and both sessions answer as a cold graft of every ingest. *)
+let test_warm_restart_keys_stores_by_wal_lsn () =
+  with_figure1 @@ fun doc_path ->
+  let temp suffix =
+    let p = Filename.temp_file "x3lsn" suffix in
+    Sys.remove p;
+    p
+  in
+  let snap0 = temp ".bin" and snap1 = temp ".bin" and snap = temp ".bin" in
+  let wal = temp ".wal" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ snap0; snap1; snap; wal ])
+    (fun () ->
+      let life ?snapshot f =
+        with_server
+          ~tune:(fun c ->
+            { c with Server.snapshot_path = snapshot; wal_path = Some wal })
+          (fun h -> with_client h f)
+      in
+      let cube conn query =
+        match
+          Server.Client.request ~deadline:30.0 conn
+            (cube_req ~doc:doc_path query)
+        with
+        | Ok (Protocol.Cube_ok _) -> ()
+        | _ -> Alcotest.fail "cube request failed"
+      in
+      (* figure1_query drained at LSN 0; one ingest; figure1_year_query
+         drained at LSN 1, its document load grafting the ingest. *)
+      life ~snapshot:snap0 (fun conn -> cube conn figure1_query);
+      life (fun conn ->
+          match
+            Server.Client.request conn
+              (Protocol.Ingest
+                 {
+                   doc = doc_path;
+                   fragment =
+                     {|<publication id="90"><author id="a9"><name>John</name></author>|}
+                     ^ {|<publisher id="p2"/><year>2003</year></publication>|};
+                 })
+          with
+          | Ok (Protocol.Ingest_ok _) -> ()
+          | _ -> Alcotest.fail "ingest failed");
+      life ~snapshot:snap1 (fun conn -> cube conn figure1_year_query);
+      let entries path =
+        match Warm_store.load ~path with
+        | Ok entries -> entries
+        | Error msg -> Alcotest.failf "snapshot load: %s" msg
+      in
+      let merged = entries snap0 @ entries snap1 in
+      Alcotest.(check (list int))
+        "one entry per high water" [ 0; 1 ]
+        (List.map (fun ds -> ds.Warm_store.ws_wal_lsn) merged);
+      (match Warm_store.save ~path:snap merged with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "merged snapshot save: %s" msg);
+      with_server
+        ~tune:(fun c ->
+          { c with Server.snapshot_path = Some snap; wal_path = Some wal })
+        (fun h ->
+          Alcotest.(check int) "both sessions restored" 2
+            (stats_metric h "serve.cache.restored_docs");
+          Alcotest.(check int) "one document load per high water" 2
+            (stats_metric h "serve.docs.loaded");
+          List.iter
+            (check_restored_answer h ~doc_path)
+            [ figure1_query; figure1_year_query ]))
 
 (* --- warm-store and cache units ------------------------------------------ *)
 
@@ -1023,5 +1245,15 @@ let () =
             `Quick test_recompile_failure_cold_starts;
           Alcotest.test_case "document load failure cold-starts with its reason"
             `Quick test_doc_load_failure_cold_starts;
+          Alcotest.test_case "view decode failure cold-starts with its reason"
+            `Quick test_view_decode_failure_cold_starts;
+          Alcotest.test_case "replay failure cold-starts with its reason"
+            `Quick test_replay_failure_cold_starts;
+          Alcotest.test_case "missing document cold-starts as a load failure"
+            `Quick test_missing_document_cold_starts;
+          Alcotest.test_case "warm restart shares one document load" `Quick
+            test_warm_restart_shares_one_document_load;
+          Alcotest.test_case "warm restart keys document loads by WAL LSN"
+            `Quick test_warm_restart_keys_stores_by_wal_lsn;
         ] );
     ]
