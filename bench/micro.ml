@@ -107,128 +107,6 @@ let codec_tests () =
       (Staged.stage (fun () -> ignore (X3_pattern.Witness.decode encoded)));
   ]
 
-(* The dictionary-encoding comparison: grouping the same rows under the
-   legacy length-prefixed string keys in a stdlib [Hashtbl] vs packed
-   integer keys through the scratch-keyed [Group_key.Tbl].  The legacy side
-   is what every algorithm's inner loop used to do per row. *)
-
-module Gk = X3_core.Group_key
-module Aggregate = X3_core.Aggregate
-
-type key_workload = {
-  axis_values : string array array;  (** dictionary: value per id per axis *)
-  kw_rows : X3_pattern.Witness.row array;
-}
-
-let key_workload () =
-  let axes = 4 and dict = 50 and nrows = 20_000 in
-  let rng = X3_workload.Rng.create ~seed:41 in
-  let axis_values =
-    Array.init axes (fun a ->
-        Array.init dict (fun i -> Printf.sprintf "axis%d-value-%04d" a i))
-  in
-  let kw_rows =
-    Array.init nrows (fun fact ->
-        {
-          X3_pattern.Witness.fact;
-          cells =
-            Array.init axes (fun _ ->
-                {
-                  X3_pattern.Witness.id = X3_workload.Rng.int rng dict;
-                  validity = 1;
-                  first = true;
-                });
-        })
-  in
-  { axis_values; kw_rows }
-
-let legacy_group_count w =
-  let tbl = Hashtbl.create 1024 in
-  Array.iter
-    (fun row ->
-      let parts =
-        Array.to_list
-          (Array.mapi
-             (fun ai cell -> w.axis_values.(ai).(cell.X3_pattern.Witness.id))
-             row.X3_pattern.Witness.cells)
-      in
-      let key = Gk.encode parts in
-      let cell =
-        match Hashtbl.find_opt tbl key with
-        | Some cell -> cell
-        | None ->
-            let cell = Aggregate.create () in
-            Hashtbl.add tbl key cell;
-            cell
-      in
-      Aggregate.add cell 1.0)
-    w.kw_rows;
-  Hashtbl.length tbl
-
-let packed_group_count w =
-  let layout = Gk.layout_of_sizes (Array.map Array.length w.axis_values) in
-  let cuboid =
-    Array.make (Array.length w.axis_values) (X3_lattice.State.Present 0)
-  in
-  let tbl = Gk.Tbl.create 1024 in
-  let scratch = Gk.make_scratch layout in
-  Array.iter
-    (fun row ->
-      Gk.load scratch cuboid row;
-      Aggregate.add (Gk.Tbl.find_or_add tbl scratch ~default:Aggregate.create)
-        1.0)
-    w.kw_rows;
-  Gk.Tbl.length tbl
-
-let key_tests () =
-  let w = key_workload () in
-  [
-    Test.make ~name:"group-key/legacy-string-hashtbl"
-      (Staged.stage (fun () -> ignore (legacy_group_count w)));
-    Test.make ~name:"group-key/packed-int-tbl"
-      (Staged.stage (fun () -> ignore (packed_group_count w)));
-  ]
-
-type key_comparison = {
-  kc_rows : int;
-  kc_groups : int;
-  legacy_seconds : float;
-  packed_seconds : float;
-  legacy_minor_words : float;
-  packed_minor_words : float;
-}
-
-(* Direct wall-clock + minor-allocation measurement for BENCH_PR1.json —
-   cruder than bechamel's OLS but self-contained and reproducible. *)
-let time_reps reps f =
-  ignore (f ());
-  Gc.full_major ();
-  let words0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (f ())
-  done;
-  let seconds = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-  let words = (Gc.minor_words () -. words0) /. float_of_int reps in
-  (seconds, words)
-
-let key_comparison ?(reps = 20) () =
-  let w = key_workload () in
-  let legacy_seconds, legacy_minor_words =
-    time_reps reps (fun () -> legacy_group_count w)
-  in
-  let packed_seconds, packed_minor_words =
-    time_reps reps (fun () -> packed_group_count w)
-  in
-  {
-    kc_rows = Array.length w.kw_rows;
-    kc_groups = packed_group_count w;
-    legacy_seconds;
-    packed_seconds;
-    legacy_minor_words;
-    packed_minor_words;
-  }
-
 let quicksort_tests () =
   let rng = X3_workload.Rng.create ~seed:23 in
   let base = Array.init 10_000 (fun _ -> X3_workload.Rng.int rng 1_000_000) in
@@ -266,7 +144,7 @@ let eval_tests () =
 
 let all_tests () =
   join_tests () @ path_tests () @ sort_tests () @ pool_tests ()
-  @ codec_tests () @ key_tests () @ quicksort_tests () @ eval_tests ()
+  @ codec_tests () @ quicksort_tests () @ eval_tests ()
 
 let run ppf =
   let tests = all_tests () in

@@ -1,8 +1,7 @@
 (* The PR smoke benchmark: a tiny treebank workload through every
    unconditionally-correct algorithm family (COUNTER, BUC/BUCCUST,
-   TD/TDCUST) checked cell-for-cell against NAIVE, the string-key vs
-   packed-key grouping micro-comparison, a worker-count scaling sweep
-   over the domain-parallel engine, and the V0-vs-V1 page checksum
+   TD/TDCUST) checked cell-for-cell against NAIVE, a worker-count scaling
+   sweep over the domain-parallel engine, and the V0-vs-V1 page checksum
    overhead comparison, and the PR 4 resource-governor overhead
    comparison (governed vs ungoverned grouping with a non-binding
    budget, plus per-run `Gc.quick_stat` peak-heap records), and the PR 5
@@ -219,18 +218,6 @@ let () =
         o.Harness.instr.Instrument.dict_size
         (if o.Harness.correct then "ok" else "WRONG"))
     outcomes;
-  let kc = Micro.key_comparison () in
-  let speedup = kc.Micro.legacy_seconds /. kc.Micro.packed_seconds in
-  Printf.printf
-    "  group-key comparison over %d rows (%d groups):\n\
-    \    legacy string+Hashtbl  %8.4f ms/pass  %10.0f minor words\n\
-    \    packed int+Tbl         %8.4f ms/pass  %10.0f minor words\n\
-    \    speedup %.2fx\n"
-    kc.Micro.kc_rows kc.Micro.kc_groups
-    (kc.Micro.legacy_seconds *. 1e3)
-    kc.Micro.legacy_minor_words
-    (kc.Micro.packed_seconds *. 1e3)
-    kc.Micro.packed_minor_words speedup;
   (* --- worker scaling sweep ------------------------------------------- *)
   let cores = Parallel.recommended () in
   let sweep_config = { Treebank.default with num_trees = sweep_trees; axes } in
@@ -412,27 +399,6 @@ let () =
                            ("minor_words", Json.Float o.Harness.minor_words);
                          ])
                      outcomes) );
-            ] );
-        ( "key_comparison",
-          Json.Obj
-            [
-              ("rows", Json.Int kc.Micro.kc_rows);
-              ("groups", Json.Int kc.Micro.kc_groups);
-              ( "legacy_string_hashtbl",
-                Json.Obj
-                  [
-                    ("seconds_per_pass", Json.Float kc.Micro.legacy_seconds);
-                    ( "minor_words_per_pass",
-                      Json.Float kc.Micro.legacy_minor_words );
-                  ] );
-              ( "packed_int_tbl",
-                Json.Obj
-                  [
-                    ("seconds_per_pass", Json.Float kc.Micro.packed_seconds);
-                    ( "minor_words_per_pass",
-                      Json.Float kc.Micro.packed_minor_words );
-                  ] );
-              ("speedup", Json.Float speedup);
             ] );
         ( "parallel",
           Json.Obj

@@ -63,10 +63,10 @@ let () =
     in
     Format.printf "Top %d %s:@." n label;
     List.iteri
-      (fun i (key, cell) ->
+      (fun i (values, cell) ->
         if i < n then
           Format.printf "  %-28s %5.0f articles@."
-            (String.concat ", " (X3_core.Group_key.decode key))
+            (String.concat ", " (Array.to_list values))
             (X3_core.Aggregate.value X3_core.Aggregate.Count cell))
       ranked;
     Format.printf "@."
@@ -79,10 +79,7 @@ let () =
      author groups is visible by comparing the two cuboids' totals. *)
   let all_id = Lattice.most_relaxed_id lattice in
   let total =
-    match
-      X3_core.Cube_result.find cube ~cuboid:all_id
-        ~key:(X3_core.Group_key.encode [])
-    with
+    match X3_core.Cube_result.find cube ~cuboid:all_id ~key:[] with
     | Some cell -> X3_core.Aggregate.value X3_core.Aggregate.Count cell
     | None -> 0.
   in

@@ -39,7 +39,7 @@ let () =
   let py_cuboid =
     Lattice.id lattice [| State.Removed; State.Present 0; State.Present 0 |]
   in
-  let key = X3_core.Group_key.encode [ "p1"; "2003" ] in
+  let key = [ "p1"; "2003" ] in
   let count result =
     match X3_core.Cube_result.find result ~cuboid:py_cuboid ~key with
     | Some cell ->
@@ -68,7 +68,7 @@ let () =
   let year_cuboid =
     Lattice.id lattice [| State.Removed; State.Removed; State.Present 0 |]
   in
-  let year_2003 = X3_core.Group_key.encode [ "2003" ] in
+  let year_2003 = [ "2003" ] in
   (match
      X3_core.Cube_result.find reference ~cuboid:year_cuboid ~key:year_2003
    with
@@ -87,7 +87,7 @@ let () =
   let by_name mask =
     Lattice.id lattice [| State.Present mask; State.Removed; State.Removed |]
   in
-  let bob = X3_core.Group_key.encode [ "Bob" ] in
+  let bob = [ "Bob" ] in
   let find cuboid =
     match X3_core.Cube_result.find reference ~cuboid ~key:bob with
     | Some cell ->

@@ -1,9 +1,10 @@
 module Lattice = X3_lattice.Lattice
+module State = X3_lattice.State
 module Witness = X3_pattern.Witness
 
-(* Cells are stored under coded (packed-integer) keys; the legacy
-   string-keyed API below decodes through the witness dictionaries, so
-   pivot and tests still see length-prefixed value lists. *)
+(* Cells are stored under coded (packed-integer) keys; the value-keyed API
+   below decodes through the witness dictionaries, so pivot, export and
+   tests see plain value lists. *)
 
 type t = {
   lattice : Lattice.t;
@@ -47,44 +48,73 @@ let cuboid_size t cuboid = Group_key.Tbl.length t.cells.(cuboid)
 let total_cells t =
   Array.fold_left (fun acc tbl -> acc + Group_key.Tbl.length tbl) 0 t.cells
 
-(* --- the string boundary ------------------------------------------------ *)
+(* --- the value boundary ------------------------------------------------- *)
 
 let states t cuboid = Lattice.cuboid t.lattice cuboid
 
-let legacy_key t cuboid key =
-  Group_key.encode
-    (Group_key.to_parts t.layout ~dicts:(Witness.dicts t.table)
-       (states t cuboid) key)
+let parts_of t cuboid key =
+  Group_key.to_parts t.layout ~dicts:(Witness.dicts t.table) (states t cuboid)
+    key
 
-let coded_key t cuboid legacy =
+let coded_key t cuboid parts =
   Group_key.of_parts t.layout ~dicts:(Witness.dicts t.table) (states t cuboid)
-    (Group_key.decode legacy)
+    parts
 
 let find t ~cuboid ~key =
   match coded_key t cuboid key with
   | None -> None
   | Some k -> find_coded t ~cuboid ~key:k
 
-let cuboid_cells t cuboid =
-  Group_key.Tbl.fold
-    (fun key c acc -> (legacy_key t cuboid key, c) :: acc)
-    t.cells.(cuboid) []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+(* The historical group order, value by value: the low length byte, then
+   the rest of the length, then the bytes under [String.compare]. It is the
+   order that keys once encoded as [u16 LE length | bytes] had under
+   [String.compare]; comparing [len lsr 8] whole extends it to values past
+   65535 bytes, which that encoding could not hold. *)
+let compare_value a b =
+  let la = String.length a and lb = String.length b in
+  let c = Int.compare (la land 0xFF) (lb land 0xFF) in
+  if c <> 0 then c
+  else
+    let c = Int.compare (la lsr 8) (lb lsr 8) in
+    if c <> 0 then c else String.compare a b
 
-let iter f t =
-  Array.iteri
-    (fun cuboid tbl ->
-      Group_key.Tbl.iter
-        (fun key c -> f ~cuboid ~key:(legacy_key t cuboid key) c)
-        tbl)
-    t.cells
+let rec compare_values a b i =
+  if i = Array.length a then 0
+  else
+    (* equal ids decode to the same string *)
+    let c = if a.(i) == b.(i) then 0 else compare_value a.(i) b.(i) in
+    if c <> 0 then c else compare_values a b (i + 1)
+
+(* One cuboid's groups in the historical order, each with the values of
+   its present axes (axis order) looked up in the dictionaries. *)
+let cuboid_cells t id =
+  let cuboid = states t id in
+  let dicts = Witness.dicts t.table in
+  let present = ref [] in
+  for ai = Array.length cuboid - 1 downto 0 do
+    match cuboid.(ai) with
+    | State.Removed -> ()
+    | State.Present _ -> present := ai :: !present
+  done;
+  let present = Array.of_list !present in
+  let groups = ref [] in
+  iter_cuboid t id (fun key cell ->
+      let values =
+        Array.map
+          (fun ai ->
+            Witness.Dict.value dicts.(ai)
+              (Group_key.id_at t.layout key ~axis:ai))
+          present
+      in
+      groups := (values, cell) :: !groups);
+  List.sort (fun (a, _) (b, _) -> compare_values a b 0) !groups
 
 (* Comparison decodes keys on both sides: the cubes may come from
    separately materialised tables whose dictionaries assign different
    ids to the same values. *)
 let first_difference ~func a b =
   if Lattice.size a.lattice <> Lattice.size b.lattice then
-    Some (-1, "", "lattices differ in size")
+    Some (-1, [], "lattices differ in size")
   else begin
     let found = ref None in
     Array.iteri
@@ -93,22 +123,22 @@ let first_difference ~func a b =
           Group_key.Tbl.iter
             (fun key ca ->
               if !found = None then begin
-                let legacy = legacy_key a cuboid key in
+                let parts = parts_of a cuboid key in
                 let cb =
-                  match coded_key b cuboid legacy with
+                  match coded_key b cuboid parts with
                   | None -> None
                   | Some k -> find_coded b ~cuboid ~key:k
                 in
                 match cb with
                 | None ->
                     found :=
-                      Some (cuboid, legacy, "group missing from second cube")
+                      Some (cuboid, parts, "group missing from second cube")
                 | Some cb ->
                     if not (Aggregate.equal_value func ca cb) then
                       found :=
                         Some
                           ( cuboid,
-                            legacy,
+                            parts,
                             Printf.sprintf "%g <> %g"
                               (Aggregate.value func ca)
                               (Aggregate.value func cb) )
@@ -117,14 +147,14 @@ let first_difference ~func a b =
           Group_key.Tbl.iter
             (fun key _ ->
               if !found = None then begin
-                let legacy = legacy_key b cuboid key in
+                let parts = parts_of b cuboid key in
                 let present =
-                  match coded_key a cuboid legacy with
+                  match coded_key a cuboid parts with
                   | None -> false
                   | Some k -> find_coded a ~cuboid ~key:k <> None
                 in
                 if not present then
-                  found := Some (cuboid, legacy, "extra group in second cube")
+                  found := Some (cuboid, parts, "extra group in second cube")
               end)
             b.cells.(cuboid)
         end)
@@ -144,10 +174,11 @@ let pp ?(max_groups = 20) ~func ppf t =
            (Lattice.cuboid t.lattice cuboid))
         (List.length groups);
       List.iteri
-        (fun i (key, c) ->
+        (fun i (values, c) ->
           if i < max_groups then
-            Format.fprintf ppf "  %a %a@." Group_key.pp key (Aggregate.pp func)
-              c
+            Format.fprintf ppf "  (%s) %a@."
+              (String.concat ", " (Array.to_list values))
+              (Aggregate.pp func) c
           else if i = max_groups then Format.fprintf ppf "  ...@.")
         groups)
     (Lattice.by_degree t.lattice)

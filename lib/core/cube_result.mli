@@ -1,10 +1,10 @@
 (** A computed cube: one aggregate cell per (cuboid, group).
 
     Cells live under coded integer keys ({!Group_key.t}) — the algorithms
-    never touch strings. The string-keyed half of this interface
-    translates through the witness table's dictionaries so pivot and
-    tests can exchange length-prefixed value lists ({!Group_key.encode});
-    export reads the coded half and decodes ids itself. *)
+    never touch strings. The value half of this interface translates
+    through the witness table's dictionaries, so export, pivot and tests
+    exchange a group as the decoded values of its cuboid's present axes,
+    in axis order. *)
 
 type t
 
@@ -37,17 +37,18 @@ val cuboid_size : t -> int -> int
 val total_cells : t -> int
 (** The paper's "cube result size" — cells summed over all cuboids. *)
 
-(** {1 String access — legacy encoded keys} *)
+(** {1 Value access — decoded groups} *)
 
-val find : t -> cuboid:int -> key:string -> Aggregate.cell option
-(** [key] is a legacy encoded value list. [None] when some value never
-    occurs on its axis, or the group does not exist. *)
+val find : t -> cuboid:int -> key:string list -> Aggregate.cell option
+(** [key] is the group's values, one per present axis in axis order.
+    [None] when some value never occurs on its axis, or the group does
+    not exist. *)
 
-val cuboid_cells : t -> int -> (string * Aggregate.cell) list
-(** Groups of one cuboid as legacy encoded keys, sorted by encoded key for
-    deterministic output (the historical order). *)
-
-val iter : (cuboid:int -> key:string -> Aggregate.cell -> unit) -> t -> unit
+val cuboid_cells : t -> int -> (string array * Aggregate.cell) list
+(** Groups of one cuboid with their present-axis values (axis order), in
+    the historical order: value by value, shorter-by-low-length-byte
+    first, then by the rest of the length, then bytewise. Dictionary ids
+    are decoded here, once per group. *)
 
 val equal : func:Aggregate.func -> t -> t -> bool
 (** Same groups with the same aggregate values in every cuboid. Keys are
@@ -55,9 +56,9 @@ val equal : func:Aggregate.func -> t -> t -> bool
     materialised tables. *)
 
 val first_difference :
-  func:Aggregate.func -> t -> t -> (int * string * string) option
-(** A human-readable witness of inequality: cuboid id, legacy key,
-    description. *)
+  func:Aggregate.func -> t -> t -> (int * string list * string) option
+(** A human-readable witness of inequality: cuboid id, the group's
+    values, description. *)
 
 val pp :
   ?max_groups:int -> func:Aggregate.func -> Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 module Lattice = X3_lattice.Lattice
 module State = X3_lattice.State
 module Axis = X3_pattern.Axis
-module Witness = X3_pattern.Witness
 
 let add_csv_field buf field =
   let needs_quoting =
@@ -17,49 +16,6 @@ let add_csv_field buf field =
       field;
     Buffer.add_char buf '"'
   end
-
-(* The historical group order: [String.compare] over the legacy
-   [u16 LE length | bytes] encoding of the decoded values. Per component
-   that compares the low length byte, then the high one, then the bytes.
-   Comparing [len lsr 8] whole extends the order to values past 65535
-   bytes, which that encoding could not hold. *)
-let compare_value a b =
-  let la = String.length a and lb = String.length b in
-  let c = Int.compare (la land 0xFF) (lb land 0xFF) in
-  if c <> 0 then c
-  else
-    let c = Int.compare (la lsr 8) (lb lsr 8) in
-    if c <> 0 then c else String.compare a b
-
-let rec compare_values a b i =
-  if i = Array.length a then 0
-  else
-    (* equal ids decode to the same string *)
-    let c = if a.(i) == b.(i) then 0 else compare_value a.(i) b.(i) in
-    if c <> 0 then c else compare_values a b (i + 1)
-
-(* One cuboid's groups in the historical order, each with the values of
-   its present axes (axis order) looked up in the dictionaries. *)
-let sorted_groups result id cuboid =
-  let layout = Cube_result.layout result in
-  let dicts = Witness.dicts (Cube_result.table result) in
-  let present = ref [] in
-  for ai = Array.length cuboid - 1 downto 0 do
-    match cuboid.(ai) with
-    | State.Removed -> ()
-    | State.Present _ -> present := ai :: !present
-  done;
-  let present = Array.of_list !present in
-  let groups = ref [] in
-  Cube_result.iter_cuboid result id (fun key cell ->
-      let values =
-        Array.map
-          (fun ai ->
-            Witness.Dict.value dicts.(ai) (Group_key.id_at layout key ~axis:ai))
-          present
-      in
-      groups := (values, cell) :: !groups);
-  List.sort (fun (a, _) (b, _) -> compare_values a b 0) !groups
 
 (* [%.0f] for integral values, spelled via [string_of_int]: the common
    case (every COUNT) and several times cheaper than [Printf]. *)
@@ -102,7 +58,7 @@ let to_csv ~func buf result =
           Buffer.add_char buf ',';
           Buffer.add_string buf (float_repr (Aggregate.value func cell));
           Buffer.add_char buf '\n')
-        (sorted_groups result id cuboid))
+        (Cube_result.cuboid_cells result id))
     (Lattice.by_degree lattice)
 
 (* A capacity that holds a typical export whole — [line] bytes per cell
@@ -157,7 +113,7 @@ let to_json ~func buf result =
           Buffer.add_string buf
             (if Float.is_nan v then "null" else float_repr v);
           Buffer.add_string buf "}")
-        (sorted_groups result id cuboid);
+        (Cube_result.cuboid_cells result id);
       Buffer.add_string buf "]}")
     (Lattice.by_degree lattice);
   Buffer.add_string buf "\n]\n"

@@ -10,10 +10,10 @@ val to_csv :
   func:Aggregate.func -> Buffer.t -> Cube_result.t -> unit
 (** Append the full cube as CSV (with a header line) to the buffer. Rows
     are emitted in lattice [by_degree] order, and within a cuboid in the
-    historical key order: value by value, shorter-by-low-length-byte
-    first, then by the rest of the length, then bytewise — the order of
-    {!Group_key.encode}d keys under [String.compare], extended to values
-    of any length. Dictionary ids are decoded only here, at print. *)
+    historical group order ({!Cube_result.cuboid_cells}): value by value
+    in axis order, the value with the smaller low length byte
+    ([len land 0xFF]) first, then the smaller [len lsr 8], then
+    bytewise. Dictionary ids are decoded once per group, at print. *)
 
 val csv_string : func:Aggregate.func -> Cube_result.t -> string
 

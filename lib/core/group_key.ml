@@ -2,58 +2,6 @@ module State = X3_lattice.State
 module Witness = X3_pattern.Witness
 module Dict = Witness.Dict
 
-(* --- legacy string keys ------------------------------------------------- *)
-(* Components encoded as [u16 length | bytes]. This codec remains for view
-   snapshots, pivot and string-keyed lookups: the algorithms group on the
-   packed integer keys below, and export decodes dictionary ids itself. *)
-
-let encode parts =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun part ->
-      let n = String.length part in
-      if n > 0xFFFF then invalid_arg "Group_key.encode: component too long";
-      Buffer.add_char buf (Char.chr (n land 0xFF));
-      Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
-      Buffer.add_string buf part)
-    parts;
-  Buffer.contents buf
-
-let decode key =
-  let len = String.length key in
-  let rec go pos acc =
-    if pos = len then List.rev acc
-    else if pos + 2 > len then invalid_arg "Group_key.decode: truncated"
-    else begin
-      let n = Char.code key.[pos] lor (Char.code key.[pos + 1] lsl 8) in
-      if pos + 2 + n > len then invalid_arg "Group_key.decode: truncated";
-      go (pos + 2 + n) (String.sub key (pos + 2) n :: acc)
-    end
-  in
-  go 0 []
-
-let project_strings ~from_ ~to_ key =
-  let parts = decode key in
-  let kept = ref [] in
-  let rest = ref parts in
-  Array.iteri
-    (fun ai from_state ->
-      match from_state with
-      | State.Removed -> ()
-      | State.Present _ -> (
-          match !rest with
-          | part :: tail ->
-              rest := tail;
-              (match to_.(ai) with
-              | State.Removed -> ()
-              | State.Present _ -> kept := part :: !kept)
-          | [] -> invalid_arg "Group_key.project_strings: key too short"))
-    from_;
-  encode (List.rev !kept)
-
-let pp ppf key =
-  Format.fprintf ppf "(%s)" (String.concat ", " (decode key))
-
 (* --- packed integer keys ------------------------------------------------ *)
 (* Per-axis dictionary ids packed into bit fields of one tagged int when the
    widths fit, with an int-array fallback otherwise. An axis whose

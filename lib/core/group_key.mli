@@ -9,31 +9,10 @@
     for already-seen groups), hash them with the specialised {!Tbl}, and
     re-key between cuboids with {!project} (a mask on the packed form).
 
-    The legacy length-prefixed string codec ({!encode} / {!decode})
-    remains in three places: the portable snapshot form of a materialised
-    view, pivot, and [Cube_result]'s string-keyed lookups and comparison
-    (which tests use). Each maps encoded value lists onto coded keys via
-    the dictionaries ({!of_parts} / {!to_parts}). Export does not use it:
-    it decodes dictionary ids at print. *)
-
-(** {1 Legacy string keys — snapshots, pivot and lookups} *)
-
-val encode : string list -> string
-(** Length-prefixed components ([u16 length | bytes] each). Raises
-    [Invalid_argument] when a component exceeds 65535 bytes — the coded
-    path has no such ceiling (dictionary values are 32-bit length). *)
-
-val decode : string -> string list
-(** Raises [Invalid_argument] on malformed input. *)
-
-val project_strings :
-  from_:X3_lattice.Cuboid.t -> to_:X3_lattice.Cuboid.t -> string -> string
-(** Re-key an encoded string key from a finer cuboid to a coarser one by
-    dropping the components of axes that the coarser cuboid removes. [to_]
-    must be at least as relaxed as [from_] axis-by-axis. *)
-
-val pp : Format.formatter -> string -> unit
-(** Renders the decoded components, e.g. [(John, p1, 2003)]. *)
+    Outside the algorithms — lookups, pivot, export and view snapshots —
+    a group is its decoded value list (one string per present axis, axis
+    order, any length), mapped to and from coded keys through the
+    dictionaries by {!of_parts} / {!to_parts}. *)
 
 (** {1 Packed integer keys — the algorithms' working form} *)
 

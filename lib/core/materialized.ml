@@ -13,7 +13,7 @@ module Int_set = Set.Make (Int)
 type group = { mutable facts : Int_set.t; mutable cell : Aggregate.cell }
 
 (* Groups are kept under coded keys relative to the source table's
-   dictionaries; the string-keyed accessors decode at the boundary, like
+   dictionaries; the value-keyed accessors decode at the boundary, like
    Cube_result. *)
 type t = {
   cuboid_id : int;
@@ -48,9 +48,7 @@ let fill_stale measure groups =
     groups
 
 let fact_items t ~key =
-  match
-    Group_key.of_parts t.layout ~dicts:t.dicts (states t) (Group_key.decode key)
-  with
+  match Group_key.of_parts t.layout ~dicts:t.dicts (states t) key with
   | None -> []
   | Some coded -> (
       match Group_key.Tbl.find_opt t.groups coded with
@@ -140,14 +138,13 @@ let approx_bytes t =
       acc + group_cost + cell_cost + (fact_cost * Int_set.cardinal g.facts))
     t.groups 128
 
-let legacy_key t key =
-  Group_key.encode (Group_key.to_parts t.layout ~dicts:t.dicts (states t) key)
+let parts_of t key = Group_key.to_parts t.layout ~dicts:t.dicts (states t) key
 
 let cells t =
   Group_key.Tbl.fold
-    (fun key g acc -> (legacy_key t key, g.cell) :: acc)
+    (fun key g acc -> (parts_of t key, g.cell) :: acc)
     t.groups []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* A coarse group fed by one finer group has the same fact set, so it
    shares that group's cell; a merged group's cell is recomputed from the
@@ -219,10 +216,16 @@ let rollup (ctx : Context.t) ~props t ~coarser =
   end
 
 (* --- snapshot persistence ---------------------------------------------- *)
-(* The portable form of a view is its legacy string keys plus fact-id sets:
-   coded keys are relative to one table's dictionaries, so persisting them
-   would tie the snapshot to dictionary iteration order. Load re-interns
-   through [Group_key.of_parts] against the context it is loaded into. *)
+(* The portable form of a view is its groups' decoded values plus fact-id
+   sets: coded keys are relative to one table's dictionaries, so persisting
+   them would tie the snapshot to dictionary iteration order. Load
+   re-interns through [Group_key.of_parts] against the context it is loaded
+   into.
+
+   Record layout (integers u32 LE):
+     'M' cuboid id, group count
+     'G' [value length, value bytes] per present axis in axis order,
+         fact count, fact ids ascending *)
 
 let add_u32 buf v =
   for shift = 0 to 3 do
@@ -244,9 +247,11 @@ let to_records t =
       (fun key g acc ->
         let buf = Buffer.create 64 in
         Buffer.add_char buf 'G';
-        let legacy = legacy_key t key in
-        add_u32 buf (String.length legacy);
-        Buffer.add_string buf legacy;
+        List.iter
+          (fun part ->
+            add_u32 buf (String.length part);
+            Buffer.add_string buf part)
+          (parts_of t key);
         add_u32 buf (Int_set.cardinal g.facts);
         Int_set.iter (fun fact -> add_u32 buf fact) g.facts;
         Buffer.contents buf :: acc)
@@ -256,24 +261,38 @@ let to_records t =
 
 let save t store = X3_storage.Snapshot_store.commit store (to_records t)
 
-let parse_group record =
+(* [arity] is the cuboid's present-axis count: the values the record
+   carries before its fact list. *)
+let parse_group ~arity record =
   let len = String.length record in
-  if len < 9 || record.[0] <> 'G' then Error "view snapshot: bad group record"
+  let u32 pos =
+    if pos + 4 > len then failwith "view snapshot: truncated group record";
+    read_u32 record pos
+  in
+  if len = 0 || record.[0] <> 'G' then Error "view snapshot: bad group record"
   else
-    let keylen = read_u32 record 1 in
-    if 5 + keylen + 4 > len then Error "view snapshot: truncated key"
-    else
-      let key = String.sub record 5 keylen in
-      let nfacts = read_u32 record (5 + keylen) in
-      if 9 + keylen + (4 * nfacts) <> len then
-        Error "view snapshot: truncated fact list"
-      else begin
-        let facts = ref Int_set.empty in
-        for i = 0 to nfacts - 1 do
-          facts := Int_set.add (read_u32 record (9 + keylen + (4 * i))) !facts
-        done;
-        Ok (key, !facts)
-      end
+    match
+      let rec values n pos acc =
+        if n = 0 then (List.rev acc, pos)
+        else
+          let vlen = u32 pos in
+          if pos + 4 + vlen > len then
+            failwith "view snapshot: truncated value";
+          values (n - 1) (pos + 4 + vlen)
+            (String.sub record (pos + 4) vlen :: acc)
+      in
+      let parts, pos = values arity 1 [] in
+      let nfacts = u32 pos in
+      if pos + 4 + (4 * nfacts) <> len then
+        failwith "view snapshot: truncated fact list";
+      let facts = ref Int_set.empty in
+      for i = 0 to nfacts - 1 do
+        facts := Int_set.add (read_u32 record (pos + 4 + (4 * i))) !facts
+      done;
+      (parts, !facts)
+    with
+    | group -> Ok group
+    | exception Failure msg -> Error msg
 
 let of_records (ctx : Context.t) records =
   match records with
@@ -291,6 +310,7 @@ let of_records (ctx : Context.t) records =
                cuboid_id (Lattice.size ctx.lattice))
         else begin
           let cuboid = Lattice.cuboid ctx.lattice cuboid_id in
+          let arity = List.length (Cuboid.present_axes cuboid) in
           let dicts = Witness.dicts ctx.table in
           let groups = Group_key.Tbl.create (max 16 expected) in
           let rec go = function
@@ -310,20 +330,15 @@ let of_records (ctx : Context.t) records =
                     }
                 end
             | record :: rest -> (
-                match parse_group record with
+                match parse_group ~arity record with
                 | Error _ as e -> e
-                | Ok (key, facts) -> (
-                    match
-                      Group_key.of_parts ctx.layout ~dicts cuboid
-                        (Group_key.decode key)
-                    with
+                | Ok (parts, facts) -> (
+                    match Group_key.of_parts ctx.layout ~dicts cuboid parts with
                     | exception Invalid_argument msg -> Error msg
                     | None ->
                         Error
-                          (Printf.sprintf
-                             "view snapshot: group %S names values unknown \
-                              to this witness table"
-                             key)
+                          "view snapshot: a group names values unknown to \
+                           this witness table"
                     | Some coded ->
                         Group_key.Tbl.replace groups coded
                           { facts; cell = stale };

@@ -26,8 +26,9 @@ type t
 
 val cuboid_id : t -> int
 val group_count : t -> int
-val fact_items : t -> key:string -> int list
-(** Sorted fact ids of one group ([[]] when the group is absent). *)
+val fact_items : t -> key:string list -> int list
+(** Sorted fact ids of one group, given as its present-axis values in
+    axis order ([[]] when the group is absent). *)
 
 val materialize : Context.t -> cuboid:int -> t
 (** One scan of the witness table, collecting groups with fact sets. *)
@@ -45,8 +46,9 @@ val approx_bytes : t -> int
     sets), following the {!Governor} cost-model conventions — what a
     byte-budgeted cuboid cache charges per entry. *)
 
-val cells : t -> (string * Aggregate.cell) list
-(** The group aggregates under legacy encoded keys, sorted by key. *)
+val cells : t -> (string list * Aggregate.cell) list
+(** The group aggregates, each under its present-axis values in axis
+    order, sorted by value list. *)
 
 val rollup :
   Context.t ->
@@ -72,9 +74,9 @@ val to_result : t -> Cube_result.t -> unit
 (** {1 Crash-safe persistence} *)
 
 val save : t -> X3_storage.Snapshot_store.t -> unit
-(** Atomically commit the view (group keys + fact sets) to [store] —
-    portable string keys, so the snapshot is independent of the source
-    table's dictionary order. *)
+(** Atomically commit the view (group values + fact sets) to [store] —
+    decoded values rather than dictionary ids, so the snapshot is
+    independent of the source table's dictionary order. *)
 
 val load : Context.t -> X3_storage.Snapshot_store.t -> (t, string) result
 (** Rebuild a view from the store's committed snapshot against [ctx]'s
@@ -83,7 +85,9 @@ val load : Context.t -> X3_storage.Snapshot_store.t -> (t, string) result
 
 val to_records : t -> string list
 (** The view's portable record stream (one ['M'] header carrying the
-    cuboid id and group count, then one ['G'] record per group) — the
+    cuboid id and group count, then one ['G'] record per group carrying
+    its present-axis values, each as [u32 length | bytes], and its fact
+    ids) — the
     unit {!save} commits, exposed so several views can share one store
     (the serve daemon's warm-restart snapshot packs a whole cache). *)
 

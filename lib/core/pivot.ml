@@ -54,9 +54,9 @@ let make ~func ~row_axis ?(row_state = 0) ~col_axis ?(col_state = 0) result =
      group, including ones empty in the body). *)
   let labels_of id =
     List.map
-      (fun (key, _) ->
-        match Group_key.decode key with
-        | [ v ] -> v
+      (fun (values, _) ->
+        match values with
+        | [| v |] -> v
         | _ -> invalid_arg "Pivot: marginal key arity")
       (Cube_result.cuboid_cells result id)
   in
@@ -70,29 +70,29 @@ let make ~func ~row_axis ?(row_state = 0) ~col_axis ?(col_state = 0) result =
   (* Body keys are ordered by axis position. *)
   let keyed_first_row = row_axis < col_axis in
   List.iter
-    (fun (key, cell) ->
-      match Group_key.decode key with
-      | [ a; b ] ->
+    (fun (values, cell) ->
+      match values with
+      | [| a; b |] ->
           let rv, cv = if keyed_first_row then (a, b) else (b, a) in
           let r = List.assoc rv row_index and c = List.assoc cv col_index in
           body.(r).(c) <- Some (Aggregate.value func cell)
       | _ -> invalid_arg "Pivot: body key arity")
     (Cube_result.cuboid_cells result body_id);
   let marginal id labels =
-    let values = Array.make (List.length labels) None in
+    let totals = Array.make (List.length labels) None in
     List.iter
-      (fun (key, cell) ->
-        match Group_key.decode key with
-        | [ v ] ->
-            values.(List.assoc v (index labels)) <-
+      (fun (values, cell) ->
+        match values with
+        | [| v |] ->
+            totals.(List.assoc v (index labels)) <-
               Some (Aggregate.value func cell)
         | _ -> ())
       (Cube_result.cuboid_cells result id);
-    values
+    totals
   in
   let grand_total =
     Option.map (Aggregate.value func)
-      (Cube_result.find result ~cuboid:all_id ~key:(Group_key.encode []))
+      (Cube_result.find result ~cuboid:all_id ~key:[])
   in
   Ok
     {

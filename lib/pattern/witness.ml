@@ -452,16 +452,6 @@ module Columnar = struct
   let approx_bytes ~axes ~rows ~blocks =
     (rows * ((5 * axes) + 16)) + (8 * (blocks + 2)) + (128 * ((2 * axes) + 1))
 
-  let row t i =
-    {
-      fact = t.c_facts.(i);
-      cells =
-        Array.init t.c_axes (fun ai ->
-            let tag = tag t ~axis:ai ~row:i in
-            { id = id t ~axis:ai ~row:i; validity = tag land 0x7F;
-              first = tag land 0x80 <> 0 });
-    }
-
   module Builder = struct
     type cols = t
 
@@ -691,11 +681,10 @@ let columnar_of_table t =
   Columnar.Builder.finish b
 
 (* --- snapshot persistence ---------------------------------------------- *)
-(* A witness table as one atomic snapshot: a header record, then the heap
-   records verbatim ('R' rows, 'D' dictionary chunks) — the row and dict
-   codecs above already make each record self-contained, so save/load is a
-   tagged pass-through and the snapshot store supplies atomicity and
-   checksums. *)
+(* A witness table as one atomic snapshot: a header record, the rows as
+   column-major 'C' chunks, then the dictionary heap's records verbatim
+   ('D' chunks, self-contained through the dict codec above). The snapshot
+   store supplies atomicity and checksums. *)
 
 let snapshot_header k ~facts ~rows =
   let buf = Buffer.create 12 in
@@ -722,9 +711,6 @@ let parse_snapshot_header record =
     Ok (u8 1, u32 2, u32 6)
 
 let save t store =
-  (* Since the columnar refactor the snapshot's row payload is the
-     column-major layout ('C' chunks); the legacy 'R' row records are still
-     accepted by [load] so old snapshots keep working. *)
   let cols = columnar_of_table t in
   let dict_records = ref [] in
   X3_storage.Heap_file.iter
@@ -755,9 +741,7 @@ let load store pool ~axes =
             (* Columnar staging: one cursor per column ('C' chunks must
                arrive in row order per column, which is how [save] emits
                them); the boxed rows are synthesised once every column is
-               complete, so the rebuilt heap is identical to one loaded
-               from legacy 'R' records. *)
-            let legacy_rows = ref false in
+               complete. *)
             let cols = Columnar.Builder.create ~axes:k ~rows in
             let col_index ~kind ~axis =
               match kind with
@@ -766,7 +750,6 @@ let load store pool ~axes =
               | _ -> 1 + k + axis
             in
             let cursor = Array.make (1 + (2 * k)) 0 in
-            let columnar_seen = ref false in
             let apply_chunk body =
               let kind, axis, start, count, payload =
                 Columnar.decode_chunk body
@@ -799,8 +782,7 @@ let load store pool ~axes =
                       (start + i)
                       (Char.code payload.[base + i])
               done;
-              cursor.(ci) <- start + count;
-              columnar_seen := true
+              cursor.(ci) <- start + count
             in
             match
               List.iter
@@ -809,11 +791,6 @@ let load store pool ~axes =
                     invalid_arg "witness snapshot: empty record";
                   let body = String.sub record 1 (String.length record - 1) in
                   match record.[0] with
-                  | 'R' ->
-                      (* Decode to validate before trusting the record. *)
-                      ignore (decode body);
-                      legacy_rows := true;
-                      X3_storage.Heap_file.append heap body
                   | 'C' -> apply_chunk body
                   | 'D' ->
                       ignore (decode_dict_chunk body);
@@ -822,46 +799,36 @@ let load store pool ~axes =
                       invalid_arg
                         (Printf.sprintf "witness snapshot: unknown tag %C" c))
                 rest;
-              if !columnar_seen || rows = 0 then begin
-                if !legacy_rows && !columnar_seen then
-                  invalid_arg "witness snapshot: mixed row and column records";
-                Array.iter
-                  (fun filled ->
-                    if filled <> rows then
-                      invalid_arg "witness snapshot: incomplete column")
-                  cursor;
-                for i = 0 to rows - 1 do
-                  let cells =
-                    Array.init k (fun ai ->
-                        let id =
-                          Int32.to_int
-                            (Bigarray.Array1.get
-                               cols.Columnar.Builder.ids.(ai) i)
-                        in
-                        let tag =
-                          Bigarray.Array1.get cols.Columnar.Builder.tags.(ai) i
-                        in
-                        if id < null_id then
-                          invalid_arg "witness snapshot: column id underflow";
-                        { id; validity = tag land 0x7F;
-                          first = tag land 0x80 <> 0 })
-                  in
-                  X3_storage.Heap_file.append heap
-                    (encode { fact = cols.Columnar.Builder.facts.(i); cells })
-                done
-              end
+              Array.iter
+                (fun filled ->
+                  if filled <> rows then
+                    invalid_arg "witness snapshot: incomplete column")
+                cursor;
+              for i = 0 to rows - 1 do
+                let cells =
+                  Array.init k (fun ai ->
+                      let id =
+                        Int32.to_int
+                          (Bigarray.Array1.get
+                             cols.Columnar.Builder.ids.(ai) i)
+                      in
+                      let tag =
+                        Bigarray.Array1.get cols.Columnar.Builder.tags.(ai) i
+                      in
+                      if id < null_id then
+                        invalid_arg "witness snapshot: column id underflow";
+                      { id; validity = tag land 0x7F;
+                        first = tag land 0x80 <> 0 })
+                in
+                X3_storage.Heap_file.append heap
+                  (encode { fact = cols.Columnar.Builder.facts.(i); cells })
+              done
             with
             | exception Invalid_argument msg -> Error msg
-            | () ->
-                if X3_storage.Heap_file.record_count heap <> rows then
-                  Error "witness snapshot: row count mismatch"
-                else
-                  let t =
-                    { axes; dicts = [||]; heap; dict_heap; facts }
-                  in
-                  (match dicts_of_heap k dict_heap with
-                  | exception Invalid_argument msg -> Error msg
-                  | dicts -> Ok { t with dicts })
+            | () -> (
+                match dicts_of_heap k dict_heap with
+                | exception Invalid_argument msg -> Error msg
+                | dicts -> Ok { axes; dicts; heap; dict_heap; facts })
           end)
 
 let pp_row ppf row =

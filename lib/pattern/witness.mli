@@ -195,9 +195,6 @@ module Columnar : sig
   (** Resident footprint of the columns — what the governor books when a
       context columnarises its table. *)
 
-  val row : t -> int -> row
-  (** Rebuild the boxed row at one index — the compatibility view. *)
-
   module Builder : sig
     type cols = t
     type t
@@ -240,5 +237,7 @@ val load :
   axes:Axis.t array ->
   (t, string) result
 (** Rebuild a table from the store's committed snapshot into fresh heap
-    files on [pool]. Every record is re-validated through the row and
-    dictionary codecs; [Error] reports the first malformed one. *)
+    files on [pool]. Every record is re-validated through the column
+    chunk and dictionary codecs; [Error] reports the first malformed one,
+    and any tag other than column ['C'] and dictionary ['D'] chunks after
+    the header (the retired ['R'] row records included) is malformed. *)

@@ -4,9 +4,10 @@
 
    The record stream is:
 
-     'W' magic                       x3-warm/1
+     'W' magic                       x3-warm/2
      'D' doc record                  query text, document path, MD5 of
-                                     the document bytes at save time
+                                     the document bytes at save time,
+                                     WAL high-water (8 bytes LE)
      'M' + 'G'* view records        (per view, verbatim from
                                      Materialized.to_records; the 'M'
                                      header carries the 'G' count)
@@ -18,7 +19,8 @@
    re-interning group keys against a changed document could succeed by
    value coincidence and then answer wrongly.  The loader checks shape
    only; the server checks digests, re-parses documents, and treats any
-   failure as a cold start for that document. *)
+   failure as a cold start for that document.  A file under any other
+   magic is an unsupported version: the whole cache starts cold. *)
 
 type doc_snapshot = {
   ws_query : string;
@@ -28,7 +30,7 @@ type doc_snapshot = {
   ws_views : string list list;
 }
 
-let magic = "x3-warm/1"
+let magic = "x3-warm/2"
 
 let add_u32 buf v =
   for shift = 0 to 3 do
@@ -71,20 +73,14 @@ let parse_doc_record record =
   let query, pos = read_lstring record 1 in
   let doc_path, pos = read_lstring record pos in
   let digest, pos = read_lstring record pos in
-  let wal_lsn =
-    (* pre-WAL snapshots end at the digest; read them as LSN 0 *)
-    if pos = String.length record then 0
-    else if pos + 8 = String.length record then begin
-      let v = ref 0 in
-      for shift = 7 downto 0 do
-        v := (!v lsl 8) lor Char.code record.[pos + shift]
-      done;
-      !v
-    end
-    else failwith "warm snapshot: doc trailer"
-  in
+  if pos + 8 <> String.length record then
+    failwith "warm snapshot: doc trailer";
+  let wal_lsn = ref 0 in
+  for shift = 7 downto 0 do
+    wal_lsn := (!wal_lsn lsl 8) lor Char.code record.[pos + shift]
+  done;
   { ws_query = query; ws_doc_path = doc_path; ws_digest = digest;
-    ws_wal_lsn = wal_lsn; ws_views = [] }
+    ws_wal_lsn = !wal_lsn; ws_views = [] }
 
 let encode docs =
   ("W" ^ magic)
@@ -136,7 +132,11 @@ let decode records =
       with
       | docs -> Ok docs
       | exception Failure msg -> Error msg)
-  | _ -> Error "warm snapshot: bad magic"
+  | head :: _ ->
+      (* the head record is the tag and magic; show at most that much *)
+      Error
+        (Printf.sprintf "warm snapshot: unsupported version %S"
+           (String.sub head 0 (min 16 (String.length head))))
 
 let save ~path docs = X3_storage.Snapshot_store.save_file path (encode docs)
 

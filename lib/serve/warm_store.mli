@@ -19,8 +19,7 @@ type doc_snapshot = {
   ws_digest : string;  (** [Digest.file ws_doc_path] at save time *)
   ws_wal_lsn : int;
       (** ingest-WAL high-water folded into the views at save time; the
-          restorer replays WAL records with greater LSNs on top
-          (pre-WAL snapshot files decode as 0) *)
+          restorer replays WAL records with greater LSNs on top *)
   ws_views : string list list;
       (** per cached view, its {!X3_core.Materialized.to_records}
           stream, in cache LRU order *)
@@ -32,7 +31,9 @@ val save : path:string -> doc_snapshot list -> (unit, string) result
 
 val load : path:string -> (doc_snapshot list, string) result
 (** Verify-on-load via {!X3_storage.Snapshot_store.load_file}; [Error]
-    on a missing file, any checksum failure, or a malformed stream. *)
+    on a missing file, any checksum failure, a malformed stream, or a
+    stream written under another format version (["warm snapshot:
+    unsupported version ..."]). *)
 
 (**/**)
 

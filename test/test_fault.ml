@@ -320,9 +320,9 @@ let test_witness_snapshot_roundtrip () =
 (* Since the columnar refactor a saved table's row payload is 'C' column
    chunks. The properties: a torn column page is a typed error and
    recovery falls back to the previous epoch; malformed chunks are
-   rejected by the loader's own validation; hand-built legacy 'R'
-   snapshots still load; and a crash at any write boundary of the save
-   leaves one of the two tables, never a torn mix. *)
+   rejected by the loader's own validation, as are the retired 'R' row
+   records; and a crash at any write boundary of the save leaves one of
+   the two tables, never a torn mix. *)
 
 let is_tag t r = String.length r > 0 && r.[0] = t
 
@@ -382,28 +382,12 @@ let test_columnar_chunk_rejected () =
   attempt "unknown record tag" ((header :: "Zjunk" :: chunks) @ dicts);
   attempt "missing columns" (header :: dicts);
   attempt "chunk out of order" ((header :: c0 :: chunks) @ dicts);
-  attempt "mixed row and column records"
-    ((header :: chunks)
-    @ [ "R" ^ Witness.encode (List.hd (Witness.to_list table)) ]
-    @ dicts)
-
-let test_legacy_row_snapshot_loads () =
-  let table = Fixtures.query1_table () in
-  let header, _, dicts = saved_records table in
   let rows =
     List.map (fun row -> "R" ^ Witness.encode row) (Witness.to_list table)
   in
-  let disk, _, store = fresh_store () in
-  Snapshot_store.commit store ((header :: rows) @ dicts);
-  (match Witness.load store (Fixtures.small_pool ()) ~axes:(Witness.axes table) with
-  | Error msg -> Alcotest.fail msg
-  | Ok loaded ->
-      let show t =
-        List.map (Format.asprintf "%a" Witness.pp_row) (Witness.to_list t)
-      in
-      Alcotest.(check (list string)) "legacy rows load identically"
-        (show table) (show loaded));
-  Disk.close disk
+  attempt "retired row records" ((header :: rows) @ dicts);
+  attempt "row record among column chunks"
+    ((header :: chunks) @ [ List.hd rows ] @ dicts)
 
 (* Crash the (columnar) witness save at every write boundary: recovery
    yields either the first table or the second, both loadable. *)
@@ -475,7 +459,8 @@ let test_materialized_snapshot_roundtrip () =
       Alcotest.(check int) "cuboid" (Materialized.cuboid_id view)
         (Materialized.cuboid_id view');
       let keys v = List.map fst (Materialized.cells v) in
-      Alcotest.(check (list string)) "group keys" (keys view) (keys view');
+      Alcotest.(check (list (list string))) "group keys" (keys view)
+        (keys view');
       List.iter
         (fun key ->
           Alcotest.(check (list int)) "fact items"
@@ -923,8 +908,6 @@ let () =
             test_columnar_torn_column_page;
           quick "malformed column chunks rejected" `Quick
             test_columnar_chunk_rejected;
-          quick "legacy row snapshot still loads" `Quick
-            test_legacy_row_snapshot_loads;
           quick "columnar save: crash at every write" `Quick
             test_witness_save_crash_sweep;
         ] );

@@ -1027,6 +1027,96 @@ let check_restored_answer h ~doc_path query =
       Alcotest.(check int) "no base scans after warm restart" 0
         provenance.Protocol.p_base)
 
+(* [s] cut at every occurrence of [sep]. *)
+let split_on_string s ~sep =
+  let rec go start acc =
+    match X3_xml.Str_search.find s ~start sep with
+    | Some i ->
+        go (i + String.length sep) (String.sub s start (i - start) :: acc)
+    | None -> List.rev (String.sub s start (String.length s - start) :: acc)
+  in
+  go 0 []
+
+(* A snapshot written under the previous format version (x3-warm/1):
+   verify-on-load passes, the version does not, so the whole cache starts
+   cold under the corrupt-snapshot reason and answers correctly. *)
+let test_retired_snapshot_version_cold_starts () =
+  with_figure1 @@ fun doc_path ->
+  let snap = Filename.temp_file "x3snap" ".bin" in
+  Sys.remove snap;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+    (fun () ->
+      let tune c = { c with Server.snapshot_path = Some snap } in
+      let expected = cold_export ~doc_path ~query:figure1_query in
+      let h = start_server ~tune () in
+      with_client h (fun conn ->
+          ignore
+            (Server.Client.request ~deadline:30.0 conn
+               (cube_req ~doc:doc_path figure1_query)));
+      stop_server h;
+      (match X3_storage.Snapshot_store.load_file snap with
+      | Ok (_magic :: records) -> (
+          match
+            X3_storage.Snapshot_store.save_file snap ("Wx3-warm/1" :: records)
+          with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "rewrite snapshot: %s" msg)
+      | Ok [] | Error _ -> Alcotest.fail "drained snapshot unreadable");
+      with_server ~tune (fun h2 ->
+          Alcotest.(check int) "nothing restored from a retired version" 0
+            (stats_metric h2 "serve.cache.restored_docs");
+          Alcotest.(check int) "reason counter names the snapshot" 1
+            (stats_metric h2 "serve.cache.restore_failures.snapshot_corrupt");
+          with_client h2 (fun conn ->
+              match
+                Server.Client.request ~deadline:30.0 conn
+                  (cube_req ~doc:doc_path figure1_query)
+              with
+              | Ok (Protocol.Cube_ok { payload; provenance; _ }) ->
+                  Alcotest.(check string) "cold start still correct" expected
+                    payload;
+                  Alcotest.(check bool) "computed cold" true
+                    (provenance.Protocol.p_base > 0)
+              | _ -> Alcotest.fail "cold-start request failed")))
+
+(* A grouping value past 65535 bytes, once the ceiling of the group-key
+   codec under view snapshots: the drained shutdown must run to its end
+   (snapshot written, socket unlinked) and the next life must serve the
+   restored views. *)
+let test_long_value_survives_drain_and_restore () =
+  let long_name = String.make 70_000 'J' in
+  let source =
+    String.concat long_name
+      (split_on_string Fixtures.figure1_source ~sep:"John")
+  in
+  write_temp_doc ~prefix:"x3long" source @@ fun doc_path ->
+  let snap = Filename.temp_file "x3snap" ".bin" in
+  Sys.remove snap;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+    (fun () ->
+      let tune c = { c with Server.snapshot_path = Some snap } in
+      let h = start_server ~tune () in
+      with_client h (fun conn ->
+          match
+            Server.Client.request ~deadline:30.0 conn
+              (cube_req ~doc:doc_path figure1_query)
+          with
+          | Ok (Protocol.Cube_ok { payload; _ }) ->
+              Alcotest.(check bool) "the long value is in the answer" true
+                (X3_xml.Str_search.find payload ~start:0 long_name <> None)
+          | _ -> Alcotest.fail "first-life request failed");
+      stop_server h;
+      Alcotest.(check bool) "drained shutdown wrote the snapshot" true
+        (Sys.file_exists snap);
+      Alcotest.(check bool) "drained shutdown unlinked the socket" false
+        (Sys.file_exists h.sock_path);
+      with_server ~tune (fun h2 ->
+          Alcotest.(check bool) "views were restored" true
+            (stats_metric h2 "serve.cache.restored_views" > 0);
+          check_restored_answer h2 ~doc_path figure1_query))
+
 (* Three queries over one document: restore parses the document once and
    prepares every session over the shared store. *)
 let test_warm_restart_shares_one_document_load () =
@@ -1169,6 +1259,22 @@ let test_warm_store_roundtrip_and_rejects_garbage () =
   (match Warm_store.decode [ "not the magic" ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad magic accepted");
+  (* Retired formats: the previous version's magic, and a doc record
+     without its WAL trailer (pre-WAL files), are typed errors. *)
+  (match
+     Warm_store.decode ("Wx3-warm/1" :: List.tl (Warm_store.encode docs))
+   with
+  | Error msg ->
+      Alcotest.(check bool) "unsupported version named" true
+        (X3_xml.Str_search.find msg ~start:0 "unsupported version" <> None)
+  | Ok _ -> Alcotest.fail "x3-warm/1 stream accepted");
+  (match Warm_store.encode docs with
+  | magic :: doc :: rest -> (
+      let pre_wal = String.sub doc 0 (String.length doc - 8) in
+      match Warm_store.decode (magic :: pre_wal :: rest) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "doc record without WAL trailer accepted")
+  | _ -> Alcotest.fail "encode lost its records");
   match Warm_store.decode [] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty stream accepted"
@@ -1255,5 +1361,9 @@ let () =
             test_warm_restart_shares_one_document_load;
           Alcotest.test_case "warm restart keys document loads by WAL LSN"
             `Quick test_warm_restart_keys_stores_by_wal_lsn;
+          Alcotest.test_case "retired snapshot version cold-starts" `Quick
+            test_retired_snapshot_version_cold_starts;
+          Alcotest.test_case "70 000-byte value survives drain and restore"
+            `Quick test_long_value_survives_drain_and_restore;
         ] );
     ]
