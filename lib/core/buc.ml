@@ -31,7 +31,7 @@ let compute ~variant (ctx : Context.t) =
     let cell_id r ai = Columnar.id cols ~axis:ai ~row:r in
     let dict_sizes = Witness.dict_sizes ctx.table in
     (* Only rows holding the fact's first binding on every removed axis
-       represent their fact here (see Context.row_represents); the
+       represent their fact here (see Cuboid.represents); the
        partition keeps the others because deeper refinements may make
        those axes present. *)
     let represents env r =

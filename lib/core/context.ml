@@ -1,5 +1,4 @@
 module Witness = X3_pattern.Witness
-module State = X3_lattice.State
 module Trace = X3_obs.Trace
 
 type stop_reason = Cancelled | Deadline_exceeded | Over_budget
@@ -45,9 +44,9 @@ let create ?(counter_budget = 1_000_000) ?(sort_budget = 200_000)
     ?(account = Governor.unbounded) ~table ~lattice ~measure () =
   let instr = Instrument.create () in
   instr.Instrument.dict_size <- Witness.total_dict_size table;
-  (* The witness table is the query's floor: it is resident (through the
-     buffer pool and the decoded rows the scans produce) for the whole
-     run. A budget that cannot even hold it stops at the first check. *)
+  (* The witness table is the query's floor: its buffer-pool pages and
+     dictionaries are resident for the whole run. A budget that cannot
+     even hold it stops at the first check. *)
   let pending =
     if Governor.reserve account (Witness.approx_bytes table) then None
     else Some Over_budget
@@ -115,7 +114,7 @@ let budget_remaining t = Governor.remaining t.account
 let try_reserve t n = Governor.reserve t.account n
 let release t n = Governor.release t.account n
 (* Reservations come in very different grains — a whole witness table down
-   to one decoded row. Only the coarse ones become trace events, or a
+   to one group counter. Only the coarse ones become trace events, or a
    per-row booking loop would flood the ring with noise. *)
 let trace_reserve_floor = 4096
 
@@ -150,49 +149,14 @@ let checkpoint t =
   c.tick <- c.tick + 1;
   if c.tick land 63 = 0 then check t
 
-(* Wrap one table scan in a span that reports how many rows it visited;
-   a Stop (or any exception) escaping the scan still closes the span. *)
-let traced_scan t body =
-  let sp = Trace.start "witness.scan" in
-  let before = t.instr.Instrument.rows_scanned in
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.finish sp
-        ~attrs:
-          [ ("rows", Trace.Int (t.instr.Instrument.rows_scanned - before)) ])
-    body
-
-let scan t f =
-  t.instr.Instrument.table_scans <- t.instr.Instrument.table_scans + 1;
-  traced_scan t (fun () ->
-      Witness.iter
-        (fun row ->
-          checkpoint t;
-          t.instr.Instrument.rows_scanned <- t.instr.Instrument.rows_scanned + 1;
-          f row)
-        t.table)
-
-let scan_blocks t f =
-  t.instr.Instrument.table_scans <- t.instr.Instrument.table_scans + 1;
-  traced_scan t (fun () ->
-      Witness.iter_fact_blocks
-        (fun block ->
-          (* Fact blocks are coarse enough for the unamortised check — and it
-             keeps stops deterministic on small tables. *)
-          check t;
-          t.instr.Instrument.rows_scanned <-
-            t.instr.Instrument.rows_scanned + List.length block;
-          f block)
-        t.table)
-
 (* --- columnar view ------------------------------------------------------- *)
-(* The column build is itself an instrumented table scan: it reads every
+(* The column build is the table's one instrumented scan: it reads every
    page through the buffer pool (so injected faults and corruption surface
-   exactly as on any other scan), counts one table scan plus its rows, and
-   uses the amortised checkpoint so a cancel lands between blocks, not
-   after an arbitrary prefix. Once built the columns are immutable and
-   cached for the rest of the run — and, being unboxed Bigarrays and plain
-   int arrays, safe to share across domains without snapshotting. *)
+   here), counts one table scan plus its rows, and uses the amortised
+   checkpoint so a cancel lands between blocks, not after an arbitrary
+   prefix. Once built the columns are cached for the rest of the run —
+   and, being unboxed Bigarrays and plain int arrays whose rows never
+   change, safe to share across domains. *)
 
 let cols t =
   match t.cols_cache with
@@ -243,124 +207,21 @@ let block_measures t cols =
 (* The ingest path appended [rows] (coded, fresh facts) to [t.table];
    bring the derived caches along so the next request sees the new tail
    without a rebuild. The columnar view grows by a blit-extended tail
-   chunk and the block-measure array by one entry per appended fact block
-   — both booked against the account; when a booking is refused the cache
-   is dropped (releasing its old booking) and rebuilt lazily under the
-   normal reserve path instead of failing the append. *)
+   chunk and the block-measure array by one entry per appended fact
+   block. Only sessions append, and a session's account is unbounded, so
+   the growth is not booked. *)
 let note_append t rows =
-  (match t.cols_cache with
-  | None -> ()
-  | Some cols ->
-      let axes = Witness.Columnar.axes cols in
-      let old_bytes =
-        Witness.Columnar.approx_bytes ~axes
-          ~rows:(Witness.Columnar.rows cols)
-          ~blocks:(Witness.Columnar.blocks cols)
-      in
-      let extended = Witness.Columnar.extend cols rows in
-      let new_bytes =
-        Witness.Columnar.approx_bytes ~axes
-          ~rows:(Witness.Columnar.rows extended)
-          ~blocks:(Witness.Columnar.blocks extended)
-      in
-      if try_reserve t (max 0 (new_bytes - old_bytes)) then
-        t.cols_cache <- Some extended
-      else begin
-        release t old_bytes;
-        t.cols_cache <- None
-      end);
-  match t.block_measures_cache with
-  | None -> ()
-  | Some m -> (
+  Option.iter
+    (fun cols -> t.cols_cache <- Some (Witness.Columnar.extend cols rows))
+    t.cols_cache;
+  match (t.block_measures_cache, t.cols_cache) with
+  | Some m, Some cols ->
       let old = Array.length m in
-      match t.cols_cache with
-      | Some cols
-        when try_reserve t (8 * (Witness.Columnar.blocks cols - old)) ->
-          let blocks = Witness.Columnar.blocks cols in
-          t.block_measures_cache <-
-            Some
-              (Array.init blocks (fun b ->
-                   if b < old then m.(b)
-                   else
-                     t.measure
-                       (Witness.Columnar.fact cols
-                          (Witness.Columnar.block_lo cols b))))
-      | _ ->
-          release t ((8 * old) + 16);
-          t.block_measures_cache <- None)
-
-(* --- snapshots for the parallel paths ----------------------------------- *)
-(* Workers must not share the buffer pool (its frame table and clock hand
-   are unsynchronised), so the parallel algorithms take one instrumented
-   sequential pass that materialises the rows in memory, then fan the
-   snapshot out. Rows and their cells are immutable after materialisation,
-   so sharing them across domains is safe. *)
-
-type block = { block_measure : float; block_rows : Witness.row list }
-
-let snapshot_blocks t =
-  let per_row = Governor.row_cost ~axes:(Array.length (Witness.axes t.table)) in
-  let acc = ref [] in
-  scan_blocks t (fun rows ->
-      match rows with
-      | [] -> ()
-      | first :: _ ->
-          (* The snapshot keeps every decoded row live until the query ends;
-             book it so governed parallel runs see the real footprint. *)
-          reserve t (per_row * List.length rows);
-          acc :=
-            {
-              block_measure = t.measure first.Witness.fact;
-              block_rows = rows;
-            }
-            :: !acc);
-  Array.of_list (List.rev !acc)
-
-let snapshot_rows t =
-  let per_row = Governor.row_cost ~axes:(Array.length (Witness.axes t.table)) in
-  let acc = ref [] in
-  scan t (fun row ->
-      reserve t per_row;
-      acc := row :: !acc);
-  Array.of_list (List.rev !acc)
-
-let frozen_measure t rows =
-  (* [t.measure] may memoise into a private Hashtbl (Engine.measure_fn), so
-     it must not be called from two domains. Force it for every fact here,
-     sequentially; the resulting table is then only read. *)
-  let memo : (int, float) Hashtbl.t = Hashtbl.create 1024 in
-  Array.iter
-    (fun row ->
-      let fact = row.Witness.fact in
-      if not (Hashtbl.mem memo fact) then
-        Hashtbl.replace memo fact (t.measure fact))
-    rows;
-  fun fact ->
-    match Hashtbl.find_opt memo fact with
-    | Some v -> v
-    | None -> t.measure fact
-
-let cols_represents cuboid cols ~row =
-  let n = Array.length cuboid in
-  let rec go ai =
-    ai >= n
-    ||
-    match cuboid.(ai) with
-    | State.Removed ->
-        Witness.Columnar.first cols ~axis:ai ~row && go (ai + 1)
-    | State.Present m ->
-        Witness.Columnar.qualifies cols ~axis:ai ~row ~state:m && go (ai + 1)
-  in
-  go 0
-
-let row_represents cuboid row =
-  let n = Array.length cuboid in
-  let rec go ai =
-    ai >= n
-    ||
-    match cuboid.(ai) with
-    | State.Removed -> row.Witness.cells.(ai).Witness.first && go (ai + 1)
-    | State.Present m ->
-        Witness.qualifies row ~axis_index:ai ~state:m && go (ai + 1)
-  in
-  go 0
+      t.block_measures_cache <-
+        Some
+          (Array.init (Witness.Columnar.blocks cols) (fun b ->
+               if b < old then m.(b)
+               else
+                 t.measure
+                   (Witness.Columnar.fact cols (Witness.Columnar.block_lo cols b))))
+  | _ -> t.block_measures_cache <- None

@@ -115,7 +115,7 @@ val checkpoint : t -> unit
 
     Thin veneer over the context's {!Governor.account}. Algorithms reserve
     bytes for the structures they are about to grow (group tables, sort
-    buffers, row snapshots) at the same boundaries where they {!check};
+    buffers, the columnar view) at the same boundaries where they {!check};
     a refused reservation means the spill paths have already been squeezed
     to their floors, so the run stops with [Over_budget]. *)
 
@@ -136,20 +136,15 @@ val budget_remaining : t -> int
 (** Bytes still reservable — [max_int] when ungoverned. The spill paths
     derive their effective in-memory budgets from this. *)
 
-val scan : t -> (X3_pattern.Witness.row -> unit) -> unit
-(** One instrumented pass over the witness table. *)
-
-val scan_blocks : t -> (X3_pattern.Witness.row list -> unit) -> unit
-(** Instrumented pass grouped by fact. *)
-
 (** {1 Columnar view}
 
-    The algorithms' hot loops read the witness table through an unboxed
-    column-major view ({!X3_pattern.Witness.Columnar}): one Bigarray id
-    column and one tag column per axis. Building it is one instrumented
-    table scan through the buffer pool — faults and corruption surface
-    exactly as on a row scan — after which the columns are immutable,
-    cached on the context, and safe to share across domains. *)
+    Every cube algorithm, materialised view and observed property reads
+    the witness table through an unboxed column-major view
+    ({!X3_pattern.Witness.Columnar}): one Bigarray id column and one tag
+    column per axis. Building it is the one instrumented pass over the
+    table's pages through the buffer pool — faults and corruption surface
+    there — after which the columns are cached on the context and, since
+    a column set's rows never change, safe to share across domains. *)
 
 val cols : t -> X3_pattern.Witness.Columnar.t
 (** The table's columnar view, built (and byte-booked) on first use.
@@ -163,49 +158,6 @@ val block_measures : t -> X3_pattern.Witness.Columnar.t -> float array
 val note_append : t -> X3_pattern.Witness.row list -> unit
 (** The ingest path appended [rows] (fresh facts, already interned into
     [table]) — extend the cached columnar view and block-measure array in
-    place rather than rebuilding them on the next request. The growth is
-    booked against the account; a refused booking drops the cache (its old
-    booking released) so it rebuilds lazily under the normal reserve path
-    instead of failing the append. *)
-
-(** {1 Snapshots — the parallel algorithms' input}
-
-    The buffer pool underneath the witness table is unsynchronised, so
-    domain-parallel algorithms take one instrumented sequential pass that
-    materialises the rows in memory and then partition the snapshot across
-    workers. Rows are immutable after materialisation; sharing them across
-    domains is safe. *)
-
-type block = {
-  block_measure : float;  (** the fact's measure, pre-forced sequentially *)
-  block_rows : X3_pattern.Witness.row list;
-}
-
-val snapshot_blocks : t -> block array
-(** Every fact block, in table order, with its measure pre-computed (the
-    measure function may memoise and must not run concurrently). Counts as
-    one table scan. *)
-
-val snapshot_rows : t -> X3_pattern.Witness.row array
-(** Every row, in table order. Counts as one table scan. *)
-
-val frozen_measure : t -> X3_pattern.Witness.row array -> int -> float
-(** A domain-safe measure function: forces [measure] sequentially for every
-    fact appearing in the rows, then serves lookups from the read-only
-    memo. *)
-
-val cols_represents :
-  X3_lattice.Cuboid.t -> X3_pattern.Witness.Columnar.t -> row:int -> bool
-(** {!row_represents} over the columnar view — the hash fallback's
-    qualification check (the radix kernels fuse the same predicate into
-    their cursors). *)
-
-val row_represents : X3_lattice.Cuboid.t -> X3_pattern.Witness.row -> bool
-(** Is this row the fact's canonical representative in the cuboid: every
-    present axis holds a binding valid at the cuboid's structural state,
-    and every LND-removed axis holds the fact's {e first} binding. The
-    first-binding condition collapses the cartesian duplicates that
-    repeated bindings on removed axes would otherwise create, so a fact
-    gets exactly one representative per distinct group key — unless a
-    present axis itself repeats, which is precisely the disjointness
-    violation of §3.2. *)
+    place rather than rebuilding them on the next request. Only sessions
+    append, and their account is unbounded, so the growth is not
+    booked. *)

@@ -1,4 +1,5 @@
 module Lattice = X3_lattice.Lattice
+module Cuboid = X3_lattice.Cuboid
 module Columnar = X3_pattern.Witness.Columnar
 module Trace = X3_obs.Trace
 
@@ -180,7 +181,7 @@ let compute_sequential (ctx : Context.t) =
                  let cuboid = cuboid_of cid in
                  Group_key.Seen.reset seen;
                  for r = lo to hi do
-                   if Context.cols_represents cuboid cols ~row:r then begin
+                   if Cuboid.represents cuboid cols ~row:r then begin
                      Group_key.load_cols scratch cuboid cols ~row:r;
                      instr.Instrument.keys_built <-
                        instr.Instrument.keys_built + 1;
@@ -367,7 +368,7 @@ let compute_parallel (ctx : Context.t) =
                           let cuboid = cuboid_of cid in
                           Group_key.Seen.reset w.seen;
                           for r = lo to hi do
-                            if Context.cols_represents cuboid cols ~row:r
+                            if Cuboid.represents cuboid cols ~row:r
                             then begin
                               Group_key.load_cols w.scratch cuboid cols
                                 ~row:r;

@@ -351,10 +351,14 @@ module Session = struct
     mutable s_props : X3_lattice.Properties.t;
   }
 
-  let create ?config ?workers ?account prepared =
-    let ctx = make_context ?config ?workers ?account prepared in
+  (* The session's context builds its columns once, here: properties are
+     observed over them, and every later base computation and ingest patch
+     reads the same columns. *)
+  let create prepared =
+    let ctx = make_context prepared in
     let props =
-      X3_lattice.Properties.observe prepared.table prepared.lattice
+      X3_lattice.Properties.observe_columns (Context.cols ctx)
+        prepared.lattice
     in
     { s_prepared = prepared; s_ctx = ctx; s_props = props }
 
@@ -376,23 +380,11 @@ module Session = struct
 
   let table_bytes t = Witness.approx_bytes t.s_prepared.table
 
-  (* Split appended coded rows back into per-fact blocks (append order,
-     same-fact rows contiguous) — the unit [Properties.restrict] ANDs in. *)
-  let fact_blocks rows =
-    List.fold_left
-      (fun acc (row : Witness.row) ->
-        match acc with
-        | (f, block) :: rest when f = row.Witness.fact ->
-            (f, row :: block) :: rest
-        | _ -> (row.Witness.fact, [ row ]) :: acc)
-      [] rows
-    |> List.rev_map (fun (_, block) -> List.rev block)
-
   (* Is the delta provably sound before anything mutates?  Two edges are
      not: a measured cube's measure function resolves fact ids against the
      host store (synthetic ingest facts have no node there), and a batch
      whose new dictionary values need more bits than the session's frozen
-     packed-key layout allocated per axis would make [Group_key.load]
+     packed-key layout allocated per axis would make [Group_key.load_cols]
      fold distinct values onto one packed key. Both return a typed reason
      and leave the session untouched — the caller rebuilds cold, which is
      always exact. *)
@@ -436,16 +428,20 @@ module Session = struct
     match delta_check t staged with
     | Error _ as e -> e
     | Ok () ->
+        let before = Context.cols t.s_ctx in
+        let from_row = Witness.Columnar.rows before in
+        let from_block = Witness.Columnar.blocks before in
         let rows = Witness.append t.s_prepared.table staged in
         Context.note_append t.s_ctx rows;
         let patched =
           List.fold_left
-            (fun acc view -> acc + Materialized.apply_rows t.s_ctx view rows)
+            (fun acc view ->
+              acc + Materialized.apply_rows t.s_ctx view ~from_row)
             0 views
         in
         t.s_props <-
           X3_lattice.Properties.restrict t.s_props t.s_prepared.lattice
-            (fact_blocks rows);
+            (Context.cols t.s_ctx) ~from_block;
         Ok (rows, patched)
 
   (* One request's compute budget on a long-lived session: arm the

@@ -168,16 +168,14 @@ val pp_fallback : Format.formatter -> delta_fallback -> unit
 module Session : sig
   type t
 
-  val create :
-    ?config:config ->
-    ?workers:int ->
-    ?account:Governor.account ->
-    prepared ->
-    t
-  (** Builds the context and measures ground-truth properties with
-      {!X3_lattice.Properties.observe} (one table scan). Sessions are
-      {e not} thread-safe — the buffer pool underneath is unsynchronised,
-      so callers must serialize access. *)
+  val create : prepared -> t
+  (** Builds the context and its columnar view ({!Context.cols}, the one
+      table scan) and measures ground-truth properties over the columns
+      with {!X3_lattice.Properties.observe_columns}. Every session
+      operation runs on the calling domain, under an unbounded account
+      and the default budgets. Sessions are {e not} thread-safe — the
+      buffer pool underneath is unsynchronised, so callers must serialize
+      access. *)
 
   val prepared : t -> prepared
   val context : t -> Context.t
@@ -206,8 +204,8 @@ module Session : sig
       property refresh keeps {e future} rollup decisions honest. *)
 
   val materialize : t -> cuboid:int -> Materialized.t
-  (** Base computation: one witness-table scan collecting the cuboid's
-      groups with fact sets. *)
+  (** Base computation: one pass over the session's columns collecting
+      the cuboid's groups with fact sets. *)
 
   val rollup :
     t -> Materialized.t -> coarser:int -> (Materialized.t, string) result
@@ -223,19 +221,8 @@ module Session : sig
   val table_bytes : t -> int
   (** Resident footprint of the witness table
       ({!X3_pattern.Witness.approx_bytes}) — what a cache charges for
-      keeping the session loaded. *)
-
-  val with_deadline :
-    t ->
-    ?deadline_at:float ->
-    (unit -> 'a) ->
-    ('a, Context.stop_reason) result
-  (** Run [f] under one request's compute budget: arm the session
-      context's deadline at the absolute time [deadline_at] (none =
-      unbounded), and always disarm and clear the stop state afterwards
-      so the long-lived session can serve its next request.  [Error
-      reason] when the run stopped (deadline, cancel hook, byte budget);
-      views completed before the stop remain valid. *)
+      keeping the session loaded. The session's columnar view is not
+      counted. *)
 
   val with_request :
     t ->
@@ -243,11 +230,16 @@ module Session : sig
     ?deadline_at:float ->
     (unit -> 'a) ->
     ('a, Context.stop_reason) result
-  (** {!with_deadline} plus request-scoped tracing: [scope] is attached
-      to the session context ({!Context.set_trace_scope}) and bound to
-      the calling thread for the duration, so every probe this request's
-      compute emits — worker domains included — lands in the request's
-      own capture instead of the global scope. Detached afterwards. *)
+  (** Run [f] under one request's compute budget and trace scope: arm
+      the session context's deadline at the absolute time [deadline_at]
+      (none = unbounded), attach [scope] to the context
+      ({!Context.set_trace_scope}) and bind it to the calling thread, so
+      every probe this request's compute emits — worker domains included
+      — lands in the request's own capture. Afterwards the deadline is
+      disarmed, the stop state cleared and the scope detached, so the
+      long-lived session can serve its next request. [Error reason] when
+      the run stopped (deadline, cancel hook, byte budget); views
+      completed before the stop remain valid. *)
 end
 
 (** {1 Graceful degradation}

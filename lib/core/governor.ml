@@ -23,10 +23,6 @@ let sort_record_cost = 96
 
 let sort_floor_records = 64
 
-(* One decoded row: the row record (2 fields), the cell array and one
-   3-field cell record per axis, in 8-byte words. *)
-let row_cost ~axes = 8 * (4 + axes + (4 * axes))
-
 (* --- the global pool ---------------------------------------------------- *)
 
 type t = {

@@ -37,10 +37,6 @@ val sort_floor_records : int
     records a sort cannot make useful progress, so a byte budget that
     cannot cover it is over budget rather than infinitely spilling. *)
 
-val row_cost : axes:int -> int
-(** Estimated bytes of one decoded witness row resident in memory (the
-    row record, its cell array and the per-axis cells). *)
-
 (** {1 The global pool} *)
 
 type t

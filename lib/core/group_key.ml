@@ -63,39 +63,8 @@ type scratch = {
 let make_scratch layout =
   { s_layout = layout; s_packed = 0; s_wide = Array.make (axis_count layout) 0 }
 
-let bad_row () = invalid_arg "Group_key.load: row does not qualify"
+let bad_row () = invalid_arg "Group_key.load_cols: row does not qualify"
 
-let load scratch cuboid (row : Witness.row) =
-  let layout = scratch.s_layout in
-  let cells = row.Witness.cells in
-  if layout.packed_fits then begin
-    let k = Array.length cuboid in
-    let rec go ai acc =
-      if ai >= k then acc
-      else
-        match cuboid.(ai) with
-        | State.Removed -> go (ai + 1) acc
-        | State.Present _ ->
-            let id = cells.(ai).Witness.id in
-            if id < 0 then bad_row ();
-            go (ai + 1) (acc lor (id lsl layout.offsets.(ai)))
-    in
-    scratch.s_packed <- go 0 0
-  end
-  else begin
-    let wide = scratch.s_wide in
-    Array.iteri
-      (fun ai state ->
-        match state with
-        | State.Removed -> wide.(ai) <- 0
-        | State.Present _ ->
-            let id = cells.(ai).Witness.id in
-            if id < 0 then bad_row ();
-            wide.(ai) <- id)
-      cuboid
-  end
-
-(* The columnar twin of [load]: ids come straight from the id columns. *)
 let load_cols scratch cuboid cols ~row =
   let layout = scratch.s_layout in
   if layout.packed_fits then begin

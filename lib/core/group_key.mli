@@ -41,19 +41,16 @@ type scratch
 
 val make_scratch : layout -> scratch
 
-val load : scratch -> X3_lattice.Cuboid.t -> X3_pattern.Witness.row -> unit
-(** Assemble the key of [row] under the cuboid into the scratch. Raises
-    [Invalid_argument] if a present axis is unbound (the row does not
-    qualify). *)
-
 val load_cols :
   scratch ->
   X3_lattice.Cuboid.t ->
   X3_pattern.Witness.Columnar.t ->
   row:int ->
   unit
-(** {!load} over the columnar view: assemble the key of row index [row]
-    from the id columns. Same qualification contract as {!load}. *)
+(** Assemble the key of row index [row] under the cuboid into the
+    scratch, from the columnar view's id columns. Raises
+    [Invalid_argument] if a present axis is unbound (the row does not
+    qualify). *)
 
 val freeze : scratch -> t
 (** An immutable key from the scratch's current contents (copies the id

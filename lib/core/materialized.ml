@@ -2,6 +2,8 @@ module Lattice = X3_lattice.Lattice
 module Properties = X3_lattice.Properties
 module Cuboid = X3_lattice.Cuboid
 module Witness = X3_pattern.Witness
+module Columnar = Witness.Columnar
+module Trace = X3_obs.Trace
 
 module Int_set = Set.Make (Int)
 
@@ -55,18 +57,37 @@ let fact_items t ~key =
       | Some g -> Int_set.elements g.facts
       | None -> [])
 
+(* The per-row step [materialize] and [apply_rows] share: when row [r] of
+   the columns represents its fact in [c], key it and pass its group
+   (created empty on first sight) and fact to [add]. *)
+let add_row (ctx : Context.t) groups scratch c cols r add =
+  if Cuboid.represents c cols ~row:r then begin
+    Group_key.load_cols scratch c cols ~row:r;
+    ctx.instr.Instrument.keys_built <- ctx.instr.Instrument.keys_built + 1;
+    add
+      (Group_key.Tbl.find_or_add groups scratch ~default:new_group)
+      (Columnar.fact cols r)
+  end
+
+(* One pass over the context's columns — one table scan plus its rows, as
+   TD's base pass counts it — with the per-row checkpoint, so a deadline,
+   cancel or drain still stops a base computation. *)
 let materialize (ctx : Context.t) ~cuboid =
   let c = Lattice.cuboid ctx.lattice cuboid in
+  let cols = Context.cols ctx in
+  let rows = Columnar.rows cols in
   let groups = Group_key.Tbl.create 256 in
   let scratch = Group_key.make_scratch ctx.layout in
-  Context.scan ctx (fun row ->
-      if Context.row_represents c row then begin
-        Group_key.load scratch c row;
-        ctx.instr.Instrument.keys_built <-
-          ctx.instr.Instrument.keys_built + 1;
-        let g = Group_key.Tbl.find_or_add groups scratch ~default:new_group in
-        g.facts <- Int_set.add row.Witness.fact g.facts
-      end);
+  ctx.instr.Instrument.table_scans <- ctx.instr.Instrument.table_scans + 1;
+  Trace.with_span "witness.scan" ~attrs:[ ("rows", Trace.Int rows) ]
+    (fun () ->
+      for r = 0 to rows - 1 do
+        Context.checkpoint ctx;
+        ctx.instr.Instrument.rows_scanned <-
+          ctx.instr.Instrument.rows_scanned + 1;
+        add_row ctx groups scratch c cols r (fun g fact ->
+            g.facts <- Int_set.add fact g.facts)
+      done);
   fill_stale ctx.measure groups;
   {
     cuboid_id = cuboid;
@@ -78,49 +99,47 @@ let materialize (ctx : Context.t) ~cuboid =
   }
 
 (* The ingest delta patch: [materialize]'s per-row step over only the
-   appended rows. Adding facts to group fact-sets is duplicate-safe (set
-   union semantics), so non-disjoint repeats across the new rows cost
-   memory, never correctness — the same §3.6 discipline as rollup
-   merging. The rows must be coded against the same table (and layout)
-   the view was built on.
+   appended rows [from_row, rows) of the context's columns. Adding facts
+   to group fact-sets is duplicate-safe (set union semantics), so
+   non-disjoint repeats across the new rows cost memory, never
+   correctness — the same §3.6 discipline as rollup merging. The columns
+   must be over the same table (and layout) the view was built on. There
+   is no checkpoint: a patch stopped halfway would leave the view out of
+   step with its table.
 
    A fact larger than every fact already in its group (the common case:
    ingested facts get ids above every document node) extends the group's
    ascending fold by one step, so the new cell is a copy of the old one
    plus that fact — the same bits [cell_of_facts] would produce. Any other
    new fact recomputes the cell from the whole set. *)
-let apply_rows (ctx : Context.t) t rows =
-  let c = Lattice.cuboid t.lattice t.cuboid_id in
+let apply_rows (ctx : Context.t) t ~from_row =
+  let c = states t in
+  let cols = Context.cols ctx in
   let scratch = Group_key.make_scratch t.layout in
   let touched = ref 0 in
-  List.iter
-    (fun row ->
-      if Context.row_represents c row then begin
-        Group_key.load scratch c row;
-        ctx.Context.instr.Instrument.keys_built <-
-          ctx.Context.instr.Instrument.keys_built + 1;
-        let g = Group_key.Tbl.find_or_add t.groups scratch ~default:new_group in
-        let fact = row.Witness.fact in
-        let facts = Int_set.add fact g.facts in
-        if facts != g.facts then begin
-          let appended =
-            Int_set.is_empty g.facts || fact > Int_set.max_elt g.facts
-          in
-          let cell =
-            if appended then begin
-              (* a new group's cell is [stale], which is empty *)
-              let cell = Aggregate.copy g.cell in
-              Aggregate.add cell (t.measure fact);
-              cell
-            end
-            else cell_of_facts t.measure facts
-          in
-          g.facts <- facts;
-          g.cell <- cell
-        end;
-        incr touched
-      end)
-    rows;
+  let add g fact =
+    let facts = Int_set.add fact g.facts in
+    if facts != g.facts then begin
+      let appended =
+        Int_set.is_empty g.facts || fact > Int_set.max_elt g.facts
+      in
+      let cell =
+        if appended then begin
+          (* a new group's cell is [stale], which is empty *)
+          let cell = Aggregate.copy g.cell in
+          Aggregate.add cell (t.measure fact);
+          cell
+        end
+        else cell_of_facts t.measure facts
+      in
+      g.facts <- facts;
+      g.cell <- cell
+    end;
+    incr touched
+  in
+  for r = from_row to Columnar.rows cols - 1 do
+    add_row ctx t.groups scratch c cols r add
+  done;
   !touched
 
 (* Estimated resident bytes, in the spirit of the Governor cost model:

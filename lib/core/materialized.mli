@@ -31,15 +31,18 @@ val fact_items : t -> key:string list -> int list
     axis order ([[]] when the group is absent). *)
 
 val materialize : Context.t -> cuboid:int -> t
-(** One scan of the witness table, collecting groups with fact sets. *)
+(** One pass over the context's columnar view, collecting groups with
+    fact sets. Checkpoints every row, so a deadline, cancel or drain
+    stops it with {!Context.Stop}. *)
 
-val apply_rows : Context.t -> t -> X3_pattern.Witness.row list -> int
-(** Patch the view with freshly appended witness rows — [materialize]'s
-    per-row step over only the delta. Returns how many of the rows
-    represent their fact in this view's cuboid (and were therefore
-    added). Group fact-sets make the patch duplicate-safe, so it is
-    unconditionally sound for any delta of fresh facts; the rows must be
-    coded against the same table and layout the view was built on. *)
+val apply_rows : Context.t -> t -> from_row:int -> int
+(** Patch the view with the rows [from_row] onward of the context's
+    columnar view — freshly appended rows, after {!Context.note_append}
+    extended the columns — by [materialize]'s per-row step. Returns how
+    many of the rows represent their fact in this view's cuboid (and were
+    therefore added). Group fact-sets make the patch duplicate-safe, so it
+    is unconditionally sound for any delta of fresh facts; the context
+    must be over the same table and layout the view was built on. *)
 
 val approx_bytes : t -> int
 (** Estimated resident bytes of the view (groups, keys, cells and fact

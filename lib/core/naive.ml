@@ -1,4 +1,5 @@
 module Lattice = X3_lattice.Lattice
+module Cuboid = X3_lattice.Cuboid
 module Columnar = X3_pattern.Witness.Columnar
 
 (* NAIVE over the columnar view: one instrumented scan builds the columns,
@@ -114,7 +115,7 @@ let compute_sequential (ctx : Context.t) =
                     cur_block := b;
                     Group_key.Seen.reset seen
                   end;
-                  if Context.cols_represents cuboid cols ~row:r then begin
+                  if Cuboid.represents cuboid cols ~row:r then begin
                     Group_key.load_cols scratch cuboid cols ~row:r;
                     instr.Instrument.keys_built <-
                       instr.Instrument.keys_built + 1;
@@ -238,7 +239,7 @@ let compute_parallel (ctx : Context.t) =
                     let cuboid = cuboids.(i) in
                     Group_key.Seen.reset w.seen;
                     for r = lo to hi do
-                      if Context.cols_represents cuboid cols ~row:r then begin
+                      if Cuboid.represents cuboid cols ~row:r then begin
                         Group_key.load_cols w.scratch cuboid cols ~row:r;
                         w.instr.Instrument.keys_built <-
                           w.instr.Instrument.keys_built + 1;

@@ -120,8 +120,8 @@ let cursor p cols =
   }
 
 (* Compact key of [row], or -1 when some present axis is unbound or not
-   valid at the cuboid's state — the columnar twin of
-   [Topdown.row_qualifies] + [Group_key.load]. *)
+   valid at the cuboid's state — [Cuboid.qualifies] + [Group_key.load_cols]
+   fused into one pass over the hoisted columns. *)
 let key cur row =
   let n = Array.length cur.u_ids in
   let rec go i acc =
@@ -137,7 +137,7 @@ let key cur row =
   go 0 0
 
 (* Does [row] hold the fact's first binding on every removed axis — the
-   representative half of [Context.row_represents]. *)
+   representative half of [Cuboid.represents]. *)
 let first_on_removed cur row =
   let n = Array.length cur.u_removed_tags in
   let rec go i =

@@ -57,7 +57,7 @@ val key : cursor -> int -> int
 
 val first_on_removed : cursor -> int -> bool
 (** Does the row hold the fact's first binding on every removed axis —
-    together with [key _ >= 0] this is [Context.row_represents]. *)
+    together with [key _ >= 0] this is [X3_lattice.Cuboid.represents]. *)
 
 (** {1 Direct accumulator} *)
 

@@ -1,5 +1,5 @@
 module Lattice = X3_lattice.Lattice
-module State = X3_lattice.State
+module Cuboid = X3_lattice.Cuboid
 module Properties = X3_lattice.Properties
 module Witness = X3_pattern.Witness
 module Columnar = Witness.Columnar
@@ -11,20 +11,6 @@ module Stats = X3_storage.Stats
 module Trace = X3_obs.Trace
 
 type variant = [ `Plain | `Opt | `OptAll | `Custom of X3_lattice.Properties.t ]
-
-(* Qualification without the representative collapse: what a top-down pass
-   over the materialised (cartesian) table sees. *)
-let cols_qualifies cuboid cols ~row =
-  let n = Array.length cuboid in
-  let rec go ai =
-    ai >= n
-    ||
-    match cuboid.(ai) with
-    | State.Removed -> go (ai + 1)
-    | State.Present m ->
-        Columnar.qualifies cols ~axis:ai ~row ~state:m && go (ai + 1)
-  in
-  go 0
 
 let mode_name = function
   | `Dedup -> "dedup"
@@ -131,8 +117,8 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
       instr.Instrument.hash_groupings <- instr.Instrument.hash_groupings + 1;
       instr.Instrument.sort_ops <- instr.Instrument.sort_ops + 1;
       let keep =
-        if representative then Context.cols_represents cuboid cols
-        else cols_qualifies cuboid cols
+        if representative then Cuboid.represents cuboid cols
+        else Cuboid.qualifies cuboid cols
       in
       let scratch = Group_key.make_scratch ctx.layout in
       let fed = ref 0 in

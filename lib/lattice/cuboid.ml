@@ -1,4 +1,5 @@
 module Axis = X3_pattern.Axis
+module Columnar = X3_pattern.Witness.Columnar
 
 type t = State.t array
 
@@ -53,6 +54,30 @@ let present_axes t =
       match s with State.Present _ -> acc := i :: !acc | State.Removed -> ())
     t;
   List.rev !acc
+
+let represents t cols ~row =
+  let n = Array.length t in
+  let rec go ai =
+    ai >= n
+    ||
+    match t.(ai) with
+    | State.Removed -> Columnar.first cols ~axis:ai ~row && go (ai + 1)
+    | State.Present m ->
+        Columnar.qualifies cols ~axis:ai ~row ~state:m && go (ai + 1)
+  in
+  go 0
+
+let qualifies t cols ~row =
+  let n = Array.length t in
+  let rec go ai =
+    ai >= n
+    ||
+    match t.(ai) with
+    | State.Removed -> go (ai + 1)
+    | State.Present m ->
+        Columnar.qualifies cols ~axis:ai ~row ~state:m && go (ai + 1)
+  in
+  go 0
 
 let to_string axes t =
   let parts =

@@ -1,6 +1,7 @@
 module Axis = X3_pattern.Axis
 module Relax = X3_pattern.Relax
 module Witness = X3_pattern.Witness
+module Columnar = Witness.Columnar
 module Schema = X3_xml.Schema
 module Dtd = X3_xml.Dtd
 module Sj = X3_xdb.Structural_join
@@ -246,116 +247,79 @@ let infer ~schema ~fact_tag lattice =
 
 (* --- empirical observation --------------------------------------------- *)
 
-(* Group identity as dictionary ids — string-free, ids are per-axis. *)
-let key_of_row cuboid row =
-  let parts = ref [] in
-  Array.iteri
-    (fun ai state ->
-      match state with
-      | State.Removed -> ()
-      | State.Present _ ->
-          let id = row.Witness.cells.(ai).Witness.id in
-          assert (id >= 0);
-          parts := id :: !parts)
-    cuboid;
-  List.rev !parts
-
-(* Representative-row semantics, mirrored from Context.row_represents (the
-   lattice library sits below the core and cannot depend on it). *)
-let row_represents cuboid row =
-  let ok = ref true in
-  Array.iteri
-    (fun ai state ->
-      match state with
-      | State.Removed ->
-          if not row.Witness.cells.(ai).Witness.first then ok := false
-      | State.Present m ->
-          if not (Witness.qualifies row ~axis_index:ai ~state:m) then
-            ok := false)
-    cuboid;
-  !ok
-
-(* Validity-only qualification: what raw row counting sees. *)
-let row_qualifies cuboid row =
-  let ok = ref true in
-  Array.iteri
-    (fun ai state ->
-      match state with
-      | State.Removed -> ()
-      | State.Present m ->
-          if not (Witness.qualifies row ~axis_index:ai ~state:m) then
-            ok := false)
-    cuboid;
-  !ok
-
 (* The observed properties are all monotone per-fact-block ANDs: one more
    fact block can only falsify disjointness, strictness or coverage, never
-   restore them. [observe_blocks] folds any block source into a property
-   record, so a delta-maintenance path can observe just the appended
-   blocks and AND them into the previously observed truth ({!restrict})
-   instead of rescanning the table. *)
-let observe_blocks iter_blocks lattice ~disjoint ~strict ~covered =
+   restore them. [observe_from] folds the fact blocks of [cols] from
+   [from_block] on into a property record, so a delta-maintenance path can
+   observe just the appended blocks and AND them into the previously
+   observed truth ({!restrict}) instead of rescanning the table. *)
+let observe_from cols lattice ~from_block ~disjoint ~strict ~covered =
   let size = Lattice.size lattice in
-  let edges = ref [] in
-  Array.iter
-    (fun ci ->
-      List.iter
-        (fun pi -> edges := (ci, pi) :: !edges)
-        (Lattice.parents lattice ci))
-    (Lattice.by_degree lattice);
   let cuboids = Array.init size (Lattice.cuboid lattice) in
-  iter_blocks
-    (fun block ->
-      (* Paper disjointness: at most one representative row per fact and
-         cuboid. Strict disjointness: at most one qualifying row. *)
-      Array.iteri
-        (fun i cuboid ->
-          if disjoint.(i) then begin
-            let representing =
-              List.length (List.filter (row_represents cuboid) block)
-            in
-            if representing > 1 then disjoint.(i) <- false
-          end;
-          if strict.(i) then begin
-            let qualifying =
-              List.length (List.filter (row_qualifies cuboid) block)
-            in
-            if qualifying > 1 then strict.(i) <- false
-          end)
-        cuboids;
-      (* Coverage: the fact's group keys in the coarser cuboid must all be
-         reachable by projecting its keys in the finer cuboid. *)
-      List.iter
-        (fun (ci, pi) ->
-          if Hashtbl.find covered (ci, pi) then begin
-            let c = cuboids.(ci) and p = cuboids.(pi) in
-            let coarser_keys =
-              List.filter_map
-                (fun row ->
-                  if row_represents p row then Some (key_of_row p row)
-                  else None)
-                block
-            in
-            if coarser_keys <> [] then begin
-              let finer_projected =
-                List.filter_map
-                  (fun row ->
-                    if row_represents c row then Some (key_of_row p row)
-                    else None)
-                  block
-              in
-              let missing =
-                List.exists
-                  (fun key -> not (List.mem key finer_projected))
-                  coarser_keys
-              in
-              if missing then Hashtbl.replace covered (ci, pi) false
-            end
-          end)
-        !edges);
+  let edges =
+    Array.of_list
+      (List.concat_map
+         (fun ci -> List.map (fun pi -> (ci, pi)) (Lattice.parents lattice ci))
+         (Array.to_list (Lattice.by_degree lattice)))
+  in
+  let edge_ok = Array.map (Hashtbl.find covered) edges in
+  (* The coarser cuboid's present axes: a group key's components. *)
+  let key_axes =
+    Array.map
+      (fun (_, pi) -> Array.of_list (Cuboid.present_axes cuboids.(pi)))
+      edges
+  in
+  let same_key axes r r' =
+    Array.for_all
+      (fun axis ->
+        Columnar.id cols ~axis ~row:r = Columnar.id cols ~axis ~row:r')
+      axes
+  in
+  (* [rep] holds, per cuboid, which rows of the current block represent
+     their fact there: cuboid [i], block row [j] at [i * n + j]. *)
+  let rep = ref (Bytes.create 0) in
+  for b = from_block to Columnar.blocks cols - 1 do
+    let lo = Columnar.block_lo cols b in
+    let n = Columnar.block_hi cols b - lo + 1 in
+    if Bytes.length !rep < size * n then rep := Bytes.create (size * n);
+    let rep = !rep in
+    let represents i j = Bytes.get rep ((i * n) + j) = '\001' in
+    (* Paper disjointness: at most one representative row per fact and
+       cuboid. Strict disjointness: at most one qualifying row. *)
+    Array.iteri
+      (fun i cuboid ->
+        let representing = ref 0 and qualifying = ref 0 in
+        for j = 0 to n - 1 do
+          let row = lo + j in
+          let r = Cuboid.represents cuboid cols ~row in
+          Bytes.set rep ((i * n) + j) (if r then '\001' else '\000');
+          if r then incr representing;
+          if strict.(i) && Cuboid.qualifies cuboid cols ~row then
+            incr qualifying
+        done;
+        if !representing > 1 then disjoint.(i) <- false;
+        if !qualifying > 1 then strict.(i) <- false)
+      cuboids;
+    (* Coverage: each of the fact's group keys in the coarser cuboid must
+       be reached by projecting one of its keys in the finer cuboid. *)
+    Array.iteri
+      (fun e (ci, pi) ->
+        if edge_ok.(e) then begin
+          let rec reached j j' =
+            j' < n
+            && ((represents ci j' && same_key key_axes.(e) (lo + j) (lo + j'))
+               || reached j (j' + 1))
+          in
+          for j = 0 to n - 1 do
+            if represents pi j && not (reached j 0) then edge_ok.(e) <- false
+          done
+        end)
+      edges
+  done;
+  Array.iteri (fun e edge -> Hashtbl.replace covered edge edge_ok.(e)) edges;
   { disjoint; strict; covered }
 
-let observe table lattice =
+let observe_columns cols lattice =
   let size = Lattice.size lattice in
   let covered = Hashtbl.create 64 in
   Array.iter
@@ -364,20 +328,19 @@ let observe table lattice =
         (fun pi -> Hashtbl.replace covered (ci, pi) true)
         (Lattice.parents lattice ci))
     (Lattice.by_degree lattice);
-  observe_blocks
-    (fun f -> Witness.iter_fact_blocks f table)
-    lattice
+  observe_from cols lattice ~from_block:0
     ~disjoint:(Array.make size true)
     ~strict:(Array.make size true)
     ~covered
 
-let restrict t lattice blocks =
-  let disjoint = Array.copy t.disjoint in
-  let strict = Array.copy t.strict in
-  let covered = Hashtbl.copy t.covered in
-  observe_blocks
-    (fun f -> List.iter f blocks)
-    lattice ~disjoint ~strict ~covered
+let observe table lattice =
+  observe_columns (Witness.columnar_of_table table) lattice
+
+let restrict t lattice cols ~from_block =
+  observe_from cols lattice ~from_block
+    ~disjoint:(Array.copy t.disjoint)
+    ~strict:(Array.copy t.strict)
+    ~covered:(Hashtbl.copy t.covered)
 
 let pp_report lattice ppf t =
   let axes = Lattice.axes lattice in

@@ -35,16 +35,22 @@ val exact : Lattice.t -> disjoint:bool -> covered:bool -> t
     construction guarantees them. *)
 
 val observe : X3_pattern.Witness.t -> Lattice.t -> t
-(** Ground truth measured on a materialised witness table. *)
+(** Ground truth measured on a materialised witness table: one decode
+    into its columnar view, then {!observe_columns}. *)
 
-val restrict : t -> Lattice.t -> X3_pattern.Witness.row list list -> t
-(** AND newly appended fact blocks into previously observed truth. Every
-    observed property is a monotone per-fact-block conjunction (one more
-    block can falsify disjointness or coverage, never restore it), so
-    [restrict (observe table l) l blocks] equals observing the table with
-    the blocks appended — the delta-maintenance path's property refresh
-    without a rescan. Each element of [blocks] must be the complete,
-    contiguous row list of one appended fact. *)
+val observe_columns : X3_pattern.Witness.Columnar.t -> Lattice.t -> t
+(** Ground truth measured on a witness table's columnar view — what a
+    session that already holds the columns observes over. *)
+
+val restrict :
+  t -> Lattice.t -> X3_pattern.Witness.Columnar.t -> from_block:int -> t
+(** AND the fact blocks of [cols] from [from_block] on into previously
+    observed truth. Every observed property is a monotone per-fact-block
+    conjunction (one more block can falsify disjointness or coverage,
+    never restore it), so [restrict (observe_columns cols l) l cols'
+    ~from_block:(blocks cols)] equals [observe_columns cols' l] when
+    [cols'] is [cols] with blocks appended — the delta-maintenance path's
+    property refresh without a rescan. *)
 
 val cuboid_disjoint : t -> int -> bool
 (** The paper's notion: no fact occurs in more than one group of the

@@ -17,52 +17,47 @@ type t = {
 let compute table =
   let axes = Witness.axes table in
   let k = Array.length axes in
+  let cols = Witness.columnar_of_table table in
+  let module C = Witness.Columnar in
   let bound = Array.make k 0 in
   let unbound = Array.make k 0 in
   let multi = Array.make k 0 in
   let max_bindings = Array.make k 0 in
   let state_matches = Array.map (fun a -> Array.make (Axis.state_count a) 0) axes in
-  let rows = ref 0 and facts = ref 0 and max_rows = ref 0 in
-  Witness.iter_fact_blocks
-    (fun block ->
-      incr facts;
-      let n = List.length block in
-      rows := !rows + n;
-      if n > !max_rows then max_rows := n;
-      for ai = 0 to k - 1 do
-        (* Distinct bindings of axis [ai] within this fact: the cartesian
-           layout means the distinct (value, validity, first) cells. *)
-        let distinct = Hashtbl.create 4 in
-        let has_value = ref false in
-        let union_validity = ref 0 in
-        List.iter
-          (fun row ->
-            let cell = row.Witness.cells.(ai) in
-            if cell.Witness.id >= 0 then begin
-              has_value := true;
-              union_validity := !union_validity lor cell.Witness.validity;
-              Hashtbl.replace distinct
-                (cell.Witness.id, cell.Witness.validity, cell.Witness.first)
-                ()
-            end)
-          block;
-        if !has_value then begin
-          bound.(ai) <- bound.(ai) + 1;
-          let b = Hashtbl.length distinct in
-          if b > 1 then multi.(ai) <- multi.(ai) + 1;
-          if b > max_bindings.(ai) then max_bindings.(ai) <- b;
-          Array.iteri
-            (fun s count ->
-              if !union_validity land (1 lsl s) <> 0 then
-                state_matches.(ai).(s) <- count + 1)
-            state_matches.(ai)
+  let max_rows = ref 0 in
+  for b = 0 to C.blocks cols - 1 do
+    let lo = C.block_lo cols b and hi = C.block_hi cols b in
+    max_rows := max !max_rows (hi - lo + 1);
+    for ai = 0 to k - 1 do
+      (* Distinct bindings of axis [ai] within this fact: the cartesian
+         layout means the distinct (value, tag) cells, the tag byte
+         carrying validity and the first-binding flag. *)
+      let distinct = Hashtbl.create 4 in
+      let union_validity = ref 0 in
+      for row = lo to hi do
+        let id = C.id cols ~axis:ai ~row in
+        if id >= 0 then begin
+          union_validity := !union_validity lor C.validity cols ~axis:ai ~row;
+          Hashtbl.replace distinct (id, C.tag cols ~axis:ai ~row) ()
         end
-        else unbound.(ai) <- unbound.(ai) + 1
-      done)
-    table;
+      done;
+      let bindings = Hashtbl.length distinct in
+      if bindings > 0 then begin
+        bound.(ai) <- bound.(ai) + 1;
+        if bindings > 1 then multi.(ai) <- multi.(ai) + 1;
+        if bindings > max_bindings.(ai) then max_bindings.(ai) <- bindings;
+        Array.iteri
+          (fun s count ->
+            if !union_validity land (1 lsl s) <> 0 then
+              state_matches.(ai).(s) <- count + 1)
+          state_matches.(ai)
+      end
+      else unbound.(ai) <- unbound.(ai) + 1
+    done
+  done;
   {
-    rows = !rows;
-    facts = !facts;
+    rows = C.rows cols;
+    facts = C.blocks cols;
     max_rows_per_fact = !max_rows;
     axes =
       Array.init k (fun ai ->

@@ -24,6 +24,6 @@ type t = {
 }
 
 val compute : Witness.t -> t
-(** One scan. *)
+(** One scan, into the table's columnar view. *)
 
 val pp : Format.formatter -> t -> unit

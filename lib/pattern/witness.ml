@@ -56,10 +56,6 @@ type row = { fact : int; cells : cell array }
 
 let null_id = -1
 
-let qualifies row ~axis_index ~state =
-  let cell = row.cells.(axis_index) in
-  cell.id >= 0 && cell.validity land (1 lsl state) <> 0
-
 (* Rows as produced by the pattern evaluators, before interning: values are
    still strings. [materialize] converts them to coded rows. *)
 module Staged = struct
@@ -355,19 +351,12 @@ let dict_page_count t = X3_storage.Heap_file.page_count t.dict_heap
 let pool t = X3_storage.Heap_file.pool t.heap
 
 (* --- resident-footprint estimate --------------------------------------- *)
-(* One decoded row: the row record (fact + cells pointer), the cell array
-   and a 3-field cell record per axis, in 8-byte words. Kept in sync with
-   X3_core.Governor.row_cost (pattern cannot depend on core). *)
-let approx_row_bytes t =
-  let axes = Array.length t.axes in
-  8 * (4 + axes + (4 * axes))
 
 let approx_bytes t =
   (* The table's unavoidable resident floor: the buffer-pool frames its
      pages occupy (capped by the pool) plus the in-memory intern tables
      (values array slot + string + hashtable entry, ~48 bytes overhead per
-     distinct value). Decoded rows are booked by whoever materialises
-     them. *)
+     distinct value). The columnar view is booked by whoever builds it. *)
   let pool = pool t in
   let page_bytes = X3_storage.Disk.page_size (X3_storage.Buffer_pool.disk pool) in
   let frames =
@@ -384,20 +373,6 @@ let approx_bytes t =
   (frames * page_bytes) + dict_bytes
 let iter f t = X3_storage.Heap_file.iter (fun r -> f (decode r)) t.heap
 
-let iter_fact_blocks f t =
-  let block = ref [] in
-  let current = ref (-1) in
-  iter
-    (fun row ->
-      if row.fact <> !current && !block <> [] then begin
-        f (List.rev !block);
-        block := []
-      end;
-      current := row.fact;
-      block := row :: !block)
-    t;
-  if !block <> [] then f (List.rev !block)
-
 let to_list t =
   let acc = ref [] in
   iter (fun r -> acc := r :: !acc) t;
@@ -407,28 +382,35 @@ let to_list t =
 (* The same table, transposed into unboxed Bigarray columns: one int32 id
    column and one byte tag column per axis (the tag byte is exactly the row
    codec's cell tag: validity bits 0-6, first-binding flag in bit 7), plus
-   plain int arrays for the fact ids and the fact-block geometry. Columns
-   are immutable after [Builder.finish], so they can be shared across
-   domains without the boxed-row snapshots the parallel paths used to
-   copy. *)
+   plain int arrays for the fact ids and the fact-block geometry. This is
+   the one form every grouping and observation path reads. A version's
+   rows never change once written ([extend] only appends past them), so
+   columns can be shared across domains as they are. *)
 
 module Columnar = struct
   type int32_col = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
   type tag_col = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+  (* The buffers may be longer than [c_rows] (and [c_blocks + 1]): spare
+     room [extend] appends into. A version only ever reads its own prefix,
+     so appending past it leaves the version unchanged. *)
   type t = {
     c_axes : int;
     c_rows : int;
+    c_blocks : int;
     c_ids : int32_col array;  (** per axis; [null_id] for unbound cells *)
     c_tags : tag_col array;  (** per axis; validity lor (first ? 0x80 : 0) *)
     c_facts : int array;  (** per row *)
     c_row_block : int array;  (** per row: index of its fact block *)
     c_block_start : int array;  (** blocks + 1 row offsets, fenced *)
+    c_written : int ref;
+        (** rows written into these buffers by the newest version: only
+            that version may append in place *)
   }
 
   let axes t = t.c_axes
   let rows t = t.c_rows
-  let blocks t = Array.length t.c_block_start - 1
+  let blocks t = t.c_blocks
   let fact t i = t.c_facts.(i)
   let block_of_row t i = t.c_row_block.(i)
   let block_lo t b = t.c_block_start.(b)
@@ -516,90 +498,89 @@ module Columnar = struct
       {
         c_axes = b.k;
         c_rows = b.next;
+        c_blocks = b.nblocks;
         c_ids = b.ids;
         c_tags = b.tags;
         c_facts = b.facts;
         c_row_block = b.row_block;
         c_block_start = block_start;
+        c_written = ref b.next;
       }
   end
 
-  (* Grow an existing column set with a tail of appended rows: a bulk blit
-     of the old columns into wider arrays plus a scalar pass over the new
-     tail, extending the fenced block offsets — no rebuild of the old
-     rows. The tail's facts must be fresh (no block may straddle the
-     seam). *)
+  (* Fresh buffers of [capacity] rows holding [cols]'s rows. *)
+  let grow cols ~capacity =
+    let k = cols.c_axes and n = cols.c_rows in
+    let copy kind src =
+      let col = Bigarray.Array1.create kind Bigarray.c_layout capacity in
+      Bigarray.Array1.blit (Bigarray.Array1.sub src 0 n)
+        (Bigarray.Array1.sub col 0 n);
+      col
+    in
+    let copy_ints src =
+      let a = Array.make capacity 0 in
+      Array.blit src 0 a 0 n;
+      a
+    in
+    {
+      cols with
+      c_ids = Array.init k (fun ai -> copy Bigarray.int32 cols.c_ids.(ai));
+      c_tags =
+        Array.init k (fun ai -> copy Bigarray.int8_unsigned cols.c_tags.(ai));
+      c_facts = copy_ints cols.c_facts;
+      c_row_block = copy_ints cols.c_row_block;
+      c_block_start =
+        (let a = Array.make (capacity + 1) 0 in
+         Array.blit cols.c_block_start 0 a 0 (cols.c_blocks + 1);
+         a);
+      c_written = ref n;
+    }
+
+  (* Grow an existing column set with a tail of appended rows, extending
+     the fenced block offsets — no rebuild of the old rows. The newest
+     version appends into its spare room in place; otherwise the rows are
+     copied into buffers with an eighth to spare (at least 64 rows), so a
+     run of small ingests costs one copy per eighth of growth instead of
+     one per ingest. The tail's facts must be fresh (no block may straddle
+     the seam). *)
   let extend cols added =
     match added with
     | [] -> cols
     | first :: _ ->
         let k = cols.c_axes in
         let old = cols.c_rows in
-        let n = List.length added in
-        let rows = old + n in
+        let rows = old + List.length added in
         if old > 0 && first.fact = cols.c_facts.(old - 1) then
           invalid_arg "Witness.Columnar.extend: fact straddles the seam";
-        let ids =
-          Array.init k (fun ai ->
-              let col =
-                Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout rows
-              in
-              Bigarray.Array1.blit cols.c_ids.(ai)
-                (Bigarray.Array1.sub col 0 old);
-              col)
+        let cols =
+          if !(cols.c_written) = old && Array.length cols.c_facts >= rows then
+            cols
+          else grow cols ~capacity:(rows + max 64 (rows / 8))
         in
-        let tags =
-          Array.init k (fun ai ->
-              let col =
-                Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout
-                  rows
-              in
-              Bigarray.Array1.blit cols.c_tags.(ai)
-                (Bigarray.Array1.sub col 0 old);
-              col)
-        in
-        let facts = Array.make rows 0 in
-        Array.blit cols.c_facts 0 facts 0 old;
-        let row_block = Array.make rows 0 in
-        Array.blit cols.c_row_block 0 row_block 0 old;
-        let old_blocks = Array.length cols.c_block_start - 1 in
         let last_fact = ref min_int in
-        let starts = ref [] in
-        let nb = ref 0 in
+        let nb = ref cols.c_blocks in
         List.iteri
           (fun i (r : row) ->
             if Array.length r.cells <> k then
               invalid_arg "Witness.Columnar.extend: axis count mismatch";
             let idx = old + i in
             if r.fact <> !last_fact then begin
-              starts := idx :: !starts;
+              cols.c_block_start.(!nb) <- idx;
               incr nb;
               last_fact := r.fact
             end;
-            facts.(idx) <- r.fact;
-            row_block.(idx) <- old_blocks + !nb - 1;
+            cols.c_facts.(idx) <- r.fact;
+            cols.c_row_block.(idx) <- !nb - 1;
             for ai = 0 to k - 1 do
               let cell = r.cells.(ai) in
-              Bigarray.Array1.set ids.(ai) idx (Int32.of_int cell.id);
-              Bigarray.Array1.set tags.(ai) idx
+              Bigarray.Array1.set cols.c_ids.(ai) idx (Int32.of_int cell.id);
+              Bigarray.Array1.set cols.c_tags.(ai) idx
                 ((cell.validity land 0x7F) lor if cell.first then 0x80 else 0)
             done)
           added;
-        let block_start = Array.make (old_blocks + !nb + 1) 0 in
-        Array.blit cols.c_block_start 0 block_start 0 old_blocks;
-        List.iteri
-          (fun j s -> block_start.(old_blocks + j) <- s)
-          (List.rev !starts);
-        block_start.(old_blocks + !nb) <- rows;
-        {
-          c_axes = k;
-          c_rows = rows;
-          c_ids = ids;
-          c_tags = tags;
-          c_facts = facts;
-          c_row_block = row_block;
-          c_block_start = block_start;
-        }
+        cols.c_block_start.(!nb) <- rows;
+        cols.c_written := rows;
+        { cols with c_rows = rows; c_blocks = !nb }
 
   (* --- snapshot codec ---------------------------------------------------- *)
   (* One column chunk per record: 'C' | kind u8 | axis u16 | start u32 |

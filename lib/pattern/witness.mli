@@ -62,11 +62,6 @@ type row = { fact : int; cells : cell array }
 val null_id : int
 (** The id of an unbound cell; always negative. *)
 
-val qualifies : row -> axis_index:int -> state:int -> bool
-(** Does this row participate in a cuboid whose [axis_index]-th axis is at
-    structural state [state]? ([Removed] axes always qualify and are not
-    asked — see {!cell.first} for how removed axes are collapsed.) *)
-
 (** Rows as produced by the pattern evaluators, before interning: cells
     still carry the bound strings. {!materialize} interns them. *)
 module Staged : sig
@@ -131,9 +126,6 @@ val page_count : t -> int
 val dict_page_count : t -> int
 val pool : t -> X3_storage.Buffer_pool.t
 
-val approx_row_bytes : t -> int
-(** Estimated bytes of one decoded row resident in memory. *)
-
 val approx_bytes : t -> int
 (** Estimated resident floor of the table: the buffer-pool frames its
     pages occupy plus the in-memory value dictionaries. The byte-budget
@@ -143,10 +135,6 @@ val approx_bytes : t -> int
 val iter : (row -> unit) -> t -> unit
 (** One sequential scan through the buffer pool. *)
 
-val iter_fact_blocks : (row list -> unit) -> t -> unit
-(** Scan grouped by fact: the callback receives the consecutive rows of one
-    fact at a time. *)
-
 val to_list : t -> row list
 val pp_row : Format.formatter -> row -> unit
 
@@ -155,10 +143,11 @@ val pp_row : Format.formatter -> row -> unit
     The same table transposed into unboxed columns: per axis one [int32]
     id column and one byte tag column (the row codec's cell tag byte —
     validity in bits 0-6, the first-binding flag in bit 7), plus plain int
-    arrays for fact ids and fact-block geometry. Columns are immutable
-    once built, so the parallel algorithms share them across domains
-    instead of snapshotting boxed rows; the radix grouping kernels read
-    the raw columns directly. *)
+    arrays for fact ids and fact-block geometry. Every cube algorithm,
+    materialised view, observed property and table statistic reads the
+    table in this form. A column set's rows never change once built, so
+    the parallel algorithms share them across domains; the radix grouping
+    kernels read the raw columns directly. *)
 
 module Columnar : sig
   type int32_col =
@@ -208,11 +197,14 @@ module Columnar : sig
   end
 
   val extend : t -> row list -> t
-  (** A new column set holding the old rows (bulk-copied) plus [added] as
-      a tail chunk with extended fenced block offsets — the ingest path's
-      alternative to a full rebuild. The tail's facts must be fresh;
-      raises [Invalid_argument] when the first added row continues the
-      table's last fact block. *)
+  (** A column set holding the old rows plus [added] as a tail chunk with
+      extended fenced block offsets — the ingest path's alternative to a
+      full rebuild. The newest version of a column set appends into spare
+      room in place (the old version still reads only its own rows);
+      otherwise the rows are bulk-copied into buffers with an eighth to
+      spare, which [approx_bytes] does not count. The tail's facts must
+      be fresh; raises [Invalid_argument] when the first added row
+      continues the table's last fact block. *)
 end
 
 val columnar_of_table : t -> Columnar.t

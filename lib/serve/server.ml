@@ -525,7 +525,7 @@ let load_session ?store t ~doc_path ~spec =
     | None -> load_store t ~doc_path (read_document t doc_path)
   in
   let prepared = Engine.prepare ~pool:(make_pool ()) ~store spec in
-  let session = Engine.Session.create ~workers:t.cfg.workers prepared in
+  let session = Engine.Session.create prepared in
   (* Every session cooperates with drain: once the drain deadline passes,
      the next checkpoint in any compute on this session stops it with a
      typed Cancelled. *)

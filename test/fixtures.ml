@@ -88,3 +88,34 @@ let small_pool () =
 let query1_table () =
   Eval.build_table (small_pool ()) (figure1_store ()) ~fact_path
     ~axes:(query1_axes ())
+
+(* Row forms of the two cuboid predicates, stated here independently of
+   the columnar ones the engine uses: a row qualifies when every present
+   axis is bound and valid at its state, and represents its fact when it
+   also holds the first binding of every removed axis. *)
+let row_qualifies cuboid row =
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun ai state ->
+         let c = row.Witness.cells.(ai) in
+         match state with
+         | X3_lattice.State.Removed -> true
+         | X3_lattice.State.Present m ->
+             c.Witness.id >= 0 && c.Witness.validity land (1 lsl m) <> 0)
+       cuboid)
+
+let row_represents cuboid row =
+  row_qualifies cuboid row
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun ai state ->
+            state <> X3_lattice.State.Removed
+            || row.Witness.cells.(ai).Witness.first)
+          cuboid)
+
+(* A columnar view over hand-built coded rows (same-fact rows
+   contiguous). *)
+let cols_of_rows ~axes rows =
+  let b = Witness.Columnar.Builder.create ~axes ~rows:(List.length rows) in
+  List.iter (Witness.Columnar.Builder.add b) rows;
+  Witness.Columnar.Builder.finish b

@@ -575,7 +575,9 @@ let prop_packed_key_roundtrip =
         }
       in
       let scratch = Group_key.make_scratch layout in
-      Group_key.load scratch cuboid row;
+      Group_key.load_cols scratch cuboid
+        (cols_of_rows ~axes:(Array.length ids) [ row ])
+        ~row:0;
       ids_survive && representation_matches && sortable_roundtrips
       && Group_key.equal key (Group_key.freeze scratch))
 
@@ -683,22 +685,24 @@ let legacy_reference_cells p =
     (fun cid ->
       let cuboid = X3_lattice.Lattice.cuboid lattice cid in
       let groups : (string list, float) Hashtbl.t = Hashtbl.create 64 in
-      Witness.iter_fact_blocks
-        (fun block ->
-          let seen = Hashtbl.create 4 in
-          List.iter
-            (fun row ->
-              if X3_core.Context.row_represents cuboid row then begin
-                let key = key_parts cuboid row in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  Hashtbl.replace groups key
-                    (Option.value (Hashtbl.find_opt groups key) ~default:0.
-                    +. measure row.Witness.fact)
-                end
-              end)
-            block)
-        table;
+      (* Rows of one fact are contiguous: [seen] dedups within a fact. *)
+      let seen = Hashtbl.create 4 and current = ref (-1) in
+      List.iter
+        (fun row ->
+          if row.Witness.fact <> !current then begin
+            current := row.Witness.fact;
+            Hashtbl.reset seen
+          end;
+          if row_represents cuboid row then begin
+            let key = key_parts cuboid row in
+            if not (Hashtbl.mem seen key) then begin
+              Hashtbl.add seen key ();
+              Hashtbl.replace groups key
+                (Option.value (Hashtbl.find_opt groups key) ~default:0.
+                +. measure row.Witness.fact)
+            end
+          end)
+        (Witness.to_list table);
       Hashtbl.fold (fun key v acc -> (key, v) :: acc) groups []
       |> List.sort legacy_order)
     (X3_lattice.Lattice.by_degree lattice)
@@ -1278,8 +1282,14 @@ let test_seen_compaction () =
   let scratch = Group_key.make_scratch layout in
   let cuboid = [| X3_lattice.State.Present 0 |] in
   let seen = Group_key.Seen.create () in
-  let row v =
-    { Witness.fact = v; cells = [| { Witness.id = v; validity = 1; first = true } |] }
+  (* Row [v] holds fact [v] and id [v]. *)
+  let cols =
+    cols_of_rows ~axes:1
+      (List.init 10_005 (fun v ->
+           {
+             Witness.fact = v;
+             cells = [| { Witness.id = v; validity = 1; first = true } |];
+           }))
   in
   (* Thousands of tiny generations with mostly-fresh keys: the cache must
      track the widest single generation, not the union of every key the
@@ -1287,7 +1297,7 @@ let test_seen_compaction () =
   for g = 0 to 2_000 do
     Group_key.Seen.reset seen;
     for i = 0 to 4 do
-      Group_key.load scratch cuboid (row ((g * 5) + i mod 60_000));
+      Group_key.load_cols scratch cuboid cols ~row:((g * 5) + i);
       ignore (Group_key.Seen.add seen scratch)
     done
   done;
@@ -1295,7 +1305,7 @@ let test_seen_compaction () =
     (Group_key.Seen.table_size seen <= 256);
   (* Dedup semantics survive compaction. *)
   Group_key.Seen.reset seen;
-  Group_key.load scratch cuboid (row 1);
+  Group_key.load_cols scratch cuboid cols ~row:1;
   Alcotest.(check bool) "fresh key reported fresh" true
     (Group_key.Seen.add seen scratch);
   Alcotest.(check bool) "repeat key reported seen" false
@@ -1508,70 +1518,87 @@ let graft doc frags =
 
 let frag_of_source src = (parse_ok src).Tree.root
 
-let delta_vs_cold ~name ~doc ~frags ~spec =
-  (* Delta path: a session over the base document, every cuboid
-     materialised, each fragment staged and applied cell-by-cell. *)
-  let session =
-    Engine.Session.create
-      (Engine.prepare ~pool:(small_pool ())
-         ~store:(X3_xdb.Store.of_document doc)
-         spec)
+(* Ingest [frags] into a session over [doc] with every cuboid
+   materialised, then compare the views with a cold run of the grafted
+   document under four algorithm families at 1 and 2 workers, and the
+   refreshed properties with a cold observe. A typed refusal is followed
+   the way the daemon follows it — a cold rebuild of the document grafted
+   so far — and counted in [refused]. Mismatches are reported on stderr;
+   the result is whether everything matched. *)
+let delta_vs_cold ?(refused = ref 0) ~name ~doc ~frags ~spec () =
+  let fresh doc =
+    let session =
+      Engine.Session.create
+        (Engine.prepare ~pool:(small_pool ())
+           ~store:(X3_xdb.Store.of_document doc)
+           spec)
+    in
+    let lattice = Engine.lattice (Engine.Session.prepared session) in
+    ( session,
+      List.init (X3_lattice.Lattice.size lattice) (fun c ->
+          Engine.Session.materialize session ~cuboid:c) )
   in
-  let lattice = Engine.lattice (Engine.Session.prepared session) in
-  let views =
-    List.init (X3_lattice.Lattice.size lattice) (fun c ->
-        Engine.Session.materialize session ~cuboid:c)
+  let report fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline (name ^ ": " ^ msg);
+        false)
+      fmt
   in
-  List.iteri
-    (fun i fragment ->
-      match
-        Engine.stage_fragment spec ~fragment
-          ~fact_id:(Engine.synthetic_fact_id ~lsn:(i + 1))
-      with
-      | Engine.Not_a_fact ->
-          Alcotest.failf "%s: fragment %d is not a fact" name i
-      | Engine.Unsupported reason ->
-          Alcotest.failf "%s: fragment %d unsupported: %s" name i reason
-      | Engine.Staged staged -> (
-          match Engine.Session.apply_delta session staged ~views with
-          | Ok _ -> ()
-          | Error fb ->
-              Alcotest.failf "%s: fragment %d refused: %s" name i
-                (Engine.fallback_reason_name fb)))
-    frags;
-  let delta_csv =
-    Export.csv_string ~func:spec.Engine.func
-      (Engine.Session.result_of_views session views)
+  let rec ingest (session, views) i = function
+    | [] -> Ok (session, views)
+    | fragment :: rest -> (
+        match
+          Engine.stage_fragment spec ~fragment
+            ~fact_id:(Engine.synthetic_fact_id ~lsn:(i + 1))
+        with
+        | Engine.Not_a_fact -> Error (Printf.sprintf "fragment %d is not a fact" i)
+        | Engine.Unsupported reason ->
+            Error (Printf.sprintf "fragment %d unsupported: %s" i reason)
+        | Engine.Staged staged -> (
+            match Engine.Session.apply_delta session staged ~views with
+            | Ok _ -> ingest (session, views) (i + 1) rest
+            | Error _ ->
+                incr refused;
+                let so_far = List.filteri (fun j _ -> j <= i) frags in
+                ingest (fresh (graft doc so_far)) (i + 1) rest))
   in
-  (* Cold reference: a full rebuild of the grafted document, across the
-     four algorithm families and both worker counts. *)
-  let cold_prepared =
-    Engine.prepare ~pool:(small_pool ())
-      ~store:(X3_xdb.Store.of_document (graft doc frags))
-      spec
-  in
-  List.iter
-    (fun alg ->
-      List.iter
-        (fun workers ->
-          let cold, _ = Engine.run ~workers cold_prepared alg in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: delta == cold rebuild (%s, %d workers)" name
-               (Engine.algorithm_to_string alg)
-               workers)
-            (Export.csv_string ~func:spec.Engine.func cold)
-            delta_csv)
-        [ 1; 2 ])
-    Engine.[ Naive; Counter; Buc; Td ];
-  (* The refreshed properties must equal a cold re-observe — they gate
-     future rollup decisions, so drift here silently unsounds the cache. *)
-  let report props =
-    Format.asprintf "%a" (X3_lattice.Properties.pp_report lattice) props
-  in
-  Alcotest.(check string)
-    (name ^ ": restricted properties == cold re-observe")
-    (report (Engine.Session.props (Engine.Session.create cold_prepared)))
-    (report (Engine.Session.props session))
+  match ingest (fresh doc) 0 frags with
+  | Error msg -> report "%s" msg
+  | Ok (session, views) ->
+      let lattice = Engine.lattice (Engine.Session.prepared session) in
+      let csv = Export.csv_string ~func:spec.Engine.func in
+      let delta_csv = csv (Engine.Session.result_of_views session views) in
+      let cold_prepared =
+        Engine.prepare ~pool:(small_pool ())
+          ~store:(X3_xdb.Store.of_document (graft doc frags))
+          spec
+      in
+      let views_match =
+        List.for_all
+          (fun alg ->
+            List.for_all
+              (fun workers ->
+                let cold, _ = Engine.run ~workers cold_prepared alg in
+                String.equal (csv cold) delta_csv
+                || report "delta <> cold rebuild (%s, %d workers)"
+                     (Engine.algorithm_to_string alg)
+                     workers)
+              [ 1; 2 ])
+          Engine.[ Naive; Counter; Buc; Td ]
+      in
+      (* The refreshed properties gate future rollup decisions, so drift
+         here silently unsounds the cache. *)
+      let pp props =
+        Format.asprintf "%a" (X3_lattice.Properties.pp_report lattice) props
+      in
+      let props_match =
+        String.equal
+          (pp (Engine.Session.props (Engine.Session.create cold_prepared)))
+          (pp (Engine.Session.props session))
+        || report "restricted properties <> cold re-observe"
+      in
+      views_match && props_match
 
 let pub5 =
   {|<publication id="5">
@@ -1590,8 +1617,17 @@ let pub6 =
       <year>2006</year>
     </publication>|}
 
+(* The hand-built fixtures must take the delta path all the way. *)
+let check_delta_identity ~name ~doc ~frags ~spec =
+  let refused = ref 0 in
+  Alcotest.(check bool)
+    (name ^ ": delta == cold rebuild, restricted properties == cold observe")
+    true
+    (delta_vs_cold ~refused ~name ~doc ~frags ~spec ());
+  Alcotest.(check int) (name ^ ": no delta refused") 0 !refused
+
 let test_delta_identity_figure1 () =
-  delta_vs_cold ~name:"figure-1" ~doc:(figure1 ())
+  check_delta_identity ~name:"figure-1" ~doc:(figure1 ())
     ~frags:[ frag_of_source pub5; frag_of_source pub6 ]
     ~spec:(Engine.count_spec ~fact_path ~axes:(query1_axes ()))
 
@@ -1615,8 +1651,62 @@ let test_delta_identity_treebank () =
       (List.filter_map Tree.element_of_node doc.Tree.root.Tree.children)
   in
   Alcotest.(check int) "six fragments" 6 (List.length frags);
-  delta_vs_cold ~name:"treebank" ~doc ~frags
+  check_delta_identity ~name:"treebank" ~doc ~frags
     ~spec:(X3_workload.Treebank.spec config)
+
+(* Random treebank documents split at a random fact: the facts before it
+   are the base document, the rest arrive as ingested fragments (none when
+   the split is at the end, which pins materialize == cold run). *)
+let gen_delta_case =
+  let open QCheck2.Gen in
+  let config =
+    map3
+      (fun (seed, num_trees) (axes, dense) (coverage, disjoint) ->
+        {
+          X3_workload.Treebank.seed;
+          num_trees;
+          axes;
+          coverage;
+          disjoint;
+          density = (if dense then X3_workload.Treebank.Dense else Sparse);
+        })
+      (pair (int_bound 100_000) (int_range 5 150))
+      (pair (int_range 2 4) bool)
+      (pair bool bool)
+  in
+  config >>= fun config ->
+  map (fun split -> (config, split)) (int_range 1 config.num_trees)
+
+let prop_delta_vs_cold =
+  QCheck2.Test.make ~name:"random split: delta == cold rebuild" ~count:25
+    ~print:(fun (config, split) ->
+      Printf.sprintf "seed=%d trees=%d axes=%d coverage=%b disjoint=%b \
+                      dense=%b split=%d"
+        config.X3_workload.Treebank.seed config.num_trees config.axes
+        config.coverage config.disjoint
+        (config.density = X3_workload.Treebank.Dense)
+        split)
+    gen_delta_case
+    (fun (config, split) ->
+      let doc = X3_workload.Treebank.generate config in
+      let facts =
+        List.filter_map Tree.element_of_node doc.Tree.root.Tree.children
+      in
+      let base =
+        {
+          doc with
+          Tree.root =
+            {
+              doc.Tree.root with
+              Tree.children =
+                List.filteri (fun i _ -> i < split)
+                  (List.map (fun e -> Tree.Element e) facts);
+            };
+        }
+      in
+      delta_vs_cold ~name:"random split" ~doc:base
+        ~frags:(List.filteri (fun i _ -> i >= split) facts)
+        ~spec:(X3_workload.Treebank.spec config) ())
 
 let test_delta_layout_overflow_refused () =
   let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
@@ -1736,11 +1826,9 @@ let test_view_cells_track_count () =
             (Some (Aggregate.value Aggregate.Count cell)))
         (Materialized.cells rolled));
   (* Re-adding facts a view already holds changes nothing. *)
-  let table = Engine.table prepared in
   let before = List.map Materialized.cells views in
   List.iter
-    (fun view ->
-      ignore (Materialized.apply_rows ctx view (Witness.to_list table) : int))
+    (fun view -> ignore (Materialized.apply_rows ctx view ~from_row:0 : int))
     views;
   List.iter2
     (fun cells view ->
@@ -1872,8 +1960,7 @@ let test_view_cells_track_sum () =
       | Error msg -> Alcotest.failf "of_records: %s" msg
       | Ok thinned ->
           check_cells_track_facts ~name:"sum of_records" ctx thinned;
-          let rows = Witness.to_list (Engine.table p) in
-          ignore (Materialized.apply_rows ctx thinned rows : int);
+          ignore (Materialized.apply_rows ctx thinned ~from_row:0 : int);
           check_cells_track_facts ~name:"sum apply_rows" ctx thinned;
           Alcotest.(check bool) "patched cells = materialised cells" true
             (Materialized.cells thinned = Materialized.cells view))
@@ -2309,7 +2396,8 @@ let () =
             test_delta_layout_overflow_refused;
           Alcotest.test_case "fragment classification" `Quick
             test_stage_fragment_classification;
-        ] );
+        ]
+        @ qcheck [ prop_delta_vs_cold ] );
       ( "export",
         [
           Alcotest.test_case "csv" `Quick test_export_csv;

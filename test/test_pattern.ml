@@ -166,10 +166,10 @@ let test_table_shape () =
   Alcotest.(check int) "facts" 4 (Witness.fact_count table)
 
 let test_fact_blocks () =
-  let table = query1_table () in
-  let blocks = ref [] in
-  Witness.iter_fact_blocks (fun b -> blocks := List.length b :: !blocks) table;
-  Alcotest.(check (list int)) "block sizes" [ 2; 2; 1; 1 ] (List.rev !blocks)
+  let cols = Witness.columnar_of_table (query1_table ()) in
+  Alcotest.(check (list int)) "block sizes" [ 2; 2; 1; 1 ]
+    (List.init (Witness.Columnar.blocks cols) (fun b ->
+         Witness.Columnar.block_hi cols b - Witness.Columnar.block_lo cols b + 1))
 
 let test_codec_roundtrip () =
   let row =
@@ -372,6 +372,10 @@ let prop_join_eval_equals_nav =
 let columnar_equals_rows table =
   let cols = Witness.columnar_of_table table in
   let rows = Array.of_list (Witness.to_list table) in
+  let lattice = X3_lattice.Lattice.build (Witness.axes table) in
+  let cuboids =
+    List.init (X3_lattice.Lattice.size lattice) (X3_lattice.Lattice.cuboid lattice)
+  in
   Witness.Columnar.rows cols = Array.length rows
   && Witness.Columnar.blocks cols = Witness.fact_count table
   && Witness.Columnar.axes cols
@@ -388,7 +392,14 @@ let columnar_equals_rows table =
                       && Witness.Columnar.validity cols ~axis:ai ~row:r
                          = c.Witness.validity
                       && Witness.Columnar.first cols ~axis:ai ~row:r
-                         = c.Witness.first)))
+                         = c.Witness.first))
+            && List.for_all
+                 (fun cuboid ->
+                   X3_lattice.Cuboid.represents cuboid cols ~row:r
+                   = row_represents cuboid row
+                   && X3_lattice.Cuboid.qualifies cuboid cols ~row:r
+                      = row_qualifies cuboid row)
+                 cuboids)
           rows)
   && (* block ranges partition [0, rows) in order *)
   (let ok = ref true and expect = ref 0 in
@@ -416,6 +427,92 @@ let prop_columnar_equals_rows =
       let fact_path = [ step d "r" ] in
       let table = Eval.build_table (small_pool ()) store ~fact_path ~axes in
       columnar_equals_rows table)
+
+(* [extend] must give the column set a fresh build of all the rows
+   gives, whether it appends in place or copies, and must leave every
+   earlier version reading exactly its own rows — including one that is
+   extended again after newer versions appended past it. *)
+let columnar_same a b =
+  let module C = Witness.Columnar in
+  C.rows a = C.rows b
+  && C.blocks a = C.blocks b
+  && C.axes a = C.axes b
+  && List.for_all
+       (fun blk ->
+         C.block_lo a blk = C.block_lo b blk
+         && C.block_hi a blk = C.block_hi b blk)
+       (List.init (C.blocks a) Fun.id)
+  && List.for_all
+       (fun row ->
+         C.fact a row = C.fact b row
+         && C.block_of_row a row = C.block_of_row b row
+         && List.for_all
+              (fun axis ->
+                C.id a ~axis ~row = C.id b ~axis ~row
+                && C.tag a ~axis ~row = C.tag b ~axis ~row)
+              (List.init (C.axes a) Fun.id))
+       (List.init (C.rows a) Fun.id)
+
+let gen_fact_chunks =
+  let open QCheck2.Gen in
+  let cell =
+    map3
+      (fun id validity first -> { Witness.id; validity; first })
+      (int_range (-1) 5) (int_bound 7) bool
+  in
+  let fact_rows = list_size (int_range 1 3) (array_size (return 2) cell) in
+  (* chunks of facts; facts get consecutive ids across chunks *)
+  map
+    (fun chunks ->
+      let next = ref 0 in
+      List.map
+        (List.concat_map (fun cells ->
+             let fact = !next in
+             incr next;
+             List.map (fun cells -> { Witness.fact; cells }) cells))
+        chunks)
+    (list_size (int_range 1 12) (list_size (int_range 0 12) fact_rows))
+
+let prop_columnar_extend =
+  QCheck2.Test.make ~name:"extend = build, earlier versions unchanged"
+    ~count:200 gen_fact_chunks (fun chunks ->
+      let build rows = cols_of_rows ~axes:2 rows in
+      match chunks with
+      | [] -> true
+      | base :: tails ->
+          let versions =
+            List.fold_left
+              (fun acc tail ->
+                Witness.Columnar.extend (List.hd acc) tail :: acc)
+              [ build base ] tails
+            |> List.rev
+          in
+          let prefixes =
+            List.mapi
+              (fun i _ -> List.concat (List.filteri (fun j _ -> j <= i) chunks))
+              chunks
+          in
+          let full = build (List.concat chunks) in
+          (* The second version has spare room but a newer version wrote
+             chunk 2 into it: extending it with the chunks after that one
+             must not disturb the newer version. *)
+          let branched =
+            match versions with
+            | _ :: second :: _ ->
+                let skip2 = List.filteri (fun j _ -> j <> 2) chunks in
+                columnar_same
+                  (Witness.Columnar.extend second
+                     (List.concat (List.filteri (fun j _ -> j >= 2) skip2)))
+                  (build (List.concat skip2))
+            | _ -> true
+          in
+          branched
+          && List.for_all2
+               (fun version prefix -> columnar_same version (build prefix))
+               versions prefixes
+          && columnar_same
+               (Witness.Columnar.extend (build base) (List.concat tails))
+               full)
 
 (* --- mrfi --------------------------------------------------------------- *)
 
@@ -498,5 +595,6 @@ let () =
             prop_codec_roundtrip;
             prop_join_eval_equals_nav;
             prop_columnar_equals_rows;
+            prop_columnar_extend;
           ] );
     ]
