@@ -223,14 +223,14 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
             ("query", Json.Str query_path);
             ("document", Json.Str doc_path);
             ("algorithm", Json.Str (Engine.algorithm_to_string algorithm));
-            ("workers", Json.Int (X3_core.Parallel.resolve workers));
+            ("workers", Json.Int (Engine.workers_used algorithm workers));
             ("outcome", Json.Str label);
           ]
         in
         let instr = Option.map snd result_instr in
         let result = Option.map fst result_instr in
         write_metrics_file path ~meta ?instr ?result ~run:run_stats
-          ~workers:(X3_core.Parallel.resolve workers)
+          ~workers:(Engine.workers_used algorithm workers)
           ~phases:(phases ph)
           ~algorithm:(Engine.algorithm_to_string algorithm)
           ())
@@ -433,7 +433,7 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
   Printf.printf "document:  %s\n" doc_path;
   Printf.printf "algorithm: %s   workers: %d\n\n"
     (Engine.algorithm_to_string algorithm)
-    (X3_core.Parallel.resolve workers);
+    (Engine.workers_used algorithm workers);
   Printf.printf "phase breakdown:\n";
   List.iter
     (fun (name, seconds) ->
@@ -497,12 +497,12 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
           ("query", Json.Str query_path);
           ("document", Json.Str doc_path);
           ("algorithm", Json.Str (Engine.algorithm_to_string algorithm));
-          ("workers", Json.Int (X3_core.Parallel.resolve workers));
+          ("workers", Json.Int (Engine.workers_used algorithm workers));
           ("outcome", Json.Str "explain");
         ]
       in
       write_metrics_file path ~meta ~instr ~result ~run:run_stats
-        ~workers:(X3_core.Parallel.resolve workers)
+        ~workers:(Engine.workers_used algorithm workers)
         ~phases:(phases ph)
         ~algorithm:(Engine.algorithm_to_string algorithm)
         ())

@@ -9,7 +9,8 @@ type variant = [ `Plain | `Opt | `Custom of X3_lattice.Properties.t ]
 
 (* The recursion's per-worker state: the current restriction (states/ids)
    is mutated in place down the recursion, so every worker needs its own
-   copy, along with private counters. The rows themselves are indices into
+   copy. Worker 0 counts into the context's instrument, the others into
+   private ones merged afterwards. The rows themselves are indices into
    the shared immutable columns — partitions copy and reorder 8-byte ints,
    never boxed rows. *)
 type env = {
@@ -175,9 +176,11 @@ let compute ~variant (ctx : Context.t) =
         Fun.protect ~finally:(fun () -> Context.release ctx sub_bytes)
         @@ fun () ->
         (* Partition on the grouping id. A small dictionary gets a stable
-           O(n) counting sort on the ids (the radix tier of this family);
-           otherwise quicksort. Dictionary ids compare as plain ints
-           either way — no string walks. *)
+           O(n + size) counting sort on the ids (the radix tier of this
+           family) — but only while the dictionary is at most 4x the
+           partition, or clearing and scanning its histogram would dwarf
+           the sort; otherwise quicksort. Dictionary ids compare as plain
+           ints either way — no string walks. *)
         env.instr.Instrument.sort_ops <- env.instr.Instrument.sort_ops + 1;
         env.instr.Instrument.rows_sorted <-
           env.instr.Instrument.rows_sorted + n;
@@ -185,6 +188,7 @@ let compute ~variant (ctx : Context.t) =
         if
           ctx.radix_bits > 0
           && Group_key.bits_for size <= Radix.counting_sort_bits_cap
+          && size <= 4 * n
         then begin
           env.instr.Instrument.radix_groupings <-
             env.instr.Instrument.radix_groupings + 1;
@@ -216,56 +220,47 @@ let compute ~variant (ctx : Context.t) =
       { states = Array.make k State.Removed; ids = Array.make k 0; instr }
     in
     let root = Array.init nrows Fun.id in
-    if Context.workers ctx <= 1 then begin
-      (* The base witness set is the full row-index range; the recursion
-         partitions index arrays in memory, as BUC does when the input fits
-         (our scaled inputs do; the I/O cost of the initial columnarising
-         read is counted by [Context.cols]). *)
-      try
-        (* The root index array is resident for the whole recursion. *)
-        if governed then Context.reserve ctx (8 * (nrows + 2));
-        let env = fresh_env ~instr:ctx.instr in
-        X3_obs.Trace.with_span "buc.recursion"
-          ~attrs:[ ("rows", X3_obs.Trace.Int nrows) ]
-          (fun () -> refine env root 0 (nrows - 1) 0)
-      with Context.Stop _ -> ()
-    end
-    else begin
-      try
-        (* Parallel BUC splits at the recursion's first level. Branch
-           (ai, mask) emits exactly the cuboids whose first present axis is
-           [ai] with state [mask] (axes below [ai] stay Removed inside the
-           branch), so distinct tasks write to disjoint cuboids — and
-           Cube_result preallocates one table per cuboid, so workers
-           aggregate straight into the shared result with no partial-merge
-           step. Within a branch the partitioning, sort and recursion are
-           byte-for-byte the sequential ones; the columns and block
-           measures are immutable and shared. *)
-        if governed then Context.reserve ctx (8 * (nrows + 2));
-        (* The apex (everything Removed) belongs to no branch; [next = k]
-           emits just it, on the calling domain. *)
-        refine (fresh_env ~instr:ctx.instr) root 0 (nrows - 1) k;
-        let tasks =
-          Array.of_list
-            (List.concat_map
-               (fun ai ->
-                 List.map (fun mask -> (ai, mask)) (Axis.states axes.(ai)))
-               (List.init k Fun.id))
-        in
-        let states =
-          Parallel.run ~workers:ctx.workers ~tasks:(Array.length tasks)
-            ~init:(fun _ -> fresh_env ~instr:(Instrument.create ()))
-            ~body:(fun env t ->
-              let ai, mask = tasks.(t) in
-              X3_obs.Trace.with_span "buc.branch"
-                ~attrs:[ ("axis", X3_obs.Trace.Int ai) ]
-                (fun () -> branch env root 0 (nrows - 1) ai mask))
-        in
-        Array.iter
-          (fun env -> Instrument.merge ~into:ctx.instr env.instr)
-          states;
-        book_result ()
-      with Context.Stop _ -> ()
-    end;
+    (* The base witness set is the full row-index range; the recursion
+       partitions index arrays in memory, as BUC does when the input fits
+       (our scaled inputs do; the I/O cost of the initial columnarising
+       read is counted by [Context.cols]). The root index array is
+       resident for the whole recursion. *)
+    if governed then Context.reserve ctx (8 * (nrows + 2));
+    (* The apex (everything Removed) belongs to no branch; [next = k]
+       emits just it, on the calling domain. *)
+    refine (fresh_env ~instr:ctx.instr) root 0 (nrows - 1) k;
+    (* The recursion splits at its first level. Branch (ai, mask) emits
+       exactly the cuboids whose first present axis is [ai] with state
+       [mask] (axes below [ai] stay Removed inside the branch), so distinct
+       tasks write to disjoint cuboids — and Cube_result preallocates one
+       table per cuboid, so workers aggregate straight into the shared
+       result with no partial-merge step. Worker 0 runs on the calling
+       domain with the context's instrument, so its recursion polls for
+       stops and books bytes; the columns and block measures are immutable
+       and shared. *)
+    let tasks =
+      Array.of_list
+        (List.concat_map
+           (fun ai ->
+             List.map (fun mask -> (ai, mask)) (Axis.states axes.(ai)))
+           (List.init k Fun.id))
+    in
+    let states =
+      Parallel.run ~workers:ctx.workers ~tasks:(Array.length tasks)
+        ~init:(fun w ->
+          fresh_env
+            ~instr:(if w = 0 then ctx.instr else Instrument.create ()))
+        ~body:(fun env t ->
+          let ai, mask = tasks.(t) in
+          X3_obs.Trace.with_span "buc.branch"
+            ~attrs:[ ("axis", X3_obs.Trace.Int ai) ]
+            (fun () -> branch env root 0 (nrows - 1) ai mask))
+    in
+    Array.iter
+      (fun env ->
+        if env.instr != ctx.instr then
+          Instrument.merge ~into:ctx.instr env.instr)
+      states;
+    book_result ();
     result
   with Context.Stop _ -> result

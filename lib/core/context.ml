@@ -125,6 +125,11 @@ let reserve t n =
   end
   else stop t Over_budget
 
+let with_scratch t bytes f =
+  reserve t bytes;
+  Instrument.bump_radix_scratch t.instr bytes;
+  Fun.protect ~finally:(fun () -> release t bytes) f
+
 let check t =
   let c = t.control in
   (match c.pending with

@@ -21,7 +21,9 @@ type t = {
   sort_budget : int;
       (** max rows resident in one sort — beyond it sorts go external *)
   workers : int;
-      (** resolved domain count the algorithms may use; 1 = sequential *)
+      (** resolved domain count for the partition/merge families
+          (COUNTER, BUC, TD); 1 runs their plan inline on the calling
+          domain *)
   radix_bits : int;
       (** grouping-strategy threshold: cuboids whose compact key domain
           fits this many bits group through a radix kernel; 0 disables the
@@ -44,8 +46,9 @@ val create :
   unit ->
   t
 (** Budgets default to 1_000_000 counters and 200_000 rows. [workers]
-    defaults to 1 (today's sequential path); {!Parallel.auto_workers} (0)
-    resolves to [Domain.recommended_domain_count]. [radix_bits] defaults
+    defaults to 1 — one partition/merge worker, running on the calling
+    domain; {!Parallel.auto_workers} (0) resolves to
+    [Domain.recommended_domain_count]. [radix_bits] defaults
     to {!Radix.default_radix_bits}. [account] defaults to
     {!Governor.unbounded}; a governed account immediately books the
     witness table's resident footprint ({!X3_pattern.Witness.approx_bytes})
@@ -125,6 +128,12 @@ val reserve : t -> int -> unit
 (** Book [n] bytes or raise {!Stop}[ Over_budget] (recording it for
     {!stopped}). *)
 
+val with_scratch : t -> int -> (unit -> 'a) -> 'a
+(** [with_scratch t bytes f] books [bytes] of transient radix scratch
+    (slot arrays, partition buffers) around [f], releasing them however
+    [f] exits, and records them as a radix-scratch high-water mark on
+    [t.instr]. *)
+
 val try_reserve : t -> int -> bool
 (** Book [n] bytes; [false] (with nothing booked) when the budget is
     exhausted — for callers that can spill instead of stopping. *)
@@ -152,8 +161,8 @@ val cols : t -> X3_pattern.Witness.Columnar.t
 
 val block_measures : t -> X3_pattern.Witness.Columnar.t -> float array
 (** Measure per fact block, forced sequentially on first use (the measure
-    function may memoise and must not run concurrently) — the parallel
-    paths' domain-safe replacement for calling [measure] per row. *)
+    function may memoise and must not run concurrently) — the workers'
+    domain-safe replacement for calling [measure] per row. *)
 
 val note_append : t -> X3_pattern.Witness.row list -> unit
 (** The ingest path appended [rows] (fresh facts, already interned into

@@ -18,17 +18,6 @@ let grouping_size = function
   | Htbl counters -> Group_key.Tbl.length counters
   | Racc (_, _, acc) -> Radix.acc_occupied acc
 
-type scratch_meter = { m_ctx : Context.t; mutable m_live : int }
-
-let scratch_reserve m (instr : Instrument.t) n =
-  Context.reserve m.m_ctx n;
-  m.m_live <- m.m_live + n;
-  Instrument.bump_radix_scratch instr m.m_live
-
-let scratch_release m n =
-  Context.release m.m_ctx n;
-  m.m_live <- m.m_live - n
-
 let make_plan_of (ctx : Context.t) =
   let tbl = Hashtbl.create 64 in
   Array.iter
@@ -47,208 +36,17 @@ let note_strategy (instr : Instrument.t) p =
   else
     instr.Instrument.hash_groupings <- instr.Instrument.hash_groupings + 1
 
-let compute_sequential (ctx : Context.t) =
-  let result = Cube_result.create ~table:ctx.table ctx.lattice in
-  let instr = ctx.instr in
-  let scratch = Group_key.make_scratch ctx.layout in
-  let seen = Group_key.Seen.create () in
-  let plan_of = make_plan_of ctx in
-  let remaining = ref (Array.to_list (Lattice.by_degree ctx.lattice)) in
-  (* Byte accounting: [paid] is how many counters' worth of bytes the
-     account currently holds for this algorithm — the cells transferred
-     into the result so far plus the pass's live counters. Completed
-     counters ARE the result cells, so their reservation simply transfers
-     rather than being released. Radix slot arrays are booked separately,
-     by the byte, at pass start and released at flush or eviction. *)
-  let result_cells = ref 0 in
-  let paid = ref 0 in
-  let pay target =
-    target <= !paid
-    || Context.try_reserve ctx ((target - !paid) * Governor.counter_cost)
-       && begin
-            paid := target;
-            true
-          end
-  in
-  let settle target =
-    if target < !paid then begin
-      Context.release ctx ((!paid - target) * Governor.counter_cost);
-      paid := target
-    end
-  in
-  let meter = { m_ctx = ctx; m_live = 0 } in
-  (* A stop lands between passes or between blocks: cuboids from completed
-     passes stand, the interrupted pass's counters are discarded. *)
-  (try
-     let cols = Context.cols ctx in
-     let bm = Context.block_measures ctx cols in
-     let nblocks = Columnar.blocks cols in
-     let rows = Columnar.rows cols in
-     let first_pass = ref true in
-     while !remaining <> [] do
-       Context.check ctx;
-       let pass_t0 = Trace.now () in
-       instr.Instrument.passes <- instr.Instrument.passes + 1;
-       (* Building the columns already counted the first traversal as a
-          scan; later passes re-walk the columns, which stands in for the
-          re-scan over the table. *)
-       if not !first_pass then begin
-         instr.Instrument.table_scans <- instr.Instrument.table_scans + 1;
-         instr.Instrument.rows_scanned <-
-           instr.Instrument.rows_scanned + rows
-       end;
-       first_pass := false;
-       let cids = Array.of_list !remaining in
-       let active : (int, grouping) Hashtbl.t = Hashtbl.create 64 in
-       Array.iter
-         (fun cid ->
-           let p = plan_of cid in
-           note_strategy instr p;
-           if direct p then begin
-             scratch_reserve meter instr (Radix.acc_bytes p);
-             Hashtbl.replace active cid
-               (Racc (p, Radix.cursor p cols, Radix.acc_create p))
-           end
-           else Hashtbl.replace active cid (Htbl (Group_key.Tbl.create 1024)))
-         cids;
-       let live = ref 0 in
-       let evicted = ref [] in
-       let evict_one () =
-         let victim = ref (-1) and victim_size = ref (-1) in
-         Array.iter
-           (fun cid ->
-             match Hashtbl.find_opt active cid with
-             | None -> ()
-             | Some g ->
-                 let size = grouping_size g in
-                 if size > !victim_size then begin
-                   victim := cid;
-                   victim_size := size
-                 end)
-           cids;
-         (match Hashtbl.find_opt active !victim with
-         | Some (Racc (p, _, _)) -> scratch_release meter (Radix.acc_bytes p)
-         | _ -> ());
-         Hashtbl.remove active !victim;
-         live := !live - !victim_size;
-         evicted := !victim :: !evicted;
-         Trace.instant "governor.evict"
-           ~attrs:
-             [
-               ("cuboid", Trace.Int !victim);
-               ("counters", Trace.Int !victim_size);
-             ]
-       in
-       (* Evict the fattest cuboid until we fit (but keep at least one: a
-          single cuboid larger than memory has nowhere to go — the paper
-          hits the 2 GB wall there). The record budget is the paper's knob;
-          the byte budget squeezes the same spill path harder, and only a
-          single cuboid that still cannot be paid for is the floor: stop. *)
-       let enforce_budget () =
-         while !live > ctx.counter_budget && Hashtbl.length active > 1 do
-           evict_one ()
-         done;
-         while
-           (not (pay (!result_cells + !live))) && Hashtbl.length active > 1
-         do
-           evict_one ()
-         done;
-         if not (pay (!result_cells + !live)) then
-           Context.stop ctx Context.Over_budget;
-         settle (!result_cells + !live)
-       in
-       let cuboid_of = Lattice.cuboid ctx.lattice in
-       for b = 0 to nblocks - 1 do
-         (* Fact blocks are coarse enough for the unamortised check — and
-            it keeps stops deterministic on small tables. *)
-         Context.check ctx;
-         let lo = Columnar.block_lo cols b and hi = Columnar.block_hi cols b in
-         let m = bm.(b) in
-         Array.iter
-           (fun cid ->
-             match Hashtbl.find_opt active cid with
-             | None -> ()
-             | Some (Racc (_, cur, acc)) ->
-                 for r = lo to hi do
-                   let k = Radix.key cur r in
-                   if k >= 0 && Radix.first_on_removed cur r then begin
-                     instr.Instrument.keys_built <-
-                       instr.Instrument.keys_built + 1;
-                     if Radix.acc_add acc ~slot:k ~mark:b m then incr live
-                   end
-                 done
-             | Some (Htbl counters) ->
-                 let cuboid = cuboid_of cid in
-                 Group_key.Seen.reset seen;
-                 for r = lo to hi do
-                   if Cuboid.represents cuboid cols ~row:r then begin
-                     Group_key.load_cols scratch cuboid cols ~row:r;
-                     instr.Instrument.keys_built <-
-                       instr.Instrument.keys_built + 1;
-                     if Group_key.Seen.add seen scratch then
-                       Aggregate.add
-                         (Group_key.Tbl.find_or_add counters scratch
-                            ~default:(fun () ->
-                              incr live;
-                              Aggregate.create ()))
-                         m
-                   end
-                 done)
-           cids;
-         if !live > instr.Instrument.peak_counters then
-           instr.Instrument.peak_counters <- !live;
-         enforce_budget ()
-       done;
-       (* Completed cuboids are final; evicted ones go to the next pass.
-          Completed counters become result cells, keeping their
-          reservation; a flushed radix cuboid's slot array is done. *)
-       Array.iter
-         (fun cid ->
-           match Hashtbl.find_opt active cid with
-           | None -> ()
-           | Some g ->
-               Trace.complete "cuboid.compute" ~start:pass_t0
-                 ~attrs:
-                   [
-                     ("cuboid", Trace.Int cid);
-                     ("cells", Trace.Int (grouping_size g));
-                     ("pass", Trace.Int instr.Instrument.passes);
-                   ];
-               (match g with
-               | Htbl counters ->
-                   Group_key.Tbl.iter
-                     (fun key cell ->
-                       Cube_result.set_cell result ~cuboid:cid ~key cell)
-                     counters
-               | Racc (p, _, acc) ->
-                   Radix.acc_flush acc ~f:(fun compact cell ->
-                       Cube_result.set_cell result ~cuboid:cid
-                         ~key:(Radix.key_of_compact p ctx.Context.layout compact)
-                         cell);
-                   scratch_release meter (Radix.acc_bytes p)))
-         cids;
-       Trace.complete "counter.pass" ~start:pass_t0
-         ~attrs:
-           [
-             ("pass", Trace.Int instr.Instrument.passes);
-             ("completed", Trace.Int (Hashtbl.length active));
-             ("evicted", Trace.Int (List.length !evicted));
-           ];
-       result_cells := !result_cells + !live;
-       settle !result_cells;
-       remaining := List.rev !evicted
-     done
-   with Context.Stop _ -> ());
-  result
-
-(* Parallel COUNTER: each worker aggregates its block slice into private
-   per-cuboid counter state under a private budget slice
-   (counter_budget / workers), evicting worker-locally. Eviction timing
-   never changes cell values — an evicted cuboid's partials are discarded
-   everywhere and the cuboid is recomputed from scratch next pass — so a
-   cuboid completes this pass iff NO worker evicted it, and the completed
-   partials merge in worker order exactly as NAIVE's do. The columns are
-   unboxed and immutable, so workers share them without snapshotting. *)
+(* One pass is a partition/merge over fact blocks: each worker aggregates
+   its block slice into private per-cuboid counter state under a private
+   budget slice (counter_budget / workers), evicting worker-locally.
+   Eviction timing never changes cell values — an evicted cuboid's
+   partials are discarded everywhere and the cuboid is recomputed from
+   scratch next pass — so a cuboid completes this pass iff NO worker
+   evicted it, and the completed partials merge in worker order. The
+   columns are unboxed and immutable, so workers share them without
+   snapshotting. Worker 0 runs on the calling domain: it counts straight
+   into the context's instrument and polls for stops once per fact block,
+   so one worker is the whole sequential algorithm. *)
 
 type worker = {
   scratch : Group_key.scratch;
@@ -260,7 +58,7 @@ type worker = {
   mutable evicted : int list;
 }
 
-let compute_parallel (ctx : Context.t) =
+let compute (ctx : Context.t) =
   let result = Cube_result.create ~table:ctx.table ctx.lattice in
   let instr = ctx.instr in
   try
@@ -270,10 +68,10 @@ let compute_parallel (ctx : Context.t) =
     let total_rows = Columnar.rows cols in
     let plan_of = make_plan_of ctx in
     let budget = max 1 (ctx.counter_budget / ctx.workers) in
-    (* Byte accounting mirrors the sequential path: [paid] covers result
-       cells plus whatever the merge is holding. Worker eviction
-       additionally honours a per-pass byte-derived cap, computed once on
-       this domain before fan-out so eviction timing is deterministic. *)
+    (* Byte accounting: [paid] is how many counters' worth of bytes the
+       account holds for the cells merged into the result so far. Worker
+       eviction honours a per-pass byte-derived cap, computed once on this
+       domain before fan-out so eviction timing is deterministic. *)
     let result_cells = ref 0 in
     let paid = ref 0 in
     let pay target =
@@ -285,7 +83,6 @@ let compute_parallel (ctx : Context.t) =
             end
     in
     let cuboid_of = Lattice.cuboid ctx.lattice in
-    let meter = { m_ctx = ctx; m_live = 0 } in
     let remaining = ref (Array.to_list (Lattice.by_degree ctx.lattice)) in
     let first_pass = ref true in
     while !remaining <> [] do
@@ -294,7 +91,7 @@ let compute_parallel (ctx : Context.t) =
       instr.Instrument.passes <- instr.Instrument.passes + 1;
       (* Building the columns already counted the first traversal as a
          scan; later passes re-walk the columns, which stands in for the
-         re-scan the sequential algorithm performs. *)
+         re-scan over the table. *)
       if not !first_pass then begin
         instr.Instrument.table_scans <- instr.Instrument.table_scans + 1;
         instr.Instrument.rows_scanned <-
@@ -313,213 +110,194 @@ let compute_parallel (ctx : Context.t) =
             if direct p then sum + Radix.acc_bytes p else sum)
           0 cids
       in
-      scratch_reserve meter instr (ctx.workers * acc_bytes_all);
       let pass_budget =
         let rem = Context.budget_remaining ctx in
         if rem = max_int then budget
         else min budget (rem / Governor.counter_cost / ctx.workers)
       in
+      Context.with_scratch ctx (ctx.workers * acc_bytes_all) @@ fun () ->
       let states =
-        Fun.protect
-          ~finally:(fun () -> scratch_release meter (ctx.workers * acc_bytes_all))
-          (fun () ->
-            let states =
-              Parallel.run ~workers:ctx.workers ~tasks:nblocks
-                ~init:(fun _ ->
-                  let active = Hashtbl.create 64 in
-                  Array.iter
-                    (fun cid ->
-                      let p = plan_of cid in
-                      if direct p then
-                        Hashtbl.replace active cid
-                          (Racc (p, Radix.cursor p cols, Radix.acc_create p))
-                      else
-                        Hashtbl.replace active cid
-                          (Htbl (Group_key.Tbl.create 256)))
-                    cids;
-                  {
-                    scratch = Group_key.make_scratch ctx.layout;
-                    seen = Group_key.Seen.create ();
-                    instr = Instrument.create ();
-                    active;
-                    live = 0;
-                    peak = 0;
-                    evicted = [];
-                  })
-                ~body:(fun w b ->
-                  let lo = Columnar.block_lo cols b
-                  and hi = Columnar.block_hi cols b in
-                  let m = bm.(b) in
-                  Array.iter
-                    (fun cid ->
-                      match Hashtbl.find_opt w.active cid with
-                      | None -> ()
-                      | Some (Racc (_, cur, acc)) ->
-                          for r = lo to hi do
-                            let k = Radix.key cur r in
-                            if k >= 0 && Radix.first_on_removed cur r then begin
-                              w.instr.Instrument.keys_built <-
-                                w.instr.Instrument.keys_built + 1;
-                              if Radix.acc_add acc ~slot:k ~mark:b m then
-                                w.live <- w.live + 1
-                            end
-                          done
-                      | Some (Htbl counters) ->
-                          let cuboid = cuboid_of cid in
-                          Group_key.Seen.reset w.seen;
-                          for r = lo to hi do
-                            if Cuboid.represents cuboid cols ~row:r
-                            then begin
-                              Group_key.load_cols w.scratch cuboid cols
-                                ~row:r;
-                              w.instr.Instrument.keys_built <-
-                                w.instr.Instrument.keys_built + 1;
-                              if Group_key.Seen.add w.seen w.scratch then
-                                Aggregate.add
-                                  (Group_key.Tbl.find_or_add counters
-                                     w.scratch ~default:(fun () ->
-                                       w.live <- w.live + 1;
-                                       Aggregate.create ()))
-                                  m
-                            end
-                          done)
-                    cids;
-                  if w.live > w.peak then w.peak <- w.live;
-                  (* Worker-local budget enforcement: evict the locally
-                     fattest cuboid (ties to the earliest in pass order —
-                     deterministic) until the slice fits. The pass's first
-                     cuboid is protected on every worker: workers see
-                     different slices and could otherwise each evict a
-                     different cuboid, leaving no pass with a completion —
-                     protecting a common cuboid guarantees progress just
-                     as the sequential keep-at-least-one rule does. *)
-                  while w.live > pass_budget && Hashtbl.length w.active > 1 do
-                    let victim = ref (-1) and victim_size = ref (-1) in
-                    Array.iteri
-                      (fun i cid ->
-                        match
-                          if i = 0 then None
-                          else Hashtbl.find_opt w.active cid
-                        with
-                        | None -> ()
-                        | Some g ->
-                            let size = grouping_size g in
-                            if size > !victim_size then begin
-                              victim := cid;
-                              victim_size := size
-                            end)
-                      cids;
-                    Hashtbl.remove w.active !victim;
-                    w.live <- w.live - !victim_size;
-                    w.evicted <- !victim :: w.evicted;
-                    Trace.instant "governor.evict"
-                      ~attrs:
-                        [
-                          ("cuboid", Trace.Int !victim);
-                          ("counters", Trace.Int !victim_size);
-                        ]
-                  done)
-            in
-            (* A cuboid completed iff no worker evicted it; merge those
-               partials in worker order. Evicted cuboids restart from
-               scratch next pass. *)
-            let evicted_any = Hashtbl.create 16 in
-            Array.iter
-              (fun w ->
-                List.iter
-                  (fun cid -> Hashtbl.replace evicted_any cid ())
-                  w.evicted)
-              states;
-            let pass_peak = ref 0 in
-            Array.iter
-              (fun w ->
-                pass_peak := !pass_peak + w.peak;
-                if w.peak > instr.Instrument.peak_counters_worker_max then
-                  instr.Instrument.peak_counters_worker_max <- w.peak;
-                Instrument.merge ~into:instr w.instr)
-              states;
-            (* Concurrent workers' peaks coexist, so the pass's
-               simultaneous-counter bound is their sum; the run's peak is
-               the max over passes. The largest single worker's peak is
-               kept separately so reports can show the per-worker footprint
-               next to the session bound. *)
-            if !pass_peak > instr.Instrument.peak_counters then
-              instr.Instrument.peak_counters <- !pass_peak;
-            (* Pay for each completed cuboid (upper bound: summed worker
-               partials, before cross-worker key dedup) before merging it.
-               A cuboid we cannot pay for is re-evicted to the next pass —
-               except the pass's first completion, which is the progress
-               guarantee: if even it does not fit, the spill path is at
-               its floor and the run is over budget. *)
-            let merged_any = ref false in
+        Parallel.run ~workers:ctx.workers ~tasks:nblocks
+          ~init:(fun w ->
+            let active = Hashtbl.create 64 in
             Array.iter
               (fun cid ->
-                if not (Hashtbl.mem evicted_any cid) then begin
-                  let cells =
-                    Array.fold_left
-                      (fun acc w ->
-                        match Hashtbl.find_opt w.active cid with
-                        | None -> acc
-                        | Some g -> acc + grouping_size g)
-                      0 states
-                  in
-                  if not (pay (!result_cells + cells)) then begin
-                    if not !merged_any then
-                      Context.stop ctx Context.Over_budget;
-                    Hashtbl.replace evicted_any cid ()
-                  end
-                  else begin
-                    result_cells := !result_cells + cells;
-                    merged_any := true;
-                    Trace.complete "cuboid.compute" ~start:pass_t0
-                      ~attrs:
-                        [
-                          ("cuboid", Trace.Int cid);
-                          ("cells", Trace.Int cells);
-                          ("pass", Trace.Int instr.Instrument.passes);
-                        ];
-                    Array.iter
-                      (fun w ->
-                        match Hashtbl.find_opt w.active cid with
-                        | None -> ()
-                        | Some (Htbl counters) ->
-                            Group_key.Tbl.iter
-                              (fun key cell ->
-                                Aggregate.merge
-                                  ~into:
-                                    (Cube_result.cell result ~cuboid:cid ~key)
-                                  cell)
-                              counters
-                        | Some (Racc (p, _, acc)) ->
-                            Radix.acc_flush acc ~f:(fun compact cell ->
-                                Aggregate.merge
-                                  ~into:
-                                    (Cube_result.cell result ~cuboid:cid
-                                       ~key:
-                                         (Radix.key_of_compact p
-                                            ctx.Context.layout compact))
-                                  cell))
-                      states
-                  end
-                end)
+                let p = plan_of cid in
+                if direct p then
+                  Hashtbl.replace active cid
+                    (Racc (p, Radix.cursor p cols, Radix.acc_create p))
+                else
+                  Hashtbl.replace active cid (Htbl (Group_key.Tbl.create 256)))
               cids;
-            Trace.complete "counter.pass" ~start:pass_t0
-              ~attrs:
-                [
-                  ("pass", Trace.Int instr.Instrument.passes);
-                  ("workers", Trace.Int ctx.workers);
-                ];
-            remaining :=
-              List.filter
-                (fun cid -> Hashtbl.mem evicted_any cid)
-                (Array.to_list cids);
-            states)
+            {
+              scratch = Group_key.make_scratch ctx.layout;
+              seen = Group_key.Seen.create ();
+              instr = (if w = 0 then instr else Instrument.create ());
+              active;
+              live = 0;
+              peak = 0;
+              evicted = [];
+            })
+          ~body:(fun w b ->
+            (* Fact blocks are coarse enough for the unamortised check —
+               and it keeps stops deterministic on small tables. *)
+            if w.instr == instr then Context.check ctx;
+            let lo = Columnar.block_lo cols b
+            and hi = Columnar.block_hi cols b in
+            let m = bm.(b) in
+            Array.iter
+              (fun cid ->
+                match Hashtbl.find_opt w.active cid with
+                | None -> ()
+                | Some (Racc (_, cur, acc)) ->
+                    for r = lo to hi do
+                      let k = Radix.key cur r in
+                      if k >= 0 && Radix.first_on_removed cur r then begin
+                        w.instr.Instrument.keys_built <-
+                          w.instr.Instrument.keys_built + 1;
+                        if Radix.acc_add acc ~slot:k ~mark:b m then
+                          w.live <- w.live + 1
+                      end
+                    done
+                | Some (Htbl counters) ->
+                    let cuboid = cuboid_of cid in
+                    Group_key.Seen.reset w.seen;
+                    for r = lo to hi do
+                      if Cuboid.represents cuboid cols ~row:r then begin
+                        Group_key.load_cols w.scratch cuboid cols ~row:r;
+                        w.instr.Instrument.keys_built <-
+                          w.instr.Instrument.keys_built + 1;
+                        if Group_key.Seen.add w.seen w.scratch then
+                          Aggregate.add
+                            (Group_key.Tbl.find_or_add counters w.scratch
+                               ~default:(fun () ->
+                                 w.live <- w.live + 1;
+                                 Aggregate.create ()))
+                            m
+                      end
+                    done)
+              cids;
+            if w.live > w.peak then w.peak <- w.live;
+            (* Worker-local budget enforcement: evict the locally fattest
+               cuboid (ties to the earliest in pass order — deterministic)
+               until the slice fits. The pass's first cuboid is protected
+               on every worker: workers see different slices and could
+               otherwise each evict a different cuboid, leaving no pass
+               with a completion — protecting a common cuboid guarantees
+               progress. *)
+            while w.live > pass_budget && Hashtbl.length w.active > 1 do
+              let victim = ref (-1) and victim_size = ref (-1) in
+              Array.iteri
+                (fun i cid ->
+                  match
+                    if i = 0 then None else Hashtbl.find_opt w.active cid
+                  with
+                  | None -> ()
+                  | Some g ->
+                      let size = grouping_size g in
+                      if size > !victim_size then begin
+                        victim := cid;
+                        victim_size := size
+                      end)
+                cids;
+              Hashtbl.remove w.active !victim;
+              w.live <- w.live - !victim_size;
+              w.evicted <- !victim :: w.evicted;
+              Trace.instant "governor.evict"
+                ~attrs:
+                  [
+                    ("cuboid", Trace.Int !victim);
+                    ("counters", Trace.Int !victim_size);
+                  ]
+            done)
       in
-      ignore states
+      (* A cuboid completed iff no worker evicted it; merge those partials
+         in worker order. Evicted cuboids restart from scratch next pass. *)
+      let evicted_any = Hashtbl.create 16 in
+      Array.iter
+        (fun w ->
+          List.iter (fun cid -> Hashtbl.replace evicted_any cid ()) w.evicted)
+        states;
+      (* Concurrent workers' peaks coexist, so the pass's
+         simultaneous-counter bound is their sum; the run's peak is the
+         max over passes. With more than one worker the largest single
+         worker's peak is kept separately, so reports can show the
+         per-worker footprint next to the session bound. *)
+      let pass_peak = ref 0 in
+      Array.iter
+        (fun w ->
+          pass_peak := !pass_peak + w.peak;
+          if Array.length states > 1 then
+            instr.Instrument.peak_counters_worker_max <-
+              max instr.Instrument.peak_counters_worker_max w.peak;
+          if w.instr != instr then Instrument.merge ~into:instr w.instr)
+        states;
+      if !pass_peak > instr.Instrument.peak_counters then
+        instr.Instrument.peak_counters <- !pass_peak;
+      (* Pay for each completed cuboid (upper bound: summed worker
+         partials, before cross-worker key dedup) before merging it. A
+         cuboid we cannot pay for is re-evicted to the next pass — except
+         the pass's first completion, which is the progress guarantee: if
+         even it does not fit, the spill path is at its floor and the run
+         is over budget. *)
+      let merged_any = ref false in
+      Array.iter
+        (fun cid ->
+          if not (Hashtbl.mem evicted_any cid) then begin
+            let cells =
+              Array.fold_left
+                (fun acc w ->
+                  match Hashtbl.find_opt w.active cid with
+                  | None -> acc
+                  | Some g -> acc + grouping_size g)
+                0 states
+            in
+            if not (pay (!result_cells + cells)) then begin
+              if not !merged_any then Context.stop ctx Context.Over_budget;
+              Hashtbl.replace evicted_any cid ()
+            end
+            else begin
+              result_cells := !result_cells + cells;
+              merged_any := true;
+              Trace.complete "cuboid.compute" ~start:pass_t0
+                ~attrs:
+                  [
+                    ("cuboid", Trace.Int cid);
+                    ("cells", Trace.Int cells);
+                    ("pass", Trace.Int instr.Instrument.passes);
+                  ];
+              Array.iter
+                (fun w ->
+                  match Hashtbl.find_opt w.active cid with
+                  | None -> ()
+                  | Some (Htbl counters) ->
+                      Group_key.Tbl.iter
+                        (fun key cell ->
+                          Aggregate.merge
+                            ~into:(Cube_result.cell result ~cuboid:cid ~key)
+                            cell)
+                        counters
+                  | Some (Racc (p, _, acc)) ->
+                      Radix.acc_flush acc ~f:(fun compact cell ->
+                          Aggregate.merge
+                            ~into:
+                              (Cube_result.cell result ~cuboid:cid
+                                 ~key:
+                                   (Radix.key_of_compact p ctx.Context.layout
+                                      compact))
+                            cell))
+                states
+            end
+          end)
+        cids;
+      Trace.complete "counter.pass" ~start:pass_t0
+        ~attrs:
+          [
+            ("pass", Trace.Int instr.Instrument.passes);
+            ("workers", Trace.Int (Array.length states));
+          ];
+      remaining :=
+        List.filter (fun cid -> Hashtbl.mem evicted_any cid) (Array.to_list cids)
     done;
     result
   with Context.Stop _ -> result
-
-let compute (ctx : Context.t) =
-  if Context.workers ctx <= 1 then compute_sequential ctx
-  else compute_parallel ctx

@@ -156,6 +156,9 @@ let correct_under algorithm ~disjoint ~coverage =
   | Bucopt | Tdopt -> disjoint
   | Tdoptall -> disjoint && coverage
 
+let workers_used algorithm workers =
+  match algorithm with Naive -> 1 | _ -> Parallel.resolve workers
+
 type config = { counter_budget : int; sort_budget : int; radix_bits : int }
 
 let default_config =
@@ -232,8 +235,10 @@ let trace_cuboid_strategies prepared (ctx : Context.t) =
             ])
       (Lattice.by_degree prepared.lattice)
 
-let run ?props ?config ?workers prepared algorithm =
-  let ctx = make_context ?config ?workers prepared in
+let run ?props ?config ?(workers = 1) prepared algorithm =
+  let ctx =
+    make_context ?config ~workers:(workers_used algorithm workers) prepared
+  in
   let result =
     Trace.with_span "cube.compute"
       ~attrs:
@@ -525,7 +530,7 @@ let substrate_snapshot pool =
   Stats.add s (X3_storage.Disk.stats (Buffer_pool.disk pool));
   s
 
-let run_safe ?props ?config ?workers ?deadline ?cancel ?(retries = 2)
+let run_safe ?props ?config ?(workers = 1) ?deadline ?cancel ?(retries = 2)
     ?(backoff = 0.01) ?governor ?max_bytes ?admission ?admission_timeout
     ?stats prepared algorithm =
   if retries < 0 then invalid_arg "Engine.run_safe: negative retries";
@@ -555,7 +560,10 @@ let run_safe ?props ?config ?workers ?deadline ?cancel ?(retries = 2)
       Option.iter Governor.close account;
       outcome
     in
-    let ctx = make_context ?config ?workers ?account prepared in
+    let ctx =
+      make_context ?config ~workers:(workers_used algorithm workers) ?account
+        prepared
+    in
     Option.iter (Context.set_deadline_at ctx) deadline_at;
     Option.iter (Context.set_cancel_hook ctx) cancel;
     let compute () =

@@ -71,6 +71,12 @@ val algorithm_to_string : algorithm -> string
 
 val algorithm_of_string : string -> algorithm option
 
+val workers_used : algorithm -> int -> int
+(** [workers_used algorithm workers] is how many domains [algorithm] runs
+    on when asked for [workers]: 1 for NAIVE, which is serial at any
+    worker count, and [Parallel.resolve workers] for every other family.
+    The engine, its trace spans and the CLI's reports all use it. *)
+
 val correct_under :
   algorithm -> disjoint:bool -> coverage:bool -> bool
 (** §3's correctness conditions: BUCOPT and TDOPT need disjointness,
@@ -95,13 +101,14 @@ val run :
   algorithm ->
   Cube_result.t * Instrument.t
 (** [props] feeds the custom variants (BUCCUST/TDCUST); it defaults to "no
-    knowledge", making them degrade to BUC/TD. [workers] (default 1 —
-    sequential; {!Parallel.auto_workers} = hardware count) runs the
-    algorithm domain-parallel over a partition/merge plan: results are
-    deterministic for a fixed worker count, and identical to the
-    sequential run for COUNT (exact integer accumulation; float SUM/AVG
-    can differ in the last bits of the addition order across worker
-    counts). *)
+    knowledge", making them degrade to BUC/TD. [workers] (default 1;
+    {!Parallel.auto_workers} = hardware count) is the domain count for
+    COUNTER, BUC and TD, which run one partition/merge plan at every
+    worker count (1 runs it inline on the calling domain): results are
+    deterministic for a fixed worker count, and identical across worker
+    counts for COUNT (exact integer accumulation; float SUM/AVG can differ
+    in the last bits of the addition order). NAIVE ignores [workers] and
+    always runs serially — see {!workers_used}. *)
 
 (** {1 Ingest deltas}
 

@@ -5,7 +5,7 @@
    work-stealing from a shared queue. Static ranges keep every run
    deterministic — worker [w] always processes the same tasks in the same
    order, so per-worker partial aggregates merge in a fixed order and the
-   exported cube is byte-identical to the sequential one (see the
+   exported cube is byte-identical at every worker count (see the
    determinism cross-check in the tests). Fact blocks and first-level BUC
    partitions are numerous and similarly sized, so the load-balance cost of
    static ranges is small. *)
@@ -68,15 +68,3 @@ let run ~workers ~tasks ~init ~body =
     in
     states
   end
-
-let map ~workers ~tasks f =
-  let results =
-    run ~workers ~tasks
-      ~init:(fun _ -> ref [])
-      ~body:(fun acc i -> acc := (i, f i) :: !acc)
-  in
-  let out = Array.make tasks None in
-  Array.iter
-    (fun acc -> List.iter (fun (i, v) -> out.(i) <- Some v) !acc)
-    results;
-  Array.map (function Some v -> v | None -> assert false) out

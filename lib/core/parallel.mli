@@ -10,8 +10,17 @@
     Task indices are split into {e contiguous static ranges} (worker [w] of
     [n] gets [\[w*tasks/n, (w+1)*tasks/n)]), not stolen dynamically: the
     task→worker mapping — and therefore every merge order — is a pure
-    function of [(workers, tasks)], which is what makes parallel runs
-    byte-identical to sequential ones. *)
+    function of [(workers, tasks)], which is what makes runs byte-identical
+    at every worker count.
+
+    COUNTER, BUC and TD run this plan at every worker count; there is no
+    separate sequential implementation. One worker is the only sequential
+    path: {!run} then runs everything inline on the calling domain. Worker
+    0 always runs on the calling domain, so the algorithms give it the
+    duties only that domain may carry: polling for stops and, in BUC's
+    recursion, booking bytes against the context. NAIVE, the semantic
+    oracle, does not use this module: it is serial at any worker
+    count. *)
 
 val auto_workers : int
 (** The conventional "pick for me" worker count (0): {!resolve} maps it to
@@ -33,12 +42,7 @@ val run :
 (** [run ~workers ~tasks ~init ~body] executes [body state i] for every task
     index [0 <= i < tasks], each worker running its contiguous range in
     ascending order against its own [init w] state, and returns the states
-    in worker order for merging. At most [min workers tasks] domains run;
-    with one effective worker everything happens inline on the calling
-    domain (no spawn), so [workers = 1] is exactly the sequential path.
-    An exception from any worker is re-raised after all domains are
-    joined. *)
-
-val map : workers:int -> tasks:int -> (int -> 'a) -> 'a array
-(** [map ~workers ~tasks f] is [Array.init tasks f] with the calls spread
-    across workers. [f] must be safe to call concurrently. *)
+    in worker order for merging. At most [min workers tasks] domains run.
+    Worker 0 is the calling domain; with one effective worker everything
+    happens inline there (no spawn, no [worker] span). An exception from
+    any worker is re-raised after all domains are joined. *)

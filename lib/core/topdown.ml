@@ -33,8 +33,8 @@ let mode_name = function
    same row order); the hash fallback keeps the paper's sort — emit
    (sortable key, fact, measure) records, external-sort them, sweep. The
    caller chooses where sorts spill ([pool]), which counters it bumps and
-   whether to poll for stops, so the same code serves the sequential path
-   and worker lanes. *)
+   whether to poll for stops, so the same code serves the calling domain's
+   lane and the helper lanes. *)
 let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
     ~budget_records result cid ~mode =
   let cuboid = Lattice.cuboid ctx.lattice cid in
@@ -232,8 +232,8 @@ let compute ~variant (ctx : Context.t) =
   let result = Cube_result.create ~table:ctx.table lattice in
   let order = Lattice.by_degree lattice in
   (* Every cuboid's provenance is a pure function of variant, lattice and
-     properties — decided up front so the parallel path can fan the base
-     computations out and replay the roll-ups afterwards. *)
+     properties — decided up front so the base computations can fan out
+     and the roll-ups replay afterwards. *)
   let plan cid =
     match variant with
     | `Plain -> `Base `Dedup
@@ -272,121 +272,98 @@ let compute ~variant (ctx : Context.t) =
       booked_cells := cells
     end
   in
-  if Context.workers ctx <= 1 then begin
-    (* Stop checks sit between cuboids (and inside the scans feeding each
-       computation): a stopped run keeps every fully computed cuboid. *)
-    try
-      let cols = Context.cols ctx in
-      let bm = Context.block_measures ctx cols in
-      let rows = Columnar.rows cols in
-      Array.iteri
-        (fun i cid ->
-          Context.check ctx;
-          (match plans.(i) with
-          | `Base mode ->
-              let scratch_bytes = base_scratch_bytes ctx ~rows cid in
-              let budget_records, sort_bytes =
-                if scratch_bytes > 0 then (ctx.sort_budget, 0)
-                else sort_allowance ctx ~lanes:1
-              in
-              Context.reserve ctx (sort_bytes + scratch_bytes);
-              Instrument.bump_radix_scratch ctx.instr scratch_bytes;
-              Fun.protect
-                ~finally:(fun () ->
-                  Context.release ctx (sort_bytes + scratch_bytes))
-                (fun () ->
-                  compute_from_base ctx ~instr:ctx.instr
-                    ~pool:(Witness.pool ctx.table) ~cols ~bm
-                    ~checkpoint:(fun () -> Context.checkpoint ctx)
-                    ~budget_records result cid ~mode)
-          | `Rollup finer -> rollup ctx result ~finer ~coarser:cid);
-          book_result ())
-        order
-    with Context.Stop _ -> ()
-  end
-  else begin
-    try
-      (* Base computations write to disjoint cuboids (one task = one
-         cuboid), so workers aggregate into the shared result directly;
-         each worker spills its external sorts into a private in-memory
-         scratch pool — the shared buffer pool is unsynchronised. The
-         columns and block measures are immutable and shared. Roll-ups run
-         afterwards on the calling domain in coarsening order, exactly as
-         the sequential sweep interleaves them, since a roll-up may read a
-         cuboid that another roll-up produced. *)
-      Context.check ctx;
-      let cols = Context.cols ctx in
-      let bm = Context.block_measures ctx cols in
-      let rows = Columnar.rows cols in
-      let base =
-        Array.of_list
-          (List.filteri
-             (fun i _ -> match plans.(i) with `Base _ -> true | _ -> false)
-             (Array.to_list order))
-      in
-      let base_modes =
-        Array.of_list
-          (List.filter_map
-             (function `Base mode -> Some mode | `Rollup _ -> None)
-             (Array.to_list plans))
-      in
-      (* One byte-derived sort budget for every worker lane, computed and
-         reserved here on the calling domain before fan-out: workers never
-         touch the account, so spill thresholds are deterministic for a
-         fixed budget regardless of worker interleaving. Radix scratch is
-         likewise booked up front: each lane runs one base computation at
-         a time, so [workers × max-per-cuboid] bounds the concurrent
-         footprint. *)
-      let any_hash =
-        Array.exists (fun cid -> base_scratch_bytes ctx ~rows cid = 0) base
-      in
-      let budget_records, sort_bytes =
-        if any_hash then sort_allowance ctx ~lanes:ctx.workers
-        else (ctx.sort_budget, 0)
-      in
-      let scratch_bytes =
-        ctx.workers
-        * Array.fold_left
-            (fun m cid -> max m (base_scratch_bytes ctx ~rows cid))
-            0 base
-      in
-      Context.reserve ctx (sort_bytes + scratch_bytes);
-      Instrument.bump_radix_scratch ctx.instr scratch_bytes;
-      let states =
-        Fun.protect
-          ~finally:(fun () -> Context.release ctx (sort_bytes + scratch_bytes))
-          (fun () ->
-            Parallel.run ~workers:ctx.workers ~tasks:(Array.length base)
-              ~init:(fun _ ->
-                {
-                  instr = Instrument.create ();
-                  pool = Buffer_pool.create (Disk.in_memory ());
-                })
-              ~body:(fun w t ->
-                compute_from_base ctx ~instr:w.instr ~pool:w.pool ~cols ~bm
-                  ~checkpoint:(fun () -> ())
-                  ~budget_records result base.(t) ~mode:base_modes.(t)))
-      in
-      Array.iter
-        (fun w ->
-          Instrument.merge ~into:ctx.instr w.instr;
-          (* Fold the scratch pools' spill traffic into the shared pool's
-             counters so a parallel run reports its I/O like a sequential
-             one. *)
-          Stats.add
-            (Buffer_pool.stats (Witness.pool ctx.table))
-            (Buffer_pool.stats w.pool))
-        states;
-      book_result ();
-      Array.iteri
-        (fun i cid ->
-          match plans.(i) with
-          | `Base _ -> ()
-          | `Rollup finer ->
-              Context.check ctx;
-              rollup ctx result ~finer ~coarser:cid;
-              book_result ())
-        order
-    with Context.Stop _ -> ()
-  end;
+  (try
+     (* Base computations write to disjoint cuboids (one task = one
+        cuboid), so workers aggregate into the shared result directly.
+        Worker 0 runs on the calling domain: it counts into the context's
+        instrument, spills its external sorts into the table's buffer pool
+        and polls for stops between its cuboids and inside their scans, so
+        a stop keeps every fully computed cuboid. Every other worker spills
+        into a private in-memory scratch pool — the shared buffer pool is
+        unsynchronised — and never polls. The columns and block measures
+        are immutable and shared. Roll-ups run afterwards on the calling
+        domain in coarsening order, since a roll-up may read a cuboid that
+        another roll-up produced. *)
+     Context.check ctx;
+     let cols = Context.cols ctx in
+     let bm = Context.block_measures ctx cols in
+     let rows = Columnar.rows cols in
+     let base =
+       Array.of_list
+         (List.filteri
+            (fun i _ -> match plans.(i) with `Base _ -> true | _ -> false)
+            (Array.to_list order))
+     in
+     let base_modes =
+       Array.of_list
+         (List.filter_map
+            (function `Base mode -> Some mode | `Rollup _ -> None)
+            (Array.to_list plans))
+     in
+     (* One byte-derived sort budget for every worker lane, computed and
+        reserved here on the calling domain before fan-out: helper workers
+        never touch the account, so spill thresholds are deterministic for
+        a fixed budget regardless of worker interleaving. Radix scratch is
+        likewise booked up front: each lane runs one base computation at a
+        time, so [workers × max-per-cuboid] bounds the concurrent
+        footprint. *)
+     let any_hash =
+       Array.exists (fun cid -> base_scratch_bytes ctx ~rows cid = 0) base
+     in
+     let budget_records, sort_bytes =
+       if any_hash then sort_allowance ctx ~lanes:ctx.workers
+       else (ctx.sort_budget, 0)
+     in
+     let scratch_bytes =
+       ctx.workers
+       * Array.fold_left
+           (fun m cid -> max m (base_scratch_bytes ctx ~rows cid))
+           0 base
+     in
+     Context.reserve ctx (sort_bytes + scratch_bytes);
+     Instrument.bump_radix_scratch ctx.instr scratch_bytes;
+     let states =
+       Fun.protect
+         ~finally:(fun () -> Context.release ctx (sort_bytes + scratch_bytes))
+       @@ fun () ->
+       Parallel.run ~workers:ctx.workers ~tasks:(Array.length base)
+         ~init:(fun w ->
+           if w = 0 then { instr = ctx.instr; pool = Witness.pool ctx.table }
+           else
+             {
+               instr = Instrument.create ();
+               pool = Buffer_pool.create (Disk.in_memory ());
+             })
+         ~body:(fun w t ->
+           let polls = w.instr == ctx.instr in
+           if polls then Context.check ctx;
+           let checkpoint =
+             if polls then fun () -> Context.checkpoint ctx else fun () -> ()
+           in
+           compute_from_base ctx ~instr:w.instr ~pool:w.pool ~cols ~bm
+             ~checkpoint ~budget_records result base.(t) ~mode:base_modes.(t))
+     in
+     Array.iter
+       (fun w ->
+         if w.instr != ctx.instr then begin
+           Instrument.merge ~into:ctx.instr w.instr;
+           (* Fold the scratch pools' spill traffic into the shared pool's
+              counters so the run reports its I/O whatever the worker
+              count. *)
+           Stats.add
+             (Buffer_pool.stats (Witness.pool ctx.table))
+             (Buffer_pool.stats w.pool)
+         end)
+       states;
+     book_result ();
+     Array.iteri
+       (fun i cid ->
+         match plans.(i) with
+         | `Base _ -> ()
+         | `Rollup finer ->
+             Context.check ctx;
+             rollup ctx result ~finer ~coarser:cid;
+             book_result ())
+       order
+   with Context.Stop _ -> ());
   result

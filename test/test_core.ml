@@ -1190,6 +1190,45 @@ let test_parallel_counter_tiny_budget () =
         (Export.csv_string ~func:Aggregate.Count result))
     [ 2; 4 ]
 
+(* One worker runs the partition/merge plan inline, so worker 0 must
+   still poll for stops inside the fan-out. The cancel hook fires on its
+   k-th poll, with k just past every poll that precedes the fan-out (the
+   column build polls once per 64 rows, then one pass, apex or cuboid
+   check) — only polls made by worker 0 can reach it. *)
+let test_one_worker_stops_mid_fan_out () =
+  let config = { X3_workload.Treebank.default with num_trees = 200; axes = 3 } in
+  let p =
+    Engine.prepare ~pool:(small_pool ())
+      ~store:(X3_xdb.Store.of_document (X3_workload.Treebank.generate config))
+      (X3_workload.Treebank.spec config)
+  in
+  let k = (Witness.row_count (Engine.table p) / 64) + 4 in
+  let lines r =
+    String.split_on_char '\n' (Export.csv_string ~func:Aggregate.Count r)
+  in
+  List.iter
+    (fun algorithm ->
+      let name = Engine.algorithm_to_string algorithm in
+      let full = Hashtbl.create 1024 in
+      List.iter
+        (fun l -> Hashtbl.replace full l ())
+        (lines (fst (Engine.run p algorithm)));
+      let polls = ref 0 in
+      match
+        Engine.run_safe ~workers:1
+          ~cancel:(fun () ->
+            incr polls;
+            !polls >= k)
+          p algorithm
+      with
+      | Engine.Partial (Context.Cancelled, r, _) ->
+          Alcotest.(check bool)
+            (name ^ ": partial cells are a subset of the full cube")
+            true
+            (List.for_all (Hashtbl.mem full) (lines r))
+      | _ -> Alcotest.failf "%s: expected a cancelled partial" name)
+    Engine.[ Counter; Buc; Td ]
+
 let test_parallel_resolve () =
   Alcotest.(check bool) "auto resolves to hardware count >= 1" true
     (Parallel.resolve Parallel.auto_workers >= 1);
@@ -1258,6 +1297,42 @@ let check_radix_hash_identity label p =
             [ 1; 2 ])
         [ ("radix", Engine.default_config); ("hash", hash_config) ])
     Engine.[ Naive; Counter; Buc; Td ]
+
+(* BUC's counting sort clears and scans a histogram the size of the
+   dictionary, so it only pays while the partition is at least a quarter
+   of that size. Every fact here carries its own value on both axes: the
+   first level sorts all rows (counting sort), but below it each
+   partition holds one fact against a 200-entry dictionary, which
+   quicksort handles instead. *)
+let test_buc_small_partitions_quicksort () =
+  let n = 200 in
+  let buf = Buffer.create 8192 in
+  Buffer.add_string buf "<r>";
+  for i = 0 to n - 1 do
+    Printf.bprintf buf "<f><a>a%d</a><b>b%d</b></f>" i i
+  done;
+  Buffer.add_string buf "</r>";
+  let axis name tag =
+    X3_pattern.Axis.make_exn ~name ~steps:[ step c tag ] ~allowed:[ Relax.Lnd ]
+  in
+  let p =
+    Engine.prepare ~pool:(small_pool ())
+      ~store:(X3_xdb.Store.of_document (parse_ok (Buffer.contents buf)))
+      (Engine.count_spec ~fact_path:[ step d "f" ]
+         ~axes:[| axis "$a" "a"; axis "$b" "b" |])
+  in
+  let csv r = Export.csv_string ~func:Aggregate.Count r in
+  let result, instr = Engine.run p Engine.Buc in
+  Alcotest.(check bool)
+    "full-table partitions counting-sort" true
+    (instr.Instrument.radix_groupings > 0);
+  Alcotest.(check bool)
+    "one-fact partitions of a 200-entry dictionary quicksort" true
+    (instr.Instrument.hash_groupings > 0);
+  Alcotest.(check string)
+    "cube = NAIVE"
+    (csv (fst (Engine.run p Engine.Naive)))
+    (csv result)
 
 let test_radix_hash_identity_figure1 () =
   check_radix_hash_identity "figure1" (prepared ())
@@ -2420,6 +2495,8 @@ let () =
           Alcotest.test_case "counter under worker-split budget" `Quick
             test_parallel_counter_tiny_budget;
           Alcotest.test_case "worker resolution" `Quick test_parallel_resolve;
+          Alcotest.test_case "one worker stops mid-fan-out" `Quick
+            test_one_worker_stops_mid_fan_out;
         ] );
       ( "radix grouping",
         [
@@ -2427,6 +2504,8 @@ let () =
             test_radix_hash_identity_figure1;
           Alcotest.test_case "radix = hash on treebank" `Quick
             test_radix_hash_identity_treebank;
+          Alcotest.test_case "BUC quicksorts small partitions" `Quick
+            test_buc_small_partitions_quicksort;
         ] );
       ( "governor",
         [

@@ -185,6 +185,27 @@ let test_span_nesting () =
       List.iter check_well_formed rings)
     Engine.[ (Counter, 1); (Counter, 2); (Td, 1); (Td, 2) ]
 
+(* NAIVE is serial whatever it is asked for: a two-worker request runs on
+   the calling domain alone, opens no [worker] span, and its compute span
+   reports the one worker that ran. *)
+let test_naive_runs_serially () =
+  let rings = traced_run ~workers:2 Engine.Naive in
+  let active = List.filter (fun r -> r.Trace.events <> []) rings in
+  Alcotest.(check int) "events from exactly one domain" 1 (List.length active);
+  let events = List.concat_map (fun r -> r.Trace.events) active in
+  Alcotest.(check bool)
+    "no worker span" false
+    (List.exists (fun e -> e.Trace.name = "worker") events);
+  match
+    List.find_opt
+      (fun e -> e.Trace.name = "cube.compute" && e.Trace.phase = Trace.Begin)
+      events
+  with
+  | Some e ->
+      Alcotest.(check int) "cube.compute reports one worker" 1
+        (attr_int e "workers")
+  | None -> Alcotest.fail "no cube.compute span"
+
 let test_disabled_tracing_is_silent () =
   Trace.reset ();
   Trace.instant "ignored";
@@ -471,6 +492,8 @@ let () =
             test_ring_overflow_drops_oldest;
           Alcotest.test_case "span nesting well-formed" `Quick
             test_span_nesting;
+          Alcotest.test_case "NAIVE at 2 workers runs on one domain" `Quick
+            test_naive_runs_serially;
           Alcotest.test_case "disabled tracing is silent" `Quick
             test_disabled_tracing_is_silent;
           Alcotest.test_case "scopes disjoint across threads" `Quick
