@@ -90,23 +90,6 @@ let pool_tests () =
     Test.make ~name:"pool/256-pages-16-frames" (Staged.stage (touch thrash));
   ]
 
-let codec_tests () =
-  let row =
-    {
-      X3_pattern.Witness.fact = 123456;
-      cells =
-        Array.init 5 (fun i ->
-            { X3_pattern.Witness.id = 100 + i; validity = 0b1011; first = i = 0 });
-    }
-  in
-  let encoded = X3_pattern.Witness.encode row in
-  [
-    Test.make ~name:"witness/encode"
-      (Staged.stage (fun () -> ignore (X3_pattern.Witness.encode row)));
-    Test.make ~name:"witness/decode"
-      (Staged.stage (fun () -> ignore (X3_pattern.Witness.decode encoded)));
-  ]
-
 let quicksort_tests () =
   let rng = X3_workload.Rng.create ~seed:23 in
   let base = Array.init 10_000 (fun _ -> X3_workload.Rng.int rng 1_000_000) in
@@ -144,7 +127,7 @@ let eval_tests () =
 
 let all_tests () =
   join_tests () @ path_tests () @ sort_tests () @ pool_tests ()
-  @ codec_tests () @ quicksort_tests () @ eval_tests ()
+  @ quicksort_tests () @ eval_tests ()
 
 let run ppf =
   let tests = all_tests () in

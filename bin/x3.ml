@@ -190,7 +190,7 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
   let dt = Unix.gettimeofday () -. t0 in
   let print_result result instr =
     match format with
-    | "table" ->
+    | `Table ->
         Format.printf "%a@."
           (X3_core.Cube_result.pp ~max_groups ~func:spec.Engine.func)
           result;
@@ -199,14 +199,10 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
           (Lattice.size lattice)
           (X3_core.Cube_result.total_cells result)
           dt X3_core.Instrument.pp instr
-    | "csv" ->
+    | `Csv ->
         print_string (X3_core.Export.csv_string ~func:spec.Engine.func result)
-    | "json" ->
+    | `Json ->
         print_string (X3_core.Export.json_string ~func:spec.Engine.func result)
-    | other ->
-        prerr_endline
-          ("x3: unknown format " ^ other ^ " (expected table, csv or json)");
-        exit 1
   in
   (* Artefacts must be written before any [exit] below. *)
   let finish ~label result_instr =
@@ -291,7 +287,6 @@ type cuboid_report = {
   mutable cr_sorts : int;
   mutable cr_rollups : int;
   mutable cr_provenance : string;
-  mutable cr_strategy : string;
 }
 
 let run_explain query_path doc algorithm_name use_schema workers radix_bits
@@ -339,9 +334,7 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
   (* Join the trace back into a per-cuboid cost table. *)
   let lattice = Engine.lattice prepared in
   (* The grouping strategy is a pure function of (layout, cuboid,
-     radix_bits) — compute it from the plan rather than joining trace
-     instants, which a saturated ring can drop. The traced value, when
-     present, is kept as a cross-check below. *)
+     radix_bits), so it comes from the plan, not from the trace. *)
   let planned_strategy =
     let layout = X3_core.Group_key.layout_of_table (Engine.table prepared) in
     fun cid ->
@@ -364,7 +357,6 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
             cr_sorts = 0;
             cr_rollups = 0;
             cr_provenance = "scan";
-            cr_strategy = "-";
           }
         in
         Hashtbl.replace by_cuboid cid r;
@@ -404,19 +396,6 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
                     | Some finer -> Printf.sprintf "rollup(from %d)" finer
                     | None -> "rollup"))
                 (attr_int e.Trace.attrs "cuboid")
-          | "cuboid.strategy" ->
-              Option.iter
-                (fun cid ->
-                  let r = report cid in
-                  match
-                    ( attr_str e.Trace.attrs "strategy",
-                      attr_int e.Trace.attrs "bits" )
-                  with
-                  | Some s, Some bits ->
-                      r.cr_strategy <- Printf.sprintf "%s(%d)" s bits
-                  | Some s, None -> r.cr_strategy <- s
-                  | None, _ -> ())
-                (attr_int e.Trace.attrs "cuboid")
           | "cuboid.compute" ->
               Option.iter
                 (fun cid ->
@@ -448,19 +427,10 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
       let label =
         if r.cr_label <> "" then r.cr_label else Engine.cuboid_label prepared cid
       in
-      let strategy = planned_strategy cid in
-      (* The ring may have dropped the instant ("-"); when it survived it
-         must agree with the plan — a mismatch would mean the compute and
-         the explain column diverged, which is worth shouting about. *)
-      if r.cr_strategy <> "-" && r.cr_strategy <> strategy then
-        Printf.eprintf
-          "x3: warning — cuboid %d traced strategy %s disagrees with the \
-           planned %s\n"
-          cid r.cr_strategy strategy;
       Printf.printf "  %-4d %9d %-6d %-18s %-16s %s\n" cid
         (if r.cr_cells > 0 then r.cr_cells
          else X3_core.Cube_result.cuboid_size result cid)
-        r.cr_sorts r.cr_provenance strategy label)
+        r.cr_sorts r.cr_provenance (planned_strategy cid) label)
     (Lattice.by_degree lattice);
   let io = run_stats.Engine.io in
   let pool_lookups = io.X3_storage.Stats.pool_hits + io.X3_storage.Stats.pool_misses in
@@ -931,7 +901,8 @@ let cube_cmd =
   in
   let format =
     Arg.(
-      value & opt string "table"
+      value
+      & opt (enum [ ("table", `Table); ("csv", `Csv); ("json", `Json) ]) `Table
       & info [ "format"; "f" ] ~docv:"FMT" ~doc:"Output: table, csv or json.")
   in
   let trace =

@@ -173,7 +173,6 @@ let cols t =
       (* The columns stay resident until the query ends; book them before
          allocating so governed runs see the footprint up front. *)
       reserve t (Witness.Columnar.approx_bytes ~axes ~rows ~blocks);
-      let b = Witness.Columnar.Builder.create ~axes ~rows in
       t.instr.Instrument.table_scans <- t.instr.Instrument.table_scans + 1;
       let sp = Trace.start "witness.columnar" in
       let cols =
@@ -181,14 +180,10 @@ let cols t =
           ~finally:(fun () ->
             Trace.finish sp ~attrs:[ ("rows", Trace.Int rows) ])
           (fun () ->
-            Witness.iter
-              (fun row ->
+            Witness.columnar_of_table t.table ~poll:(fun () ->
                 checkpoint t;
                 t.instr.Instrument.rows_scanned <-
-                  t.instr.Instrument.rows_scanned + 1;
-                Witness.Columnar.Builder.add b row)
-              t.table;
-            Witness.Columnar.Builder.finish b)
+                  t.instr.Instrument.rows_scanned + 1))
       in
       t.cols_cache <- Some cols;
       cols

@@ -212,29 +212,6 @@ let trace_cuboid_cells prepared result =
             ])
       (Lattice.by_degree prepared.lattice)
 
-(* One instant per cuboid naming its grouping strategy. [Radix.plan] is a
-   pure function of (layout, cuboid, radix_bits), so this is exactly what
-   the compute used (modulo families that only implement a subset of the
-   tiers) — and what `x3 explain` joins against. *)
-let trace_cuboid_strategies prepared (ctx : Context.t) =
-  if Trace.enabled () then
-    Array.iter
-      (fun cid ->
-        let p =
-          Radix.plan ~layout:ctx.Context.layout
-            ~radix_bits:ctx.Context.radix_bits
-            (Lattice.cuboid prepared.lattice cid)
-        in
-        Trace.instant "cuboid.strategy"
-          ~attrs:
-            [
-              ("cuboid", Trace.Int cid);
-              ( "strategy",
-                Trace.Str (Radix.strategy_name p.Radix.p_strategy) );
-              ("bits", Trace.Int p.Radix.p_bits);
-            ])
-      (Lattice.by_degree prepared.lattice)
-
 let run ?props ?config ?(workers = 1) prepared algorithm =
   let ctx =
     make_context ?config ~workers:(workers_used algorithm workers) prepared
@@ -249,7 +226,6 @@ let run ?props ?config ?(workers = 1) prepared algorithm =
       (fun () -> dispatch ?props prepared ctx algorithm)
   in
   trace_cuboid_cells prepared result;
-  trace_cuboid_strategies prepared ctx;
   (result, ctx.Context.instr)
 
 (* --- ingest deltas ------------------------------------------------------- *)
@@ -258,7 +234,7 @@ let run ?props ?config ?(workers = 1) prepared algorithm =
    sequence number: deterministic (warm restore replaying the same records
    reproduces the same ids, so snapshotted fact sets stay consistent) and
    disjoint from real store node ids at any realistic document size, while
-   still fitting the row codec's u32 fact field. *)
+   still fitting the witness records' u32 fact column. *)
 let synthetic_fact_base = 1 lsl 30
 let synthetic_fact_id ~lsn = synthetic_fact_base + lsn
 
@@ -579,7 +555,6 @@ let run_safe ?props ?config ?(workers = 1) ?deadline ?cancel ?(retries = 2)
     match compute () with
     | result ->
         trace_cuboid_cells prepared result;
-        trace_cuboid_strategies prepared ctx;
         finish
           (match Context.stopped ctx with
           | Some reason -> Partial (reason, result, ctx.Context.instr)

@@ -16,8 +16,8 @@
 type strategy = Direct | Partitioned | Hash
 
 val strategy_name : strategy -> string
-(** ["radix-direct"], ["radix-partition"], ["hash"] — the values traced
-    as [cuboid.strategy] and counted under [cube.grouping_strategy]. *)
+(** ["radix-direct"], ["radix-partition"], ["hash"] — the values shown
+    in [x3 explain]'s grouping column. *)
 
 val direct_bits_cap : int
 (** Slot-array ceiling (12): one direct accumulator never exceeds

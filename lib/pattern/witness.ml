@@ -63,329 +63,65 @@ module Staged = struct
   type row = { fact : int; cells : cell array }
 end
 
-(* --- row codec ---------------------------------------------------------- *)
-(* Layout: fact (4 bytes LE) | cell count (1) | cells.
-   Cell: validity (1 byte, bit 7 = first-binding flag) |
-         LEB128 varint of (id + 1), so 0 encodes the null cell.
-   Values live in the dictionary pages, not in the rows: a row costs a
-   handful of bytes regardless of how long its dimension strings are. *)
+(* --- row-group records ---------------------------------------------------- *)
+(* The table's one stored form, on its heap pages and in its snapshot
+   alike. A record holds the consecutive rows [start, start + count),
+   column by column, and is sized to fit one page:
+     'G' | start u32 | count u32 | fact u32 x count |
+     per axis: id int32 x count | tag u8 x count
+   all little-endian. Ids are dictionary ids ([null_id] for unbound
+   cells); the tag byte is validity (bits 0-6) lor the first-binding flag
+   (bit 7). Both are exactly the columnar view's cells, so reading a record
+   copies them across. The dictionary values are not on the pages: they
+   live in the in-memory dictionaries. *)
 
-let encode row =
-  let buf = Buffer.create 16 in
-  let add_u8 v = Buffer.add_char buf (Char.chr (v land 0xFF)) in
-  let add_u16 v =
-    add_u8 (v land 0xFF);
-    add_u8 ((v lsr 8) land 0xFF)
-  in
-  let add_u32 v =
-    add_u16 (v land 0xFFFF);
-    add_u16 ((v lsr 16) land 0xFFFF)
-  in
-  let add_varint v =
-    let v = ref v in
-    while !v >= 0x80 do
-      add_u8 (0x80 lor (!v land 0x7F));
-      v := !v lsr 7
-    done;
-    add_u8 !v
-  in
-  add_u32 row.fact;
-  if Array.length row.cells > 255 then
-    invalid_arg "Witness.encode: more than 255 axes";
-  add_u8 (Array.length row.cells);
-  Array.iter
-    (fun cell ->
-      if cell.validity > 0x7F then
-        invalid_arg "Witness.encode: validity out of range";
-      if cell.id < null_id then invalid_arg "Witness.encode: negative id";
-      add_u8 (cell.validity lor if cell.first then 0x80 else 0);
-      add_varint (cell.id + 1))
-    row.cells;
-  Buffer.contents buf
+let group_header = 9
+let row_bytes k = 4 + (5 * k)
 
-let decode record =
-  let pos = ref 0 in
-  let len = String.length record in
-  let u8 () =
-    if !pos >= len then invalid_arg "Witness.decode: truncated record";
-    let v = Char.code record.[!pos] in
-    incr pos;
-    v
-  in
-  let u16 () =
-    let lo = u8 () in
-    let hi = u8 () in
-    lo lor (hi lsl 8)
-  in
-  let u32 () =
-    let lo = u16 () in
-    let hi = u16 () in
-    lo lor (hi lsl 16)
-  in
-  let varint () =
-    let rec go shift acc =
-      let b = u8 () in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 <> 0 then go (shift + 7) acc else acc
-    in
-    go 0 0
-  in
-  let fact = u32 () in
-  let ncells = u8 () in
-  let cells =
-    Array.init ncells (fun _ ->
-        let tag = u8 () in
-        let validity = tag land 0x7F and first = tag land 0x80 <> 0 in
-        let id = varint () - 1 in
-        { id; validity; first })
-  in
-  if !pos <> len then invalid_arg "Witness.decode: trailing bytes";
-  { fact; cells }
+(* Offset of axis [ai]'s id column in a record of [count] rows; its tag
+   column follows at [+ 4 * count]. *)
+let axis_offset ~count ai = group_header + (count * (4 + (5 * ai)))
 
-(* --- dictionary codec --------------------------------------------------- *)
-(* Dictionary pages are stored in a side heap file, one or more records per
-   value so that values of any length survive the page-capacity limit:
-   axis (u16) | id (u32) | total length (u32) | chunk offset (u32) | bytes.
-   Lengths are 32-bit — dictionary values are not subject to the 64 KiB
-   ceiling the old inline-string witness codec imposed. *)
+let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFF_FFFF
 
-let dict_chunk_header = 14
+let tag_of cell = (cell.validity land 0x7F) lor if cell.first then 0x80 else 0
 
-let encode_dict_chunk ~axis ~id ~total ~offset chunk =
-  let buf = Buffer.create (dict_chunk_header + String.length chunk) in
-  let add_u8 v = Buffer.add_char buf (Char.chr (v land 0xFF)) in
-  let add_u16 v =
-    add_u8 (v land 0xFF);
-    add_u8 ((v lsr 8) land 0xFF)
-  in
-  let add_u32 v =
-    add_u16 (v land 0xFFFF);
-    add_u16 ((v lsr 16) land 0xFFFF)
-  in
-  add_u16 axis;
-  add_u32 id;
-  add_u32 total;
-  add_u32 offset;
-  Buffer.add_string buf chunk;
-  Buffer.contents buf
-
-let decode_dict_chunk record =
-  if String.length record < dict_chunk_header then
-    invalid_arg "Witness.decode_dict_chunk: truncated";
-  let u8 pos = Char.code record.[pos] in
-  let u16 pos = u8 pos lor (u8 (pos + 1) lsl 8) in
-  let u32 pos = u16 pos lor (u16 (pos + 2) lsl 16) in
-  let axis = u16 0 in
-  let id = u32 2 in
-  let total = u32 6 in
-  let offset = u32 10 in
-  let chunk =
-    String.sub record dict_chunk_header
-      (String.length record - dict_chunk_header)
-  in
-  (axis, id, total, offset, chunk)
-
-(* --- tables ------------------------------------------------------------ *)
-
-type t = {
-  axes : Axis.t array;
-  dicts : Dict.t array;
-  heap : X3_storage.Heap_file.t;
-  dict_heap : X3_storage.Heap_file.t;  (** the on-disk dictionary pages *)
-  mutable facts : int;
-}
-
-let write_dict_value dict_heap ~axis ~id value =
-  let capacity =
-    X3_storage.Heap_file.capacity_bytes dict_heap - dict_chunk_header
-  in
-  let total = String.length value in
-  if total = 0 then
-    X3_storage.Heap_file.append dict_heap
-      (encode_dict_chunk ~axis ~id ~total ~offset:0 "")
-  else begin
-    let offset = ref 0 in
-    while !offset < total do
-      let n = min capacity (total - !offset) in
-      X3_storage.Heap_file.append dict_heap
-        (encode_dict_chunk ~axis ~id ~total ~offset:!offset
-           (String.sub value !offset n));
-      offset := !offset + n
+let encode_group k ~start (rows : row array) count =
+  let b = Bytes.create (group_header + (count * row_bytes k)) in
+  let set_u32 pos v = Bytes.set_int32_le b pos (Int32.of_int v) in
+  Bytes.set b 0 'G';
+  set_u32 1 start;
+  set_u32 5 count;
+  for i = 0 to count - 1 do
+    let row = rows.(i) in
+    set_u32 (group_header + (4 * i)) row.fact;
+    for ai = 0 to k - 1 do
+      let cell = row.cells.(ai) in
+      let ids = axis_offset ~count ai in
+      set_u32 (ids + (4 * i)) cell.id;
+      Bytes.set_uint8 b (ids + (4 * count) + i) (tag_of cell)
     done
-  end
+  done;
+  Bytes.unsafe_to_string b
 
-let write_dicts dict_heap dicts =
-  Array.iteri
-    (fun axis dict ->
-      Dict.iter (fun id value -> write_dict_value dict_heap ~axis ~id value) dict)
-    dicts
-
-(* Rebuild the dictionaries from their on-disk pages; chunks of one value
-   arrive in offset order because [write_dicts] emits them that way. *)
-let dicts_of_heap k dict_heap =
-  let partial : (int * int, Buffer.t) Hashtbl.t = Hashtbl.create 256 in
-  let sizes = Array.make k 0 in
-  X3_storage.Heap_file.iter
-    (fun record ->
-      let axis, id, total, _offset, chunk = decode_dict_chunk record in
-      if axis >= k then invalid_arg "Witness.load_dicts: axis out of range";
-      let buf =
-        match Hashtbl.find_opt partial (axis, id) with
-        | Some buf -> buf
-        | None ->
-            let buf = Buffer.create (max 16 total) in
-            Hashtbl.add partial (axis, id) buf;
-            buf
-      in
-      Buffer.add_string buf chunk;
-      if id + 1 > sizes.(axis) then sizes.(axis) <- id + 1)
-    dict_heap;
-  Array.init k (fun axis ->
-      let dict = Dict.create () in
-      for id = 0 to sizes.(axis) - 1 do
-        match Hashtbl.find_opt partial (axis, id) with
-        | None -> invalid_arg "Witness.load_dicts: missing id"
-        | Some buf ->
-            let got = Dict.intern dict (Buffer.contents buf) in
-            if got <> id then invalid_arg "Witness.load_dicts: id collision"
-      done;
-      dict)
-
-let load_dicts t = dicts_of_heap (Array.length t.axes) t.dict_heap
-
-let materialize pool ~axes rows =
-  let heap = X3_storage.Heap_file.create pool in
-  let dict_heap = X3_storage.Heap_file.create pool in
-  let dicts = Array.map (fun _ -> Dict.create ()) axes in
-  let facts = ref 0 in
-  let last_fact = ref (-1) in
-  Seq.iter
-    (fun (row : Staged.row) ->
-      if row.Staged.fact <> !last_fact then begin
-        incr facts;
-        last_fact := row.Staged.fact
-      end;
-      let cells =
-        Array.mapi
-          (fun ai (cell : Staged.cell) ->
-            let id =
-              match cell.Staged.value with
-              | None -> null_id
-              | Some v -> Dict.intern dicts.(ai) v
-            in
-            {
-              id;
-              validity = cell.Staged.validity;
-              first = cell.Staged.first;
-            })
-          row.Staged.cells
-      in
-      X3_storage.Heap_file.append heap (encode { fact = row.Staged.fact; cells }))
-    rows;
-  write_dicts dict_heap dicts;
-  { axes; dicts; heap; dict_heap; facts = !facts }
-
-(* The ingest append path: intern one batch of staged rows at the table's
-   tail, growing the dictionaries in place, and flush only the dictionary
-   tail this batch interned (ids below the pre-append sizes are already on
-   their heap pages). The batch's fact ids must be fresh — rows of one
-   fact contiguous, no fact already in the table — so the fact count and
-   block geometry stay consistent without a rescan. *)
-let append t staged =
-  let sizes_before = Array.map Dict.size t.dicts in
-  let last_fact = ref min_int in
-  let coded =
-    List.fold_left
-      (fun acc (row : Staged.row) ->
-        if Array.length row.Staged.cells <> Array.length t.axes then
-          invalid_arg "Witness.append: axis count mismatch";
-        if row.Staged.fact <> !last_fact then begin
-          t.facts <- t.facts + 1;
-          last_fact := row.Staged.fact
-        end;
-        let cells =
-          Array.mapi
-            (fun ai (cell : Staged.cell) ->
-              let id =
-                match cell.Staged.value with
-                | None -> null_id
-                | Some v -> Dict.intern t.dicts.(ai) v
-              in
-              {
-                id;
-                validity = cell.Staged.validity;
-                first = cell.Staged.first;
-              })
-            row.Staged.cells
-        in
-        let r = { fact = row.Staged.fact; cells } in
-        X3_storage.Heap_file.append t.heap (encode r);
-        r :: acc)
-      [] staged
-  in
-  Array.iteri
-    (fun ai dict ->
-      for id = sizes_before.(ai) to Dict.size dict - 1 do
-        write_dict_value t.dict_heap ~axis:ai ~id (Dict.value dict id)
-      done)
-    t.dicts;
-  List.rev coded
-
-let axes t = t.axes
-let dicts t = t.dicts
-let dict t ai = t.dicts.(ai)
-let dict_sizes t = Array.map Dict.size t.dicts
-
-let total_dict_size t =
-  Array.fold_left (fun acc d -> acc + Dict.size d) 0 t.dicts
-
-let value t ~axis_index id = Dict.value t.dicts.(axis_index) id
-
-let cell_value t ~axis_index cell =
-  if cell.id < 0 then None else Some (Dict.value t.dicts.(axis_index) cell.id)
-
-let row_count t = X3_storage.Heap_file.record_count t.heap
-let fact_count t = t.facts
-let page_count t = X3_storage.Heap_file.page_count t.heap
-let dict_page_count t = X3_storage.Heap_file.page_count t.dict_heap
-let pool t = X3_storage.Heap_file.pool t.heap
-
-(* --- resident-footprint estimate --------------------------------------- *)
-
-let approx_bytes t =
-  (* The table's unavoidable resident floor: the buffer-pool frames its
-     pages occupy (capped by the pool) plus the in-memory intern tables
-     (values array slot + string + hashtable entry, ~48 bytes overhead per
-     distinct value). The columnar view is booked by whoever builds it. *)
-  let pool = pool t in
-  let page_bytes = X3_storage.Disk.page_size (X3_storage.Buffer_pool.disk pool) in
-  let frames =
-    min (page_count t + dict_page_count t) (X3_storage.Buffer_pool.capacity pool)
-  in
-  let dict_bytes =
-    Array.fold_left
-      (fun acc d ->
-        let strings = ref 0 in
-        Dict.iter (fun _ v -> strings := !strings + String.length v) d;
-        acc + !strings + (48 * Dict.size d))
-      0 t.dicts
-  in
-  (frames * page_bytes) + dict_bytes
-let iter f t = X3_storage.Heap_file.iter (fun r -> f (decode r)) t.heap
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun r -> acc := r :: !acc) t;
-  List.rev !acc
+(* [(start, count)] of a row-group record of a [k]-axis table. *)
+let group_span k record =
+  let len = String.length record in
+  if len < group_header || record.[0] <> 'G' then
+    invalid_arg "Witness: not a row-group record";
+  let start = u32 record 1 and count = u32 record 5 in
+  if len <> group_header + (count * row_bytes k) then
+    invalid_arg "Witness: row-group record length mismatch";
+  (start, count)
 
 (* --- column-major view -------------------------------------------------- *)
 (* The same table, transposed into unboxed Bigarray columns: one int32 id
-   column and one byte tag column per axis (the tag byte is exactly the row
-   codec's cell tag: validity bits 0-6, first-binding flag in bit 7), plus
-   plain int arrays for the fact ids and the fact-block geometry. This is
-   the one form every grouping and observation path reads. A version's
-   rows never change once written ([extend] only appends past them), so
-   columns can be shared across domains as they are. *)
+   column and one byte tag column per axis (a row-group record's columns,
+   copied out of its pages), plus plain int arrays for the fact ids and
+   the fact-block geometry. This is the one form every grouping and
+   observation path reads. A version's rows never change once written
+   ([extend] only appends past them), so columns can be shared across
+   domains as they are. *)
 
 module Columnar = struct
   type int32_col = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -428,6 +164,16 @@ module Columnar = struct
   let qualifies t ~axis ~row ~state =
     id t ~axis ~row >= 0 && tag t ~axis ~row land (1 lsl state) <> 0
 
+  let row t i =
+    {
+      fact = t.c_facts.(i);
+      cells =
+        Array.init t.c_axes (fun axis ->
+            let tag = tag t ~axis ~row:i in
+            { id = id t ~axis ~row:i; validity = tag land 0x7F;
+              first = tag land 0x80 <> 0 });
+    }
+
   (* Resident footprint of the columns: 4 id bytes + 1 tag byte per axis
      per row, two int words per row (fact + block index), the block fence,
      and a small fixed overhead per Bigarray header. *)
@@ -469,26 +215,46 @@ module Columnar = struct
         capacity = rows;
       }
 
+    (* Open row [i] of [fact], starting a new block when the fact changes. *)
+    let start_row b i fact =
+      if i >= b.capacity then
+        invalid_arg "Witness.Columnar.Builder: capacity exceeded";
+      if fact <> b.last_fact then begin
+        b.block_start.(b.nblocks) <- i;
+        b.nblocks <- b.nblocks + 1;
+        b.last_fact <- fact
+      end;
+      b.facts.(i) <- fact;
+      b.row_block.(i) <- b.nblocks - 1;
+      b.next <- i + 1
+
     let add b (row : row) =
-      if b.next >= b.capacity then
-        invalid_arg "Witness.Columnar.Builder.add: capacity exceeded";
       if Array.length row.cells <> b.k then
         invalid_arg "Witness.Columnar.Builder.add: axis count mismatch";
       let i = b.next in
-      if row.fact <> b.last_fact then begin
-        b.block_start.(b.nblocks) <- i;
-        b.nblocks <- b.nblocks + 1;
-        b.last_fact <- row.fact
-      end;
-      b.facts.(i) <- row.fact;
-      b.row_block.(i) <- b.nblocks - 1;
-      for ai = 0 to b.k - 1 do
-        let cell = row.cells.(ai) in
-        Bigarray.Array1.set b.ids.(ai) i (Int32.of_int cell.id);
-        Bigarray.Array1.set b.tags.(ai) i
-          ((cell.validity land 0x7F) lor if cell.first then 0x80 else 0)
-      done;
-      b.next <- i + 1
+      start_row b i row.fact;
+      Array.iteri
+        (fun ai cell ->
+          Bigarray.Array1.set b.ids.(ai) i (Int32.of_int cell.id);
+          Bigarray.Array1.set b.tags.(ai) i (tag_of cell))
+        row.cells
+
+    (* Copy one row-group record's rows in, calling [poll] before each. *)
+    let add_group b ~poll record =
+      let start, count = group_span b.k record in
+      if start <> b.next then invalid_arg "Witness: row group out of order";
+      for i = 0 to count - 1 do
+        poll ();
+        let r = start + i in
+        start_row b r (u32 record (group_header + (4 * i)));
+        for ai = 0 to b.k - 1 do
+          let ids = axis_offset ~count ai in
+          Bigarray.Array1.set b.ids.(ai) r
+            (String.get_int32_le record (ids + (4 * i)));
+          Bigarray.Array1.set b.tags.(ai) r
+            (String.get_uint8 record (ids + (4 * count) + i))
+        done
+      done
 
     let finish b =
       if b.next <> b.capacity then
@@ -571,101 +337,155 @@ module Columnar = struct
             end;
             cols.c_facts.(idx) <- r.fact;
             cols.c_row_block.(idx) <- !nb - 1;
-            for ai = 0 to k - 1 do
-              let cell = r.cells.(ai) in
-              Bigarray.Array1.set cols.c_ids.(ai) idx (Int32.of_int cell.id);
-              Bigarray.Array1.set cols.c_tags.(ai) idx
-                ((cell.validity land 0x7F) lor if cell.first then 0x80 else 0)
-            done)
+            Array.iteri
+              (fun ai cell ->
+                Bigarray.Array1.set cols.c_ids.(ai) idx (Int32.of_int cell.id);
+                Bigarray.Array1.set cols.c_tags.(ai) idx (tag_of cell))
+              r.cells)
           added;
         cols.c_block_start.(!nb) <- rows;
         cols.c_written := rows;
         { cols with c_rows = rows; c_blocks = !nb }
-
-  (* --- snapshot codec ---------------------------------------------------- *)
-  (* One column chunk per record: 'C' | kind u8 | axis u16 | start u32 |
-     count u32 | payload. Kinds: 0 = facts (u32 LE per row), 1 = axis ids
-     (u32 LE of id + 1, so the null cell encodes as 0), 2 = axis tag bytes.
-     The block geometry is not stored — it is a pure function of the fact
-     column. *)
-
-  let chunk_rows = 4096
-  let chunk_header = 12
-
-  let encode_chunk ~kind ~axis ~start cols n =
-    let width = if kind = 2 then 1 else 4 in
-    let buf = Buffer.create (chunk_header + (n * width)) in
-    let add_u8 v = Buffer.add_char buf (Char.chr (v land 0xFF)) in
-    let add_u16 v =
-      add_u8 (v land 0xFF);
-      add_u8 ((v lsr 8) land 0xFF)
-    in
-    let add_u32 v =
-      add_u16 (v land 0xFFFF);
-      add_u16 ((v lsr 16) land 0xFFFF)
-    in
-    Buffer.add_char buf 'C';
-    add_u8 kind;
-    add_u16 axis;
-    add_u32 start;
-    add_u32 n;
-    for i = start to start + n - 1 do
-      match kind with
-      | 0 -> add_u32 cols.c_facts.(i)
-      | 1 -> add_u32 (Int32.to_int (Bigarray.Array1.get cols.c_ids.(axis) i) + 1)
-      | _ -> add_u8 (Bigarray.Array1.get cols.c_tags.(axis) i)
-    done;
-    Buffer.contents buf
-
-  let records cols =
-    let acc = ref [] in
-    let emit ~kind ~axis =
-      let n = cols.c_rows in
-      let start = ref 0 in
-      while !start < n do
-        let count = min chunk_rows (n - !start) in
-        acc := encode_chunk ~kind ~axis ~start:!start cols count :: !acc;
-        start := !start + count
-      done
-    in
-    emit ~kind:0 ~axis:0;
-    for ai = 0 to cols.c_axes - 1 do
-      emit ~kind:1 ~axis:ai;
-      emit ~kind:2 ~axis:ai
-    done;
-    List.rev !acc
-
-  (* [record] is the chunk body without its leading 'C' tag. *)
-  let decode_chunk record =
-    if String.length record < chunk_header - 1 then
-      invalid_arg "witness snapshot: truncated column chunk";
-    let u8 pos = Char.code record.[pos] in
-    let u16 pos = u8 pos lor (u8 (pos + 1) lsl 8) in
-    let u32 pos = u16 pos lor (u16 (pos + 2) lsl 16) in
-    let kind = u8 0 in
-    let axis = u16 1 in
-    let start = u32 3 in
-    let count = u32 7 in
-    if kind > 2 then
-      invalid_arg (Printf.sprintf "witness snapshot: column kind %d" kind);
-    let width = if kind = 2 then 1 else 4 in
-    if String.length record <> chunk_header - 1 + (count * width) then
-      invalid_arg "witness snapshot: column chunk length mismatch";
-    (kind, axis, start, count, record)
 end
 
-let columnar_of_table t =
-  let b =
-    Columnar.Builder.create ~axes:(Array.length t.axes) ~rows:(row_count t)
+(* --- tables ------------------------------------------------------------ *)
+
+type t = {
+  axes : Axis.t array;
+  dicts : Dict.t array;
+  heap : X3_storage.Heap_file.t;  (** row-group records only *)
+  mutable rows : int;
+  mutable facts : int;
+}
+
+(* Interns one batch of staged rows in order, counting its fact blocks. *)
+let coder t =
+  let last_fact = ref min_int in
+  fun (row : Staged.row) ->
+    if Array.length row.Staged.cells <> Array.length t.axes then
+      invalid_arg "Witness: axis count mismatch";
+    if row.Staged.fact <> !last_fact then begin
+      t.facts <- t.facts + 1;
+      last_fact := row.Staged.fact
+    end;
+    let cells =
+      Array.mapi
+        (fun ai (cell : Staged.cell) ->
+          let id =
+            match cell.Staged.value with
+            | None -> null_id
+            | Some v -> Dict.intern t.dicts.(ai) v
+          in
+          if cell.Staged.validity > 0x7F then
+            invalid_arg "Witness: validity out of range";
+          { id; validity = cell.Staged.validity; first = cell.Staged.first })
+        row.Staged.cells
+    in
+    { fact = row.Staged.fact; cells }
+
+(* Write coded rows at the table's tail as row-group records, each holding
+   as many rows as one page does; the batch's last record may be short. *)
+let write_rows t rows =
+  let k = Array.length t.axes in
+  let per_record =
+    (X3_storage.Heap_file.capacity_bytes t.heap - group_header) / row_bytes k
   in
-  iter (Columnar.Builder.add b) t;
+  if per_record < 1 then invalid_arg "Witness: a row does not fit one page";
+  let pending = Array.make per_record { fact = 0; cells = [||] } in
+  let n = ref 0 in
+  let flush () =
+    if !n > 0 then begin
+      X3_storage.Heap_file.append t.heap (encode_group k ~start:t.rows pending !n);
+      t.rows <- t.rows + !n;
+      n := 0
+    end
+  in
+  Seq.iter
+    (fun row ->
+      pending.(!n) <- row;
+      incr n;
+      if !n = per_record then flush ())
+    rows;
+  flush ()
+
+let empty pool ~axes =
+  {
+    axes;
+    dicts = Array.map (fun _ -> Dict.create ()) axes;
+    heap = X3_storage.Heap_file.create pool;
+    rows = 0;
+    facts = 0;
+  }
+
+let materialize pool ~axes rows =
+  let t = empty pool ~axes in
+  write_rows t (Seq.map (coder t) rows);
+  t
+
+(* The ingest append path: intern one batch of staged rows, growing the
+   dictionaries in place, and write it as tail records. The batch's fact
+   ids must be fresh — rows of one fact contiguous, no fact already in the
+   table — so the fact count and block geometry stay consistent without a
+   rescan. *)
+let append t staged =
+  let coded = List.map (coder t) staged in
+  write_rows t (List.to_seq coded);
+  coded
+
+let axes t = t.axes
+let dicts t = t.dicts
+let dict t ai = t.dicts.(ai)
+let dict_sizes t = Array.map Dict.size t.dicts
+
+let total_dict_size t =
+  Array.fold_left (fun acc d -> acc + Dict.size d) 0 t.dicts
+
+let value t ~axis_index id = Dict.value t.dicts.(axis_index) id
+
+let cell_value t ~axis_index cell =
+  if cell.id < 0 then None else Some (Dict.value t.dicts.(axis_index) cell.id)
+
+let row_count t = t.rows
+let fact_count t = t.facts
+let page_count t = X3_storage.Heap_file.page_count t.heap
+let pool t = X3_storage.Heap_file.pool t.heap
+
+(* --- resident-footprint estimate --------------------------------------- *)
+
+let approx_bytes t =
+  (* The table's unavoidable resident floor: the buffer-pool frames its
+     pages occupy (capped by the pool) plus the in-memory intern tables
+     (values array slot + string + hashtable entry, ~48 bytes overhead per
+     distinct value). The columnar view is booked by whoever builds it. *)
+  let pool = pool t in
+  let page_bytes = X3_storage.Disk.page_size (X3_storage.Buffer_pool.disk pool) in
+  let frames = min (page_count t) (X3_storage.Buffer_pool.capacity pool) in
+  let dict_bytes =
+    Array.fold_left
+      (fun acc d ->
+        let strings = ref 0 in
+        Dict.iter (fun _ v -> strings := !strings + String.length v) d;
+        acc + !strings + (48 * Dict.size d))
+      0 t.dicts
+  in
+  (frames * page_bytes) + dict_bytes
+
+(* The one reader of the pages: copy each row-group record into the
+   columns, calling [poll] once per row. *)
+let columnar_of_table ?(poll = ignore) t =
+  let b = Columnar.Builder.create ~axes:(Array.length t.axes) ~rows:t.rows in
+  X3_storage.Heap_file.iter (Columnar.Builder.add_group b ~poll) t.heap;
   Columnar.Builder.finish b
 
+let to_list t =
+  let cols = columnar_of_table t in
+  List.init (Columnar.rows cols) (Columnar.row cols)
+
 (* --- snapshot persistence ---------------------------------------------- *)
-(* A witness table as one atomic snapshot: a header record, the rows as
-   column-major 'C' chunks, then the dictionary heap's records verbatim
-   ('D' chunks, self-contained through the dict codec above). The snapshot
-   store supplies atomicity and checksums. *)
+(* A witness table as one atomic snapshot: a header record, one 'D' record
+   per dictionary value ('D' | axis u8 | value bytes, in id order), then
+   the heap's row-group records unchanged. The snapshot store supplies
+   atomicity and checksums. *)
 
 let snapshot_header k ~facts ~rows =
   let buf = Buffer.create 12 in
@@ -683,134 +503,83 @@ let snapshot_header k ~facts ~rows =
 let parse_snapshot_header record =
   if String.length record <> 10 || record.[0] <> 'H' then
     Error "witness snapshot: bad header record"
-  else
-    let u8 pos = Char.code record.[pos] in
-    let u32 pos =
-      u8 pos lor (u8 (pos + 1) lsl 8) lor (u8 (pos + 2) lsl 16)
-      lor (u8 (pos + 3) lsl 24)
-    in
-    Ok (u8 1, u32 2, u32 6)
+  else Ok (Char.code record.[1], u32 record 2, u32 record 6)
 
 let save t store =
-  let cols = columnar_of_table t in
-  let dict_records = ref [] in
-  X3_storage.Heap_file.iter
-    (fun r -> dict_records := ("D" ^ r) :: !dict_records)
-    t.dict_heap;
-  let header =
-    snapshot_header (Array.length t.axes) ~facts:t.facts
-      ~rows:(X3_storage.Heap_file.record_count t.heap)
+  let dict_records =
+    List.concat
+      (List.mapi
+         (fun ai d ->
+           List.init (Dict.size d) (fun id ->
+               Printf.sprintf "D%c%s" (Char.chr ai) (Dict.value d id)))
+         (Array.to_list t.dicts))
+  in
+  let groups =
+    List.rev (X3_storage.Heap_file.fold (fun acc r -> r :: acc) [] t.heap)
   in
   X3_storage.Snapshot_store.commit store
-    ((header :: Columnar.records cols) @ List.rev !dict_records)
+    ((snapshot_header (Array.length t.axes) ~facts:t.facts ~rows:t.rows
+     :: dict_records)
+    @ groups)
+
+(* A stored value: the next id of its axis's dictionary. *)
+let load_value dicts record =
+  if String.length record < 2 then invalid_arg "witness snapshot: truncated value";
+  let ai = Char.code record.[1] in
+  if ai >= Array.length dicts then
+    invalid_arg "witness snapshot: value axis out of range";
+  let d = dicts.(ai) in
+  let id = Dict.size d in
+  if Dict.intern d (String.sub record 2 (String.length record - 2)) <> id then
+    invalid_arg "witness snapshot: duplicate dictionary value"
+
+(* A stored row group: the next rows of the table, every id in its
+   dictionary. Returns the row count it reaches. *)
+let check_group dicts ~rows ~next record =
+  let k = Array.length dicts in
+  let start, count = group_span k record in
+  if start <> next then invalid_arg "witness snapshot: row group out of order";
+  if start + count > rows then
+    invalid_arg "witness snapshot: row group past the row count";
+  for ai = 0 to k - 1 do
+    let ids = axis_offset ~count ai and size = Dict.size dicts.(ai) in
+    for i = 0 to count - 1 do
+      let id = Int32.to_int (String.get_int32_le record (ids + (4 * i))) in
+      if id < null_id || id >= size then
+        invalid_arg "witness snapshot: id outside its dictionary"
+    done
+  done;
+  start + count
 
 let load store pool ~axes =
   match X3_storage.Snapshot_store.read store with
   | [] -> Error "witness snapshot: empty store"
-  | header :: rest -> (
+  | header :: records -> (
       match parse_snapshot_header header with
       | Error _ as e -> e
-      | Ok (k, facts, rows) ->
-          if k <> Array.length axes then
-            Error
-              (Printf.sprintf
-                 "witness snapshot: %d axes on disk, %d expected" k
-                 (Array.length axes))
-          else begin
-            let heap = X3_storage.Heap_file.create pool in
-            let dict_heap = X3_storage.Heap_file.create pool in
-            (* Columnar staging: one cursor per column ('C' chunks must
-               arrive in row order per column, which is how [save] emits
-               them); the boxed rows are synthesised once every column is
-               complete. *)
-            let cols = Columnar.Builder.create ~axes:k ~rows in
-            let col_index ~kind ~axis =
-              match kind with
-              | 0 -> 0
-              | 1 -> 1 + axis
-              | _ -> 1 + k + axis
-            in
-            let cursor = Array.make (1 + (2 * k)) 0 in
-            let apply_chunk body =
-              let kind, axis, start, count, payload =
-                Columnar.decode_chunk body
-              in
-              if kind > 0 && axis >= k then
-                invalid_arg "witness snapshot: column axis out of range";
-              let ci = col_index ~kind ~axis in
-              if cursor.(ci) <> start then
-                invalid_arg "witness snapshot: column chunk out of order";
-              if start + count > rows then
-                invalid_arg "witness snapshot: column chunk past row count";
-              let u32 pos =
-                Char.code payload.[pos]
-                lor (Char.code payload.[pos + 1] lsl 8)
-                lor (Char.code payload.[pos + 2] lsl 16)
-                lor (Char.code payload.[pos + 3] lsl 24)
-              in
-              let base = Columnar.chunk_header - 1 in
-              for i = 0 to count - 1 do
-                match kind with
-                | 0 -> cols.Columnar.Builder.facts.(start + i) <- u32 (base + (4 * i))
-                | 1 ->
-                    Bigarray.Array1.set
-                      cols.Columnar.Builder.ids.(axis)
-                      (start + i)
-                      (Int32.of_int (u32 (base + (4 * i)) - 1))
-                | _ ->
-                    Bigarray.Array1.set
-                      cols.Columnar.Builder.tags.(axis)
-                      (start + i)
-                      (Char.code payload.[base + i])
-              done;
-              cursor.(ci) <- start + count
-            in
-            match
-              List.iter
-                (fun record ->
-                  if String.length record < 1 then
-                    invalid_arg "witness snapshot: empty record";
-                  let body = String.sub record 1 (String.length record - 1) in
-                  match record.[0] with
-                  | 'C' -> apply_chunk body
-                  | 'D' ->
-                      ignore (decode_dict_chunk body);
-                      X3_storage.Heap_file.append dict_heap body
-                  | c ->
-                      invalid_arg
-                        (Printf.sprintf "witness snapshot: unknown tag %C" c))
-                rest;
-              Array.iter
-                (fun filled ->
-                  if filled <> rows then
-                    invalid_arg "witness snapshot: incomplete column")
-                cursor;
-              for i = 0 to rows - 1 do
-                let cells =
-                  Array.init k (fun ai ->
-                      let id =
-                        Int32.to_int
-                          (Bigarray.Array1.get
-                             cols.Columnar.Builder.ids.(ai) i)
-                      in
-                      let tag =
-                        Bigarray.Array1.get cols.Columnar.Builder.tags.(ai) i
-                      in
-                      if id < null_id then
-                        invalid_arg "witness snapshot: column id underflow";
-                      { id; validity = tag land 0x7F;
-                        first = tag land 0x80 <> 0 })
-                in
-                X3_storage.Heap_file.append heap
-                  (encode { fact = cols.Columnar.Builder.facts.(i); cells })
-              done
-            with
-            | exception Invalid_argument msg -> Error msg
-            | () -> (
-                match dicts_of_heap k dict_heap with
-                | exception Invalid_argument msg -> Error msg
-                | dicts -> Ok { axes; dicts; heap; dict_heap; facts })
-          end)
+      | Ok (k, _, _) when k <> Array.length axes ->
+          Error
+            (Printf.sprintf "witness snapshot: %d axes on disk, %d expected" k
+               (Array.length axes))
+      | Ok (_, facts, rows) -> (
+          let t = { (empty pool ~axes) with rows; facts } in
+          let next = ref 0 in
+          let add record =
+            match if record = "" then '\000' else record.[0] with
+            | 'D' when !next = 0 -> load_value t.dicts record
+            | 'G' ->
+                next := check_group t.dicts ~rows ~next:!next record;
+                X3_storage.Heap_file.append t.heap record
+            | c ->
+                invalid_arg
+                  (Printf.sprintf "witness snapshot: unexpected record %C" c)
+          in
+          match
+            List.iter add records;
+            if !next <> rows then invalid_arg "witness snapshot: rows missing"
+          with
+          | exception Invalid_argument msg -> Error msg
+          | () -> Ok t))
 
 let pp_row ppf row =
   Format.fprintf ppf "@[<h>fact=%d" row.fact;

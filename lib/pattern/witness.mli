@@ -9,12 +9,17 @@
     (bit [s] set means the binding is a legal match when exactly the
     relaxations in state [s] are applied).
 
-    Dimension values are {e dictionary-encoded}: each axis owns an intern
-    table assigning dense integer ids to the distinct strings bound on it,
-    and witness cells store those ids. Rows therefore cost a handful of
-    bytes each regardless of string length, and the cube algorithms can
-    group on packed integers (see [X3_core.Group_key]); strings are only
-    rebuilt at the export boundary.
+    Dimension values are {e dictionary-encoded}: each axis owns an
+    in-memory intern table assigning dense integer ids to the distinct
+    strings bound on it, and witness cells store those ids. The cube
+    algorithms group on packed integers (see [X3_core.Group_key]); strings
+    are only rebuilt at the export boundary.
+
+    The file holds {e row-group records}, one format on the heap pages and
+    in the snapshot alike: each record carries the consecutive rows
+    [\[start, start + count)] column by column — the fact column, then per
+    axis a 32-bit id column and a tag byte column — sized to fit one page.
+    Reading the table copies those columns into the {!Columnar} view.
 
     A row whose cell has [id = null_id] has no binding for that axis even
     in the most relaxed state — the fact participates only in cuboids where
@@ -69,39 +74,25 @@ module Staged : sig
   type row = { fact : int; cells : cell array }
 end
 
-(** {1 Binary codecs} — rows and dictionary pages are heap-file records. *)
-
-val encode : row -> string
-val decode : string -> row
-(** Raises [Invalid_argument] on malformed records. *)
-
-val encode_dict_chunk :
-  axis:int -> id:int -> total:int -> offset:int -> string -> string
-
-val decode_dict_chunk : string -> int * int * int * int * string
-(** [axis, id, total, offset, chunk]. Values longer than a page are split
-    across chunks; [total] is the full value length and [offset] the
-    chunk's position in it. *)
-
 (** {1 Tables} *)
 
 type t
-(** A witness table materialised into a heap file, plus its dictionary
-    pages in a side heap file. *)
+(** A witness table materialised into one heap file of row-group records,
+    plus its in-memory value dictionaries. *)
 
 val materialize :
   X3_storage.Buffer_pool.t -> axes:Axis.t array -> Staged.row Seq.t -> t
-(** Intern every staged row and append the coded rows; the dictionaries are
-    flushed to their heap pages once all rows are in. *)
+(** Intern every staged row and write the coded rows as row-group
+    records, each as many rows as one page holds. Raises
+    [Invalid_argument] when one row does not fit a page. *)
 
 val append : t -> Staged.row list -> row list
-(** The ingest path: intern one batch of staged rows and append them at
-    the table's tail, growing the dictionaries in place — no rebuild. Only
-    the dictionary tail interned by this batch is flushed to the dictionary
-    heap (earlier ids are already on their pages), and the coded rows are
-    returned in append order so a delta-maintenance layer can patch views
-    without rescanning. The batch's fact ids must be {e fresh} (no fact
-    already in the table) and rows of one fact contiguous. *)
+(** The ingest path: intern one batch of staged rows and write them as
+    tail row-group records, growing the dictionaries in place — no
+    rebuild. The coded rows are returned in append order so a
+    delta-maintenance layer can patch views without rescanning. The
+    batch's fact ids must be {e fresh} (no fact already in the table) and
+    rows of one fact contiguous. *)
 
 val axes : t -> Axis.t array
 val dicts : t -> Dict.t array
@@ -114,16 +105,11 @@ val value : t -> axis_index:int -> int -> string
 val cell_value : t -> axis_index:int -> cell -> string option
 (** Decode a cell back to its bound string ([None] for null cells). *)
 
-val load_dicts : t -> Dict.t array
-(** Rebuild the dictionaries from the on-disk dictionary pages (rather than
-    the in-memory intern tables) — exercises the chunked codec. *)
-
 val row_count : t -> int
 val fact_count : t -> int
 (** Number of distinct facts (rows of one fact are contiguous). *)
 
 val page_count : t -> int
-val dict_page_count : t -> int
 val pool : t -> X3_storage.Buffer_pool.t
 
 val approx_bytes : t -> int
@@ -132,18 +118,18 @@ val approx_bytes : t -> int
     governor reserves this at query start — a budget that cannot hold the
     input cannot run the query. *)
 
-val iter : (row -> unit) -> t -> unit
-(** One sequential scan through the buffer pool. *)
-
 val to_list : t -> row list
+(** The rows of {!columnar_of_table}, boxed. *)
+
 val pp_row : Format.formatter -> row -> unit
 
 (** {1 Column-major view}
 
     The same table transposed into unboxed columns: per axis one [int32]
-    id column and one byte tag column (the row codec's cell tag byte —
-    validity in bits 0-6, the first-binding flag in bit 7), plus plain int
-    arrays for fact ids and fact-block geometry. Every cube algorithm,
+    id column and one byte tag column (validity in bits 0-6, the
+    first-binding flag in bit 7) — a row-group record's columns, copied
+    out of its pages — plus plain int arrays for fact ids and fact-block
+    geometry. Every cube algorithm,
     materialised view, observed property and table statistic reads the
     table in this form. A column set's rows never change once built, so
     the parallel algorithms share them across domains; the radix grouping
@@ -207,29 +193,34 @@ module Columnar : sig
       continues the table's last fact block. *)
 end
 
-val columnar_of_table : t -> Columnar.t
-(** One decode pass over the heap pages. The caller owns instrumentation
-    and fault handling of the scan; see [X3_core.Context.cols] for the
-    instrumented form the algorithms use. *)
+val columnar_of_table : ?poll:(unit -> unit) -> t -> Columnar.t
+(** The table's one reader: a pass over the heap pages copying each
+    row-group record's columns in, calling [poll] before each row. The
+    caller owns instrumentation and fault handling of the scan; see
+    [X3_core.Context.cols] for the instrumented form the algorithms use,
+    whose [poll] is its cancellation checkpoint. *)
 
 (** {1 Crash-safe persistence}
 
     A witness table can be committed into a {!X3_storage.Snapshot_store}
-    as one atomic snapshot (header, rows, dictionary chunks). Combined
-    with [Snapshot_store.recover] this gives the table a restart story:
-    after a crash the store yields either the previous or the newly saved
-    table, never a torn mix. *)
+    as one atomic snapshot: a header record, one ['D'] record per
+    dictionary value (in id order), then the heap's row-group records
+    unchanged. Combined with [Snapshot_store.recover] this gives the table
+    a restart story: after a crash the store yields either the previous or
+    the newly saved table, never a torn mix. *)
 
 val save : t -> X3_storage.Snapshot_store.t -> unit
-(** Atomically commit the table (rows + dictionaries) to [store]. *)
+(** Atomically commit the table (dictionaries + row groups) to [store]. *)
 
 val load :
   X3_storage.Snapshot_store.t ->
   X3_storage.Buffer_pool.t ->
   axes:Axis.t array ->
   (t, string) result
-(** Rebuild a table from the store's committed snapshot into fresh heap
-    files on [pool]. Every record is re-validated through the column
-    chunk and dictionary codecs; [Error] reports the first malformed one,
-    and any tag other than column ['C'] and dictionary ['D'] chunks after
-    the header (the retired ['R'] row records included) is malformed. *)
+(** Rebuild a table from the store's committed snapshot into a fresh heap
+    file on [pool], whose pages must hold the saved records. Every record
+    is validated — values before row groups, row groups in row order with
+    every id inside its dictionary, all rows present — and the row groups
+    are appended as they are. [Error] reports the first malformed record;
+    any other tag after the header (the retired ['R'] row and ['C'] column
+    records included) is malformed. *)

@@ -106,12 +106,3 @@ let sort_records ~pool ~budget_records ?(fanout = default_fanout) ~compare
         else spilled
       in
       merge_all ~pool ~compare ~fanout (List.rev spilled)
-
-let sort_heap ~pool ~budget_records ?fanout ~compare heap =
-  sort_records ~pool ~budget_records ?fanout ~compare (fun emit ->
-      Heap_file.iter emit heap)
-
-let sorted_array ~compare records =
-  let copy = Array.copy records in
-  Quicksort.sort ~compare copy;
-  copy

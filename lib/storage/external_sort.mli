@@ -23,16 +23,3 @@ val sort_records :
     record passed by [producer] (which is called once with an [emit]
     function) through the sort and returns a heap file in ascending order.
     [budget_records] bounds how many records are resident at once. *)
-
-val sort_heap :
-  pool:Buffer_pool.t ->
-  budget_records:int ->
-  ?fanout:int ->
-  compare:(string -> string -> int) ->
-  Heap_file.t ->
-  Heap_file.t
-(** Sort an existing heap file into a new one. *)
-
-val sorted_array :
-  compare:(string -> string -> int) -> string array -> string array
-(** Purely in-memory convenience (copies, then quicksorts). *)

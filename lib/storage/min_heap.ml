@@ -5,8 +5,6 @@ type 'a t = {
 }
 
 let create ~compare = { compare; items = [||]; size = 0 }
-let length t = t.size
-let is_empty t = t.size = 0
 
 let swap t i j =
   let tmp = t.items.(i) in
@@ -43,8 +41,6 @@ let push t x =
   t.items.(t.size) <- x;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
-
-let peek t = if t.size = 0 then None else Some t.items.(0)
 
 let pop t =
   if t.size = 0 then None

@@ -3,11 +3,7 @@
 type 'a t
 
 val create : compare:('a -> 'a -> int) -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum. *)
-
-val peek : 'a t -> 'a option

@@ -70,8 +70,3 @@ let sort_sub ~compare a ~pos ~len =
   if len > 1 then sort_range ~compare a pos (pos + len - 1)
 
 let sort ~compare a = sort_sub ~compare a ~pos:0 ~len:(Array.length a)
-
-let is_sorted ~compare a =
-  let n = Array.length a in
-  let rec check i = i >= n || (compare a.(i - 1) a.(i) <= 0 && check (i + 1)) in
-  check 1

@@ -12,5 +12,3 @@ val sort : compare:('a -> 'a -> int) -> 'a array -> unit
 
 val sort_sub : compare:('a -> 'a -> int) -> 'a array -> pos:int -> len:int -> unit
 (** Sort the slice [pos, pos+len). *)
-
-val is_sorted : compare:('a -> 'a -> int) -> 'a array -> bool

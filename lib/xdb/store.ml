@@ -223,115 +223,6 @@ let nodes_with_tag_under t name ~under =
       in
       collect start []
 
-(* --- persistence -------------------------------------------------------- *)
-(* Record stream: a header ["X3STORE1" | node count | tag count], one
-   record per tag name, then one record per node
-   [kind | tag id | fin | level | parent | text]. All integers u32 LE. *)
-
-let magic = "X3STORE1"
-
-let put_u32 buf v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Buffer.add_bytes buf b
-
-let get_u32 s pos =
-  if pos + 4 > String.length s then invalid_arg "Store.load: truncated record";
-  Int32.to_int (String.get_int32_le s pos)
-
-let kind_code = function Element -> 0 | Attribute -> 1 | Text -> 2
-
-let kind_of_code = function
-  | 0 -> Element
-  | 1 -> Attribute
-  | 2 -> Text
-  | c -> invalid_arg (Printf.sprintf "Store.load: bad kind %d" c)
-
-let save pool t =
-  let heap = X3_storage.Heap_file.create pool in
-  let buf = Buffer.create 64 in
-  let emit () =
-    X3_storage.Heap_file.append heap (Buffer.contents buf);
-    Buffer.clear buf
-  in
-  Buffer.add_string buf magic;
-  put_u32 buf (node_count t);
-  put_u32 buf (Array.length t.tag_names);
-  emit ();
-  Array.iter
-    (fun name ->
-      Buffer.add_string buf name;
-      emit ())
-    t.tag_names;
-  for id = 0 to node_count t - 1 do
-    Buffer.add_char buf (Char.chr (kind_code t.kinds.(id)));
-    put_u32 buf t.tag_ids.(id);
-    put_u32 buf t.fins.(id);
-    put_u32 buf t.levels.(id);
-    put_u32 buf (t.parents.(id) + 1) (* -1 parent stored as 0 *);
-    Buffer.add_string buf t.texts.(id);
-    emit ()
-  done;
-  heap
-
-let load heap =
-  let records = X3_storage.Heap_file.to_seq heap in
-  match records () with
-  | Seq.Nil -> invalid_arg "Store.load: empty file"
-  | Seq.Cons (header, rest) ->
-      let mlen = String.length magic in
-      if
-        String.length header <> mlen + 8
-        || not (String.equal (String.sub header 0 mlen) magic)
-      then invalid_arg "Store.load: not a saved store";
-      let n = get_u32 header mlen in
-      let ntags = get_u32 header (mlen + 4) in
-      let tag_names = Array.make ntags "" in
-      let rest = ref rest in
-      let next () =
-        match !rest () with
-        | Seq.Nil -> invalid_arg "Store.load: truncated file"
-        | Seq.Cons (r, tail) ->
-            rest := tail;
-            r
-      in
-      for i = 0 to ntags - 1 do
-        tag_names.(i) <- next ()
-      done;
-      let kinds = Array.make n Element in
-      let tag_ids = Array.make n 0 in
-      let fins = Array.make n 0 in
-      let levels = Array.make n 0 in
-      let parents = Array.make n (-1) in
-      let texts = Array.make n "" in
-      for id = 0 to n - 1 do
-        let r = next () in
-        if String.length r < 17 then invalid_arg "Store.load: short record";
-        kinds.(id) <- kind_of_code (Char.code r.[0]);
-        tag_ids.(id) <- get_u32 r 1;
-        if tag_ids.(id) < 0 || tag_ids.(id) >= ntags then
-          invalid_arg "Store.load: tag id out of range";
-        fins.(id) <- get_u32 r 5;
-        levels.(id) <- get_u32 r 9;
-        parents.(id) <- get_u32 r 13 - 1;
-        texts.(id) <- String.sub r 17 (String.length r - 17)
-      done;
-      (match !rest () with
-      | Seq.Nil -> ()
-      | Seq.Cons _ -> invalid_arg "Store.load: trailing records");
-      let tag_table = Hashtbl.create (2 * ntags) in
-      Array.iteri (fun i name -> Hashtbl.replace tag_table name i) tag_names;
-      let buckets = Array.make ntags 0 in
-      Array.iter (fun tid -> buckets.(tid) <- buckets.(tid) + 1) tag_ids;
-      let index = Array.map (fun count -> Array.make count 0) buckets in
-      let cursors = Array.make ntags 0 in
-      Array.iteri
-        (fun id tid ->
-          index.(tid).(cursors.(tid)) <- id;
-          cursors.(tid) <- cursors.(tid) + 1)
-        tag_ids;
-      { kinds; tag_ids; fins; levels; parents; texts; tag_names; tag_table; index }
-
 let pp_summary ppf t =
   let elements = ref 0 and attributes = ref 0 and texts = ref 0 in
   Array.iter

@@ -65,15 +65,3 @@ val nodes_with_tag_under : t -> string -> under:node -> node list
     [O(log n + answers)]. *)
 
 val pp_summary : Format.formatter -> t -> unit
-
-(** {1 Persistence}
-
-    A loaded store can be saved into a heap file of node records and
-    restored without re-parsing the XML — the "data loaded into the
-    database" state whose size the paper reports for TIMBER. The tag
-    dictionary travels in the same file. *)
-
-val save : X3_storage.Buffer_pool.t -> t -> X3_storage.Heap_file.t
-
-val load : X3_storage.Heap_file.t -> t
-(** Raises [Invalid_argument] on records that are not a saved store. *)

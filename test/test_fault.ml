@@ -315,14 +315,14 @@ let test_witness_snapshot_roundtrip () =
         (Witness.dicts table));
   Disk.close disk
 
-(* --- columnar snapshot records ------------------------------------------- *)
+(* --- row-group snapshot records ------------------------------------------ *)
 
-(* Since the columnar refactor a saved table's row payload is 'C' column
-   chunks. The properties: a torn column page is a typed error and
-   recovery falls back to the previous epoch; malformed chunks are
-   rejected by the loader's own validation, as are the retired 'R' row
-   records; and a crash at any write boundary of the save leaves one of
-   the two tables, never a torn mix. *)
+(* A saved table is its header, one 'D' record per dictionary value, and
+   its heap's row-group 'G' records unchanged. The properties: a torn
+   page is a typed error and recovery falls back to the previous epoch;
+   malformed records are rejected by the loader's own validation, as are
+   the retired 'R' row records; and a crash at any write boundary of the
+   save leaves one of the two tables, never a torn mix. *)
 
 let is_tag t r = String.length r > 0 && r.[0] = t
 
@@ -334,8 +334,12 @@ let saved_records table =
   let records = Snapshot_store.read store in
   Disk.close disk;
   (List.hd records,
-   List.filter (is_tag 'C') records,
+   List.filter (is_tag 'G') records,
    List.filter (is_tag 'D') records)
+
+(* A row in the retired 'R' layout: fact 0 (u32), one cell, its tag byte
+   1 and the varint of id + 1 = 1. *)
+let retired_row_record = "R\000\000\000\000\001\001\001"
 
 let test_columnar_torn_column_page () =
   let table = Fixtures.query1_table () in
@@ -368,8 +372,8 @@ let test_columnar_torn_column_page () =
 
 let test_columnar_chunk_rejected () =
   let table = Fixtures.query1_table () in
-  let header, chunks, dicts = saved_records table in
-  let c0 = List.hd chunks in
+  let header, groups, dicts = saved_records table in
+  let g0 = List.hd groups in
   let attempt name records =
     let disk, _, store = fresh_store () in
     Snapshot_store.commit store records;
@@ -378,18 +382,16 @@ let test_columnar_chunk_rejected () =
     | Ok _ -> Alcotest.failf "%s: malformed snapshot loaded" name);
     Disk.close disk
   in
-  attempt "truncated chunk" (header :: String.sub c0 0 6 :: dicts);
-  attempt "unknown record tag" ((header :: "Zjunk" :: chunks) @ dicts);
-  attempt "missing columns" (header :: dicts);
-  attempt "chunk out of order" ((header :: c0 :: chunks) @ dicts);
-  let rows =
-    List.map (fun row -> "R" ^ Witness.encode row) (Witness.to_list table)
-  in
-  attempt "retired row records" ((header :: rows) @ dicts);
-  attempt "row record among column chunks"
-    ((header :: chunks) @ [ List.hd rows ] @ dicts)
+  attempt "truncated row group" ((header :: dicts) @ [ String.sub g0 0 6 ]);
+  attempt "unknown record tag" ((header :: "Zjunk" :: dicts) @ groups);
+  attempt "missing row groups" (header :: dicts);
+  attempt "row group out of order" ((header :: dicts) @ (g0 :: groups));
+  attempt "row groups before their values" ((header :: groups) @ dicts);
+  attempt "retired row records" ((header :: dicts) @ [ retired_row_record ]);
+  attempt "row record among row groups"
+    ((header :: dicts) @ groups @ [ retired_row_record ])
 
-(* Crash the (columnar) witness save at every write boundary: recovery
+(* Crash the witness save at every write boundary: recovery
    yields either the first table or the second, both loadable. *)
 let test_witness_save_crash_sweep () =
   let table = Fixtures.query1_table () in

@@ -314,66 +314,6 @@ let test_twig_steps_preorder () =
   Alcotest.(check (list string)) "pre-order tags" [ "a"; "b"; "c"; "e" ]
     (List.map (fun (s : Twig_join.step) -> s.tag) (Twig_join.twig_steps twig))
 
-(* --- persistence -------------------------------------------------------- *)
-
-let save_pool () =
-  X3_storage.Buffer_pool.create ~capacity_pages:128
-    (X3_storage.Disk.in_memory ~page_size:512 ())
-
-let test_store_save_load_roundtrip () =
-  let pool = save_pool () in
-  let heap = Store.save pool store in
-  let loaded = Store.load heap in
-  Alcotest.(check int) "node count" (Store.node_count store)
-    (Store.node_count loaded);
-  Alcotest.(check (list string)) "tags" (Store.tags store) (Store.tags loaded);
-  Array.iter
-    (fun v ->
-      Alcotest.(check string) "tag" (Store.tag store v) (Store.tag loaded v);
-      Alcotest.(check bool) "label" true
-        (Store.label store v = Store.label loaded v);
-      Alcotest.(check string) "string value" (Store.string_value store v)
-        (Store.string_value loaded v);
-      Alcotest.(check (option int)) "parent" (Store.parent store v)
-        (Store.parent loaded v))
-    (Store.document_order store);
-  (* The tag index must be rebuilt identically: joins agree. *)
-  let pairs st =
-    Structural_join.join_pairs st ~axis:Structural_join.Descendant
-      ~ancestors:(Store.nodes_with_tag st "publication")
-      ~descendants:(Store.nodes_with_tag st "name")
-  in
-  Alcotest.(check (list (pair int int))) "joins agree" (pairs store)
-    (pairs loaded)
-
-let test_store_load_rejects_garbage () =
-  let pool = save_pool () in
-  let heap = X3_storage.Heap_file.create pool in
-  X3_storage.Heap_file.append heap "not a store";
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Store.load heap);
-       false
-     with Invalid_argument _ -> true)
-
-let test_store_load_rejects_truncation () =
-  let pool = save_pool () in
-  let heap = Store.save pool store in
-  (* Re-emit all but the last record into a fresh heap. *)
-  let truncated = X3_storage.Heap_file.create pool in
-  let total = X3_storage.Heap_file.record_count heap in
-  let i = ref 0 in
-  X3_storage.Heap_file.iter
-    (fun r ->
-      if !i < total - 1 then X3_storage.Heap_file.append truncated r;
-      incr i)
-    heap;
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Store.load truncated);
-       false
-     with Invalid_argument _ -> true)
-
 (* --- property tests over random trees --------------------------------- *)
 
 let gen_store =
@@ -451,15 +391,6 @@ let () =
           Alcotest.test_case "children" `Quick test_store_children_contiguous;
           Alcotest.test_case "is_ancestor" `Quick test_store_is_ancestor;
           Alcotest.test_case "forest" `Quick test_store_forest;
-        ] );
-      ( "persistence",
-        [
-          Alcotest.test_case "save/load roundtrip" `Quick
-            test_store_save_load_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick
-            test_store_load_rejects_garbage;
-          Alcotest.test_case "rejects truncation" `Quick
-            test_store_load_rejects_truncation;
         ] );
       ( "structural join",
         [
