@@ -16,23 +16,26 @@ let func_of_string s =
   | "MAX" -> Some Max
   | _ -> None
 
+(* All fields are floats, so the record is stored flat: updating a field
+   writes the float in place instead of allocating a box, and [add] — run
+   once per row per cuboid — allocates nothing. *)
 type cell = {
-  mutable n : int;
+  mutable n : float;
   mutable total : float;
   mutable low : float;
   mutable high : float;
 }
 
-let create () = { n = 0; total = 0.; low = infinity; high = neg_infinity }
+let create () = { n = 0.; total = 0.; low = infinity; high = neg_infinity }
 
 let add cell m =
-  cell.n <- cell.n + 1;
+  cell.n <- cell.n +. 1.;
   cell.total <- cell.total +. m;
   if m < cell.low then cell.low <- m;
   if m > cell.high then cell.high <- m
 
 let merge ~into cell =
-  into.n <- into.n + cell.n;
+  into.n <- into.n +. cell.n;
   into.total <- into.total +. cell.total;
   if cell.low < into.low then into.low <- cell.low;
   if cell.high > into.high then into.high <- cell.high
@@ -41,11 +44,11 @@ let copy cell = { n = cell.n; total = cell.total; low = cell.low; high = cell.hi
 
 let value func cell =
   match func with
-  | Count -> float_of_int cell.n
+  | Count -> cell.n
   | Sum -> cell.total
-  | Avg -> if cell.n = 0 then nan else cell.total /. float_of_int cell.n
-  | Min -> if cell.n = 0 then nan else cell.low
-  | Max -> if cell.n = 0 then nan else cell.high
+  | Avg -> if cell.n = 0. then nan else cell.total /. cell.n
+  | Min -> if cell.n = 0. then nan else cell.low
+  | Max -> if cell.n = 0. then nan else cell.high
 
 let equal_value func a b =
   let va = value func a and vb = value func b in

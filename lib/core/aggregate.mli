@@ -11,7 +11,9 @@ val func_to_string : func -> string
 val func_of_string : string -> func option
 
 type cell = {
-  mutable n : int;  (** number of contributing facts *)
+  mutable n : float;
+      (** number of contributing facts — a float, so that the all-float
+          record is stored flat and updates allocate nothing *)
   mutable total : float;
   mutable low : float;
   mutable high : float;

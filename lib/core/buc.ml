@@ -12,11 +12,15 @@ type variant = [ `Plain | `Opt | `Custom of X3_lattice.Properties.t ]
    copy. Worker 0 counts into the context's instrument, the others into
    private ones merged afterwards. The rows themselves are indices into
    the shared immutable columns — partitions copy and reorder 8-byte ints,
-   never boxed rows. *)
+   never boxed rows. [stamp] is the [Dedup] mark: a fact's rows form one
+   fact block, so each cell's aggregation bumps [gen] and counts a block
+   once, when its stamp is not yet the current generation. *)
 type env = {
   states : State.t array;
   ids : int array;  (* current partition's dictionary id per present axis *)
   instr : Instrument.t;
+  stamp : int array;  (* per fact block; empty when no cuboid deduplicates *)
+  mutable gen : int;
 }
 
 let compute ~variant (ctx : Context.t) =
@@ -34,16 +38,21 @@ let compute ~variant (ctx : Context.t) =
     (* Only rows holding the fact's first binding on every removed axis
        represent their fact here (see Cuboid.represents); the
        partition keeps the others because deeper refinements may make
-       those axes present. *)
+       those axes present. This and the other per-row and per-cell
+       walks over the axes are [while] loops: a local recursive function
+       would allocate a closure per call. *)
     let represents env r =
-      let rec go ai =
-        ai >= k
-        || ((match env.states.(ai) with
-            | State.Removed -> Columnar.first cols ~axis:ai ~row:r
-            | State.Present _ -> true)
-           && go (ai + 1))
-      in
-      go 0
+      let ai = ref 0 in
+      while
+        !ai < k
+        &&
+        match env.states.(!ai) with
+        | State.Removed -> Columnar.first cols ~axis:!ai ~row:r
+        | State.Present _ -> true
+      do
+        incr ai
+      done;
+      !ai >= k
     in
     let aggregate_into env cid key rows_lo rows_hi part =
       (* Three aggregation modes (§3.4):
@@ -76,33 +85,63 @@ let compute ~variant (ctx : Context.t) =
               Aggregate.add (Lazy.force cell) (measure_row part.(i))
           done
       | `Dedup ->
-          let seen = Hashtbl.create 16 in
+          env.gen <- env.gen + 1;
+          let gen = env.gen in
+          let tracked = ref 0 in
           for i = rows_lo to rows_hi do
-            if represents env part.(i) then begin
-              let fact = Columnar.fact cols part.(i) in
-              if not (Hashtbl.mem seen fact) then begin
-                Hashtbl.add seen fact ();
-                Aggregate.add (Lazy.force cell) (measure_row part.(i))
+            let r = part.(i) in
+            if represents env r then begin
+              let b = Columnar.block_of_row cols r in
+              if env.stamp.(b) <> gen then begin
+                env.stamp.(b) <- gen;
+                incr tracked;
+                Aggregate.add (Lazy.force cell) bm.(b)
               end
             end
           done;
           env.instr.Instrument.dedup_tracked <-
-            env.instr.Instrument.dedup_tracked + Hashtbl.length seen
+            env.instr.Instrument.dedup_tracked + !tracked
     in
-    (* Is the current state vector a cuboid of the lattice?  Any axis left
-       Removed — skipped by the recursion or not yet reached — must
-       actually allow LND; otherwise this restriction is only an
-       intermediate step and must not be emitted. *)
-    let emittable env =
-      let rec go i =
-        i >= k
-        || ((match env.states.(i) with
-            | State.Removed -> Axis.allows_lnd axes.(i)
-            | State.Present _ -> true)
-           && go (i + 1))
-      in
-      go 0
+    (* The cuboid of the current state vector, by a mixed-radix code:
+       axis [ai]'s digit is its mask when present and [removed.(ai)]
+       when removed. An axis left Removed — skipped by the recursion or
+       not yet reached — that does not allow LND has no digit: the
+       restriction is only an intermediate step, not a cuboid, and the
+       code is -1. The code-to-id table is filled once per run. *)
+    let removed =
+      Array.map
+        (fun axis ->
+          if Axis.allows_lnd axis then List.length (Axis.states axis) else -1)
+        axes
     in
+    let weight = Array.make k 1 in
+    for ai = k - 2 downto 0 do
+      weight.(ai) <-
+        weight.(ai + 1) * List.length (State.all axes.(ai + 1))
+    done;
+    let code_of states =
+      let code = ref 0 and ai = ref 0 in
+      while !ai < k do
+        let digit =
+          match states.(!ai) with
+          | State.Removed -> removed.(!ai)
+          | State.Present m -> m
+        in
+        if digit < 0 then begin
+          code := -1;
+          ai := k
+        end
+        else begin
+          code := !code + (digit * weight.(!ai));
+          incr ai
+        end
+      done;
+      !code
+    in
+    let cid_of_code = Array.make (Lattice.size lattice) (-1) in
+    for cid = 0 to Lattice.size lattice - 1 do
+      cid_of_code.(code_of (Lattice.cuboid lattice cid)) <- cid
+    done;
     (* Byte accounting runs only on the domain owning the shared context —
        workers' recursion is unaccounted (their branches are bounded by the
        index array the calling domain already booked). Result cells are
@@ -129,8 +168,9 @@ let compute ~variant (ctx : Context.t) =
       end;
       (* Empty restrictions produce no groups (a group exists only if some
          fact is in it), matching the reference semantics. *)
-      if hi >= lo && emittable env then begin
-        let cid = Lattice.id lattice (Array.copy env.states) in
+      let code = if hi >= lo then code_of env.states else -1 in
+      if code >= 0 then begin
+        let cid = cid_of_code.(code) in
         env.instr.Instrument.keys_built <- env.instr.Instrument.keys_built + 1;
         aggregate_into env cid
           (Group_key.of_axis_ids ctx.layout env.states env.ids)
@@ -216,8 +256,21 @@ let compute ~variant (ctx : Context.t) =
         env.states.(ai) <- State.Removed
       end
     in
+    (* Each worker's block stamps are resident for the whole run: book
+       them all here, on the calling domain, before any is allocated. *)
+    let nstamps =
+      match variant with
+      | `Opt -> 0
+      | `Plain | `Custom _ -> Columnar.blocks cols
+    in
     let fresh_env ~instr =
-      { states = Array.make k State.Removed; ids = Array.make k 0; instr }
+      {
+        states = Array.make k State.Removed;
+        ids = Array.make k 0;
+        instr;
+        stamp = Array.make nstamps 0;
+        gen = 0;
+      }
     in
     let root = Array.init nrows Fun.id in
     (* The base witness set is the full row-index range; the recursion
@@ -225,10 +278,13 @@ let compute ~variant (ctx : Context.t) =
        (our scaled inputs do; the I/O cost of the initial columnarising
        read is counted by [Context.cols]). The root index array is
        resident for the whole recursion. *)
-    if governed then Context.reserve ctx (8 * (nrows + 2));
+    if governed then
+      Context.reserve ctx
+        ((8 * (nrows + 2)) + (ctx.workers * 8 * (nstamps + 1)));
     (* The apex (everything Removed) belongs to no branch; [next = k]
-       emits just it, on the calling domain. *)
-    refine (fresh_env ~instr:ctx.instr) root 0 (nrows - 1) k;
+       emits just it, on the calling domain, in worker 0's env. *)
+    let env0 = fresh_env ~instr:ctx.instr in
+    refine env0 root 0 (nrows - 1) k;
     (* The recursion splits at its first level. Branch (ai, mask) emits
        exactly the cuboids whose first present axis is [ai] with state
        [mask] (axes below [ai] stay Removed inside the branch), so distinct
@@ -248,8 +304,7 @@ let compute ~variant (ctx : Context.t) =
     let states =
       Parallel.run ~workers:ctx.workers ~tasks:(Array.length tasks)
         ~init:(fun w ->
-          fresh_env
-            ~instr:(if w = 0 then ctx.instr else Instrument.create ()))
+          if w = 0 then env0 else fresh_env ~instr:(Instrument.create ()))
         ~body:(fun env t ->
           let ai, mask = tasks.(t) in
           X3_obs.Trace.with_span "buc.branch"

@@ -46,13 +46,17 @@ let note_strategy (instr : Instrument.t) p =
    columns are unboxed and immutable, so workers share them without
    snapshotting. Worker 0 runs on the calling domain: it counts straight
    into the context's instrument and polls for stops once per fact block,
-   so one worker is the whole sequential algorithm. *)
+   so one worker is the whole sequential algorithm. A worker's counter
+   state is positional: [active.(i)] belongs to the pass's [i]th cuboid,
+   [None] once evicted, so the per-(block, cuboid) lookup is an array
+   read. *)
 
 type worker = {
   scratch : Group_key.scratch;
   seen : Group_key.Seen.t;
   instr : Instrument.t;
-  active : (int, grouping) Hashtbl.t;
+  active : grouping option array;
+  mutable n_active : int;
   mutable live : int;
   mutable peak : int;
   mutable evicted : int list;
@@ -119,21 +123,22 @@ let compute (ctx : Context.t) =
       let states =
         Parallel.run ~workers:ctx.workers ~tasks:nblocks
           ~init:(fun w ->
-            let active = Hashtbl.create 64 in
-            Array.iter
-              (fun cid ->
-                let p = plan_of cid in
-                if direct p then
-                  Hashtbl.replace active cid
-                    (Racc (p, Radix.cursor p cols, Radix.acc_create p))
-                else
-                  Hashtbl.replace active cid (Htbl (Group_key.Tbl.create 256)))
-              cids;
+            let active =
+              Array.map
+                (fun cid ->
+                  let p = plan_of cid in
+                  Some
+                    (if direct p then
+                       Racc (p, Radix.cursor p cols, Radix.acc_create p)
+                     else Htbl (Group_key.Tbl.create 256)))
+                cids
+            in
             {
               scratch = Group_key.make_scratch ctx.layout;
               seen = Group_key.Seen.create ();
               instr = (if w = 0 then instr else Instrument.create ());
               active;
+              n_active = Array.length cids;
               live = 0;
               peak = 0;
               evicted = [];
@@ -145,38 +150,39 @@ let compute (ctx : Context.t) =
             let lo = Columnar.block_lo cols b
             and hi = Columnar.block_hi cols b in
             let m = bm.(b) in
-            Array.iter
-              (fun cid ->
-                match Hashtbl.find_opt w.active cid with
-                | None -> ()
-                | Some (Racc (_, cur, acc)) ->
-                    for r = lo to hi do
-                      let k = Radix.key cur r in
-                      if k >= 0 && Radix.first_on_removed cur r then begin
-                        w.instr.Instrument.keys_built <-
-                          w.instr.Instrument.keys_built + 1;
-                        if Radix.acc_add acc ~slot:k ~mark:b m then
-                          w.live <- w.live + 1
-                      end
-                    done
-                | Some (Htbl counters) ->
-                    let cuboid = cuboid_of cid in
-                    Group_key.Seen.reset w.seen;
-                    for r = lo to hi do
-                      if Cuboid.represents cuboid cols ~row:r then begin
-                        Group_key.load_cols w.scratch cuboid cols ~row:r;
-                        w.instr.Instrument.keys_built <-
-                          w.instr.Instrument.keys_built + 1;
-                        if Group_key.Seen.add w.seen w.scratch then
-                          Aggregate.add
-                            (Group_key.Tbl.find_or_add counters w.scratch
-                               ~default:(fun () ->
-                                 w.live <- w.live + 1;
-                                 Aggregate.create ()))
-                            m
-                      end
-                    done)
-              cids;
+            let fresh_cell () =
+              w.live <- w.live + 1;
+              Aggregate.create ()
+            in
+            for i = 0 to Array.length cids - 1 do
+              match w.active.(i) with
+              | None -> ()
+              | Some (Racc (_, cur, acc)) ->
+                  for r = lo to hi do
+                    let k = Radix.key cur r in
+                    if k >= 0 && Radix.first_on_removed cur r then begin
+                      w.instr.Instrument.keys_built <-
+                        w.instr.Instrument.keys_built + 1;
+                      if Radix.acc_add acc ~slot:k ~mark:b m then
+                        w.live <- w.live + 1
+                    end
+                  done
+              | Some (Htbl counters) ->
+                  let cuboid = cuboid_of cids.(i) in
+                  Group_key.Seen.reset w.seen;
+                  for r = lo to hi do
+                    if Cuboid.represents cuboid cols ~row:r then begin
+                      Group_key.load_cols w.scratch cuboid cols ~row:r;
+                      w.instr.Instrument.keys_built <-
+                        w.instr.Instrument.keys_built + 1;
+                      if Group_key.Seen.add w.seen w.scratch then
+                        Aggregate.add
+                          (Group_key.Tbl.find_or_add counters w.scratch
+                             ~default:fresh_cell)
+                          m
+                    end
+                  done
+            done;
             if w.live > w.peak then w.peak <- w.live;
             (* Worker-local budget enforcement: evict the locally fattest
                cuboid (ties to the earliest in pass order — deterministic)
@@ -185,28 +191,26 @@ let compute (ctx : Context.t) =
                otherwise each evict a different cuboid, leaving no pass
                with a completion — protecting a common cuboid guarantees
                progress. *)
-            while w.live > pass_budget && Hashtbl.length w.active > 1 do
+            while w.live > pass_budget && w.n_active > 1 do
               let victim = ref (-1) and victim_size = ref (-1) in
-              Array.iteri
-                (fun i cid ->
-                  match
-                    if i = 0 then None else Hashtbl.find_opt w.active cid
-                  with
-                  | None -> ()
-                  | Some g ->
-                      let size = grouping_size g in
-                      if size > !victim_size then begin
-                        victim := cid;
-                        victim_size := size
-                      end)
-                cids;
-              Hashtbl.remove w.active !victim;
+              for i = 1 to Array.length cids - 1 do
+                match w.active.(i) with
+                | None -> ()
+                | Some g ->
+                    let size = grouping_size g in
+                    if size > !victim_size then begin
+                      victim := i;
+                      victim_size := size
+                    end
+              done;
+              w.active.(!victim) <- None;
+              w.n_active <- w.n_active - 1;
               w.live <- w.live - !victim_size;
-              w.evicted <- !victim :: w.evicted;
+              w.evicted <- cids.(!victim) :: w.evicted;
               Trace.instant "governor.evict"
                 ~attrs:
                   [
-                    ("cuboid", Trace.Int !victim);
+                    ("cuboid", Trace.Int cids.(!victim));
                     ("counters", Trace.Int !victim_size);
                   ]
             done)
@@ -241,13 +245,13 @@ let compute (ctx : Context.t) =
          even it does not fit, the spill path is at its floor and the run
          is over budget. *)
       let merged_any = ref false in
-      Array.iter
-        (fun cid ->
+      Array.iteri
+        (fun i cid ->
           if not (Hashtbl.mem evicted_any cid) then begin
             let cells =
               Array.fold_left
                 (fun acc w ->
-                  match Hashtbl.find_opt w.active cid with
+                  match w.active.(i) with
                   | None -> acc
                   | Some g -> acc + grouping_size g)
                 0 states
@@ -268,7 +272,7 @@ let compute (ctx : Context.t) =
                   ];
               Array.iter
                 (fun w ->
-                  match Hashtbl.find_opt w.active cid with
+                  match w.active.(i) with
                   | None -> ()
                   | Some (Htbl counters) ->
                       Group_key.Tbl.iter

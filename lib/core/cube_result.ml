@@ -65,28 +65,11 @@ let find t ~cuboid ~key =
   | None -> None
   | Some k -> find_coded t ~cuboid ~key:k
 
-(* The historical group order, value by value: the low length byte, then
-   the rest of the length, then the bytes under [String.compare]. It is the
-   order that keys once encoded as [u16 LE length | bytes] had under
-   [String.compare]; comparing [len lsr 8] whole extends it to values past
-   65535 bytes, which that encoding could not hold. *)
-let compare_value a b =
-  let la = String.length a and lb = String.length b in
-  let c = Int.compare (la land 0xFF) (lb land 0xFF) in
-  if c <> 0 then c
-  else
-    let c = Int.compare (la lsr 8) (lb lsr 8) in
-    if c <> 0 then c else String.compare a b
-
-let rec compare_values a b i =
-  if i = Array.length a then 0
-  else
-    (* equal ids decode to the same string *)
-    let c = if a.(i) == b.(i) then 0 else compare_value a.(i) b.(i) in
-    if c <> 0 then c else compare_values a b (i + 1)
-
-(* One cuboid's groups in the historical order, each with the values of
-   its present axes (axis order) looked up in the dictionaries. *)
+(* One cuboid's groups in the historical order ([Dict.compare_value],
+   value by value), each with the values of its present axes (axis order)
+   looked up in the dictionaries. The sort compares each present axis's
+   memoised dictionary rank of the group's id, axis by axis — ints, not
+   strings — and only the sorted groups are decoded. *)
 let cuboid_cells t id =
   let cuboid = states t id in
   let dicts = Witness.dicts t.table in
@@ -97,17 +80,43 @@ let cuboid_cells t id =
     | State.Present _ -> present := ai :: !present
   done;
   let present = Array.of_list !present in
-  let groups = ref [] in
+  let p = Array.length present in
+  let ranks = Array.map (fun ai -> Witness.Dict.ranks dicts.(ai)) present in
+  let n = cuboid_size t id in
+  let keys = Array.make n (Group_key.Packed 0) in
+  let cells = Array.make n (Aggregate.create ()) in
+  (* [rank.((g * p) + j)] is group [g]'s rank on its [j]th present axis *)
+  let rank = Array.make (n * p) 0 in
+  let g = ref 0 in
   iter_cuboid t id (fun key cell ->
+      keys.(!g) <- key;
+      cells.(!g) <- cell;
+      for j = 0 to p - 1 do
+        rank.((!g * p) + j) <-
+          ranks.(j).(Group_key.id_at t.layout key ~axis:present.(j))
+      done;
+      incr g);
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = ref 0 and j = ref 0 in
+      while !c = 0 && !j < p do
+        c := Int.compare rank.((a * p) + !j) rank.((b * p) + !j);
+        incr j
+      done;
+      !c)
+    order;
+  Array.fold_right
+    (fun g acc ->
       let values =
         Array.map
           (fun ai ->
             Witness.Dict.value dicts.(ai)
-              (Group_key.id_at t.layout key ~axis:ai))
+              (Group_key.id_at t.layout keys.(g) ~axis:ai))
           present
       in
-      groups := (values, cell) :: !groups);
-  List.sort (fun (a, _) (b, _) -> compare_values a b 0) !groups
+      (values, cells.(g)) :: acc)
+    order []
 
 (* Comparison decodes keys on both sides: the cubes may come from
    separately materialised tables whose dictionaries assign different

@@ -68,30 +68,27 @@ let bad_row () = invalid_arg "Group_key.load_cols: row does not qualify"
 let load_cols scratch cuboid cols ~row =
   let layout = scratch.s_layout in
   if layout.packed_fits then begin
-    let k = Array.length cuboid in
-    let rec go ai acc =
-      if ai >= k then acc
-      else
-        match cuboid.(ai) with
-        | State.Removed -> go (ai + 1) acc
-        | State.Present _ ->
-            let id = Witness.Columnar.id cols ~axis:ai ~row in
-            if id < 0 then bad_row ();
-            go (ai + 1) (acc lor (id lsl layout.offsets.(ai)))
-    in
-    scratch.s_packed <- go 0 0
+    let acc = ref 0 in
+    for ai = 0 to Array.length cuboid - 1 do
+      match cuboid.(ai) with
+      | State.Removed -> ()
+      | State.Present _ ->
+          let id = Witness.Columnar.id cols ~axis:ai ~row in
+          if id < 0 then bad_row ();
+          acc := !acc lor (id lsl layout.offsets.(ai))
+    done;
+    scratch.s_packed <- !acc
   end
   else begin
     let wide = scratch.s_wide in
-    Array.iteri
-      (fun ai state ->
-        match state with
-        | State.Removed -> wide.(ai) <- 0
-        | State.Present _ ->
-            let id = Witness.Columnar.id cols ~axis:ai ~row in
-            if id < 0 then bad_row ();
-            wide.(ai) <- id)
-      cuboid
+    for ai = 0 to Array.length cuboid - 1 do
+      match cuboid.(ai) with
+      | State.Removed -> wide.(ai) <- 0
+      | State.Present _ ->
+          let id = Witness.Columnar.id cols ~axis:ai ~row in
+          if id < 0 then bad_row ();
+          wide.(ai) <- id
+    done
   end
 
 let freeze scratch =
@@ -103,14 +100,13 @@ let freeze scratch =
 let of_axis_ids layout cuboid ids =
   if layout.packed_fits then begin
     let acc = ref 0 in
-    Array.iteri
-      (fun ai state ->
-        match state with
-        | State.Removed -> ()
-        | State.Present _ ->
-            if ids.(ai) < 0 then bad_row ();
-            acc := !acc lor (ids.(ai) lsl layout.offsets.(ai)))
-      cuboid;
+    for ai = 0 to Array.length cuboid - 1 do
+      match cuboid.(ai) with
+      | State.Removed -> ()
+      | State.Present _ ->
+          if ids.(ai) < 0 then bad_row ();
+          acc := !acc lor (ids.(ai) lsl layout.offsets.(ai))
+    done;
     Packed !acc
   end
   else
@@ -235,6 +231,16 @@ let of_sortable layout s =
   | _ -> invalid_arg "Group_key.of_sortable: bad tag"
 
 (* --- key order, hashing ------------------------------------------------- *)
+(* The per-row comparisons and probes below are [while] loops: a local
+   recursive function over the key would allocate a closure per call. *)
+
+(* Do the first [n] entries of [u] and [v] agree? *)
+let prefix_equal (u : int array) (v : int array) n =
+  let i = ref 0 in
+  while !i < n && u.(!i) = v.(!i) do
+    incr i
+  done;
+  !i >= n
 
 let compare a b =
   match (a, b) with
@@ -254,11 +260,7 @@ let equal a b =
   match (a, b) with
   | Packed p, Packed q -> p = q
   | Wide u, Wide v ->
-      let n = Array.length u in
-      n = Array.length v
-      &&
-      let rec go i = i >= n || (u.(i) = v.(i) && go (i + 1)) in
-      go 0
+      Array.length u = Array.length v && prefix_equal u v (Array.length u)
   | _ -> false
 
 (* Splitmix-style finaliser: full avalanche, never negative. *)
@@ -281,10 +283,7 @@ let scratch_equal scratch key =
   | Packed p -> scratch.s_layout.packed_fits && p = scratch.s_packed
   | Wide w ->
       (not scratch.s_layout.packed_fits)
-      &&
-      let u = scratch.s_wide in
-      let rec go i = i >= Array.length w || (w.(i) = u.(i) && go (i + 1)) in
-      go 0
+      && prefix_equal w scratch.s_wide (Array.length w)
 
 (* --- specialised open-addressing table over keys ------------------------ *)
 (* Linear probing over a power-of-two slot array. Lookups can be keyed by a
@@ -302,14 +301,16 @@ module Tbl = struct
 
   let length t = t.size
 
+  (* The probed slot holding [key], or the free slot ending its run. *)
   let index_of_key slots key =
     let mask = Array.length slots - 1 in
-    let rec probe i =
-      match slots.(i) with
-      | Free -> i
-      | Used u -> if equal u.key key then i else probe ((i + 1) land mask)
-    in
-    probe (hash key land mask)
+    let i = ref (hash key land mask) and found = ref false in
+    while not !found do
+      match slots.(!i) with
+      | Used u when not (equal u.key key) -> i := (!i + 1) land mask
+      | Free | Used _ -> found := true
+    done;
+    !i
 
   let grow t =
     let old = t.slots in
@@ -340,12 +341,14 @@ module Tbl = struct
 
   let index_of_scratch slots scratch =
     let mask = Array.length slots - 1 in
-    let rec probe i =
-      match slots.(i) with
-      | Free -> i
-      | Used u -> if scratch_equal scratch u.key then i else probe ((i + 1) land mask)
-    in
-    probe (scratch_hash scratch land mask)
+    let i = ref (scratch_hash scratch land mask) and found = ref false in
+    while not !found do
+      match slots.(!i) with
+      | Used u when not (scratch_equal scratch u.key) ->
+          i := (!i + 1) land mask
+      | Free | Used _ -> found := true
+    done;
+    !i
 
   let find_scratch t scratch =
     match t.slots.(index_of_scratch t.slots scratch) with

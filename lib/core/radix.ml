@@ -121,31 +121,41 @@ let cursor p cols =
 
 (* Compact key of [row], or -1 when some present axis is unbound or not
    valid at the cuboid's state — [Cuboid.qualifies] + [Group_key.load_cols]
-   fused into one pass over the hoisted columns. *)
+   fused into one pass over the hoisted columns. A [while] loop rather
+   than a local recursive function: the latter would allocate a closure
+   on every call, i.e. per row per cuboid. *)
 let key cur row =
   let n = Array.length cur.u_ids in
-  let rec go i acc =
-    if i >= n then acc
-    else
-      let id = Int32.to_int (Bigarray.Array1.unsafe_get cur.u_ids.(i) row) in
-      if id < 0 then -1
-      else if
-        Bigarray.Array1.unsafe_get cur.u_tags.(i) row land cur.u_masks.(i) = 0
-      then -1
-      else go (i + 1) (acc lor (id lsl cur.u_shifts.(i)))
-  in
-  go 0 0
+  let acc = ref 0 and i = ref 0 in
+  while !i < n do
+    let id =
+      Int32.to_int (Bigarray.Array1.unsafe_get cur.u_ids.(!i) row)
+    in
+    if
+      id < 0
+      || Bigarray.Array1.unsafe_get cur.u_tags.(!i) row land cur.u_masks.(!i)
+         = 0
+    then begin
+      acc := -1;
+      i := n
+    end
+    else begin
+      acc := !acc lor (id lsl cur.u_shifts.(!i));
+      incr i
+    end
+  done;
+  !acc
 
 (* Does [row] hold the fact's first binding on every removed axis — the
    representative half of [Cuboid.represents]. *)
 let first_on_removed cur row =
-  let n = Array.length cur.u_removed_tags in
-  let rec go i =
-    i >= n
-    || Bigarray.Array1.unsafe_get cur.u_removed_tags.(i) row land 0x80 <> 0
-       && go (i + 1)
-  in
-  go 0
+  let tags = cur.u_removed_tags in
+  let n = Array.length tags in
+  let i = ref 0 in
+  while !i < n && Bigarray.Array1.unsafe_get tags.(!i) row land 0x80 <> 0 do
+    incr i
+  done;
+  !i >= n
 
 (* --- direct accumulator -------------------------------------------------- *)
 (* Unboxed parallel arrays, one slot per compact key. [mark] carries the
@@ -209,7 +219,7 @@ let acc_flush a ~f =
   for slot = 0 to a.a_slots - 1 do
     if a.a_n.(slot) > 0 then begin
       let cell = Aggregate.create () in
-      cell.Aggregate.n <- a.a_n.(slot);
+      cell.Aggregate.n <- float_of_int a.a_n.(slot);
       cell.Aggregate.total <- a.a_total.(slot);
       cell.Aggregate.low <- a.a_low.(slot);
       cell.Aggregate.high <- a.a_high.(slot);
@@ -292,7 +302,7 @@ let partitioned p ~rows ~key ~fact ~measure ~dedup ~emit =
       for slot = 0 to slots - 1 do
         if gen.(slot) = pt && n.(slot) > 0 then begin
           let cell = Aggregate.create () in
-          cell.Aggregate.n <- n.(slot);
+          cell.Aggregate.n <- float_of_int n.(slot);
           cell.Aggregate.total <- total_.(slot);
           cell.Aggregate.low <- low.(slot);
           cell.Aggregate.high <- high.(slot);

@@ -45,7 +45,9 @@ val key_of_compact : plan -> Group_key.layout -> int -> Group_key.t
 (** The canonical group key of a compact key (re-spreads the compact
     fields onto the layout's own offsets). *)
 
-(** {1 Cursors — per-row qualification and compact keys} *)
+(** {1 Cursors — per-row qualification and compact keys}
+
+    Both per-row functions allocate nothing. *)
 
 type cursor
 

@@ -55,29 +55,35 @@ let present_axes t =
     t;
   List.rev !acc
 
+(* Per-row predicates: [while] loops, as a local recursive function
+   would allocate a closure on every call. *)
 let represents t cols ~row =
   let n = Array.length t in
-  let rec go ai =
-    ai >= n
-    ||
-    match t.(ai) with
-    | State.Removed -> Columnar.first cols ~axis:ai ~row && go (ai + 1)
-    | State.Present m ->
-        Columnar.qualifies cols ~axis:ai ~row ~state:m && go (ai + 1)
-  in
-  go 0
+  let ai = ref 0 in
+  while
+    !ai < n
+    &&
+    match t.(!ai) with
+    | State.Removed -> Columnar.first cols ~axis:!ai ~row
+    | State.Present m -> Columnar.qualifies cols ~axis:!ai ~row ~state:m
+  do
+    incr ai
+  done;
+  !ai >= n
 
 let qualifies t cols ~row =
   let n = Array.length t in
-  let rec go ai =
-    ai >= n
-    ||
-    match t.(ai) with
-    | State.Removed -> go (ai + 1)
-    | State.Present m ->
-        Columnar.qualifies cols ~axis:ai ~row ~state:m && go (ai + 1)
-  in
-  go 0
+  let ai = ref 0 in
+  while
+    !ai < n
+    &&
+    match t.(!ai) with
+    | State.Removed -> true
+    | State.Present m -> Columnar.qualifies cols ~axis:!ai ~row ~state:m
+  do
+    incr ai
+  done;
+  !ai >= n
 
 let to_string axes t =
   let parts =

@@ -11,10 +11,18 @@ module Dict = struct
     mutable values : string array;  (** id -> string, dense *)
     mutable count : int;
     index : (string, int) Hashtbl.t;  (** string -> id *)
+    mutable ranks : int array;
+        (** id -> position in [compare_value] order, over the first
+            [Array.length ranks] ids; stale once the dictionary grows *)
   }
 
   let create () =
-    { values = Array.make 16 ""; count = 0; index = Hashtbl.create 64 }
+    {
+      values = Array.make 16 "";
+      count = 0;
+      index = Hashtbl.create 64;
+      ranks = [||];
+    }
 
   let size t = t.count
 
@@ -44,6 +52,33 @@ module Dict = struct
     for id = 0 to t.count - 1 do
       f id t.values.(id)
     done
+
+  (* The historical group order, value by value: the low length byte,
+     then the rest of the length, then the bytes under [String.compare].
+     It is the order that keys once encoded as [u16 LE length | bytes]
+     had under [String.compare]; comparing [len lsr 8] whole extends it
+     to values past 65535 bytes, which that encoding could not hold. *)
+  let compare_value a b =
+    let la = String.length a and lb = String.length b in
+    let c = Int.compare (la land 0xFF) (lb land 0xFF) in
+    if c <> 0 then c
+    else
+      let c = Int.compare (la lsr 8) (lb lsr 8) in
+      if c <> 0 then c else String.compare a b
+
+  (* Ids only ever get appended, so the memo is current exactly when it
+     covers every id; interning a new value makes the next call re-sort. *)
+  let ranks t =
+    if Array.length t.ranks <> t.count then begin
+      let order = Array.init t.count Fun.id in
+      Array.stable_sort
+        (fun a b -> compare_value t.values.(a) t.values.(b))
+        order;
+      let ranks = Array.make t.count 0 in
+      Array.iteri (fun rank id -> ranks.(id) <- rank) order;
+      t.ranks <- ranks
+    end;
+    t.ranks
 end
 
 (* --- coded cells -------------------------------------------------------- *)

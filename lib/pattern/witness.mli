@@ -46,6 +46,16 @@ module Dict : sig
 
   val iter : (int -> string -> unit) -> t -> unit
   (** In ascending id order. *)
+
+  val compare_value : string -> string -> int
+  (** The export order of values: by the low byte of the length, then by
+      the rest of the length, then bytewise. *)
+
+  val ranks : t -> int array
+  (** [(ranks t).(id)] is the position of value [id] among the
+      dictionary's values under {!compare_value}, so comparing ranks
+      compares values. Memoised on the dictionary and recomputed only
+      after it has grown; the array must not be mutated. *)
 end
 
 (** {1 Coded rows} *)

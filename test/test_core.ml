@@ -979,7 +979,7 @@ let test_pivot_marginals_consistent () =
    missing children, cubed on two axes: every always-correct algorithm must
    match NAIVE, and property-respecting optimised variants must match when
    the observed properties license them. *)
-let gen_random_case =
+let gen_random_facts extra =
   let open QCheck2.Gen in
   let value = oneofl [ "u"; "v"; "w" ] in
   let child tag = map (fun v -> X3_xml.Tree.elem tag [ X3_xml.Tree.text v ]) value in
@@ -990,10 +990,11 @@ let gen_random_case =
       value
   in
   let fact =
-    map2
-      (fun xs ys -> X3_xml.Tree.elem "r" (xs @ ys))
+    map3
+      (fun xs ys zs -> X3_xml.Tree.elem "r" (xs @ ys @ zs))
       (list_size (int_bound 3) (oneof [ child "a"; wrapped "a" ]))
       (list_size (int_bound 3) (child "b"))
+      (extra child)
   in
   map
     (fun facts ->
@@ -1001,6 +1002,8 @@ let gen_random_case =
       | X3_xml.Tree.Element e -> X3_xml.Tree.document e
       | _ -> assert false)
     (list_size (int_range 1 12) fact)
+
+let gen_random_case = gen_random_facts (fun _ -> QCheck2.Gen.pure [])
 
 let random_axes () =
   [|
@@ -1010,17 +1013,40 @@ let random_axes () =
       ~allowed:[ Relax.Lnd ];
   |]
 
+(* [gen_random_case] plus a third axis whose facts repeat bindings (up to
+   three [e] children over the same three values), run at a drawn radix
+   tier — the hash path (0), a 4-bit tier where BUC counting-sorts and
+   the group kernels split between direct slots and hashing, and the
+   default — and a drawn worker count, so BUC's block-stamp dedup meets
+   counting sort, quicksort and parallel envs. *)
+let gen_random_case_3 =
+  let open QCheck2.Gen in
+  triple
+    (gen_random_facts (fun child -> list_size (int_bound 3) (child "e")))
+    (oneofl [ 0; 4; Radix.default_radix_bits ])
+    (oneofl [ 1; 2 ])
+
+let random_axes_3 () =
+  Array.append (random_axes ())
+    [|
+      X3_pattern.Axis.make_exn ~name:"$e" ~steps:[ step c "e" ]
+        ~allowed:[ Relax.Lnd ];
+    |]
+
 let prop_algorithms_agree =
   QCheck2.Test.make ~name:"correct algorithms = naive on random data"
-    ~count:60 gen_random_case (fun doc ->
+    ~count:60 gen_random_case_3 (fun (doc, radix_bits, workers) ->
       let store = X3_xdb.Store.of_document doc in
-      let spec = Engine.count_spec ~fact_path:[ step d "r" ] ~axes:(random_axes ()) in
+      let spec =
+        Engine.count_spec ~fact_path:[ step d "r" ] ~axes:(random_axes_3 ())
+      in
       let p = Engine.prepare ~pool:(small_pool ()) ~store spec in
       let props = X3_lattice.Properties.observe (Engine.table p) (Engine.lattice p) in
       let reference, _ = Engine.run p Engine.Naive in
+      let config = { Engine.default_config with Engine.radix_bits } in
       List.for_all
         (fun algorithm ->
-          let result, _ = Engine.run ~props p algorithm in
+          let result, _ = Engine.run ~props ~config ~workers p algorithm in
           Cube_result.equal ~func:Aggregate.Count reference result)
         correct_algorithms)
 
@@ -1349,6 +1375,95 @@ let test_radix_hash_identity_treebank () =
       (X3_workload.Treebank.spec config)
   in
   check_radix_hash_identity "treebank" p
+
+(* --- allocation pins --------------------------------------------------------- *)
+
+(* Words allocated while [f] runs, minor and major heap alike (arrays past
+   the minor heap's size limit go straight to the major heap). *)
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* The radix kernels' per-row functions run once per row per cuboid: they
+   must allocate nothing (a closure per call would show up as tens of
+   thousands of words here). The slack covers the boxed floats of the
+   [Gc.minor_words] calls themselves. *)
+let test_radix_row_path_allocation_free () =
+  let rows =
+    List.init 64 (fun v ->
+        {
+          Witness.fact = v / 2;
+          cells =
+            [|
+              { Witness.id = v mod 5; validity = 1; first = v mod 2 = 0 };
+              { Witness.id = v mod 3; validity = 3; first = true };
+              { Witness.id = v mod 7; validity = 1; first = v mod 2 = 0 };
+            |];
+        })
+  in
+  let cols = cols_of_rows ~axes:3 rows in
+  let layout = Group_key.layout_of_sizes [| 5; 3; 7 |] in
+  let p =
+    Radix.plan ~layout ~radix_bits:Radix.default_radix_bits
+      X3_lattice.State.[| Removed; Present 1; Removed |]
+  in
+  let cur = Radix.cursor p cols in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let r = i land 63 in
+    if Radix.key cur r >= 0 && Radix.first_on_removed cur r then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some rows qualify" true (!hits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "10^4 key/first_on_removed calls: %.0f words <= 64" words)
+    true (words <= 64.)
+
+(* BUC's [Dedup] aggregation marks fact blocks in a per-worker stamp array
+   instead of filling a fresh hash set per cell. What remains are the
+   partition index arrays, keys and cells: about 160 words per witness
+   row on this dense table with repeated bindings. A fresh hash set per
+   cell (about 400) or a closure per row in the [represents] check
+   (about 285) breaks the bound. *)
+let buc_dedup_words_per_row_cap = 200.
+
+let test_buc_dedup_allocation_bound () =
+  let config =
+    {
+      X3_workload.Treebank.default with
+      num_trees = 1000;
+      axes = 3;
+      density = X3_workload.Treebank.Dense;
+      disjoint = false;
+    }
+  in
+  let p =
+    Engine.prepare ~pool:(small_pool ())
+      ~store:(X3_xdb.Store.of_document (X3_workload.Treebank.generate config))
+      (X3_workload.Treebank.spec config)
+  in
+  let ctx = context_of p in
+  (* the columns and block measures are the context's, built once *)
+  ignore (Context.block_measures ctx (Context.cols ctx) : float array);
+  let result = ref None in
+  let words =
+    words_allocated (fun () ->
+        result := Some (X3_core.Buc.compute ~variant:`Plain ctx))
+  in
+  let rows = float_of_int (Witness.row_count (Engine.table p)) in
+  Alcotest.(check bool) "deduplicated" true
+    (ctx.Context.instr.Instrument.dedup_tracked > 0);
+  Alcotest.(check string) "cube = NAIVE"
+    (Export.csv_string ~func:Aggregate.Count (fst (Engine.run p Engine.Naive)))
+    (Export.csv_string ~func:Aggregate.Count (Option.get !result));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per witness row <= %.0f" (words /. rows)
+       buc_dedup_words_per_row_cap)
+    true
+    (words /. rows <= buc_dedup_words_per_row_cap)
 
 (* --- Seen compaction ------------------------------------------------------- *)
 
@@ -2201,11 +2316,43 @@ let prop_export_matches_legacy_order =
              (X3_lattice.Lattice.size (Engine.lattice p))
              (fun cuboid -> Engine.Session.materialize session ~cuboid))
       in
-      String.equal csv (legacy_csv ~func result)
-      && String.equal
-           (Export.json_string ~func result)
-           (legacy_json ~func result)
-      && String.equal csv (Export.csv_string ~func from_views))
+      let matches_legacy result =
+        String.equal
+          (Export.csv_string ~func result)
+          (legacy_csv ~func result)
+        && String.equal
+             (Export.json_string ~func result)
+             (legacy_json ~func result)
+      in
+      let before_growth =
+        matches_legacy result
+        && String.equal csv (Export.csv_string ~func from_views)
+      in
+      (* Grow the dictionaries after those exports memoised their value
+         ranks: ingest facts whose values sort before every value (the
+         empty one, when it is new), between them (3 bytes) and after
+         them (767 bytes: low length byte 0xFF and more than any
+         generated value), then export a run over the grown table. *)
+      let late = String.make 767 'z' in
+      List.iteri
+        (fun i (a, b) ->
+          let fragment =
+            match
+              Tree.elem "r"
+                [ Tree.elem "a" [ Tree.text a ]; Tree.elem "b" [ Tree.text b ] ]
+            with
+            | Tree.Element e -> e
+            | _ -> assert false
+          in
+          match
+            Engine.stage_fragment spec ~fragment
+              ~fact_id:(Engine.synthetic_fact_id ~lsn:(i + 1))
+          with
+          | Engine.Staged rows ->
+              ignore (Witness.append (Engine.table p) rows : Witness.row list)
+          | Engine.Not_a_fact | Engine.Unsupported _ -> assert false)
+        [ ("", "mid"); ("mid", late); (late, "") ];
+      before_growth && matches_legacy (fst (Engine.run p Engine.Counter)))
 
 let test_export_long_binary_values () =
   let long = String.make 70_000 'L' in
@@ -2506,6 +2653,13 @@ let () =
             test_radix_hash_identity_treebank;
           Alcotest.test_case "BUC quicksorts small partitions" `Quick
             test_buc_small_partitions_quicksort;
+        ] );
+      ( "allocation pins",
+        [
+          Alcotest.test_case "radix row path allocates nothing" `Quick
+            test_radix_row_path_allocation_free;
+          Alcotest.test_case "BUC dedup words per row bounded" `Quick
+            test_buc_dedup_allocation_bound;
         ] );
       ( "governor",
         [
