@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks for the substrate design choices DESIGN.md
-   calls out: stack-tree structural joins vs the quadratic join, holistic
-   path matching vs navigation, external vs in-memory sorting, buffer-pool
-   behaviour, and codec costs. *)
+   calls out: holistic path matching vs navigation, external vs in-memory
+   sorting, buffer-pool behaviour, quicksort, and witness-table
+   evaluation. *)
 
 open Bechamel
 open Toolkit
@@ -15,20 +15,6 @@ let treebank_store trees =
     { X3_workload.Treebank.default with num_trees = trees; axes = 3 }
   in
   Store.of_document (X3_workload.Treebank.generate config)
-
-let join_tests () =
-  let store = treebank_store 500 in
-  let ancestors = Store.nodes_with_tag store "s" in
-  let descendants = Store.nodes_with_tag store "d1" in
-  [
-    Test.make ~name:"structural-join/stack-tree"
-      (Staged.stage (fun () ->
-           Sj.join store ~axis:Sj.Descendant ~ancestors ~descendants
-             (fun _ _ -> ())));
-    Test.make ~name:"structural-join/naive"
-      (Staged.stage (fun () ->
-           ignore (Sj.naive_join store ~axis:Sj.Descendant ~ancestors ~descendants)));
-  ]
 
 let path_tests () =
   let store = treebank_store 500 in
@@ -119,15 +105,11 @@ let eval_tests () =
     Test.make ~name:"mrfi-eval/navigational"
       (Staged.stage (fun () ->
            ignore (X3_pattern.Eval.build_table (pool ()) store ~fact_path ~axes)));
-    Test.make ~name:"mrfi-eval/structural-joins"
-      (Staged.stage (fun () ->
-           ignore
-             (X3_pattern.Join_eval.build_table (pool ()) store ~fact_path ~axes)));
   ]
 
 let all_tests () =
-  join_tests () @ path_tests () @ sort_tests () @ pool_tests ()
-  @ quicksort_tests () @ eval_tests ()
+  path_tests () @ sort_tests () @ pool_tests () @ quicksort_tests ()
+  @ eval_tests ()
 
 let run ppf =
   let tests = all_tests () in

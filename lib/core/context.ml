@@ -79,7 +79,6 @@ let create ?(counter_budget = 1_000_000) ?(sort_budget = 200_000)
 let workers t = t.workers
 
 let set_deadline_at t time = t.control.deadline <- Some time
-let set_deadline t ~seconds = set_deadline_at t (Unix.gettimeofday () +. seconds)
 let set_cancel_hook t hook = t.control.cancel_hook <- Some hook
 let cancel t = Atomic.set t.control.cancel_flag true
 let stopped t = t.control.stopped

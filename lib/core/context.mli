@@ -65,9 +65,6 @@ val workers : t -> int
     the middle of updating a cell, so the partially filled result stays
     internally consistent. *)
 
-val set_deadline : t -> seconds:float -> unit
-(** Stop the run [seconds] from now. *)
-
 val set_deadline_at : t -> float -> unit
 (** Stop the run at an absolute [Unix.gettimeofday] time — what a
     retrying caller uses so the budget spans all attempts. *)

@@ -350,11 +350,6 @@ module Tbl = struct
     done;
     !i
 
-  let find_scratch t scratch =
-    match t.slots.(index_of_scratch t.slots scratch) with
-    | Free -> None
-    | Used u -> Some u.value
-
   let find_or_add t scratch ~default =
     match t.slots.(index_of_scratch t.slots scratch) with
     | Used u -> u.value

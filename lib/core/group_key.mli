@@ -120,8 +120,6 @@ module Tbl : sig
   val find_opt : 'a t -> key -> 'a option
   val replace : 'a t -> key -> 'a -> unit
 
-  val find_scratch : 'a t -> scratch -> 'a option
-
   val find_or_add : 'a t -> scratch -> default:(unit -> 'a) -> 'a
   (** The value under the scratch's key, inserting [default ()] (and
       freezing the scratch) on first sight. *)

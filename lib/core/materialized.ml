@@ -278,8 +278,6 @@ let to_records t =
   in
   Buffer.contents header :: records
 
-let save t store = X3_storage.Snapshot_store.commit store (to_records t)
-
 (* [arity] is the cuboid's present-axis count: the values the record
    carries before its fact list. *)
 let parse_group ~arity record =
@@ -366,9 +364,6 @@ let of_records (ctx : Context.t) records =
           go rest
         end
       end
-
-let load (ctx : Context.t) store =
-  of_records ctx (X3_storage.Snapshot_store.read store)
 
 (* The result is over the view's own table (same dictionaries, same key
    layout) — true by construction for the session that built both — so

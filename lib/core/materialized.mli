@@ -76,24 +76,16 @@ val to_result : t -> Cube_result.t -> unit
 
 (** {1 Crash-safe persistence} *)
 
-val save : t -> X3_storage.Snapshot_store.t -> unit
-(** Atomically commit the view (group values + fact sets) to [store] —
-    decoded values rather than dictionary ids, so the snapshot is
-    independent of the source table's dictionary order. *)
-
-val load : Context.t -> X3_storage.Snapshot_store.t -> (t, string) result
-(** Rebuild a view from the store's committed snapshot against [ctx]'s
-    table; [Error] when a record is malformed or names values the table
-    does not contain. *)
-
 val to_records : t -> string list
 (** The view's portable record stream (one ['M'] header carrying the
     cuboid id and group count, then one ['G'] record per group carrying
     its present-axis values, each as [u32 length | bytes], and its fact
-    ids) — the
-    unit {!save} commits, exposed so several views can share one store
-    (the serve daemon's warm-restart snapshot packs a whole cache). *)
+    ids). Values are decoded rather than dictionary ids, so the stream is
+    independent of the source table's dictionary order. Commit it with
+    {!X3_storage.Snapshot_store.commit}, alone or beside other views' (the
+    serve daemon's warm-restart snapshot packs a whole cache). *)
 
 val of_records : Context.t -> string list -> (t, string) result
-(** Inverse of {!to_records} against [ctx]'s table — {!load} on an
-    already-read record stream. *)
+(** Inverse of {!to_records}: rebuild a view against [ctx]'s table;
+    [Error] when a record is malformed or names values the table does not
+    contain. *)

@@ -13,7 +13,6 @@ type t = {
 }
 
 let cuboid_disjoint t i = t.disjoint.(i)
-let cuboid_strictly_disjoint t i = t.strict.(i)
 
 let edge_covered t ~finer ~coarser =
   match Hashtbl.find_opt t.covered (finer, coarser) with

@@ -58,18 +58,16 @@ val cuboid_disjoint : t -> int -> bool
     are collapsed by representative rows). Licenses the customised
     variants' id-free aggregation and finer-to-coarser roll-up. *)
 
-val cuboid_strictly_disjoint : t -> int -> bool
-(** The stronger condition the blindly-optimised variants (BUCOPT, TDOPT,
-    TDOPTALL) actually assume when they count raw witness rows: no axis of
-    the cube — present {e or} removed — repeats, so the materialised table
-    holds exactly one qualifying row per fact. Implies
-    {!cuboid_disjoint}. *)
-
 val edge_covered : t -> finer:int -> coarser:int -> bool
 (** [finer] must be a lattice child of [coarser]. *)
 
 val all_disjoint : t -> bool
 val all_strictly_disjoint : t -> bool
+(** The stronger condition the blindly-optimised variants (BUCOPT, TDOPT,
+    TDOPTALL) actually assume when they count raw witness rows: no axis of
+    the cube — present {e or} removed — repeats, so the materialised table
+    holds exactly one qualifying row per fact. Implies {!all_disjoint}. *)
+
 val all_covered : t -> bool
 
 val axis_multiplicity :

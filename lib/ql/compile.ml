@@ -143,9 +143,6 @@ let compile ast =
       spec = { Engine.fact_path; axes; func; measure_path; filters };
     }
 
-let compile_exn ast =
-  match compile ast with Ok c -> c | Error msg -> failwith msg
-
 let parse_and_compile src =
   let* ast =
     X3_obs.Trace.with_span "query.parse"

@@ -13,7 +13,6 @@ type compiled = {
 }
 
 val compile : Ast.t -> (compiled, string) result
-val compile_exn : Ast.t -> compiled
 
 val parse_and_compile : string -> (compiled, string) result
 (** Convenience: {!Parser.parse} then {!compile}. *)

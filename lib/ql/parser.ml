@@ -209,6 +209,3 @@ let parse ?(max_bytes = default_max_bytes) src =
       match query c with
       | ast -> Ok ast
       | exception Fail msg -> Error ("parse error: " ^ msg))
-
-let parse_exn src =
-  match parse src with Ok ast -> ast | Error msg -> failwith msg

@@ -8,5 +8,3 @@ val parse : ?max_bytes:int -> string -> (Ast.t, string) result
 (** Parses a full query. Error messages name the offending token. Queries
     over [max_bytes] (default {!default_max_bytes}) are rejected without
     tokenising. *)
-
-val parse_exn : string -> Ast.t

@@ -367,11 +367,9 @@ let close t =
 
 let dir_sync_hook : (string -> unit) option ref = ref None
 let set_dir_sync_hook h = dir_sync_hook := h
-let dir_syncs = ref 0
 
 let sync_dir path =
   (match !dir_sync_hook with None -> () | Some f -> f path);
-  incr dir_syncs;
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()
   | fd ->
@@ -381,5 +379,3 @@ let sync_dir path =
           (* Some filesystems refuse fsync on a directory fd (EINVAL);
              there is nothing further to do there. *)
           try Unix.fsync fd with Unix.Unix_error _ -> ())
-
-let dir_sync_count () = !dir_syncs

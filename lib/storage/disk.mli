@@ -139,7 +139,3 @@ val set_dir_sync_hook : (string -> unit) option -> unit
 (** Install (or clear, with [None]) the fault-injection seam: the hook
     runs before each directory fsync and its exceptions propagate to the
     caller of {!sync_dir}. *)
-
-val dir_sync_count : unit -> int
-(** Process-wide count of {!sync_dir} calls — what the fault matrix
-    asserts against. *)

@@ -308,7 +308,6 @@ let commit t =
 
 (* --- observation -------------------------------------------------------- *)
 
-let last_lsn t = t.next_lsn - 1
 let durable_lsn t = t.durable_lsn
 let batches t = t.batches
 let dropped_bytes t = t.dropped_bytes

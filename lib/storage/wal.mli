@@ -42,10 +42,6 @@ val commit : t -> unit
     pending). On return the batch is durable: {!durable_lsn} advances to
     the last appended LSN. *)
 
-val last_lsn : t -> int
-(** Highest LSN handed out (including uncommitted appends); 0 when the
-    log is empty. *)
-
 val durable_lsn : t -> int
 (** Highest LSN known durable on disk. *)
 

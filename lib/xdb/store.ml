@@ -194,7 +194,6 @@ let is_parent t ~parent:p ~child =
   check t child;
   t.parents.(child) = p
 
-let tag_of_id t tid = t.tag_names.(tid)
 let id_of_tag t name = Hashtbl.find_opt t.tag_table name
 let tags t = Array.to_list t.tag_names
 

@@ -51,7 +51,6 @@ val is_parent : t -> parent:node -> child:node -> bool
 
 (** {1 Tag dictionary and index} *)
 
-val tag_of_id : t -> int -> string
 val id_of_tag : t -> string -> int option
 val tags : t -> string list
 

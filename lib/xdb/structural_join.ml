@@ -1,77 +1,1 @@
 type axis = Child | Descendant
-
-(* Stack-Tree-Desc.  The stack holds a chain of nested ancestor candidates,
-   every one of which contains the next; when a descendant arrives, every
-   stack entry that still contains it is a join partner. *)
-let join store ~axis ~ancestors ~descendants emit =
-  let fin v = Store.subtree_end store v in
-  let level v = Store.level store v in
-  let stack = ref [] in
-  let pop_ended cursor =
-    let rec go = function
-      | top :: rest when fin top < cursor -> go rest
-      | stack -> stack
-    in
-    stack := go !stack
-  in
-  let na = Array.length ancestors and nd = Array.length descendants in
-  let a = ref 0 and d = ref 0 in
-  while !d < nd do
-    if !a < na && ancestors.(!a) < descendants.(!d) then begin
-      pop_ended ancestors.(!a);
-      stack := ancestors.(!a) :: !stack;
-      incr a
-    end
-    else begin
-      let desc = descendants.(!d) in
-      pop_ended desc;
-      List.iter
-        (fun anc ->
-          if anc < desc && fin desc <= fin anc then
-            match axis with
-            | Descendant -> emit anc desc
-            | Child -> if level desc = level anc + 1 then emit anc desc)
-        !stack;
-      incr d
-    end
-  done
-
-let join_pairs store ~axis ~ancestors ~descendants =
-  let acc = ref [] in
-  join store ~axis ~ancestors ~descendants (fun a d -> acc := (a, d) :: !acc);
-  List.rev !acc
-
-let semijoin_descendants store ~axis ~ancestors ~descendants =
-  let keep = ref [] in
-  let last = ref (-1) in
-  join store ~axis ~ancestors ~descendants (fun _ d ->
-      if d <> !last then begin
-        keep := d :: !keep;
-        last := d
-      end);
-  (* Output is in descendant order already, so dedup-by-last suffices. *)
-  Array.of_list (List.rev !keep)
-
-let semijoin_ancestors store ~axis ~ancestors ~descendants =
-  let seen = Hashtbl.create 64 in
-  join store ~axis ~ancestors ~descendants (fun a _ ->
-      if not (Hashtbl.mem seen a) then Hashtbl.add seen a ());
-  let keep = Array.of_seq (Hashtbl.to_seq_keys seen) in
-  Array.sort Int.compare keep;
-  keep
-
-let naive_join store ~axis ~ancestors ~descendants =
-  let acc = ref [] in
-  Array.iter
-    (fun a ->
-      Array.iter
-        (fun d ->
-          let matches =
-            match axis with
-            | Descendant -> Store.is_ancestor store ~anc:a ~desc:d
-            | Child -> Store.is_parent store ~parent:a ~child:d
-          in
-          if matches then acc := (a, d) :: !acc)
-        descendants)
-    ancestors;
-  List.sort (fun (_, d1) (_, d2) -> Int.compare d1 d2) (List.rev !acc)

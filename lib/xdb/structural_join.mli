@@ -1,53 +1,9 @@
-(** Binary structural joins (Al-Khalifa et al.'s stack-tree family) — the
-    evaluation primitive TIMBER offered the paper's cube implementation.
+(** The two structural relationships a path step can require: [Child]
+    (parent-child, [/]) and [Descendant] (ancestor-descendant, [//]).
 
-    Both inputs are node arrays in document order (as {!Store.nodes_with_tag}
-    returns them); output pairs are produced in descendant order. The
-    stack-tree algorithm runs in [O(|A| + |D| + |output|)] for
-    ancestor-descendant joins. *)
+    Under interval labels both reduce to integer comparisons
+    ({!Store.is_parent}, {!Store.is_ancestor}). {!Twig_join.path_solutions}
+    matches whole paths of such steps holistically, and the pattern layer
+    ({!X3_pattern}) walks them one fact subtree at a time. *)
 
 type axis = Child | Descendant
-
-val join :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  (Store.node -> Store.node -> unit) ->
-  unit
-(** [join store ~axis ~ancestors ~descendants emit] calls [emit a d] for
-    every pair where [a] is an ancestor (or parent, for [Child]) of [d]. *)
-
-val join_pairs :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  (Store.node * Store.node) list
-(** Convenience wrapper collecting the pairs. *)
-
-val semijoin_descendants :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  Store.node array
-(** The descendants that join with at least one ancestor (document order,
-    no duplicates). *)
-
-val semijoin_ancestors :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  Store.node array
-(** The ancestors that join with at least one descendant (document order,
-    no duplicates). *)
-
-val naive_join :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  (Store.node * Store.node) list
-(** Quadratic reference implementation, for tests and the ablation bench. *)

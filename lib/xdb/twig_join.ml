@@ -106,113 +106,6 @@ let path_solutions store path emit =
         cursors.(i) <- cursors.(i) + 1
       done
 
-let count_path_solutions store path =
-  let n = ref 0 in
-  path_solutions store path (fun _ -> incr n);
-  !n
-
-(* --- Twigs ----------------------------------------------------------- *)
-
-type twig = { node : step; branches : twig list }
-
-let twig_steps twig =
-  let rec go acc t = List.fold_left go (t.node :: acc) t.branches in
-  List.rev (go [] twig)
-
-(* Pre-order positions and the root-to-leaf decomposition. *)
-type numbered = { npos : int; nstep : step; nbranches : numbered list }
-
-let decompose twig =
-  let next = ref 0 in
-  let rec number t =
-    let npos = !next in
-    incr next;
-    { npos; nstep = t.node; nbranches = List.map number t.branches }
-  in
-  let numbered = number twig in
-  let paths = ref [] in
-  let rec walk prefix n =
-    let prefix = (n.npos, n.nstep) :: prefix in
-    if n.nbranches = [] then paths := List.rev prefix :: !paths
-    else List.iter (walk prefix) n.nbranches
-  in
-  walk [] numbered;
-  (!next, List.rev !paths)
-
-let twig_solutions store twig emit =
-  let size, paths = decompose twig in
-  match paths with
-  | [] -> ()
-  | _ ->
-      (* Evaluate each root-to-leaf path holistically, then merge-join the
-         per-path solution sets on the positions they share with the
-         already-merged prefix. *)
-      let partials = ref [] (* full assignments, -1 = unset *) in
-      let covered = Hashtbl.create 8 in
-      List.iteri
-        (fun path_index path ->
-          let positions = List.map fst path in
-          let steps = List.map snd path in
-          let solutions = ref [] in
-          path_solutions store steps (fun s -> solutions := s :: !solutions);
-          if path_index = 0 then begin
-            partials :=
-              List.rev_map
-                (fun s ->
-                  let a = Array.make size (-1) in
-                  List.iteri (fun i pos -> a.(pos) <- s.(i)) positions;
-                  a)
-                !solutions
-          end
-          else begin
-            let overlap =
-              List.filteri
-                (fun _ pos -> Hashtbl.mem covered pos)
-                positions
-            in
-            let fresh =
-              List.filter (fun pos -> not (Hashtbl.mem covered pos)) positions
-            in
-            (* Index this path's solutions by their overlap-node tuple. *)
-            let by_key : (int list, int array list) Hashtbl.t =
-              Hashtbl.create 64
-            in
-            let index_of_pos =
-              let tbl = Hashtbl.create 8 in
-              List.iteri (fun i pos -> Hashtbl.replace tbl pos i) positions;
-              tbl
-            in
-            List.iter
-              (fun s ->
-                let key =
-                  List.map (fun pos -> s.(Hashtbl.find index_of_pos pos)) overlap
-                in
-                Hashtbl.replace by_key key
-                  (s :: Option.value (Hashtbl.find_opt by_key key) ~default:[]))
-              !solutions;
-            partials :=
-              List.concat_map
-                (fun partial ->
-                  let key = List.map (fun pos -> partial.(pos)) overlap in
-                  match Hashtbl.find_opt by_key key with
-                  | None -> []
-                  | Some matches ->
-                      List.map
-                        (fun s ->
-                          let extended = Array.copy partial in
-                          List.iter
-                            (fun pos ->
-                              extended.(pos) <-
-                                s.(Hashtbl.find index_of_pos pos))
-                            fresh;
-                          extended)
-                        matches)
-                !partials
-          end;
-          List.iter (fun pos -> Hashtbl.replace covered pos ()) positions)
-        paths;
-      List.iter emit (List.rev !partials)
-
 (* --- Navigational reference ------------------------------------------ *)
 
 let naive_path_solutions store path =

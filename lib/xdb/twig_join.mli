@@ -1,13 +1,10 @@
-(** Holistic path and twig matching.
+(** Holistic path matching.
 
-    [Path] implements PathStack (Bruno, Koudas, Srivastava): one stream and
-    one stack per step, linked stack entries, solutions expanded when a leaf
-    is pushed. [Twig] matches branching patterns by decomposing them into
-    root-to-leaf paths, running PathStack on each, and merge-joining the
-    path solutions on their shared prefix — TwigStack's merge phase.
-
-    These evaluate *rigid* tag patterns over the whole store. The X³ layer
-    ({!X3_pattern}) adds relaxation semantics on top. *)
+    PathStack (Bruno, Koudas, Srivastava): one stream and one stack per
+    step, linked stack entries, solutions expanded when a leaf is pushed.
+    It evaluates a *rigid* tag path over the whole store; the X³ layer
+    ({!X3_pattern.Eval}) uses it to find the fact nodes and adds relaxation
+    semantics on top. *)
 
 type step = { axis : Structural_join.axis; tag : string }
 
@@ -20,19 +17,6 @@ val path_solutions :
 (** [path_solutions store path emit] calls [emit] with one array per match;
     the array has one node per step, outermost first. The array is fresh
     per call. *)
-
-val count_path_solutions : Store.t -> path -> int
-
-(** {1 Twigs} *)
-
-type twig = { node : step; branches : twig list }
-
-val twig_solutions : Store.t -> twig -> (Store.node array -> unit) -> unit
-(** Solutions in pre-order of the twig's nodes (root first, then each
-    branch depth-first). *)
-
-val twig_steps : twig -> step list
-(** Pre-order list of steps, matching the solution array layout. *)
 
 val naive_path_solutions : Store.t -> path -> Store.node array list
 (** Navigational reference implementation for tests. *)

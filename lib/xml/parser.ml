@@ -456,5 +456,3 @@ let parse_file_with_dtd ?limits path =
           in
           Ok (doc, dtd))
   | exception Sys_error msg -> Error { line = 0; column = 0; message = msg }
-
-let parse_file ?limits path = Result.map fst (parse_file_with_dtd ?limits path)

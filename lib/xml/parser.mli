@@ -45,9 +45,8 @@ val parse_fragment : ?limits:limits -> string -> (Tree.node list, error) result
 (** Parse mixed content without requiring a single root element — handy in
     tests and for building documents from snippets. *)
 
-val parse_file : ?limits:limits -> string -> (Tree.document, error) result
-(** [parse_file path] reads and parses [path]. I/O errors are reported as a
-    parse error at line 0. *)
-
 val parse_file_with_dtd :
   ?limits:limits -> string -> (Tree.document * Dtd.t option, error) result
+(** [parse_file_with_dtd path] reads and parses [path], like
+    {!parse_with_dtd}. I/O errors are reported as a parse error at
+    line 0. *)

@@ -454,8 +454,8 @@ let test_materialized_snapshot_roundtrip () =
   let ctx = make_ctx () in
   let view = Materialized.materialize ctx ~cuboid:0 in
   let disk, _, store = fresh_store () in
-  Materialized.save view store;
-  (match Materialized.load ctx store with
+  Snapshot_store.commit store (Materialized.to_records view);
+  (match Materialized.of_records ctx (Snapshot_store.read store) with
   | Error msg -> Alcotest.fail msg
   | Ok view' ->
       Alcotest.(check int) "cuboid" (Materialized.cuboid_id view)
@@ -483,7 +483,7 @@ let test_workload_crash_sweep () =
     Witness.save table store;
     let counter = Fault.combine [] in
     Fault.install counter disk;
-    Materialized.save view store;
+    Snapshot_store.commit store (Materialized.to_records view);
     Fault.clear disk;
     Disk.close disk;
     Fault.writes_seen counter
@@ -494,7 +494,7 @@ let test_workload_crash_sweep () =
     Witness.save table store;
     Fault.install (Fault.crash_after_writes ~torn:(crash_at mod 2 = 1) crash_at) disk;
     let committed =
-      match Materialized.save view store with
+      match Snapshot_store.commit store (Materialized.to_records view) with
       | () -> true
       | exception Fault.Crashed -> false
     in
@@ -508,7 +508,7 @@ let test_workload_crash_sweep () =
         match epoch with
         | 2 -> (
             (* The view snapshot won: it must load as a complete view. *)
-            match Materialized.load ctx store' with
+            match Materialized.of_records ctx (Snapshot_store.read store') with
             | Error msg -> Alcotest.failf "view after crash %d: %s" crash_at msg
             | Ok view' ->
                 Alcotest.(check int) "view groups"

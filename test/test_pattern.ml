@@ -303,65 +303,145 @@ let prop_staged_roundtrip =
       | Error msg -> QCheck2.Test.fail_report msg
       | Ok loaded -> holds_staged loaded staged)
 
-(* --- join-based evaluation ----------------------------------------------- *)
+(* --- brute-force reference ------------------------------------------------
 
-let test_join_eval_matches_nav_on_figure1 () =
-  let facts = Array.of_list (Eval.facts store fact_path) in
+   [Eval] walks each fact subtree with the tag index; the reference below
+   restates the matching rules of §2.2 ([Relax]) with nothing but
+   quadratic [Store.is_ancestor]/[Store.is_parent] searches over whole
+   tag lists. Every node with the axis's leaf tag under a fact is a
+   candidate; at each structural state a candidate matches when a chain of
+   the axis's steps reaches it from the fact. PC-AD turns every step into
+   a descendant step; SP re-attaches the leaf under its grandparent with a
+   descendant edge, and the leaf's former parent must still match below
+   that grandparent. *)
+
+module Brute = struct
+  module Store = X3_xdb.Store
+
+  let related store relation ~anc ~desc =
+    match relation with
+    | X3_xdb.Structural_join.Child -> Store.is_parent store ~parent:anc ~child:desc
+    | X3_xdb.Structural_join.Descendant -> Store.is_ancestor store ~anc ~desc
+
+  let relation ~pc_ad (s : Axis.step) = if pc_ad then d else s.Axis.axis
+
+  let rec chain store ~pc_ad ~node steps ~accept =
+    match steps with
+    | [] -> accept node
+    | (s : Axis.step) :: rest ->
+        Array.exists
+          (fun next ->
+            related store (relation ~pc_ad s) ~anc:node ~desc:next
+            && chain store ~pc_ad ~node:next rest ~accept)
+          (Store.nodes_with_tag store s.Axis.tag)
+
+  let matches store axis ~fact ~binding ~state =
+    let pc_ad = Axis.mask_applies axis ~mask:state Relax.Pc_ad in
+    if not (Axis.mask_applies axis ~mask:state Relax.Sp) then
+      chain store ~pc_ad ~node:fact axis.Axis.steps ~accept:(Int.equal binding)
+    else
+      match List.rev axis.Axis.steps with
+      | _leaf :: parent :: prefix_rev ->
+          chain store ~pc_ad ~node:fact (List.rev prefix_rev)
+            ~accept:(fun grandparent ->
+              Store.is_ancestor store ~anc:grandparent ~desc:binding
+              && chain store ~pc_ad ~node:grandparent [ parent ]
+                   ~accept:(fun _ -> true))
+      | _ -> assert false
+
+  let bindings store axis ~fact =
+    let leaf = List.nth axis.Axis.steps (List.length axis.Axis.steps - 1) in
+    Array.to_list (Store.nodes_with_tag store leaf.Axis.tag)
+    |> List.filter (fun v -> Store.is_ancestor store ~anc:fact ~desc:v)
+    |> List.filter_map (fun binding ->
+           let validity =
+             List.fold_left
+               (fun acc state ->
+                 if matches store axis ~fact ~binding ~state then
+                   acc lor (1 lsl state)
+                 else acc)
+               0 (Axis.states axis)
+           in
+           if validity land (1 lsl Axis.full_mask axis) <> 0 then
+             Some (binding, validity)
+           else None)
+
+  (* Decoded rows: the fact, then per axis (value, validity, first). *)
+  let rows store ~axes facts =
+    List.concat_map
+      (fun fact ->
+        let cells =
+          Array.to_list axes
+          |> List.map (fun axis ->
+                 match bindings store axis ~fact with
+                 | [] -> [ (None, 0, true) ]
+                 | bs ->
+                     List.mapi
+                       (fun i (v, validity) ->
+                         (Some (Store.string_value store v), validity, i = 0))
+                       bs)
+        in
+        let product =
+          List.fold_right
+            (fun axis_cells tails ->
+              List.concat_map
+                (fun cell -> List.map (fun tail -> cell :: tail) tails)
+                axis_cells)
+            cells [ [] ]
+        in
+        List.map (fun cells -> (fact, cells)) product)
+      facts
+end
+
+let decoded_rows table =
+  List.map
+    (fun row ->
+      ( row.Witness.fact,
+        Array.to_list
+          (Array.mapi
+             (fun ai c ->
+               ( Witness.cell_value table ~axis_index:ai c,
+                 c.Witness.validity,
+                 c.Witness.first ))
+             row.Witness.cells) ))
+    (Witness.to_list table)
+
+let test_reference_bindings_figure1 () =
   List.iter
     (fun axis ->
-      let by_fact = Join_eval.axis_bindings_by_fact store axis ~facts in
-      Array.iter
+      List.iter
         (fun fact ->
-          let nav = Eval.axis_bindings store axis ~fact in
-          let join =
-            Option.value (Hashtbl.find_opt by_fact fact) ~default:[]
-          in
           Alcotest.(check (list (pair int int)))
             (Printf.sprintf "%s bindings of fact %d" axis.Axis.name fact)
-            nav join)
-        facts)
+            (Brute.bindings store axis ~fact)
+            (Eval.axis_bindings store axis ~fact))
+        (Eval.facts store fact_path))
     [ axis_n (); axis_p (); axis_y () ]
 
-let test_join_eval_table_equals_nav_table () =
-  let nav = query1_table () in
-  let join =
-    Join_eval.build_table (small_pool ()) (figure1_store ()) ~fact_path
-      ~axes:(query1_axes ())
-  in
-  Alcotest.(check int) "row count" (Witness.row_count nav)
-    (Witness.row_count join);
-  let rows t =
-    (* Decode through the dictionaries: the two tables may intern values
-       in different orders. *)
-    List.map
-      (fun row ->
-        ( row.Witness.fact,
-          Array.to_list
-            (Array.mapi
-               (fun ai c ->
-                 ( Witness.cell_value t ~axis_index:ai c,
-                   c.Witness.validity,
-                   c.Witness.first ))
-               row.Witness.cells) ))
-      (Witness.to_list t)
-  in
-  Alcotest.(check bool) "identical rows" true (rows nav = rows join)
+let test_reference_table_figure1 () =
+  let table = query1_table () in
+  Alcotest.(check bool) "identical rows" true
+    (decoded_rows table
+    = Brute.rows store ~axes:(query1_axes ()) (Eval.facts store fact_path))
 
-let gen_join_eval_doc =
+(* Facts [r] holding small trees over [p], [mid], [other] and nested
+   [r]s, with valued [q] leaves: enough shapes that every structural state
+   of the axes below matches a different binding set. *)
+let gen_relax_doc =
   let module Tree = X3_xml.Tree in
   let open QCheck2.Gen in
-  let value = oneofl [ "1"; "2" ] in
-  let leaf tag = map (fun v -> Tree.elem tag [ Tree.text v ]) value in
-  let nested =
-    oneof
-      [
-        map (fun l -> Tree.elem "p" [ l ]) (leaf "q");
-        map (fun l -> Tree.elem "p" [ Tree.elem "mid" [ l ] ]) (leaf "q");
-        map (fun l -> Tree.elem "other" [ l ]) (leaf "q");
-        leaf "q";
-      ]
+  let leaf = map (fun v -> Tree.elem "q" [ Tree.text v ]) (oneofl [ "1"; "2" ]) in
+  let rec node depth =
+    if depth = 0 then leaf
+    else
+      oneof
+        [
+          leaf;
+          map2 Tree.elem
+            (oneofl [ "p"; "p"; "mid"; "other"; "r" ])
+            (list_size (int_bound 2) (node (depth - 1)));
+        ]
   in
-  let fact = list_size (int_bound 3) nested in
   map
     (fun facts ->
       match
@@ -369,34 +449,26 @@ let gen_join_eval_doc =
       with
       | Tree.Element e -> Tree.document e
       | _ -> assert false)
-    (list_size (int_range 1 8) fact)
+    (list_size (int_range 1 6) (list_size (int_bound 3) (node 3)))
 
-let prop_join_eval_equals_nav =
-  QCheck2.Test.make ~name:"join-based eval = navigational eval" ~count:100
-    gen_join_eval_doc (fun doc ->
+let relax_axes () =
+  [|
+    Axis.make_exn ~name:"$q"
+      ~steps:[ step c "p"; step c "q" ]
+      ~allowed:[ Relax.Lnd; Relax.Sp; Relax.Pc_ad ];
+    Axis.make_exn ~name:"$m"
+      ~steps:[ step c "p"; step c "mid"; step c "q" ]
+      ~allowed:[ Relax.Sp; Relax.Pc_ad ];
+  |]
+
+let prop_eval_equals_reference =
+  QCheck2.Test.make ~name:"eval = brute-force reference" ~count:100
+    gen_relax_doc (fun doc ->
       let store = X3_xdb.Store.of_document doc in
-      let axes =
-        [|
-          Axis.make_exn ~name:"$q"
-            ~steps:[ step c "p"; step c "q" ]
-            ~allowed:[ Relax.Lnd; Relax.Sp; Relax.Pc_ad ];
-        |]
-      in
-      let fact_path = [ step d "r" ] in
-      let nav = Eval.build_table (small_pool ()) store ~fact_path ~axes in
-      let join = Join_eval.build_table (small_pool ()) store ~fact_path ~axes in
-      let rows t =
-        List.map
-          (fun row ->
-            ( row.Witness.fact,
-              Array.to_list
-                (Array.mapi
-                   (fun ai c ->
-                     (Witness.cell_value t ~axis_index:ai c, c.Witness.validity))
-                   row.Witness.cells) ))
-          (Witness.to_list t)
-      in
-      rows nav = rows join)
+      let axes = relax_axes () and fact_path = [ step d "r" ] in
+      let table = Eval.build_table (small_pool ()) store ~fact_path ~axes in
+      decoded_rows table
+      = Brute.rows store ~axes (Eval.facts store fact_path))
 
 (* --- columnar view ------------------------------------------------------- *)
 
@@ -473,15 +545,9 @@ let test_columnar_figure1 () =
 
 let prop_columnar_equals_rows =
   QCheck2.Test.make ~name:"columnar view = row view" ~count:100
-    gen_join_eval_doc (fun doc ->
+    gen_relax_doc (fun doc ->
       let store = X3_xdb.Store.of_document doc in
-      let axes =
-        [|
-          Axis.make_exn ~name:"$q"
-            ~steps:[ step c "p"; step c "q" ]
-            ~allowed:[ Relax.Lnd; Relax.Sp; Relax.Pc_ad ];
-        |]
-      in
+      let axes = relax_axes () in
       let fact_path = [ step d "r" ] in
       let table = Eval.build_table (small_pool ()) store ~fact_path ~axes in
       columnar_equals_rows store ~fact_path table)
@@ -630,12 +696,12 @@ let () =
           Alcotest.test_case "columnar view on figure 1" `Quick
             test_columnar_figure1;
         ] );
-      ( "join eval",
+      ( "reference",
         [
-          Alcotest.test_case "matches navigational on figure 1" `Quick
-            test_join_eval_matches_nav_on_figure1;
-          Alcotest.test_case "tables identical" `Quick
-            test_join_eval_table_equals_nav_table;
+          Alcotest.test_case "bindings on figure 1" `Quick
+            test_reference_bindings_figure1;
+          Alcotest.test_case "table on figure 1" `Quick
+            test_reference_table_figure1;
         ] );
       ( "mrfi",
         [
@@ -646,7 +712,7 @@ let () =
         qcheck
           [
             prop_staged_roundtrip;
-            prop_join_eval_equals_nav;
+            prop_eval_equals_reference;
             prop_columnar_equals_rows;
             prop_columnar_extend;
           ] );

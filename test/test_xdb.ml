@@ -106,77 +106,80 @@ let test_store_forest () =
   Alcotest.(check int) "two documents" 2
     (Array.length (Store.nodes_with_tag s "a"))
 
-(* --- structural joins ------------------------------------------------- *)
+(* --- structural joins ---------------------------------------------------
 
-let sorted_pairs l = List.sort compare l
-
-let check_join_against_naive ~axis ~anc_tag ~desc_tag st =
-  let ancestors = Store.nodes_with_tag st anc_tag in
-  let descendants = Store.nodes_with_tag st desc_tag in
-  let fast = Structural_join.join_pairs st ~axis ~ancestors ~descendants in
-  let slow = Structural_join.naive_join st ~axis ~ancestors ~descendants in
-  Alcotest.(check (list (pair int int)))
-    (Printf.sprintf "%s-%s" anc_tag desc_tag)
-    (sorted_pairs slow) (sorted_pairs fast)
-
-let test_join_ad () =
-  check_join_against_naive ~axis:Structural_join.Descendant
-    ~anc_tag:"publication" ~desc_tag:"name" store;
-  check_join_against_naive ~axis:Structural_join.Descendant
-    ~anc_tag:"publication" ~desc_tag:"author" store
-
-let test_join_pc () =
-  check_join_against_naive ~axis:Structural_join.Child ~anc_tag:"publication"
-    ~desc_tag:"author" store;
-  check_join_against_naive ~axis:Structural_join.Child ~anc_tag:"publication"
-    ~desc_tag:"publisher" store
-
-let test_join_pc_vs_ad_counts () =
-  let pubs = Store.nodes_with_tag store "publication" in
-  let authors = Store.nodes_with_tag store "author" in
-  let pc =
-    Structural_join.join_pairs store ~axis:Structural_join.Child
-      ~ancestors:pubs ~descendants:authors
-  in
-  let ad =
-    Structural_join.join_pairs store ~axis:Structural_join.Descendant
-      ~ancestors:pubs ~descendants:authors
-  in
-  (* Pub 3's author sits under <authors>, so PC misses it. *)
-  Alcotest.(check int) "pc pairs" 4 (List.length pc);
-  Alcotest.(check int) "ad pairs" 5 (List.length ad)
-
-let test_semijoins () =
-  let pubs = Store.nodes_with_tag store "publication" in
-  let publishers = Store.nodes_with_tag store "publisher" in
-  let with_publisher =
-    Structural_join.semijoin_ancestors store ~axis:Structural_join.Child
-      ~ancestors:pubs ~descendants:publishers
-  in
-  (* Pubs 1, 2 have a publisher child; pub 4's is nested under pubData. *)
-  Alcotest.(check int) "pubs with publisher child" 2
-    (Array.length with_publisher);
-  let desc =
-    Structural_join.semijoin_descendants store ~axis:Structural_join.Descendant
-      ~ancestors:pubs ~descendants:publishers
-  in
-  Alcotest.(check int) "publishers under pubs" 3 (Array.length desc)
-
-(* --- path and twig joins ---------------------------------------------- *)
+   A two-step path [//anc/desc] or [//anc//desc] is a binary structural
+   join of the two tags' nodes; PathStack must return exactly the pairs a
+   quadratic [Store.is_parent]/[Store.is_ancestor] search finds. *)
 
 let d = Structural_join.Descendant
 let c = Structural_join.Child
 
+let path_pairs st ~axis ~anc_tag ~desc_tag =
+  let acc = ref [] in
+  Twig_join.path_solutions st
+    [ { Twig_join.axis = d; tag = anc_tag }; { axis; tag = desc_tag } ]
+    (fun s -> acc := (s.(0), s.(1)) :: !acc);
+  List.sort compare !acc
+
+let quadratic_pairs st ~axis ~anc_tag ~desc_tag =
+  let related a v =
+    match axis with
+    | Structural_join.Descendant -> Store.is_ancestor st ~anc:a ~desc:v
+    | Structural_join.Child -> Store.is_parent st ~parent:a ~child:v
+  in
+  let acc = ref [] in
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun v -> if related a v then acc := (a, v) :: !acc)
+        (Store.nodes_with_tag st desc_tag))
+    (Store.nodes_with_tag st anc_tag);
+  List.sort compare !acc
+
+let check_join_against_naive ~axis ~anc_tag ~desc_tag st =
+  Alcotest.(check (list (pair int int)))
+    (Printf.sprintf "%s-%s" anc_tag desc_tag)
+    (quadratic_pairs st ~axis ~anc_tag ~desc_tag)
+    (path_pairs st ~axis ~anc_tag ~desc_tag)
+
+let test_join_ad () =
+  check_join_against_naive ~axis:d ~anc_tag:"publication" ~desc_tag:"name"
+    store;
+  check_join_against_naive ~axis:d ~anc_tag:"publication" ~desc_tag:"author"
+    store
+
+let test_join_pc () =
+  check_join_against_naive ~axis:c ~anc_tag:"publication" ~desc_tag:"author"
+    store;
+  check_join_against_naive ~axis:c ~anc_tag:"publication"
+    ~desc_tag:"publisher" store
+
+let test_join_pc_vs_ad_counts () =
+  let pairs axis =
+    path_pairs store ~axis ~anc_tag:"publication" ~desc_tag:"author"
+  in
+  (* Pub 3's author sits under <authors>, so PC misses it. *)
+  Alcotest.(check int) "pc pairs" 4 (List.length (pairs c));
+  Alcotest.(check int) "ad pairs" 5 (List.length (pairs d))
+
+(* --- path joins ------------------------------------------------------- *)
+
+let count_path_solutions st path =
+  let n = ref 0 in
+  Twig_join.path_solutions st path (fun _ -> incr n);
+  !n
+
 let test_pathstack_simple () =
   let path = [ { Twig_join.axis = d; tag = "publication" }; { axis = c; tag = "year" } ] in
-  let count = Twig_join.count_path_solutions store path in
+  let count = count_path_solutions store path in
   (* pub1: 1 year, pub2: 2 years, pub3: 1 year, pub4: none (nested). *)
   Alcotest.(check int) "pub/year matches" 4 count
 
 let test_pathstack_descendant () =
   let path = [ { Twig_join.axis = d; tag = "publication" }; { axis = d; tag = "year" } ] in
   Alcotest.(check int) "pub//year matches" 5
-    (Twig_join.count_path_solutions store path)
+    (count_path_solutions store path)
 
 let test_pathstack_three_steps () =
   let path =
@@ -187,7 +190,7 @@ let test_pathstack_three_steps () =
     ]
   in
   Alcotest.(check int) "pub/author/name" 4
-    (Twig_join.count_path_solutions store path)
+    (count_path_solutions store path)
 
 let test_pathstack_vs_naive () =
   let paths =
@@ -211,108 +214,6 @@ let test_pathstack_vs_naive () =
         "pathstack = naive" (List.sort compare slow)
         (List.sort compare !fast))
     paths
-
-let test_twig_solutions () =
-  (* publication[./author/name][./year] *)
-  let twig =
-    {
-      Twig_join.node = { axis = d; tag = "publication" };
-      branches =
-        [
-          {
-            Twig_join.node = { axis = c; tag = "author" };
-            branches =
-              [ { Twig_join.node = { axis = c; tag = "name" }; branches = [] } ];
-          };
-          { Twig_join.node = { axis = c; tag = "year" }; branches = [] };
-        ];
-    }
-  in
-  let solutions = ref [] in
-  Twig_join.twig_solutions store twig (fun s -> solutions := s :: !solutions);
-  (* pub1: 2 authors x 1 year = 2; pub2: 1 author x 2 years = 2;
-     pub3: author nested (PC fails); pub4: no year child. *)
-  Alcotest.(check int) "twig matches" 4 (List.length !solutions);
-  List.iter
-    (fun s ->
-      Alcotest.(check int) "solution width" 4 (Array.length s);
-      Alcotest.(check string) "first is publication" "publication"
-        (Store.tag store s.(0)))
-    !solutions
-
-let test_twig_single_node () =
-  let twig = { Twig_join.node = { axis = d; tag = "year" }; branches = [] } in
-  let n = ref 0 in
-  Twig_join.twig_solutions store twig (fun _ -> incr n);
-  Alcotest.(check int) "years anywhere" 5 !n
-
-let test_twig_three_branches () =
-  (* publication[.//name][.//publisher][./year] — a three-way twig. *)
-  let twig =
-    {
-      Twig_join.node = { axis = d; tag = "publication" };
-      branches =
-        [
-          { Twig_join.node = { axis = d; tag = "name" }; branches = [] };
-          { Twig_join.node = { axis = d; tag = "publisher" }; branches = [] };
-          { Twig_join.node = { axis = c; tag = "year" }; branches = [] };
-        ];
-    }
-  in
-  let solutions = ref [] in
-  Twig_join.twig_solutions store twig (fun s -> solutions := s :: !solutions);
-  (* pub1: 2 names x 1 publisher x 1 year = 2; pub2: 1 x 1 x 2 = 2;
-     pub3: no publisher; pub4: publisher but year not a child. *)
-  Alcotest.(check int) "three-branch solutions" 4 (List.length !solutions);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "name under pub" true
-        (Store.is_ancestor store ~anc:s.(0) ~desc:s.(1));
-      Alcotest.(check bool) "publisher under pub" true
-        (Store.is_ancestor store ~anc:s.(0) ~desc:s.(2));
-      Alcotest.(check bool) "year child of pub" true
-        (Store.is_parent store ~parent:s.(0) ~child:s.(3)))
-    !solutions
-
-let test_twig_nested_branch () =
-  (* publication[./author[./name]][./publisher] — branch below a branch. *)
-  let twig =
-    {
-      Twig_join.node = { axis = d; tag = "publication" };
-      branches =
-        [
-          {
-            Twig_join.node = { axis = c; tag = "author" };
-            branches =
-              [ { Twig_join.node = { axis = c; tag = "name" }; branches = [] } ];
-          };
-          { Twig_join.node = { axis = c; tag = "publisher" }; branches = [] };
-        ];
-    }
-  in
-  let n = ref 0 in
-  Twig_join.twig_solutions store twig (fun _ -> incr n);
-  (* pub1: 2 author-name pairs x 1 publisher; pub2: 1 x 1; pub3 (no direct
-     author, no publisher): 0; pub4: author/name but publisher nested. *)
-  Alcotest.(check int) "nested twig solutions" 3 !n
-
-let test_twig_steps_preorder () =
-  let twig =
-    {
-      Twig_join.node = { axis = d; tag = "a" };
-      branches =
-        [
-          {
-            Twig_join.node = { axis = c; tag = "b" };
-            branches =
-              [ { Twig_join.node = { axis = c; tag = "c" }; branches = [] } ];
-          };
-          { Twig_join.node = { axis = c; tag = "e" }; branches = [] };
-        ];
-    }
-  in
-  Alcotest.(check (list string)) "pre-order tags" [ "a"; "b"; "c"; "e" ]
-    (List.map (fun (s : Twig_join.step) -> s.tag) (Twig_join.twig_steps twig))
 
 (* --- property tests over random trees --------------------------------- *)
 
@@ -341,13 +242,9 @@ let prop_join_matches_naive =
     (fun (st, anc_tag, desc_tag) ->
       List.for_all
         (fun axis ->
-          let ancestors = Store.nodes_with_tag st anc_tag in
-          let descendants = Store.nodes_with_tag st desc_tag in
-          sorted_pairs
-            (Structural_join.join_pairs st ~axis ~ancestors ~descendants)
-          = sorted_pairs
-              (Structural_join.naive_join st ~axis ~ancestors ~descendants))
-        [ Structural_join.Child; Structural_join.Descendant ])
+          path_pairs st ~axis ~anc_tag ~desc_tag
+          = quadratic_pairs st ~axis ~anc_tag ~desc_tag)
+        [ c; d ])
 
 let prop_pathstack_matches_naive =
   QCheck2.Test.make ~name:"pathstack = naive path eval" ~count:200
@@ -397,7 +294,6 @@ let () =
           Alcotest.test_case "ancestor-descendant" `Quick test_join_ad;
           Alcotest.test_case "parent-child" `Quick test_join_pc;
           Alcotest.test_case "pc vs ad counts" `Quick test_join_pc_vs_ad_counts;
-          Alcotest.test_case "semijoins" `Quick test_semijoins;
         ] );
       ( "twig join",
         [
@@ -407,13 +303,6 @@ let () =
           Alcotest.test_case "pathstack three steps" `Quick
             test_pathstack_three_steps;
           Alcotest.test_case "pathstack vs naive" `Quick test_pathstack_vs_naive;
-          Alcotest.test_case "twig solutions" `Quick test_twig_solutions;
-          Alcotest.test_case "twig single node" `Quick test_twig_single_node;
-          Alcotest.test_case "twig three branches" `Quick
-            test_twig_three_branches;
-          Alcotest.test_case "twig nested branch" `Quick test_twig_nested_branch;
-          Alcotest.test_case "twig steps preorder" `Quick
-            test_twig_steps_preorder;
         ] );
       ( "properties",
         qcheck
