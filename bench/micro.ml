@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks for the substrate design choices DESIGN.md
-   calls out: holistic path matching vs navigation, external vs in-memory
-   sorting, buffer-pool behaviour, quicksort, and witness-table
-   evaluation. *)
+   calls out: XML loading, holistic path matching vs navigation, external
+   vs in-memory sorting, buffer-pool behaviour, quicksort, and
+   witness-table evaluation. *)
 
 open Bechamel
 open Toolkit
@@ -107,34 +107,70 @@ let eval_tests () =
            ignore (X3_pattern.Eval.build_table (pool ()) store ~fact_path ~axes)));
   ]
 
-let all_tests () =
-  path_tests () @ sort_tests () @ pool_tests () @ quicksort_tests ()
-  @ eval_tests ()
+(* Loading a document into the node store: the DOM path (parse, then
+   label the tree) against the scanner feeding the store builder, on the
+   two document sizes the serve churn workload reloads. Reported as MB/s
+   and minor words per input byte as well as time per run. *)
+let load_docs () =
+  let treebank =
+    X3_workload.Treebank.generate
+      {
+        X3_workload.Treebank.default with
+        num_trees = 10_000;
+        axes = 5;
+        density = X3_workload.Treebank.Dense;
+      }
+  and dblp =
+    X3_workload.Dblp.generate { X3_workload.Dblp.seed = 1; num_articles = 10_000 }
+  in
+  [
+    ("treebank-1e4", X3_xml.Serialize.to_string treebank);
+    ("dblp-1e4", X3_xml.Serialize.to_string dblp);
+  ]
+
+let load_tests docs =
+  let ok = function Ok v -> v | Error _ -> assert false in
+  List.concat_map
+    (fun (name, src) ->
+      [
+        Test.make
+          ~name:("xml.load/" ^ name ^ "/parse+of_document")
+          (Staged.stage (fun () ->
+               Store.of_document (ok (X3_xml.Parser.parse src))));
+        Test.make
+          ~name:("xml.load/" ^ name ^ "/of_string")
+          (Staged.stage (fun () -> ok (Store.of_string src)));
+      ])
+    docs
+
+let all_tests docs =
+  load_tests docs @ path_tests () @ sort_tests () @ pool_tests ()
+  @ quicksort_tests () @ eval_tests ()
 
 let run ppf =
-  let tests = all_tests () in
+  let docs = load_docs () in
+  let tests = all_tests docs in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None
       ~stabilize:true ()
   in
   let raw =
     Benchmark.all cfg
-      [ Instance.monotonic_clock ]
+      [ Instance.monotonic_clock; Instance.minor_allocated ]
       (Test.make_grouped ~name:"micro" tests)
   in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
+  let estimate results name =
+    match Analyze.OLS.estimates (Hashtbl.find results name) with
+    | Some (t :: _) -> t
+    | Some [] | None | (exception Not_found) -> nan
+  in
   let results = Analyze.all ols Instance.monotonic_clock raw in
+  let minor = Analyze.all ols Instance.minor_allocated raw in
   let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> t
-          | Some [] | None -> nan
-        in
-        (name, ns) :: acc)
+    Hashtbl.fold (fun name _ acc -> (name, estimate results name) :: acc)
       results []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
@@ -150,4 +186,16 @@ let run ppf =
         else (ns, "ns")
       in
       Format.fprintf ppf "  %-45s %10.2f %s/run@." name value unit_)
-    rows
+    rows;
+  Format.fprintf ppf "@.XML load (MB/s; minor words per input byte)@.";
+  List.iter
+    (fun (doc, src) ->
+      let bytes = float_of_int (String.length src) in
+      List.iter
+        (fun path ->
+          let name = Printf.sprintf "micro/xml.load/%s/%s" doc path in
+          Format.fprintf ppf "  %-45s %8.1f MB/s %8.2f w/B@." name
+            (bytes /. estimate results name *. 1e3)
+            (estimate minor name /. bytes))
+        [ "parse+of_document"; "of_string" ])
+    docs

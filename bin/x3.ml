@@ -51,7 +51,8 @@ let exit_fault = 3
 let exit_partial = 4
 let exit_over_budget = 5
 
-let load_document ?max_input_bytes path =
+(* The document scanned straight into the node store, and its DTD. *)
+let load_store ?max_input_bytes path =
   (match max_input_bytes with
   | Some cap -> (
       match (Unix.stat path).Unix.st_size with
@@ -64,8 +65,8 @@ let load_document ?max_input_bytes path =
       | _ -> ()
       | exception Unix.Unix_error _ -> () (* let the parser report it *))
   | None -> ());
-  match X3_xml.Parser.parse_file_with_dtd path with
-  | Ok (doc, dtd) -> (doc, dtd)
+  match X3_xdb.Store.of_file path with
+  | Ok (store, dtd) -> (store, dtd)
   | Error e ->
       prerr_endline (Format.asprintf "x3: %a" X3_xml.Parser.pp_error e);
       exit 1
@@ -77,10 +78,9 @@ let make_pool () =
 let prepare_from_query ?max_input_bytes query_path doc_override =
   let { X3_ql.Compile.document; spec } = parse_query query_path in
   let doc_path = Option.value doc_override ~default:document in
-  let doc, dtd = load_document ?max_input_bytes doc_path in
-  let store = X3_xdb.Store.of_document doc in
+  let store, dtd = load_store ?max_input_bytes doc_path in
   let prepared = Engine.prepare ~pool:(make_pool ()) ~store spec in
-  (spec, prepared, doc, dtd)
+  (spec, prepared, dtd)
 
 (* --- cube --------------------------------------------------------------- *)
 
@@ -134,9 +134,7 @@ let prepare_phased ?max_input_bytes ph query_path doc_override =
     timed ph "load" (fun () ->
         Trace.with_span "doc.load"
           ~attrs:[ ("path", Trace.Str doc_path) ]
-          (fun () ->
-            let doc, dtd = load_document ?max_input_bytes doc_path in
-            (X3_xdb.Store.of_document doc, dtd)))
+          (fun () -> load_store ?max_input_bytes doc_path))
   in
   let prepared =
     timed ph "materialise" (fun () ->
@@ -501,9 +499,7 @@ let run_lattice query_path dot =
 (* --- analyze ------------------------------------------------------------ *)
 
 let run_analyze query_path doc dtd_path =
-  let spec, prepared, _document, inline_dtd =
-    prepare_from_query query_path doc
-  in
+  let spec, prepared, inline_dtd = prepare_from_query query_path doc in
   let lattice = Engine.lattice prepared in
   let dtd =
     match dtd_path with
@@ -540,7 +536,7 @@ let run_analyze query_path doc dtd_path =
 (* --- pivot -------------------------------------------------------------- *)
 
 let run_pivot query_path doc rows cols row_state col_state =
-  let spec, prepared, _document, _dtd = prepare_from_query query_path doc in
+  let spec, prepared, _dtd = prepare_from_query query_path doc in
   let axis_index name =
     let found = ref None in
     Array.iteri
@@ -776,8 +772,7 @@ let run_ingest socket port doc fragment =
 (* --- info --------------------------------------------------------------- *)
 
 let run_info path =
-  let doc, dtd = load_document path in
-  let store = X3_xdb.Store.of_document doc in
+  let store, dtd = load_store path in
   Format.printf "%s: %a@." path X3_xdb.Store.pp_summary store;
   (match dtd with
   | Some dtd ->

@@ -105,6 +105,13 @@ let new_req_info () =
     ri_admission_wait = 0.;
   }
 
+(* One document's ingested fragments in LSN order, and the highest LSN
+   among them. *)
+type doc_frags = {
+  frags : (int * Tree.element) Queue.t;
+  mutable high_water : int;
+}
+
 type t = {
   cfg : config;
   registry : Metrics.t;
@@ -127,7 +134,7 @@ type t = {
   (* Per document, its ingested fragments (LSN ascending) — replayed from
      the WAL at startup, extended on each ingest. Guarded by
      [compute_lock], like all session mutation. *)
-  wal_frags : (string, (int * Tree.element) list ref) Hashtbl.t;
+  wal_frags : (string, doc_frags) Hashtbl.t;
   (* metric handles, interned once *)
   m_requests : Metrics.counter;
   m_errors : Metrics.counter;
@@ -232,17 +239,29 @@ let decode_ingest_payload payload =
           String.sub payload (4 + len) (String.length payload - 4 - len) )
   end
 
-let doc_frags wal_frags doc_path =
-  match Hashtbl.find_opt wal_frags doc_path with Some l -> !l | None -> []
+let iter_frags wal_frags doc_path f =
+  match Hashtbl.find_opt wal_frags doc_path with
+  | Some d -> Queue.iter f d.frags
+  | None -> ()
 
 let doc_high_water wal_frags doc_path =
-  List.fold_left (fun acc (lsn, _) -> max acc lsn) 0
-    (doc_frags wal_frags doc_path)
-
-let record_frag wal_frags ~doc_path ~lsn fragment =
   match Hashtbl.find_opt wal_frags doc_path with
-  | Some l -> l := !l @ [ (lsn, fragment) ]
-  | None -> Hashtbl.replace wal_frags doc_path (ref [ (lsn, fragment) ])
+  | Some d -> d.high_water
+  | None -> 0
+
+(* LSNs only grow, both in the log and on ingest, so appending keeps each
+   queue in LSN order. *)
+let record_frag wal_frags ~doc_path ~lsn fragment =
+  let d =
+    match Hashtbl.find_opt wal_frags doc_path with
+    | Some d -> d
+    | None ->
+        let d = { frags = Queue.create (); high_water = 0 } in
+        Hashtbl.replace wal_frags doc_path d;
+        d
+  in
+  Queue.add (lsn, fragment) d.frags;
+  d.high_water <- max d.high_water lsn
 
 (* Rebuild the per-document fragment index from a recovered log. A record
    that no longer decodes or parses is skipped with a warning — it can
@@ -477,22 +496,6 @@ let check_input_cap t doc_path =
       | _ -> ()
       | exception Unix.Unix_error _ -> ())
 
-(* Functionally rebuild the document with its ingested fragments grafted
-   as trailing children of the root, LSN order — the cold path's view of
-   every durably ingested fact. [upto] bounds the graft for warm restore,
-   which replays later fragments as deltas instead. *)
-let graft_fragments t doc ~doc_path ~upto =
-  let frags =
-    List.filter_map
-      (fun (lsn, el) -> if lsn <= upto then Some (Tree.Element el) else None)
-      (doc_frags t.wal_frags doc_path)
-  in
-  if frags = [] then doc
-  else begin
-    let root = doc.Tree.root in
-    { doc with Tree.root = { root with Tree.children = root.Tree.children @ frags } }
-  end
-
 (* The document's bytes, read once after the input-cap check: warm
    restore digests and parses this same string, so a view is never bound
    to bytes nobody checked. *)
@@ -502,17 +505,20 @@ let read_document t doc_path =
   | src -> src
   | exception Sys_error msg -> fail "bad_document" "%s" msg
 
-(* The query-independent half of a session load: parse [src] (the bytes
-   of [doc_path]), graft its ingested fragments up to [graft_upto] and
-   label the result. The store is immutable, so any number of sessions
-   may be prepared over it. *)
+(* The query-independent half of a session load: scan [src] (the bytes
+   of [doc_path]) straight into a store, with its ingested fragments up
+   to [graft_upto] appended to the root in LSN order — the cold path's
+   view of every durably ingested fact. Warm restore bounds the graft and
+   replays later fragments as deltas instead. The store is immutable, so
+   any number of sessions may be prepared over it. *)
 let load_store ?(graft_upto = max_int) t ~doc_path src =
-  match X3_xml.Parser.parse src with
+  let graft = ref [] in
+  iter_frags t.wal_frags doc_path (fun (lsn, el) ->
+      if lsn <= graft_upto then graft := el :: !graft);
+  match X3_xdb.Store.of_string ~graft:(List.rev !graft) src with
   | Error e ->
       fail "bad_document" "%s" (Format.asprintf "%a" X3_xml.Parser.pp_error e)
-  | Ok doc ->
-      let doc = graft_fragments t doc ~doc_path ~upto:graft_upto in
-      let store = X3_xdb.Store.of_document doc in
+  | Ok store ->
       Metrics.inc t.m_docs_loaded;
       store
 
@@ -1098,8 +1104,7 @@ let restore_entry t ~store ~spec ds =
   in
   (* Replay ingests the snapshot never saw, oldest first: each record
      advances [de_wal_lsn], which the guard compares against. *)
-  List.iter
-    (fun (lsn, fragment) ->
+  iter_frags t.wal_frags doc_path (fun (lsn, fragment) ->
       if lsn > entry.de_wal_lsn then begin
         (match
            Engine.stage_fragment spec ~fragment
@@ -1115,8 +1120,7 @@ let restore_entry t ~store ~spec ds =
                   (Format.asprintf "%a" Engine.pp_fallback fb)
             | Ok _ -> ()));
         entry.de_wal_lsn <- lsn
-      end)
-    (doc_frags t.wal_frags doc_path);
+      end);
   let bytes = Engine.Session.table_bytes session in
   if Cuboid_cache.insert t.cache ~key:(doc_key skey) ~bytes (Doc entry) then begin
     Metrics.inc t.m_restored_docs;

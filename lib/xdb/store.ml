@@ -1,4 +1,5 @@
 module Tree = X3_xml.Tree
+module Parser = X3_xml.Parser
 
 type node = int
 type kind = Element | Attribute | Text
@@ -15,95 +16,170 @@ type t = {
   index : node array array;  (** tag id -> nodes in document order *)
 }
 
-(* Loading: one counting pass to size the arrays, one labelling pass.  The
-   synthetic forest root keeps multi-document loads uniform. *)
+(* Loading: one builder, fed either by the XML scanner's events or by a
+   walk over a [Tree]. Ids are pre-order ranks handed out as nodes open;
+   an element's subtree end is fixed when it closes, like TIMBER's
+   loader. The columns fill chunks, so appends never copy and no size is
+   needed up front; [finish] copies them out once. The first chunk has
+   the caller's size: a load whose size is known exactly fills that one
+   chunk, which [finish] keeps as is. *)
 
-let count_nodes root_elements =
-  let rec count_node acc = function
-    | Tree.Element e ->
-        let acc = acc + 1 + List.length e.Tree.attributes in
-        List.fold_left count_node acc e.Tree.children
-    | Tree.Text _ -> acc + 1
-    | Tree.Comment _ | Tree.Pi _ -> acc
-  in
-  List.fold_left
-    (fun acc e -> count_node acc (Tree.Element e))
-    0 root_elements
+let chunk_bits = 10
+let chunk_size = 1 lsl chunk_bits
 
-let load ~forest root_elements =
-  let extra_root = if forest then 1 else 0 in
-  let n = count_nodes root_elements + extra_root in
-  let kinds = Array.make n Element in
-  let tag_ids = Array.make n 0 in
-  let fins = Array.make n 0 in
-  let levels = Array.make n 0 in
-  let parents = Array.make n (-1) in
-  let texts = Array.make n "" in
-  let tag_table = Hashtbl.create 64 in
-  let tag_names = ref [] in
-  let tag_count = ref 0 in
-  let intern name =
-    match Hashtbl.find_opt tag_table name with
-    | Some id -> id
-    | None ->
-        let id = !tag_count in
-        incr tag_count;
-        Hashtbl.add tag_table name id;
-        tag_names := name :: !tag_names;
-        id
-  in
-  let next = ref 0 in
-  let fresh () =
-    let id = !next in
-    incr next;
-    id
-  in
-  let rec load_element parent level e =
-    let id = fresh () in
-    kinds.(id) <- Element;
-    tag_ids.(id) <- intern e.Tree.name;
-    levels.(id) <- level;
-    parents.(id) <- parent;
-    List.iter
-      (fun { Tree.attr_name; attr_value } ->
-        let aid = fresh () in
-        kinds.(aid) <- Attribute;
-        tag_ids.(aid) <- intern ("@" ^ attr_name);
-        levels.(aid) <- level + 1;
-        parents.(aid) <- id;
-        texts.(aid) <- attr_value;
-        fins.(aid) <- aid)
-      e.Tree.attributes;
-    List.iter (load_child id (level + 1)) e.Tree.children;
-    fins.(id) <- !next - 1
-  and load_child parent level = function
-    | Tree.Element e -> load_element parent level e
-    | Tree.Text s ->
-        let id = fresh () in
-        kinds.(id) <- Text;
-        tag_ids.(id) <- intern "#text";
-        levels.(id) <- level;
-        parents.(id) <- parent;
-        texts.(id) <- s;
-        fins.(id) <- id
-    | Tree.Comment _ | Tree.Pi _ -> ()
-  in
-  if forest then begin
-    let id = fresh () in
-    kinds.(id) <- Element;
-    tag_ids.(id) <- intern "#forest";
-    levels.(id) <- 0;
-    parents.(id) <- -1;
-    List.iter (load_element id 1) root_elements;
-    fins.(id) <- !next - 1
-  end
-  else begin
-    match root_elements with
-    | [ e ] -> load_element (-1) 0 e
-    | _ -> assert false
+type chunk = {
+  c_kinds : kind array;
+  c_tag_ids : int array;
+  c_fins : int array;
+  c_levels : int array;
+  c_parents : int array;
+  c_texts : string array;
+}
+
+let new_chunk size =
+  {
+    c_kinds = Array.make size Element;
+    c_tag_ids = Array.make size 0;
+    c_fins = Array.make size 0;
+    c_levels = Array.make size 0;
+    c_parents = Array.make size 0;
+    c_texts = Array.make size "";
+  }
+
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+type builder = {
+  mutable chunks : chunk array;
+      (* chunk 0 holds ids from 0, each later one [chunk_size] ids *)
+  mutable n_chunks : int;
+  mutable cur : chunk;  (* the last chunk *)
+  mutable cur_base : int;  (* the id in its slot 0 *)
+  mutable next : int;
+  b_tag_table : (string, int) Hashtbl.t;
+  mutable b_tag_names : string list;  (* reversed *)
+  mutable tag_count : int;
+  attr_tags : (string, int) Hashtbl.t;  (* attribute name -> tag of "@name" *)
+  mutable text_tag : int;  (* -1 until the first text node *)
+  mutable open_ids : int array;  (* open elements, innermost last *)
+  mutable depth : int;
+}
+
+let builder ~capacity =
+  let cur = new_chunk capacity in
+  {
+    chunks = [| cur |];
+    n_chunks = 1;
+    cur;
+    cur_base = 0;
+    next = 0;
+    b_tag_table = Hashtbl.create 16;
+    b_tag_names = [];
+    tag_count = 0;
+    attr_tags = Hashtbl.create 8;
+    text_tag = -1;
+    open_ids = Array.make 16 0;
+    depth = 0;
+  }
+
+(* Tag ids follow first appearance in document order. *)
+let intern b name =
+  match Hashtbl.find b.b_tag_table name with
+  | id -> id
+  | exception Not_found ->
+      let id = b.tag_count in
+      b.tag_count <- id + 1;
+      Hashtbl.add b.b_tag_table name id;
+      b.b_tag_names <- name :: b.b_tag_names;
+      id
+
+(* A node in the next slot. Element texts stay the chunk's initial "":
+   a store into the texts column is a write barrier. *)
+let add_node b kind tag =
+  let id = b.next in
+  if id - b.cur_base = Array.length b.cur.c_kinds then begin
+    if b.n_chunks = Array.length b.chunks then
+      b.chunks <- grow b.chunks (2 * b.n_chunks) b.cur;
+    b.cur <- new_chunk chunk_size;
+    b.chunks.(b.n_chunks) <- b.cur;
+    b.n_chunks <- b.n_chunks + 1;
+    b.cur_base <- id
   end;
-  assert (!next = n);
-  let tag_names = Array.of_list (List.rev !tag_names) in
+  let i = id - b.cur_base in
+  b.next <- id + 1;
+  let c = b.cur in
+  c.c_kinds.(i) <- kind;
+  c.c_tag_ids.(i) <- tag;
+  c.c_fins.(i) <- id;
+  c.c_levels.(i) <- b.depth;
+  c.c_parents.(i) <- (if b.depth = 0 then -1 else b.open_ids.(b.depth - 1));
+  id
+
+let add_leaf b kind tag text =
+  let id = add_node b kind tag in
+  b.cur.c_texts.(id - b.cur_base) <- text
+
+let open_element b name =
+  let id = add_node b Element (intern b name) in
+  if b.depth = Array.length b.open_ids then
+    b.open_ids <- grow b.open_ids (2 * b.depth) 0;
+  b.open_ids.(b.depth) <- id;
+  b.depth <- b.depth + 1
+
+let attribute b name value =
+  let tag =
+    match Hashtbl.find b.attr_tags name with
+    | tag -> tag
+    | exception Not_found ->
+        let tag = intern b ("@" ^ name) in
+        Hashtbl.add b.attr_tags name tag;
+        tag
+  in
+  add_leaf b Attribute tag value
+
+let text b s =
+  if b.text_tag < 0 then b.text_tag <- intern b "#text";
+  add_leaf b Text b.text_tag s
+
+let close_element b =
+  b.depth <- b.depth - 1;
+  let id = b.open_ids.(b.depth) and fin = b.next - 1 in
+  let first = Array.length b.chunks.(0).c_fins in
+  if id < first then b.chunks.(0).c_fins.(id) <- fin
+  else begin
+    let j = id - first in
+    b.chunks.(1 + (j lsr chunk_bits)).c_fins.(j land (chunk_size - 1)) <- fin
+  end
+
+let rec add_tree b (e : Tree.element) =
+  open_element b e.Tree.name;
+  List.iter
+    (fun { Tree.attr_name; attr_value } -> attribute b attr_name attr_value)
+    e.Tree.attributes;
+  List.iter
+    (function
+      | Tree.Element c -> add_tree b c
+      | Tree.Text s -> text b s
+      | Tree.Comment _ | Tree.Pi _ -> ())
+    e.Tree.children;
+  close_element b
+
+let finish b =
+  let n = b.next in
+  let last = b.n_chunks - 1 in
+  let gather column =
+    let first = column b.chunks.(0) in
+    if Array.length first = n then first
+    else
+      Array.concat
+        (List.init b.n_chunks (fun k ->
+             let c = column b.chunks.(k) in
+             if k < last then c else Array.sub c 0 (n - b.cur_base)))
+  in
+  let tag_ids = gather (fun c -> c.c_tag_ids) in
+  let tag_names = Array.of_list (List.rev b.b_tag_names) in
   (* Build the tag index: nodes are already in document order. *)
   let buckets = Array.make (Array.length tag_names) 0 in
   Array.iter (fun tid -> buckets.(tid) <- buckets.(tid) + 1) tag_ids;
@@ -114,10 +190,71 @@ let load ~forest root_elements =
       index.(tid).(cursors.(tid)) <- id;
       cursors.(tid) <- cursors.(tid) + 1)
     tag_ids;
-  { kinds; tag_ids; fins; levels; parents; texts; tag_names; tag_table; index }
+  {
+    kinds = gather (fun c -> c.c_kinds);
+    tag_ids;
+    fins = gather (fun c -> c.c_fins);
+    levels = gather (fun c -> c.c_levels);
+    parents = gather (fun c -> c.c_parents);
+    texts = gather (fun c -> c.c_texts);
+    tag_names;
+    tag_table = b.b_tag_table;
+    index;
+  }
 
-let of_document doc = load ~forest:false [ doc.Tree.root ]
-let of_documents docs = load ~forest:true (List.map (fun d -> d.Tree.root) docs)
+(* A tree's exact node count, so the DOM path fills one chunk: with the
+   DOM still live, a second copy of the columns would add their whole
+   size to the peak. *)
+let rec tree_nodes acc (e : Tree.element) =
+  List.fold_left
+    (fun acc -> function
+      | Tree.Element c -> tree_nodes acc c
+      | Tree.Text _ -> acc + 1
+      | Tree.Comment _ | Tree.Pi _ -> acc)
+    (acc + 1 + List.length e.Tree.attributes)
+    e.Tree.children
+
+let of_document doc =
+  let b = builder ~capacity:(tree_nodes 0 doc.Tree.root) in
+  add_tree b doc.Tree.root;
+  finish b
+
+(* The synthetic forest root keeps multi-document loads uniform. *)
+let of_documents docs =
+  let capacity =
+    List.fold_left (fun acc d -> tree_nodes acc d.Tree.root) 1 docs
+  in
+  let b = builder ~capacity in
+  open_element b "#forest";
+  List.iter (fun d -> add_tree b d.Tree.root) docs;
+  close_element b;
+  finish b
+
+(* The scanner's events, with [graft] appended as trailing children of
+   the root just before it closes. *)
+let sink b ~graft =
+  {
+    Parser.open_element = open_element b;
+    attribute = attribute b;
+    text = text b;
+    comment = ignore;
+    pi = (fun _ _ -> ());
+    close_element =
+      (fun () ->
+        if b.depth = 1 then List.iter (add_tree b) graft;
+        close_element b);
+  }
+
+(* A scanned document's size is unknown until its end. *)
+let of_string ?limits ?(graft = []) src =
+  let b = builder ~capacity:chunk_size in
+  Result.map (fun _ -> finish b) (Parser.scan ?limits (sink b ~graft) src)
+
+let of_file ?limits path =
+  let b = builder ~capacity:chunk_size in
+  Result.map
+    (fun (_prolog, dtd) -> (finish b, dtd))
+    (Parser.scan_file ?limits (sink b ~graft:[]) path)
 
 let node_count t = Array.length t.kinds
 let root _t = 0

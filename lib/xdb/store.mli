@@ -1,5 +1,5 @@
-(** The flattened node store: a {!X3_xml.Tree.document} loaded into parallel
-    arrays with interval labels, the way a native XML database keeps it.
+(** The flattened node store: an XML document loaded into parallel arrays
+    with interval labels, the way a native XML database keeps it.
 
     Node ids are pre-order ranks, so the descendants of node [v] are exactly
     the ids in [(v, subtree_end v]] — subtree scans are contiguous.
@@ -12,7 +12,28 @@ type node = int
 
 (** {1 Loading} *)
 
+val of_string :
+  ?limits:X3_xml.Parser.limits ->
+  ?graft:X3_xml.Tree.element list ->
+  string ->
+  (t, X3_xml.Parser.error) result
+(** Scans an XML document straight into the store, with no DOM in
+    between: labels are assigned as elements open and close. [graft]
+    (default none) is appended, in order, as trailing children of the
+    root — the same store as {!of_document} over the parsed document with
+    those elements added to the root's children. Errors and limits are
+    exactly {!X3_xml.Parser.parse}'s. *)
+
+val of_file :
+  ?limits:X3_xml.Parser.limits ->
+  string ->
+  (t * X3_xml.Dtd.t option, X3_xml.Parser.error) result
+(** {!of_string} over a file, also returning its DTD the way
+    {!X3_xml.Parser.parse_file_with_dtd} resolves it. *)
+
 val of_document : X3_xml.Tree.document -> t
+(** Loads a DOM that is already built, through the same builder. *)
+
 val of_documents : X3_xml.Tree.document list -> t
 (** Loads a forest under a synthetic ["#forest"] root — how we load many
     generated input trees as one database. *)

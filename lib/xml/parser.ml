@@ -3,11 +3,10 @@ type error = { line : int; column : int; message : string }
 let pp_error ppf e =
   Format.fprintf ppf "XML parse error at %d:%d: %s" e.line e.column e.message
 
-(* Hostile-input limits. [element] recurses through [content], so an
-   unbounded document depth is an unbounded native stack — a crafted
-   100k-deep document would kill the process with Stack_overflow before
-   any typed error could be produced. The limits turn every such resource
-   exhaustion into an ordinary parse error. *)
+(* Hostile-input limits. The scanner is iterative, but the open-tag stack
+   and every consumer that recurses on a [Tree] grow with depth, so depth
+   is bounded along with node count and value lengths: each resource
+   exhaustion becomes an ordinary parse error. *)
 type limits = {
   max_depth : int;
   max_nodes : int;
@@ -23,15 +22,40 @@ let default_limits =
     max_text_len = 50_000_000;
   }
 
+type sink = {
+  open_element : string -> unit;
+  attribute : string -> string -> unit;
+  text : string -> unit;
+  comment : string -> unit;
+  pi : string -> string -> unit;
+  close_element : unit -> unit;
+}
+
+type prolog = {
+  version : string option;
+  encoding : string option;
+  doctype : string option;
+}
+
 exception Fail of int * string
 (* position, message — positions are turned into line/column on exit *)
 
+(* Attribute names of the open start tag, for the uniqueness check: a
+   linear scan while there are few, a table beyond that. *)
+let few_attrs = 16
+
 type state = {
   src : string;
+  len : int;
   mutable pos : int;
   limits : limits;
-  mutable depth : int;
   mutable nodes : int;
+  mutable open_tags : string array;  (* names of the open elements *)
+  mutable depth : int;
+  buf : Buffer.t;  (* values that contain references *)
+  attr_names : string array;
+  mutable n_attrs : int;
+  attr_seen : (string, unit) Hashtbl.t;
 }
 
 let fail st msg = raise (Fail (st.pos, msg))
@@ -41,23 +65,22 @@ let count_node st =
   if st.nodes > st.limits.max_nodes then
     fail st
       (Printf.sprintf "document exceeds the %d-node limit" st.limits.max_nodes)
-let eof st = st.pos >= String.length st.src
-let peek st = if eof st then '\000' else st.src.[st.pos]
+
+let eof st = st.pos >= st.len
+let peek st = if st.pos >= st.len then '\000' else String.unsafe_get st.src st.pos
 
 let peek2 st =
-  if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
+  if st.pos + 1 >= st.len then '\000' else String.unsafe_get st.src (st.pos + 1)
 
 let advance st = st.pos <- st.pos + 1
 let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
 let skip_space st =
-  while (not (eof st)) && is_space (peek st) do
+  while st.pos < st.len && is_space (String.unsafe_get st.src st.pos) do
     advance st
   done
 
-let looking_at st prefix =
-  let n = String.length prefix in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = prefix
+let looking_at st prefix = Str_search.is_at st.src st.pos prefix
 
 let expect st prefix =
   if looking_at st prefix then st.pos <- st.pos + String.length prefix
@@ -70,12 +93,17 @@ let is_name_start = function
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
-let name st =
+(* Moves past a name; returns where it started. *)
+let skip_name st =
   if not (is_name_start (peek st)) then fail st "expected a name";
   let start = st.pos in
-  while (not (eof st)) && is_name_char (peek st) do
+  while st.pos < st.len && is_name_char (String.unsafe_get st.src st.pos) do
     advance st
   done;
+  start
+
+let name st =
+  let start = skip_name st in
   String.sub st.src start (st.pos - start)
 
 (* Resolves [&...;] starting at the '&'. *)
@@ -116,46 +144,159 @@ let reference st =
     | None -> fail st (Printf.sprintf "undefined entity &%s;" n)
   end
 
+(* The end of the run of plain characters at [i]: the first [stop], '&'
+   or '<' (or the end of input). *)
+let rec run_end src len stop i =
+  if i >= len then i
+  else
+    match String.unsafe_get src i with
+    | '&' | '<' -> i
+    | c when c = stop -> i
+    | _ -> run_end src len stop (i + 1)
+
+(* Values end at [stop]: a quote in attributes, '<' in text. *)
+let too_long st ~stop =
+  if stop = '<' then
+    Printf.sprintf "text node exceeds the %d-byte limit" st.limits.max_text_len
+  else
+    Printf.sprintf "attribute value exceeds the %d-byte limit"
+      st.limits.max_attr_len
+
+(* Accumulates a value into [st.buf] up to a '<', an unescaped [stop] or
+   the end of input, resolving references on the way. The length limit
+   is checked before every character, so the error lands just past the
+   first byte over [max]. *)
+let rec accumulate st ~stop ~max len =
+  if len > max then fail st (too_long st ~stop)
+  else if st.pos < st.len then
+    match String.unsafe_get st.src st.pos with
+    | '<' -> ()
+    | '&' ->
+        let r = reference st in
+        Buffer.add_string st.buf r;
+        accumulate st ~stop ~max (len + String.length r)
+    | c when c = stop -> ()
+    | _ ->
+        let e = run_end st.src st.len stop st.pos in
+        let l = e - st.pos in
+        if len + l > max then begin
+          st.pos <- st.pos + (max - len + 1);
+          fail st (too_long st ~stop)
+        end
+        else begin
+          Buffer.add_substring st.buf st.src st.pos l;
+          st.pos <- e;
+          accumulate st ~stop ~max (len + l)
+        end
+
+(* A value with no reference in it is one [String.sub]; anything else
+   goes through [accumulate]. *)
+let scan_value st ~stop ~max =
+  let start = st.pos in
+  let e = run_end st.src st.len stop start in
+  if e - start <= max && (e >= st.len || String.unsafe_get st.src e <> '&')
+  then begin
+    st.pos <- e;
+    String.sub st.src start (e - start)
+  end
+  else begin
+    Buffer.clear st.buf;
+    accumulate st ~stop ~max 0;
+    Buffer.contents st.buf
+  end
+
 let attribute_value st =
   let quote = peek st in
   if quote <> '"' && quote <> '\'' then fail st "expected a quoted value";
   advance st;
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    if Buffer.length buf > st.limits.max_attr_len then
-      fail st
-        (Printf.sprintf "attribute value exceeds the %d-byte limit"
-           st.limits.max_attr_len)
-    else if eof st then fail st "unterminated attribute value"
-    else if peek st = quote then advance st
-    else if peek st = '&' then begin
-      Buffer.add_string buf (reference st);
-      loop ()
-    end
-    else if peek st = '<' then fail st "'<' in attribute value"
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      loop ()
-    end
-  in
-  loop ();
-  Buffer.contents buf
+  let v = scan_value st ~stop:quote ~max:st.limits.max_attr_len in
+  if eof st then fail st "unterminated attribute value"
+  else if peek st = '<' then fail st "'<' in attribute value";
+  advance st;
+  v
 
-let attributes st =
-  let rec loop acc =
-    skip_space st;
-    if is_name_start (peek st) then begin
-      let attr_name = name st in
-      skip_space st;
-      expect st "=";
-      skip_space st;
-      let attr_value = attribute_value st in
-      loop ({ Tree.attr_name; attr_value } :: acc)
+(* Character data up to the next markup, coalesced into one text node.
+   '<' never occurs in text, so it doubles as the run's [stop]. *)
+let char_data st = scan_value st ~stop:'<' ~max:st.limits.max_text_len
+
+let rec mem_attr names attr i =
+  i >= 0 && (String.equal names.(i) attr || mem_attr names attr (i - 1))
+
+(* XML 1.0 WFC "Unique Att Spec": reported at the repeated name. *)
+let check_unique st ~tag ~start attr =
+  let n = st.n_attrs in
+  let seen =
+    if n < few_attrs then mem_attr st.attr_names attr (n - 1)
+    else begin
+      if n = few_attrs then begin
+        Hashtbl.reset st.attr_seen;
+        Array.iter (fun a -> Hashtbl.replace st.attr_seen a ()) st.attr_names
+      end;
+      Hashtbl.mem st.attr_seen attr
     end
-    else List.rev acc
   in
-  loop []
+  if seen then
+    raise
+      (Fail (start, Printf.sprintf "duplicate attribute %s on <%s>" attr tag));
+  if n < few_attrs then st.attr_names.(n) <- attr
+  else Hashtbl.replace st.attr_seen attr ();
+  st.n_attrs <- n + 1
+
+let push_tag st tag =
+  if st.depth = Array.length st.open_tags then begin
+    let grown = Array.make (2 * st.depth) "" in
+    Array.blit st.open_tags 0 grown 0 st.depth;
+    st.open_tags <- grown
+  end;
+  st.open_tags.(st.depth) <- tag;
+  st.depth <- st.depth + 1
+
+(* A start tag at '<'; an element left open is pushed. *)
+let open_tag st sink =
+  advance st;
+  if st.depth + 1 > st.limits.max_depth then
+    fail st
+      (Printf.sprintf "document exceeds the %d-level nesting limit"
+         st.limits.max_depth);
+  count_node st;
+  let tag = name st in
+  sink.open_element tag;
+  st.n_attrs <- 0;
+  skip_space st;
+  while is_name_start (peek st) do
+    let start = st.pos in
+    let attr = name st in
+    check_unique st ~tag ~start attr;
+    skip_space st;
+    expect st "=";
+    skip_space st;
+    sink.attribute attr (attribute_value st);
+    skip_space st
+  done;
+  if looking_at st "/>" then begin
+    st.pos <- st.pos + 2;
+    sink.close_element ()
+  end
+  else begin
+    expect st ">";
+    push_tag st tag
+  end
+
+(* An end tag at "</", matched against the innermost open element
+   without copying its name. *)
+let close_tag st sink =
+  st.pos <- st.pos + 2;
+  let start = skip_name st in
+  let tag = st.open_tags.(st.depth - 1) in
+  let n = st.pos - start in
+  if not (n = String.length tag && Str_search.is_at st.src start tag) then
+    fail st
+      (Printf.sprintf "mismatched closing tag </%s> for <%s>"
+         (String.sub st.src start n) tag);
+  skip_space st;
+  expect st ">";
+  st.depth <- st.depth - 1;
+  sink.close_element ()
 
 let comment st =
   expect st "<!--";
@@ -163,7 +304,7 @@ let comment st =
   | Some i ->
       let body = String.sub st.src st.pos (i - st.pos) in
       st.pos <- i + 3;
-      Tree.Comment body
+      body
   | None -> fail st "unterminated comment"
 
 let cdata st =
@@ -176,7 +317,7 @@ let cdata st =
              st.limits.max_text_len);
       let body = String.sub st.src st.pos (i - st.pos) in
       st.pos <- i + 3;
-      Tree.Text body
+      body
   | None -> fail st "unterminated CDATA section"
 
 let processing_instruction st =
@@ -190,92 +331,54 @@ let processing_instruction st =
       (target, body)
   | None -> fail st "unterminated processing instruction"
 
-(* Character data up to the next markup; coalesced into one Text node. *)
-let char_data st =
-  let buf = Buffer.create 32 in
-  let rec loop () =
-    if Buffer.length buf > st.limits.max_text_len then
-      fail st
-        (Printf.sprintf "text node exceeds the %d-byte limit"
-           st.limits.max_text_len)
-    else if eof st || peek st = '<' then ()
-    else if peek st = '&' then begin
-      Buffer.add_string buf (reference st);
-      loop ()
+(* Content, one event at a time, until the open-tag stack empties again
+   (when [stop_at_root]) or, at depth 0, the input ends or an end tag
+   begins. An end of input with elements still open is the error the
+   missing end tag would raise. *)
+let content st sink ~stop_at_root =
+  let continue = ref true in
+  while !continue do
+    if eof st then begin
+      if st.depth > 0 then expect st "</";
+      continue := false
     end
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      loop ()
+    else if String.unsafe_get st.src st.pos = '<' then begin
+      match peek2 st with
+      | '/' ->
+          if st.depth = 0 then continue := false
+          else begin
+            close_tag st sink;
+            if st.depth = 0 && stop_at_root then continue := false
+          end
+      | '!' when looking_at st "<!--" ->
+          count_node st;
+          sink.comment (comment st)
+      | '!' when looking_at st "<![CDATA[" ->
+          count_node st;
+          sink.text (cdata st)
+      | '?' ->
+          count_node st;
+          let target, body = processing_instruction st in
+          sink.pi target body
+      | _ -> open_tag st sink
     end
-  in
-  loop ();
-  Buffer.contents buf
-
-let rec element st =
-  expect st "<";
-  st.depth <- st.depth + 1;
-  if st.depth > st.limits.max_depth then
-    fail st
-      (Printf.sprintf "document exceeds the %d-level nesting limit"
-         st.limits.max_depth);
-  count_node st;
-  let tag = name st in
-  let attrs = attributes st in
-  skip_space st;
-  if looking_at st "/>" then begin
-    expect st "/>";
-    st.depth <- st.depth - 1;
-    { Tree.name = tag; attributes = attrs; children = [] }
-  end
-  else begin
-    expect st ">";
-    let children = content st in
-    expect st "</";
-    let closing = name st in
-    if not (String.equal closing tag) then
-      fail st
-        (Printf.sprintf "mismatched closing tag </%s> for <%s>" closing tag);
-    skip_space st;
-    expect st ">";
-    st.depth <- st.depth - 1;
-    { Tree.name = tag; attributes = attrs; children }
-  end
-
-and content st =
-  let rec loop acc =
-    if eof st then List.rev acc
-    else if looking_at st "</" then List.rev acc
-    else if looking_at st "<!--" then begin
-      count_node st;
-      loop (comment st :: acc)
-    end
-    else if looking_at st "<![CDATA[" then begin
-      count_node st;
-      loop (cdata st :: acc)
-    end
-    else if looking_at st "<?" then begin
-      count_node st;
-      let target, body = processing_instruction st in
-      loop (Tree.Pi (target, body) :: acc)
-    end
-    else if peek st = '<' then loop (Tree.Element (element st) :: acc)
     else begin
       let data = char_data st in
-      if String.length data = 0 then List.rev acc
-      else begin
-        count_node st;
-        loop (Tree.Text data :: acc)
-      end
+      count_node st;
+      sink.text data
     end
-  in
-  loop []
+  done
+
+(* The root element and everything under it. *)
+let element st sink =
+  open_tag st sink;
+  if st.depth > 0 then content st sink ~stop_at_root:true
 
 (* <?xml version="1.0" encoding="..."?> *)
 let xml_declaration st =
   if
     looking_at st "<?xml"
-    && st.pos + 5 < String.length st.src
+    && st.pos + 5 < st.len
     && is_space st.src.[st.pos + 5]
   then begin
     let _, body = processing_instruction st in
@@ -376,21 +479,35 @@ let position_of_offset src pos =
   (!line, !column)
 
 let run ?(limits = default_limits) src f =
-  let st = { src; pos = 0; limits; depth = 0; nodes = 0 } in
+  let st =
+    {
+      src;
+      len = String.length src;
+      pos = 0;
+      limits;
+      nodes = 0;
+      open_tags = Array.make 64 "";
+      depth = 0;
+      buf = Buffer.create 64;
+      attr_names = Array.make few_attrs "";
+      n_attrs = 0;
+      attr_seen = Hashtbl.create 16;
+    }
+  in
   match f st with
   | v -> Ok v
   | exception Fail (pos, message) ->
       let line, column = position_of_offset src pos in
       Error { line; column; message }
 
-let parse_document st =
+let scan_document sink st =
   let version, encoding = xml_declaration st in
   misc st;
   let declared_root, system_id, subset = doctype st in
   misc st;
   if not (peek st = '<' && is_name_start (peek2 st)) then
     fail st "expected the root element";
-  let root = element st in
+  element st sink;
   misc st;
   if not (eof st) then fail st "trailing content after the root element";
   let dtd =
@@ -401,20 +518,17 @@ let parse_document st =
         | Ok d -> Some d
         | Error msg -> fail st msg)
   in
-  ({ Tree.version; encoding; doctype = declared_root; root }, dtd, system_id)
+  ({ version; encoding; doctype = declared_root }, dtd, system_id)
 
-let parse_with_dtd ?limits src =
+let scan ?limits sink src =
   Result.map
-    (fun (doc, dtd, _system) -> (doc, dtd))
-    (run ?limits src parse_document)
+    (fun (prolog, dtd, _system) -> (prolog, dtd))
+    (run ?limits src (scan_document sink))
 
-let parse ?limits src = Result.map fst (parse_with_dtd ?limits src)
-
-let parse_fragment ?limits src =
+let scan_fragment ?limits sink src =
   run ?limits src (fun st ->
-      let nodes = content st in
-      if not (eof st) then fail st "unexpected closing tag";
-      nodes)
+      content st sink ~stop_at_root:false;
+      if not (eof st) then fail st "unexpected closing tag")
 
 let read_file path =
   let ic = open_in_bin path in
@@ -437,12 +551,12 @@ let resolve_external_dtd ~document_path ~system_id =
     | Error _ | (exception Sys_error _) -> None
   end
 
-let parse_file_with_dtd ?limits path =
+let scan_file ?limits sink path =
   match read_file path with
   | src -> (
-      match run ?limits src parse_document with
+      match run ?limits src (scan_document sink) with
       | Error _ as e -> e
-      | Ok (doc, dtd, system_id) ->
+      | Ok (prolog, dtd, system_id) ->
           (* The internal subset wins; otherwise try the external one. *)
           let dtd =
             match (dtd, system_id) with
@@ -450,9 +564,80 @@ let parse_file_with_dtd ?limits path =
             | None, Some system_id ->
                 Option.map
                   (fun external_dtd ->
-                    { external_dtd with Dtd.declared_root = doc.Tree.doctype })
+                    { external_dtd with Dtd.declared_root = prolog.doctype })
                   (resolve_external_dtd ~document_path:path ~system_id)
             | None, None -> None
           in
-          Ok (doc, dtd))
+          Ok (prolog, dtd))
   | exception Sys_error msg -> Error { line = 0; column = 0; message = msg }
+
+(* --- the Tree sink ------------------------------------------------------ *)
+
+type frame = {
+  f_name : string;
+  mutable f_attrs : Tree.attribute list;  (* reversed *)
+  mutable f_children : Tree.node list;  (* reversed *)
+}
+
+(* Builds the DOM: one frame per open element; the bottom frame collects
+   the top-level nodes. *)
+let tree_sink () =
+  let bottom = { f_name = ""; f_attrs = []; f_children = [] } in
+  let cur = ref bottom and up = ref [] in
+  let add node = !cur.f_children <- node :: !cur.f_children in
+  let sink =
+    {
+      open_element =
+        (fun name ->
+          up := !cur :: !up;
+          cur := { f_name = name; f_attrs = []; f_children = [] });
+      attribute =
+        (fun attr_name attr_value ->
+          !cur.f_attrs <- { Tree.attr_name; attr_value } :: !cur.f_attrs);
+      text = (fun s -> add (Tree.Text s));
+      comment = (fun s -> add (Tree.Comment s));
+      pi = (fun target body -> add (Tree.Pi (target, body)));
+      close_element =
+        (fun () ->
+          let f = !cur in
+          match !up with
+          | parent :: rest ->
+              cur := parent;
+              up := rest;
+              add
+                (Tree.Element
+                   {
+                     Tree.name = f.f_name;
+                     attributes = List.rev f.f_attrs;
+                     children = List.rev f.f_children;
+                   })
+          | [] -> assert false);
+    }
+  in
+  (sink, fun () -> List.rev bottom.f_children)
+
+let document_of (prolog, dtd) nodes =
+  match nodes with
+  | [ Tree.Element root ] ->
+      ( {
+          Tree.version = prolog.version;
+          encoding = prolog.encoding;
+          doctype = prolog.doctype;
+          root;
+        },
+        dtd )
+  | _ -> assert false (* a scanned document has exactly one root element *)
+
+let parse_with_dtd ?limits src =
+  let sink, nodes = tree_sink () in
+  Result.map (fun r -> document_of r (nodes ())) (scan ?limits sink src)
+
+let parse ?limits src = Result.map fst (parse_with_dtd ?limits src)
+
+let parse_fragment ?limits src =
+  let sink, nodes = tree_sink () in
+  Result.map nodes (scan_fragment ?limits sink src)
+
+let parse_file_with_dtd ?limits path =
+  let sink, nodes = tree_sink () in
+  Result.map (fun r -> document_of r (nodes ())) (scan_file ?limits sink path)

@@ -274,6 +274,239 @@ let prop_labels_consistent =
         (Store.document_order st);
       !ok)
 
+(* --- loading straight from XML ---------------------------------------- *)
+
+(* Node for node: kind, tag, interval, level, parent, text, and the tag
+   dictionary and index. *)
+let store_equal a b =
+  let same v =
+    Store.kind a v = Store.kind b v
+    && Store.tag_id a v = Store.tag_id b v
+    && Store.subtree_end a v = Store.subtree_end b v
+    && Store.level a v = Store.level b v
+    && Store.parent a v = Store.parent b v
+    && String.equal (Store.text a v) (Store.text b v)
+  in
+  Store.node_count a = Store.node_count b
+  && Store.tags a = Store.tags b
+  && List.for_all
+       (fun t -> Store.nodes_with_tag a t = Store.nodes_with_tag b t)
+       (Store.tags a)
+  && List.for_all same (List.init (Store.node_count a) Fun.id)
+
+let graft_into doc graft =
+  let root = doc.Tree.root in
+  {
+    doc with
+    Tree.root =
+      {
+        root with
+        Tree.children =
+          root.Tree.children @ List.map (fun e -> Tree.Element e) graft;
+      };
+  }
+
+(* The scanner's store against the DOM path over the same bytes. *)
+let loads_agree ?(graft = []) src =
+  match (Store.of_string ~graft src, Parser.parse src) with
+  | Ok direct, Ok doc ->
+      store_equal direct (Store.of_document (graft_into doc graft))
+  | Error e, _ | _, Error e ->
+      QCheck2.Test.fail_reportf "%a" Parser.pp_error e
+
+(* Mixed content as source text paired with the tree the parser must
+   build from it. Adjacent character data coalesces into one text node;
+   a CDATA section is a text node of its own. *)
+let text_pieces =
+  [
+    ("abc", "abc"); (" ", " "); ("\n  ", "\n  "); ("&amp;", "&");
+    ("&lt;", "<"); ("&gt;", ">"); ("a > b", "a > b"); ("&#65;", "A");
+    ("&#x3bb;", "\xce\xbb"); ("\"'", "\"'"); ("&quot;&apos;", "\"'");
+  ]
+
+let attr_pieces quote =
+  [
+    ("v", "v"); ("1 2", "1 2"); ("&amp;", "&"); ("&lt;", "<");
+    ("&quot;", "\""); ("&#x41;", "A"); ("&#955;", "\xce\xbb");
+    (if quote = '"' then ("'", "'") else ("\"", "\""));
+  ]
+
+let concat_pieces ps =
+  (String.concat "" (List.map fst ps), String.concat "" (List.map snd ps))
+
+type item = Chars of string * string | Markup of string * Tree.node
+
+let children_of items =
+  let flush (src, nodes) = function
+    | None -> (src, nodes)
+    | Some (raw, text) -> (src ^ raw, Tree.Text text :: nodes)
+  in
+  let rec go acc pending = function
+    | [] -> flush acc pending
+    | Chars (raw, text) :: rest ->
+        let pending =
+          match pending with
+          | None -> Some (raw, text)
+          | Some (r, t) -> Some (r ^ raw, t ^ text)
+        in
+        go acc pending rest
+    | Markup (raw, node) :: rest ->
+        let src, nodes = flush acc pending in
+        go (src ^ raw, node :: nodes) None rest
+  in
+  let src, nodes = go ("", []) None items in
+  (src, List.rev nodes)
+
+let gen_mixed_element =
+  let open QCheck2.Gen in
+  let space = oneofl [ ""; " "; "\n  " ] in
+  let attribute =
+    let* quote = oneofl [ '"'; '\'' ] in
+    let+ key = oneofl [ "id"; "k"; "x:y"; "v2" ]
+    and+ sp = space
+    and+ pieces = list_size (int_bound 3) (oneofl (attr_pieces quote)) in
+    let raw, value = concat_pieces pieces in
+    ( Printf.sprintf " %s%s%s=%s%c%s%c" sp key sp sp quote raw quote,
+      { Tree.attr_name = key; attr_value = value } )
+  in
+  let chars =
+    map
+      (fun ps ->
+        let raw, text = concat_pieces ps in
+        Chars (raw, text))
+      (list_size (int_range 1 3) (oneofl text_pieces))
+  in
+  let cdata =
+    map
+      (fun s -> Markup ("<![CDATA[" ^ s ^ "]]>", Tree.Text s))
+      (oneofl [ "x"; "<not> &amp; parsed"; ""; " "; "]]"; "]>" ])
+  in
+  let comment =
+    map
+      (fun s -> Markup ("<!--" ^ s ^ "-->", Tree.Comment s))
+      (oneofl [ ""; " note "; "a<b&c"; "-" ])
+  in
+  let pi =
+    map2
+      (fun target body ->
+        Markup (Printf.sprintf "<?%s %s?>" target body, Tree.Pi (target, body)))
+      (oneofl [ "pi"; "x-y" ])
+      (oneofl [ ""; "body"; "k=\"v\" &amp;"; "a?b" ])
+  in
+  sized
+  @@ fix (fun self n ->
+         let* name = oneofl [ "a"; "b"; "pub"; "x-y"; "n.1"; "_z"; "q:r" ]
+         and* attrs = list_size (int_bound 3) attribute
+         and* items =
+           if n <= 0 then return []
+           else
+             list_size (int_bound 5)
+               (frequency
+                  [
+                    (3, chars);
+                    (1, cdata);
+                    (1, comment);
+                    (1, pi);
+                    ( 2,
+                      map
+                        (fun (raw, e) -> Markup (raw, Tree.Element e))
+                        (self (n / 2)) );
+                  ])
+         and* self_closing = bool
+         and* sp = space in
+         (* attribute names are unique within an element *)
+         let attrs =
+           List.fold_left
+             (fun acc ((_, a) as attr) ->
+               if
+                 List.exists
+                   (fun (_, b) -> String.equal a.Tree.attr_name b.Tree.attr_name)
+                   acc
+               then acc
+               else attr :: acc)
+             [] attrs
+           |> List.rev
+         in
+         let start = "<" ^ name ^ String.concat "" (List.map fst attrs) ^ sp in
+         let body, children = children_of items in
+         let src =
+           if items = [] && self_closing then start ^ "/>"
+           else start ^ ">" ^ body ^ "</" ^ name ^ sp ^ ">"
+         in
+         return
+           (src, { Tree.name; attributes = List.map snd attrs; children }))
+
+let gen_mixed_doc =
+  let open QCheck2.Gen in
+  let+ decl =
+    oneofl
+      [ ""; "<?xml version=\"1.0\"?>\n"; "<?xml version='1.0' encoding='UTF-8'?>" ]
+  and+ before = oneofl [ ""; "<!-- head -->\n"; "<?style x?>" ]
+  and+ after = oneofl [ ""; "\n"; "<!-- tail -->" ]
+  and+ src, root = gen_mixed_element in
+  (decl ^ before ^ src ^ after, root)
+
+let prop_dom_sink_exact =
+  QCheck2.Test.make ~name:"DOM sink rebuilds the tree exactly" ~count:300
+    ~print:fst gen_mixed_doc (fun (src, root) ->
+      match Parser.parse src with
+      | Ok doc -> doc.Tree.root = root
+      | Error e -> QCheck2.Test.fail_reportf "%a" Parser.pp_error e)
+
+let prop_of_string_mixed =
+  QCheck2.Test.make ~name:"of_string ~graft = of_document (mixed content)"
+    ~count:300
+    ~print:(fun ((src, _), _) -> src)
+    QCheck2.Gen.(pair gen_mixed_doc (list_size (int_bound 3) gen_mixed_element))
+    (fun ((src, _), graft) -> loads_agree ~graft:(List.map snd graft) src)
+
+(* Documents from the workload generators, serialized flat or indented
+   (whitespace-only text), with some of their own facts grafted back. *)
+let gen_workload_src =
+  let open QCheck2.Gen in
+  let* kind = oneofl [ `Treebank; `Dblp; `Publications ]
+  and* seed = int_bound 10_000
+  and* size = int_range 1 40
+  and* indent = bool
+  and* picks = list_size (int_bound 3) (int_bound 1_000) in
+  let doc =
+    match kind with
+    | `Treebank ->
+        X3_workload.Treebank.generate
+          { X3_workload.Treebank.default with seed; num_trees = size }
+    | `Dblp ->
+        X3_workload.Dblp.generate { X3_workload.Dblp.seed; num_articles = size }
+    | `Publications -> X3_workload.Publications.document ()
+  in
+  let facts = List.filter_map Tree.element_of_node doc.Tree.root.Tree.children in
+  let graft =
+    List.map (fun i -> List.nth facts (i mod List.length facts)) picks
+  in
+  return (Serialize.to_string ~indent doc, graft)
+
+let prop_of_string_workloads =
+  QCheck2.Test.make ~name:"of_string ~graft = of_document (workloads)"
+    ~count:60
+    ~print:(fun (src, _) -> src)
+    gen_workload_src
+    (fun (src, graft) -> loads_agree ~graft src)
+
+let test_of_file_matches () =
+  let path = Filename.temp_file "x3_store" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let src =
+        {|<?xml version="1.0"?><!DOCTYPE r [<!ELEMENT r (p*)><!ELEMENT p (#PCDATA)>]><r><p>1</p><p>2</p></r>|}
+      in
+      Out_channel.with_open_bin path (fun oc -> output_string oc src);
+      match (Store.of_file path, Parser.parse_file_with_dtd path) with
+      | Ok (direct, dtd), Ok (doc, dtd') ->
+          Alcotest.(check bool) "same store" true
+            (store_equal direct (Store.of_document doc));
+          Alcotest.(check bool) "same DTD" true (dtd = dtd' && dtd <> None)
+      | Error e, _ | _, Error e -> Alcotest.failf "%a" Parser.pp_error e)
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "x3_xdb"
@@ -288,7 +521,13 @@ let () =
           Alcotest.test_case "children" `Quick test_store_children_contiguous;
           Alcotest.test_case "is_ancestor" `Quick test_store_is_ancestor;
           Alcotest.test_case "forest" `Quick test_store_forest;
+          Alcotest.test_case "of_file = parse_file_with_dtd" `Quick
+            test_of_file_matches;
         ] );
+      ( "loading",
+        qcheck
+          [ prop_dom_sink_exact; prop_of_string_mixed; prop_of_string_workloads ]
+      );
       ( "structural join",
         [
           Alcotest.test_case "ancestor-descendant" `Quick test_join_ad;

@@ -85,6 +85,85 @@ let test_utf8_charref () =
   let doc = parse_ok "<t>&#955;</t>" in
   Alcotest.(check string) "lambda" "\xce\xbb" (Tree.string_value doc.Tree.root)
 
+let test_duplicate_attribute () =
+  let e = parse_err {|<a x="1" x="2"/>|} in
+  Alcotest.(check (pair int int)) "at the second name" (1, 10)
+    (e.Parser.line, e.Parser.column);
+  Alcotest.(check string) "message" "duplicate attribute x on <a>"
+    e.Parser.message;
+  let e = parse_err "<r><b\n x='1' y='2'\n x='3'/></r>" in
+  Alcotest.(check (pair int int)) "across lines" (3, 2)
+    (e.Parser.line, e.Parser.column);
+  (* past the linear-scan threshold the table takes over *)
+  let many = String.concat "" (List.init 40 (fun i -> Printf.sprintf " k%d='v'" i)) in
+  ignore (parse_ok ("<a" ^ many ^ "/>"));
+  let e = parse_err ("<a" ^ many ^ " k3='w'/>") in
+  Alcotest.(check string) "many attributes" "duplicate attribute k3 on <a>"
+    e.Parser.message
+
+(* The Tree sink and the store sink share one scanner, so a bad input
+   fails the same way, at the same place, through both. *)
+let hostile_limits =
+  { Parser.max_depth = 4; max_nodes = 10; max_attr_len = 8; max_text_len = 8 }
+
+let limit_cases =
+  [
+    "<a><b><c><d>x</d></c></b></a>";
+    "<a><b><c><d><e>x</e></d></c></b></a>";
+    "<a><b/><b/><b/><b/></a>";
+    "<a><b/><b/><b/><b/><b/><b/><b/><b/><b/><b/><b/></a>";
+    {|<a k="12345678"/>|};
+    {|<a k="123456789"/>|};
+    {|<a k="1234567&amp;9"/>|};
+    "<a>12345678</a>";
+    "<a>123456789</a>";
+    "<a>1234&lt;56789</a>";
+    "<a><![CDATA[123456789]]></a>";
+    "<a><!--1--><!--2--><!--3--><!--4--><!--5--><!--6--><!--7--><!--8--><!--9--><!--10--></a>";
+  ]
+
+let malformed =
+  [
+    ""; "x<a/>"; "<a/>x"; "<a/><b/>"; "<a><b></a></b>"; "<a>\n<b>\n</c>\n</a>";
+    "<a><b>"; "<a><b></b>"; "<a></a"; "<a></ a>"; "<a x=1/>"; "<a x/>";
+    {|<a x="1/>|}; {|<a x="<"/>|}; {|<a x="1" x="2"/>|};
+    "<a><b x='1' y='2' x='3'/></a>"; "<a>&nope;</a>"; "<a>&amp</a>";
+    "<a>&#;</a>"; "<a>&#xD800;</a>"; "<a>&#99999999999999999999;</a>";
+    "<a><!-- x</a>"; "<a><![CDATA[x</a>"; "<a><?pi x</a>"; "<a><?</a>";
+    "<a><!x/></a>"; "< a/>"; "<!DOCTYPE a [<!ELEMENT a (b)><a/>";
+    {|<?xml version="1.0"?><!DOCTYPE a [ <!BOGUS> ]><a/>|};
+  ]
+
+let same_error ?limits src =
+  match (Parser.parse ?limits src, X3_xdb.Store.of_string ?limits src) with
+  | Ok _, Ok _ -> false
+  | Error a, Error b ->
+      Alcotest.(check (triple int int string))
+        (Printf.sprintf "%S" src)
+        (a.Parser.line, a.Parser.column, a.Parser.message)
+        (b.Parser.line, b.Parser.column, b.Parser.message);
+      true
+  | Ok _, Error e | Error e, Ok _ ->
+      Alcotest.failf "%S: only one sink failed: %a" src Parser.pp_error e
+
+let test_error_parity () =
+  List.iter
+    (fun src ->
+      if not (same_error src) then Alcotest.failf "%S should not parse" src)
+    malformed;
+  let failures =
+    List.filter (same_error ~limits:hostile_limits) limit_cases
+  in
+  Alcotest.(check int) "over-limit cases" 8 (List.length failures);
+  (* 100k unclosed opens stop at the depth limit in both sinks *)
+  let bomb = String.concat "" (List.init 100_000 (fun _ -> "<a>")) in
+  ignore (same_error bomb);
+  match X3_xdb.Store.of_string bomb with
+  | Error e ->
+      Alcotest.(check bool) "names the nesting limit" true
+        (contains e.Parser.message "10000-level nesting limit")
+  | Ok _ -> Alcotest.fail "a 100k-deep document must not load"
+
 (* --- serializer ------------------------------------------------------- *)
 
 let test_roundtrip_simple () =
@@ -452,6 +531,10 @@ let () =
           Alcotest.test_case "error position" `Quick test_error_position;
           Alcotest.test_case "fragment" `Quick test_fragment;
           Alcotest.test_case "utf8 charref" `Quick test_utf8_charref;
+          Alcotest.test_case "duplicate attribute" `Quick
+            test_duplicate_attribute;
+          Alcotest.test_case "error parity: tree and store sinks" `Quick
+            test_error_parity;
         ] );
       ( "serializer",
         [
