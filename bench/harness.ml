@@ -206,3 +206,50 @@ let run_sweep ?(progress = ignore) sweep =
     x_label = "# of axes";
     points;
   }
+
+(* --- overhead gates ------------------------------------------------------ *)
+
+(* Process CPU seconds (getrusage, microsecond resolution): unlike wall
+   time it leaves out the intervals the process sat descheduled, which on
+   a shared machine are noise, not overhead. *)
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* The overhead gates (smoke's checksum, governor and tracing gates,
+   serve_obs_smoke's observability gate) each compare variants of one
+   workload whose true difference is a few percent, on a shared machine
+   whose speed drifts by more than that within a run.  Each round
+   runs one batch of every variant back to back, cycling through every
+   rotation of the variants and its reverse, so each variant precedes and
+   follows each other equally often; a round yields each variant's ratio
+   to the baseline batch (variant 0) beside it.  Returns per variant the
+   median batch seconds and the median ratio: a load change cancels out
+   of every ratio instead of biasing whichever variant it fell on.  The
+   2% gate between two identical paths needs the most rounds. *)
+let interleaved ~rounds variants =
+  let n = Array.length variants in
+  let rotation k = List.init n (fun i -> (i + k) mod n) in
+  let orders =
+    Array.of_list
+      (List.concat_map
+         (fun k -> [ rotation k; List.rev (rotation k) ])
+         (List.init n Fun.id))
+  in
+  let samples =
+    List.init rounds (fun round ->
+        let t = Array.make n 0. in
+        List.iter
+          (fun v -> t.(v) <- variants.(v) ())
+          orders.(round mod Array.length orders);
+        t)
+  in
+  let col f = median (List.map f samples) in
+  ( Array.init n (fun v -> col (fun t -> t.(v))),
+    Array.init n (fun v -> col (fun t -> t.(v) /. t.(0))) )

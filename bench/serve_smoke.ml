@@ -20,13 +20,16 @@
      reaped within the socket deadline;
    - warm restart: a snapshot-carrying daemon is drained, then recovery
      time (restore + first fully-cached answer) is raced against a cold
-     daemon's rebuild (first warm-path compute).  Restoring a view
-     rebuilds its witness fact-sets, which costs about what the rollup
-     recompute costs, so first-answer parity is structural: the gate
-     bounds restore overhead at 1.5x a cold rebuild and requires
-     the restarted answer byte-identical and fully cache-served.  The
-     cache's payoff is steady-state (every subsequent request is
-     warm), which the PR 7 phase above already gates at 5x.
+     daemon's rebuild (first warm-path compute).  Restore re-runs the
+     snapshot's sessions — document load, prepare, cube into the cache —
+     before the daemon serves, the same work the cold daemon does on
+     its first request, so first-answer parity is structural: the gate
+     bounds restore overhead at 1.5x a cold rebuild, and requires every
+     restarted answer byte-identical and fully cache-served (no base
+     scan, some cached cuboids), so a restore that silently cold-starts
+     cannot pass on timing alone.  The cache's payoff is steady-state
+     (every subsequent request is warm), which phase 1 above
+     already gates at 5x.
 
    Both files are x3-metrics/1 documents whose meta blocks carry the
    latency tables and gate verdicts.  Exits non-zero if any gate fails,
@@ -46,8 +49,8 @@ let latency_gate = 5.0
 let loris_gate = 2.0
 (* Restore must not cost materially more than a cold rebuild: the ratio
    warm_restart / cold_rebuild is gated at <= 1.5.  It cannot be gated
-   *below* 1x because decoding a view's witness sets is the same order
-   of work as recomputing them from the parent cuboid. *)
+   *below* 1x because restore computes the very views the cold daemon
+   computes on its first request, only before serving instead of during. *)
 let restart_overhead_gate = 1.5
 let io_deadline = 1.0
 
@@ -222,7 +225,7 @@ let () =
     (if loris_reaped then "reaped" else "NOT REAPED");
   (* --- warm restart vs cold rebuild -------------------------------------- *)
   (* Populate a snapshot-carrying daemon, then drain it: the shutdown
-     persists the cache index and every materialised view. *)
+     persists the cache index. *)
   let snap_daemon =
     start_daemon ~tune:(fun c -> { c with Server.snapshot_path = Some snap_path }) ()
   in
@@ -233,28 +236,39 @@ let () =
   if not (Sys.file_exists snap_path) then
     die "serve-smoke: drained daemon wrote no snapshot";
   (* Best-of-3 on each lifecycle: creation plus first answer, cold
-     (recompute the cube) vs warm-restarted (restore and serve cached).
-     Both lifecycles pay the same parse/prepare and the restore's view
-     decode costs about what the rollup recompute costs, so the ratio
-     sits near 1 and needs the noise damped. *)
-  let best3 f =
-    let pick ((ta, _, _) as a) ((tb, _, _) as b) = if ta <= tb then a else b in
-    pick (f ()) (pick (f ()) (f ()))
+     (compute on the first request) vs warm-restarted (compute during
+     restore, then serve cached).  Both lifecycles do the same work, so
+     the ratio sits near 1 and needs the noise damped.  Each restarted
+     daemon drains and rewrites the same index on its way out. *)
+  let three f = [ f (); f (); f () ] in
+  let fastest runs =
+    List.fold_left
+      (fun ((ta, _, _) as a) ((tb, _, _) as b) -> if tb < ta then b else a)
+      (List.hd runs) runs
   in
   let cold_rebuild, rebuild_payload, _ =
-    best3 (fun () -> time_first_answer ~doc:doc_path ())
+    fastest (three (fun () -> time_first_answer ~doc:doc_path ()))
   in
-  let warm_restart, restart_payload, restart_prov =
-    best3 (fun () ->
+  let restarts =
+    three (fun () ->
         time_first_answer
           ~tune:(fun c -> { c with Server.snapshot_path = Some snap_path })
           ~doc:doc_path ())
   in
+  let warm_restart, _, restart_prov = fastest restarts in
   let restart_overhead = warm_restart /. cold_rebuild in
   let restart_identical =
-    String.equal cold_payload restart_payload
+    List.for_all (fun (_, payload, _) -> String.equal cold_payload payload)
+      restarts
     && String.equal cold_payload rebuild_payload
     && String.equal cold_payload loris_payload
+  in
+  (* Every restart, not only the fastest, must answer from the cache. *)
+  let restart_cache_served =
+    List.for_all
+      (fun (_, _, prov) ->
+        prov.Protocol.p_base = 0 && prov.Protocol.p_cached > 0)
+      restarts
   in
   Printf.printf
     "    restart-to-first-answer: cold rebuild %8.4fs   warm restart \
@@ -322,6 +336,7 @@ let () =
             ("rollup", Json.Int restart_prov.Protocol.p_rollup);
             ("cached", Json.Int restart_prov.Protocol.p_cached);
           ] );
+      ("restart_cache_served", Json.Bool restart_cache_served);
       ("identical", Json.Bool restart_identical);
       ( "gates",
         Json.Obj
@@ -372,11 +387,10 @@ let () =
     prerr_endline "serve-smoke: restart answers diverged from the cold run";
     fail := true
   end;
-  if restart_prov.Protocol.p_cached = 0 || restart_prov.Protocol.p_base > 0
-  then begin
+  if not restart_cache_served then begin
     prerr_endline
-      "serve-smoke: the warm-restarted daemon did not serve from the \
-       restored cache";
+      "serve-smoke: a warm-restarted daemon did not serve its first answer \
+       from the restored cache";
     fail := true
   end;
   if restart_overhead > restart_overhead_gate then begin

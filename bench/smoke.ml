@@ -24,7 +24,7 @@
    in the sweep for the identity check but runs serially at any worker
    count.  The three
    overhead gates read medians of interleaved per-round ratios (see
-   [interleaved]). *)
+   [Harness.interleaved]). *)
 
 module Engine = X3_core.Engine
 module Instrument = X3_core.Instrument
@@ -126,19 +126,12 @@ let page_io_rate ~format =
 
 (* --- overhead gates --------------------------------------------------- *)
 
-(* Process CPU seconds (getrusage, microsecond resolution): unlike wall
-   time it leaves out the intervals the process sat descheduled, which on
-   a shared machine are noise, not overhead. *)
-let cpu_seconds () =
-  let t = Unix.times () in
-  t.Unix.tms_utime +. t.Unix.tms_stime
-
 (* One batch of the grouping workload (materialise + COUNTER via [run],
    five times over a fresh pool of [format] pages): mean CPU seconds per
    run. *)
 let grouping_batch ?format ~store ~spec run =
   Gc.full_major ();
-  let t0 = cpu_seconds () in
+  let t0 = Harness.cpu_seconds () in
   for _ = 1 to 5 do
     let pool =
       Buffer_pool.create ~capacity_pages:256
@@ -147,44 +140,7 @@ let grouping_batch ?format ~store ~spec run =
     let prepared = Engine.prepare ~pool ~store spec in
     run prepared
   done;
-  (cpu_seconds () -. t0) /. 5.
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
-(* The checksum, governor and tracing gates each compare variants of the
-   grouping workload whose true difference is a few percent, on a shared
-   machine whose speed drifts by more than that within a run.  Each round
-   runs one batch of every variant back to back, cycling through every
-   rotation of the variants and its reverse, so each variant precedes and
-   follows each other equally often; a round yields each variant's ratio
-   to the baseline batch (variant 0) beside it.  Returns per variant the
-   median batch seconds and the median ratio: a load change cancels out
-   of every ratio instead of biasing whichever variant it fell on.  The
-   2% gate between two identical paths needs the most rounds. *)
-let interleaved ~rounds variants =
-  let n = Array.length variants in
-  let rotation k = List.init n (fun i -> (i + k) mod n) in
-  let orders =
-    Array.of_list
-      (List.concat_map
-         (fun k -> [ rotation k; List.rev (rotation k) ])
-         (List.init n Fun.id))
-  in
-  let samples =
-    List.init rounds (fun round ->
-        let t = Array.make n 0. in
-        List.iter
-          (fun v -> t.(v) <- variants.(v) ())
-          orders.(round mod Array.length orders);
-        t)
-  in
-  let col f = median (List.map f samples) in
-  ( Array.init n (fun v -> col (fun t -> t.(v))),
-    Array.init n (fun v -> col (fun t -> t.(v) /. t.(0))) )
+  (Harness.cpu_seconds () -. t0) /. 5.
 
 let () =
   let out_path =
@@ -267,7 +223,7 @@ let () =
     ignore (Engine.run ~config:run_config prepared Engine.Counter)
   in
   let group_seconds, group_ratios =
-    interleaved ~rounds:12
+    Harness.interleaved ~rounds:12
       (Array.map
          (fun format () -> grouping_batch ~format ~store ~spec counter)
          [| Disk.V0; Disk.V1 |])
@@ -298,7 +254,7 @@ let () =
         exit 1
   in
   let governor_seconds, governor_ratios =
-    interleaved ~rounds:12
+    Harness.interleaved ~rounds:12
       (Array.map
          (fun run () -> grouping_batch ~store ~spec run)
          [| counter; governed |])
@@ -329,7 +285,7 @@ let () =
   in
   let untraced () = grouping_batch ~store ~spec counter in
   let tracing_seconds, tracing_ratios =
-    interleaved ~rounds:48 [| untraced; untraced; traced |]
+    Harness.interleaved ~rounds:48 [| untraced; untraced; traced |]
   in
   let tracing_baseline = tracing_seconds.(0)
   and traced_off_group = tracing_seconds.(1)

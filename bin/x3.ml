@@ -1176,8 +1176,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "snapshot" ] ~docv:"PATH"
           ~doc:
-            "Persist the cuboid cache here on drained shutdown and \
-             warm-restart from it (verify-on-load; a corrupt or stale \
+            "Persist the cuboid cache's index here on drained shutdown, \
+             and on restart rebuild those sessions and their views from \
+             the documents before serving (verify-on-load; a corrupt \
              snapshot cold-starts, never fails).")
   in
   let wal =

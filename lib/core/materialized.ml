@@ -24,6 +24,9 @@ type t = {
   dicts : Witness.Dict.t array;
   measure : int -> float;
   groups : group Group_key.Tbl.t;
+  mutable fact_entries : int;
+      (* sum of the groups' fact-set sizes, kept by every operation that
+         changes a set, so [approx_bytes] never walks them *)
 }
 
 let cuboid_id t = t.cuboid_id
@@ -78,6 +81,14 @@ let materialize (ctx : Context.t) ~cuboid =
   let rows = Columnar.rows cols in
   let groups = Group_key.Tbl.create 256 in
   let scratch = Group_key.make_scratch ctx.layout in
+  let entries = ref 0 in
+  let add g fact =
+    let facts = Int_set.add fact g.facts in
+    if facts != g.facts then begin
+      g.facts <- facts;
+      incr entries
+    end
+  in
   ctx.instr.Instrument.table_scans <- ctx.instr.Instrument.table_scans + 1;
   Trace.with_span "witness.scan" ~attrs:[ ("rows", Trace.Int rows) ]
     (fun () ->
@@ -85,8 +96,7 @@ let materialize (ctx : Context.t) ~cuboid =
         Context.checkpoint ctx;
         ctx.instr.Instrument.rows_scanned <-
           ctx.instr.Instrument.rows_scanned + 1;
-        add_row ctx groups scratch c cols r (fun g fact ->
-            g.facts <- Int_set.add fact g.facts)
+        add_row ctx groups scratch c cols r add
       done);
   fill_stale ctx.measure groups;
   {
@@ -96,6 +106,7 @@ let materialize (ctx : Context.t) ~cuboid =
     dicts = Witness.dicts ctx.table;
     measure = ctx.measure;
     groups;
+    fact_entries = !entries;
   }
 
 (* The ingest delta patch: [materialize]'s per-row step over only the
@@ -133,7 +144,8 @@ let apply_rows (ctx : Context.t) t ~from_row =
         else cell_of_facts t.measure facts
       in
       g.facts <- facts;
-      g.cell <- cell
+      g.cell <- cell;
+      t.fact_entries <- t.fact_entries + 1
     end;
     incr touched
   in
@@ -146,16 +158,16 @@ let apply_rows (ctx : Context.t) t ~from_row =
    per group one Tbl slot + boxed key + the group record (~96 bytes, like
    counter_cost), its aggregate cell (5 words + 3 boxed floats, ~96
    bytes), plus one balanced-set node per fact id (4 fields + header = 5
-   words). The fixed tail covers the record itself. *)
+   words). The fixed tail covers the record itself. O(1): the fact-set
+   sizes are the running [fact_entries]. *)
 let group_cost = 96
 let cell_cost = 96
 let fact_cost = 40
 
 let approx_bytes t =
-  Group_key.Tbl.fold
-    (fun _ g acc ->
-      acc + group_cost + cell_cost + (fact_cost * Int_set.cardinal g.facts))
-    t.groups 128
+  128
+  + (Group_key.Tbl.length t.groups * (group_cost + cell_cost))
+  + (fact_cost * t.fact_entries)
 
 let parts_of t key = Group_key.to_parts t.layout ~dicts:t.dicts (states t) key
 
@@ -184,7 +196,10 @@ let rollup_unchecked (ctx : Context.t) t ~coarser =
           Group_key.Tbl.replace groups key' { facts = g.facts; cell = g.cell })
     t.groups;
   fill_stale t.measure groups;
-  { t with cuboid_id = coarser; groups }
+  let fact_entries =
+    Group_key.Tbl.fold (fun _ g acc -> acc + Int_set.cardinal g.facts) groups 0
+  in
+  { t with cuboid_id = coarser; groups; fact_entries }
 
 (* A covered path from [finer] to [coarser] in the lattice DAG: every step
    must be a covered edge. Breadth-first over parents. *)
@@ -233,137 +248,6 @@ let rollup (ctx : Context.t) ~props t ~coarser =
     | Error _ as e -> e
     | Ok () -> Ok (rollup_unchecked ctx t ~coarser)
   end
-
-(* --- snapshot persistence ---------------------------------------------- *)
-(* The portable form of a view is its groups' decoded values plus fact-id
-   sets: coded keys are relative to one table's dictionaries, so persisting
-   them would tie the snapshot to dictionary iteration order. Load
-   re-interns through [Group_key.of_parts] against the context it is loaded
-   into.
-
-   Record layout (integers u32 LE):
-     'M' cuboid id, group count
-     'G' [value length, value bytes] per present axis in axis order,
-         fact count, fact ids ascending *)
-
-let add_u32 buf v =
-  for shift = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * shift)) land 0xFF))
-  done
-
-let read_u32 record pos =
-  let u8 p = Char.code record.[p] in
-  u8 pos lor (u8 (pos + 1) lsl 8) lor (u8 (pos + 2) lsl 16)
-  lor (u8 (pos + 3) lsl 24)
-
-let to_records t =
-  let header = Buffer.create 9 in
-  Buffer.add_char header 'M';
-  add_u32 header t.cuboid_id;
-  add_u32 header (Group_key.Tbl.length t.groups);
-  let records =
-    Group_key.Tbl.fold
-      (fun key g acc ->
-        let buf = Buffer.create 64 in
-        Buffer.add_char buf 'G';
-        List.iter
-          (fun part ->
-            add_u32 buf (String.length part);
-            Buffer.add_string buf part)
-          (parts_of t key);
-        add_u32 buf (Int_set.cardinal g.facts);
-        Int_set.iter (fun fact -> add_u32 buf fact) g.facts;
-        Buffer.contents buf :: acc)
-      t.groups []
-  in
-  Buffer.contents header :: records
-
-(* [arity] is the cuboid's present-axis count: the values the record
-   carries before its fact list. *)
-let parse_group ~arity record =
-  let len = String.length record in
-  let u32 pos =
-    if pos + 4 > len then failwith "view snapshot: truncated group record";
-    read_u32 record pos
-  in
-  if len = 0 || record.[0] <> 'G' then Error "view snapshot: bad group record"
-  else
-    match
-      let rec values n pos acc =
-        if n = 0 then (List.rev acc, pos)
-        else
-          let vlen = u32 pos in
-          if pos + 4 + vlen > len then
-            failwith "view snapshot: truncated value";
-          values (n - 1) (pos + 4 + vlen)
-            (String.sub record (pos + 4) vlen :: acc)
-      in
-      let parts, pos = values arity 1 [] in
-      let nfacts = u32 pos in
-      if pos + 4 + (4 * nfacts) <> len then
-        failwith "view snapshot: truncated fact list";
-      let facts = ref Int_set.empty in
-      for i = 0 to nfacts - 1 do
-        facts := Int_set.add (read_u32 record (pos + 4 + (4 * i))) !facts
-      done;
-      (parts, !facts)
-    with
-    | group -> Ok group
-    | exception Failure msg -> Error msg
-
-let of_records (ctx : Context.t) records =
-  match records with
-  | [] -> Error "view snapshot: empty store"
-  | header :: rest ->
-      if String.length header <> 9 || header.[0] <> 'M' then
-        Error "view snapshot: bad header record"
-      else begin
-        let cuboid_id = read_u32 header 1 in
-        let expected = read_u32 header 5 in
-        if cuboid_id >= Lattice.size ctx.lattice then
-          Error
-            (Printf.sprintf
-               "view snapshot: cuboid %d not in this lattice (size %d)"
-               cuboid_id (Lattice.size ctx.lattice))
-        else begin
-          let cuboid = Lattice.cuboid ctx.lattice cuboid_id in
-          let arity = List.length (Cuboid.present_axes cuboid) in
-          let dicts = Witness.dicts ctx.table in
-          let groups = Group_key.Tbl.create (max 16 expected) in
-          let rec go = function
-            | [] ->
-                if Group_key.Tbl.length groups <> expected then
-                  Error "view snapshot: group count mismatch"
-                else begin
-                  fill_stale ctx.measure groups;
-                  Ok
-                    {
-                      cuboid_id;
-                      lattice = ctx.lattice;
-                      layout = ctx.layout;
-                      dicts;
-                      measure = ctx.measure;
-                      groups;
-                    }
-                end
-            | record :: rest -> (
-                match parse_group ~arity record with
-                | Error _ as e -> e
-                | Ok (parts, facts) -> (
-                    match Group_key.of_parts ctx.layout ~dicts cuboid parts with
-                    | exception Invalid_argument msg -> Error msg
-                    | None ->
-                        Error
-                          "view snapshot: a group names values unknown to \
-                           this witness table"
-                    | Some coded ->
-                        Group_key.Tbl.replace groups coded
-                          { facts; cell = stale };
-                        go rest))
-          in
-          go rest
-        end
-      end
 
 (* The result is over the view's own table (same dictionaries, same key
    layout) — true by construction for the session that built both — so

@@ -17,10 +17,14 @@
     refuses edges that are not covered unless explicitly forced.
 
     The cell is always the aggregate of the group's current fact set, in
-    ascending fact order: {!materialize}, {!rollup}, {!apply_rows} and
-    {!of_records} recompute it whenever the set changes, so reading a view
-    ({!cells}, {!to_result}) never re-aggregates. A cell once installed is
-    replaced, never mutated, so results and views may share it. *)
+    ascending fact order: {!materialize}, {!rollup} and {!apply_rows}
+    recompute it whenever the set changes, so reading a view ({!cells},
+    {!to_result}) never re-aggregates. A cell once installed is replaced,
+    never mutated, so results and views may share it.
+
+    Views live in memory only. A restarted serve daemon does not read
+    them back from disk: it rebuilds each resident session's views from
+    the document, by the same steps a cube request takes. *)
 
 type t
 
@@ -47,7 +51,8 @@ val apply_rows : Context.t -> t -> from_row:int -> int
 val approx_bytes : t -> int
 (** Estimated resident bytes of the view (groups, keys, cells and fact
     sets), following the {!Governor} cost-model conventions — what a
-    byte-budgeted cuboid cache charges per entry. *)
+    byte-budgeted cuboid cache charges per entry. Constant time: each
+    operation keeps a running count of the view's fact entries. *)
 
 val cells : t -> (string list * Aggregate.cell) list
 (** The group aggregates, each under its present-axis values in axis
@@ -73,19 +78,3 @@ val to_result : t -> Cube_result.t -> unit
 (** Copy the intermediate's coded keys and cells into a cube result. The
     result must be over the witness table and key layout the view was
     built on (as {!Engine.Session.result_of_views} guarantees). *)
-
-(** {1 Crash-safe persistence} *)
-
-val to_records : t -> string list
-(** The view's portable record stream (one ['M'] header carrying the
-    cuboid id and group count, then one ['G'] record per group carrying
-    its present-axis values, each as [u32 length | bytes], and its fact
-    ids). Values are decoded rather than dictionary ids, so the stream is
-    independent of the source table's dictionary order. Commit it with
-    {!X3_storage.Snapshot_store.commit}, alone or beside other views' (the
-    serve daemon's warm-restart snapshot packs a whole cache). *)
-
-val of_records : Context.t -> string list -> (t, string) result
-(** Inverse of {!to_records}: rebuild a view against [ctx]'s table;
-    [Error] when a record is malformed or names values the table does not
-    contain. *)

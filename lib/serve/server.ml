@@ -239,11 +239,6 @@ let decode_ingest_payload payload =
           String.sub payload (4 + len) (String.length payload - 4 - len) )
   end
 
-let iter_frags wal_frags doc_path f =
-  match Hashtbl.find_opt wal_frags doc_path with
-  | Some d -> Queue.iter f d.frags
-  | None -> ()
-
 let doc_high_water wal_frags doc_path =
   match Hashtbl.find_opt wal_frags doc_path with
   | Some d -> d.high_water
@@ -496,9 +491,7 @@ let check_input_cap t doc_path =
       | _ -> ()
       | exception Unix.Unix_error _ -> ())
 
-(* The document's bytes, read once after the input-cap check: warm
-   restore digests and parses this same string, so a view is never bound
-   to bytes nobody checked. *)
+(* The document's bytes, read after the input-cap check. *)
 let read_document t doc_path =
   check_input_cap t doc_path;
   match In_channel.with_open_bin doc_path In_channel.input_all with
@@ -506,16 +499,17 @@ let read_document t doc_path =
   | exception Sys_error msg -> fail "bad_document" "%s" msg
 
 (* The query-independent half of a session load: scan [src] (the bytes
-   of [doc_path]) straight into a store, with its ingested fragments up
-   to [graft_upto] appended to the root in LSN order — the cold path's
-   view of every durably ingested fact. Warm restore bounds the graft and
-   replays later fragments as deltas instead. The store is immutable, so
-   any number of sessions may be prepared over it. *)
-let load_store ?(graft_upto = max_int) t ~doc_path src =
-  let graft = ref [] in
-  iter_frags t.wal_frags doc_path (fun (lsn, el) ->
-      if lsn <= graft_upto then graft := el :: !graft);
-  match X3_xdb.Store.of_string ~graft:(List.rev !graft) src with
+   of [doc_path]) straight into a store, with every ingested fragment
+   appended to the root in LSN order — the cold path's view of every
+   durably ingested fact. The store is immutable, so any number of
+   sessions may be prepared over it. *)
+let load_store t ~doc_path src =
+  let graft =
+    match Hashtbl.find_opt t.wal_frags doc_path with
+    | Some d -> List.of_seq (Seq.map snd (Queue.to_seq d.frags))
+    | None -> []
+  in
+  match X3_xdb.Store.of_string ~graft src with
   | Error e ->
       fail "bad_document" "%s" (Format.asprintf "%a" X3_xml.Parser.pp_error e)
   | Ok store ->
@@ -541,12 +535,12 @@ let load_session ?store t ~doc_path ~spec =
   session
 
 (* The resident session for (doc, query): served from the cache when
-   possible, loaded (and offered to the cache) otherwise. Runs under the
-   compute lock. *)
-let acquire_session t ~skey ~doc_path ~query ~spec =
+   possible, loaded (over [store] when given) and offered to the cache
+   otherwise. Runs under the compute lock. *)
+let acquire_session ?store t ~skey ~doc_path ~query ~spec =
   let dkey = doc_key skey in
   let fresh () =
-    let session = load_session t ~doc_path ~spec in
+    let session = load_session ?store t ~doc_path ~spec in
     {
       de_key = skey;
       de_session = session;
@@ -993,61 +987,43 @@ let handle_trace t ~name =
 
 (* --- warm restart -------------------------------------------------------- *)
 
-(* Persist the cache index + views at drained shutdown. Runs under the
-   compute lock (no session mutation while views are read); any
-   per-document failure just drops that document from the snapshot. *)
+(* Persist the cache index at drained shutdown: one entry per resident
+   session, LRU-oldest first, so restore re-inserts them in the same
+   order. *)
 let persist_snapshot t =
   match t.cfg.snapshot_path with
   | None -> ()
-  | Some path ->
-      locked t.compute_lock (fun () ->
-          let docs =
-            List.filter_map
-              (fun (_key, value, _bytes) ->
-                match value with Doc d -> Some d | View _ -> None)
-              (Cuboid_cache.snapshot t.cache)
-          in
-          let snaps =
-            List.filter_map
-              (fun d ->
-                match Digest.file d.de_doc_path with
-                | exception _ -> None (* document gone; nothing to bind to *)
-                | digest ->
-                    let views =
-                      List.filter_map
-                        (fun vk ->
-                          match Cuboid_cache.find t.cache vk with
-                          | Some (View v) -> Some (Materialized.to_records v)
-                          | Some (Doc _) | None -> None)
-                        (List.rev d.de_views)
-                    in
-                    Some
-                      {
-                        Warm_store.ws_query = d.de_query;
-                        ws_doc_path = d.de_doc_path;
-                        ws_digest = digest;
-                        ws_wal_lsn = d.de_wal_lsn;
-                        ws_views = views;
-                      })
-              docs
-          in
-          match Warm_store.save ~path snaps with
-          | Ok () -> ()
-          | Error msg ->
-              (* Snapshot loss is degraded service, never an error. *)
-              Printf.eprintf "x3 serve: cache snapshot not saved: %s\n%!" msg)
+  | Some path -> (
+      let entries =
+        List.filter_map
+          (fun (_key, value, _bytes) ->
+            match value with
+            | Doc d ->
+                Some
+                  {
+                    Warm_store.ws_query = d.de_query;
+                    ws_doc_path = d.de_doc_path;
+                  }
+            | View _ -> None)
+          (locked t.compute_lock (fun () -> Cuboid_cache.snapshot t.cache))
+      in
+      match Warm_store.save ~path entries with
+      | Ok () -> ()
+      | Error msg ->
+          (* Snapshot loss is degraded service, never an error. *)
+          Printf.eprintf "x3 serve: cache snapshot not saved: %s\n%!" msg)
 
 (* Restore at startup: verify-on-load, then group the snapshot's entries
-   by the document load they were saved against — (path, digest, WAL
-   high water). Per group the document is read, digested and parsed
-   once, with the WAL fragments up to that LSN grafted in; per entry the
-   query is re-compiled and prepared over the group's shared store, each
-   view re-interned against the fresh table, and any WAL records past
-   the snapshot's high water replayed on top. The store is dropped when
-   its group finishes. Any failure — checksum, digest drift, missing
-   file, unknown group values, an unreplayable fragment — is a cold start
-   for that entry (or the whole cache), never an error. Each fallback
-   records {e why} on a per-reason counter
+   by document. Per group the document is read and parsed once, with
+   every durable WAL fragment grafted in — the cold path's load. Per
+   entry the query is re-compiled, its session prepared over that shared
+   store and offered to the cache, and its cube served into the cache,
+   exactly as a cube request runs; the store is dropped when its group
+   finishes. Nothing is deserialised, so nothing can drift from the
+   bytes on disk. Any failure — checksum, unknown version, missing or
+   unreadable document, a query that no longer compiles — is a cold
+   start for that entry (or the whole cache), never an error. Each
+   fallback records {e why} on a per-reason counter
    ([serve.cache.restore_failures.<reason>]) and one stderr line, so a
    fleet of daemons that quietly stopped restoring is diagnosable. *)
 exception Restore_failure of string * string (* reason slug, detail *)
@@ -1060,122 +1036,59 @@ let note_restore_failure t ~what (reason, detail) =
     (Metrics.counter t.registry ("serve.cache.restore_failures." ^ reason));
   Printf.eprintf "x3 serve: cold start for %s (%s): %s\n%!" what reason detail
 
-(* The entries in snapshot order, grouped by document load; groups in
-   order of first appearance. *)
-let group_by_load entries =
+(* The entries' queries grouped by document path, in snapshot order;
+   groups in order of first appearance. *)
+let group_by_doc entries =
   let groups = Hashtbl.create 8 and order = ref [] in
   List.iter
-    (fun ds ->
-      let key =
-        Warm_store.(ds.ws_doc_path, ds.ws_digest, ds.ws_wal_lsn)
-      in
-      match Hashtbl.find_opt groups key with
-      | Some members -> members := ds :: !members
+    (fun { Warm_store.ws_query; ws_doc_path } ->
+      match Hashtbl.find_opt groups ws_doc_path with
+      | Some queries -> queries := ws_query :: !queries
       | None ->
-          Hashtbl.add groups key (ref [ ds ]);
-          order := key :: !order)
+          Hashtbl.add groups ws_doc_path (ref [ ws_query ]);
+          order := ws_doc_path :: !order)
     entries;
-  List.rev_map (fun key -> List.rev !(Hashtbl.find groups key)) !order
+  List.rev_map
+    (fun doc_path -> (doc_path, List.rev !(Hashtbl.find groups doc_path)))
+    !order
 
-(* One entry's session, views and WAL replay, over the group's [store]. *)
-let restore_entry t ~store ~spec ds =
-  let doc_path = ds.Warm_store.ws_doc_path in
-  let query = ds.Warm_store.ws_query in
-  let session = load_session t ~store ~doc_path ~spec in
-  let skey = session_key ~doc_path ~query in
-  let entry =
-    {
-      de_key = skey;
-      de_session = session;
-      de_query = query;
-      de_doc_path = doc_path;
-      de_wal_lsn = ds.Warm_store.ws_wal_lsn;
-      de_views = [];
-    }
-  in
-  let ctx = Engine.Session.context session in
-  let views =
-    List.map
-      (fun records ->
-        match Materialized.of_records ctx records with
-        | Error msg -> restore_fail "view_decode_failed" "%s" msg
-        | Ok v -> v)
-      ds.Warm_store.ws_views
-  in
-  (* Replay ingests the snapshot never saw, oldest first: each record
-     advances [de_wal_lsn], which the guard compares against. *)
-  iter_frags t.wal_frags doc_path (fun (lsn, fragment) ->
-      if lsn > entry.de_wal_lsn then begin
-        (match
-           Engine.stage_fragment spec ~fragment
-             ~fact_id:(Engine.synthetic_fact_id ~lsn)
-         with
-        | Engine.Not_a_fact -> ()
-        | Engine.Unsupported reason ->
-            restore_fail "replay_failed" "lsn %d: %s" lsn reason
-        | Engine.Staged staged -> (
-            match Engine.Session.apply_delta session staged ~views with
-            | Error fb ->
-                restore_fail "replay_failed" "lsn %d: %s" lsn
-                  (Format.asprintf "%a" Engine.pp_fallback fb)
-            | Ok _ -> ()));
-        entry.de_wal_lsn <- lsn
-      end);
-  let bytes = Engine.Session.table_bytes session in
-  if Cuboid_cache.insert t.cache ~key:(doc_key skey) ~bytes (Doc entry) then begin
-    Metrics.inc t.m_restored_docs;
-    List.iter
-      (fun v ->
-        let vk = view_key skey (Materialized.cuboid_id v) in
-        let vbytes = Materialized.approx_bytes v in
-        if Cuboid_cache.insert t.cache ~key:vk ~bytes:vbytes (View v) then begin
-          entry.de_views <- vk :: entry.de_views;
-          Metrics.inc t.m_restored_views
-        end)
-      views
-  end
-
-let restore_group t group =
-  let first = List.hd group in
-  let doc_path = first.Warm_store.ws_doc_path in
+let restore_group t (doc_path, queries) =
   (* Forced by the first entry whose query compiles; a failure is
-     memoized by [Lazy] and re-raised for every later entry. Facts up to
-     the snapshot's high water are grafted into the parsed document (they
-     get real node ids, exactly as at save time); later WAL records are
-     replayed on top with synthetic ids, so every fact lands in the table
-     exactly once. *)
+     memoized by [Lazy] and re-raised for every later entry. *)
   let store =
     lazy
-      (let load f =
-         try f ()
-         with Reply (Protocol.Failed { message; _ }) ->
-           restore_fail "doc_load_failed" "%s" message
-       in
-       let src = load (fun () -> read_document t doc_path) in
-       if Digest.string src <> first.Warm_store.ws_digest then
-         restore_fail "digest_mismatch" "document bytes changed since snapshot";
-       load (fun () ->
-           load_store t ~doc_path ~graft_upto:first.Warm_store.ws_wal_lsn src))
+      (try load_store t ~doc_path (read_document t doc_path)
+       with Reply (Protocol.Failed { message; _ }) ->
+         restore_fail "doc_load_failed" "%s" message)
   in
   List.iter
-    (fun ds ->
-      let query = ds.Warm_store.ws_query in
+    (fun query ->
+      let skey = session_key ~doc_path ~query in
       match
         let spec =
           match X3_ql.Compile.parse_and_compile query with
           | Ok c -> c.X3_ql.Compile.spec
           | Error msg -> restore_fail "recompile_failed" "%s" msg
         in
-        restore_entry t ~store:(Lazy.force store) ~spec ds
+        let entry =
+          acquire_session ~store:(Lazy.force store) t ~skey ~doc_path ~query
+            ~spec
+        in
+        if Cuboid_cache.mem t.cache (doc_key skey) then begin
+          Metrics.inc t.m_restored_docs;
+          ignore (serve_cuboids t entry);
+          Metrics.inc ~by:(List.length entry.de_views) t.m_restored_views
+        end
       with
       | () -> ()
       | exception e ->
-          Cuboid_cache.remove t.cache (doc_key (session_key ~doc_path ~query));
+          (* the eviction hook takes any views down with the document *)
+          Cuboid_cache.remove t.cache (doc_key skey);
           note_restore_failure t ~what:doc_path
             (match e with
             | Restore_failure (reason, detail) -> (reason, detail)
             | e -> ("doc_load_failed", Printexc.to_string e)))
-    group
+    queries
 
 let restore_snapshot t =
   match t.cfg.snapshot_path with
@@ -1185,7 +1098,7 @@ let restore_snapshot t =
         match Warm_store.load ~path with
         | Error msg ->
             note_restore_failure t ~what:"cache" ("snapshot_corrupt", msg)
-        | Ok entries -> List.iter (restore_group t) (group_by_load entries)
+        | Ok entries -> List.iter (restore_group t) (group_by_doc entries)
       end
 
 let () = restore_hook := restore_snapshot

@@ -24,9 +24,9 @@
     triggers a drained shutdown — stop accepting, let in-flight requests
     finish under [drain_deadline], then cancel the active compute (its
     client gets a typed response) and finally sever stragglers; with
-    [snapshot_path] set, the drained daemon persists its cache through
-    {!Warm_store} and a restarted daemon warm-starts from whatever still
-    verifies. *)
+    [snapshot_path] set, the drained daemon persists its cache index
+    through {!Warm_store} and a restarted daemon rebuilds those sessions
+    and their views before it serves. *)
 
 type address = Unix_sock of string | Tcp of string * int
 
@@ -47,9 +47,10 @@ type config = {
       (** seconds {!stop} waits for in-flight requests before cancelling
           the active compute *)
   snapshot_path : string option;
-      (** where the drained daemon persists its cache for warm restart;
-          [None] = no snapshot. Corrupt/stale snapshots cold-start,
-          never fail. *)
+      (** where the drained daemon persists its cache index for warm
+          restart; [None] = no snapshot. Corrupt or retired snapshots,
+          and entries whose document or query no longer loads,
+          cold-start, never fail. *)
   wal_path : string option;
       (** where ingested fragments are durably logged
           ({!X3_storage.Wal}); [None] disables the [ingest] verb. On
@@ -95,11 +96,11 @@ val create : config -> (t, string) result
 (** Bind and listen (unlinking a stale unix-socket path); [Error] on
     bind/listen failure. SIGPIPE is ignored process-wide — a client
     dying mid-response must not kill the daemon. With [snapshot_path]
-    set, attempts a warm restore before returning: every document whose
-    bytes still match the snapshot's digest is re-parsed — once per
-    (document, WAL LSN), shared by all its queries — and its views
-    re-interned; anything that fails verification cold-starts with a
-    note to stderr. *)
+    set, attempts a warm restore before returning: every document the
+    snapshot lists is parsed once, with every durable ingest grafted in,
+    and each of its queries is prepared over that store and served into
+    the cache as a cube request would be; anything that fails
+    cold-starts with a note to stderr. *)
 
 val registry : t -> X3_obs.Metrics.t
 (** The daemon's metrics registry ([serve.cache.*], [serve.latency.*],

@@ -2043,43 +2043,7 @@ let test_view_cells_track_count () =
                 (Engine.fallback_reason_name fb))
       | _ -> Alcotest.fail "fragment should stage")
     [ (7, pub5); (3, pub6) ];
-  List.iter (check_cells_track_facts ~name:"apply_rows" ctx) views;
-  (* And the snapshot form restores the same cells. *)
-  List.iter
-    (fun view ->
-      match Materialized.of_records ctx (Materialized.to_records view) with
-      | Error msg -> Alcotest.failf "of_records: %s" msg
-      | Ok restored ->
-          check_cells_track_facts ~name:"of_records" ctx restored;
-          Alcotest.(check bool) "restored cells equal the originals" true
-            (Materialized.cells restored = Materialized.cells view))
-    views
-
-(* A 'G' snapshot record of a cuboid with [arity] present axes, without
-   its smallest fact id. *)
-let drop_smallest_fact ~arity record =
-  let u32 pos =
-    Char.code record.[pos]
-    lor (Char.code record.[pos + 1] lsl 8)
-    lor (Char.code record.[pos + 2] lsl 16)
-    lor (Char.code record.[pos + 3] lsl 24)
-  in
-  let rec skip_values n pos =
-    if n = 0 then pos else skip_values (n - 1) (pos + 4 + u32 pos)
-  in
-  let facts_at = skip_values arity 1 in
-  let nfacts = u32 facts_at in
-  if nfacts < 2 then record
-  else begin
-    let b = Bytes.of_string record in
-    let n = nfacts - 1 in
-    for shift = 0 to 3 do
-      Bytes.set b (facts_at + shift) (Char.chr ((n lsr (8 * shift)) land 0xFF))
-    done;
-    let head = Bytes.sub_string b 0 (facts_at + 4) in
-    head
-    ^ String.sub record (facts_at + 8) (String.length record - facts_at - 8)
-  end
+  List.iter (check_cells_track_facts ~name:"apply_rows" ctx) views
 
 let test_view_cells_track_sum () =
   let doc =
@@ -2129,32 +2093,88 @@ let test_view_cells_track_sum () =
   check_cells_track_facts ~name:"sum rollup" ctx rolled;
   Alcotest.(check bool) "sum rollup = direct" true
     (Materialized.cells rolled = Materialized.cells (List.nth views all));
-  (* A view restored without each group's smallest fact, then patched
-     with every row of the table: each re-added fact is below its group's
-     maximum, so every touched cell is recomputed — and must come back to
-     exactly the materialised one. *)
+  (* Re-adding every row is a no-op on every cell. (Deltas refuse
+     measure queries, so a SUM view is never patched with new facts; the
+     recompute from a whole fact set is the rollup's, checked above.) *)
   List.iter
     (fun view ->
-      let arity =
-        List.length
-          (X3_lattice.Cuboid.present_axes
-             (X3_lattice.Lattice.cuboid lattice (Materialized.cuboid_id view)))
-      in
-      let records =
-        match Materialized.to_records view with
-        | header :: groups ->
-            header :: List.map (drop_smallest_fact ~arity) groups
-        | [] -> []
-      in
-      match Materialized.of_records ctx records with
-      | Error msg -> Alcotest.failf "of_records: %s" msg
-      | Ok thinned ->
-          check_cells_track_facts ~name:"sum of_records" ctx thinned;
-          ignore (Materialized.apply_rows ctx thinned ~from_row:0 : int);
-          check_cells_track_facts ~name:"sum apply_rows" ctx thinned;
-          Alcotest.(check bool) "patched cells = materialised cells" true
-            (Materialized.cells thinned = Materialized.cells view))
+      let before = Materialized.cells view in
+      ignore (Materialized.apply_rows ctx view ~from_row:0 : int);
+      check_cells_track_facts ~name:"sum apply_rows" ctx view;
+      Alcotest.(check bool) "re-added rows keep every cell" true
+        (Materialized.cells view = before))
     views
+
+(* [approx_bytes] is kept by a running fact count; it must equal the cost
+   model recounted from the view's groups and fact sets (128 for the
+   record, 96 + 96 per group, 40 per fact entry) after every operation
+   that changes the sets, or cache accounting and eviction order drift. *)
+let check_approx_bytes ~name view =
+  let entries =
+    List.fold_left
+      (fun acc (key, _) ->
+        acc + List.length (Materialized.fact_items view ~key))
+      0 (Materialized.cells view)
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: approx_bytes of cuboid %d = recount" name
+       (Materialized.cuboid_id view))
+    (128 + (192 * Materialized.group_count view) + (40 * entries))
+    (Materialized.approx_bytes view)
+
+let test_approx_bytes_matches_recount () =
+  let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
+  let session =
+    Engine.Session.create
+      (Engine.prepare ~pool:(small_pool ()) ~store:(figure1_store ()) spec)
+  in
+  let ctx = Engine.Session.context session in
+  let lattice = Engine.lattice (Engine.Session.prepared session) in
+  let views =
+    List.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
+        Engine.Session.materialize session ~cuboid)
+  in
+  List.iter (check_approx_bytes ~name:"materialize") views;
+  (* Every rollup to a relaxation, merged groups included (publication 1
+     sits in two author groups). *)
+  let cuboid id = X3_lattice.Lattice.cuboid lattice id in
+  List.iter
+    (fun fine ->
+      for coarser = 0 to X3_lattice.Lattice.size lattice - 1 do
+        if
+          X3_lattice.Cuboid.leq
+            (cuboid (Materialized.cuboid_id fine))
+            (cuboid coarser)
+        then begin
+          check_approx_bytes ~name:"rollup_unchecked"
+            (Materialized.rollup_unchecked ctx fine ~coarser);
+          Result.iter
+            (check_approx_bytes ~name:"rollup")
+            (Engine.Session.rollup session fine ~coarser)
+        end
+      done)
+    views;
+  (* Re-adding present facts adds no entry; new facts add one each,
+     below or above the groups' maximum. *)
+  List.iter
+    (fun view -> ignore (Materialized.apply_rows ctx view ~from_row:0 : int))
+    views;
+  List.iter (check_approx_bytes ~name:"apply_rows (present facts)") views;
+  List.iter
+    (fun (lsn, src) ->
+      match
+        Engine.stage_fragment spec ~fragment:(frag_of_source src)
+          ~fact_id:(Engine.synthetic_fact_id ~lsn)
+      with
+      | Engine.Staged staged -> (
+          match Engine.Session.apply_delta session staged ~views with
+          | Ok _ -> ()
+          | Error fb ->
+              Alcotest.failf "delta refused: %s"
+                (Engine.fallback_reason_name fb))
+      | _ -> Alcotest.fail "fragment should stage")
+    [ (7, pub5); (3, pub6) ];
+  List.iter (check_approx_bytes ~name:"apply_rows (new facts)") views
 
 (* --- export: values of any length, in the historical order ---------------- *)
 
@@ -2446,58 +2466,47 @@ let gen_awkward_case =
           (list_size (int_bound 2) (child "a"))
           (list_size (int_bound 2) (child "b"))))
 
-(* Cube -> CSV/JSON export -> every view's snapshot records -> warm
-   snapshot stream and back -> views re-interned against a fresh prepare
-   of the same document -> cube again: byte-identical exports, every
-   group found by value, and the printers do not raise. *)
+(* Cube -> CSV/JSON export, the printers and lookups by value; then
+   every group value, and the exports themselves, through a warm-restart
+   index file as query text and document path. *)
 let prop_awkward_values_roundtrip =
   QCheck2.Test.make
-    ~name:"awkward values: cube -> export -> snapshot -> restore" ~count:25
+    ~name:"awkward values: cube -> export, warm index roundtrip" ~count:25
     gen_awkward_case (fun doc ->
       let spec =
         Engine.count_spec ~fact_path:[ step d "r" ] ~axes:(random_axes ())
       in
-      let prepare () =
+      let p =
         Engine.prepare ~pool:(small_pool ())
           ~store:(X3_xdb.Store.of_document doc) spec
       in
-      let p = prepare () in
       let lattice = Engine.lattice p in
       let func = Aggregate.Count in
       let result, _ = Engine.run p Engine.Naive in
       let csv = Export.csv_string ~func result in
       let json = Export.json_string ~func result in
-      let ctx = context_of p in
-      let snapshot =
-        X3_serve.Warm_store.encode
-          [
-            {
-              X3_serve.Warm_store.ws_query = "q";
-              ws_doc_path = "doc.xml";
-              ws_digest = "";
-              ws_wal_lsn = 0;
-              ws_views =
-                List.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
-                    Materialized.to_records
-                      (Materialized.materialize ctx ~cuboid));
-            };
-          ]
+      let entries =
+        { X3_serve.Warm_store.ws_query = csv; ws_doc_path = json }
+        :: List.concat_map
+             (fun id ->
+               List.concat_map
+                 (fun (values, _) ->
+                   List.map
+                     (fun v ->
+                       { X3_serve.Warm_store.ws_query = v; ws_doc_path = v })
+                     (Array.to_list values))
+                 (Cube_result.cuboid_cells result id))
+             (Array.to_list (X3_lattice.Lattice.by_degree lattice))
       in
-      let p' = prepare () in
-      let ctx' = context_of p' in
-      let restored =
-        Cube_result.create ~table:(Engine.table p') (Engine.lattice p')
+      let path = Filename.temp_file "x3awkward" ".snap" in
+      let loaded =
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          (fun () ->
+            match X3_serve.Warm_store.save ~path entries with
+            | Error msg -> QCheck2.Test.fail_reportf "save: %s" msg
+            | Ok () -> X3_serve.Warm_store.load ~path)
       in
-      (match X3_serve.Warm_store.decode snapshot with
-      | Ok [ entry ] ->
-          List.iter
-            (fun records ->
-              match Materialized.of_records ctx' records with
-              | Ok view -> Materialized.to_result view restored
-              | Error msg -> QCheck2.Test.fail_reportf "of_records: %s" msg)
-            entry.X3_serve.Warm_store.ws_views
-      | Ok _ -> QCheck2.Test.fail_report "decode: wrong entry count"
-      | Error msg -> QCheck2.Test.fail_reportf "decode: %s" msg);
       let finds_every_group cube =
         Array.for_all
           (fun id ->
@@ -2519,10 +2528,12 @@ let prop_awkward_values_roundtrip =
         | Error msg -> QCheck2.Test.fail_reportf "pivot: %s" msg
       in
       prints result;
-      prints restored;
-      String.equal csv (Export.csv_string ~func restored)
-      && String.equal json (Export.json_string ~func restored)
-      && finds_every_group result && finds_every_group restored)
+      (match loaded with
+      | Ok entries' ->
+          if entries' <> entries then
+            QCheck2.Test.fail_report "warm index entries changed"
+      | Error msg -> QCheck2.Test.fail_reportf "load: %s" msg);
+      finds_every_group result)
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -2607,6 +2618,8 @@ let () =
             test_view_cells_track_count;
           Alcotest.test_case "cells track fact sets (SUM)" `Quick
             test_view_cells_track_sum;
+          Alcotest.test_case "approx_bytes = recount after every operation"
+            `Quick test_approx_bytes_matches_recount;
         ] );
       ( "ingest deltas",
         [

@@ -17,7 +17,7 @@ open X3_storage
 module Engine = X3_core.Engine
 module Context = X3_core.Context
 module Cube_result = X3_core.Cube_result
-module Materialized = X3_core.Materialized
+module Warm_store = X3_serve.Warm_store
 module Witness = X3_pattern.Witness
 module Lattice = X3_lattice.Lattice
 
@@ -276,12 +276,7 @@ let prop_crash_atomicity =
           if committed then got = new_snap
           else got = old_snap || got = new_snap)
 
-(* --- the cube workload: witness save, then materialized-view save ------- *)
-
-let make_ctx () =
-  let table = Fixtures.query1_table () in
-  let lattice = Lattice.build (Witness.axes table) in
-  Context.create ~table ~lattice ~measure:(fun _ -> 1.0) ()
+(* --- the cube workload: witness save, then warm-restart index save ------ *)
 
 let fresh_store () =
   let disk = Disk.in_memory ~page_size:512 () in
@@ -450,51 +445,37 @@ let test_witness_save_crash_sweep () =
     Disk.close disk
   done
 
-let test_materialized_snapshot_roundtrip () =
-  let ctx = make_ctx () in
-  let view = Materialized.materialize ctx ~cuboid:0 in
-  let disk, _, store = fresh_store () in
-  Snapshot_store.commit store (Materialized.to_records view);
-  (match Materialized.of_records ctx (Snapshot_store.read store) with
-  | Error msg -> Alcotest.fail msg
-  | Ok view' ->
-      Alcotest.(check int) "cuboid" (Materialized.cuboid_id view)
-        (Materialized.cuboid_id view');
-      let keys v = List.map fst (Materialized.cells v) in
-      Alcotest.(check (list (list string))) "group keys" (keys view)
-        (keys view');
-      List.iter
-        (fun key ->
-          Alcotest.(check (list int)) "fact items"
-            (Materialized.fact_items view ~key)
-            (Materialized.fact_items view' ~key))
-        (keys view));
-  Disk.close disk
-
-(* Crash the materialized-view commit at every write boundary: recovery
-   yields either the witness snapshot (epoch 1, loadable as a table) or
-   the view snapshot (epoch 2, loadable as a view) — never a torn mix. *)
+(* Crash the commit of a warm-restart index (the serve daemon's
+   snapshot record stream) at every write boundary: recovery yields
+   either the witness snapshot (epoch 1, loadable as a table) or the
+   whole index (epoch 2, decoding to every entry) — never a torn mix. *)
 let test_workload_crash_sweep () =
-  let ctx = make_ctx () in
   let table = Fixtures.query1_table () in
-  let view = Materialized.materialize ctx ~cuboid:0 in
+  let entries =
+    List.init 40 (fun i ->
+        {
+          Warm_store.ws_query = Printf.sprintf "query %d %s" i (String.make 100 'q');
+          ws_doc_path = Printf.sprintf "/data/doc%d.xml" (i mod 3);
+        })
+  in
+  let records = Warm_store.encode entries in
   let n_writes =
     let disk, _, store = fresh_store () in
     Witness.save table store;
     let counter = Fault.combine [] in
     Fault.install counter disk;
-    Snapshot_store.commit store (Materialized.to_records view);
+    Snapshot_store.commit store records;
     Fault.clear disk;
     Disk.close disk;
     Fault.writes_seen counter
   in
-  Alcotest.(check bool) "view commit performs writes" true (n_writes > 0);
+  Alcotest.(check bool) "index commit performs writes" true (n_writes > 0);
   for crash_at = 0 to n_writes + 1 do
     let disk, pool, store = fresh_store () in
     Witness.save table store;
     Fault.install (Fault.crash_after_writes ~torn:(crash_at mod 2 = 1) crash_at) disk;
     let committed =
-      match Snapshot_store.commit store (Materialized.to_records view) with
+      match Snapshot_store.commit store records with
       | () -> true
       | exception Fault.Crashed -> false
     in
@@ -504,16 +485,14 @@ let test_workload_crash_sweep () =
     | Ok store' -> (
         let epoch = Snapshot_store.committed_epoch store' in
         if committed && epoch <> 2 then
-          Alcotest.failf "crash at write %d: completed view commit lost" crash_at;
+          Alcotest.failf "crash at write %d: completed index commit lost" crash_at;
         match epoch with
         | 2 -> (
-            (* The view snapshot won: it must load as a complete view. *)
-            match Materialized.of_records ctx (Snapshot_store.read store') with
-            | Error msg -> Alcotest.failf "view after crash %d: %s" crash_at msg
-            | Ok view' ->
-                Alcotest.(check int) "view groups"
-                  (Materialized.group_count view)
-                  (Materialized.group_count view'))
+            (* The index won: it must decode to every entry. *)
+            match Warm_store.decode (Snapshot_store.read store') with
+            | Error msg -> Alcotest.failf "index after crash %d: %s" crash_at msg
+            | Ok entries' ->
+                Alcotest.(check bool) "index entries" true (entries' = entries))
         | 1 -> (
             (* Rolled back to the witness snapshot: a complete table. *)
             match
@@ -902,8 +881,6 @@ let () =
         [
           quick "witness table snapshot roundtrip" `Quick
             test_witness_snapshot_roundtrip;
-          quick "materialized view snapshot roundtrip" `Quick
-            test_materialized_snapshot_roundtrip;
           quick "cube+materialize workload: crash at every write" `Quick
             test_workload_crash_sweep;
           quick "torn column page: typed error + epoch fallback" `Quick

@@ -723,8 +723,9 @@ let test_warm_restart_recovers_the_cache () =
                     provenance.Protocol.p_base
               | _ -> Alcotest.fail "warm-restart request failed")))
 
-(* Ingests logged after the snapshot was drained must all be replayed on
-   restore, oldest first — not just the newest. *)
+(* Ingests acknowledged before the drain (patched into the resident
+   session) and after it (logged behind the snapshot's back) must all be
+   in the restored answer. *)
 let test_warm_restart_replays_every_later_ingest () =
   with_figure1 @@ fun doc_path ->
   let snap = Filename.temp_file "x3snap" ".bin" in
@@ -747,7 +748,27 @@ let test_warm_restart_replays_every_later_ingest () =
                 (payload, provenance)
             | _ -> Alcotest.fail "cube request failed")
       in
-      (* First life: warm the cache, drain, snapshot at LSN 0. *)
+      let ingest h ids =
+        with_client h (fun conn ->
+            List.iter
+              (fun id ->
+                match
+                  Server.Client.request conn
+                    (Protocol.Ingest
+                       {
+                         doc = doc_path;
+                         fragment =
+                           Printf.sprintf
+                             {|<publication id="%d"><author id="a9"><name>John</name></author>|}
+                             id
+                           ^ {|<publisher id="p2"/><year>2003</year></publication>|};
+                       })
+                with
+                | Ok (Protocol.Ingest_ok _) -> ()
+                | _ -> Alcotest.fail "ingest failed")
+              ids)
+      in
+      (* First life: warm the cache, patch two ingests into it, drain. *)
       let h =
         start_server
           ~tune:(fun c ->
@@ -755,32 +776,17 @@ let test_warm_restart_replays_every_later_ingest () =
           ()
       in
       ignore (cube h ~no_cache:false);
+      ingest h [ 88; 89 ];
       stop_server h;
       (* Second life, no snapshot path: three ingests the snapshot never
          sees. *)
       let h =
         start_server ~tune:(fun c -> { c with Server.wal_path = Some wal }) ()
       in
-      with_client h (fun conn ->
-          List.iter
-            (fun id ->
-              match
-                Server.Client.request conn
-                  (Protocol.Ingest
-                     {
-                       doc = doc_path;
-                       fragment =
-                         Printf.sprintf
-                           {|<publication id="%d"><author id="a9"><name>John</name></author>|}
-                           id
-                         ^ {|<publisher id="p2"/><year>2003</year></publication>|};
-                     })
-              with
-              | Ok (Protocol.Ingest_ok _) -> ()
-              | _ -> Alcotest.fail "ingest failed")
-            [ 90; 91; 92 ]);
+      ingest h [ 90; 91; 92 ];
       stop_server h;
-      (* Third life: restore the snapshot, replay all three records. *)
+      (* Third life: restore the snapshot over the document with all five
+         records grafted in. *)
       with_server
         ~tune:(fun c ->
           { c with Server.snapshot_path = Some snap; wal_path = Some wal })
@@ -791,6 +797,8 @@ let test_warm_restart_replays_every_later_ingest () =
           let reference, _ = cube h3 ~no_cache:true in
           Alcotest.(check bool) "served from the restored cache" true
             (provenance.Protocol.p_cached > 0);
+          Alcotest.(check int) "no base scans after warm restart" 0
+            provenance.Protocol.p_base;
           Alcotest.(check string) "restored == cold graft of every ingest"
             reference restored))
 
@@ -829,66 +837,20 @@ let test_corrupt_snapshot_cold_starts () =
                     payload
               | _ -> Alcotest.fail "cold-start request failed")))
 
-let test_changed_document_cold_starts () =
-  with_figure1 @@ fun doc_path ->
-  let snap = Filename.temp_file "x3snap" ".bin" in
-  Sys.remove snap;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
-    (fun () ->
-      let tune c = { c with Server.snapshot_path = Some snap } in
-      let h = start_server ~tune () in
-      with_client h (fun conn ->
-          ignore
-            (Server.Client.request ~deadline:30.0 conn
-               (cube_req ~doc:doc_path figure1_query)));
-      stop_server h;
-      (* Same semantics, different bytes: the digest check must refuse the
-         snapshot — a view is only served against the exact bytes it was
-         computed from. *)
-      let oc = open_out doc_path in
-      output_string oc (Fixtures.figure1_source ^ "\n");
-      close_out oc;
-      with_server ~tune (fun h2 ->
-          Alcotest.(check int) "changed document is not restored" 0
-            (stats_metric h2 "serve.cache.restored_docs");
-          Alcotest.(check int) "reason counter names the digest mismatch" 1
-            (stats_metric h2 "serve.cache.restore_failures.digest_mismatch");
-          let expected = cold_export ~doc_path ~query:figure1_query in
-          with_client h2 (fun conn ->
-              match
-                Server.Client.request ~deadline:30.0 conn
-                  (cube_req ~doc:doc_path figure1_query)
-              with
-              | Ok (Protocol.Cube_ok { payload; _ }) ->
-                  Alcotest.(check string) "recomputed from the new bytes"
-                    expected payload
-              | _ -> Alcotest.fail "request after document change failed")))
-
 (* A snapshot whose container verifies but whose per-document content
    cannot be restored: each failure must land in its own typed
    [serve.cache.restore_failures.<reason>] counter, cold-start that
    document, and leave the daemon serving correctly. *)
-let crafted_snapshot_cold_starts ?(ws_views = []) ?(setup = ignore) ~name
-    ~reason ~ws_query ~tune2 () =
+let crafted_snapshot_cold_starts ~name ~reason ~ws_query ~tune2 () =
   with_figure1 @@ fun doc_path ->
   let snap = Filename.temp_file "x3snap" ".bin" in
   Sys.remove snap;
   Fun.protect
     ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
     (fun () ->
-      setup doc_path;
       (match
          Warm_store.save ~path:snap
-           [
-             {
-               Warm_store.ws_query;
-               ws_doc_path = doc_path;
-               ws_digest = Digest.file doc_path;
-               ws_wal_lsn = 0;
-               ws_views;
-             };
-           ]
+           [ { Warm_store.ws_query; ws_doc_path = doc_path } ]
        with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "crafted snapshot save: %s" msg);
@@ -906,51 +868,17 @@ let test_recompile_failure_cold_starts () =
     ~ws_query:"this is not an x3 query" ~tune2:Fun.id ()
 
 let test_doc_load_failure_cold_starts () =
-  (* The query and digest verify, but the restart's input cap refuses the
-     document itself — the load failure gets its own reason. *)
+  (* The query compiles, but the restart's input cap refuses the document
+     itself — the load failure gets its own reason. *)
   crafted_snapshot_cold_starts ~name:"doc load" ~reason:"doc_load_failed"
     ~ws_query:figure1_query
     ~tune2:(fun c -> { c with Server.max_input_bytes = Some 16 })
     ()
 
-(* A well-formed view header naming a cuboid the lattice does not have. *)
-let test_view_decode_failure_cold_starts () =
-  crafted_snapshot_cold_starts ~name:"view decode" ~reason:"view_decode_failed"
-    ~ws_query:figure1_query
-    ~ws_views:[ [ "M\xff\xff\xff\x00\x00\x00\x00\x00" ] ]
-    ~tune2:Fun.id ()
-
-(* A logged fact the snapshot never saw and delta maintenance cannot
-   stage — a fact element nested in another — fails its replay. *)
-let test_replay_failure_cold_starts () =
-  let wal = Filename.temp_file "x3wal" ".wal" in
-  Sys.remove wal;
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove wal with Sys_error _ -> ())
-    (fun () ->
-      let tune c = { c with Server.wal_path = Some wal } in
-      let setup doc_path =
-        with_server ~tune (fun h ->
-            with_client h (fun conn ->
-                match
-                  Server.Client.request conn
-                    (Protocol.Ingest
-                       {
-                         doc = doc_path;
-                         fragment =
-                           {|<publication id="91"><publication id="92"/></publication>|};
-                       })
-                with
-                | Ok (Protocol.Ingest_ok _) -> ()
-                | _ -> Alcotest.fail "ingest failed"))
-      in
-      crafted_snapshot_cold_starts ~name:"replay" ~reason:"replay_failed"
-        ~ws_query:figure1_query ~setup ~tune2:tune ())
-
 (* The snapshot's document is gone by the next life: nothing can be
-   read, so the entry cold-starts as a load failure (not a digest
-   mismatch), the missing document is a typed error, and once the file
-   is back the daemon answers it cold and correctly. *)
+   read, so the entry cold-starts as a load failure, the missing
+   document is a typed error, and once the file is back the daemon
+   answers it cold and correctly. *)
 let test_missing_document_cold_starts () =
   with_figure1 @@ fun doc_path ->
   let snap = Filename.temp_file "x3snap" ".bin" in
@@ -1037,10 +965,63 @@ let split_on_string s ~sep =
   in
   go 0 []
 
-(* A snapshot written under the previous format version (x3-warm/1):
-   verify-on-load passes, the version does not, so the whole cache starts
-   cold under the corrupt-snapshot reason and answers correctly. *)
-let test_retired_snapshot_version_cold_starts () =
+(* A restored session starts at its document's WAL high water: an ingest
+   after the restart is patched into it once, and the ingest grafted in
+   at restore is not applied again. *)
+let test_restored_session_takes_later_ingests () =
+  with_figure1 @@ fun doc_path ->
+  let temp suffix =
+    let p = Filename.temp_file "x3later" suffix in
+    Sys.remove p;
+    p
+  in
+  let snap = temp ".bin" and wal = temp ".wal" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ snap; wal ])
+    (fun () ->
+      let tune c =
+        { c with Server.snapshot_path = Some snap; wal_path = Some wal }
+      in
+      let ingest conn id =
+        match
+          Server.Client.request conn
+            (Protocol.Ingest
+               {
+                 doc = doc_path;
+                 fragment =
+                   Printf.sprintf
+                     {|<publication id="%d"><author id="a9"><name>John</name></author>|}
+                     id
+                   ^ {|<publisher id="p2"/><year>2003</year></publication>|};
+               })
+        with
+        | Ok (Protocol.Ingest_ok { sessions; fallbacks; _ }) ->
+            (sessions, fallbacks)
+        | _ -> Alcotest.fail "ingest failed"
+      in
+      with_server ~tune (fun h ->
+          with_client h (fun conn ->
+              (match
+                 Server.Client.request ~deadline:30.0 conn
+                   (cube_req ~doc:doc_path figure1_query)
+               with
+              | Ok (Protocol.Cube_ok _) -> ()
+              | _ -> Alcotest.fail "first-life request failed");
+              ignore (ingest conn 90 : int * int)));
+      with_server ~tune (fun h ->
+          Alcotest.(check int) "the session was restored" 1
+            (stats_metric h "serve.cache.restored_docs");
+          with_client h (fun conn ->
+              Alcotest.(check (pair int int))
+                "the restored session is patched, no fallback" (1, 0)
+                (ingest conn 91));
+          check_restored_answer h ~doc_path figure1_query))
+
+(* A snapshot rewritten by [retire] (given the drained file's records):
+   verify-on-load passes, the version does not, so the whole cache
+   starts cold under the corrupt-snapshot reason and answers correctly. *)
+let retired_snapshot_cold_starts ~retire =
   with_figure1 @@ fun doc_path ->
   let snap = Filename.temp_file "x3snap" ".bin" in
   Sys.remove snap;
@@ -1056,13 +1037,13 @@ let test_retired_snapshot_version_cold_starts () =
                (cube_req ~doc:doc_path figure1_query)));
       stop_server h;
       (match X3_storage.Snapshot_store.load_file snap with
-      | Ok (_magic :: records) -> (
+      | Ok records -> (
           match
-            X3_storage.Snapshot_store.save_file snap ("Wx3-warm/1" :: records)
+            X3_storage.Snapshot_store.save_file snap (retire ~doc_path records)
           with
           | Ok () -> ()
           | Error msg -> Alcotest.failf "rewrite snapshot: %s" msg)
-      | Ok [] | Error _ -> Alcotest.fail "drained snapshot unreadable");
+      | Error msg -> Alcotest.failf "drained snapshot unreadable: %s" msg);
       with_server ~tune (fun h2 ->
           Alcotest.(check int) "nothing restored from a retired version" 0
             (stats_metric h2 "serve.cache.restored_docs");
@@ -1080,10 +1061,71 @@ let test_retired_snapshot_version_cold_starts () =
                     (provenance.Protocol.p_base > 0)
               | _ -> Alcotest.fail "cold-start request failed")))
 
-(* A grouping value past 65535 bytes, once the ceiling of the group-key
-   codec under view snapshots: the drained shutdown must run to its end
-   (snapshot written, socket unlinked) and the next life must serve the
-   restored views. *)
+(* The current records under the first format version's magic. *)
+let test_retired_snapshot_version_cold_starts () =
+  retired_snapshot_cold_starts ~retire:(fun ~doc_path:_ records ->
+      "Wx3-warm/1" :: List.tl records)
+
+(* A file in the x3-warm/2 layout, which stored views: a 'D' record
+   carrying query, path, MD5 digest and WAL high water, then one view's
+   'M' header and 'G' group. *)
+let test_warm2_snapshot_cold_starts () =
+  retired_snapshot_cold_starts ~retire:(fun ~doc_path _records ->
+      let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xFF)) in
+      let lstring s = u32 (String.length s) ^ s in
+      [
+        "Wx3-warm/2";
+        "D" ^ lstring figure1_query ^ lstring doc_path
+        ^ lstring (Digest.file doc_path)
+        ^ String.make 8 '\000';
+        "M" ^ u32 0 ^ u32 1;
+        "G" ^ lstring "John" ^ lstring "2003" ^ lstring "p1" ^ u32 1 ^ u32 3;
+      ])
+
+(* The document changes between lives (publication 2's year 2004
+   becomes 2003): restore builds the session from the new bytes, so the
+   restored, cache-served answer is the cold answer over those bytes. *)
+let test_changed_document_restores_from_new_bytes () =
+  with_figure1 @@ fun doc_path ->
+  let snap = Filename.temp_file "x3snap" ".bin" in
+  Sys.remove snap;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+    (fun () ->
+      let tune c = { c with Server.snapshot_path = Some snap } in
+      let before = cold_export ~doc_path ~query:figure1_query in
+      let h = start_server ~tune () in
+      with_client h (fun conn ->
+          ignore
+            (Server.Client.request ~deadline:30.0 conn
+               (cube_req ~doc:doc_path figure1_query)));
+      stop_server h;
+      let oc = open_out doc_path in
+      output_string oc
+        (String.concat "<year>2003</year>"
+           (split_on_string Fixtures.figure1_source ~sep:"<year>2004</year>"));
+      close_out oc;
+      let expected = cold_export ~doc_path ~query:figure1_query in
+      Alcotest.(check bool) "the change moves the answer" false
+        (String.equal before expected);
+      with_server ~tune (fun h2 ->
+          Alcotest.(check int) "the changed document is restored" 1
+            (stats_metric h2 "serve.cache.restored_docs");
+          with_client h2 (fun conn ->
+              match
+                Server.Client.request ~deadline:30.0 conn
+                  (cube_req ~doc:doc_path figure1_query)
+              with
+              | Ok (Protocol.Cube_ok { payload; provenance; _ }) ->
+                  Alcotest.(check string) "restored from the new bytes"
+                    expected payload;
+                  Alcotest.(check int) "served from the restored cache" 0
+                    provenance.Protocol.p_base
+              | _ -> Alcotest.fail "request after document change failed")))
+
+(* A grouping value past 65535 bytes: the drained shutdown must run to
+   its end (snapshot written, socket unlinked) and the next life must
+   serve the restored views. *)
 let test_long_value_survives_drain_and_restore () =
   let long_name = String.make 70_000 'J' in
   let source =
@@ -1149,13 +1191,13 @@ let test_warm_restart_shares_one_document_load () =
             (stats_metric h2 "serve.docs.loaded");
           List.iter (check_restored_answer h2 ~doc_path) queries))
 
-(* The group key includes the WAL high water: entries saved at LSN 0 and
-   LSN 1 over the same bytes need different grafts, so restore builds two
-   stores, and both sessions answer as a cold graft of every ingest. *)
-let test_warm_restart_keys_stores_by_wal_lsn () =
+(* Entries drained before and after an ingest name the same document:
+   restore builds one store for both, with the ingest grafted in, and
+   both sessions answer as a cold graft of every ingest. *)
+let test_warm_restart_keys_loads_by_document () =
   with_figure1 @@ fun doc_path ->
   let temp suffix =
-    let p = Filename.temp_file "x3lsn" suffix in
+    let p = Filename.temp_file "x3keys" suffix in
     Sys.remove p;
     p
   in
@@ -1181,8 +1223,8 @@ let test_warm_restart_keys_stores_by_wal_lsn () =
         | Ok (Protocol.Cube_ok _) -> ()
         | _ -> Alcotest.fail "cube request failed"
       in
-      (* figure1_query drained at LSN 0; one ingest; figure1_year_query
-         drained at LSN 1, its document load grafting the ingest. *)
+      (* figure1_query drained before the ingest, figure1_year_query
+         after it. *)
       life ~snapshot:snap0 (fun conn -> cube conn figure1_query);
       life (fun conn ->
           match
@@ -1204,9 +1246,10 @@ let test_warm_restart_keys_stores_by_wal_lsn () =
         | Error msg -> Alcotest.failf "snapshot load: %s" msg
       in
       let merged = entries snap0 @ entries snap1 in
-      Alcotest.(check (list int))
-        "one entry per high water" [ 0; 1 ]
-        (List.map (fun ds -> ds.Warm_store.ws_wal_lsn) merged);
+      Alcotest.(check (list string))
+        "one entry per drained session"
+        [ figure1_query; figure1_year_query ]
+        (List.map (fun e -> e.Warm_store.ws_query) merged);
       (match Warm_store.save ~path:snap merged with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "merged snapshot save: %s" msg);
@@ -1216,7 +1259,7 @@ let test_warm_restart_keys_stores_by_wal_lsn () =
         (fun h ->
           Alcotest.(check int) "both sessions restored" 2
             (stats_metric h "serve.cache.restored_docs");
-          Alcotest.(check int) "one document load per high water" 2
+          Alcotest.(check int) "one document load for both" 1
             (stats_metric h "serve.docs.loaded");
           List.iter
             (check_restored_answer h ~doc_path)
@@ -1225,59 +1268,44 @@ let test_warm_restart_keys_stores_by_wal_lsn () =
 (* --- warm-store and cache units ------------------------------------------ *)
 
 let test_warm_store_roundtrip_and_rejects_garbage () =
-  let docs =
+  let entries =
     [
-      {
-        Warm_store.ws_query = "q1";
-        ws_doc_path = "/tmp/a.xml";
-        ws_digest = String.make 16 'a';
-        ws_wal_lsn = 0;
-        ws_views = [];
-      };
-      {
-        Warm_store.ws_query = "q2 with\nnewlines";
-        ws_doc_path = "/tmp/b.xml";
-        ws_digest = String.make 16 'b';
-        ws_wal_lsn = 42;
-        ws_views = [];
-      };
+      { Warm_store.ws_query = "q1"; ws_doc_path = "/tmp/a.xml" };
+      { Warm_store.ws_query = "q2 with\nnewlines"; ws_doc_path = "" };
     ]
   in
-  (match Warm_store.decode (Warm_store.encode docs) with
+  let encoded = Warm_store.encode entries in
+  (match Warm_store.decode encoded with
   | Ok round ->
-      Alcotest.(check int) "both documents round-trip" 2 (List.length round);
-      List.iter2
-        (fun a b ->
-          Alcotest.(check string) "query" a.Warm_store.ws_query
-            b.Warm_store.ws_query;
-          Alcotest.(check string) "digest" a.Warm_store.ws_digest
-            b.Warm_store.ws_digest;
-          Alcotest.(check int) "wal lsn" a.Warm_store.ws_wal_lsn
-            b.Warm_store.ws_wal_lsn)
-        docs round
+      Alcotest.(check (list (pair string string)))
+        "entries round-trip in order"
+        (List.map (fun e -> Warm_store.(e.ws_query, e.ws_doc_path)) entries)
+        (List.map (fun e -> Warm_store.(e.ws_query, e.ws_doc_path)) round)
   | Error msg -> Alcotest.failf "roundtrip failed: %s" msg);
-  (match Warm_store.decode [ "not the magic" ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad magic accepted");
-  (* Retired formats: the previous version's magic, and a doc record
-     without its WAL trailer (pre-WAL files), are typed errors. *)
-  (match
-     Warm_store.decode ("Wx3-warm/1" :: List.tl (Warm_store.encode docs))
-   with
-  | Error msg ->
-      Alcotest.(check bool) "unsupported version named" true
-        (X3_xml.Str_search.find msg ~start:0 "unsupported version" <> None)
-  | Ok _ -> Alcotest.fail "x3-warm/1 stream accepted");
-  (match Warm_store.encode docs with
-  | magic :: doc :: rest -> (
-      let pre_wal = String.sub doc 0 (String.length doc - 8) in
-      match Warm_store.decode (magic :: pre_wal :: rest) with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "doc record without WAL trailer accepted")
-  | _ -> Alcotest.fail "encode lost its records");
-  match Warm_store.decode [] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty stream accepted"
+  let rejects what records =
+    match Warm_store.decode records with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  rejects "bad magic" [ "not the magic" ];
+  rejects "empty stream" [];
+  (* Retired formats are an unsupported version, named as such. *)
+  List.iter
+    (fun magic ->
+      match Warm_store.decode (magic :: List.tl encoded) with
+      | Error msg ->
+          Alcotest.(check bool) "unsupported version named" true
+            (X3_xml.Str_search.find msg ~start:0 "unsupported version"
+            <> None)
+      | Ok _ -> Alcotest.failf "%s stream accepted" magic)
+    [ "Wx3-warm/1"; "Wx3-warm/2" ];
+  match encoded with
+  | magic :: entry :: _ ->
+      rejects "entry with trailing bytes" [ magic; entry ^ "x" ];
+      rejects "truncated entry"
+        [ magic; String.sub entry 0 (String.length entry - 1) ];
+      rejects "view record" [ magic; entry; "M\000\000\000\000\000\000\000\000" ]
+  | _ -> Alcotest.fail "encode lost its records"
 
 let test_cache_snapshot_preserves_lru_order () =
   let account =
@@ -1345,24 +1373,24 @@ let () =
             test_warm_restart_replays_every_later_ingest;
           Alcotest.test_case "corrupt snapshot cold-starts without error"
             `Quick test_corrupt_snapshot_cold_starts;
-          Alcotest.test_case "changed document bytes refuse the snapshot"
-            `Quick test_changed_document_cold_starts;
+          Alcotest.test_case "a changed document restores from its new bytes"
+            `Quick test_changed_document_restores_from_new_bytes;
           Alcotest.test_case "recompile failure cold-starts with its reason"
             `Quick test_recompile_failure_cold_starts;
           Alcotest.test_case "document load failure cold-starts with its reason"
             `Quick test_doc_load_failure_cold_starts;
-          Alcotest.test_case "view decode failure cold-starts with its reason"
-            `Quick test_view_decode_failure_cold_starts;
-          Alcotest.test_case "replay failure cold-starts with its reason"
-            `Quick test_replay_failure_cold_starts;
           Alcotest.test_case "missing document cold-starts as a load failure"
             `Quick test_missing_document_cold_starts;
           Alcotest.test_case "warm restart shares one document load" `Quick
             test_warm_restart_shares_one_document_load;
-          Alcotest.test_case "warm restart keys document loads by WAL LSN"
-            `Quick test_warm_restart_keys_stores_by_wal_lsn;
+          Alcotest.test_case "warm restart keys document loads by path"
+            `Quick test_warm_restart_keys_loads_by_document;
           Alcotest.test_case "retired snapshot version cold-starts" `Quick
             test_retired_snapshot_version_cold_starts;
+          Alcotest.test_case "an x3-warm/2 snapshot cold-starts as corrupt"
+            `Quick test_warm2_snapshot_cold_starts;
+          Alcotest.test_case "a restored session takes later ingests" `Quick
+            test_restored_session_takes_later_ingests;
           Alcotest.test_case "70 000-byte value survives drain and restore"
             `Quick test_long_value_survives_drain_and_restore;
         ] );
