@@ -62,7 +62,9 @@ let () =
   let doc = Treebank.generate config in
   let spec = Treebank.spec config in
   (* The delta: clones of existing facts, so every axis value is already
-     dictionary-coded — the provably-sound in-place regime. *)
+     dictionary-coded — the provably-sound in-place regime. Each clone is
+     staged under a fresh synthetic fact id, and the patch adds it once to
+     each of its groups. *)
   let frags =
     List.filteri
       (fun i _ -> i < delta_facts)

@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks for the substrate design choices DESIGN.md
    calls out: XML loading, holistic path matching vs navigation, external
-   vs in-memory sorting, buffer-pool behaviour, quicksort, and
-   witness-table evaluation. *)
+   vs in-memory sorting, buffer-pool behaviour, quicksort, witness-table
+   evaluation, and a serve session's views. *)
 
 open Bechamel
 open Toolkit
@@ -143,13 +143,94 @@ let load_tests docs =
       ])
     docs
 
-let all_tests docs =
+(* A serve session's views on 10^4-tree treebanks: every cuboid built
+   from base ([Session.materialize]), and every cuboid that TDCUST's rule
+   lets a one-step-finer view answer, rolled up from the first such view
+   ([Session.rollup]). Sparse values put the base step on the hash + sort
+   tier, dense ones on the radix tiers. Reported per view, with minor
+   words per witness row (base) or per finer group merged (rollup) and
+   the bytes the cache charges per view. *)
+type view_bench = {
+  vb_name : string;
+  vb_session : X3_core.Engine.Session.t;
+  vb_rows : int;
+  vb_views : X3_core.Materialized.t array;
+  vb_edges : (int * int) list;  (* admitted (finer, coarser) *)
+}
+
+let view_bench (name, density) =
+  let module Engine = X3_core.Engine in
+  let module Lattice = X3_lattice.Lattice in
+  let config =
+    { X3_workload.Treebank.default with num_trees = 10_000; axes = 3; density }
+  in
+  let store = Store.of_document (X3_workload.Treebank.generate config) in
+  let pool =
+    X3_storage.Buffer_pool.create ~capacity_pages:65536
+      (X3_storage.Disk.in_memory ~page_size:8192 ())
+  in
+  let prepared =
+    Engine.prepare ~pool ~store (X3_workload.Treebank.spec config)
+  in
+  let session = Engine.Session.create prepared in
+  let lattice = Engine.lattice prepared in
+  let views =
+    Array.init (Lattice.size lattice) (fun cuboid ->
+        Engine.Session.materialize session ~cuboid)
+  in
+  let edges =
+    List.filter_map
+      (fun coarser ->
+        List.find_map
+          (fun finer ->
+            match Engine.Session.rollup session views.(finer) ~coarser with
+            | Ok _ -> Some (finer, coarser)
+            | Error _ -> None)
+          (Lattice.children lattice coarser))
+      (List.init (Lattice.size lattice) Fun.id)
+  in
+  {
+    vb_name = name;
+    vb_session = session;
+    vb_rows = X3_pattern.Witness.row_count (Engine.table prepared);
+    vb_views = views;
+    vb_edges = edges;
+  }
+
+let view_benches () =
+  List.map view_bench
+    [
+      ("sparse", X3_workload.Treebank.Sparse);
+      ("dense", X3_workload.Treebank.Dense);
+    ]
+
+let view_tests vb =
+  let module Session = X3_core.Engine.Session in
+  [
+    Test.make
+      ~name:("serve.view/" ^ vb.vb_name ^ "/materialize")
+      (Staged.stage (fun () ->
+           for cuboid = 0 to Array.length vb.vb_views - 1 do
+             ignore (Session.materialize vb.vb_session ~cuboid)
+           done));
+    Test.make
+      ~name:("serve.view/" ^ vb.vb_name ^ "/rollup")
+      (Staged.stage (fun () ->
+           List.iter
+             (fun (finer, coarser) ->
+               ignore (Session.rollup vb.vb_session vb.vb_views.(finer) ~coarser))
+             vb.vb_edges));
+  ]
+
+let all_tests docs vbs =
   load_tests docs @ path_tests () @ sort_tests () @ pool_tests ()
   @ quicksort_tests () @ eval_tests ()
+  @ List.concat_map view_tests vbs
 
 let run ppf =
   let docs = load_docs () in
-  let tests = all_tests docs in
+  let vbs = view_benches () in
+  let tests = all_tests docs vbs in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None
       ~stabilize:true ()
@@ -198,4 +279,36 @@ let run ppf =
             (bytes /. estimate results name *. 1e3)
             (estimate minor name /. bytes))
         [ "parse+of_document"; "of_string" ])
-    docs
+    docs;
+  List.iter
+    (fun vb ->
+      let cuboids = Array.length vb.vb_views in
+      let fine_groups =
+        List.fold_left
+          (fun acc (finer, _) ->
+            acc + X3_core.Materialized.group_count vb.vb_views.(finer))
+          0 vb.vb_edges
+      in
+      let bytes =
+        Array.fold_left
+          (fun acc v -> acc + X3_core.Materialized.approx_bytes v)
+          0 vb.vb_views
+      in
+      Format.fprintf ppf
+        "@.Serve views (%s treebank, 10^4 trees, %d witness rows, %d \
+         cuboids, %d admitted rollups)@."
+        vb.vb_name vb.vb_rows cuboids (List.length vb.vb_edges);
+      List.iter
+        (fun (step, views, units, unit_name) ->
+          let name = Printf.sprintf "micro/serve.view/%s/%s" vb.vb_name step in
+          Format.fprintf ppf "  %-45s %8.3f ms/view %8.2f w/%s@." name
+            (estimate results name /. 1e6 /. float_of_int (max 1 views))
+            (estimate minor name /. float_of_int (max 1 units))
+            unit_name)
+        [
+          ("materialize", cuboids, cuboids * vb.vb_rows, "row");
+          ("rollup", List.length vb.vb_edges, fine_groups, "group");
+        ];
+      Format.fprintf ppf "  %-45s %8d B/view@." "approx_bytes (materialized)"
+        (bytes / cuboids))
+    vbs

@@ -182,7 +182,9 @@ let () =
      cache, so the warm measurements below are not polluted. *)
   let cold_payload, _ = cube_exn conn ~doc:doc_path ~no_cache:true in
   let cold_seconds = measure conn ~doc:doc_path ~no_cache:true in
-  (* First warm-path pass populates the cache and must exercise rollups. *)
+  (* First warm-path pass populates the cache and must exercise rollups:
+     the dense treebank is disjoint, so TDCUST's rule admits every
+     covered chain. *)
   let warm1_payload, warm1_prov = cube_exn conn ~doc:doc_path ~no_cache:false in
   (* Warm repeats: everything answered from resident cuboid views. *)
   let warm_seconds = measure conn ~doc:doc_path ~no_cache:false in

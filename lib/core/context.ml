@@ -207,20 +207,31 @@ let block_measures t cols =
    bring the derived caches along so the next request sees the new tail
    without a rebuild. The columnar view grows by a blit-extended tail
    chunk and the block-measure array by one entry per appended fact
-   block. Only sessions append, and a session's account is unbounded, so
-   the growth is not booked. *)
+   block, into spare capacity: entries past the last block are never
+   read, so growth is amortised, not a copy per ingest. Only sessions
+   append, and a session's account is unbounded, so the growth is not
+   booked. *)
 let note_append t rows =
-  Option.iter
-    (fun cols -> t.cols_cache <- Some (Witness.Columnar.extend cols rows))
-    t.cols_cache;
-  match (t.block_measures_cache, t.cols_cache) with
-  | Some m, Some cols ->
-      let old = Array.length m in
-      t.block_measures_cache <-
-        Some
-          (Array.init (Witness.Columnar.blocks cols) (fun b ->
-               if b < old then m.(b)
-               else
-                 t.measure
-                   (Witness.Columnar.fact cols (Witness.Columnar.block_lo cols b))))
-  | _ -> t.block_measures_cache <- None
+  match (t.cols_cache, t.block_measures_cache) with
+  | None, _ -> t.block_measures_cache <- None
+  | Some before, measures ->
+      let cols = Witness.Columnar.extend before rows in
+      t.cols_cache <- Some cols;
+      Option.iter
+        (fun m ->
+          let blocks = Witness.Columnar.blocks cols in
+          let m =
+            if Array.length m >= blocks then m
+            else begin
+              let grown = Array.make (blocks + max 64 (blocks / 8)) 0. in
+              Array.blit m 0 grown 0 (Witness.Columnar.blocks before);
+              grown
+            end
+          in
+          for b = Witness.Columnar.blocks before to blocks - 1 do
+            m.(b) <-
+              t.measure
+                (Witness.Columnar.fact cols (Witness.Columnar.block_lo cols b))
+          done;
+          t.block_measures_cache <- Some m)
+        measures

@@ -159,7 +159,8 @@ val cols : t -> X3_pattern.Witness.Columnar.t
 val block_measures : t -> X3_pattern.Witness.Columnar.t -> float array
 (** Measure per fact block, forced sequentially on first use (the measure
     function may memoise and must not run concurrently) — the workers'
-    domain-safe replacement for calling [measure] per row. *)
+    domain-safe replacement for calling [measure] per row. After
+    {!note_append} the array may be longer than the block count. *)
 
 val note_append : t -> X3_pattern.Witness.row list -> unit
 (** The ingest path appended [rows] (fresh facts, already interned into

@@ -39,6 +39,7 @@ let cell t ~cuboid ~key =
 let cell_scratch t ~cuboid scratch =
   Group_key.Tbl.find_or_add t.cells.(cuboid) scratch ~default:Aggregate.create
 
+let cuboid_table t cuboid = t.cells.(cuboid)
 let find_coded t ~cuboid ~key = Group_key.Tbl.find_opt t.cells.(cuboid) key
 let set_cell t ~cuboid ~key c = Group_key.Tbl.replace t.cells.(cuboid) key c
 let iter_cuboid t cuboid f = Group_key.Tbl.iter f t.cells.(cuboid)

@@ -25,6 +25,9 @@ val cell_scratch : t -> cuboid:int -> Group_key.scratch -> Aggregate.cell
 (** Find-or-create keyed by a scratch: allocation-free when the group
     already exists. *)
 
+val cuboid_table : t -> int -> Aggregate.cell Group_key.Tbl.t
+(** One cuboid's cell table itself, for the per-cuboid kernels. *)
+
 val find_coded : t -> cuboid:int -> key:Group_key.t -> Aggregate.cell option
 
 val set_cell : t -> cuboid:int -> key:Group_key.t -> Aggregate.cell -> unit

@@ -232,9 +232,9 @@ let run ?props ?config ?(workers = 1) prepared algorithm =
 
 (* Facts appended through the WAL get synthetic ids derived from their log
    sequence number: deterministic (warm restore replaying the same records
-   reproduces the same ids, so snapshotted fact sets stay consistent) and
-   disjoint from real store node ids at any realistic document size, while
-   still fitting the witness records' u32 fact column. *)
+   reproduces the same ids) and disjoint from real store node ids at any
+   realistic document size, while still fitting the witness records' u32
+   fact column. *)
 let synthetic_fact_base = 1 lsl 30
 let synthetic_fact_id ~lsn = synthetic_fact_base + lsn
 
@@ -347,10 +347,15 @@ module Session = struct
   let context t = t.s_ctx
   let props t = t.s_props
 
-  let materialize t ~cuboid = Materialized.materialize t.s_ctx ~cuboid
+  let materialize t ~cuboid =
+    Materialized.materialize t.s_ctx ~props:t.s_props ~cuboid
 
   let rollup t view ~coarser =
     Materialized.rollup t.s_ctx ~props:t.s_props view ~coarser
+    |> Result.map_error (fun refusal ->
+           Printf.sprintf "rollup of cuboid %d to cuboid %d refused: %s"
+             (Materialized.cuboid_id view) coarser
+             (X3_lattice.Properties.refusal_name refusal))
 
   let result_of_views t views =
     let result =

@@ -125,8 +125,7 @@ val synthetic_fact_base : int
 val synthetic_fact_id : lsn:int -> int
 (** Fact id of the fragment ingested at WAL sequence number [lsn]:
     deterministic, so replay after a crash or a warm restore reproduces
-    the ids inside snapshotted fact sets, and disjoint from real store
-    node ids. *)
+    the same ids, and disjoint from real store node ids. *)
 
 type staged_fragment =
   | Staged of X3_pattern.Witness.Staged.row list
@@ -203,22 +202,23 @@ module Session : sig
       the table, the context's columnar caches, every given view and
       the observed properties are all consistent with a cold rebuild of
       the extended table; [Ok (rows, patched)] returns the coded rows
-      and how many view cells were touched. A typed [Error] means the
-      delta could not be proven sound ({!delta_fallback}) and {e
-      nothing was mutated} — the caller must rebuild cold. Soundness of
-      the patch itself needs no disjointness or coverage: group fact
-      sets make repeats idempotent (§3.6's discipline), and the
-      property refresh keeps {e future} rollup decisions honest. *)
+      and how many (fact, group) additions the views took. A typed
+      [Error] means the delta could not be proven sound
+      ({!delta_fallback}) and {e nothing was mutated} — the caller must
+      rebuild cold. The patch needs no disjointness or coverage: it adds
+      each new fact once to each of its groups. The facts must be fresh
+      (a batch applied twice counts twice); the serve daemon guards
+      replay by WAL sequence number. *)
 
   val materialize : t -> cuboid:int -> Materialized.t
-  (** Base computation: one pass over the session's columns collecting
-      the cuboid's groups with fact sets. *)
+  (** Base computation by TD's per-cuboid step, in TDCUST's mode
+      ({!Materialized.materialize}). *)
 
   val rollup :
     t -> Materialized.t -> coarser:int -> (Materialized.t, string) result
-  (** Answer [coarser] from a materialised finer view without touching
-      base data; [Error] when no covered lattice path exists (the view
-      may be missing facts — §3.6's failure mode). *)
+  (** Answer [coarser] from a finer view's cells without touching base
+      data, where TDCUST's rule ({!X3_lattice.Properties.rollup_refusal})
+      admits it; [Error] names the property that fails. *)
 
   val result_of_views : t -> Materialized.t list -> Cube_result.t
   (** Assemble a cube result from per-cuboid views (one per lattice

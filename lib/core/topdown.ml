@@ -12,12 +12,27 @@ module Trace = X3_obs.Trace
 
 type variant = [ `Plain | `Opt | `OptAll | `Custom of X3_lattice.Properties.t ]
 
+type mode = [ `Dedup | `Raw | `Representative ]
+
 let mode_name = function
   | `Dedup -> "dedup"
   | `Raw -> "raw"
   | `Representative -> "representative"
 
-(* Compute one cuboid from the base columns (§3.5). Modes:
+let custom_mode props cid : mode =
+  if Properties.cuboid_disjoint props cid then `Representative else `Dedup
+
+(* Find-or-create a group's cell in one cuboid's table. *)
+let cell_in into key =
+  match Group_key.Tbl.find_opt into key with
+  | Some c -> c
+  | None ->
+      let c = Aggregate.create () in
+      Group_key.Tbl.replace into key c;
+      c
+
+(* Compute one cuboid from the base columns (§3.5) into its cell table
+   [into]. Modes:
    - [`Dedup] (TD): duplicate facts within a group contribute once —
      "the identifier of the data must be retained (to eliminate
      duplicates)". Correct always.
@@ -34,9 +49,16 @@ let mode_name = function
    (sortable key, fact, measure) records, external-sort them, sweep. The
    caller chooses where sorts spill ([pool]), which counters it bumps and
    whether to poll for stops, so the same code serves the calling domain's
-   lane and the helper lanes. *)
-let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
-    ~budget_records result cid ~mode =
+   lane, the helper lanes and a serve session's base views. The columns
+   and block measures come from the context's caches, which a fan-out
+   fills on the calling domain before any helper starts. *)
+let compute_from_base (ctx : Context.t) ~instr ~pool ~polls ~budget_records
+    ~(mode : mode) cid into =
+  let checkpoint =
+    if polls then fun () -> Context.checkpoint ctx else fun () -> ()
+  in
+  let cols = Context.cols ctx in
+  let bm = Context.block_measures ctx cols in
   let cuboid = Lattice.cuboid ctx.lattice cid in
   let p = Radix.plan ~layout:ctx.layout ~radix_bits:ctx.radix_bits cuboid in
   let sp =
@@ -86,8 +108,8 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
         end
       done;
       Radix.acc_flush acc ~f:(fun compact cell ->
-          Cube_result.set_cell result ~cuboid:cid
-            ~key:(Radix.key_of_compact p ctx.Context.layout compact)
+          Group_key.Tbl.replace into
+            (Radix.key_of_compact p ctx.Context.layout compact)
             cell)
   | Radix.Partitioned ->
       instr.Instrument.radix_groupings <-
@@ -110,8 +132,8 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
         ~fact:(fun r -> Columnar.fact cols r)
         ~measure:measure_row ~dedup
         ~emit:(fun compact cell ->
-          Cube_result.set_cell result ~cuboid:cid
-            ~key:(Radix.key_of_compact p ctx.Context.layout compact)
+          Group_key.Tbl.replace into
+            (Radix.key_of_compact p ctx.Context.layout compact)
             cell)
   | Radix.Hash ->
       instr.Instrument.hash_groupings <- instr.Instrument.hash_groupings + 1;
@@ -148,7 +170,6 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
       (* One sweep: group boundaries on key change (the run is key-sorted,
          so the group's cell is carried across records rather than looked
          up per record); duplicate facts are consecutive within a group. *)
-      let layout = Cube_result.layout result in
       let current_key = ref None and current_cell = ref None in
       let prev_fact = ref (-1) in
       Heap_file.iter
@@ -162,9 +183,7 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
           if not same_group then begin
             current_key := Some key;
             current_cell :=
-              Some
-                (Cube_result.cell result ~cuboid:cid
-                   ~key:(Group_key.of_sortable layout key))
+              Some (cell_in into (Group_key.of_sortable ctx.layout key))
           end;
           let duplicate = dedup && same_group && fact = !prev_fact in
           if not duplicate then begin
@@ -179,21 +198,23 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
         sorted;
       Heap_file.free sorted
 
-(* Roll a cuboid up from a finer, already computed cuboid's cells.  Only
-   sound when the (finer -> coarser) edge is covered and the finer cuboid
-   is disjoint — the caller is responsible for that judgement. *)
-let rollup (ctx : Context.t) result ~finer ~coarser =
+(* Roll a cuboid up from a finer, already computed cuboid's cells: each
+   finer cell merges into the cell of its projected key in [into]. Only
+   sound where [Properties.rollup_refusal] admits (finer -> coarser) — the
+   caller is responsible for that judgement. *)
+let rollup (ctx : Context.t) ~finer cells ~coarser into =
   Trace.with_span "td.rollup"
     ~attrs:[ ("cuboid", Trace.Int coarser); ("from", Trace.Int finer) ]
     (fun () ->
       let instr = ctx.instr in
       instr.Instrument.rollups <- instr.Instrument.rollups + 1;
       let coarse = Lattice.cuboid ctx.lattice coarser in
-      Cube_result.iter_cuboid result finer (fun key cell ->
-          let key' = Group_key.project ctx.layout ~to_:coarse key in
+      Group_key.Tbl.iter
+        (fun key cell ->
           Aggregate.merge
-            ~into:(Cube_result.cell result ~cuboid:coarser ~key:key')
-            cell))
+            ~into:(cell_in into (Group_key.project ctx.layout ~to_:coarse key))
+            cell)
+        cells)
 
 type worker = { instr : Instrument.t; pool : Buffer_pool.t }
 
@@ -248,18 +269,13 @@ let compute ~variant (ctx : Context.t) =
         let viable_child =
           List.find_opt
             (fun finer ->
-              Properties.edge_covered props ~finer ~coarser:cid
-              && Properties.cuboid_disjoint props finer)
+              Properties.rollup_refusal props lattice ~finer ~coarser:cid
+              = None)
             (Lattice.children lattice cid)
         in
         match viable_child with
         | Some finer -> `Rollup finer
-        | None ->
-            let mode =
-              if Properties.cuboid_disjoint props cid then `Representative
-              else `Dedup
-            in
-            `Base mode)
+        | None -> `Base (custom_mode props cid))
   in
   let plans = Array.map plan order in
   (* Result cells are booked as they accumulate, at cuboid boundaries: a
@@ -281,12 +297,13 @@ let compute ~variant (ctx : Context.t) =
         a stop keeps every fully computed cuboid. Every other worker spills
         into a private in-memory scratch pool — the shared buffer pool is
         unsynchronised — and never polls. The columns and block measures
-        are immutable and shared. Roll-ups run afterwards on the calling
-        domain in coarsening order, since a roll-up may read a cuboid that
-        another roll-up produced. *)
+        are immutable and shared; both are built (and booked) here, so the
+        helpers only read the context's caches. Roll-ups run afterwards on
+        the calling domain in coarsening order, since a roll-up may read a
+        cuboid that another roll-up produced. *)
      Context.check ctx;
      let cols = Context.cols ctx in
-     let bm = Context.block_measures ctx cols in
+     ignore (Context.block_measures ctx cols : float array);
      let rows = Columnar.rows cols in
      let base =
        Array.of_list
@@ -337,11 +354,9 @@ let compute ~variant (ctx : Context.t) =
          ~body:(fun w t ->
            let polls = w.instr == ctx.instr in
            if polls then Context.check ctx;
-           let checkpoint =
-             if polls then fun () -> Context.checkpoint ctx else fun () -> ()
-           in
-           compute_from_base ctx ~instr:w.instr ~pool:w.pool ~cols ~bm
-             ~checkpoint ~budget_records result base.(t) ~mode:base_modes.(t))
+           compute_from_base ctx ~instr:w.instr ~pool:w.pool ~polls
+             ~budget_records ~mode:base_modes.(t) base.(t)
+             (Cube_result.cuboid_table result base.(t)))
      in
      Array.iter
        (fun w ->
@@ -362,7 +377,10 @@ let compute ~variant (ctx : Context.t) =
          | `Base _ -> ()
          | `Rollup finer ->
              Context.check ctx;
-             rollup ctx result ~finer ~coarser:cid;
+             rollup ctx ~finer
+               (Cube_result.cuboid_table result finer)
+               ~coarser:cid
+               (Cube_result.cuboid_table result cid);
              book_result ())
        order
    with Context.Stop _ -> ());

@@ -27,3 +27,38 @@ type variant =
   [ `Plain | `Opt | `OptAll | `Custom of X3_lattice.Properties.t ]
 
 val compute : variant:variant -> Context.t -> Cube_result.t
+
+(** {1 Per-cuboid steps}, which serve views ({!Materialized}) share *)
+
+type mode = [ `Dedup | `Raw | `Representative ]
+(** A base step's treatment of a fact's rows: deduplicate its id per
+    group, count every qualifying row, or count representative rows. *)
+
+val custom_mode : X3_lattice.Properties.t -> int -> mode
+(** TDCUST's: [`Representative] for a provably disjoint cuboid, else
+    [`Dedup]. *)
+
+val compute_from_base :
+  Context.t ->
+  instr:Instrument.t ->
+  pool:X3_storage.Buffer_pool.t ->
+  polls:bool ->
+  budget_records:int ->
+  mode:mode ->
+  int ->
+  Aggregate.cell Group_key.Tbl.t ->
+  unit
+(** One cuboid from the context's columns into its cell table: radix
+    Direct/Partitioned where the layout allows, else hash + external
+    sort over [pool]. Counts into [instr]; checkpoints every row when
+    [polls] (calling domain only). *)
+
+val rollup :
+  Context.t ->
+  finer:int ->
+  Aggregate.cell Group_key.Tbl.t ->
+  coarser:int ->
+  Aggregate.cell Group_key.Tbl.t ->
+  unit
+(** Merge [finer]'s cells into [coarser]'s table under projected keys.
+    Exact only where {!X3_lattice.Properties.rollup_refusal} admits. *)

@@ -25,6 +25,43 @@ let all_strictly_disjoint t = Array.for_all Fun.id t.strict
 let all_covered t =
   Hashtbl.fold (fun _ covered acc -> acc && covered) t.covered true
 
+(* --- roll-up admission (TDCUST, §4.5) ------------------------------------ *)
+
+type refusal = Not_relaxation | Not_disjoint | Uncovered
+
+let refusal_name = function
+  | Not_relaxation -> "not_relaxation"
+  | Not_disjoint -> "not_disjoint"
+  | Uncovered -> "uncovered"
+
+(* Breadth-first over parents that stay below [coarser]: is some lattice
+   path from [finer] up to [coarser] covered edge by edge? *)
+let covered_path t lattice ~finer ~coarser =
+  let target = Lattice.cuboid lattice coarser in
+  let visited = Hashtbl.create 16 in
+  let rec search = function
+    | [] -> false
+    | node :: _ when node = coarser -> true
+    | node :: rest when Hashtbl.mem visited node -> search rest
+    | node :: rest ->
+        Hashtbl.add visited node ();
+        search
+          (rest
+          @ List.filter
+              (fun parent ->
+                edge_covered t ~finer:node ~coarser:parent
+                && Cuboid.leq (Lattice.cuboid lattice parent) target)
+              (Lattice.parents lattice node))
+  in
+  search [ finer ]
+
+let rollup_refusal t lattice ~finer ~coarser =
+  let cuboid = Lattice.cuboid lattice in
+  if not (Cuboid.leq (cuboid finer) (cuboid coarser)) then Some Not_relaxation
+  else if not (cuboid_disjoint t finer) then Some Not_disjoint
+  else if not (covered_path t lattice ~finer ~coarser) then Some Uncovered
+  else None
+
 let uniform lattice ~disjoint ~covered =
   let table = Hashtbl.create 64 in
   Array.iter

@@ -61,6 +61,19 @@ val cuboid_disjoint : t -> int -> bool
 val edge_covered : t -> finer:int -> coarser:int -> bool
 (** [finer] must be a lattice child of [coarser]. *)
 
+type refusal = Not_relaxation | Not_disjoint | Uncovered
+
+val rollup_refusal :
+  t -> Lattice.t -> finer:int -> coarser:int -> refusal option
+(** TDCUST's roll-up rule (§4.5), which every roll-up from cells obeys:
+    [coarser]'s cells are exact as a merge of [finer]'s when [coarser]
+    relaxes [finer], [finer] is disjoint (no fact counted twice) and some
+    lattice path between them is covered edge by edge (no fact missing).
+    [Some] names the first that fails, in that order. *)
+
+val refusal_name : refusal -> string
+(** "not_relaxation", "not_disjoint" or "uncovered". *)
+
 val all_disjoint : t -> bool
 val all_strictly_disjoint : t -> bool
 (** The stronger condition the blindly-optimised variants (BUCOPT, TDOPT,

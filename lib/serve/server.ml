@@ -5,6 +5,7 @@ module Export = X3_core.Export
 module Materialized = X3_core.Materialized
 module Cube_result = X3_core.Cube_result
 module Lattice = X3_lattice.Lattice
+module Properties = X3_lattice.Properties
 module Json = X3_obs.Json
 module Metrics = X3_obs.Metrics
 module Obs_export = X3_obs.Export
@@ -63,11 +64,10 @@ let build_version = "0.1.0"
 
 (* One cache holds both granularities: a [Doc] is a prepared query's
    session (document + witness table + layout, charged at its resident
-   table bytes) and a [View] is one materialised cuboid (charged via
-   [Materialized.approx_bytes]). Evicting a document takes its views
-   with it — they reference its dictionaries, and serving them without
-   their session would silently decouple cache content from cache
-   accounting. *)
+   table bytes) and a [View] is one cuboid's cells (charged per group via
+   [Materialized.approx_bytes]). Evicting a document takes its views with
+   it — they reference its dictionaries, and serving them without their
+   session would silently decouple cache content from cache accounting. *)
 type cached = Doc of doc_entry | View of Materialized.t
 
 and doc_entry = {
@@ -571,12 +571,15 @@ let acquire_session ?store t ~skey ~doc_path ~query ~spec =
       entry
 
 (* Answer every cuboid of the lattice, finest first, preferring cached
-   views, then rollup from a view this request already holds (soundness
-   checked against the observed properties by [Session.rollup]), then a
-   base scan. Returns the views in lattice order plus provenance. *)
+   views, then rollup from a view this request already holds (admitted
+   against the observed properties by TDCUST's rule), then a base scan,
+   counted under the property the first refused finer view lacked
+   ([no_finer] when there was none). Returns the views in lattice order
+   plus provenance. *)
 let serve_cuboids t entry =
   let session = entry.de_session in
   let lattice = Engine.lattice (Engine.Session.prepared session) in
+  let ctx = Engine.Session.context session in
   let order = Lattice.by_degree lattice in
   let obtained = Hashtbl.create (Array.length order) in
   let obtained_order = ref [] in
@@ -597,16 +600,22 @@ let serve_cuboids t entry =
             (* Nearest finer view first: the most recently obtained views
                are the highest-degree (most relaxed) ones that are still
                finer than [cid], so the rollup merges the fewest groups. *)
+            let refused = ref "no_finer" in
             let from_rollup =
               List.find_map
                 (fun finer_cid ->
                   match
-                    Engine.Session.rollup session
+                    Materialized.rollup ctx
+                      ~props:(Engine.Session.props session)
                       (Hashtbl.find obtained finer_cid)
                       ~coarser:cid
                   with
                   | Ok v -> Some v
-                  | Error _ -> None)
+                  | Error Properties.Not_relaxation -> None
+                  | Error r ->
+                      if !refused = "no_finer" then
+                        refused := Properties.refusal_name r;
+                      None)
                 !obtained_order
             in
             let v =
@@ -619,6 +628,10 @@ let serve_cuboids t entry =
                   v
               | None ->
                   Metrics.inc t.m_cuboids_base;
+                  Metrics.inc
+                    (Metrics.counter t.registry
+                       (Metrics.labeled "serve.cuboids.rollup_refused"
+                          [ ("reason", !refused) ]));
                   incr base;
                   Engine.Session.materialize session ~cuboid:cid
             in

@@ -755,12 +755,14 @@ let context_of p =
   X3_core.Context.create ~table:(Engine.table p) ~lattice:(Engine.lattice p)
     ~measure:(Engine.measure p) ()
 
+let observed p = X3_lattice.Properties.observe (Engine.table p) (lattice_of p)
+
 let test_materialize_matches_naive () =
   let p = prepared () in
   let ctx = context_of p in
   let reference, _ = Engine.run p Engine.Naive in
   let cuboid = X3_lattice.Lattice.rigid_id (lattice_of p) in
-  let intermediate = Materialized.materialize ctx ~cuboid in
+  let intermediate = Materialized.materialize ctx ~props:(observed p) ~cuboid in
   List.iter
     (fun (key, cell) ->
       match Cube_result.find reference ~cuboid ~key with
@@ -772,44 +774,23 @@ let test_materialize_matches_naive () =
   Alcotest.(check int) "group count" 4
     (Materialized.group_count intermediate)
 
-let test_materialized_fact_items () =
+let test_materialized_rollup_refuses_non_disjoint () =
+  (* (n:{PC-AD}, p:removed, y:rigid) up to group-by year is covered (PC-AD
+     reaches Bob), but publication 1 has two authors: merging its two
+     author groups' cells would count it twice, so the view is refused
+     for disjointness, not coverage. *)
   let p = prepared () in
   let ctx = context_of p in
-  (* Cuboid (n removed, p rigid, y rigid): group (p1, 2003) holds exactly
-     publication 1, despite its two authors. *)
-  let cuboid = cuboid_id p [ removed; present 0; present 0 ] in
-  let intermediate = Materialized.materialize ctx ~cuboid in
-  Alcotest.(check int) "one fact in (p1, 2003)" 1
-    (List.length
-       (Materialized.fact_items intermediate
-          ~key:[ "p1"; "2003" ]))
-
-let test_materialized_rollup_dedups () =
-  (* Roll (n:{PC-AD}, p:removed, y:rigid) up to group-by year: fact sets
-     keep publication 1 (two authors) counted once, and PC-AD covers Bob,
-     so the roll-up is exact. *)
-  let p = prepared () in
-  let ctx = context_of p in
-  let props =
-    X3_lattice.Properties.observe (Engine.table p) (lattice_of p)
-  in
+  let props = observed p in
   let finer = cuboid_id p [ present 1; removed; present 0 ] in
   let coarser = cuboid_id p [ removed; removed; present 0 ] in
-  let intermediate = Materialized.materialize ctx ~cuboid:finer in
+  let intermediate = Materialized.materialize ctx ~props ~cuboid:finer in
   match Materialized.rollup ctx ~props intermediate ~coarser with
-  | Error msg -> Alcotest.failf "rollup refused: %s" msg
-  | Ok rolled ->
-      let reference, _ = Engine.run p Engine.Naive in
-      List.iter
-        (fun (key, cell) ->
-          match Cube_result.find reference ~cuboid:coarser ~key with
-          | Some expected ->
-              Alcotest.(check bool)
-                ("group (" ^ String.concat ", " key ^ ")")
-                true
-                (Aggregate.equal_value Aggregate.Count expected cell)
-          | None -> Alcotest.fail "extra group after rollup")
-        (Materialized.cells rolled)
+  | Error X3_lattice.Properties.Not_disjoint -> ()
+  | Error r ->
+      Alcotest.failf "refused for %s, not disjointness"
+        (X3_lattice.Properties.refusal_name r)
+  | Ok _ -> Alcotest.fail "a non-disjoint view must not be rolled up"
 
 let test_materialized_rollup_refuses_uncovered () =
   (* From the rigid-$n intermediate, group-by year misses publication 3
@@ -818,23 +799,24 @@ let test_materialized_rollup_refuses_uncovered () =
      from these intermediate results". *)
   let p = prepared () in
   let ctx = context_of p in
-  let props =
-    X3_lattice.Properties.observe (Engine.table p) (lattice_of p)
-  in
+  let props = observed p in
   let finer = cuboid_id p [ present 0; removed; present 0 ] in
   let coarser = cuboid_id p [ removed; removed; present 0 ] in
-  let intermediate = Materialized.materialize ctx ~cuboid:finer in
+  let intermediate = Materialized.materialize ctx ~props ~cuboid:finer in
   (match Materialized.rollup ctx ~props intermediate ~coarser with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "uncovered rollup must be refused");
-  (* The unchecked version demonstrates the failure: 2003 loses Bob. *)
-  let rolled = Materialized.rollup_unchecked ctx intermediate ~coarser in
-  let count_2003 cells =
-    List.assoc_opt [ "2003" ] cells
-    |> Option.map (Aggregate.value Aggregate.Count)
-  in
-  Alcotest.(check (option (float 1e-9))) "2003 undercounted" (Some 1.)
-    (count_2003 (Materialized.cells rolled))
+  (* By publisher is disjoint (one publisher per publication), but
+     publication 3 has none: the ALL cuboid cannot be rolled up from it. *)
+  let by_publisher = cuboid_id p [ removed; present 0; removed ] in
+  let all = cuboid_id p [ removed; removed; removed ] in
+  let view = Materialized.materialize ctx ~props ~cuboid:by_publisher in
+  match Materialized.rollup ctx ~props view ~coarser:all with
+  | Error X3_lattice.Properties.Uncovered -> ()
+  | Error r ->
+      Alcotest.failf "refused for %s, not coverage"
+        (X3_lattice.Properties.refusal_name r)
+  | Ok _ -> Alcotest.fail "uncovered rollup must be refused"
 
 let test_materialized_rollup_rejects_non_relaxation () =
   let p = prepared () in
@@ -842,10 +824,10 @@ let test_materialized_rollup_rejects_non_relaxation () =
   let props = X3_lattice.Properties.none (lattice_of p) in
   let a = cuboid_id p [ present 0; removed; removed ] in
   let b = cuboid_id p [ removed; present 0; removed ] in
-  let intermediate = Materialized.materialize ctx ~cuboid:a in
+  let intermediate = Materialized.materialize ctx ~props ~cuboid:a in
   match Materialized.rollup ctx ~props intermediate ~coarser:b with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "incomparable cuboids must be rejected"
+  | Error X3_lattice.Properties.Not_relaxation -> ()
+  | Error _ | Ok _ -> Alcotest.fail "incomparable cuboids must be rejected"
 
 (* --- export ---------------------------------------------------------------- *)
 
@@ -1708,8 +1690,31 @@ let graft doc frags =
 
 let frag_of_source src = (parse_ok src).Tree.root
 
-(* Ingest [frags] into a session over [doc] with every cuboid
-   materialised, then compare the views with a cold run of the grafted
+(* Every cuboid's view, obtained as the serve daemon obtains it: finest
+   first, rolled up from the nearest finer view where the session admits
+   it, else materialised from base. In cuboid-id order. *)
+let serve_views session =
+  let lattice = Engine.lattice (Engine.Session.prepared session) in
+  let obtained = Hashtbl.create 16 and recent = ref [] in
+  Array.iter
+    (fun cid ->
+      let view =
+        match
+          List.find_map
+            (fun finer ->
+              Result.to_option (Engine.Session.rollup session finer ~coarser:cid))
+            !recent
+        with
+        | Some v -> v
+        | None -> Engine.Session.materialize session ~cuboid:cid
+      in
+      Hashtbl.replace obtained cid view;
+      recent := view :: !recent)
+    (X3_lattice.Lattice.by_degree lattice);
+  List.init (X3_lattice.Lattice.size lattice) (Hashtbl.find obtained)
+
+(* Ingest [frags] into a session over [doc] with every cuboid's view
+   obtained as [serve_views] does, then compare the views with a cold run of the grafted
    document under four algorithm families at 1 and 2 workers, and the
    refreshed properties with a cold observe. A typed refusal is followed
    the way the daemon follows it — a cold rebuild of the document grafted
@@ -1723,10 +1728,7 @@ let delta_vs_cold ?(refused = ref 0) ~name ~doc ~frags ~spec () =
            ~store:(X3_xdb.Store.of_document doc)
            spec)
     in
-    let lattice = Engine.lattice (Engine.Session.prepared session) in
-    ( session,
-      List.init (X3_lattice.Lattice.size lattice) (fun c ->
-          Engine.Session.materialize session ~cuboid:c) )
+    (session, serve_views session)
   in
   let report fmt =
     Printf.ksprintf
@@ -1816,9 +1818,20 @@ let check_delta_identity ~name ~doc ~frags ~spec =
     (delta_vs_cold ~refused ~name ~doc ~frags ~spec ());
   Alcotest.(check int) (name ^ ": no delta refused") 0 !refused
 
+(* Two identical author bindings: the fact's two rows share every group
+   key that keeps the author's name, and must count once in each. John is
+   an existing name, so the packed-key layout has room. *)
+let pub9 =
+  {|<publication id="9">
+      <author id="a1"><name>John</name></author>
+      <author id="a5"><name>John</name></author>
+      <publisher id="p2"/>
+      <year>2004</year>
+    </publication>|}
+
 let test_delta_identity_figure1 () =
   check_delta_identity ~name:"figure-1" ~doc:(figure1 ())
-    ~frags:[ frag_of_source pub5; frag_of_source pub6 ]
+    ~frags:[ frag_of_source pub5; frag_of_source pub6; frag_of_source pub9 ]
     ~spec:(Engine.count_spec ~fact_path ~axes:(query1_axes ()))
 
 let test_delta_identity_treebank () =
@@ -1964,71 +1977,65 @@ let test_stage_fragment_classification () =
       Alcotest.fail
         "a fragment nesting further facts must be refused (descendant path)"
 
-(* --- view cells track fact sets ------------------------------------------ *)
+(* --- views equal NAIVE's cuboids ------------------------------------------ *)
 
-(* Every group's stored cell must be exactly (bit for bit) the aggregate
-   of its fact set folded in ascending order. *)
-let check_cells_track_facts ~name (ctx : X3_core.Context.t) view =
+(* Every group of [view] and of NAIVE's cuboid over [reference] agree:
+   the same groups, and cells equal under [func] (COUNT exactly). *)
+let check_view_is_naive ~name ~func reference view =
+  let cuboid = Materialized.cuboid_id view in
+  let expected = Cube_result.cuboid_cells reference cuboid in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: cuboid %d group count" name cuboid)
+    (List.length expected)
+    (Materialized.group_count view);
   List.iter
     (fun (key, cell) ->
-      let expected = Aggregate.create () in
-      List.iter
-        (fun fact -> Aggregate.add expected (ctx.X3_core.Context.measure fact))
-        (Materialized.fact_items view ~key);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: cell of (%s) = aggregate of its facts" name
-           (String.concat ", " key))
-        true (cell = expected))
+      let label =
+        Printf.sprintf "%s: cuboid %d (%s)" name cuboid (String.concat ", " key)
+      in
+      match Cube_result.find reference ~cuboid ~key with
+      | None -> Alcotest.failf "%s: not in NAIVE's cube" label
+      | Some naive when func = Aggregate.Count ->
+          Alcotest.(check (float 0.)) label
+            (Aggregate.value func naive) (Aggregate.value func cell)
+      | Some naive ->
+          Alcotest.(check bool) label true (Aggregate.equal_value func naive cell))
     (Materialized.cells view)
 
-let test_view_cells_track_count () =
-  let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
-  let session =
-    Engine.Session.create
-      (Engine.prepare ~pool:(small_pool ()) ~store:(figure1_store ()) spec)
-  in
-  let ctx = Engine.Session.context session in
-  let prepared = Engine.Session.prepared session in
-  let lattice = Engine.lattice prepared in
-  let views =
-    List.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
-        Engine.Session.materialize session ~cuboid)
-  in
-  List.iter (check_cells_track_facts ~name:"materialize" ctx) views;
-  (* Publication 1 has two authors, so it sits in two groups of the
-     by-author-and-year view; rolled up to by-year it must count once. *)
-  let finer = cuboid_id prepared [ present 1; removed; present 0 ] in
-  let coarser = cuboid_id prepared [ removed; removed; present 0 ] in
-  (match
-     Engine.Session.rollup session (List.nth views finer) ~coarser
-   with
-  | Error msg -> Alcotest.failf "rollup refused: %s" msg
-  | Ok rolled ->
-      check_cells_track_facts ~name:"rollup" ctx rolled;
-      let reference, _ = Engine.run prepared Engine.Naive in
-      List.iter
-        (fun (key, cell) ->
-          Alcotest.(check (option (float 0.)))
-            ("rollup (" ^ String.concat ", " key ^ ") = naive")
-            (Option.map
-               (Aggregate.value Aggregate.Count)
-               (Cube_result.find reference ~cuboid:coarser ~key))
-            (Some (Aggregate.value Aggregate.Count cell)))
-        (Materialized.cells rolled));
-  (* Re-adding facts a view already holds changes nothing. *)
-  let before = List.map Materialized.cells views in
-  List.iter
-    (fun view -> ignore (Materialized.apply_rows ctx view ~from_row:0 : int))
+(* Every view [materialize] builds, and every rollup [rollup] admits
+   between them, equals NAIVE's cuboid; returns how many rollups were
+   admitted. *)
+let check_views_and_rollups ~name ~func session views reference =
+  List.iter (check_view_is_naive ~name:(name ^ " materialize") ~func reference)
     views;
-  List.iter2
-    (fun cells view ->
-      Alcotest.(check bool) "re-adding present facts keeps every cell" true
-        (List.for_all2
-           (fun (k, a) (k', b) -> k = k' && a == b)
-           cells (Materialized.cells view)))
-    before views;
-  (* New facts, the later one applied first: the earlier fact lands below
-     its groups' maximum and takes the full recompute. *)
+  let lattice = Engine.lattice (Engine.Session.prepared session) in
+  List.fold_left
+    (fun admitted fine ->
+      List.fold_left
+        (fun admitted coarser ->
+          match Engine.Session.rollup session fine ~coarser with
+          | Ok rolled ->
+              check_view_is_naive ~name:(name ^ " rollup") ~func reference
+                rolled;
+              admitted + 1
+          | Error _ -> admitted)
+        admitted
+        (List.init (X3_lattice.Lattice.size lattice) Fun.id))
+    0 views
+
+let mentions msg word =
+  let n = String.length word in
+  let rec from i =
+    i + n <= String.length msg && (String.sub msg i n = word || from (i + 1))
+  in
+  from 0
+
+let session_views session =
+  let lattice = Engine.lattice (Engine.Session.prepared session) in
+  List.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
+      Engine.Session.materialize session ~cuboid)
+
+let ingest_all spec session ~views frags =
   List.iter
     (fun (lsn, src) ->
       match
@@ -2042,10 +2049,52 @@ let test_view_cells_track_count () =
               Alcotest.failf "delta refused: %s"
                 (Engine.fallback_reason_name fb))
       | _ -> Alcotest.fail "fragment should stage")
-    [ (7, pub5); (3, pub6) ];
-  List.iter (check_cells_track_facts ~name:"apply_rows" ctx) views
+    frags
 
-let test_view_cells_track_sum () =
+let test_views_are_naive_count () =
+  let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
+  let session =
+    Engine.Session.create
+      (Engine.prepare ~pool:(small_pool ()) ~store:(figure1_store ()) spec)
+  in
+  let prepared = Engine.Session.prepared session in
+  let views = session_views session in
+  let reference, _ = Engine.run prepared Engine.Naive in
+  let admitted =
+    check_views_and_rollups ~name:"figure 1" ~func:Aggregate.Count session
+      views reference
+  in
+  Alcotest.(check bool) "some rollups admitted" true (admitted > 0);
+  (* Publication 1 has two authors, so it sits in two groups of the
+     by-author-and-year view: rolling that view up to by-year is
+     refused, and the reason names disjointness. *)
+  let finer = cuboid_id prepared [ present 1; removed; present 0 ] in
+  let coarser = cuboid_id prepared [ removed; removed; present 0 ] in
+  (match Engine.Session.rollup session (List.nth views finer) ~coarser with
+  | Ok _ -> Alcotest.fail "a non-disjoint view must not be rolled up"
+  | Error msg ->
+      Alcotest.(check bool)
+        ("refusal names disjointness: " ^ msg)
+        true
+        (mentions msg "disjoint"));
+  (* Patched views equal NAIVE over the grafted document: pub9's two
+     identical authors count once per group. *)
+  let frags = [ (7, pub5); (3, pub6); (9, pub9) ] in
+  ingest_all spec session ~views frags;
+  let grafted =
+    Engine.prepare ~pool:(small_pool ())
+      ~store:
+        (X3_xdb.Store.of_document
+           (graft (figure1 ())
+              (List.map (fun (_, src) -> frag_of_source src) frags)))
+      spec
+  in
+  let reference, _ = Engine.run grafted Engine.Naive in
+  List.iter
+    (check_view_is_naive ~name:"apply_delta" ~func:Aggregate.Count reference)
+    views
+
+let test_views_are_naive_sum () =
   let doc =
     parse_ok
       {|<db>
@@ -2072,54 +2121,36 @@ let test_view_cells_track_sum () =
       filters = [];
     }
   in
-  let p =
-    Engine.prepare ~pool:(small_pool ()) ~store:(X3_xdb.Store.of_document doc)
-      spec
+  let session =
+    Engine.Session.create
+      (Engine.prepare ~pool:(small_pool ())
+         ~store:(X3_xdb.Store.of_document doc)
+         spec)
   in
-  let ctx = context_of p in
-  let lattice = Engine.lattice p in
-  let views =
-    List.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
-        Materialized.materialize ctx ~cuboid)
+  let prepared = Engine.Session.prepared session in
+  let reference, _ = Engine.run prepared Engine.Naive in
+  let views = session_views session in
+  let admitted =
+    check_views_and_rollups ~name:"sum" ~func:Aggregate.Sum session views
+      reference
   in
-  List.iter (check_cells_track_facts ~name:"sum materialize" ctx) views;
-  (* Fact 3 sits in both $b groups: rolling the ($a, $b) view up to the
-     ALL cuboid must count its price once. *)
-  let all = cuboid_id p [ removed; removed ] in
-  let rigid = X3_lattice.Lattice.rigid_id lattice in
-  let rolled =
-    Materialized.rollup_unchecked ctx (List.nth views rigid) ~coarser:all
-  in
-  check_cells_track_facts ~name:"sum rollup" ctx rolled;
-  Alcotest.(check bool) "sum rollup = direct" true
-    (Materialized.cells rolled = Materialized.cells (List.nth views all));
-  (* Re-adding every row is a no-op on every cell. (Deltas refuse
-     measure queries, so a SUM view is never patched with new facts; the
-     recompute from a whole fact set is the rollup's, checked above.) *)
-  List.iter
-    (fun view ->
-      let before = Materialized.cells view in
-      ignore (Materialized.apply_rows ctx view ~from_row:0 : int);
-      check_cells_track_facts ~name:"sum apply_rows" ctx view;
-      Alcotest.(check bool) "re-added rows keep every cell" true
-        (Materialized.cells view = before))
-    views
+  Alcotest.(check bool) "some rollups admitted" true (admitted > 0);
+  (* Fact 3 sits in both $b groups: the rigid view may not be rolled up
+     to the ALL cuboid, which counts its price once. *)
+  let all = cuboid_id prepared [ removed; removed ] in
+  let rigid = X3_lattice.Lattice.rigid_id (Engine.lattice prepared) in
+  Alcotest.(check bool) "rigid -> ALL refused" true
+    (Result.is_error
+       (Engine.Session.rollup session (List.nth views rigid) ~coarser:all))
 
-(* [approx_bytes] is kept by a running fact count; it must equal the cost
-   model recounted from the view's groups and fact sets (128 for the
-   record, 96 + 96 per group, 40 per fact entry) after every operation
-   that changes the sets, or cache accounting and eviction order drift. *)
+(* [approx_bytes] charges 128 for the record and 192 per group (slot and
+   key, cell) after every operation, or cache accounting and eviction
+   order drift. *)
 let check_approx_bytes ~name view =
-  let entries =
-    List.fold_left
-      (fun acc (key, _) ->
-        acc + List.length (Materialized.fact_items view ~key))
-      0 (Materialized.cells view)
-  in
   Alcotest.(check int)
-    (Printf.sprintf "%s: approx_bytes of cuboid %d = recount" name
+    (Printf.sprintf "%s: approx_bytes of cuboid %d" name
        (Materialized.cuboid_id view))
-    (128 + (192 * Materialized.group_count view) + (40 * entries))
+    (128 + (192 * Materialized.group_count view))
     (Materialized.approx_bytes view)
 
 let test_approx_bytes_matches_recount () =
@@ -2128,53 +2159,42 @@ let test_approx_bytes_matches_recount () =
     Engine.Session.create
       (Engine.prepare ~pool:(small_pool ()) ~store:(figure1_store ()) spec)
   in
-  let ctx = Engine.Session.context session in
   let lattice = Engine.lattice (Engine.Session.prepared session) in
-  let views =
-    List.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
-        Engine.Session.materialize session ~cuboid)
-  in
+  let views = session_views session in
   List.iter (check_approx_bytes ~name:"materialize") views;
-  (* Every rollup to a relaxation, merged groups included (publication 1
-     sits in two author groups). *)
-  let cuboid id = X3_lattice.Lattice.cuboid lattice id in
   List.iter
     (fun fine ->
       for coarser = 0 to X3_lattice.Lattice.size lattice - 1 do
-        if
-          X3_lattice.Cuboid.leq
-            (cuboid (Materialized.cuboid_id fine))
-            (cuboid coarser)
-        then begin
-          check_approx_bytes ~name:"rollup_unchecked"
-            (Materialized.rollup_unchecked ctx fine ~coarser);
-          Result.iter
-            (check_approx_bytes ~name:"rollup")
-            (Engine.Session.rollup session fine ~coarser)
-        end
+        Result.iter
+          (check_approx_bytes ~name:"rollup")
+          (Engine.Session.rollup session fine ~coarser)
       done)
     views;
-  (* Re-adding present facts adds no entry; new facts add one each,
-     below or above the groups' maximum. *)
-  List.iter
-    (fun view -> ignore (Materialized.apply_rows ctx view ~from_row:0 : int))
-    views;
-  List.iter (check_approx_bytes ~name:"apply_rows (present facts)") views;
-  List.iter
-    (fun (lsn, src) ->
-      match
-        Engine.stage_fragment spec ~fragment:(frag_of_source src)
-          ~fact_id:(Engine.synthetic_fact_id ~lsn)
-      with
-      | Engine.Staged staged -> (
-          match Engine.Session.apply_delta session staged ~views with
-          | Ok _ -> ()
-          | Error fb ->
-              Alcotest.failf "delta refused: %s"
-                (Engine.fallback_reason_name fb))
-      | _ -> Alcotest.fail "fragment should stage")
-    [ (7, pub5); (3, pub6) ];
-  List.iter (check_approx_bytes ~name:"apply_rows (new facts)") views
+  ingest_all spec session ~views [ (7, pub5); (3, pub6) ];
+  List.iter (check_approx_bytes ~name:"apply_delta") views
+
+(* Ingests extend the session's cached block measures in place, past
+   spare capacity: every block, old and new, keeps its fact's measure. *)
+let test_delta_extends_block_measures () =
+  let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
+  let session =
+    Engine.Session.create
+      (Engine.prepare ~pool:(small_pool ()) ~store:(figure1_store ()) spec)
+  in
+  let views = session_views session in
+  let ctx = Engine.Session.context session in
+  ingest_all spec session ~views [ (7, pub5); (3, pub6); (9, pub9) ];
+  let cols = Context.cols ctx in
+  let measures = Context.block_measures ctx cols in
+  Alcotest.(check bool) "one measure per block" true
+    (Array.length measures >= Witness.Columnar.blocks cols);
+  for b = 0 to Witness.Columnar.blocks cols - 1 do
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "block %d" b)
+      (ctx.Context.measure
+         (Witness.Columnar.fact cols (Witness.Columnar.block_lo cols b)))
+      measures.(b)
+  done
 
 (* --- export: values of any length, in the historical order ---------------- *)
 
@@ -2607,17 +2627,16 @@ let () =
         [
           Alcotest.test_case "matches naive" `Quick
             test_materialize_matches_naive;
-          Alcotest.test_case "fact items" `Quick test_materialized_fact_items;
-          Alcotest.test_case "rollup dedups via fact sets" `Quick
-            test_materialized_rollup_dedups;
+          Alcotest.test_case "rollup refuses non-disjoint" `Quick
+            test_materialized_rollup_refuses_non_disjoint;
           Alcotest.test_case "rollup refuses uncovered" `Quick
             test_materialized_rollup_refuses_uncovered;
           Alcotest.test_case "rollup rejects non-relaxation" `Quick
             test_materialized_rollup_rejects_non_relaxation;
-          Alcotest.test_case "cells track fact sets (COUNT)" `Quick
-            test_view_cells_track_count;
-          Alcotest.test_case "cells track fact sets (SUM)" `Quick
-            test_view_cells_track_sum;
+          Alcotest.test_case "views = naive (COUNT)" `Quick
+            test_views_are_naive_count;
+          Alcotest.test_case "views = naive (SUM)" `Quick
+            test_views_are_naive_sum;
           Alcotest.test_case "approx_bytes = recount after every operation"
             `Quick test_approx_bytes_matches_recount;
         ] );
@@ -2631,6 +2650,8 @@ let () =
             test_delta_layout_overflow_refused;
           Alcotest.test_case "fragment classification" `Quick
             test_stage_fragment_classification;
+          Alcotest.test_case "block measures follow appends" `Quick
+            test_delta_extends_block_measures;
         ]
         @ qcheck [ prop_delta_vs_cold ] );
       ( "export",

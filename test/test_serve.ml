@@ -202,6 +202,56 @@ let test_rollup_matches_base_figure1 () =
   Alcotest.(check int) "no base scans on the warm repeat" 0
     prov2.Protocol.p_base
 
+(* One warm-path request on a fresh daemon: its provenance and the
+   base scans' rollup refusals by reason (no_finer, not_disjoint,
+   uncovered). *)
+let refusals_of_first_request ~doc_path query =
+  with_server @@ fun h ->
+  with_client h @@ fun conn ->
+  let _, prov = cube_exn conn ~doc:doc_path query in
+  let stats =
+    match Server.Client.request conn Protocol.Stats with
+    | Ok (Protocol.Stats_ok doc) -> doc
+    | Ok _ | Error _ -> Alcotest.fail "STATS verb failed"
+  in
+  let refused reason =
+    metric_value stats
+      (X3_obs.Metrics.labeled "serve.cuboids.rollup_refused"
+         [ ("reason", reason) ])
+    |> Option.value ~default:0
+  in
+  Alcotest.(check int) "one refusal per base scan" prov.Protocol.p_base
+    (refused "no_finer" + refused "not_disjoint" + refused "uncovered");
+  (prov, refused "no_finer", refused "not_disjoint", refused "uncovered")
+
+(* Each base scan counts the property that refused the nearest finer
+   view's rollup. Only the finest cuboid has no finer view. On figure 1,
+   publication 1's two authors and publication 2's two years make every
+   finer view that was refused non-disjoint; on a disjoint treebank with
+   missing bindings, only coverage refuses. *)
+let test_rollup_refusals () =
+  with_figure1 @@ fun doc_path ->
+  let prov, no_finer, not_disjoint, uncovered =
+    refusals_of_first_request ~doc_path figure1_query
+  in
+  Alcotest.(check int) "figure 1: only the finest cuboid has no finer view"
+    1 no_finer;
+  Alcotest.(check int) "figure 1: every other base scan is non-disjoint"
+    (prov.Protocol.p_base - 1) not_disjoint;
+  Alcotest.(check int) "figure 1: no view refused for coverage" 0 uncovered;
+  let config = { treebank_config with X3_workload.Treebank.disjoint = true } in
+  let doc = X3_workload.Treebank.generate config in
+  write_temp_doc ~prefix:"x3bank" (X3_xml.Serialize.to_string doc)
+  @@ fun doc_path ->
+  let _, no_finer, not_disjoint, uncovered =
+    refusals_of_first_request ~doc_path treebank_query
+  in
+  Alcotest.(check int) "disjoint treebank: one finest cuboid" 1 no_finer;
+  Alcotest.(check int) "disjoint treebank: no view non-disjoint" 0
+    not_disjoint;
+  Alcotest.(check bool) "disjoint treebank: coverage refuses some" true
+    (uncovered > 0)
+
 let test_rollup_matches_base_treebank () =
   with_treebank @@ fun doc_path ->
   with_server @@ fun h ->
@@ -736,6 +786,8 @@ let () =
             `Quick test_concurrent_byte_identity;
           Alcotest.test_case "rollup provenance and identity on figure 1"
             `Quick test_rollup_matches_base_figure1;
+          Alcotest.test_case "base scans count their rollup refusal" `Quick
+            test_rollup_refusals;
           Alcotest.test_case "rollup==base on uncovered treebank" `Quick
             test_rollup_matches_base_treebank;
           Alcotest.test_case "eviction stays within the byte budget" `Quick
