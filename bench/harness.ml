@@ -122,13 +122,15 @@ let print_point_rows ppf ~x outcomes =
   List.iter
     (fun o ->
       Format.fprintf ppf
-        "  %3d  %-9s %9.3fs  %9d cells  %s  passes=%d sorts=%d scans=%d \
-         sorted=%d dedup=%d rollups=%d keys=%d dict=%d reads=%d minorMw=%.1f@."
+        "  %3d  %-9s %9.3fs  %9d cells  %s  passes=%d sorts=%d radix=%d \
+         hash=%d scans=%d sorted=%d dedup=%d rollups=%d keys=%d dict=%d \
+         reads=%d minorMw=%.1f@."
         x
         (algorithm_name o.algorithm)
         o.seconds o.cells
         (if o.correct then "   ok" else "WRONG")
         o.instr.Instrument.passes o.instr.Instrument.sort_ops
+        o.instr.Instrument.radix_groupings o.instr.Instrument.hash_groupings
         o.instr.Instrument.table_scans o.instr.Instrument.rows_sorted
         o.instr.Instrument.dedup_tracked o.instr.Instrument.rollups
         o.instr.Instrument.keys_built o.instr.Instrument.dict_size

@@ -331,17 +331,18 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
   let rings = Trace.dump () in
   (* Join the trace back into a per-cuboid cost table. *)
   let lattice = Engine.lattice prepared in
-  (* The grouping strategy is a pure function of (layout, cuboid,
+  (* The grouping strategy is a pure function of (cuboid key shape,
      radix_bits), so it comes from the plan, not from the trace. *)
   let planned_strategy =
-    let layout = X3_core.Group_key.layout_of_table (Engine.table prepared) in
+    let shapes =
+      X3_core.Group_key.(
+        shapes ~widths:(widths_of_table (Engine.table prepared)) lattice)
+    in
     fun cid ->
-      let p =
-        X3_core.Radix.plan ~layout ~radix_bits (Lattice.cuboid lattice cid)
-      in
+      let p = X3_core.Radix.plan ~radix_bits shapes.(cid) in
       Printf.sprintf "%s(%d)"
         (X3_core.Radix.strategy_name p.X3_core.Radix.p_strategy)
-        p.X3_core.Radix.p_bits
+        p.X3_core.Radix.p_shape.X3_core.Group_key.bits
   in
   let by_cuboid : (int, cuboid_report) Hashtbl.t = Hashtbl.create 64 in
   let report cid =

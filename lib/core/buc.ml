@@ -173,7 +173,7 @@ let compute ~variant (ctx : Context.t) =
         let cid = cid_of_code.(code) in
         env.instr.Instrument.keys_built <- env.instr.Instrument.keys_built + 1;
         aggregate_into env cid
-          (Group_key.of_axis_ids ctx.layout env.states env.ids)
+          (Group_key.of_axis_ids ctx.shapes.(cid) env.ids)
           lo hi part
       end;
       for ai = next to k - 1 do

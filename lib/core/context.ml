@@ -26,7 +26,8 @@ type control = {
 type t = {
   table : Witness.t;
   lattice : X3_lattice.Lattice.t;
-  layout : Group_key.layout;
+  widths : int array;
+  shapes : Group_key.shape array;
   measure : int -> float;
   instr : Instrument.t;
   counter_budget : int;
@@ -51,10 +52,12 @@ let create ?(counter_budget = 1_000_000) ?(sort_budget = 200_000)
     if Governor.reserve account (Witness.approx_bytes table) then None
     else Some Over_budget
   in
+  let widths = Group_key.widths_of_table table in
   {
     table;
     lattice;
-    layout = Group_key.layout_of_table table;
+    widths;
+    shapes = Group_key.shapes ~widths lattice;
     measure;
     instr;
     counter_budget;

@@ -12,7 +12,10 @@ type control
 type t = {
   table : X3_pattern.Witness.t;  (** the materialised witness table *)
   lattice : X3_lattice.Lattice.t;
-  layout : Group_key.layout;  (** packed-key layout of the table's dicts *)
+  widths : int array;
+      (** key bits per axis, from the table's dictionary sizes when the
+          context was created *)
+  shapes : Group_key.shape array;  (** each cuboid's key shape, by id *)
   measure : int -> float;  (** fact id -> measure value (1.0 for COUNT) *)
   instr : Instrument.t;
   counter_budget : int;

@@ -1,5 +1,4 @@
 module Lattice = X3_lattice.Lattice
-module Cuboid = X3_lattice.Cuboid
 module Columnar = X3_pattern.Witness.Columnar
 module Trace = X3_obs.Trace
 
@@ -9,24 +8,14 @@ module Trace = X3_obs.Trace
    radix-partition in a single-cuboid kernel — groups through the hash
    table, because COUNTER interleaves many cuboids per block and only the
    direct tier decomposes that way. The choice is a pure function of
-   (layout, cuboid, radix_bits): identical at any worker count. *)
+   (shape, radix_bits): identical at any worker count. *)
 type grouping =
-  | Htbl of Aggregate.cell Group_key.Tbl.t
-  | Racc of Radix.plan * Radix.cursor * Radix.acc
+  | Htbl of Radix.cursor * Group_key.scratch * Aggregate.cell Group_key.Tbl.t
+  | Racc of Radix.cursor * Radix.acc
 
 let grouping_size = function
-  | Htbl counters -> Group_key.Tbl.length counters
-  | Racc (_, _, acc) -> Radix.acc_occupied acc
-
-let make_plan_of (ctx : Context.t) =
-  let tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun cid ->
-      Hashtbl.replace tbl cid
-        (Radix.plan ~layout:ctx.layout ~radix_bits:ctx.radix_bits
-           (Lattice.cuboid ctx.lattice cid)))
-    (Lattice.by_degree ctx.lattice);
-  fun cid -> Hashtbl.find tbl cid
+  | Htbl (_, _, counters) -> Group_key.Tbl.length counters
+  | Racc (_, acc) -> Radix.acc_occupied acc
 
 let direct p = p.Radix.p_strategy = Radix.Direct
 
@@ -52,7 +41,6 @@ let note_strategy (instr : Instrument.t) p =
    read. *)
 
 type worker = {
-  scratch : Group_key.scratch;
   seen : Group_key.Seen.t;
   instr : Instrument.t;
   active : grouping option array;
@@ -70,7 +58,9 @@ let compute (ctx : Context.t) =
     let bm = Context.block_measures ctx cols in
     let nblocks = Columnar.blocks cols in
     let total_rows = Columnar.rows cols in
-    let plan_of = make_plan_of ctx in
+    let plans =
+      Array.map (Radix.plan ~radix_bits:ctx.radix_bits) ctx.shapes
+    in
     let budget = max 1 (ctx.counter_budget / ctx.workers) in
     (* Byte accounting: [paid] is how many counters' worth of bytes the
        account holds for the cells merged into the result so far. Worker
@@ -86,7 +76,6 @@ let compute (ctx : Context.t) =
               true
             end
     in
-    let cuboid_of = Lattice.cuboid ctx.lattice in
     let remaining = ref (Array.to_list (Lattice.by_degree ctx.lattice)) in
     let first_pass = ref true in
     while !remaining <> [] do
@@ -103,14 +92,14 @@ let compute (ctx : Context.t) =
       end;
       first_pass := false;
       let cids = Array.of_list !remaining in
-      Array.iter (fun cid -> note_strategy instr (plan_of cid)) cids;
+      Array.iter (fun cid -> note_strategy instr plans.(cid)) cids;
       (* Every worker allocates its direct slot arrays up front; book them
          all here so a refused reservation stops on this domain, not
          inside one. *)
       let acc_bytes_all =
         Array.fold_left
           (fun sum cid ->
-            let p = plan_of cid in
+            let p = plans.(cid) in
             if direct p then sum + Radix.acc_bytes p else sum)
           0 cids
       in
@@ -126,15 +115,18 @@ let compute (ctx : Context.t) =
             let active =
               Array.map
                 (fun cid ->
-                  let p = plan_of cid in
+                  let p = plans.(cid) in
+                  let cur = Radix.cursor p.Radix.p_shape cols in
                   Some
-                    (if direct p then
-                       Racc (p, Radix.cursor p cols, Radix.acc_create p)
-                     else Htbl (Group_key.Tbl.create 256)))
+                    (if direct p then Racc (cur, Radix.acc_create p)
+                     else
+                       Htbl
+                         ( cur,
+                           Group_key.make_scratch p.Radix.p_shape,
+                           Group_key.Tbl.create 256 )))
                 cids
             in
             {
-              scratch = Group_key.make_scratch ctx.layout;
               seen = Group_key.Seen.create ();
               instr = (if w = 0 then instr else Instrument.create ());
               active;
@@ -157,7 +149,7 @@ let compute (ctx : Context.t) =
             for i = 0 to Array.length cids - 1 do
               match w.active.(i) with
               | None -> ()
-              | Some (Racc (_, cur, acc)) ->
+              | Some (Racc (cur, acc)) ->
                   for r = lo to hi do
                     let k = Radix.key cur r in
                     if k >= 0 && Radix.first_on_removed cur r then begin
@@ -167,17 +159,16 @@ let compute (ctx : Context.t) =
                         w.live <- w.live + 1
                     end
                   done
-              | Some (Htbl counters) ->
-                  let cuboid = cuboid_of cids.(i) in
+              | Some (Htbl (cur, scratch, counters)) ->
                   Group_key.Seen.reset w.seen;
                   for r = lo to hi do
-                    if Cuboid.represents cuboid cols ~row:r then begin
-                      Group_key.load_cols w.scratch cuboid cols ~row:r;
+                    if Radix.load cur scratch r && Radix.first_on_removed cur r
+                    then begin
                       w.instr.Instrument.keys_built <-
                         w.instr.Instrument.keys_built + 1;
-                      if Group_key.Seen.add w.seen w.scratch then
+                      if Group_key.Seen.add w.seen scratch then
                         Aggregate.add
-                          (Group_key.Tbl.find_or_add counters w.scratch
+                          (Group_key.Tbl.find_or_add counters scratch
                              ~default:fresh_cell)
                           m
                     end
@@ -274,21 +265,19 @@ let compute (ctx : Context.t) =
                 (fun w ->
                   match w.active.(i) with
                   | None -> ()
-                  | Some (Htbl counters) ->
+                  | Some (Htbl (_, _, counters)) ->
                       Group_key.Tbl.iter
                         (fun key cell ->
                           Aggregate.merge
                             ~into:(Cube_result.cell result ~cuboid:cid ~key)
                             cell)
                         counters
-                  | Some (Racc (p, _, acc)) ->
-                      Radix.acc_flush acc ~f:(fun compact cell ->
+                  | Some (Racc (_, acc)) ->
+                      Radix.acc_flush acc ~f:(fun k cell ->
                           Aggregate.merge
                             ~into:
                               (Cube_result.cell result ~cuboid:cid
-                                 ~key:
-                                   (Radix.key_of_compact p ctx.Context.layout
-                                      compact))
+                                 ~key:(Group_key.Packed k))
                             cell))
                 states
             end

@@ -1,5 +1,4 @@
 module Lattice = X3_lattice.Lattice
-module State = X3_lattice.State
 module Witness = X3_pattern.Witness
 
 (* Cells are stored under coded (packed-integer) keys; the value-keyed API
@@ -9,7 +8,7 @@ module Witness = X3_pattern.Witness
 type t = {
   lattice : Lattice.t;
   table : Witness.t;
-  layout : Group_key.layout;
+  shapes : Group_key.shape array;
   cells : Aggregate.cell Group_key.Tbl.t array;
 }
 
@@ -17,13 +16,14 @@ let create ~table lattice =
   {
     lattice;
     table;
-    layout = Group_key.layout_of_table table;
+    shapes =
+      Group_key.shapes ~widths:(Group_key.widths_of_table table) lattice;
     cells = Array.init (Lattice.size lattice) (fun _ -> Group_key.Tbl.create 64);
   }
 
 let lattice t = t.lattice
 let table t = t.table
-let layout t = t.layout
+let shape t cuboid = t.shapes.(cuboid)
 
 (* --- coded hot path ----------------------------------------------------- *)
 
@@ -51,15 +51,11 @@ let total_cells t =
 
 (* --- the value boundary ------------------------------------------------- *)
 
-let states t cuboid = Lattice.cuboid t.lattice cuboid
-
 let parts_of t cuboid key =
-  Group_key.to_parts t.layout ~dicts:(Witness.dicts t.table) (states t cuboid)
-    key
+  Group_key.to_parts t.shapes.(cuboid) ~dicts:(Witness.dicts t.table) key
 
 let coded_key t cuboid parts =
-  Group_key.of_parts t.layout ~dicts:(Witness.dicts t.table) (states t cuboid)
-    parts
+  Group_key.of_parts t.shapes.(cuboid) ~dicts:(Witness.dicts t.table) parts
 
 let find t ~cuboid ~key =
   match coded_key t cuboid key with
@@ -68,19 +64,13 @@ let find t ~cuboid ~key =
 
 (* One cuboid's groups in the historical order ([Dict.compare_value],
    value by value), each with the values of its present axes (axis order)
-   looked up in the dictionaries. The sort compares each present axis's
-   memoised dictionary rank of the group's id, axis by axis — ints, not
-   strings — and only the sorted groups are decoded. *)
+   read through the cuboid's key shape. The sort compares each present
+   axis's memoised dictionary rank of the group's id, axis by axis —
+   ints, not strings — and only the sorted groups are decoded. *)
 let cuboid_cells t id =
-  let cuboid = states t id in
+  let shape = t.shapes.(id) in
   let dicts = Witness.dicts t.table in
-  let present = ref [] in
-  for ai = Array.length cuboid - 1 downto 0 do
-    match cuboid.(ai) with
-    | State.Removed -> ()
-    | State.Present _ -> present := ai :: !present
-  done;
-  let present = Array.of_list !present in
+  let present = shape.Group_key.present in
   let p = Array.length present in
   let ranks = Array.map (fun ai -> Witness.Dict.ranks dicts.(ai)) present in
   let n = cuboid_size t id in
@@ -93,8 +83,7 @@ let cuboid_cells t id =
       keys.(!g) <- key;
       cells.(!g) <- cell;
       for j = 0 to p - 1 do
-        rank.((!g * p) + j) <-
-          ranks.(j).(Group_key.id_at t.layout key ~axis:present.(j))
+        rank.((!g * p) + j) <- ranks.(j).(Group_key.field shape key j)
       done;
       incr g);
   let order = Array.init n Fun.id in
@@ -110,10 +99,9 @@ let cuboid_cells t id =
   Array.fold_right
     (fun g acc ->
       let values =
-        Array.map
-          (fun ai ->
-            Witness.Dict.value dicts.(ai)
-              (Group_key.id_at t.layout keys.(g) ~axis:ai))
+        Array.mapi
+          (fun j ai ->
+            Witness.Dict.value dicts.(ai) (Group_key.field shape keys.(g) j))
           present
       in
       (values, cells.(g)) :: acc)

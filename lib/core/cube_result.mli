@@ -9,12 +9,14 @@
 type t
 
 val create : table:X3_pattern.Witness.t -> X3_lattice.Lattice.t -> t
-(** The table supplies the dictionaries (and so the key layout) that the
+(** The table supplies the dictionaries (and so the key shapes) that the
     cube's coded keys are relative to. *)
 
 val lattice : t -> X3_lattice.Lattice.t
 val table : t -> X3_pattern.Witness.t
-val layout : t -> Group_key.layout
+
+val shape : t -> int -> Group_key.shape
+(** A cuboid's key shape, by cuboid id. *)
 
 (** {1 Coded access — the algorithms' hot path} *)
 

@@ -310,7 +310,7 @@ let fallback_reason_name = function
 let pp_fallback ppf = function
   | Layout_overflow axis ->
       Format.fprintf ppf
-        "axis %s: new values outgrow the session's packed key layout" axis
+        "axis %s: new values outgrow the session's per-axis key widths" axis
   | Measure_unsupported ->
       Format.fprintf ppf
         "measured cubes bind measures to store nodes; ingested facts have \
@@ -370,14 +370,14 @@ module Session = struct
      not: a measured cube's measure function resolves fact ids against the
      host store (synthetic ingest facts have no node there), and a batch
      whose new dictionary values need more bits than the session's frozen
-     packed-key layout allocated per axis would make [Group_key.load_cols]
-     fold distinct values onto one packed key. Both return a typed reason
-     and leave the session untouched — the caller rebuilds cold, which is
-     always exact. *)
+     per-axis widths allocated would overflow its field in every cuboid
+     key shape built from them, folding distinct values onto one key.
+     Both return a typed reason and leave the session untouched — the
+     caller rebuilds cold, which is always exact. *)
   let delta_check t staged =
     if t.s_prepared.spec.measure_path <> None then Error Measure_unsupported
     else begin
-      let layout = t.s_ctx.Context.layout in
+      let widths = t.s_ctx.Context.widths in
       let dicts = Witness.dicts t.s_prepared.table in
       let news =
         Array.init (Array.length dicts) (fun _ -> Hashtbl.create 8)
@@ -401,7 +401,7 @@ module Session = struct
               Group_key.bits_for
                 (Witness.Dict.size dicts.(ai) + Hashtbl.length fresh)
             in
-            if needed > layout.Group_key.widths.(ai) then
+            if needed > widths.(ai) then
               overflow := Some t.s_prepared.spec.axes.(ai).Axis.name
           end)
         news;

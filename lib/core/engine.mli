@@ -149,8 +149,8 @@ val stage_fragment :
 
 type delta_fallback =
   | Layout_overflow of string
-      (** this axis's dictionary would outgrow the bits the session's
-          frozen packed-key layout allocated for it *)
+      (** this axis's dictionary would outgrow the key bits the
+          session's frozen per-axis widths allocated for it *)
   | Measure_unsupported
       (** measured cubes resolve fact ids against the host store;
           synthetic ingest facts have no node there *)

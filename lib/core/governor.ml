@@ -11,10 +11,11 @@
 
 (* --- cost model --------------------------------------------------------- *)
 
-(* One live counter: a Group_key.Tbl slot (two array entries), a boxed key
-   (Packed int or small Wide array) and an Aggregate.cell (4 mutable
-   fields + header). Measured with Obj.reachable_words this lands between
-   70 and 110 bytes depending on key width; 96 is the documented middle. *)
+(* One live counter: a Group_key.Tbl slot (two array entries), a boxed
+   key (the cuboid's Packed int, or a Wide array of its present ids past
+   62 bits) and an Aggregate.cell (4 mutable fields + header). Measured
+   with Obj.reachable_words this lands between 70 and 110 bytes depending
+   on key width; 96 is the documented middle. *)
 let counter_cost = 96
 
 (* One sort-buffer record: the encoded record string (key + fact + measure,

@@ -1,21 +1,25 @@
 module State = X3_lattice.State
+module Lattice = X3_lattice.Lattice
 module Witness = X3_pattern.Witness
 module Dict = Witness.Dict
 
-(* --- packed integer keys ------------------------------------------------ *)
-(* Per-axis dictionary ids packed into bit fields of one tagged int when the
-   widths fit, with an int-array fallback otherwise. An axis whose
-   dictionary holds [n] values needs [bits_for n] bits; fields of axes a
-   cuboid removes are zero, so projection to a coarser cuboid is a single
-   mask (packed) or entry-zeroing pass (wide). *)
+(* --- one key shape per cuboid --------------------------------------------- *)
+(* A cuboid's group key is its present axes' dictionary ids, axis order.
+   An axis whose dictionary holds [n] values needs [bits_for n] bits; a
+   cuboid whose own fields sum to at most 62 bits packs them into one
+   tagged int, the first present axis in the lowest bits, and any other
+   cuboid keeps them as an int array. The packed form is exactly the
+   compact key the radix kernels compute, so their slots are keys. *)
 
 type t = Packed of int | Wide of int array
 
-type layout = {
-  widths : int array;  (** bits per axis *)
-  offsets : int array;  (** bit offset of each axis's field *)
-  total_bits : int;
-  packed_fits : bool;  (** do all fields fit one OCaml int? *)
+type shape = {
+  cuboid : State.t array;
+  present : int array;
+  widths : int array;
+  shifts : int array;
+  bits : int;
+  packed : bool;
 }
 
 (* Bits to hold every id of a dictionary of [n] values (0 .. n-1). *)
@@ -29,154 +33,133 @@ let bits_for n =
    order-consistent. *)
 let packed_bit_budget = 62
 
-let layout_of_sizes sizes =
-  let k = Array.length sizes in
-  let widths = Array.map bits_for sizes in
-  let offsets = Array.make k 0 in
-  let total = ref 0 in
-  for ai = 0 to k - 1 do
-    offsets.(ai) <- !total;
-    total := !total + widths.(ai)
+let widths_of_table table = Array.map bits_for (Witness.dict_sizes table)
+
+let shape ~widths cuboid =
+  let present = ref [] in
+  for ai = Array.length cuboid - 1 downto 0 do
+    match cuboid.(ai) with
+    | State.Removed -> ()
+    | State.Present _ -> present := ai :: !present
   done;
-  {
+  let present = Array.of_list !present in
+  let widths = Array.map (fun ai -> widths.(ai)) present in
+  let shifts = Array.make (Array.length widths) 0 in
+  let bits = ref 0 in
+  Array.iteri
+    (fun j w ->
+      shifts.(j) <- !bits;
+      bits := !bits + w)
     widths;
-    offsets;
-    total_bits = !total;
-    packed_fits = !total <= packed_bit_budget;
+  {
+    cuboid;
+    present;
+    widths;
+    shifts;
+    bits = !bits;
+    packed = !bits <= packed_bit_budget;
   }
 
-let layout_of_table table = layout_of_sizes (Witness.dict_sizes table)
-
-let axis_count layout = Array.length layout.widths
-
-let field_mask layout ai =
-  ((1 lsl layout.widths.(ai)) - 1) lsl layout.offsets.(ai)
+let shapes ~widths lattice =
+  Array.init (Lattice.size lattice) (fun cid ->
+      shape ~widths (Lattice.cuboid lattice cid))
 
 (* --- scratch: the allocation-free row -> key path ----------------------- *)
 
 type scratch = {
-  s_layout : layout;
-  mutable s_packed : int;
+  s_packed : bool;
+  mutable s_key : int;
   s_wide : int array;  (** reused between loads; copied on freeze *)
 }
 
-let make_scratch layout =
-  { s_layout = layout; s_packed = 0; s_wide = Array.make (axis_count layout) 0 }
+let make_scratch s =
+  {
+    s_packed = s.packed;
+    s_key = 0;
+    s_wide = (if s.packed then [||] else Array.make (Array.length s.present) 0);
+  }
 
-let bad_row () = invalid_arg "Group_key.load_cols: row does not qualify"
-
-let load_cols scratch cuboid cols ~row =
-  let layout = scratch.s_layout in
-  if layout.packed_fits then begin
-    let acc = ref 0 in
-    for ai = 0 to Array.length cuboid - 1 do
-      match cuboid.(ai) with
-      | State.Removed -> ()
-      | State.Present _ ->
-          let id = Witness.Columnar.id cols ~axis:ai ~row in
-          if id < 0 then bad_row ();
-          acc := !acc lor (id lsl layout.offsets.(ai))
-    done;
-    scratch.s_packed <- !acc
-  end
-  else begin
-    let wide = scratch.s_wide in
-    for ai = 0 to Array.length cuboid - 1 do
-      match cuboid.(ai) with
-      | State.Removed -> wide.(ai) <- 0
-      | State.Present _ ->
-          let id = Witness.Columnar.id cols ~axis:ai ~row in
-          if id < 0 then bad_row ();
-          wide.(ai) <- id
-    done
-  end
+let set_packed scratch k = scratch.s_key <- k
+let set_field scratch j id = scratch.s_wide.(j) <- id
 
 let freeze scratch =
-  if scratch.s_layout.packed_fits then Packed scratch.s_packed
+  if scratch.s_packed then Packed scratch.s_key
   else Wide (Array.copy scratch.s_wide)
 
 (* --- building and inspecting keys directly ------------------------------ *)
 
-let of_axis_ids layout cuboid ids =
-  if layout.packed_fits then begin
+let of_axis_ids s ids =
+  let id j =
+    let v = ids.(s.present.(j)) in
+    if v < 0 then invalid_arg "Group_key.of_axis_ids: negative id";
+    v
+  in
+  if s.packed then begin
     let acc = ref 0 in
-    for ai = 0 to Array.length cuboid - 1 do
-      match cuboid.(ai) with
-      | State.Removed -> ()
-      | State.Present _ ->
-          if ids.(ai) < 0 then bad_row ();
-          acc := !acc lor (ids.(ai) lsl layout.offsets.(ai))
+    for j = 0 to Array.length s.present - 1 do
+      acc := !acc lor (id j lsl s.shifts.(j))
     done;
     Packed !acc
   end
-  else
-    Wide
-      (Array.mapi
-         (fun ai state ->
-           match state with
-           | State.Removed -> 0
-           | State.Present _ ->
-               if ids.(ai) < 0 then bad_row ();
-               ids.(ai))
-         cuboid)
+  else Wide (Array.init (Array.length s.present) id)
 
-let id_at layout key ~axis =
+let field s key j =
   match key with
-  | Packed p -> (p lsr layout.offsets.(axis)) land ((1 lsl layout.widths.(axis)) - 1)
-  | Wide w -> w.(axis)
+  | Packed p -> (p lsr s.shifts.(j)) land ((1 lsl s.widths.(j)) - 1)
+  | Wide w -> w.(j)
 
-let project layout ~to_ key =
-  match key with
-  | Packed p ->
-      let mask = ref 0 in
-      Array.iteri
-        (fun ai state ->
-          match state with
-          | State.Removed -> ()
-          | State.Present _ -> mask := !mask lor field_mask layout ai)
-        to_;
-      Packed (p land !mask)
-  | Wide w ->
-      Wide
-        (Array.mapi
-           (fun ai v ->
-             match to_.(ai) with State.Removed -> 0 | State.Present _ -> v)
-           w)
+(* A lattice edge's shift table: which finer field feeds each coarser
+   one. The coarser cuboid's present axes are a subset of the finer's. *)
+type edge = { e_finer : shape; e_coarser : shape; e_src : int array }
+
+let edge ~finer ~coarser =
+  let src ai =
+    let j = ref 0 in
+    while !j < Array.length finer.present && finer.present.(!j) <> ai do
+      incr j
+    done;
+    if !j = Array.length finer.present then
+      invalid_arg "Group_key.edge: not a coarser cuboid";
+    !j
+  in
+  {
+    e_finer = finer;
+    e_coarser = coarser;
+    e_src = Array.map src coarser.present;
+  }
+
+let project e key =
+  let c = e.e_coarser in
+  if c.packed then begin
+    let acc = ref 0 in
+    for j = 0 to Array.length e.e_src - 1 do
+      acc := !acc lor (field e.e_finer key e.e_src.(j) lsl c.shifts.(j))
+    done;
+    Packed !acc
+  end
+  else Wide (Array.map (field e.e_finer key) e.e_src)
 
 (* --- the dictionary boundary -------------------------------------------- *)
 
-let of_parts layout ~dicts cuboid parts =
-  let k = Array.length cuboid in
-  let ids = Array.make k 0 in
-  let rec go ai parts =
-    if ai >= k then match parts with [] -> true | _ :: _ -> false
-    else
-      match cuboid.(ai) with
-      | State.Removed -> go (ai + 1) parts
-      | State.Present _ -> (
-          match parts with
-          | [] -> false
-          | part :: rest -> (
-              match Dict.find dicts.(ai) part with
-              | None -> raise Exit
-              | Some id ->
-                  ids.(ai) <- id;
-                  go (ai + 1) rest))
-  in
-  match go 0 parts with
-  | true -> Some (of_axis_ids layout cuboid ids)
-  | false -> invalid_arg "Group_key.of_parts: arity mismatch"
+let of_parts s ~dicts parts =
+  if List.length parts <> Array.length s.present then
+    invalid_arg "Group_key.of_parts: arity mismatch";
+  let ids = Array.make (Array.length s.cuboid) 0 in
+  match
+    List.iteri
+      (fun j part ->
+        let ai = s.present.(j) in
+        match Dict.find dicts.(ai) part with
+        | None -> raise Exit
+        | Some id -> ids.(ai) <- id)
+      parts
+  with
+  | () -> Some (of_axis_ids s ids)
   | exception Exit -> None
 
-let to_parts layout ~dicts cuboid key =
-  let parts = ref [] in
-  for ai = Array.length cuboid - 1 downto 0 do
-    match cuboid.(ai) with
-    | State.Removed -> ()
-    | State.Present _ ->
-        parts := Dict.value dicts.(ai) (id_at layout key ~axis:ai) :: !parts
-  done;
-  !parts
+let to_parts s ~dicts key =
+  List.init (Array.length s.present) (fun j ->
+      Dict.value dicts.(s.present.(j)) (field s key j))
 
 (* --- order-agnostic serialisation for external sort --------------------- *)
 (* Big-endian fixed-width bytes: [String.compare] over sortable forms is a
@@ -206,7 +189,7 @@ let to_sortable key =
         w;
       Bytes.unsafe_to_string b
 
-let of_sortable layout s =
+let of_sortable s =
   if String.length s = 0 then invalid_arg "Group_key.of_sortable: empty";
   match s.[0] with
   | '\000' ->
@@ -218,7 +201,7 @@ let of_sortable layout s =
       done;
       Packed !p
   | '\001' ->
-      let k = axis_count layout in
+      let k = (String.length s - 1) / 4 in
       if String.length s <> 1 + (4 * k) then
         invalid_arg "Group_key.of_sortable: bad wide length";
       Wide
@@ -275,14 +258,15 @@ let hash_wide w = Array.fold_left (fun acc v -> mix (acc lxor v)) 0x9E3779B9 w
 let hash = function Packed p -> mix p | Wide w -> hash_wide w
 
 let scratch_hash scratch =
-  if scratch.s_layout.packed_fits then mix scratch.s_packed
-  else hash_wide scratch.s_wide
+  if scratch.s_packed then mix scratch.s_key else hash_wide scratch.s_wide
 
+(* A [Seen] set serves many cuboids, so a key may meet a scratch of
+   another form or length. *)
 let scratch_equal scratch key =
   match key with
-  | Packed p -> scratch.s_layout.packed_fits && p = scratch.s_packed
+  | Packed p -> scratch.s_packed && p = scratch.s_key
   | Wide w ->
-      (not scratch.s_layout.packed_fits)
+      Array.length w = Array.length scratch.s_wide
       && prefix_equal w scratch.s_wide (Array.length w)
 
 (* --- specialised open-addressing table over keys ------------------------ *)

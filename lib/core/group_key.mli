@@ -1,56 +1,62 @@
-(** Group keys.
+(** Group keys, one shape per cuboid.
 
     A group within a cuboid is identified by the values of the cuboid's
     present axes, in axis order. Since the witness table dictionary-encodes
-    its dimension values, a group key is the tuple of per-axis dictionary
-    ids — packed into the bit fields of a single tagged int when the axis
-    widths fit ({!layout.packed_fits}), or an int array otherwise. The
-    algorithms build keys through a reusable {!scratch} (allocation-free
-    for already-seen groups), hash them with the specialised {!Tbl}, and
-    re-key between cuboids with {!project} (a mask on the packed form).
+    its dimension values, a group key is the tuple of those axes' dictionary
+    ids. Each cuboid has one {!shape}, built once from the table's per-axis
+    widths: when the cuboid's own fields fit 62 bits its keys are [Packed],
+    the fields concatenated at the shape's compact shifts — exactly the key
+    the {!Radix} kernels compute, so a radix slot is a key; otherwise they
+    are [Wide], the present ids as an array. The algorithms load keys into
+    a reusable {!scratch} ({!Radix.load}, allocation-free for already-seen
+    groups), hash them with the specialised {!Tbl}, and re-key along a
+    lattice edge with {!project}.
 
     Outside the algorithms — lookups, pivot, export and view snapshots —
     a group is its decoded value list (one string per present axis, axis
     order, any length), mapped to and from coded keys through the
     dictionaries by {!of_parts} / {!to_parts}. *)
 
-(** {1 Packed integer keys — the algorithms' working form} *)
+(** {1 Coded keys — the algorithms' working form} *)
 
 type t = Packed of int | Wide of int array
-(** [Packed] when every axis field fits the 62-bit budget; [Wide] holds one
-    id per axis (0 at removed axes). Keys of the same table and cuboid
-    always share a constructor, so mixed comparisons never arise in use. *)
+(** [Packed] holds the compact key of a cuboid whose present-axis widths
+    sum to at most 62 bits; [Wide] holds the present axes' ids, in axis
+    order, for every other cuboid. A cuboid's keys always share a
+    constructor. *)
 
-type layout = {
-  widths : int array;  (** bits per axis, from the dictionary sizes *)
-  offsets : int array;  (** bit offset of each axis's packed field *)
-  total_bits : int;
-  packed_fits : bool;
+type shape = {
+  cuboid : X3_lattice.State.t array;
+  present : int array;  (** axes the cuboid keeps, ascending *)
+  widths : int array;  (** bits per present axis *)
+  shifts : int array;  (** compact bit offset per present axis *)
+  bits : int;  (** sum of [widths] *)
+  packed : bool;  (** [bits <= 62]: keys are [Packed] *)
 }
-
-val layout_of_sizes : int array -> layout
-val layout_of_table : X3_pattern.Witness.t -> layout
 
 val bits_for : int -> int
 (** Bits needed to hold ids [0 .. n-1]; 0 for empty or singleton
     dictionaries. *)
 
+val widths_of_table : X3_pattern.Witness.t -> int array
+(** [bits_for] of each axis dictionary's size, axis order. *)
+
+val shape : widths:int array -> X3_lattice.Cuboid.t -> shape
+
+val shapes : widths:int array -> X3_lattice.Lattice.t -> shape array
+(** Every cuboid's shape, by cuboid id. *)
+
 (** {2 Scratch: the allocation-free row → key path} *)
 
 type scratch
 
-val make_scratch : layout -> scratch
+val make_scratch : shape -> scratch
 
-val load_cols :
-  scratch ->
-  X3_lattice.Cuboid.t ->
-  X3_pattern.Witness.Columnar.t ->
-  row:int ->
-  unit
-(** Assemble the key of row index [row] under the cuboid into the
-    scratch, from the columnar view's id columns. Raises
-    [Invalid_argument] if a present axis is unbound (the row does not
-    qualify). *)
+val set_packed : scratch -> int -> unit
+(** Load a packed shape's compact key. *)
+
+val set_field : scratch -> int -> int -> unit
+(** [set_field s j id] loads a wide shape's [j]th present id. *)
 
 val freeze : scratch -> t
 (** An immutable key from the scratch's current contents (copies the id
@@ -58,35 +64,34 @@ val freeze : scratch -> t
 
 (** {2 Keys without rows} *)
 
-val of_axis_ids : layout -> X3_lattice.Cuboid.t -> int array -> t
+val of_axis_ids : shape -> int array -> t
 (** Key from one id per axis (entries at removed axes are ignored). Raises
     [Invalid_argument] on a negative id at a present axis. *)
 
-val id_at : layout -> t -> axis:int -> int
-(** The dictionary id stored for [axis] (0 for removed axes). *)
+val field : shape -> t -> int -> int
+(** [field s key j] is the dictionary id of the [j]th present axis. *)
 
-val project : layout -> to_:X3_lattice.Cuboid.t -> t -> t
-(** Re-key to a coarser cuboid: zero the fields of axes [to_] removes. A
-    bit mask on packed keys. *)
+type edge
+(** A lattice edge's shift table, from a finer cuboid's fields to a
+    coarser one's. *)
+
+val edge : finer:shape -> coarser:shape -> edge
+(** Raises [Invalid_argument] when [coarser] keeps an axis [finer]
+    removes. *)
+
+val project : edge -> t -> t
+(** Re-key a finer cuboid's key to the coarser cuboid of the edge. *)
 
 (** {2 The dictionary boundary} *)
 
 val of_parts :
-  layout ->
-  dicts:X3_pattern.Witness.Dict.t array ->
-  X3_lattice.Cuboid.t ->
-  string list ->
-  t option
+  shape -> dicts:X3_pattern.Witness.Dict.t array -> string list -> t option
 (** Coded key of a decoded value list (one string per present axis, axis
     order). [None] when some value is not in its axis dictionary — no group
     with that key exists. Raises [Invalid_argument] on arity mismatch. *)
 
 val to_parts :
-  layout ->
-  dicts:X3_pattern.Witness.Dict.t array ->
-  X3_lattice.Cuboid.t ->
-  t ->
-  string list
+  shape -> dicts:X3_pattern.Witness.Dict.t array -> t -> string list
 (** Decode back to the present axes' values, in axis order. *)
 
 (** {2 Serialisation for the external sort} *)
@@ -96,7 +101,7 @@ val to_sortable : t -> string
     total order grouping equal keys — what the sort-based algorithm
     needs. *)
 
-val of_sortable : layout -> string -> t
+val of_sortable : string -> t
 (** Raises [Invalid_argument] on malformed input. *)
 
 (** {2 Order and hashing} *)

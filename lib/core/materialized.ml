@@ -1,4 +1,3 @@
-module Lattice = X3_lattice.Lattice
 module Properties = X3_lattice.Properties
 module Witness = X3_pattern.Witness
 module Columnar = Witness.Columnar
@@ -9,8 +8,7 @@ module Columnar = Witness.Columnar
    cell once installed is replaced, never mutated. *)
 type t = {
   cuboid_id : int;
-  lattice : Lattice.t;
-  layout : Group_key.layout;
+  shape : Group_key.shape;
   dicts : Witness.Dict.t array;
   cells : Aggregate.cell Group_key.Tbl.t;
 }
@@ -18,13 +16,10 @@ type t = {
 let cuboid_id t = t.cuboid_id
 let group_count t = Group_key.Tbl.length t.cells
 
-let states t = Lattice.cuboid t.lattice t.cuboid_id
-
 let empty (ctx : Context.t) cuboid =
   {
     cuboid_id = cuboid;
-    lattice = ctx.lattice;
-    layout = ctx.layout;
+    shape = ctx.shapes.(cuboid);
     dicts = Witness.dicts ctx.table;
     cells = Group_key.Tbl.create 64;
   }
@@ -41,16 +36,16 @@ let materialize (ctx : Context.t) ~props ~cuboid =
   t
 
 (* The ingest delta patch over the appended rows [from_row, rows) of the
-   context's columns, which must be over the table (and layout) the view
+   context's columns, which must be over the table (and key shape) the view
    was built on. A fact's rows are contiguous, so a per-fact [Seen] set
    adds each fresh fact once to each group it represents itself in,
    whatever the view's disjointness. The group's cell is replaced by a
    copy plus the fact. There is no checkpoint: a patch stopped halfway
    would leave the view out of step with its table. *)
 let apply_rows (ctx : Context.t) t ~from_row =
-  let c = states t in
   let cols = Context.cols ctx in
-  let scratch = Group_key.make_scratch t.layout in
+  let cur = Radix.cursor t.shape cols in
+  let scratch = Group_key.make_scratch t.shape in
   let seen = Group_key.Seen.create () in
   let current = ref (-1) in
   let added = ref 0 in
@@ -60,8 +55,7 @@ let apply_rows (ctx : Context.t) t ~from_row =
       current := fact;
       Group_key.Seen.reset seen
     end;
-    if X3_lattice.Cuboid.represents c cols ~row:r then begin
-      Group_key.load_cols scratch c cols ~row:r;
+    if Radix.load cur scratch r && Radix.first_on_removed cur r then begin
       ctx.instr.Instrument.keys_built <- ctx.instr.Instrument.keys_built + 1;
       if Group_key.Seen.add seen scratch then begin
         let key = Group_key.freeze scratch in
@@ -88,7 +82,7 @@ let approx_bytes t = 128 + (group_cost * Group_key.Tbl.length t.cells)
 let cells t =
   Group_key.Tbl.fold
     (fun key cell acc ->
-      (Group_key.to_parts t.layout ~dicts:t.dicts (states t) key, cell) :: acc)
+      (Group_key.to_parts t.shape ~dicts:t.dicts key, cell) :: acc)
     t.cells []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -103,7 +97,7 @@ let rollup (ctx : Context.t) ~props t ~coarser =
       Ok rolled
 
 (* The result is over the view's own table (same dictionaries, same key
-   layout) — true by construction for the session that built both — so
+   shapes) — true by construction for the session that built both — so
    keys and cells are copied as they are. *)
 let to_result t result =
   Group_key.Tbl.iter

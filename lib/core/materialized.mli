@@ -48,4 +48,4 @@ val rollup :
 
 val to_result : t -> Cube_result.t -> unit
 (** Copy the view's coded keys and cells into a cube result over the
-    same table and layout ({!Engine.Session.result_of_views}). *)
+    same table and key shapes ({!Engine.Session.result_of_views}). *)

@@ -1,5 +1,4 @@
 module Lattice = X3_lattice.Lattice
-module Cuboid = X3_lattice.Cuboid
 module Columnar = X3_pattern.Witness.Columnar
 
 (* NAIVE over the columnar view: one instrumented scan builds the columns,
@@ -7,7 +6,7 @@ module Columnar = X3_pattern.Witness.Columnar
    domain. NAIVE is the semantic oracle every other family is checked
    against, so it stays serial at any requested worker count. The
    grouping strategy per cuboid comes from [Radix.plan] — a pure function
-   of (layout, cuboid, radix_bits). Dedup marks are fact-block indices: a
+   of (shape, radix_bits). Dedup marks are fact-block indices: a
    fact's rows are contiguous, so a per-slot stamp removes within-fact
    duplicates exactly as the per-block [Group_key.Seen] did. *)
 
@@ -27,7 +26,6 @@ let compute (ctx : Context.t) =
   let result = Cube_result.create ~table:ctx.table ctx.lattice in
   let instr = ctx.instr in
   let ids = Lattice.by_degree ctx.lattice in
-  let cuboids = Array.map (Lattice.cuboid ctx.lattice) ids in
   (* NAIVE has no spill path: its only growing structure is the result
      itself, booked at cuboid boundaries. A refused booking is immediately
      the floor: stop, keeping the cuboids aggregated so far. *)
@@ -50,21 +48,21 @@ let compute (ctx : Context.t) =
     let rows = Columnar.rows cols in
     let plans =
       Array.map
-        (Radix.plan ~layout:ctx.layout ~radix_bits:ctx.radix_bits)
-        cuboids
+        (fun cid -> Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid))
+        ids
     in
     note_strategies instr plans;
-    let scratch = Group_key.make_scratch ctx.layout in
     let seen = Group_key.Seen.create () in
     X3_obs.Trace.with_span "naive.aggregate" (fun () ->
         Array.iteri
-          (fun i cuboid ->
+          (fun i p ->
             Context.check ctx;
-            let p = plans.(i) in
+            let cur = Radix.cursor p.Radix.p_shape cols in
             (match p.Radix.p_strategy with
             | Radix.Hash ->
                 (* Block-major with per-block key dedup — the original
                    NAIVE inner loop, reading the columns. *)
+                let scratch = Group_key.make_scratch p.Radix.p_shape in
                 let cur_block = ref (-1) in
                 for r = 0 to rows - 1 do
                   Context.checkpoint ctx;
@@ -73,8 +71,8 @@ let compute (ctx : Context.t) =
                     cur_block := b;
                     Group_key.Seen.reset seen
                   end;
-                  if Cuboid.represents cuboid cols ~row:r then begin
-                    Group_key.load_cols scratch cuboid cols ~row:r;
+                  if Radix.load cur scratch r && Radix.first_on_removed cur r
+                  then begin
                     instr.Instrument.keys_built <-
                       instr.Instrument.keys_built + 1;
                     if Group_key.Seen.add seen scratch then
@@ -87,7 +85,6 @@ let compute (ctx : Context.t) =
             | Radix.Direct ->
                 Context.with_scratch ctx (Radix.acc_bytes p) (fun () ->
                     let acc = Radix.acc_create p in
-                    let cur = Radix.cursor p cols in
                     for r = 0 to rows - 1 do
                       Context.checkpoint ctx;
                       let k = Radix.key cur r in
@@ -98,15 +95,12 @@ let compute (ctx : Context.t) =
                         ignore (Radix.acc_add acc ~slot:k ~mark:b bm.(b))
                       end
                     done;
-                    Radix.acc_flush acc ~f:(fun compact cell ->
+                    Radix.acc_flush acc ~f:(fun k cell ->
                         Cube_result.set_cell result ~cuboid:ids.(i)
-                          ~key:
-                            (Radix.key_of_compact p ctx.Context.layout compact)
-                          cell))
+                          ~key:(Group_key.Packed k) cell))
             | Radix.Partitioned ->
                 Context.with_scratch ctx (Radix.partitioned_bytes p ~rows)
                   (fun () ->
-                    let cur = Radix.cursor p cols in
                     Radix.partitioned p ~rows
                       ~key:(fun r ->
                         Context.checkpoint ctx;
@@ -120,12 +114,10 @@ let compute (ctx : Context.t) =
                       ~fact:(fun r -> Columnar.block_of_row cols r)
                       ~measure:(fun r -> bm.(Columnar.block_of_row cols r))
                       ~dedup:true
-                      ~emit:(fun compact cell ->
+                      ~emit:(fun k cell ->
                         Cube_result.set_cell result ~cuboid:ids.(i)
-                          ~key:
-                            (Radix.key_of_compact p ctx.Context.layout compact)
-                          cell)));
+                          ~key:(Group_key.Packed k) cell)));
             book_result ())
-          cuboids);
+          plans);
     result
   with Context.Stop _ -> result

@@ -1,8 +1,8 @@
 (* Radix grouping kernels over the columnar witness layout.
 
-   A cuboid's group key is the concatenation of its present axes' packed
-   dictionary-id fields. Compacting those fields (dropping the removed
-   axes' zero fields) gives a dense integer domain of [p_bits] bits:
+   A cuboid's packed group key ([Group_key.shape]) is the concatenation of
+   its present axes' dictionary-id fields, a dense integer domain of
+   [bits] bits:
 
    - [Direct]       the whole domain fits a slot array — aggregate into
                     unboxed per-slot accumulators, no hashing, no per-row
@@ -10,11 +10,11 @@
    - [Partitioned]  the domain is larger: stable counting-sort scatter on
                     the key's high bits, then per-partition dense
                     aggregation over the low bits with generation stamps;
-   - [Hash]         the domain exceeds [radix_bits] (or keys do not pack):
-                    fall back to the [Group_key.Tbl] path.
+   - [Hash]         the domain exceeds [radix_bits]: fall back to the
+                    [Group_key.Tbl] path.
 
-   The choice is a pure function of (layout, cuboid, radix_bits), so a
-   run's strategies are identical at any worker count. *)
+   The choice is a pure function of (shape, radix_bits), so a run's
+   strategies are identical at any worker count. *)
 
 module State = X3_lattice.State
 module Columnar = X3_pattern.Witness.Columnar
@@ -33,109 +33,71 @@ let direct_bits_cap = 12
 let default_radix_bits = 20
 
 type plan = {
-  p_cuboid : State.t array;
-  p_present : int array;  (** axis indices the cuboid keeps, ascending *)
-  p_masks : int array;  (** validity-bit mask per present axis *)
-  p_shifts : int array;  (** compact bit offset per present axis *)
-  p_widths : int array;
-  p_bits : int;  (** compact key width *)
-  p_low_bits : int;  (** slot-array bits ([p_bits] when [Direct]) *)
+  p_shape : Group_key.shape;
+  p_low_bits : int;  (** slot-array bits (the key's bits when [Direct]) *)
   p_strategy : strategy;
 }
 
-let plan ~(layout : Group_key.layout) ~radix_bits cuboid =
-  let k = Array.length cuboid in
-  let present = ref [] in
-  for ai = k - 1 downto 0 do
-    match cuboid.(ai) with
-    | State.Removed -> ()
-    | State.Present m -> present := (ai, m) :: !present
-  done;
-  let present_axes = Array.of_list (List.map fst !present) in
-  let masks = Array.of_list (List.map (fun (_, m) -> 1 lsl m) !present) in
-  let widths = Array.map (fun ai -> layout.Group_key.widths.(ai)) present_axes in
-  let shifts = Array.make (Array.length widths) 0 in
-  let bits = ref 0 in
-  Array.iteri
-    (fun i w ->
-      shifts.(i) <- !bits;
-      bits := !bits + w)
-    widths;
-  let bits = !bits in
+(* A wide shape's bits exceed 62, so it is [Hash] at any sane
+   [radix_bits]; the packed test keeps a larger [radix_bits] safe. *)
+let plan ~radix_bits (s : Group_key.shape) =
+  let bits = s.Group_key.bits in
   let direct_bits = min direct_bits_cap radix_bits in
   let strategy =
-    if radix_bits <= 0 || not layout.Group_key.packed_fits then Hash
+    if radix_bits <= 0 || bits > radix_bits || not s.Group_key.packed then
+      Hash
     else if bits <= direct_bits then Direct
-    else if bits <= radix_bits then Partitioned
-    else Hash
+    else Partitioned
   in
   let low_bits = if strategy = Partitioned then direct_bits else bits in
-  {
-    p_cuboid = cuboid;
-    p_present = present_axes;
-    p_masks = masks;
-    p_shifts = shifts;
-    p_widths = widths;
-    p_bits = bits;
-    p_low_bits = low_bits;
-    p_strategy = strategy;
-  }
-
-(* Reconstruct the per-axis ids of a compact key and build the canonical
-   [Group_key.t] (which uses the layout's own offsets, not the compact
-   ones). *)
-let key_of_compact p (layout : Group_key.layout) compact =
-  let k = Array.length p.p_cuboid in
-  let ids = Array.make k 0 in
-  Array.iteri
-    (fun i ai ->
-      ids.(ai) <- (compact lsr p.p_shifts.(i)) land ((1 lsl p.p_widths.(i)) - 1))
-    p.p_present;
-  Group_key.of_axis_ids layout p.p_cuboid ids
+  { p_shape = s; p_low_bits = low_bits; p_strategy = strategy }
 
 (* --- cursors: the per-row qualification + compact-key path --------------- *)
 
 type cursor = {
+  u_packed : bool;
   u_ids : Columnar.int32_col array;  (** present axes' id columns *)
   u_tags : Columnar.tag_col array;
-  u_masks : int array;
+  u_masks : int array;  (** validity-bit mask per present axis *)
   u_shifts : int array;
   u_removed_tags : Columnar.tag_col array;  (** removed axes' tag columns *)
 }
 
-let cursor p cols =
-  let removed = ref [] in
+let cursor (s : Group_key.shape) cols =
+  let removed = ref [] and masks = ref [] in
   Array.iteri
     (fun ai state ->
       match state with
       | State.Removed -> removed := Columnar.tags cols ai :: !removed
-      | State.Present _ -> ())
-    p.p_cuboid;
+      | State.Present m -> masks := (1 lsl m) :: !masks)
+    s.Group_key.cuboid;
   {
-    u_ids = Array.map (Columnar.ids cols) p.p_present;
-    u_tags = Array.map (Columnar.tags cols) p.p_present;
-    u_masks = p.p_masks;
-    u_shifts = p.p_shifts;
+    u_packed = s.Group_key.packed;
+    u_ids = Array.map (Columnar.ids cols) s.Group_key.present;
+    u_tags = Array.map (Columnar.tags cols) s.Group_key.present;
+    u_masks = Array.of_list (List.rev !masks);
+    u_shifts = s.Group_key.shifts;
     u_removed_tags = Array.of_list !removed;
   }
 
+(* Is present field [i] of [row] bound and valid at the cuboid's state?
+   Its id when so, else -1. *)
+let[@inline] valid_id cur i row =
+  let id = Int32.to_int (Bigarray.Array1.unsafe_get cur.u_ids.(i) row) in
+  let tag = Bigarray.Array1.unsafe_get cur.u_tags.(i) row in
+  if id < 0 || tag land cur.u_masks.(i) = 0 then -1 else id
+
 (* Compact key of [row], or -1 when some present axis is unbound or not
-   valid at the cuboid's state — [Cuboid.qualifies] + [Group_key.load_cols]
-   fused into one pass over the hoisted columns. A [while] loop rather
-   than a local recursive function: the latter would allocate a closure
-   on every call, i.e. per row per cuboid. *)
+   valid at the cuboid's state — [Cuboid.qualifies] and the key fused into
+   one pass over the hoisted columns. A [while] loop rather than a local
+   recursive function: the latter would allocate a closure on every call,
+   i.e. per row per cuboid. *)
 let key cur row =
   let n = Array.length cur.u_ids in
   let acc = ref 0 and i = ref 0 in
   while !i < n do
-    let id =
-      Int32.to_int (Bigarray.Array1.unsafe_get cur.u_ids.(!i) row)
-    in
-    if
-      id < 0
-      || Bigarray.Array1.unsafe_get cur.u_tags.(!i) row land cur.u_masks.(!i)
-         = 0
-    then begin
+    let id = valid_id cur !i row in
+    if id < 0 then begin
       acc := -1;
       i := n
     end
@@ -145,6 +107,28 @@ let key cur row =
     end
   done;
   !acc
+
+(* The hash tier's row path: [key] for a packed shape, the present ids
+   into the scratch for a wide one. *)
+let load cur scratch row =
+  if cur.u_packed then begin
+    let k = key cur row in
+    Group_key.set_packed scratch k;
+    k >= 0
+  end
+  else begin
+    let n = Array.length cur.u_ids in
+    let i = ref 0 in
+    while !i < n do
+      let id = valid_id cur !i row in
+      if id < 0 then i := n + 1
+      else begin
+        Group_key.set_field scratch !i id;
+        incr i
+      end
+    done;
+    !i = n
+  end
 
 (* Does [row] hold the fact's first binding on every removed axis — the
    representative half of [Cuboid.represents]. *)
@@ -237,14 +221,14 @@ let acc_flush a ~f =
 
 let partitioned_bytes p ~rows =
   (16 * rows) (* keys + scatter *)
-  + (8 lsl max 0 (p.p_bits - p.p_low_bits)) (* partition offsets *)
+  + (8 lsl max 0 (p.p_shape.Group_key.bits - p.p_low_bits)) (* partitions *)
   + ((slot_cost + 16) * (1 lsl p.p_low_bits)) (* slots + gen + mark *)
   + 512
 
 let partitioned p ~rows ~key ~fact ~measure ~dedup ~emit =
   let low_bits = p.p_low_bits in
   let low_mask = (1 lsl low_bits) - 1 in
-  let parts = 1 lsl (p.p_bits - low_bits) in
+  let parts = 1 lsl (p.p_shape.Group_key.bits - low_bits) in
   let keys = Array.make (max 1 rows) 0 in
   let counts = Array.make (parts + 1) 0 in
   for r = 0 to rows - 1 do

@@ -1,17 +1,17 @@
 (** Radix grouping kernels over the columnar witness layout.
 
-    A cuboid's compact key domain is the concatenation of its present
-    axes' dictionary-id fields. When that domain is small the group table
-    is a dense unboxed slot array (no hashing, no per-row allocation);
-    when it is moderate, rows are radix-partitioned on the key's high
-    bits and each partition aggregates densely; beyond [radix_bits] (or
-    when keys do not pack into one int) the algorithms fall back to the
-    {!Group_key.Tbl} hash path.
+    A cuboid's packed key ({!Group_key.shape}) concatenates its present
+    axes' dictionary-id fields, and that compact domain is the group
+    table's index: when it is small the table is a dense unboxed slot
+    array (no hashing, no per-row allocation); when it is moderate, rows
+    are radix-partitioned on the key's high bits and each partition
+    aggregates densely; beyond [radix_bits] the algorithms fall back to
+    the {!Group_key.Tbl} hash path. A slot's index is its group's
+    [Group_key.Packed] key, so results need no re-keying.
 
-    Strategy selection is a pure function of (layout, cuboid,
-    radix_bits) — never of budgets or worker counts — so a run's
-    strategies, and therefore its [cube.*] counters, are identical at any
-    parallelism. *)
+    Strategy selection is a pure function of (shape, radix_bits) — never
+    of budgets or worker counts — so a run's strategies, and therefore its
+    [cube.*] counters, are identical at any parallelism. *)
 
 type strategy = Direct | Partitioned | Hash
 
@@ -28,34 +28,32 @@ val default_radix_bits : int
     radix tiers entirely — the hash side of the bench A/B. *)
 
 type plan = {
-  p_cuboid : X3_lattice.State.t array;
-  p_present : int array;
-  p_masks : int array;
-  p_shifts : int array;
-  p_widths : int array;
-  p_bits : int;
-  p_low_bits : int;
+  p_shape : Group_key.shape;
+  p_low_bits : int;  (** slot-array bits *)
   p_strategy : strategy;
 }
 
-val plan :
-  layout:Group_key.layout -> radix_bits:int -> X3_lattice.State.t array -> plan
-
-val key_of_compact : plan -> Group_key.layout -> int -> Group_key.t
-(** The canonical group key of a compact key (re-spreads the compact
-    fields onto the layout's own offsets). *)
+val plan : radix_bits:int -> Group_key.shape -> plan
+(** [Hash] exactly when the cuboid's own bits exceed [radix_bits] (or
+    its keys are wide, past 62 bits). *)
 
 (** {1 Cursors — per-row qualification and compact keys}
 
-    Both per-row functions allocate nothing. *)
+    The per-row functions allocate nothing. *)
 
 type cursor
 
-val cursor : plan -> X3_pattern.Witness.Columnar.t -> cursor
+val cursor : Group_key.shape -> X3_pattern.Witness.Columnar.t -> cursor
 
 val key : cursor -> int -> int
 (** Compact key of a row index, or [-1] when some present axis is unbound
-    or invalid at the cuboid's state (the row does not qualify). *)
+    or invalid at the cuboid's state (the row does not qualify). Packed
+    shapes only. *)
+
+val load : cursor -> Group_key.scratch -> int -> bool
+(** Qualify a row index and load its key into a scratch of the cursor's
+    shape — the hash tier's row path, packed or wide. [false] when the
+    row does not qualify. *)
 
 val first_on_removed : cursor -> int -> bool
 (** Does the row hold the fact's first binding on every removed axis —

@@ -59,8 +59,7 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~polls ~budget_records
   in
   let cols = Context.cols ctx in
   let bm = Context.block_measures ctx cols in
-  let cuboid = Lattice.cuboid ctx.lattice cid in
-  let p = Radix.plan ~layout:ctx.layout ~radix_bits:ctx.radix_bits cuboid in
+  let p = Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid) in
   let sp =
     Trace.start "td.base"
       ~attrs:
@@ -84,12 +83,12 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~polls ~budget_records
   let dedup = mode = `Dedup in
   let representative = mode = `Representative in
   let measure_row r = bm.(Columnar.block_of_row cols r) in
+  let cur = Radix.cursor p.Radix.p_shape cols in
   match p.Radix.p_strategy with
   | Radix.Direct ->
       instr.Instrument.radix_groupings <-
         instr.Instrument.radix_groupings + 1;
       let acc = Radix.acc_create p in
-      let cur = Radix.cursor p cols in
       for r = 0 to rows - 1 do
         checkpoint ();
         let k = Radix.key cur r in
@@ -107,14 +106,11 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~polls ~budget_records
           else ignore (Radix.acc_add_raw acc ~slot:k (measure_row r))
         end
       done;
-      Radix.acc_flush acc ~f:(fun compact cell ->
-          Group_key.Tbl.replace into
-            (Radix.key_of_compact p ctx.Context.layout compact)
-            cell)
+      Radix.acc_flush acc ~f:(fun k cell ->
+          Group_key.Tbl.replace into (Group_key.Packed k) cell)
   | Radix.Partitioned ->
       instr.Instrument.radix_groupings <-
         instr.Instrument.radix_groupings + 1;
-      let cur = Radix.cursor p cols in
       Radix.partitioned p ~rows
         ~key:(fun r ->
           checkpoint ();
@@ -131,30 +127,26 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~polls ~budget_records
           else -1)
         ~fact:(fun r -> Columnar.fact cols r)
         ~measure:measure_row ~dedup
-        ~emit:(fun compact cell ->
-          Group_key.Tbl.replace into
-            (Radix.key_of_compact p ctx.Context.layout compact)
-            cell)
+        ~emit:(fun k cell ->
+          Group_key.Tbl.replace into (Group_key.Packed k) cell)
   | Radix.Hash ->
       instr.Instrument.hash_groupings <- instr.Instrument.hash_groupings + 1;
       instr.Instrument.sort_ops <- instr.Instrument.sort_ops + 1;
-      let keep =
-        if representative then Cuboid.represents cuboid cols
-        else Cuboid.qualifies cuboid cols
-      in
-      let scratch = Group_key.make_scratch ctx.layout in
+      let scratch = Group_key.make_scratch p.Radix.p_shape in
       let fed = ref 0 in
       let sorted =
         External_sort.sort_records ~pool ~budget_records
           ~compare:Sort_record.compare (fun emit ->
             for r = 0 to rows - 1 do
               checkpoint ();
-              if keep ~row:r then begin
+              if
+                Radix.load cur scratch r
+                && ((not representative) || Radix.first_on_removed cur r)
+              then begin
                 incr fed;
                 (* Sort on the order-preserving byte form of the coded key:
                    String.compare groups equal keys just as well, and the
                    record stays a flat string for the external sorter. *)
-                Group_key.load_cols scratch cuboid cols ~row:r;
                 instr.Instrument.keys_built <-
                   instr.Instrument.keys_built + 1;
                 emit
@@ -183,7 +175,7 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~polls ~budget_records
           if not same_group then begin
             current_key := Some key;
             current_cell :=
-              Some (cell_in into (Group_key.of_sortable ctx.layout key))
+              Some (cell_in into (Group_key.of_sortable key))
           end;
           let duplicate = dedup && same_group && fact = !prev_fact in
           if not duplicate then begin
@@ -208,11 +200,13 @@ let rollup (ctx : Context.t) ~finer cells ~coarser into =
     (fun () ->
       let instr = ctx.instr in
       instr.Instrument.rollups <- instr.Instrument.rollups + 1;
-      let coarse = Lattice.cuboid ctx.lattice coarser in
+      let edge =
+        Group_key.edge ~finer:ctx.shapes.(finer) ~coarser:ctx.shapes.(coarser)
+      in
       Group_key.Tbl.iter
         (fun key cell ->
           Aggregate.merge
-            ~into:(cell_in into (Group_key.project ctx.layout ~to_:coarse key))
+            ~into:(cell_in into (Group_key.project edge key))
             cell)
         cells)
 
@@ -239,10 +233,7 @@ let sort_allowance (ctx : Context.t) ~lanes =
    the governor books around the computation. 0 on the hash path, whose
    footprint is the sort budget instead. *)
 let base_scratch_bytes (ctx : Context.t) ~rows cid =
-  let p =
-    Radix.plan ~layout:ctx.layout ~radix_bits:ctx.radix_bits
-      (Lattice.cuboid ctx.lattice cid)
-  in
+  let p = Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid) in
   match p.Radix.p_strategy with
   | Radix.Direct -> Radix.acc_bytes p
   | Radix.Partitioned -> Radix.partitioned_bytes p ~rows

@@ -49,9 +49,9 @@ val compute_from_base :
   Aggregate.cell Group_key.Tbl.t ->
   unit
 (** One cuboid from the context's columns into its cell table: radix
-    Direct/Partitioned where the layout allows, else hash + external
-    sort over [pool]. Counts into [instr]; checkpoints every row when
-    [polls] (calling domain only). *)
+    Direct/Partitioned where the cuboid's key shape allows, else hash +
+    external sort over [pool]. Counts into [instr]; checkpoints every row
+    when [polls] (calling domain only). *)
 
 val rollup :
   Context.t ->

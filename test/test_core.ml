@@ -57,11 +57,15 @@ let parts_roundtrip parts =
            d)
          parts)
   in
-  let layout = Group_key.layout_of_sizes (Array.map Witness.Dict.size dicts) in
-  let cuboid = Array.map (fun _ -> X3_lattice.State.Present 0) dicts in
-  match Group_key.of_parts layout ~dicts cuboid parts with
+  let shape =
+    Group_key.shape
+      ~widths:
+        (Array.map (fun d -> Group_key.bits_for (Witness.Dict.size d)) dicts)
+      (Array.map (fun _ -> X3_lattice.State.Present 0) dicts)
+  in
+  match Group_key.of_parts shape ~dicts parts with
   | None -> None
-  | Some key -> Some (Group_key.to_parts layout ~dicts cuboid key)
+  | Some key -> Some (Group_key.to_parts shape ~dicts key)
 
 let test_key_roundtrip () =
   let parts = [ "John"; ""; "20,03"; "x\x00y"; String.make 70_000 'v' ] in
@@ -526,10 +530,11 @@ let test_counter_budget_one () =
     (Cube_result.equal ~func:Aggregate.Count reference result);
   Alcotest.(check bool) "many passes" true (instr.Instrument.passes >= 10)
 
-(* --- packed integer keys ------------------------------------------------- *)
+(* --- per-cuboid group keys ------------------------------------------------ *)
 
-(* Random axis dictionary sizes (some 2^30-sized to force the wide
-   fallback), one id per axis, and a random present/removed cuboid. *)
+(* Random axis dictionary sizes (some 2^30-sized, so a cuboid keeping
+   three of them is wide), one id per axis, and a random present/removed
+   cuboid. *)
 let gen_packed_case =
   let open QCheck2.Gen in
   let* sizes =
@@ -543,44 +548,110 @@ let gen_packed_case =
 let cuboid_of_bools bools =
   Array.map (fun p -> if p then present 0 else removed) bools
 
+let shape_of_sizes sizes bools =
+  Group_key.shape
+    ~widths:(Array.map Group_key.bits_for sizes)
+    (cuboid_of_bools bools)
+
+(* [gen_packed_case]'s sizes and cuboid plus 2-6 rows, each cell an id
+   (sometimes unbound) and a validity (sometimes 0, invalid at the
+   cuboid's state 0). *)
+let gen_rows_case =
+  let open QCheck2.Gen in
+  let* sizes, _, bools = gen_packed_case in
+  let cell n =
+    pair
+      (frequency [ (1, return (-1)); (6, int_bound (n - 1)) ])
+      (frequency [ (1, return 0); (6, return 1) ])
+  in
+  let* rows =
+    list_size (int_range 2 6)
+      (flatten_l (List.map cell (Array.to_list sizes)))
+  in
+  return (sizes, bools, List.map Array.of_list rows)
+
+(* Every key path agrees on every qualifying row: [Radix.load] into a
+   scratch, [Radix.key]'s compact key and [of_axis_ids]. A key is [Packed]
+   iff the cuboid's own present-axis bits are <= 62, its fields read back
+   the ids, and its sortable form round-trips and orders like
+   [Group_key.compare]. *)
 let prop_packed_key_roundtrip =
   QCheck2.Test.make ~name:"packed key roundtrip (incl. wide fallback)"
-    ~count:300 gen_packed_case (fun (sizes, ids, bools) ->
-      let layout = Group_key.layout_of_sizes sizes in
-      let cuboid = cuboid_of_bools bools in
-      let key = Group_key.of_axis_ids layout cuboid ids in
-      let ids_survive =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun ai p -> (not p) || Group_key.id_at layout key ~axis:ai = ids.(ai))
-             bools)
+    ~count:300 gen_rows_case (fun (sizes, bools, rows) ->
+      let shape = shape_of_sizes sizes bools in
+      let own_bits = ref 0 in
+      Array.iteri
+        (fun ai p ->
+          if p then own_bits := !own_bits + Group_key.bits_for sizes.(ai))
+        bools;
+      let cols =
+        cols_of_rows ~axes:(Array.length sizes)
+          (List.mapi
+             (fun fact row ->
+               {
+                 Witness.fact;
+                 cells =
+                   Array.map
+                     (fun (id, validity) ->
+                       { Witness.id; validity; first = true })
+                     row;
+               })
+             rows)
       in
-      let representation_matches =
-        match key with
-        | Group_key.Packed _ -> layout.Group_key.packed_fits
-        | Group_key.Wide _ -> not layout.Group_key.packed_fits
-      in
-      let sortable_roundtrips =
-        Group_key.equal key
-          (Group_key.of_sortable layout (Group_key.to_sortable key))
-      in
-      (* The allocation-free scratch path builds the same key from a row. *)
-      let row =
-        {
-          Witness.fact = 0;
-          cells =
-            Array.map
-              (fun id -> { Witness.id; validity = 1; first = true })
-              ids;
-        }
-      in
-      let scratch = Group_key.make_scratch layout in
-      Group_key.load_cols scratch cuboid
-        (cols_of_rows ~axes:(Array.length ids) [ row ])
-        ~row:0;
-      ids_survive && representation_matches && sortable_roundtrips
-      && Group_key.equal key (Group_key.freeze scratch))
+      let cur = Radix.cursor shape cols in
+      let scratch = Group_key.make_scratch shape in
+      let ok = ref (shape.Group_key.bits = !own_bits) in
+      let keys = ref [] in
+      List.iteri
+        (fun r row ->
+          let qualifies =
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun ai (id, validity) ->
+                   (not bools.(ai)) || (id >= 0 && validity = 1))
+                 row)
+          in
+          ok := !ok && Radix.load cur scratch r = qualifies;
+          if shape.Group_key.packed then
+            ok := !ok && Radix.key cur r >= 0 = qualifies;
+          if qualifies then begin
+            let ids = Array.map fst row in
+            let key = Group_key.of_axis_ids shape ids in
+            let form_ok =
+              match key with
+              | Group_key.Packed k -> !own_bits <= 62 && Radix.key cur r = k
+              | Group_key.Wide _ -> !own_bits > 62
+            in
+            let fields_ok =
+              Array.for_all Fun.id
+                (Array.mapi
+                   (fun j ai -> Group_key.field shape key j = ids.(ai))
+                   shape.Group_key.present)
+            in
+            ok :=
+              !ok && form_ok && fields_ok
+              && Group_key.equal key (Group_key.freeze scratch)
+              && Group_key.equal key
+                   (Group_key.of_sortable (Group_key.to_sortable key));
+            keys := key :: !keys
+          end)
+        rows;
+      let sign c = Int.compare c 0 in
+      !ok
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 sign
+                   (String.compare (Group_key.to_sortable a)
+                      (Group_key.to_sortable b))
+                 = sign (Group_key.compare a b))
+               !keys)
+           !keys)
 
+(* [project] along every lattice edge out of the cuboid (one present
+   axis removed), and along a drawn multi-step coarsening, equals the key
+   built directly at the coarser cuboid — packed or wide on either side. *)
 let prop_packed_key_project =
   QCheck2.Test.make ~name:"packed key projection drops removed axes"
     ~count:300
@@ -588,20 +659,22 @@ let prop_packed_key_project =
       pair gen_packed_case
         (list_size (int_range 1 6) bool))
     (fun ((sizes, ids, bools), keep) ->
-      let layout = Group_key.layout_of_sizes sizes in
-      let cuboid = cuboid_of_bools bools in
+      let finer = shape_of_sizes sizes bools in
+      let key = Group_key.of_axis_ids finer ids in
       let keep = Array.of_list keep in
-      let coarser =
-        Array.mapi
-          (fun ai p ->
-            if p && ai < Array.length keep && keep.(ai) then present 0
-            else removed)
-          bools
+      let coarsenings =
+        Array.mapi (fun ai p -> p && ai < Array.length keep && keep.(ai)) bools
+        :: List.map
+             (fun drop -> Array.mapi (fun ai p -> p && ai <> drop) bools)
+             (Array.to_list finer.Group_key.present)
       in
-      let key = Group_key.of_axis_ids layout cuboid ids in
-      Group_key.equal
-        (Group_key.project layout ~to_:coarser key)
-        (Group_key.of_axis_ids layout coarser ids))
+      List.for_all
+        (fun coarse ->
+          let coarser = shape_of_sizes sizes coarse in
+          Group_key.equal
+            (Group_key.project (Group_key.edge ~finer ~coarser) key)
+            (Group_key.of_axis_ids coarser ids))
+        coarsenings)
 
 let test_long_value_kept_whole () =
   (* Group keys once carried u16 component lengths, which silently
@@ -1358,6 +1431,92 @@ let test_radix_hash_identity_treebank () =
   in
   check_radix_hash_identity "treebank" p
 
+(* A sparse treebank whose axis widths sum past 62 bits (63 at 7 axes
+   and 700 trees): 284 of its 288 cuboids still pack on their own present
+   axes, the 4 finest are wide. Every
+   family, at either grouping tier and worker count, must export what
+   NAIVE does, and projecting a key along any lattice edge must give the
+   key built directly at the coarser cuboid. *)
+let test_wide_layout_whole_cube () =
+  let config =
+    {
+      X3_workload.Treebank.default with
+      num_trees = 700;
+      axes = 7;
+      coverage = false;
+    }
+  in
+  let p =
+    Engine.prepare ~pool:(small_pool ())
+      ~store:(X3_xdb.Store.of_document (X3_workload.Treebank.generate config))
+      (X3_workload.Treebank.spec config)
+  in
+  let ctx = context_of p in
+  let shapes = ctx.Context.shapes in
+  let total = Array.fold_left ( + ) 0 ctx.Context.widths in
+  let packed =
+    Array.fold_left
+      (fun n s -> if s.Group_key.packed then n + 1 else n)
+      0 shapes
+  in
+  let radix =
+    Array.fold_left
+      (fun n s ->
+        match
+          (Radix.plan ~radix_bits:Radix.default_radix_bits s).Radix.p_strategy
+        with
+        | Radix.Hash -> n
+        | Radix.Direct | Radix.Partitioned -> n + 1)
+      0 shapes
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "axis widths sum to %d > 62 bits" total)
+    true (total > 62);
+  Alcotest.(check bool) "packed and wide cuboids mix" true
+    (packed > 0 && packed < Array.length shapes);
+  Alcotest.(check bool) "some cuboid groups on a radix tier" true (radix > 0);
+  let csv r = Export.csv_string ~func:Aggregate.Count r in
+  let naive, _ = Engine.run p Engine.Naive in
+  let reference = csv naive in
+  List.iter
+    (fun radix_bits ->
+      let config = { Engine.default_config with Engine.radix_bits } in
+      List.iter
+        (fun algorithm ->
+          List.iter
+            (fun workers ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, radix_bits %d, %d workers = NAIVE"
+                   (Engine.algorithm_to_string algorithm)
+                   radix_bits workers)
+                reference
+                (csv (fst (Engine.run ~config ~workers p algorithm))))
+            [ 1; 2 ])
+        Engine.[ Counter; Buc; Td; Tdcust ])
+    [ 0; Radix.default_radix_bits ];
+  let lattice = Engine.lattice p in
+  for coarser = 0 to X3_lattice.Lattice.size lattice - 1 do
+    List.iter
+      (fun finer ->
+        let edge =
+          Group_key.edge ~finer:shapes.(finer) ~coarser:shapes.(coarser)
+        in
+        Cube_result.iter_cuboid naive finer (fun key _ ->
+            let ids = Array.make (Array.length ctx.Context.widths) 0 in
+            Array.iteri
+              (fun j ai -> ids.(ai) <- Group_key.field shapes.(finer) key j)
+              shapes.(finer).Group_key.present;
+            if
+              not
+                (Group_key.equal
+                   (Group_key.project edge key)
+                   (Group_key.of_axis_ids shapes.(coarser) ids))
+            then
+              Alcotest.failf "edge %d -> %d: projection differs" finer
+                coarser))
+      (X3_lattice.Lattice.children lattice coarser)
+  done
+
 (* --- allocation pins --------------------------------------------------------- *)
 
 (* Words allocated while [f] runs, minor and major heap alike (arrays past
@@ -1386,12 +1545,12 @@ let test_radix_row_path_allocation_free () =
         })
   in
   let cols = cols_of_rows ~axes:3 rows in
-  let layout = Group_key.layout_of_sizes [| 5; 3; 7 |] in
-  let p =
-    Radix.plan ~layout ~radix_bits:Radix.default_radix_bits
+  let shape =
+    Group_key.shape
+      ~widths:(Array.map Group_key.bits_for [| 5; 3; 7 |])
       X3_lattice.State.[| Removed; Present 1; Removed |]
   in
-  let cur = Radix.cursor p cols in
+  let cur = Radix.cursor shape cols in
   let hits = ref 0 in
   let before = Gc.minor_words () in
   for i = 0 to 9_999 do
@@ -1450,9 +1609,11 @@ let test_buc_dedup_allocation_bound () =
 (* --- Seen compaction ------------------------------------------------------- *)
 
 let test_seen_compaction () =
-  let layout = Group_key.layout_of_sizes [| 65536 |] in
-  let scratch = Group_key.make_scratch layout in
-  let cuboid = [| X3_lattice.State.Present 0 |] in
+  let shape =
+    Group_key.shape ~widths:[| Group_key.bits_for 65536 |]
+      [| X3_lattice.State.Present 0 |]
+  in
+  let scratch = Group_key.make_scratch shape in
   let seen = Group_key.Seen.create () in
   (* Row [v] holds fact [v] and id [v]. *)
   let cols =
@@ -1463,13 +1624,14 @@ let test_seen_compaction () =
              cells = [| { Witness.id = v; validity = 1; first = true } |];
            }))
   in
+  let cur = Radix.cursor shape cols in
   (* Thousands of tiny generations with mostly-fresh keys: the cache must
      track the widest single generation, not the union of every key the
      scan ever produced. *)
   for g = 0 to 2_000 do
     Group_key.Seen.reset seen;
     for i = 0 to 4 do
-      Group_key.load_cols scratch cuboid cols ~row:((g * 5) + i);
+      ignore (Radix.load cur scratch ((g * 5) + i) : bool);
       ignore (Group_key.Seen.add seen scratch)
     done
   done;
@@ -1477,7 +1639,7 @@ let test_seen_compaction () =
     (Group_key.Seen.table_size seen <= 256);
   (* Dedup semantics survive compaction. *)
   Group_key.Seen.reset seen;
-  Group_key.load_cols scratch cuboid cols ~row:1;
+  ignore (Radix.load cur scratch 1 : bool);
   Alcotest.(check bool) "fresh key reported fresh" true
     (Group_key.Seen.add seen scratch);
   Alcotest.(check bool) "repeat key reported seen" false
@@ -2234,12 +2396,11 @@ let legacy_json_string s =
   Buffer.contents buf
 
 let legacy_groups result id =
-  let cuboid = X3_lattice.Lattice.cuboid (Cube_result.lattice result) id in
   let dicts = Witness.dicts (Cube_result.table result) in
   let groups = ref [] in
   Cube_result.iter_cuboid result id (fun key cell ->
       let parts =
-        Group_key.to_parts (Cube_result.layout result) ~dicts cuboid key
+        Group_key.to_parts (Cube_result.shape result id) ~dicts key
       in
       groups := (parts, cell) :: !groups);
   List.sort legacy_order !groups
@@ -2687,6 +2848,8 @@ let () =
             test_radix_hash_identity_treebank;
           Alcotest.test_case "BUC quicksorts small partitions" `Quick
             test_buc_small_partitions_quicksort;
+          Alcotest.test_case "wide layout: every family = NAIVE" `Quick
+            test_wide_layout_whole_cube;
         ] );
       ( "allocation pins",
         [
