@@ -99,8 +99,7 @@ module Staged = struct
 end
 
 (* --- row-group records ---------------------------------------------------- *)
-(* The table's one stored form, on its heap pages and in its snapshot
-   alike. A record holds the consecutive rows [start, start + count),
+(* The table's one stored form, on its heap pages. A record holds the consecutive rows [start, start + count),
    column by column, and is sized to fit one page:
      'G' | start u32 | count u32 | fact u32 x count |
      per axis: id int32 x count | tag u8 x count
@@ -515,106 +514,6 @@ let columnar_of_table ?(poll = ignore) t =
 let to_list t =
   let cols = columnar_of_table t in
   List.init (Columnar.rows cols) (Columnar.row cols)
-
-(* --- snapshot persistence ---------------------------------------------- *)
-(* A witness table as one atomic snapshot: a header record, one 'D' record
-   per dictionary value ('D' | axis u8 | value bytes, in id order), then
-   the heap's row-group records unchanged. The snapshot store supplies
-   atomicity and checksums. *)
-
-let snapshot_header k ~facts ~rows =
-  let buf = Buffer.create 12 in
-  Buffer.add_char buf 'H';
-  Buffer.add_char buf (Char.chr (k land 0xFF));
-  let add_u32 v =
-    for shift = 0 to 3 do
-      Buffer.add_char buf (Char.chr ((v lsr (8 * shift)) land 0xFF))
-    done
-  in
-  add_u32 facts;
-  add_u32 rows;
-  Buffer.contents buf
-
-let parse_snapshot_header record =
-  if String.length record <> 10 || record.[0] <> 'H' then
-    Error "witness snapshot: bad header record"
-  else Ok (Char.code record.[1], u32 record 2, u32 record 6)
-
-let save t store =
-  let dict_records =
-    List.concat
-      (List.mapi
-         (fun ai d ->
-           List.init (Dict.size d) (fun id ->
-               Printf.sprintf "D%c%s" (Char.chr ai) (Dict.value d id)))
-         (Array.to_list t.dicts))
-  in
-  let groups =
-    List.rev (X3_storage.Heap_file.fold (fun acc r -> r :: acc) [] t.heap)
-  in
-  X3_storage.Snapshot_store.commit store
-    ((snapshot_header (Array.length t.axes) ~facts:t.facts ~rows:t.rows
-     :: dict_records)
-    @ groups)
-
-(* A stored value: the next id of its axis's dictionary. *)
-let load_value dicts record =
-  if String.length record < 2 then invalid_arg "witness snapshot: truncated value";
-  let ai = Char.code record.[1] in
-  if ai >= Array.length dicts then
-    invalid_arg "witness snapshot: value axis out of range";
-  let d = dicts.(ai) in
-  let id = Dict.size d in
-  if Dict.intern d (String.sub record 2 (String.length record - 2)) <> id then
-    invalid_arg "witness snapshot: duplicate dictionary value"
-
-(* A stored row group: the next rows of the table, every id in its
-   dictionary. Returns the row count it reaches. *)
-let check_group dicts ~rows ~next record =
-  let k = Array.length dicts in
-  let start, count = group_span k record in
-  if start <> next then invalid_arg "witness snapshot: row group out of order";
-  if start + count > rows then
-    invalid_arg "witness snapshot: row group past the row count";
-  for ai = 0 to k - 1 do
-    let ids = axis_offset ~count ai and size = Dict.size dicts.(ai) in
-    for i = 0 to count - 1 do
-      let id = Int32.to_int (String.get_int32_le record (ids + (4 * i))) in
-      if id < null_id || id >= size then
-        invalid_arg "witness snapshot: id outside its dictionary"
-    done
-  done;
-  start + count
-
-let load store pool ~axes =
-  match X3_storage.Snapshot_store.read store with
-  | [] -> Error "witness snapshot: empty store"
-  | header :: records -> (
-      match parse_snapshot_header header with
-      | Error _ as e -> e
-      | Ok (k, _, _) when k <> Array.length axes ->
-          Error
-            (Printf.sprintf "witness snapshot: %d axes on disk, %d expected" k
-               (Array.length axes))
-      | Ok (_, facts, rows) -> (
-          let t = { (empty pool ~axes) with rows; facts } in
-          let next = ref 0 in
-          let add record =
-            match if record = "" then '\000' else record.[0] with
-            | 'D' when !next = 0 -> load_value t.dicts record
-            | 'G' ->
-                next := check_group t.dicts ~rows ~next:!next record;
-                X3_storage.Heap_file.append t.heap record
-            | c ->
-                invalid_arg
-                  (Printf.sprintf "witness snapshot: unexpected record %C" c)
-          in
-          match
-            List.iter add records;
-            if !next <> rows then invalid_arg "witness snapshot: rows missing"
-          with
-          | exception Invalid_argument msg -> Error msg
-          | () -> Ok t))
 
 let pp_row ppf row =
   Format.fprintf ppf "@[<h>fact=%d" row.fact;

@@ -15,11 +15,11 @@
     algorithms group on packed integers (see [X3_core.Group_key]); strings
     are only rebuilt at the export boundary.
 
-    The file holds {e row-group records}, one format on the heap pages and
-    in the snapshot alike: each record carries the consecutive rows
-    [\[start, start + count)] column by column — the fact column, then per
-    axis a 32-bit id column and a tag byte column — sized to fit one page.
-    Reading the table copies those columns into the {!Columnar} view.
+    The file holds {e row-group records} on its heap pages: each record
+    carries the consecutive rows [\[start, start + count)] column by
+    column — the fact column, then per axis a 32-bit id column and a tag
+    byte column — sized to fit one page. Reading the table copies those
+    columns into the {!Columnar} view.
 
     A row whose cell has [id = null_id] has no binding for that axis even
     in the most relaxed state — the fact participates only in cuboids where
@@ -210,27 +210,3 @@ val columnar_of_table : ?poll:(unit -> unit) -> t -> Columnar.t
     [X3_core.Context.cols] for the instrumented form the algorithms use,
     whose [poll] is its cancellation checkpoint. *)
 
-(** {1 Crash-safe persistence}
-
-    A witness table can be committed into a {!X3_storage.Snapshot_store}
-    as one atomic snapshot: a header record, one ['D'] record per
-    dictionary value (in id order), then the heap's row-group records
-    unchanged. Combined with [Snapshot_store.recover] this gives the table
-    a restart story: after a crash the store yields either the previous or
-    the newly saved table, never a torn mix. *)
-
-val save : t -> X3_storage.Snapshot_store.t -> unit
-(** Atomically commit the table (dictionaries + row groups) to [store]. *)
-
-val load :
-  X3_storage.Snapshot_store.t ->
-  X3_storage.Buffer_pool.t ->
-  axes:Axis.t array ->
-  (t, string) result
-(** Rebuild a table from the store's committed snapshot into a fresh heap
-    file on [pool], whose pages must hold the saved records. Every record
-    is validated — values before row groups, row groups in row order with
-    every id inside its dictionary, all rows present — and the row groups
-    are appended as they are. [Error] reports the first malformed record;
-    any other tag after the header (the retired ['R'] row and ['C'] column
-    records included) is malformed. *)

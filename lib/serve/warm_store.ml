@@ -1,6 +1,7 @@
 (* The serve daemon's warm-restart snapshot: the cuboid cache's index —
    which (document, query) sessions were resident, in LRU order (oldest
-   first) — packed into one checksummed Snapshot_store file.
+   first) — as the records of one checksummed Snapshot_store file,
+   replaced by rename on each save.
 
    The record stream is:
 

@@ -1,16 +1,17 @@
 (** The serve daemon's warm-restart snapshot file.
 
     On drained shutdown the daemon packs its cuboid-cache index — which
-    (document, query) sessions were resident, in LRU order — into one
-    checksummed {!X3_storage.Snapshot_store} file. On restart it loads
+    (document, query) sessions were resident, in LRU order — into the
+    records of one checksummed {!X3_storage.Snapshot_store} file, written
+    beside the old one and renamed over it. On restart it loads
     each listed document once, with every durable ingest grafted in, and
     re-runs each session's cube into the cache, exactly as a cube
     request would.
 
     No view is stored, so there is nothing to keep in step with the
     document bytes: a restored answer is always computed from the file
-    on disk. This module checks stream shape only (checksums are the
-    store's job); every failure is an [Error], never an exception —
+    on disk. This module checks record shape only (length, checksum and
+    count are the file's job); every failure is an [Error], never an exception —
     snapshot loss is a cold start, not a fault. *)
 
 type entry = {
@@ -19,14 +20,14 @@ type entry = {
 }
 
 val save : path:string -> entry list -> (unit, string) result
-(** Atomic (write-beside, rename-into-place) via
-    {!X3_storage.Snapshot_store.save_file}. *)
+(** Atomic (write [path ^ ".tmp"], fsync, rename into place, fsync the
+    directory) via {!X3_storage.Snapshot_store.save_file}. *)
 
 val load : path:string -> (entry list, string) result
 (** Verify-on-load via {!X3_storage.Snapshot_store.load_file}; [Error]
-    on a missing file, any checksum failure, a malformed stream, or a
-    stream written under another format version (["warm snapshot:
-    unsupported version ..."]). *)
+    on a missing or truncated file, a checksum failure, a malformed
+    stream, or a stream written under another format version (["warm
+    snapshot: unsupported version ..."]). *)
 
 (**/**)
 

@@ -139,14 +139,6 @@ let with_page_mut t id f =
   frame.dirty <- true;
   with_frame frame f
 
-let with_page_overwrite t id f =
-  let frame = frame_of t id ~load:false in
-  (* A resident frame keeps its bytes; zero it so the overwrite starts from
-     the same blank state either way. *)
-  Bytes.fill frame.buf 0 (Bytes.length frame.buf) '\000';
-  frame.dirty <- true;
-  with_frame frame f
-
 let free_page t id =
   (match Hashtbl.find_opt t.table id with
   | Some idx ->
@@ -166,7 +158,8 @@ let flush t =
      cache on the file backend. *)
   Disk.sync t.disk
 
-let forget_frames t =
+let drop_cache t =
+  flush t;
   Hashtbl.reset t.table;
   for i = 0 to t.used - 1 do
     let frame = t.frames.(i) in
@@ -176,9 +169,3 @@ let forget_frames t =
     frame.pins <- 0
   done;
   t.hand <- 0
-
-let drop_cache t =
-  flush t;
-  forget_frames t
-
-let invalidate t = forget_frames t

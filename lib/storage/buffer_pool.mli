@@ -33,12 +33,6 @@ val with_page_mut : t -> int -> (bytes -> 'a) -> 'a
 (** Like {!with_page} and marks the page dirty, so eviction writes it
     back (checksummed, on a V1 disk) once the window closes. *)
 
-val with_page_overwrite : t -> int -> (bytes -> 'a) -> 'a
-(** Like {!with_page_mut} but hands [f] a zeroed buffer {e without}
-    reading the page first — for whole-page overwrites, and the only safe
-    way to rewrite a page that may currently be torn (loading it would
-    raise [Disk.Corruption]). *)
-
 val free_page : t -> int -> unit
 (** Drop the page's resident frame (without write-back — the contents are
     dead) and return the page to the disk free list ({!Disk.free}). *)
@@ -50,11 +44,6 @@ val flush : t -> unit
 val drop_cache : t -> unit
 (** Flush, then forget every frame — the paper's "cold cache" reset between
     measured runs. *)
-
-val invalidate : t -> unit
-(** Forget every frame {e without} write-back — the pool's volatile state
-    is gone, the disk image stands as last written. This is what a crash
-    does to a buffer pool; recovery paths call it before re-reading. *)
 
 val stats : t -> Stats.t
 (** Pool-level counters (hits/misses/evictions). Disk transfer counts live

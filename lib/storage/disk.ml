@@ -16,7 +16,7 @@ let default_page_size = 8192
    reads as an all-zero payload; anything else must carry a valid magic,
    version and checksum or [read_into] raises {!Corruption} instead of
    decoding a torn or rotten page into garbage. V0 is the seed's headerless
-   format, kept for legacy fixtures and as the checksum-overhead baseline. *)
+   format, the reference of the bench smoke's checksum-overhead gate. *)
 
 type format = V0 | V1
 
@@ -97,10 +97,8 @@ let reopen ?(page_size = default_page_size) ?(format = V1) path =
 
 let page_size t = t.page_size
 let physical_page_size t = t.physical
-let format t = t.format
 let page_count t = t.pages
 let live_page_count t = t.pages - List.length t.free_list
-let is_free t id = id < 0 || id >= t.pages || Hashtbl.mem t.freed id
 let stats t = t.stats
 let set_injector t injector = t.injector <- injector
 

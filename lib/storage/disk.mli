@@ -18,8 +18,8 @@
     {!read_into}: a torn write or flipped bit raises {!Corruption} instead
     of being decoded into garbage records. The header is invisible to
     callers ([page_size] is the payload size). {!V0} is the seed's
-    headerless format, kept for legacy fixtures and as the
-    checksum-overhead baseline.
+    headerless format; it is the reference of [bench/smoke]'s
+    checksum-overhead gate and nothing in the engine writes it.
 
     {b Fault injection.} {!set_injector} installs a hook consulted at the
     start of every read, write, sync and allocation; the hook may raise (an
@@ -79,18 +79,12 @@ val page_size : t -> int
 val physical_page_size : t -> int
 (** On-media bytes per page: [page_size] plus the {!V1} header. *)
 
-val format : t -> format
-
 val page_count : t -> int
 (** High-water page count: every id ever allocated, including freed ones. *)
 
 val live_page_count : t -> int
 (** Currently allocated pages — {!page_count} minus the free list. This is
     the number external-sort leak tests gate on. *)
-
-val is_free : t -> int -> bool
-(** Is [id] on the free list (or out of range)? Recovery uses this to
-    reclaim pages a crashed commit had allocated but never linked. *)
 
 val allocate : t -> int
 (** Allocate a zeroed page and return its id — a recycled free-list page
@@ -128,7 +122,8 @@ val close : t -> unit
 
     A rename (or file creation) is only durable once the parent
     directory itself is fsynced — the file's own fsync does not cover
-    its {e name}. *)
+    its {e name}. [Snapshot_store.save_file] syncs after its rename and
+    [Wal.open_file] after creating a new log. *)
 
 val sync_dir : string -> unit
 (** Open [path] (a directory) read-only and fsync it; soft-fails on

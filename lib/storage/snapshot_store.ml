@@ -1,318 +1,75 @@
-(* Dual-slot shadow-header snapshot store. See the .mli for the protocol.
+(* One checksummed snapshot file, replaced by rename. See the .mli for
+   the layout. *)
 
-   Slot layout (within the page payload of pages 0 and 1):
+let magic = "X3SF"
+let version = 1
+let header_bytes = 20
+let max_u32 = 0xFFFF_FFFF
 
-     0  magic "X3SS"
-     4  version       u16  (1)
-     6  (pad)         u16
-     8  epoch         u32
-     12 first_page    u32  (0xFFFF_FFFF = empty chain)
-     16 total_bytes   u32  (stream length across the chain)
-     20 record_count  u32
-     24 stream_crc    u32  (CRC-32 of the stream bytes, in chain order)
-     28 slot_crc      u32  (CRC-32 of slot bytes 0..27)
+let u32_get s pos = Int32.to_int (String.get_int32_le s pos) land max_u32
+let u32_set b pos v = Bytes.set_int32_le b pos (Int32.of_int v)
 
-   Chain page payload: [next u32][used u16][data ...]; records are a
-   [u32 len][bytes] stream that may span page boundaries. *)
-
-let slot_magic = "X3SS"
-let slot_version = 1
-let slot_bytes = 32
-let no_page = 0xFFFF_FFFF
-
-type meta = {
-  epoch : int;
-  first : int;  (* -1 for empty chain *)
-  total_bytes : int;
-  record_count : int;
-  stream_crc : int;
-}
-
-type t = {
-  pool : Buffer_pool.t;
-  mutable committed : meta;
-  mutable chain : int list;  (* committed chain pages, head first *)
-}
-
-let u32_get b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFF_FFFF
-let u32_set b pos v = Bytes.set_int32_le b pos (Int32.of_int (v land 0xFFFF_FFFF))
-
-let chain_header = 6
-let chain_capacity pool = Disk.page_size (Buffer_pool.disk pool) - chain_header
-
-let encode_slot buf meta =
-  Bytes.blit_string slot_magic 0 buf 0 4;
-  Bytes.set_uint16_le buf 4 slot_version;
-  Bytes.set_uint16_le buf 6 0;
-  u32_set buf 8 meta.epoch;
-  u32_set buf 12 (if meta.first < 0 then no_page else meta.first);
-  u32_set buf 16 meta.total_bytes;
-  u32_set buf 20 meta.record_count;
-  u32_set buf 24 meta.stream_crc;
-  u32_set buf 28 (Crc32.digest buf ~pos:0 ~len:28)
-
-let decode_slot buf =
-  if Bytes.sub_string buf 0 4 <> slot_magic then Error "bad slot magic"
-  else if Bytes.get_uint16_le buf 4 <> slot_version then
-    Error (Printf.sprintf "unknown slot version %d" (Bytes.get_uint16_le buf 4))
-  else if u32_get buf 28 <> Crc32.digest buf ~pos:0 ~len:28 then
-    Error "slot checksum mismatch — torn header write"
-  else
-    let first = u32_get buf 12 in
-    Ok
-      {
-        epoch = u32_get buf 8;
-        first = (if first = no_page then -1 else first);
-        total_bytes = u32_get buf 16;
-        record_count = u32_get buf 20;
-        stream_crc = u32_get buf 24;
-      }
-
-(* Walk a chain, returning (pages, stream) or an error. Guards against
-   cycles, out-of-range links, links into the free list, and length
-   mismatches, and verifies the stream CRC — a slot may be intact while
-   its chain is not (only if the slot itself was corrupted into pointing
-   somewhere stale, which the slot CRC makes vanishingly unlikely, but a
-   recovery path verifies rather than trusts). *)
-let walk_chain pool meta =
-  let disk = Buffer_pool.disk pool in
-  let stream = Buffer.create (max 64 meta.total_bytes) in
-  let seen = Hashtbl.create 16 in
-  let rec go pages page remaining =
-    if page < 0 then
-      if remaining = 0 then Ok (List.rev pages)
-      else Error "chain ended before total_bytes"
-    else if remaining <= 0 then Error "chain longer than total_bytes"
-    else if Hashtbl.mem seen page then Error "cycle in page chain"
-    else if Disk.is_free disk page then Error "chain links to a free page"
-    else begin
-      Hashtbl.add seen page ();
-      (* Extract (next, used) and copy the data out before recursing — the
-         recursion must not nest page accesses, or a chain longer than the
-         pool's capacity pins every frame. *)
-      let step =
-        match
-          Buffer_pool.with_page pool page (fun buf ->
-              let next = u32_get buf 0 in
-              let next = if next = no_page then -1 else next in
-              let used = Bytes.get_uint16_le buf 4 in
-              if used = 0 || used > remaining then
-                Error
-                  (Printf.sprintf
-                     "chain page %d carries %d bytes, expected <= %d" page
-                     used remaining)
-              else begin
-                Buffer.add_subbytes stream buf chain_header used;
-                Ok (next, used)
-              end)
-        with
-        | result -> result
-        | exception Disk.Corruption { reason; _ } ->
-            Error (Printf.sprintf "chain page %d corrupt: %s" page reason)
-        | exception Disk.Short_read _ ->
-            Error (Printf.sprintf "short read on chain page %d" page)
-      in
-      match step with
-      | Error _ as e -> e
-      | Ok (next, used) -> go (page :: pages) next (remaining - used)
-    end
-  in
-  match go [] meta.first meta.total_bytes with
-  | Error _ as e -> e
-  | Ok pages ->
-      let bytes = Buffer.to_bytes stream in
-      if Crc32.digest bytes ~pos:0 ~len:(Bytes.length bytes) <> meta.stream_crc then
-        Error "stream checksum mismatch"
-      else Ok (pages, bytes)
-
-let parse_records meta stream =
-  let len = Bytes.length stream in
-  let rec go acc pos n =
-    if pos = len then
-      if n = meta.record_count then Ok (List.rev acc)
-      else Error "record count mismatch"
-    else if pos + 4 > len then Error "truncated record length"
-    else
-      let rlen = u32_get stream pos in
-      if pos + 4 + rlen > len then Error "truncated record"
-      else go (Bytes.sub_string stream (pos + 4) rlen :: acc) (pos + 4 + rlen) (n + 1)
-  in
-  go [] 0 0
-
-let empty_meta = { epoch = 0; first = -1; total_bytes = 0; record_count = 0;
-                   stream_crc = 0 }
-
-let slot_page meta = meta.epoch land 1
-
-let write_slot pool meta =
-  Buffer_pool.with_page_overwrite pool (slot_page meta) (fun buf ->
-      encode_slot buf meta);
-  Buffer_pool.flush pool
-
-let create pool =
-  if Disk.page_count (Buffer_pool.disk pool) <> 0 then
-    invalid_arg "Snapshot_store.create: disk already has pages";
-  if Disk.page_size (Buffer_pool.disk pool) < 2 * slot_bytes then
-    invalid_arg "Snapshot_store.create: page size too small for header slots";
-  let s0 = Buffer_pool.allocate pool in
-  let s1 = Buffer_pool.allocate pool in
-  assert (s0 = 0 && s1 = 1);
-  write_slot pool empty_meta;
-  { pool; committed = empty_meta; chain = [] }
-
-let committed_epoch t = t.committed.epoch
-let record_count t = t.committed.record_count
-let read_stream t =
-  match walk_chain t.pool t.committed with
-  | Error msg -> failwith ("Snapshot_store.read: committed chain unreadable: " ^ msg)
-  | Ok (_, stream) -> stream
-
-let read t =
-  match parse_records t.committed (read_stream t) with
-  | Error msg -> failwith ("Snapshot_store.read: " ^ msg)
-  | Ok records -> records
-
-let verify t =
-  match walk_chain t.pool t.committed with
-  | Error _ as e -> e
-  | Ok (_, stream) -> (
-      match parse_records t.committed stream with
-      | Error _ as e -> e
-      | Ok _ -> Ok ())
-
-let build_stream records =
-  let buf = Buffer.create 256 in
-  let scratch = Bytes.create 4 in
+let encode records =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (String.make header_bytes '\000');
   List.iter
     (fun r ->
-      u32_set scratch 0 (String.length r);
-      Buffer.add_bytes buf scratch;
+      Buffer.add_int32_le buf (Int32.of_int (String.length r));
       Buffer.add_string buf r)
     records;
-  Buffer.to_bytes buf
+  let b = Buffer.to_bytes buf in
+  let stream_bytes = Bytes.length b - header_bytes in
+  if stream_bytes > max_u32 then failwith "snapshot stream exceeds 4 GiB";
+  Bytes.blit_string magic 0 b 0 4;
+  u32_set b 4 version;
+  u32_set b 8 (List.length records);
+  u32_set b 12 stream_bytes;
+  u32_set b 16 (Crc32.digest b ~pos:header_bytes ~len:stream_bytes);
+  b
 
-let commit t records =
-  let stream = build_stream records in
-  let total = Bytes.length stream in
-  let cap = chain_capacity t.pool in
-  let n_pages = (total + cap - 1) / cap in
-  (* Phase 1: write the new chain on fresh pages. On a transient failure,
-     give the pages back so nothing leaks. After a crash point the process
-     is notionally dead: leave the free list alone — whether these pages
-     became committed is a question only the media image can answer, and
-     [recover] both decides it and reclaims whichever pages lost. *)
-  let free_fresh pages = function
-    | Fault.Crashed -> ()
-    | _ ->
-        Array.iter
-          (fun id ->
-            if id >= 0 then try Buffer_pool.free_page t.pool id with _ -> ())
-          pages
-  in
-  let pages = Array.make n_pages (-1) in
-  (try
-     for i = 0 to n_pages - 1 do
-       pages.(i) <- Buffer_pool.allocate t.pool
-     done;
-     for i = 0 to n_pages - 1 do
-       let off = i * cap in
-       let used = min cap (total - off) in
-       let next = if i = n_pages - 1 then -1 else pages.(i + 1) in
-       Buffer_pool.with_page_overwrite t.pool pages.(i) (fun buf ->
-           u32_set buf 0 (if next < 0 then no_page else next);
-           Bytes.set_uint16_le buf 4 used;
-           Bytes.blit stream off buf chain_header used)
-     done;
-     (* New chain durable before the header that references it. *)
-     Buffer_pool.flush t.pool
-   with e ->
-     free_fresh pages e;
-     raise e);
-  (* Phase 2: shadow header — overwrite the inactive slot, then sync. Only
-     once this write is durable does the new epoch exist. *)
-  let meta =
-    {
-      epoch = t.committed.epoch + 1;
-      first = (if n_pages = 0 then -1 else pages.(0));
-      total_bytes = total;
-      record_count = List.length records;
-      stream_crc = Crc32.digest stream ~pos:0 ~len:total;
-    }
-  in
-  (try write_slot t.pool meta
-   with e ->
-     free_fresh pages e;
-     raise e);
-  (* Phase 3: the commit point has passed; retire the old chain. *)
-  let old_chain = t.chain in
-  t.committed <- meta;
-  t.chain <- Array.to_list pages;
-  List.iter (fun id -> Buffer_pool.free_page t.pool id) old_chain
-
-let read_slot pool page =
-  let disk = Buffer_pool.disk pool in
-  if page >= Disk.page_count disk then Error "slot page missing"
+let decode data =
+  let size = String.length data in
+  if size < header_bytes then Error "snapshot: truncated header"
+  else if String.sub data 0 4 <> magic then Error "snapshot: bad magic"
+  else if u32_get data 4 <> version then
+    Error (Printf.sprintf "snapshot: unknown version %d" (u32_get data 4))
+  else if u32_get data 12 <> size - header_bytes then
+    Error "snapshot: file length does not match its header"
+  else if
+    u32_get data 16
+    <> Crc32.digest (Bytes.unsafe_of_string data) ~pos:header_bytes
+         ~len:(size - header_bytes)
+  then Error "snapshot: stream checksum mismatch"
   else
-    match Buffer_pool.with_page pool page decode_slot with
+    let rec records acc pos =
+      if pos = size then Ok (List.rev acc)
+      else if size - pos < 4 then Error "snapshot: truncated record length"
+      else
+        let len = u32_get data pos in
+        if len > size - pos - 4 then Error "snapshot: truncated record"
+        else records (String.sub data (pos + 4) len :: acc) (pos + 4 + len)
+    in
+    match records [] header_bytes with
+    | Ok rs when List.length rs <> u32_get data 8 ->
+        Error "snapshot: record count mismatch"
     | result -> result
-    | exception Disk.Corruption { reason; _ } -> Error reason
-    | exception Disk.Short_read _ -> Error "short read on slot page"
 
-let recover pool =
-  (* The pool's frames are volatile state a crash destroys; recovery sees
-     only the media image. *)
-  Buffer_pool.invalidate pool;
-  let try_slot meta =
-    match walk_chain pool meta with
-    | Error _ as e -> e
-    | Ok (pages, stream) -> (
-        match parse_records meta stream with
-        | Error _ as e -> e
-        | Ok _ -> Ok pages)
-  in
-  let candidates =
-    List.filter_map
-      (fun page ->
-        match read_slot pool page with Ok m -> Some m | Error _ -> None)
-      [ 0; 1 ]
-    |> List.sort (fun a b -> compare b.epoch a.epoch)
-  in
-  let rec first_good = function
-    | [] -> Error "Snapshot_store.recover: no header slot yields a consistent snapshot"
-    | meta :: rest -> (
-        match try_slot meta with
-        | Ok pages ->
-            (* Reclaim orphans: pages left allocated by a crashed commit —
-               the losing epoch's chain, or a chain whose slot never made
-               it down — are dead the moment a winner is chosen. *)
-            let disk = Buffer_pool.disk pool in
-            let live = Hashtbl.create 16 in
-            List.iter (fun p -> Hashtbl.replace live p ()) (0 :: 1 :: pages);
-            for id = 2 to Disk.page_count disk - 1 do
-              if (not (Hashtbl.mem live id)) && not (Disk.is_free disk id)
-              then Disk.free disk id
-            done;
-            Ok { pool; committed = meta; chain = pages }
-        | Error _ -> first_good rest)
-  in
-  first_good candidates
-
-(* --- one-shot file snapshots -------------------------------------------- *)
-(* The serve daemon's warm-restart path wants "commit these records to a
-   file" / "read them back, or say why not" without owning a disk and pool
-   for the store's whole life.  Save writes a fresh store beside the target
-   and renames it into place, so a crash mid-save leaves either the old
-   snapshot or the new one — never a torn file; load goes through [recover]
-   so every checksum (page, slot, stream) is verified before a record is
-   believed. *)
-
-let save_file ?page_size path records =
+let save_file path records =
   let tmp = path ^ ".tmp" in
   match
-    let disk = Disk.on_file ?page_size ~temp:false tmp in
+    let data = encode records in
+    let fd =
+      Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o600
+    in
     Fun.protect
-      ~finally:(fun () -> Disk.close disk)
-      (fun () -> commit (create (Buffer_pool.create disk)) records);
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        let rec write off =
+          if off < Bytes.length data then
+            write (off + Unix.write fd data off (Bytes.length data - off))
+        in
+        write 0;
+        Unix.fsync fd);
     Sys.rename tmp path;
     (* The rename is only durable once the parent directory's entry table
        is on media — fsyncing the file alone does not cover its name. *)
@@ -323,17 +80,7 @@ let save_file ?page_size path records =
       (try Sys.remove tmp with Sys_error _ -> ());
       Error (Printexc.to_string e)
 
-let load_file ?page_size path =
-  if not (Sys.file_exists path) then Error (path ^ ": no snapshot file")
-  else
-    match
-      let disk = Disk.reopen ?page_size path in
-      Fun.protect
-        ~finally:(fun () -> Disk.close disk)
-        (fun () ->
-          match recover (Buffer_pool.create disk) with
-          | Ok t -> Ok (read t)
-          | Error _ as e -> e)
-    with
-    | result -> result
-    | exception e -> Error (Printexc.to_string e)
+let load_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | data -> decode data
+  | exception Sys_error msg -> Error msg

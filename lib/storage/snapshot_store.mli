@@ -1,69 +1,37 @@
-(** A crash-safe snapshot store: atomic whole-snapshot commits over a
-    {!Buffer_pool}, with dual header slots so recovery always finds either
-    the old or the new committed state — never a third thing.
+(** One-file snapshots: an ordered list of opaque string records written
+    as one checksummed file that is replaced atomically — the serve
+    daemon's warm-restart snapshot.
 
-    The store owns its pool's disk (create it on a fresh disk). Pages 0 and
-    1 are the two {e header slots}; a commit with epoch [e] lives in slot
-    [e land 1]. Committing writes the new snapshot's page chain first,
-    {!Buffer_pool.flush}es it durable, then overwrites the {e inactive}
-    slot and flushes again — the shadow-header protocol: the previously
-    committed slot is never touched, so a crash at any write boundary
-    leaves at least one intact slot whose chain is fully on media.
+    The file is a fixed header followed by the record stream:
 
-    A snapshot is an ordered list of opaque string records, stored as a
-    length-prefixed stream across a singly-linked chain of pages. The slot
-    carries the epoch, the chain head, the stream length and record count,
-    a CRC-32 of the whole stream, and a CRC-32 of the slot itself — so
-    recovery can reject torn slots even on a {!Disk.V0} (checksum-less)
-    disk.
+{v
+     0  magic         "X3SF"
+     4  version       u32 (1)
+     8  record count  u32
+     12 stream bytes  u32
+     16 stream CRC-32 u32
+     20 stream        u32 LE length + bytes, once per record
+v}
 
-    {!recover} is the restart path: it drops all volatile pool state,
-    reads both slots straight from media, and returns the
-    highest-epoch slot whose chain verifies — falling back to the other
-    slot, or reporting the store unrecoverable. *)
+    All integers are little-endian. The header carries no checksum of its
+    own: a changed magic or version is refused, a changed length no
+    longer matches the file size, a changed count no longer matches the
+    parsed stream, and a changed CRC no longer matches the stream bytes,
+    so every single-byte change and every truncation loads as an
+    [Error]. *)
 
-type t
+val save_file : string -> string list -> (unit, string) result
+(** Write [records] to [path ^ ".tmp"] (truncating any leftover), fsync
+    it, rename it over [path], then fsync [path]'s directory
+    ({!Disk.sync_dir}) so the new name survives power loss. [path] is
+    only ever replaced by the rename, so a crash mid-save leaves the
+    previous file or the new one, never a torn mix. Any failure removes
+    the tmp file and is an [Error]; an [Error] from the directory fsync
+    means the rename happened but may not be durable. *)
 
-val create : Buffer_pool.t -> t
-(** Initialise a store on [pool]'s disk, which must be fresh (no pages
-    allocated yet — raises [Invalid_argument] otherwise). Writes slot 0 as
-    epoch 0, empty snapshot, and flushes it durable. *)
-
-val commit : t -> string list -> unit
-(** Atomically replace the committed snapshot. On return the new snapshot
-    is durable and the old chain's pages are freed. If a fault interrupts
-    the commit — an injected error, ENOSPC, a crash point — the committed
-    state is still the previous snapshot: the store's in-memory state is
-    unchanged on a transient error (and freshly allocated pages are given
-    back), and {!recover} returns the previous epoch after a crash. *)
-
-val read : t -> string list
-(** The committed snapshot's records, in commit order. *)
-
-val committed_epoch : t -> int
-val record_count : t -> int
-
-val verify : t -> (unit, string) result
-(** Re-walk the committed chain from the pool and check every checksum —
-    a cheap audit that the committed snapshot is still readable. *)
-
-val save_file : ?page_size:int -> string -> string list -> (unit, string) result
-(** Commit [records] to a standalone snapshot file: a fresh store is
-    written beside [path] and renamed into place, so a crash mid-save
-    leaves either the previous file or the new one, never a torn mix —
-    the serve daemon's warm-restart snapshot. *)
-
-val load_file : ?page_size:int -> string -> (string list, string) result
-(** Read back a {!save_file} snapshot, verifying every checksum through
-    {!recover} first.  Any failure — missing file, truncation, page or
-    stream corruption — is an [Error], never an exception: callers treat
-    snapshot loss as a cold start, not a fault. *)
-
-val recover : Buffer_pool.t -> (t, string) result
-(** Recover the store after a crash (or plain restart): invalidates the
-    pool's volatile frames, parses both header slots from media, and
-    returns the store at the newest epoch whose slot and chain both
-    verify, freeing any orphaned pages a crashed commit left behind.
-    [Error] means neither slot yields a consistent snapshot — the store is
-    unrecoverable (which the dual-slot protocol makes impossible short of
-    media corruption outside a commit window). *)
+val load_file : string -> (string list, string) result
+(** Read back a {!save_file} snapshot, checking the magic, version, exact
+    file length, stream CRC and record count before a record is
+    returned. Any failure — missing file, truncation, corruption, another
+    format — is an [Error], never an exception: callers treat snapshot
+    loss as a cold start, not a fault. *)

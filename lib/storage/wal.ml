@@ -209,11 +209,17 @@ let recover_disk ~owns_disk disk =
 let open_disk disk = recover_disk ~owns_disk:false disk
 
 let open_file ?page_size path =
+  let fresh = not (Sys.file_exists path) in
   let disk =
-    if Sys.file_exists path then Disk.reopen ?page_size path
-    else Disk.on_file ?page_size ~temp:false path
+    if fresh then Disk.on_file ?page_size ~temp:false path
+    else Disk.reopen ?page_size path
   in
-  match recover_disk ~owns_disk:true disk with
+  match
+    (* A new log's name is durable only once its directory is: without
+       this, commits acknowledged into it can vanish with the name. *)
+    if fresh then Disk.sync_dir (Filename.dirname path);
+    recover_disk ~owns_disk:true disk
+  with
   | t -> t
   | exception e ->
       Disk.close disk;

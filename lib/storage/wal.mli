@@ -29,7 +29,8 @@ val open_disk : Disk.t -> t
 
 val open_file : ?page_size:int -> string -> t
 (** Create (or reopen and recover) a file-backed log. The file is created
-    if missing and is {e not} removed on {!close}. *)
+    if missing, its directory then fsynced ({!Disk.sync_dir}) so the new
+    name is durable, and it is {e not} removed on {!close}. *)
 
 val close : t -> unit
 

@@ -171,21 +171,9 @@ let test_fact_blocks () =
     (List.init (Witness.Columnar.blocks cols) (fun b ->
          Witness.Columnar.block_hi cols b - Witness.Columnar.block_lo cols b + 1))
 
-(* Save [table] into a fresh snapshot store and load it back. *)
-let reload table =
-  let disk = X3_storage.Disk.in_memory ~page_size:512 () in
-  let store =
-    X3_storage.Snapshot_store.create
-      (X3_storage.Buffer_pool.create ~capacity_pages:8 disk)
-  in
-  Witness.save table store;
-  let loaded = Witness.load store (small_pool ()) ~axes:(Witness.axes table) in
-  X3_storage.Disk.close disk;
-  loaded
-
-(* Values of any length survive: the dictionaries stay in memory and a
-   snapshot carries each value as one record, so a value far beyond a
-   page (and the old 64 KiB inline-string ceiling) comes back whole. *)
+(* Values of any length survive: the dictionaries stay in memory, so a
+   value far beyond a page (and the old 64 KiB inline-string ceiling)
+   decodes whole. *)
 let test_dict_huge_value () =
   let big =
     String.init 70_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26)))
@@ -203,12 +191,7 @@ let test_dict_huge_value () =
   let table = Witness.materialize (small_pool ()) ~axes (List.to_seq staged) in
   let row = List.hd (Witness.to_list table) in
   Alcotest.(check bool) "decodes in memory" true
-    (Witness.cell_value table ~axis_index:0 row.Witness.cells.(0) = Some big);
-  match reload table with
-  | Error msg -> Alcotest.fail msg
-  | Ok loaded ->
-      Alcotest.(check string) "survives the snapshot" big
-        (Witness.value loaded ~axis_index:0 0)
+    (Witness.cell_value table ~axis_index:0 row.Witness.cells.(0) = Some big)
 
 (* --- what goes in comes out ------------------------------------------------ *)
 
@@ -287,7 +270,7 @@ let gen_staged_batches =
       (k, { row with Witness.Staged.cells } :: rest, appends)
 
 let prop_staged_roundtrip =
-  QCheck2.Test.make ~name:"staged rows = stored columns, live and reloaded"
+  QCheck2.Test.make ~name:"staged rows = stored columns, live and appended"
     ~count:100 gen_staged_batches (fun (k, first, appends) ->
       let axes =
         Array.init k (fun i ->
@@ -297,11 +280,7 @@ let prop_staged_roundtrip =
       let table = Witness.materialize (small_pool ()) ~axes (List.to_seq first) in
       List.iter (fun batch -> ignore (Witness.append table batch)) appends;
       let staged = List.concat (first :: appends) in
-      holds_staged table staged
-      &&
-      match reload table with
-      | Error msg -> QCheck2.Test.fail_report msg
-      | Ok loaded -> holds_staged loaded staged)
+      holds_staged table staged)
 
 (* --- brute-force reference ------------------------------------------------
 

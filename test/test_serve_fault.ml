@@ -1159,6 +1159,54 @@ let test_long_value_survives_drain_and_restore () =
             (stats_metric h2 "serve.cache.restored_views" > 0);
           check_restored_answer h2 ~doc_path figure1_query))
 
+(* A crash mid-save leaves a truncated [snap.tmp] beside the snapshot it
+   was replacing. Restore reads only the snapshot, so the restart is
+   warm, and the next drain overwrites the leftover and writes a snapshot
+   that restores again. *)
+let test_torn_tmp_beside_snapshot_restores () =
+  with_figure1 @@ fun doc_path ->
+  let snap = Filename.temp_file "x3snap" ".bin" in
+  let tmp = snap ^ ".tmp" in
+  Sys.remove snap;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ snap; tmp ])
+    (fun () ->
+      let tune c = { c with Server.snapshot_path = Some snap } in
+      let cube h ~no_cache =
+        with_client h (fun conn ->
+            match
+              Server.Client.request ~deadline:30.0 conn
+                (cube_req ~no_cache ~doc:doc_path figure1_query)
+            with
+            | Ok (Protocol.Cube_ok { payload; provenance; _ }) ->
+                (payload, provenance)
+            | _ -> Alcotest.fail "cube request failed")
+      in
+      let restarts_warm life =
+        with_server ~tune (fun h ->
+            Alcotest.(check bool) (life ^ ": documents restored") true
+              (stats_metric h "serve.cache.restored_docs" > 0);
+            let restored, provenance = cube h ~no_cache:false in
+            let reference, _ = cube h ~no_cache:true in
+            Alcotest.(check bool) (life ^ ": first answer cache-served") true
+              (provenance.Protocol.p_cached > 0);
+            Alcotest.(check string) (life ^ ": restored == no_cache") reference
+              restored)
+      in
+      let h = start_server ~tune () in
+      ignore (cube h ~no_cache:false);
+      stop_server h;
+      let file = In_channel.with_open_bin snap In_channel.input_all in
+      Out_channel.with_open_bin tmp (fun oc ->
+          Out_channel.output_string oc
+            (String.sub file 0 (String.length file / 2)));
+      (* Restart beside the torn tmp; this life's drain saves again. *)
+      restarts_warm "beside a torn tmp";
+      Alcotest.(check bool) "the drain replaced the torn tmp" false
+        (Sys.file_exists tmp);
+      restarts_warm "after the next drain")
+
 (* Three queries over one document: restore parses the document once and
    prepares every session over the shared store. *)
 let test_warm_restart_shares_one_document_load () =
@@ -1393,5 +1441,7 @@ let () =
             test_restored_session_takes_later_ingests;
           Alcotest.test_case "70 000-byte value survives drain and restore"
             `Quick test_long_value_survives_drain_and_restore;
+          Alcotest.test_case "a torn snap.tmp does not block restore" `Quick
+            test_torn_tmp_beside_snapshot_restores;
         ] );
     ]
