@@ -1,11 +1,7 @@
-(* Ablations for the two memory knobs DESIGN.md calls out:
-
-   - the COUNTER budget (the paper's "fits in memory" condition, §3.3 and
-     §4.6): sweeping it shows the time/passes cliff that produces the
-     COUNTER meltdown curves;
-   - the in-memory sort budget (the paper's quicksort-vs-external-merge
-     configuration, §4): sweeping it shows what the TD family pays when
-     sorts start to spill. *)
+(* Ablation for the COUNTER budget, the memory knob DESIGN.md calls out
+   (the paper's "fits in memory" condition, §3.3 and §4.6): sweeping it
+   shows the time/passes cliff that produces the COUNTER meltdown
+   curves. *)
 
 module Engine = X3_core.Engine
 module Treebank = X3_workload.Treebank
@@ -31,49 +27,19 @@ let run ppf ~scale =
     "passes" "scans";
   List.iter
     (fun budget ->
-      let store', spec' = (store, spec) in
-      let pool =
-        X3_storage.Buffer_pool.create ~capacity_pages:65536
-          (X3_storage.Disk.in_memory ~page_size:8192 ())
-      in
-      let prepared = Engine.prepare ~pool ~store:store' spec' in
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      let _, instr =
-        Engine.run
-          ~config:{ Engine.default_config with counter_budget = budget; sort_budget = 100_000 }
-          prepared Engine.Counter
-      in
-      Format.fprintf ppf "  %-16d %10.3f %8d %8d@." budget
-        (Unix.gettimeofday () -. t0)
-        instr.X3_core.Instrument.passes instr.X3_core.Instrument.table_scans)
-    [ trees / 2; trees * 2; trees * 8; trees * 32; trees * 128 ];
-  Format.fprintf ppf
-    "@.%s@.Ablation: TD in-memory sort budget (same workload)@.%s@." hr hr;
-  Format.fprintf ppf "  %-16s %10s %10s %10s@." "budget (rows)" "time(s)"
-    "spilled-runs" "merges";
-  List.iter
-    (fun budget ->
       let pool =
         X3_storage.Buffer_pool.create ~capacity_pages:65536
           (X3_storage.Disk.in_memory ~page_size:8192 ())
       in
       let prepared = Engine.prepare ~pool ~store spec in
       Gc.full_major ();
-      let stats_before =
-        X3_storage.Stats.copy (X3_storage.Buffer_pool.stats pool)
-      in
       let t0 = Unix.gettimeofday () in
-      let _, _ =
+      let _, instr =
         Engine.run
-          ~config:{ Engine.default_config with counter_budget = 1_000_000; sort_budget = budget }
-          prepared Engine.Td
+          ~config:{ Engine.default_config with counter_budget = budget }
+          prepared Engine.Counter
       in
-      let stats = X3_storage.Buffer_pool.stats pool in
-      Format.fprintf ppf "  %-16d %10.3f %10d %10d@." budget
+      Format.fprintf ppf "  %-16d %10.3f %8d %8d@." budget
         (Unix.gettimeofday () -. t0)
-        (stats.X3_storage.Stats.sort_runs
-        - stats_before.X3_storage.Stats.sort_runs)
-        (stats.X3_storage.Stats.merge_passes
-        - stats_before.X3_storage.Stats.merge_passes))
-    [ 100_000; 10_000; 2_000; 500 ]
+        instr.X3_core.Instrument.passes instr.X3_core.Instrument.table_scans)
+    [ trees / 2; trees * 2; trees * 8; trees * 32; trees * 128 ]

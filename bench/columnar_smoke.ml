@@ -2,10 +2,10 @@
    through every family (NAIVE, COUNTER, BUC, TD) twice — once with the
    radix grouping tiers enabled (the default config) and once with
    radix_bits = 0, which forces every cuboid onto the legacy
-   hash/external-sort path over the same columnar scan.  Checks that the
+   hash/sort path over the same columnar scan.  Checks that the
    two paths and the 1/2/4-worker radix runs all export byte-identical
    cubes, and gates two claims of the columnar refactor on the TD family
-   (where the radix kernel replaces the external sort outright):
+   (where the radix kernel replaces the sort outright):
 
    - grouping throughput: the radix path must be >= 1.5x the hash path;
    - allocation: the radix path must allocate >= 30% fewer minor words.

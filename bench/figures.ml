@@ -17,10 +17,6 @@ let axes_range = [ 2; 3; 4; 5; 6; 7 ]
    (the paper needed 2 passes at 6 axes, 5 at 7 on Fig. 5). *)
 let counter_budget ~trees = 40 * trees
 
-(* The in-memory sort budget: large cuboids spill to external merge sort,
-   as the paper's 10^5-tree runs did on their 1 GB machine. *)
-let sort_budget ~trees = max 500 (trees / 5)
-
 let treebank_make ~trees ~coverage ~disjoint ~density ~with_schema axes =
   let config =
     {
@@ -52,11 +48,7 @@ let treebank_sweep ~name ~title ~trees ~coverage ~disjoint ~density
       treebank_make ~trees ~coverage ~disjoint ~density ~with_schema:false;
     config_for =
       (fun _ ->
-        {
-          Engine.default_config with
-          counter_budget = counter_budget ~trees;
-          sort_budget = sort_budget ~trees;
-        });
+        { Engine.default_config with counter_budget = counter_budget ~trees });
   }
 
 (* §4.1: total coverage fails, disjointness holds.  TDOPT is applicable
@@ -157,7 +149,6 @@ let fig10 ~scale ~cutoff =
         {
           Engine.default_config with
           counter_budget = counter_budget ~trees:articles;
-          sort_budget = sort_budget ~trees:articles;
         });
   }
 

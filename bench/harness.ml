@@ -83,8 +83,6 @@ let run_algorithm ~store ~spec ~config ~schema algorithm =
   io.Stats.evictions <- io.Stats.evictions - io_before.Stats.evictions;
   io.Stats.page_reads <- io.Stats.page_reads - disk_before.Stats.page_reads;
   io.Stats.page_writes <- io.Stats.page_writes - disk_before.Stats.page_writes;
-  io.Stats.sort_runs <- io.Stats.sort_runs - disk_before.Stats.sort_runs;
-  io.Stats.merge_passes <- io.Stats.merge_passes - disk_before.Stats.merge_passes;
   (result, seconds, minor_words, instr, io)
 
 let algorithm_name = Engine.algorithm_to_string

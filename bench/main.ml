@@ -68,7 +68,7 @@ let skip_figures =
   Arg.(value & flag & info [ "skip-figures" ] ~doc)
 
 let skip_ablations =
-  let doc = "Skip the memory-knob ablation sweeps." in
+  let doc = "Skip the COUNTER-budget ablation sweep." in
   Arg.(value & flag & info [ "skip-ablations" ] ~doc)
 
 let skip_micro =

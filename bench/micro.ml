@@ -32,30 +32,6 @@ let path_tests () =
       (Staged.stage (fun () -> ignore (Twig.naive_path_solutions store path)));
   ]
 
-let sort_tests () =
-  let rng = X3_workload.Rng.create ~seed:17 in
-  let records =
-    Array.init 20_000 (fun _ ->
-        Printf.sprintf "%08d" (X3_workload.Rng.int rng 1_000_000))
-  in
-  let sort_with_budget budget () =
-    let pool =
-      X3_storage.Buffer_pool.create ~capacity_pages:4096
-        (X3_storage.Disk.in_memory ~page_size:8192 ())
-    in
-    ignore
-      (X3_storage.External_sort.sort_records ~pool ~budget_records:budget
-         ~compare:String.compare (fun emit -> Array.iter emit records))
-  in
-  [
-    Test.make ~name:"sort/in-memory-quicksort"
-      (Staged.stage (sort_with_budget 50_000));
-    Test.make ~name:"sort/external-8-runs"
-      (Staged.stage (sort_with_budget 2_500));
-    Test.make ~name:"sort/external-64-runs"
-      (Staged.stage (sort_with_budget 320));
-  ]
-
 let pool_tests () =
   let make_pool capacity =
     let pool =
@@ -223,7 +199,7 @@ let view_tests vb =
   ]
 
 let all_tests docs vbs =
-  load_tests docs @ path_tests () @ sort_tests () @ pool_tests ()
+  load_tests docs @ path_tests () @ pool_tests ()
   @ quicksort_tests () @ eval_tests ()
   @ List.concat_map view_tests vbs
 

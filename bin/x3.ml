@@ -249,8 +249,7 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
           exit exit_partial
       | X3_core.Context.Over_budget ->
           prerr_endline
-            "x3: byte budget exhausted past the spill floor — the cube \
-             above is partial";
+            "x3: byte budget exhausted — the cube above is partial";
           exit exit_over_budget)
   | Engine.Failed (Engine.Corrupt msg) ->
       finish ~label:"failed:corrupt" None;
@@ -379,7 +378,10 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
               Option.iter
                 (fun cid ->
                   let r = report cid in
-                  r.cr_sorts <- r.cr_sorts + 1;
+                  (* Only the hash tier sorts; the radix tiers group in
+                     place, as [Instrument.sort_ops] counts them. *)
+                  if attr_str e.Trace.attrs "strategy" = Some "hash" then
+                    r.cr_sorts <- r.cr_sorts + 1;
                   r.cr_provenance <-
                     Printf.sprintf "base(%s)"
                       (Option.value ~default:"?"
@@ -453,9 +455,6 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
     instr.X3_core.Instrument.hash_groupings
     instr.X3_core.Instrument.radix_scratch_bytes
     instr.X3_core.Instrument.radix_scratch_bytes_worker_max;
-  Printf.printf "  sort runs %d   merge passes %d   records sorted %d\n"
-    io.X3_storage.Stats.sort_runs io.X3_storage.Stats.merge_passes
-    io.X3_storage.Stats.records_sorted;
   Printf.printf "  bytes reserved peak %d   attempts %d\n"
     run_stats.Engine.peak_bytes run_stats.Engine.attempts;
   Option.iter write_trace_file trace_file;
@@ -866,8 +865,9 @@ let cube_cmd =
       & info [ "max-bytes" ] ~docv:"BYTES"
           ~doc:
             "Byte budget for the cube computation. Memory pressure first \
-             forces the spill paths (counter eviction, external sort); a \
-             budget below their floors prints the partial cube and exits \
+             forces COUNTER's spill path (counter eviction); a budget \
+             below its floor, or one that cannot hold another \
+             algorithm's working set, prints the partial cube and exits \
              with code 5.")
   in
   let max_concurrent =
@@ -936,9 +936,9 @@ let cube_cmd =
            the partial cube is printed before exiting." );
       `I
         ( "5",
-          "resource-governed: the byte budget was exhausted past the spill \
-           floors (a partial cube is printed), the document exceeded \
-           --max-input-bytes, or admission control rejected the query." );
+          "resource-governed: the byte budget was exhausted (a partial \
+           cube is printed), the document exceeded --max-input-bytes, or \
+           admission control rejected the query." );
     ]
   in
   Cmd.v

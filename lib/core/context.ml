@@ -31,7 +31,6 @@ type t = {
   measure : int -> float;
   instr : Instrument.t;
   counter_budget : int;
-  sort_budget : int;
   workers : int;
   radix_bits : int;
   account : Governor.account;
@@ -40,9 +39,9 @@ type t = {
   mutable block_measures_cache : float array option;
 }
 
-let create ?(counter_budget = 1_000_000) ?(sort_budget = 200_000)
-    ?(workers = 1) ?(radix_bits = Radix.default_radix_bits)
-    ?(account = Governor.unbounded) ~table ~lattice ~measure () =
+let create ?(counter_budget = 1_000_000) ?(workers = 1)
+    ?(radix_bits = Radix.default_radix_bits) ?(account = Governor.unbounded)
+    ~table ~lattice ~measure () =
   let instr = Instrument.create () in
   instr.Instrument.dict_size <- Witness.total_dict_size table;
   (* The witness table is the query's floor: its buffer-pool pages and
@@ -61,7 +60,6 @@ let create ?(counter_budget = 1_000_000) ?(sort_budget = 200_000)
     measure;
     instr;
     counter_budget;
-    sort_budget;
     workers = Parallel.resolve workers;
     radix_bits;
     account;

@@ -21,8 +21,6 @@ type t = {
   counter_budget : int;
       (** max simultaneously-live group counters for COUNTER — the paper's
           "fits in memory" knob *)
-  sort_budget : int;
-      (** max rows resident in one sort — beyond it sorts go external *)
   workers : int;
       (** resolved domain count for the partition/merge families
           (COUNTER, BUC, TD); 1 runs their plan inline on the calling
@@ -39,7 +37,6 @@ type t = {
 
 val create :
   ?counter_budget:int ->
-  ?sort_budget:int ->
   ?workers:int ->
   ?radix_bits:int ->
   ?account:Governor.account ->
@@ -48,7 +45,7 @@ val create :
   measure:(int -> float) ->
   unit ->
   t
-(** Budgets default to 1_000_000 counters and 200_000 rows. [workers]
+(** [counter_budget] defaults to 1_000_000 counters. [workers]
     defaults to 1 — one partition/merge worker, running on the calling
     domain; {!Parallel.auto_workers} (0) resolves to
     [Domain.recommended_domain_count]. [radix_bits] defaults
@@ -107,8 +104,8 @@ val check : t -> unit
 (** Raise {!Stop} if a stop is pending; record the reason for {!stopped}. *)
 
 val stop : t -> stop_reason -> 'a
-(** Stop the run now: record the reason and raise {!Stop} — how the
-    spill paths report hitting their floor ([Over_budget]). *)
+(** Stop the run now: record the reason and raise {!Stop} — how
+    COUNTER's spill path reports hitting its floor ([Over_budget]). *)
 
 val checkpoint : t -> unit
 (** {!check}, amortised: only every 64th call consults the hook and the
@@ -117,10 +114,11 @@ val checkpoint : t -> unit
 (** {1 Byte accounting}
 
     Thin veneer over the context's {!Governor.account}. Algorithms reserve
-    bytes for the structures they are about to grow (group tables, sort
-    buffers, the columnar view) at the same boundaries where they {!check};
-    a refused reservation means the spill paths have already been squeezed
-    to their floors, so the run stops with [Over_budget]. *)
+    bytes for the structures they are about to grow (group tables, TD's
+    sort arrays, the columnar view) at the same boundaries where they
+    {!check}. COUNTER is the one algorithm that spills: it evicts counters
+    ({!try_reserve}) before a refused reservation stops it; everywhere
+    else a refused reservation stops the run with [Over_budget]. *)
 
 val account : t -> Governor.account
 
@@ -142,8 +140,8 @@ val release : t -> int -> unit
 (** Return [n] bytes to the account. *)
 
 val budget_remaining : t -> int
-(** Bytes still reservable — [max_int] when ungoverned. The spill paths
-    derive their effective in-memory budgets from this. *)
+(** Bytes still reservable — [max_int] when ungoverned. COUNTER derives
+    its per-pass counter budget from this. *)
 
 (** {1 Columnar view}
 

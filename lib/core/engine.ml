@@ -159,18 +159,14 @@ let correct_under algorithm ~disjoint ~coverage =
 let workers_used algorithm workers =
   match algorithm with Naive -> 1 | _ -> Parallel.resolve workers
 
-type config = { counter_budget : int; sort_budget : int; radix_bits : int }
+type config = { counter_budget : int; radix_bits : int }
 
 let default_config =
-  {
-    counter_budget = 1_000_000;
-    sort_budget = 200_000;
-    radix_bits = Radix.default_radix_bits;
-  }
+  { counter_budget = 1_000_000; radix_bits = Radix.default_radix_bits }
 
 let make_context ?(config = default_config) ?(workers = 1) ?account prepared =
-  Context.create ~counter_budget:config.counter_budget
-    ~sort_budget:config.sort_budget ~workers ~radix_bits:config.radix_bits
+  Context.create ~counter_budget:config.counter_budget ~workers
+    ~radix_bits:config.radix_bits
     ?account ~table:prepared.table ~lattice:prepared.lattice
     ~measure:prepared.measure ()
 

@@ -84,7 +84,6 @@ val correct_under :
 
 type config = {
   counter_budget : int;  (** COUNTER's max simultaneously-live counters *)
-  sort_budget : int;  (** max rows resident in one sort *)
   radix_bits : int;
       (** grouping-strategy threshold (see {!Radix.plan}): cuboids whose
           compact key domain fits this many bits group through a radix
@@ -268,8 +267,8 @@ type outcome =
   | Complete of Cube_result.t * Instrument.t
   | Partial of Context.stop_reason * Cube_result.t * Instrument.t
       (** the run was cancelled, overran its deadline, or exhausted its
-          byte budget past the spill floors; the result holds every cell
-          completed before the stop *)
+          byte budget (past COUNTER's spill floor); the result holds every
+          cell completed before the stop *)
   | Failed of error
   | Rejected of Governor.Admission.rejection
       (** shed at the admission door — the query never started *)
@@ -322,9 +321,10 @@ val run_safe :
     {!Governor.account} (capped at [max_bytes], drawing on [governor]'s
     shared pool when given) is opened per attempt and closed — releasing
     everything — when the attempt ends, so retries and concurrent queries
-    see an honest pool. Over-budget pressure first squeezes the spill
-    paths (counter eviction, external-sort buffers) and only past their
-    floors yields [Partial (Over_budget, ...)].
+    see an honest pool. Over-budget pressure first squeezes COUNTER's
+    spill path (counter eviction) and only past its floor yields
+    [Partial (Over_budget, ...)]; TD books its radix scratch and sort
+    arrays up front and yields the partial as soon as they do not fit.
 
     [admission] gates the whole call through the shared admission door:
     the query waits up to [admission_timeout] seconds (default: forever)

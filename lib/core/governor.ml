@@ -18,11 +18,9 @@
    on key width; 96 is the documented middle. *)
 let counter_cost = 96
 
-(* One sort-buffer record: the encoded record string (key + fact + measure,
-   typically 20-40 bytes + string header) plus its buffer slot. *)
+(* One sort record: the encoded record string (key + fact + measure,
+   typically 20-40 bytes + string header) plus its array slot. *)
 let sort_record_cost = 96
-
-let sort_floor_records = 64
 
 (* --- the global pool ---------------------------------------------------- *)
 

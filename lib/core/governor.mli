@@ -7,9 +7,10 @@
     an {!account} is one query's private budget drawn against it, and the
     algorithms request {e reservations} from their account at block,
     refine and pass boundaries (the same checkpoints the deadline/cancel
-    machinery uses). Over-budget pressure first forces the spill paths
-    (counter eviction, external sort) and only once those floors are hit
-    does the run stop with a typed [Over_budget] partial.
+    machinery uses). Over-budget pressure first forces COUNTER's spill
+    path (counter eviction) and only once its floor is hit does the run
+    stop with a typed [Over_budget] partial; every other reservation
+    stops the run as soon as it is refused.
 
     Accounting is estimate-based but conservative and two-sided: every
     reservation is paired with a release, so a long-running session's
@@ -29,13 +30,8 @@ val counter_cost : int
     boxed group key and the aggregate cell. *)
 
 val sort_record_cost : int
-(** Estimated bytes of one record resident in an external-sort buffer
-    (the encoded record string plus the buffer slot). *)
-
-val sort_floor_records : int
-(** The spill floor of the external sort: below this many in-memory
-    records a sort cannot make useful progress, so a byte budget that
-    cannot cover it is over budget rather than infinitely spilling. *)
+(** Estimated bytes of one record in TD's in-memory sort array (the
+    encoded record string plus the array slot). *)
 
 (** {1 The global pool} *)
 
@@ -80,8 +76,8 @@ val account_used : account -> int
 val account_peak : account -> int
 
 val remaining : account -> int
-(** Bytes the account can still reserve — [max_int] when unbounded. The
-    spill paths derive their effective in-memory budgets from this. *)
+(** Bytes the account can still reserve — [max_int] when unbounded.
+    COUNTER derives its per-pass counter budget from this. *)
 
 val close : account -> unit
 (** Release everything the account still holds back to the pool.

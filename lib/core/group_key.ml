@@ -161,7 +161,7 @@ let to_parts s ~dicts key =
   List.init (Array.length s.present) (fun j ->
       Dict.value dicts.(s.present.(j)) (field s key j))
 
-(* --- order-agnostic serialisation for external sort --------------------- *)
+(* --- order-agnostic serialisation for TD's sort --------------------------- *)
 (* Big-endian fixed-width bytes: [String.compare] over sortable forms is a
    total order that groups equal keys — all the sort-based algorithm
    needs. *)

@@ -94,7 +94,7 @@ val to_parts :
   shape -> dicts:X3_pattern.Witness.Dict.t array -> t -> string list
 (** Decode back to the present axes' values, in axis order. *)
 
-(** {2 Serialisation for the external sort} *)
+(** {2 Serialisation for TD's sort} *)
 
 val to_sortable : t -> string
 (** Fixed-width big-endian form: [String.compare] over sortable forms is a

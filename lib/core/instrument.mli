@@ -25,7 +25,7 @@ type t = {
   mutable radix_groupings : int;
       (** cuboid groupings served by a radix kernel (direct or partitioned) *)
   mutable hash_groupings : int;
-      (** cuboid groupings served by the hash / external-sort fallback *)
+      (** cuboid groupings served by the hash / sort fallback *)
   mutable radix_scratch_bytes : int;
       (** peak bytes of radix scratch (slot arrays, partition buffers) live
           at once *)

@@ -25,12 +25,10 @@ let empty (ctx : Context.t) cuboid =
   }
 
 (* TD's base step on the calling domain, in TDCUST's mode. A session's
-   account is unbounded, so the sort runs within the configured record
-   budget and nothing is booked. *)
+   account is unbounded, so nothing is booked. *)
 let materialize (ctx : Context.t) ~props ~cuboid =
   let t = empty ctx cuboid in
-  Topdown.compute_from_base ctx ~instr:ctx.instr ~pool:(Witness.pool ctx.table)
-    ~polls:true ~budget_records:ctx.sort_budget
+  Topdown.compute_from_base ctx ~instr:ctx.instr ~polls:true
     ~mode:(Topdown.custom_mode props cuboid)
     cuboid t.cells;
   t

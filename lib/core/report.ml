@@ -36,14 +36,10 @@ let add_io m (s : Stats.t) =
   count m "io.page_reads" s.Stats.page_reads;
   count m "io.page_writes" s.Stats.page_writes;
   count m "io.pages_allocated" s.Stats.pages_allocated;
-  count m "io.pages_freed" s.Stats.pages_freed;
   count m "io.pool_hits" s.Stats.pool_hits;
   count m "io.pool_misses" s.Stats.pool_misses;
   count m "io.evictions" s.Stats.evictions;
-  count m "io.syncs" s.Stats.syncs;
-  count m "io.sort_runs" s.Stats.sort_runs;
-  count m "io.merge_passes" s.Stats.merge_passes;
-  count m "io.records_sorted" s.Stats.records_sorted
+  count m "io.syncs" s.Stats.syncs
 
 let add_result m result =
   set m "cube.cells" (Cube_result.total_cells result);

@@ -1,5 +1,6 @@
-(** Fixed-layout records fed to {!X3_storage.External_sort} by the top-down
-    algorithms: an encoded group key, the fact id, and the measure.
+(** Fixed-layout records the top-down algorithms sort in memory
+    ({!X3_storage.Quicksort}): an encoded group key, the fact id, and the
+    measure.
 
     The layout ([u16 key length | key | fact | measure]) makes plain
     [String.compare] a grouping order: equal keys are adjacent, and within

@@ -3,11 +3,7 @@ module Cuboid = X3_lattice.Cuboid
 module Properties = X3_lattice.Properties
 module Witness = X3_pattern.Witness
 module Columnar = Witness.Columnar
-module Buffer_pool = X3_storage.Buffer_pool
-module Disk = X3_storage.Disk
-module External_sort = X3_storage.External_sort
-module Heap_file = X3_storage.Heap_file
-module Stats = X3_storage.Stats
+module Quicksort = X3_storage.Quicksort
 module Trace = X3_obs.Trace
 
 type variant = [ `Plain | `Opt | `OptAll | `Custom of X3_lattice.Properties.t ]
@@ -45,15 +41,15 @@ let cell_in into key =
    radix-partitioned pass aggregates in place with no sort at all (a
    fact's rows are contiguous, so a per-slot mark stamp removes duplicates
    exactly as the sorted sweep's consecutive-fact skip does, and in the
-   same row order); the hash fallback keeps the paper's sort — emit
-   (sortable key, fact, measure) records, external-sort them, sweep. The
-   caller chooses where sorts spill ([pool]), which counters it bumps and
+   same row order); the hash fallback keeps the paper's sort — collect
+   (sortable key, fact, measure) records in one array, quicksort it (§4's
+   in-memory sort), sweep. The caller chooses which counters it bumps and
    whether to poll for stops, so the same code serves the calling domain's
    lane, the helper lanes and a serve session's base views. The columns
    and block measures come from the context's caches, which a fan-out
    fills on the calling domain before any helper starts. *)
-let compute_from_base (ctx : Context.t) ~instr ~pool ~polls ~budget_records
-    ~(mode : mode) cid into =
+let compute_from_base (ctx : Context.t) ~instr ~polls ~(mode : mode) cid into
+    =
   let checkpoint =
     if polls then fun () -> Context.checkpoint ctx else fun () -> ()
   in
@@ -133,62 +129,55 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~polls ~budget_records
       instr.Instrument.hash_groupings <- instr.Instrument.hash_groupings + 1;
       instr.Instrument.sort_ops <- instr.Instrument.sort_ops + 1;
       let scratch = Group_key.make_scratch p.Radix.p_shape in
+      (* A cuboid never has more records than the table has rows, so one
+         row-sized array holds them all; the governor booked it before
+         fan-out. *)
+      let records = Array.make rows "" in
       let fed = ref 0 in
-      let sorted =
-        External_sort.sort_records ~pool ~budget_records
-          ~compare:Sort_record.compare (fun emit ->
-            for r = 0 to rows - 1 do
-              checkpoint ();
-              if
-                Radix.load cur scratch r
-                && ((not representative) || Radix.first_on_removed cur r)
-              then begin
-                incr fed;
-                (* Sort on the order-preserving byte form of the coded key:
-                   String.compare groups equal keys just as well, and the
-                   record stays a flat string for the external sorter. *)
-                instr.Instrument.keys_built <-
-                  instr.Instrument.keys_built + 1;
-                emit
-                  (Sort_record.encode ~key:(Group_key.to_sortable
-                                              (Group_key.freeze scratch))
-                     ~fact:(if dedup then Columnar.fact cols r else 0)
-                     ~measure:(measure_row r))
-              end
-            done)
-      in
+      for r = 0 to rows - 1 do
+        checkpoint ();
+        if
+          Radix.load cur scratch r
+          && ((not representative) || Radix.first_on_removed cur r)
+        then begin
+          (* Sort on the order-preserving byte form of the coded key:
+             String.compare groups equal keys just as well, and the record
+             stays one flat string. *)
+          instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
+          records.(!fed) <-
+            Sort_record.encode
+              ~key:(Group_key.to_sortable (Group_key.freeze scratch))
+              ~fact:(if dedup then Columnar.fact cols r else 0)
+              ~measure:(measure_row r);
+          incr fed
+        end
+      done;
+      Quicksort.sort_sub ~compare:Sort_record.compare records ~pos:0 ~len:!fed;
       instr.Instrument.rows_sorted <- instr.Instrument.rows_sorted + !fed;
       fed_total := !fed;
-      (* One sweep: group boundaries on key change (the run is key-sorted,
-         so the group's cell is carried across records rather than looked
-         up per record); duplicate facts are consecutive within a group. *)
-      let current_key = ref None and current_cell = ref None in
+      (* One sweep: group boundaries on key change (the array is
+         key-sorted, so the group's cell is carried across records rather
+         than looked up per record); duplicate facts are consecutive within
+         a group. *)
+      let current_key = ref "" and current_cell = ref None in
       let prev_fact = ref (-1) in
-      Heap_file.iter
-        (fun record ->
-          let key, fact, measure = Sort_record.decode record in
-          let same_group =
-            match !current_key with
-            | Some k -> String.equal k key
-            | None -> false
-          in
-          if not same_group then begin
-            current_key := Some key;
-            current_cell :=
-              Some (cell_in into (Group_key.of_sortable key))
-          end;
-          let duplicate = dedup && same_group && fact = !prev_fact in
-          if not duplicate then begin
-            match !current_cell with
-            | Some cell -> Aggregate.add cell measure
-            | None -> assert false
-          end;
-          if dedup then
-            instr.Instrument.dedup_tracked <-
-              instr.Instrument.dedup_tracked + 1;
-          prev_fact := fact)
-        sorted;
-      Heap_file.free sorted
+      for i = 0 to !fed - 1 do
+        let key, fact, measure = Sort_record.decode records.(i) in
+        let same_group =
+          Option.is_some !current_cell && String.equal !current_key key
+        in
+        if not same_group then begin
+          current_key := key;
+          current_cell := Some (cell_in into (Group_key.of_sortable key))
+        end;
+        (match !current_cell with
+        | Some cell when not (dedup && same_group && fact = !prev_fact) ->
+            Aggregate.add cell measure
+        | _ -> ());
+        if dedup then
+          instr.Instrument.dedup_tracked <- instr.Instrument.dedup_tracked + 1;
+        prev_fact := fact
+      done
 
 (* Roll a cuboid up from a finer, already computed cuboid's cells: each
    finer cell merges into the cell of its projected key in [into]. Only
@@ -210,30 +199,10 @@ let rollup (ctx : Context.t) ~finer cells ~coarser into =
             cell)
         cells)
 
-type worker = { instr : Instrument.t; pool : Buffer_pool.t }
-
-(* The byte-governed in-memory sort budget: the configured record budget,
-   shrunk to what the account can still afford across [lanes] concurrent
-   sorts. Below the sort floor an external sort cannot make progress —
-   that is the spill path's floor, so the run stops over budget. Returns
-   the record budget together with the bytes to reserve for it (0 when
-   ungoverned). *)
-let sort_allowance (ctx : Context.t) ~lanes =
-  let rem = Context.budget_remaining ctx in
-  if rem = max_int then (ctx.sort_budget, 0)
-  else begin
-    let affordable = rem / Governor.sort_record_cost / lanes in
-    let records = min ctx.sort_budget affordable in
-    if records < Governor.sort_floor_records then
-      Context.stop ctx Context.Over_budget;
-    (records, records * Governor.sort_record_cost * lanes)
-  end
-
 (* Transient radix scratch a base computation pins while it runs — what
    the governor books around the computation. 0 on the hash path, whose
-   footprint is the sort budget instead. *)
-let base_scratch_bytes (ctx : Context.t) ~rows cid =
-  let p = Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid) in
+   record array is booked on its own. *)
+let base_scratch_bytes ~rows (p : Radix.plan) =
   match p.Radix.p_strategy with
   | Radix.Direct -> Radix.acc_bytes p
   | Radix.Partitioned -> Radix.partitioned_bytes p ~rows
@@ -283,15 +252,13 @@ let compute ~variant (ctx : Context.t) =
      (* Base computations write to disjoint cuboids (one task = one
         cuboid), so workers aggregate into the shared result directly.
         Worker 0 runs on the calling domain: it counts into the context's
-        instrument, spills its external sorts into the table's buffer pool
-        and polls for stops between its cuboids and inside their scans, so
-        a stop keeps every fully computed cuboid. Every other worker spills
-        into a private in-memory scratch pool — the shared buffer pool is
-        unsynchronised — and never polls. The columns and block measures
-        are immutable and shared; both are built (and booked) here, so the
-        helpers only read the context's caches. Roll-ups run afterwards on
-        the calling domain in coarsening order, since a roll-up may read a
-        cuboid that another roll-up produced. *)
+        instrument and polls for stops between its cuboids and inside their
+        scans, so a stop keeps every fully computed cuboid. Every other
+        worker counts into a private instrument and never polls. The
+        columns and block measures are immutable and shared; both are built
+        (and booked) here, so the helpers only read the context's caches.
+        Roll-ups run afterwards on the calling domain in coarsening order,
+        since a roll-up may read a cuboid that another roll-up produced. *)
      Context.check ctx;
      let cols = Context.cols ctx in
      ignore (Context.block_measures ctx cols : float array);
@@ -308,59 +275,46 @@ let compute ~variant (ctx : Context.t) =
             (function `Base mode -> Some mode | `Rollup _ -> None)
             (Array.to_list plans))
      in
-     (* One byte-derived sort budget for every worker lane, computed and
-        reserved here on the calling domain before fan-out: helper workers
-        never touch the account, so spill thresholds are deterministic for
-        a fixed budget regardless of worker interleaving. Radix scratch is
-        likewise booked up front: each lane runs one base computation at a
-        time, so [workers × max-per-cuboid] bounds the concurrent
-        footprint. *)
-     let any_hash =
-       Array.exists (fun cid -> base_scratch_bytes ctx ~rows cid = 0) base
+     (* Every lane's transient memory is booked here on the calling domain
+        before fan-out, since helper workers never touch the account. Each
+        lane runs one base computation at a time, so [workers ×
+        max-per-cuboid] bounds the radix scratch, and [workers × rows]
+        records bound the hash tier's sort arrays. *)
+     let base_plans =
+       Array.map
+         (fun cid -> Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid))
+         base
      in
-     let budget_records, sort_bytes =
-       if any_hash then sort_allowance ctx ~lanes:ctx.workers
-       else (ctx.sort_budget, 0)
+     let any_hash =
+       Array.exists (fun p -> p.Radix.p_strategy = Radix.Hash) base_plans
+     in
+     let sort_bytes =
+       if any_hash then ctx.workers * rows * Governor.sort_record_cost else 0
      in
      let scratch_bytes =
        ctx.workers
        * Array.fold_left
-           (fun m cid -> max m (base_scratch_bytes ctx ~rows cid))
-           0 base
+           (fun m p -> max m (base_scratch_bytes ~rows p))
+           0 base_plans
      in
      Context.reserve ctx (sort_bytes + scratch_bytes);
      Instrument.bump_radix_scratch ctx.instr scratch_bytes;
-     let states =
+     let instrs =
        Fun.protect
          ~finally:(fun () -> Context.release ctx (sort_bytes + scratch_bytes))
        @@ fun () ->
        Parallel.run ~workers:ctx.workers ~tasks:(Array.length base)
-         ~init:(fun w ->
-           if w = 0 then { instr = ctx.instr; pool = Witness.pool ctx.table }
-           else
-             {
-               instr = Instrument.create ();
-               pool = Buffer_pool.create (Disk.in_memory ());
-             })
-         ~body:(fun w t ->
-           let polls = w.instr == ctx.instr in
+         ~init:(fun w -> if w = 0 then ctx.instr else Instrument.create ())
+         ~body:(fun instr t ->
+           let polls = instr == ctx.instr in
            if polls then Context.check ctx;
-           compute_from_base ctx ~instr:w.instr ~pool:w.pool ~polls
-             ~budget_records ~mode:base_modes.(t) base.(t)
+           compute_from_base ctx ~instr ~polls ~mode:base_modes.(t) base.(t)
              (Cube_result.cuboid_table result base.(t)))
      in
      Array.iter
-       (fun w ->
-         if w.instr != ctx.instr then begin
-           Instrument.merge ~into:ctx.instr w.instr;
-           (* Fold the scratch pools' spill traffic into the shared pool's
-              counters so the run reports its I/O whatever the worker
-              count. *)
-           Stats.add
-             (Buffer_pool.stats (Witness.pool ctx.table))
-             (Buffer_pool.stats w.pool)
-         end)
-       states;
+       (fun instr ->
+         if instr != ctx.instr then Instrument.merge ~into:ctx.instr instr)
+       instrs;
      book_result ();
      Array.iteri
        (fun i cid ->

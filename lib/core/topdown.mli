@@ -1,13 +1,14 @@
 (** Top-down cube computation (§3.5) — the XML-ised
     PartitionCube/MemoryCube of Ross & Srivastava.
 
-    Every cuboid computed "from base" sorts its qualifying witness rows by
-    group key (in-memory quicksort within budget, external merge sort
-    beyond — §4's configuration) and aggregates in one sweep of the sorted
-    run. Since sorted order puts a group's rows together, plain TD removes
-    duplicate facts by sorting on (key, fact id) and skipping consecutive
-    repeats — the "we need to keep track of the identities" cost, one sort
-    per cuboid: the exponential number of (external) sorts of §4.1.
+    Every cuboid computed "from base" on the hash tier sorts its
+    qualifying witness rows by group key (§4's in-memory quicksort; the
+    paper's external merge sort is not needed, since every page store here
+    is in memory) and aggregates in one sweep of the sorted run. Since
+    sorted order puts a group's rows together, plain TD removes duplicate
+    facts by sorting on (key, fact id) and skipping consecutive repeats —
+    the "we need to keep track of the identities" cost, one sort per
+    cuboid: the exponential number of sorts of §4.1.
 
     Variants:
     - [`Plain] (TD): correct always; sorts with fact ids, dedups.
@@ -41,16 +42,14 @@ val custom_mode : X3_lattice.Properties.t -> int -> mode
 val compute_from_base :
   Context.t ->
   instr:Instrument.t ->
-  pool:X3_storage.Buffer_pool.t ->
   polls:bool ->
-  budget_records:int ->
   mode:mode ->
   int ->
   Aggregate.cell Group_key.Tbl.t ->
   unit
 (** One cuboid from the context's columns into its cell table: radix
-    Direct/Partitioned where the cuboid's key shape allows, else hash +
-    external sort over [pool]. Counts into [instr]; checkpoints every row
+    Direct/Partitioned where the cuboid's key shape allows, else one
+    in-memory array of sort records, quicksorted and swept. Counts into [instr]; checkpoints every row
     when [polls] (calling domain only). *)
 
 val rollup :

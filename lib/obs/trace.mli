@@ -1,7 +1,7 @@
 (** Scoped tracing: per-writer ring buffers of span events.
 
     Probes are sprinkled through the engine at its natural seams (parse,
-    compile, materialise, per-cuboid compute, sort runs, governor and
+    compile, materialise, per-cuboid compute, governor and
     admission decisions). With tracing {e disabled} — the default — every
     probe is one atomic load and no allocation; {!with_span} simply calls
     its thunk.

@@ -139,19 +139,6 @@ let with_page_mut t id f =
   frame.dirty <- true;
   with_frame frame f
 
-let free_page t id =
-  (match Hashtbl.find_opt t.table id with
-  | Some idx ->
-      (* Drop the frame without write-back: the page's contents are dead,
-         and a deferred write-back would clobber whoever recycles the id. *)
-      let frame = t.frames.(idx) in
-      frame.page <- -1;
-      frame.dirty <- false;
-      frame.referenced <- false;
-      Hashtbl.remove t.table id
-  | None -> ());
-  Disk.free t.disk id
-
 let flush t =
   Hashtbl.iter (fun _ idx -> write_back t t.frames.(idx)) t.table;
   (* "Flushed" must mean durable: writes alone can still sit in the OS page

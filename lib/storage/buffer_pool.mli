@@ -33,10 +33,6 @@ val with_page_mut : t -> int -> (bytes -> 'a) -> 'a
 (** Like {!with_page} and marks the page dirty, so eviction writes it
     back (checksummed, on a V1 disk) once the window closes. *)
 
-val free_page : t -> int -> unit
-(** Drop the page's resident frame (without write-back — the contents are
-    dead) and return the page to the disk free list ({!Disk.free}). *)
-
 val flush : t -> unit
 (** Write every dirty frame back to disk (kept resident), then {!Disk.sync}
     so "flushed" pages survive a crash on the file backend. *)

@@ -49,9 +49,7 @@ type t = {
   physical : int;  (** on-media page size: payload + header on V1 *)
   format : format;
   mutable lsn : int;  (** monotonic write counter, stamped into V1 headers *)
-  mutable pages : int;  (** address-space high-water mark *)
-  mutable free_list : int list;  (** freed ids, reused LIFO by [allocate] *)
-  freed : (int, unit) Hashtbl.t;  (** members of [free_list] *)
+  mutable pages : int;  (** pages allocated so far *)
   backend : backend;
   stats : Stats.t;
   mutable closed : bool;
@@ -70,8 +68,6 @@ let make ?(page_size = default_page_size) ?(format = V1) ~pages backend =
     format;
     lsn = 0;
     pages;
-    free_list = [];
-    freed = Hashtbl.create 16;
     backend;
     stats = Stats.create ();
     closed = false;
@@ -98,7 +94,6 @@ let reopen ?(page_size = default_page_size) ?(format = V1) path =
 let page_size t = t.page_size
 let physical_page_size t = t.physical
 let page_count t = t.pages
-let live_page_count t = t.pages - List.length t.free_list
 let stats t = t.stats
 let set_injector t injector = t.injector <- injector
 
@@ -109,9 +104,7 @@ let check_open t = if t.closed then invalid_arg "Disk: already closed"
 
 let check_id t id =
   if id < 0 || id >= t.pages then
-    invalid_arg (Printf.sprintf "Disk: page %d out of range [0, %d)" id t.pages);
-  if Hashtbl.mem t.freed id then
-    invalid_arg (Printf.sprintf "Disk: page %d is freed" id)
+    invalid_arg (Printf.sprintf "Disk: page %d out of range [0, %d)" id t.pages)
 
 let really_write fd buf len =
   let rec go off =
@@ -126,59 +119,29 @@ let seek_page fd t id =
   ignore
     (Unix.LargeFile.lseek fd (Int64.of_int (id * t.physical)) Unix.SEEK_SET)
 
-let zero_page t id =
-  match t.backend with
-  | Memory store -> !store.(id) <- Bytes.make t.physical '\000'
-  | File { fd; _ } ->
-      seek_page fd t id;
-      really_write fd (Bytes.make t.physical '\000') t.physical
-
 let allocate t =
   check_open t;
   (match fire t Allocate with Proceed | Torn _ -> ());
   t.stats.pages_allocated <- t.stats.pages_allocated + 1;
-  match t.free_list with
-  | id :: rest ->
-      (* Reuse a freed page; re-zero it so the "allocate returns a zeroed
-         page" contract survives recycling (an all-zero header also marks
-         the page unwritten for the V1 reader). *)
-      t.free_list <- rest;
-      Hashtbl.remove t.freed id;
-      zero_page t id;
-      id
-  | [] ->
-      let id = t.pages in
-      t.pages <- t.pages + 1;
-      (match t.backend with
-      | Memory store ->
-          let old = !store in
-          if id >= Array.length old then begin
-            let grown =
-              Array.make (max 64 (2 * Array.length old)) Bytes.empty
-            in
-            Array.blit old 0 grown 0 (Array.length old);
-            store := grown
-          end;
-          !store.(id) <- Bytes.make t.physical '\000'
-      | File { fd; _ } ->
-          (* Extend the file so positioned reads of fresh pages succeed. *)
-          ignore (Unix.LargeFile.lseek fd
-                    (Int64.of_int (((id + 1) * t.physical) - 1))
-                    Unix.SEEK_SET);
-          ignore (Unix.write fd (Bytes.make 1 '\000') 0 1));
-      id
-
-let free t id =
-  check_open t;
-  check_id t id;
-  (* Release the backing store eagerly on the memory backend so a freed
-     page's bytes are reclaimable (and use-after-free is detectable). *)
+  let id = t.pages in
+  t.pages <- t.pages + 1;
   (match t.backend with
-  | Memory store -> !store.(id) <- Bytes.empty
-  | File _ -> ());
-  t.free_list <- id :: t.free_list;
-  Hashtbl.replace t.freed id ();
-  t.stats.pages_freed <- t.stats.pages_freed + 1
+  | Memory store ->
+      let old = !store in
+      if id >= Array.length old then begin
+        let grown = Array.make (max 64 (2 * Array.length old)) Bytes.empty in
+        Array.blit old 0 grown 0 (Array.length old);
+        store := grown
+      end;
+      !store.(id) <- Bytes.make t.physical '\000'
+  | File { fd; _ } ->
+      (* Extend the file so positioned reads of fresh pages succeed. *)
+      ignore
+        (Unix.LargeFile.lseek fd
+           (Int64.of_int (((id + 1) * t.physical) - 1))
+           Unix.SEEK_SET);
+      ignore (Unix.write fd (Bytes.make 1 '\000') 0 1));
+  id
 
 (* [allocate] materialises every page up to the end of its id's extent, so a
    short read of any valid page means the backing file was truncated or

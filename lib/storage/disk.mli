@@ -1,16 +1,13 @@
 (** The disk layer: a flat, growable array of fixed-size pages.
 
     Two backends share one interface. [in_memory] keeps pages in an OCaml
-    array — deterministic, fast, the default for tests. [on_file] keeps them
-    in a real file accessed with [pread]/[pwrite]-style positioned I/O —
-    used when a workload must exceed memory, and to make external-sort
-    spills real. Either way, {!Stats.t} counts page transfers; every access
-    is expected to go through {!Buffer_pool}, which is what turns the paper's
-    512 MB / 8 KB page configuration into a knob.
-
-    Freed pages ({!free}) go on a free list that {!allocate} reuses LIFO, so
-    temporary structures (external-sort runs, spilled cuboids) do not grow
-    the disk for the life of the process. Accessing a freed page raises.
+    array — deterministic, fast, what every witness table's pool uses.
+    [on_file] keeps them in a real file accessed with [pread]/[pwrite]-style
+    positioned I/O — the WAL's log. Either way, {!Stats.t} counts page
+    transfers; every table access is expected to go through
+    {!Buffer_pool}, which is what turns the paper's 512 MB / 8 KB page
+    configuration into a knob. Pages are only ever allocated, never
+    freed: nothing in the engine keeps temporary pages.
 
     {b Page format.} {!V1} (the default) prefixes every on-media page with a
     16-byte header — magic, format version, an LSN stamp (the disk's write
@@ -64,15 +61,14 @@ val in_memory : ?page_size:int -> ?format:format -> unit -> t
 
 val on_file : ?page_size:int -> ?format:format -> ?temp:bool -> string -> t
 (** [on_file path] creates or truncates [path]. With [temp] (the default)
-    the file is removed on {!close} — spill files are temporaries; pass
-    [~temp:false] for a persistent store that {!reopen} can later see. *)
+    the file is removed on {!close}; pass [~temp:false] for a persistent
+    store that {!reopen} can later see. *)
 
 val reopen : ?page_size:int -> ?format:format -> string -> t
 (** Open an existing page file without truncating — what recovery does
     after a crash. The page count is taken from the file size (rounded up,
     so a file truncated mid-page still addresses its torn last page and
-    reading it raises {!Short_read}); the free list starts empty. The file
-    is kept on {!close}. *)
+    reading it raises {!Short_read}). The file is kept on {!close}. *)
 
 val page_size : t -> int
 
@@ -80,25 +76,14 @@ val physical_page_size : t -> int
 (** On-media bytes per page: [page_size] plus the {!V1} header. *)
 
 val page_count : t -> int
-(** High-water page count: every id ever allocated, including freed ones. *)
-
-val live_page_count : t -> int
-(** Currently allocated pages — {!page_count} minus the free list. This is
-    the number external-sort leak tests gate on. *)
+(** Every page ever allocated. *)
 
 val allocate : t -> int
-(** Allocate a zeroed page and return its id — a recycled free-list page
-    (re-zeroed) when one exists, a fresh id otherwise. *)
-
-val free : t -> int -> unit
-(** Return a page to the free list. Raises [Invalid_argument] on bad ids or
-    double frees. Callers holding pages in a {!Buffer_pool} must free
-    through [Buffer_pool.free_page] so the resident frame is invalidated
-    first. *)
+(** Allocate a zeroed page at the end of the disk and return its id. *)
 
 val read_into : t -> int -> bytes -> unit
 (** [read_into t id buf] fills [buf] (of length [page_size t]) with page
-    [id]'s payload. Raises [Invalid_argument] on bad/freed ids or buffer
+    [id]'s payload. Raises [Invalid_argument] on bad ids or buffer
     sizes, {!Short_read} when the file backend comes up short, and — on
     {!V1} — {!Corruption} when the page fails checksum verification. A
     never-written page reads as all zeroes. *)

@@ -56,12 +56,6 @@ let append t record =
   end;
   t.records <- t.records + 1
 
-let free t =
-  List.iter (Buffer_pool.free_page t.pool) t.pages;
-  t.pages <- [];
-  t.page_order <- None;
-  t.records <- 0
-
 let forward_pages t =
   match t.page_order with
   | Some order -> order
@@ -95,37 +89,3 @@ let iter f t =
       in
       List.iter f records)
     order
-
-let fold f init t =
-  let acc = ref init in
-  iter (fun record -> acc := f !acc record) t;
-  !acc
-
-let to_seq t =
-  let order = forward_pages t in
-  let page_records page =
-    Buffer_pool.with_page t.pool page (fun buf ->
-        let count = get_u16 buf 0 in
-        let rec collect acc off remaining =
-          if remaining = 0 then List.rev acc
-          else begin
-            let len = get_u16 buf off in
-            let record = Bytes.sub_string buf (off + record_header_bytes) len in
-            collect (record :: acc) (off + record_header_bytes + len)
-              (remaining - 1)
-          end
-        in
-        collect [] header_bytes count)
-  in
-  let rec pages i () =
-    if i >= Array.length order then Seq.Nil
-    else begin
-      let records = page_records order.(i) in
-      let rec emit = function
-        | [] -> pages (i + 1) ()
-        | r :: rest -> Seq.Cons (r, fun () -> emit rest)
-      in
-      emit records
-    end
-  in
-  pages 0

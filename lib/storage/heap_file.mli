@@ -1,9 +1,9 @@
 (** Unordered record files over pooled pages.
 
     A heap file is a chain of pages holding length-prefixed records; it is
-    how witness tables, spilled sort runs and materialised cuboids live on
-    the (simulated or real) disk. Records never span pages, so a record is
-    limited to [page_size - 6] bytes — ample for witness rows.
+    how witness tables live on the (simulated or real) disk. Records never
+    span pages, so a record is limited to [page_size - 6] bytes — ample for
+    witness rows.
 
     Page layout: [u16 record-count | u16 free-offset | records...], each
     record being [u16 length | payload]. *)
@@ -17,19 +17,9 @@ val append : t -> string -> unit
 (** Add one record at the end. Raises [Invalid_argument] if the record
     cannot fit on an empty page. *)
 
-val free : t -> unit
-(** Return every page to the pool's disk free list, leaving the file empty.
-    Temporary files (external-sort runs, spilled intermediates) must be
-    freed when consumed or the disk grows for the life of the pool. *)
-
 val iter : (string -> unit) -> t -> unit
 (** Scan every record in insertion order, touching pages through the
     pool. *)
-
-val fold : ('a -> string -> 'a) -> 'a -> t -> 'a
-val to_seq : t -> string Seq.t
-(** Lazy scan. The sequence must be consumed before the pool's disk is
-    closed. *)
 
 val record_count : t -> int
 val page_count : t -> int

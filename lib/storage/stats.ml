@@ -2,14 +2,10 @@ type t = {
   mutable page_reads : int;
   mutable page_writes : int;
   mutable pages_allocated : int;
-  mutable pages_freed : int;
   mutable pool_hits : int;
   mutable pool_misses : int;
   mutable evictions : int;
   mutable syncs : int;
-  mutable sort_runs : int;
-  mutable merge_passes : int;
-  mutable records_sorted : int;
 }
 
 let create () =
@@ -17,66 +13,33 @@ let create () =
     page_reads = 0;
     page_writes = 0;
     pages_allocated = 0;
-    pages_freed = 0;
     pool_hits = 0;
     pool_misses = 0;
     evictions = 0;
     syncs = 0;
-    sort_runs = 0;
-    merge_passes = 0;
-    records_sorted = 0;
   }
-
-let reset t =
-  t.page_reads <- 0;
-  t.page_writes <- 0;
-  t.pages_allocated <- 0;
-  t.pages_freed <- 0;
-  t.pool_hits <- 0;
-  t.pool_misses <- 0;
-  t.evictions <- 0;
-  t.syncs <- 0;
-  t.sort_runs <- 0;
-  t.merge_passes <- 0;
-  t.records_sorted <- 0
 
 let add acc x =
   acc.page_reads <- acc.page_reads + x.page_reads;
   acc.page_writes <- acc.page_writes + x.page_writes;
   acc.pages_allocated <- acc.pages_allocated + x.pages_allocated;
-  acc.pages_freed <- acc.pages_freed + x.pages_freed;
   acc.pool_hits <- acc.pool_hits + x.pool_hits;
   acc.pool_misses <- acc.pool_misses + x.pool_misses;
   acc.evictions <- acc.evictions + x.evictions;
-  acc.syncs <- acc.syncs + x.syncs;
-  acc.sort_runs <- acc.sort_runs + x.sort_runs;
-  acc.merge_passes <- acc.merge_passes + x.merge_passes;
-  acc.records_sorted <- acc.records_sorted + x.records_sorted
+  acc.syncs <- acc.syncs + x.syncs
 
 let diff ~later ~earlier =
   {
     page_reads = later.page_reads - earlier.page_reads;
     page_writes = later.page_writes - earlier.page_writes;
     pages_allocated = later.pages_allocated - earlier.pages_allocated;
-    pages_freed = later.pages_freed - earlier.pages_freed;
     pool_hits = later.pool_hits - earlier.pool_hits;
     pool_misses = later.pool_misses - earlier.pool_misses;
     evictions = later.evictions - earlier.evictions;
     syncs = later.syncs - earlier.syncs;
-    sort_runs = later.sort_runs - earlier.sort_runs;
-    merge_passes = later.merge_passes - earlier.merge_passes;
-    records_sorted = later.records_sorted - earlier.records_sorted;
   }
 
 let copy t =
   let c = create () in
   add c t;
   c
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<h>reads=%d writes=%d alloc=%d freed=%d hits=%d misses=%d evict=%d \
-     syncs=%d runs=%d merges=%d sorted=%d@]"
-    t.page_reads t.page_writes t.pages_allocated t.pages_freed t.pool_hits
-    t.pool_misses t.evictions t.syncs t.sort_runs t.merge_passes
-    t.records_sorted

@@ -8,19 +8,14 @@
 type t = {
   mutable page_reads : int;  (** pages fetched from the disk layer *)
   mutable page_writes : int;  (** pages written back to the disk layer *)
-  mutable pages_allocated : int;  (** counts free-list reuse too *)
-  mutable pages_freed : int;  (** pages returned to the disk free list *)
+  mutable pages_allocated : int;
   mutable pool_hits : int;  (** buffer-pool lookups served from memory *)
   mutable pool_misses : int;
   mutable evictions : int;
   mutable syncs : int;  (** durability barriers requested ({!Disk.sync}) *)
-  mutable sort_runs : int;  (** sorted runs spilled by external sorts *)
-  mutable merge_passes : int;
-  mutable records_sorted : int;
 }
 
 val create : unit -> t
-val reset : t -> unit
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 
@@ -30,5 +25,3 @@ val diff : later:t -> earlier:t -> t
 (** [diff ~later ~earlier] is the per-field delta — use with two {!copy}
     snapshots of a live counter to attribute substrate work to the query
     that ran between them. *)
-
-val pp : Format.formatter -> t -> unit

@@ -246,7 +246,7 @@ let test_all_algorithms_agree_on_clean_data () =
 
 let test_counter_multipass () =
   let p = prepared () in
-  let config = { Engine.default_config with counter_budget = 3; sort_budget = 1000 } in
+  let config = { Engine.default_config with counter_budget = 3 } in
   let result, instr = Engine.run ~config p Engine.Counter in
   let reference, _ = Engine.run p Engine.Naive in
   Alcotest.(check bool) "still correct" true
@@ -254,13 +254,30 @@ let test_counter_multipass () =
   Alcotest.(check bool) "needed multiple passes" true
     (instr.Instrument.passes > 1)
 
-let test_td_external_sort () =
-  let p = prepared () in
-  let config = { Engine.default_config with counter_budget = 1_000_000; sort_budget = 2 } in
-  let result, _ = Engine.run ~config p Engine.Td in
+(* TD's hash tier sorts in memory: with the radix tiers off every cuboid
+   sorts, yet the run allocates no page on the table's disk and writes
+   none back. *)
+let test_td_sorts_allocate_no_page () =
+  let pool =
+    X3_storage.Buffer_pool.create ~capacity_pages:4
+      (X3_storage.Disk.in_memory ~page_size:1024 ())
+  in
+  let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
+  let p = Engine.prepare ~pool ~store:(figure1_store ()) spec in
+  X3_storage.Buffer_pool.flush pool;
+  let disk = X3_storage.Buffer_pool.disk pool in
+  let pages = X3_storage.Disk.page_count disk in
+  let writes = (X3_storage.Disk.stats disk).X3_storage.Stats.page_writes in
+  let config = { Engine.default_config with radix_bits = 0 } in
+  let result, instr = Engine.run ~config p Engine.Td in
   let reference, _ = Engine.run p Engine.Naive in
-  Alcotest.(check bool) "external sorting stays correct" true
-    (Cube_result.equal ~func:Aggregate.Count reference result)
+  Alcotest.(check bool) "in-memory sorts stay correct" true
+    (Cube_result.equal ~func:Aggregate.Count reference result);
+  Alcotest.(check int) "every cuboid sorted" 30 instr.Instrument.sort_ops;
+  Alcotest.(check int) "no page allocated" pages
+    (X3_storage.Disk.page_count disk);
+  Alcotest.(check int) "no page written" writes
+    (X3_storage.Disk.stats disk).X3_storage.Stats.page_writes
 
 let test_instrumentation_sanity () =
   let p = prepared () in
@@ -524,7 +541,7 @@ let test_counter_budget_one () =
   (* One counter at a time: maximal eviction pressure, still correct. *)
   let p = prepared () in
   let reference, _ = Engine.run p Engine.Naive in
-  let config = { Engine.default_config with counter_budget = 1; sort_budget = 1000 } in
+  let config = { Engine.default_config with counter_budget = 1 } in
   let result, instr = Engine.run ~config p Engine.Counter in
   Alcotest.(check bool) "correct under extreme pressure" true
     (Cube_result.equal ~func:Aggregate.Count reference result);
@@ -802,25 +819,6 @@ let test_coded_path_matches_legacy_grouping () =
             expected.(i) got)
         (X3_lattice.Lattice.by_degree (lattice_of p)))
     (Engine.Naive :: correct_algorithms)
-
-(* --- external sorting through a real file ------------------------------------ *)
-
-let test_td_with_file_backed_disk () =
-  let path = Filename.temp_file "x3sort" ".pages" in
-  let pool =
-    X3_storage.Buffer_pool.create ~capacity_pages:16
-      (X3_storage.Disk.on_file ~page_size:1024 path)
-  in
-  let store = figure1_store () in
-  let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
-  let p = Engine.prepare ~pool ~store spec in
-  let config = { Engine.default_config with counter_budget = 1_000_000; sort_budget = 2 } in
-  let result, _ = Engine.run ~config p Engine.Td in
-  let reference, _ = Engine.run p Engine.Naive in
-  Alcotest.(check bool) "file-backed external sorts stay correct" true
-    (Cube_result.equal ~func:Aggregate.Count reference result);
-  X3_storage.Disk.close (X3_storage.Buffer_pool.disk pool);
-  Alcotest.(check bool) "spill file cleaned up" false (Sys.file_exists path)
 
 (* --- materialized intermediates (§3.6) ------------------------------------ *)
 
@@ -1226,7 +1224,7 @@ let prop_counter_budget_independent =
       let spec = Engine.count_spec ~fact_path:[ step d "r" ] ~axes:(random_axes ()) in
       let p = Engine.prepare ~pool:(small_pool ()) ~store spec in
       let reference, _ = Engine.run p Engine.Naive in
-      let config = { Engine.default_config with counter_budget = budget; sort_budget = 1000 } in
+      let config = { Engine.default_config with counter_budget = budget } in
       let result, _ = Engine.run ~config p Engine.Counter in
       Cube_result.equal ~func:Aggregate.Count reference result)
 
@@ -1260,7 +1258,7 @@ let test_parallel_counter_tiny_budget () =
   let reference =
     Export.csv_string ~func:Aggregate.Count (fst (Engine.run p Engine.Naive))
   in
-  let config = { Engine.default_config with counter_budget = 3; sort_budget = 1000 } in
+  let config = { Engine.default_config with counter_budget = 3 } in
   List.iter
     (fun workers ->
       let result, instr = Engine.run ~config ~workers p Engine.Counter in
@@ -1655,7 +1653,7 @@ let csv result = Export.csv_string ~func:Aggregate.Count result
 let test_counter_eviction_budget_one () =
   let p = prepared () in
   let reference = csv (fst (Engine.run p Engine.Naive)) in
-  let config = { Engine.default_config with counter_budget = 1; sort_budget = 1000 } in
+  let config = { Engine.default_config with counter_budget = 1 } in
   let result, instr = Engine.run ~config p Engine.Counter in
   Alcotest.(check string) "budget 1 still correct" reference (csv result);
   Alcotest.(check bool) "eviction forced extra passes" true
@@ -1675,7 +1673,7 @@ let test_counter_single_cuboid_keep_rule () =
       (Engine.count_spec ~fact_path ~axes)
   in
   let reference = csv (fst (Engine.run p Engine.Naive)) in
-  let config = { Engine.default_config with counter_budget = 1; sort_budget = 1000 } in
+  let config = { Engine.default_config with counter_budget = 1 } in
   let result, instr = Engine.run ~config p Engine.Counter in
   Alcotest.(check string) "correct" reference (csv result);
   Alcotest.(check int) "single pass" 1 instr.Instrument.passes;
@@ -1687,7 +1685,7 @@ let test_counter_eviction_tie_deterministic () =
      ties; the choice must be deterministic run to run. *)
   let p = prepared () in
   let reference = csv (fst (Engine.run p Engine.Naive)) in
-  let config = { Engine.default_config with counter_budget = 2; sort_budget = 1000 } in
+  let config = { Engine.default_config with counter_budget = 2 } in
   let r1, i1 = Engine.run ~config p Engine.Counter in
   let r2, i2 = Engine.run ~config p Engine.Counter in
   Alcotest.(check bool) "ties forced multiple passes" true
@@ -1776,8 +1774,9 @@ let test_governed_spill_figure1 () =
 
 let test_governed_spill_treebank () =
   (* Enough rows that the squeezed budget genuinely drives the spill
-     machinery: TD's sort allowance drops toward its 64-record floor and
-     parallel COUNTER's byte-derived pass budget forces eviction. *)
+     machinery: parallel COUNTER's byte-derived pass budget forces
+     eviction, and TD's up-front booking of its radix scratch meets the
+     budget. *)
   let config = { X3_workload.Treebank.default with num_trees = 30; axes = 2 } in
   let store = X3_xdb.Store.of_document (X3_workload.Treebank.generate config) in
   let p =
@@ -2756,7 +2755,8 @@ let () =
           Alcotest.test_case "all agree on clean data" `Quick
             test_all_algorithms_agree_on_clean_data;
           Alcotest.test_case "counter multipass" `Quick test_counter_multipass;
-          Alcotest.test_case "td external sort" `Quick test_td_external_sort;
+          Alcotest.test_case "td sorts allocate no page" `Quick
+            test_td_sorts_allocate_no_page;
           Alcotest.test_case "instrumentation" `Quick
             test_instrumentation_sanity;
           Alcotest.test_case "sum measure" `Quick test_sum_measure;
@@ -2781,8 +2781,6 @@ let () =
             test_long_value_kept_whole;
           Alcotest.test_case "coded path = legacy string grouping" `Quick
             test_coded_path_matches_legacy_grouping;
-          Alcotest.test_case "file-backed external sorts" `Quick
-            test_td_with_file_backed_disk;
         ] );
       ( "materialized (§3.6)",
         [

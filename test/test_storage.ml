@@ -38,47 +38,7 @@ let test_disk_bad_id () =
   Alcotest.check_raises "out of range" (Invalid_argument "Disk: page 0 out of range [0, 0)")
     (fun () -> Disk.read_into disk 0 (Bytes.make 64 ' '))
 
-(* --- free list, durability, short reads ------------------------------- *)
-
-let test_disk_free_reuse () =
-  let disk = Disk.in_memory ~page_size:64 () in
-  let a = Disk.allocate disk in
-  let _b = Disk.allocate disk in
-  Disk.write disk a (Bytes.make 64 'a');
-  Alcotest.(check int) "two live" 2 (Disk.live_page_count disk);
-  Disk.free disk a;
-  Alcotest.(check int) "one live" 1 (Disk.live_page_count disk);
-  Alcotest.(check int) "free counted" 1 (Disk.stats disk).Stats.pages_freed;
-  Alcotest.(check bool) "read of freed page raises" true
-    (try
-       Disk.read_into disk a (Bytes.make 64 ' ');
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "double free raises" true
-    (try
-       Disk.free disk a;
-       false
-     with Invalid_argument _ -> true);
-  let c = Disk.allocate disk in
-  Alcotest.(check int) "freed id recycled" a c;
-  let out = Bytes.make 64 'x' in
-  Disk.read_into disk c out;
-  Alcotest.(check bytes) "recycled page re-zeroed" (Bytes.make 64 '\000') out;
-  Alcotest.(check int) "address space did not grow" 2 (Disk.page_count disk)
-
-let test_disk_free_reuse_on_file () =
-  let path = Filename.temp_file "x3disk" ".pages" in
-  let disk = Disk.on_file ~page_size:64 path in
-  let a = Disk.allocate disk in
-  Disk.write disk a (Bytes.make 64 'a');
-  Disk.free disk a;
-  let c = Disk.allocate disk in
-  Alcotest.(check int) "freed id recycled" a c;
-  let out = Bytes.make 64 'x' in
-  Disk.read_into disk c out;
-  Alcotest.(check bytes) "recycled page re-zeroed on disk"
-    (Bytes.make 64 '\000') out;
-  Disk.close disk
+(* --- durability, short reads -------------------------------------------- *)
 
 let test_disk_short_read () =
   let path = Filename.temp_file "x3disk" ".pages" in
@@ -256,20 +216,6 @@ let test_pool_flush_syncs () =
   Alcotest.(check int) "flush ends in a sync" 1 (Disk.stats disk).Stats.syncs;
   Disk.close disk
 
-let test_pool_free_page () =
-  let pool = small_pool ~capacity_pages:2 ~page_size:64 () in
-  let disk = Buffer_pool.disk pool in
-  let a = Buffer_pool.allocate pool in
-  (* Dirty the resident frame, then free: the dead frame must not be
-     written back over whatever recycles the page. *)
-  Buffer_pool.with_page_mut pool a (fun b -> Bytes.set b 0 'a');
-  Buffer_pool.free_page pool a;
-  Alcotest.(check int) "nothing live" 0 (Disk.live_page_count disk);
-  let b = Buffer_pool.allocate pool in
-  Alcotest.(check int) "page recycled" a b;
-  Buffer_pool.with_page pool b (fun buf ->
-      Alcotest.(check char) "recycled page is zeroed" '\000' (Bytes.get buf 0))
-
 (* Satellite regression: a frame pinned by a [with_page_mut] window must
    never be stolen by eviction traffic inside the window, whatever the
    pressure — a stolen frame would be written back mid-mutation with a
@@ -325,6 +271,11 @@ let test_pool_torn_page_detected () =
 
 (* --- heap file -------------------------------------------------------- *)
 
+let records_of h =
+  let acc = ref [] in
+  Heap_file.iter (fun r -> acc := r :: !acc) h;
+  List.rev !acc
+
 let test_heap_roundtrip () =
   let pool = small_pool ~page_size:64 () in
   let h = Heap_file.create pool in
@@ -333,14 +284,14 @@ let test_heap_roundtrip () =
   Alcotest.(check int) "count" 100 (Heap_file.record_count h);
   Alcotest.(check bool) "spans pages" true (Heap_file.page_count h > 1);
   Alcotest.(check (list string)) "order preserved" records
-    (List.rev (Heap_file.fold (fun acc r -> r :: acc) [] h))
+    (records_of h)
 
 let test_heap_empty () =
   let pool = small_pool () in
   let h = Heap_file.create pool in
   Alcotest.(check int) "empty count" 0 (Heap_file.record_count h);
   Alcotest.(check (list string)) "empty iter" []
-    (Heap_file.fold (fun acc r -> r :: acc) [] h)
+    (records_of h)
 
 let test_heap_record_too_large () =
   let pool = small_pool ~page_size:64 () in
@@ -359,7 +310,7 @@ let test_heap_varied_sizes () =
   in
   List.iter (Heap_file.append h) records;
   Alcotest.(check (list string)) "roundtrip" records
-    (List.of_seq (Heap_file.to_seq h))
+    (records_of h)
 
 let test_heap_empty_record () =
   let pool = small_pool () in
@@ -368,23 +319,7 @@ let test_heap_empty_record () =
   Heap_file.append h "x";
   Heap_file.append h "";
   Alcotest.(check (list string)) "empties survive" [ ""; "x"; "" ]
-    (List.of_seq (Heap_file.to_seq h))
-
-let test_heap_free () =
-  let pool = small_pool ~capacity_pages:4 ~page_size:64 () in
-  let disk = Buffer_pool.disk pool in
-  let h = Heap_file.create pool in
-  List.iter (Heap_file.append h)
-    (List.init 50 (fun i -> Printf.sprintf "r%04d" i));
-  Alcotest.(check bool) "pages held" true (Disk.live_page_count disk > 0);
-  Heap_file.free h;
-  Alcotest.(check int) "all pages returned" 0 (Disk.live_page_count disk);
-  Alcotest.(check int) "file empty" 0 (Heap_file.record_count h);
-  (* The freed file is reusable. *)
-  Heap_file.append h "again";
-  Alcotest.(check (list string)) "reusable after free" [ "again" ]
-    (List.of_seq (Heap_file.to_seq h));
-  Heap_file.free h
+    (records_of h)
 
 (* --- quicksort -------------------------------------------------------- *)
 
@@ -398,92 +333,25 @@ let test_quicksort_sub () =
   Quicksort.sort_sub ~compare:Int.compare a ~pos:2 ~len:3;
   Alcotest.(check (array int)) "slice sorted" [| 9; 8; 1; 2; 3; 0 |] a
 
-(* --- min heap --------------------------------------------------------- *)
-
-let test_min_heap () =
-  let h = Min_heap.create ~compare:Int.compare in
-  List.iter (Min_heap.push h) [ 5; 1; 4; 1; 5; 9; 2; 6 ];
-  let rec drain acc =
-    match Min_heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "drains sorted" [ 1; 1; 2; 4; 5; 5; 6; 9 ]
-    (drain [])
-
-(* --- external sort ---------------------------------------------------- *)
-
-let run_sort ~budget records =
-  let pool = small_pool ~capacity_pages:8 ~page_size:256 () in
-  let out =
-    External_sort.sort_records ~pool ~budget_records:budget
-      ~compare:String.compare (fun emit -> List.iter emit records)
-  in
-  (List.of_seq (Heap_file.to_seq out), Buffer_pool.stats pool)
-
+(* TD's hash tier sorts the filled prefix of a row-sized array of record
+   strings. *)
 let test_sort_in_memory () =
-  let records = [ "pear"; "apple"; "fig"; "banana" ] in
-  let sorted, stats = run_sort ~budget:100 records in
-  Alcotest.(check (list string)) "sorted"
-    [ "apple"; "banana"; "fig"; "pear" ]
-    sorted;
-  Alcotest.(check int) "no spilled runs" 0 stats.Stats.sort_runs
-
-let test_sort_external () =
-  let records = List.init 500 (fun i -> Printf.sprintf "%04d" ((i * 7919) mod 500)) in
-  let expected = List.sort String.compare records in
-  let sorted, stats = run_sort ~budget:50 records in
-  Alcotest.(check (list string)) "sorted" expected sorted;
-  Alcotest.(check bool) "spilled runs" true (stats.Stats.sort_runs >= 10);
-  Alcotest.(check bool) "merge pass" true (stats.Stats.merge_passes >= 1)
-
-let test_sort_multi_pass_merge () =
-  let records = List.init 300 (fun i -> Printf.sprintf "%03d" (299 - i)) in
-  let pool = small_pool ~capacity_pages:8 ~page_size:256 () in
-  let out =
-    External_sort.sort_records ~pool ~budget_records:10 ~fanout:2
-      ~compare:String.compare (fun emit -> List.iter emit records)
-  in
-  Alcotest.(check (list string)) "sorted"
-    (List.init 300 (fun i -> Printf.sprintf "%03d" i))
-    (List.of_seq (Heap_file.to_seq out));
-  Alcotest.(check bool) "several merge passes" true
-    ((Buffer_pool.stats pool).Stats.merge_passes > 1)
+  let a = [| "pear"; "apple"; "fig"; "banana"; ""; "" |] in
+  Quicksort.sort_sub ~compare:String.compare a ~pos:0 ~len:4;
+  Alcotest.(check (array string)) "sorted prefix"
+    [| "apple"; "banana"; "fig"; "pear"; ""; "" |]
+    a
 
 let test_sort_empty () =
-  let sorted, _ = run_sort ~budget:10 [] in
-  Alcotest.(check (list string)) "empty" [] sorted
-
-let test_sort_frees_runs () =
-  (* Budget 10 over 300 records with fanout 2 forces ~30 runs and several
-     merge passes; every intermediate run must be back on the free list
-     when the sort returns, leaving only the output file live. *)
-  let pool = small_pool ~capacity_pages:8 ~page_size:256 () in
-  let disk = Buffer_pool.disk pool in
-  let out =
-    External_sort.sort_records ~pool ~budget_records:10 ~fanout:2
-      ~compare:String.compare (fun emit ->
-        List.iter emit
-          (List.init 300 (fun i -> Printf.sprintf "%03d" (299 - i))))
-  in
-  Alcotest.(check bool) "intermediate runs were freed" true
-    ((Buffer_pool.stats pool).Stats.sort_runs > 0
-    && (Disk.stats disk).Stats.pages_freed > 0);
-  Alcotest.(check int) "only the output holds pages"
-    (Heap_file.page_count out)
-    (Disk.live_page_count disk);
-  Heap_file.free out;
-  Alcotest.(check int) "baseline restored" 0 (Disk.live_page_count disk)
+  let a = Array.make 3 "x" in
+  Quicksort.sort_sub ~compare:String.compare a ~pos:0 ~len:0;
+  Quicksort.sort ~compare:String.compare [||];
+  Alcotest.(check (array string)) "untouched" [| "x"; "x"; "x" |] a
 
 (* --- properties ------------------------------------------------------- *)
 
 let gen_records =
   QCheck2.Gen.(list_size (int_bound 400) (string_size ~gen:printable (int_range 0 20)))
-
-let prop_external_sort_sorts =
-  QCheck2.Test.make ~name:"external sort = List.sort" ~count:100
-    QCheck2.Gen.(pair gen_records (int_range 1 64))
-    (fun (records, budget) ->
-      let sorted, _ = run_sort ~budget records in
-      sorted = List.sort String.compare records)
 
 let prop_quicksort_sorts =
   QCheck2.Test.make ~name:"quicksort = List.sort" ~count:300
@@ -499,7 +367,7 @@ let prop_heap_file_roundtrip =
       let pool = small_pool ~capacity_pages:4 ~page_size:128 () in
       let h = Heap_file.create pool in
       List.iter (Heap_file.append h) records;
-      List.of_seq (Heap_file.to_seq h) = records)
+      records_of h = records)
 
 (* Model-based pool check: a random sequence of allocations, writes and
    reads against a tiny pool must behave like a plain map from page to
@@ -561,40 +429,6 @@ let prop_pool_matches_model =
         !pages;
       !ok)
 
-(* Leak property: whatever the budget, a (possibly multi-pass, fanout 2)
-   external sort must hand back every page except the output's; freeing
-   the output returns the disk to its baseline. *)
-let prop_external_sort_no_leak =
-  QCheck2.Test.make ~name:"external sort leaks no pages" ~count:60
-    QCheck2.Gen.(pair gen_records (int_range 1 16))
-    (fun (records, budget) ->
-      let pool = small_pool ~capacity_pages:8 ~page_size:256 () in
-      let disk = Buffer_pool.disk pool in
-      let out =
-        External_sort.sort_records ~pool ~budget_records:budget ~fanout:2
-          ~compare:String.compare (fun emit -> List.iter emit records)
-      in
-      let sorted = List.of_seq (Heap_file.to_seq out) in
-      let out_pages = Heap_file.page_count out in
-      let live = Disk.live_page_count disk in
-      Heap_file.free out;
-      sorted = List.sort String.compare records
-      && live = out_pages
-      && Disk.live_page_count disk = 0)
-
-let prop_min_heap_sorts =
-  QCheck2.Test.make ~name:"min heap drains sorted" ~count:200
-    QCheck2.Gen.(list (int_bound 1000))
-    (fun l ->
-      let h = Min_heap.create ~compare:Int.compare in
-      List.iter (Min_heap.push h) l;
-      let rec drain acc =
-        match Min_heap.pop h with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare l)
-
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "x3_storage"
@@ -604,9 +438,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_disk_roundtrip;
           Alcotest.test_case "on file" `Quick test_disk_on_file;
           Alcotest.test_case "bad id" `Quick test_disk_bad_id;
-          Alcotest.test_case "free + reuse" `Quick test_disk_free_reuse;
-          Alcotest.test_case "free + reuse on file" `Quick
-            test_disk_free_reuse_on_file;
           Alcotest.test_case "short read raises" `Quick test_disk_short_read;
           Alcotest.test_case "sync counted" `Quick test_disk_sync_counted;
           Alcotest.test_case "v0 legacy format" `Quick
@@ -626,7 +457,6 @@ let () =
           Alcotest.test_case "overcommit" `Quick
             test_pool_more_pages_than_capacity;
           Alcotest.test_case "flush syncs" `Quick test_pool_flush_syncs;
-          Alcotest.test_case "free page" `Quick test_pool_free_page;
           Alcotest.test_case "pinned frames survive eviction" `Quick
             test_pool_pinned_not_evicted;
           Alcotest.test_case "torn page detected" `Quick
@@ -640,28 +470,19 @@ let () =
             test_heap_record_too_large;
           Alcotest.test_case "varied sizes" `Quick test_heap_varied_sizes;
           Alcotest.test_case "empty records" `Quick test_heap_empty_record;
-          Alcotest.test_case "free returns pages" `Quick test_heap_free;
         ] );
       ( "sorting",
         [
           Alcotest.test_case "quicksort basic" `Quick test_quicksort_basic;
           Alcotest.test_case "quicksort sub" `Quick test_quicksort_sub;
-          Alcotest.test_case "min heap" `Quick test_min_heap;
           Alcotest.test_case "in-memory sort" `Quick test_sort_in_memory;
-          Alcotest.test_case "external sort" `Quick test_sort_external;
-          Alcotest.test_case "multi-pass merge" `Quick
-            test_sort_multi_pass_merge;
           Alcotest.test_case "empty input" `Quick test_sort_empty;
-          Alcotest.test_case "frees its runs" `Quick test_sort_frees_runs;
         ] );
       ( "properties",
         qcheck
           [
-            prop_external_sort_sorts;
-            prop_external_sort_no_leak;
             prop_quicksort_sorts;
             prop_heap_file_roundtrip;
-            prop_min_heap_sorts;
             prop_pool_matches_model;
           ] );
     ]
