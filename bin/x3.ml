@@ -282,6 +282,9 @@ type cuboid_report = {
   mutable cr_cells : int;
   mutable cr_label : string;
   mutable cr_sorts : int;
+  mutable cr_ms : float option;
+      (** summed [td.base]/[td.rollup] span time; [None] for families
+          that open no per-cuboid span *)
   mutable cr_rollups : int;
   mutable cr_provenance : string;
 }
@@ -353,6 +356,7 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
             cr_cells = 0;
             cr_label = "";
             cr_sorts = 0;
+            cr_ms = None;
             cr_rollups = 0;
             cr_provenance = "scan";
           }
@@ -360,10 +364,28 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
         Hashtbl.replace by_cuboid cid r;
         r
   in
+  (* Open per-cuboid spans by span id (unique within the trace), so each
+     End adds its span's duration to the cuboid's time. *)
+  let open_spans : (int, int * float) Hashtbl.t = Hashtbl.create 64 in
+  let span_begins (e : Trace.event) =
+    Option.iter
+      (fun cid -> Hashtbl.replace open_spans e.Trace.span (cid, e.Trace.ts))
+      (attr_int e.Trace.attrs "cuboid")
+  in
   List.iter
     (fun ring ->
       List.iter
         (fun (e : Trace.event) ->
+          if e.Trace.phase = Trace.End then
+            Option.iter
+              (fun (cid, t0) ->
+                Hashtbl.remove open_spans e.Trace.span;
+                let r = report cid in
+                r.cr_ms <-
+                  Some
+                    (Option.value ~default:0. r.cr_ms
+                    +. ((e.Trace.ts -. t0) *. 1000.)))
+              (Hashtbl.find_opt open_spans e.Trace.span);
           match e.Trace.name with
           | "cuboid.cells" ->
               Option.iter
@@ -375,6 +397,7 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
                     (attr_str e.Trace.attrs "label"))
                 (attr_int e.Trace.attrs "cuboid")
           | "td.base" when e.Trace.phase = Trace.Begin ->
+              span_begins e;
               Option.iter
                 (fun cid ->
                   let r = report cid in
@@ -388,6 +411,7 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
                          (attr_str e.Trace.attrs "mode")))
                 (attr_int e.Trace.attrs "cuboid")
           | "td.rollup" when e.Trace.phase = Trace.Begin ->
+              span_begins e;
               Option.iter
                 (fun cid ->
                   let r = report cid in
@@ -420,18 +444,20 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
       Printf.printf "  %-12s %9.3f ms\n" name (seconds *. 1000.))
     (phases ph);
   Printf.printf "\nper-cuboid costs:\n";
-  Printf.printf "  %-4s %9s %-6s %-18s %-16s %s\n" "id" "cells" "sorts"
-    "provenance" "grouping" "pattern";
+  Printf.printf "  %-4s %9s %-6s %9s %-18s %-16s %s\n" "id" "cells" "sorts"
+    "ms" "provenance" "grouping" "pattern";
   Array.iter
     (fun cid ->
       let r = report cid in
       let label =
         if r.cr_label <> "" then r.cr_label else Engine.cuboid_label prepared cid
       in
-      Printf.printf "  %-4d %9d %-6d %-18s %-16s %s\n" cid
+      Printf.printf "  %-4d %9d %-6d %9s %-18s %-16s %s\n" cid
         (if r.cr_cells > 0 then r.cr_cells
          else X3_core.Cube_result.cuboid_size result cid)
-        r.cr_sorts r.cr_provenance (planned_strategy cid) label)
+        r.cr_sorts
+        (match r.cr_ms with Some ms -> Printf.sprintf "%.3f" ms | None -> "-")
+        r.cr_provenance (planned_strategy cid) label)
     (Lattice.by_degree lattice);
   let io = run_stats.Engine.io in
   let pool_lookups = io.X3_storage.Stats.pool_hits + io.X3_storage.Stats.pool_misses in
@@ -988,8 +1014,8 @@ let explain_cmd =
     (Cmd.info "explain"
        ~doc:
          "Run an X^3 query traced and print a per-phase, per-cuboid cost \
-          report (scans, sorts, rollups, pool hit rate, peak counters, \
-          bytes reserved)")
+          report (scans, sorts, the TD family's time per cuboid, rollups, \
+          pool hit rate, peak counters, bytes reserved)")
     Term.(
       const run_explain $ query_arg $ doc_arg $ algorithm $ use_schema
       $ workers $ radix_bits_arg $ trace $ metrics)

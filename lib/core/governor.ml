@@ -18,9 +18,14 @@
    on key width; 96 is the documented middle. *)
 let counter_cost = 96
 
-(* One sort record: the encoded record string (key + fact + measure,
-   typically 20-40 bytes + string header) plus its array slot. *)
-let sort_record_cost = 96
+(* One (key, row) record in TD's sort array: the tuple (3 words), the
+   key's constructor box (2 words), a Wide key's id array (1 + k words
+   for k present axes) and the array slot (1 word). *)
+let sort_record_cost (s : Group_key.shape) =
+  let key_words =
+    if s.Group_key.packed then 0 else 1 + Array.length s.present
+  in
+  8 * (6 + key_words)
 
 (* --- the global pool ---------------------------------------------------- *)
 

@@ -29,9 +29,10 @@ val counter_cost : int
 (** Estimated bytes of one live group counter: the hash-table slot, the
     boxed group key and the aggregate cell. *)
 
-val sort_record_cost : int
-(** Estimated bytes of one record in TD's in-memory sort array (the
-    encoded record string plus the array slot). *)
+val sort_record_cost : Group_key.shape -> int
+(** Bytes of one (key, row) record in TD's in-memory sort array for a
+    cuboid of this key shape, its array slot included: 48 for a [Packed]
+    key, [56 + 8k] for a [Wide] key of [k] present axes. *)
 
 (** {1 The global pool} *)
 

@@ -28,9 +28,8 @@ let bits_for n =
   let rec go bits cap = if cap >= n then bits else go (bits + 1) (cap * 2) in
   go 0 1
 
-(* 62 rather than 63: keeps every packed key strictly below [max_int], so
-   the sign bit never flips and the sortable big-endian form stays
-   order-consistent. *)
+(* 62 rather than 63: every packed key stays non-negative, so it never
+   meets [Radix.key]'s -1 for a row that does not qualify. *)
 let packed_bit_budget = 62
 
 let widths_of_table table = Array.map bits_for (Witness.dict_sizes table)
@@ -161,58 +160,6 @@ let to_parts s ~dicts key =
   List.init (Array.length s.present) (fun j ->
       Dict.value dicts.(s.present.(j)) (field s key j))
 
-(* --- order-agnostic serialisation for TD's sort --------------------------- *)
-(* Big-endian fixed-width bytes: [String.compare] over sortable forms is a
-   total order that groups equal keys — all the sort-based algorithm
-   needs. *)
-
-let to_sortable key =
-  match key with
-  | Packed p ->
-      let b = Bytes.create 9 in
-      Bytes.set b 0 '\000';
-      for i = 0 to 7 do
-        Bytes.set b (1 + i) (Char.chr ((p lsr (8 * (7 - i))) land 0xFF))
-      done;
-      Bytes.unsafe_to_string b
-  | Wide w ->
-      let k = Array.length w in
-      let b = Bytes.create (1 + (4 * k)) in
-      Bytes.set b 0 '\001';
-      Array.iteri
-        (fun ai v ->
-          let base = 1 + (4 * ai) in
-          Bytes.set b base (Char.chr ((v lsr 24) land 0xFF));
-          Bytes.set b (base + 1) (Char.chr ((v lsr 16) land 0xFF));
-          Bytes.set b (base + 2) (Char.chr ((v lsr 8) land 0xFF));
-          Bytes.set b (base + 3) (Char.chr (v land 0xFF)))
-        w;
-      Bytes.unsafe_to_string b
-
-let of_sortable s =
-  if String.length s = 0 then invalid_arg "Group_key.of_sortable: empty";
-  match s.[0] with
-  | '\000' ->
-      if String.length s <> 9 then
-        invalid_arg "Group_key.of_sortable: bad packed length";
-      let p = ref 0 in
-      for i = 1 to 8 do
-        p := (!p lsl 8) lor Char.code s.[i]
-      done;
-      Packed !p
-  | '\001' ->
-      let k = (String.length s - 1) / 4 in
-      if String.length s <> 1 + (4 * k) then
-        invalid_arg "Group_key.of_sortable: bad wide length";
-      Wide
-        (Array.init k (fun ai ->
-             let base = 1 + (4 * ai) in
-             (Char.code s.[base] lsl 24)
-             lor (Char.code s.[base + 1] lsl 16)
-             lor (Char.code s.[base + 2] lsl 8)
-             lor Char.code s.[base + 3]))
-  | _ -> invalid_arg "Group_key.of_sortable: bad tag"
-
 (* --- key order, hashing ------------------------------------------------- *)
 (* The per-row comparisons and probes below are [while] loops: a local
    recursive function over the key would allocate a closure per call. *)
@@ -229,13 +176,13 @@ let compare a b =
   match (a, b) with
   | Packed p, Packed q -> Int.compare p q
   | Wide u, Wide v ->
-      let rec go i =
-        if i >= Array.length u then 0
-        else
-          let c = Int.compare u.(i) v.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
+      let n = min (Array.length u) (Array.length v) in
+      let i = ref 0 in
+      while !i < n && u.(!i) = v.(!i) do
+        incr i
+      done;
+      if !i < n then Int.compare u.(!i) v.(!i)
+      else Int.compare (Array.length u) (Array.length v)
   | Packed _, Wide _ -> -1
   | Wide _, Packed _ -> 1
 

@@ -94,16 +94,6 @@ val to_parts :
   shape -> dicts:X3_pattern.Witness.Dict.t array -> t -> string list
 (** Decode back to the present axes' values, in axis order. *)
 
-(** {2 Serialisation for TD's sort} *)
-
-val to_sortable : t -> string
-(** Fixed-width big-endian form: [String.compare] over sortable forms is a
-    total order grouping equal keys — what the sort-based algorithm
-    needs. *)
-
-val of_sortable : string -> t
-(** Raises [Invalid_argument] on malformed input. *)
-
 (** {2 Order and hashing} *)
 
 val compare : t -> t -> int

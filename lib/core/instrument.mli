@@ -9,7 +9,9 @@
 type t = {
   mutable table_scans : int;  (** full passes over the witness table *)
   mutable rows_scanned : int;
-  mutable sort_ops : int;  (** sort invocations (in-memory or external) *)
+  mutable sort_ops : int;
+      (** in-memory sorts: TD's hash-tier cuboids and BUC's partition
+          sorts *)
   mutable rows_sorted : int;
   mutable passes : int;  (** COUNTER memory passes *)
   mutable peak_counters : int;  (** max simultaneously-live group counters *)

@@ -18,6 +18,11 @@ let mode_name = function
 let custom_mode props cid : mode =
   if Properties.cuboid_disjoint props cid then `Representative else `Dedup
 
+(* The hash tier's sort order: group key, then row. *)
+let compare_record ((k, r) : Group_key.t * int) (k', r') =
+  let c = Group_key.compare k k' in
+  if c <> 0 then c else Int.compare r r'
+
 (* Find-or-create a group's cell in one cuboid's table. *)
 let cell_in into key =
   match Group_key.Tbl.find_opt into key with
@@ -42,7 +47,7 @@ let cell_in into key =
    fact's rows are contiguous, so a per-slot mark stamp removes duplicates
    exactly as the sorted sweep's consecutive-fact skip does, and in the
    same row order); the hash fallback keeps the paper's sort — collect
-   (sortable key, fact, measure) records in one array, quicksort it (§4's
+   (key, row) records in one array, quicksort them by key then row (§4's
    in-memory sort), sweep. The caller chooses which counters it bumps and
    whether to poll for stops, so the same code serves the calling domain's
    lane, the helper lanes and a serve session's base views. The columns
@@ -131,8 +136,8 @@ let compute_from_base (ctx : Context.t) ~instr ~polls ~(mode : mode) cid into
       let scratch = Group_key.make_scratch p.Radix.p_shape in
       (* A cuboid never has more records than the table has rows, so one
          row-sized array holds them all; the governor booked it before
-         fan-out. *)
-      let records = Array.make rows "" in
+         fan-out. A record is the row's key and the row itself. *)
+      let records = Array.make rows (Group_key.Packed 0, 0) in
       let fed = ref 0 in
       for r = 0 to rows - 1 do
         checkpoint ();
@@ -140,43 +145,32 @@ let compute_from_base (ctx : Context.t) ~instr ~polls ~(mode : mode) cid into
           Radix.load cur scratch r
           && ((not representative) || Radix.first_on_removed cur r)
         then begin
-          (* Sort on the order-preserving byte form of the coded key:
-             String.compare groups equal keys just as well, and the record
-             stays one flat string. *)
           instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
-          records.(!fed) <-
-            Sort_record.encode
-              ~key:(Group_key.to_sortable (Group_key.freeze scratch))
-              ~fact:(if dedup then Columnar.fact cols r else 0)
-              ~measure:(measure_row r);
+          records.(!fed) <- (Group_key.freeze scratch, r);
           incr fed
         end
       done;
-      Quicksort.sort_sub ~compare:Sort_record.compare records ~pos:0 ~len:!fed;
+      Quicksort.sort_sub ~compare:compare_record records ~pos:0 ~len:!fed;
       instr.Instrument.rows_sorted <- instr.Instrument.rows_sorted + !fed;
       fed_total := !fed;
-      (* One sweep: group boundaries on key change (the array is
-         key-sorted, so the group's cell is carried across records rather
-         than looked up per record); duplicate facts are consecutive within
-         a group. *)
-      let current_key = ref "" and current_cell = ref None in
-      let prev_fact = ref (-1) in
+      (* One sweep: a cell opens where the key changes (the group's cell is
+         carried across its records rather than looked up per record).
+         Within a group the rows ascend, so a fact's rows are consecutive
+         and its measures add in table order. *)
+      let cell = ref (Aggregate.create ()) and prev_fact = ref (-1) in
       for i = 0 to !fed - 1 do
-        let key, fact, measure = Sort_record.decode records.(i) in
-        let same_group =
-          Option.is_some !current_cell && String.equal !current_key key
-        in
-        if not same_group then begin
-          current_key := key;
-          current_cell := Some (cell_in into (Group_key.of_sortable key))
+        let key, r = records.(i) in
+        if i = 0 || not (Group_key.equal key (fst records.(i - 1))) then begin
+          cell := cell_in into key;
+          prev_fact := -1
         end;
-        (match !current_cell with
-        | Some cell when not (dedup && same_group && fact = !prev_fact) ->
-            Aggregate.add cell measure
-        | _ -> ());
-        if dedup then
+        if dedup then begin
           instr.Instrument.dedup_tracked <- instr.Instrument.dedup_tracked + 1;
-        prev_fact := fact
+          let fact = Columnar.fact cols r in
+          if fact <> !prev_fact then Aggregate.add !cell (measure_row r);
+          prev_fact := fact
+        end
+        else Aggregate.add !cell (measure_row r)
       done
 
 (* Roll a cuboid up from a finer, already computed cuboid's cells: each
@@ -279,17 +273,21 @@ let compute ~variant (ctx : Context.t) =
         before fan-out, since helper workers never touch the account. Each
         lane runs one base computation at a time, so [workers ×
         max-per-cuboid] bounds the radix scratch, and [workers × rows]
-        records bound the hash tier's sort arrays. *)
+        records of the costliest hash-tier key shape bound the sort
+        arrays. *)
      let base_plans =
        Array.map
          (fun cid -> Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid))
          base
      in
-     let any_hash =
-       Array.exists (fun p -> p.Radix.p_strategy = Radix.Hash) base_plans
-     in
      let sort_bytes =
-       if any_hash then ctx.workers * rows * Governor.sort_record_cost else 0
+       ctx.workers * rows
+       * Array.fold_left
+           (fun m p ->
+             match p.Radix.p_strategy with
+             | Radix.Hash -> max m (Governor.sort_record_cost p.Radix.p_shape)
+             | Radix.Direct | Radix.Partitioned -> m)
+           0 base_plans
      in
      let scratch_bytes =
        ctx.workers

@@ -4,11 +4,13 @@
     Every cuboid computed "from base" on the hash tier sorts its
     qualifying witness rows by group key (§4's in-memory quicksort; the
     paper's external merge sort is not needed, since every page store here
-    is in memory) and aggregates in one sweep of the sorted run. Since
-    sorted order puts a group's rows together, plain TD removes duplicate
-    facts by sorting on (key, fact id) and skipping consecutive repeats —
-    the "we need to keep track of the identities" cost, one sort per
-    cuboid: the exponential number of sorts of §4.1.
+    is in memory) and aggregates in one sweep of the sorted run. A record
+    is a (group key, row) pair sorted by key, then row: a group's rows are
+    adjacent and ascend, so plain TD removes duplicate facts by skipping a
+    row whose fact id repeats the previous row's — the "we need to keep
+    track of the identities" cost, one sort per cuboid: the exponential
+    number of sorts of §4.1 — and every mode adds a group's measures in
+    table order.
 
     Variants:
     - [`Plain] (TD): correct always; sorts with fact ids, dedups.
@@ -49,8 +51,9 @@ val compute_from_base :
   unit
 (** One cuboid from the context's columns into its cell table: radix
     Direct/Partitioned where the cuboid's key shape allows, else one
-    in-memory array of sort records, quicksorted and swept. Counts into [instr]; checkpoints every row
-    when [polls] (calling domain only). *)
+    in-memory array of (key, row) records, quicksorted and swept. Counts
+    into [instr]; checkpoints every row when [polls] (calling domain
+    only). *)
 
 val rollup :
   Context.t ->

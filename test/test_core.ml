@@ -77,31 +77,6 @@ let prop_key_roundtrip =
     QCheck2.Gen.(list_size (int_bound 6) (string_size ~gen:char (int_bound 40)))
     (fun parts -> parts_roundtrip parts = Some parts)
 
-(* --- sort records --------------------------------------------------------- *)
-
-let test_sort_record_roundtrip () =
-  let key = "a\000b" in
-  let k, f, m = Sort_record.decode (Sort_record.encode ~key ~fact:42 ~measure:2.5) in
-  Alcotest.(check string) "key" key k;
-  Alcotest.(check int) "fact" 42 f;
-  Alcotest.(check (float 0.)) "measure" 2.5 m
-
-let test_sort_record_groups_adjacent () =
-  let records =
-    [
-      Sort_record.encode ~key:"b" ~fact:1 ~measure:1.;
-      Sort_record.encode ~key:"a" ~fact:2 ~measure:1.;
-      Sort_record.encode ~key:"b" ~fact:0 ~measure:1.;
-      Sort_record.encode ~key:"a" ~fact:9 ~measure:1.;
-    ]
-  in
-  let sorted = List.sort Sort_record.compare records in
-  let keys = List.map (fun r -> let k, _, _ = Sort_record.decode r in k) sorted in
-  Alcotest.(check (list string)) "equal keys adjacent"
-    [ "a"; "a"; "b"; "b" ] keys;
-  let facts = List.map (fun r -> let _, f, _ = Sort_record.decode r in f) sorted in
-  Alcotest.(check (list int)) "facts sorted within key" [ 2; 9; 0; 1 ] facts
-
 (* --- the running example ------------------------------------------------- *)
 
 let prepared () =
@@ -347,6 +322,79 @@ let test_sum_measure () =
         (Aggregate.value Aggregate.Sum cell)
   | None -> Alcotest.fail "missing ALL group"
 
+(* Three disjoint facts in one group whose measures, 1e16, -1e16 and 1,
+   sum to 1 in table order but to 0 in any order that adds 1 to a large
+   one first (1e16 + 1 rounds to 1e16). Every family must add a group's
+   measures in table order, as NAIVE does, on either grouping tier —
+   including the modes that keep no fact id (TDOPT, TDOPTALL, TDCUST's
+   representative cuboids), whose sort order within a group is the
+   row's alone. *)
+let test_sum_in_table_order () =
+  let doc =
+    parse_ok
+      {|<db>
+         <r><a>x</a><price>1e16</price></r>
+         <r><a>x</a><price>-1e16</price></r>
+         <r><a>x</a><price>1</price></r>
+       </db>|}
+  in
+  let axes =
+    [|
+      X3_pattern.Axis.make_exn ~name:"$a" ~steps:[ step c "a" ]
+        ~allowed:[ Relax.Lnd ];
+    |]
+  in
+  let spec =
+    {
+      Engine.fact_path = [ step d "r" ];
+      axes;
+      func = Aggregate.Sum;
+      measure_path = Some [ step c "price" ];
+      filters = [];
+    }
+  in
+  let p =
+    Engine.prepare ~pool:(small_pool ())
+      ~store:(X3_xdb.Store.of_document doc) spec
+  in
+  let lattice = lattice_of p in
+  let props = X3_lattice.Properties.observe (Engine.table p) lattice in
+  let naive, _ = Engine.run p Engine.Naive in
+  Alcotest.(check (float 0.)) "NAIVE sums in table order" 1.
+    (match
+       Cube_result.find naive ~cuboid:(X3_lattice.Lattice.rigid_id lattice)
+         ~key:[ "x" ]
+     with
+    | Some cell -> cell.Aggregate.total
+    | None -> nan);
+  List.iter
+    (fun radix_bits ->
+      let config = { Engine.default_config with Engine.radix_bits } in
+      List.iter
+        (fun algorithm ->
+          let name =
+            Printf.sprintf "%s, radix_bits %d"
+              (Engine.algorithm_to_string algorithm)
+              radix_bits
+          in
+          let result, _ = Engine.run ~config ~props p algorithm in
+          for cid = 0 to X3_lattice.Lattice.size lattice - 1 do
+            let cells = Cube_result.cuboid_table result cid in
+            Alcotest.(check int) (name ^ ": cells")
+              (Cube_result.cuboid_size naive cid)
+              (Group_key.Tbl.length cells);
+            Cube_result.iter_cuboid naive cid (fun key cell ->
+                Alcotest.(check int64)
+                  (Printf.sprintf "%s: cuboid %d total = NAIVE's bits" name
+                     cid)
+                  (Int64.bits_of_float cell.Aggregate.total)
+                  (match Group_key.Tbl.find_opt cells key with
+                  | Some c -> Int64.bits_of_float c.Aggregate.total
+                  | None -> Int64.bits_of_float nan))
+          done)
+        Engine.[ Naive; Td; Tdopt; Tdoptall; Tdcust ])
+    [ 0; 20 ]
+
 (* --- WHERE-clause semantics (Engine.filter_holds) ------------------------- *)
 
 let test_filter_holds_edge_cases () =
@@ -589,9 +637,9 @@ let gen_rows_case =
 
 (* Every key path agrees on every qualifying row: [Radix.load] into a
    scratch, [Radix.key]'s compact key and [of_axis_ids]. A key is [Packed]
-   iff the cuboid's own present-axis bits are <= 62, its fields read back
-   the ids, and its sortable form round-trips and orders like
-   [Group_key.compare]. *)
+   iff the cuboid's own present-axis bits are <= 62 and its fields read
+   back the ids. [Group_key.compare], TD's sort order, is antisymmetric
+   and 0 exactly where [Group_key.equal] holds. *)
 let prop_packed_key_roundtrip =
   QCheck2.Test.make ~name:"packed key roundtrip (incl. wide fallback)"
     ~count:300 gen_rows_case (fun (sizes, bools, rows) ->
@@ -647,9 +695,7 @@ let prop_packed_key_roundtrip =
             in
             ok :=
               !ok && form_ok && fields_ok
-              && Group_key.equal key (Group_key.freeze scratch)
-              && Group_key.equal key
-                   (Group_key.of_sortable (Group_key.to_sortable key));
+              && Group_key.equal key (Group_key.freeze scratch);
             keys := key :: !keys
           end)
         rows;
@@ -659,10 +705,9 @@ let prop_packed_key_roundtrip =
            (fun a ->
              List.for_all
                (fun b ->
-                 sign
-                   (String.compare (Group_key.to_sortable a)
-                      (Group_key.to_sortable b))
-                 = sign (Group_key.compare a b))
+                 let c = Group_key.compare a b in
+                 sign c = -sign (Group_key.compare b a)
+                 && (c = 0) = Group_key.equal a b)
                !keys)
            !keys)
 
@@ -1513,7 +1558,61 @@ let test_wide_layout_whole_cube () =
               Alcotest.failf "edge %d -> %d: projection differs" finer
                 coarser))
       (X3_lattice.Lattice.children lattice coarser)
-  done
+  done;
+  (* Governed TD at [radix_bits = 0] sorts every cuboid. Its peak booking
+     must cover the table, its columns and block measures, and per worker
+     one row-sized sort array of the costliest record: a real (key, row)
+     record of each shape, measured, plus its array slot. *)
+  let table = Engine.table p in
+  let cols = Context.cols ctx in
+  let rows = Witness.Columnar.rows cols in
+  let blocks = Witness.Columnar.blocks cols in
+  let held =
+    Witness.approx_bytes table
+    + Witness.Columnar.approx_bytes
+        ~axes:(Array.length (Witness.axes table))
+        ~rows ~blocks
+    + (8 * blocks) + 16
+  in
+  let record_bytes s =
+    let ids = Array.make (Array.length ctx.Context.widths) 0 in
+    8 * (Obj.reachable_words (Obj.repr (Group_key.of_axis_ids s ids, 0)) + 1)
+  in
+  let record = Array.fold_left (fun m s -> max m (record_bytes s)) 0 shapes in
+  let config = { Engine.default_config with Engine.radix_bits = 0 } in
+  List.iter
+    (fun workers ->
+      let stats = Engine.fresh_run_stats () in
+      (match
+         Engine.run_safe ~config ~workers ~governor:(Governor.create ())
+           ~stats p Engine.Td
+       with
+      | Engine.Complete (r, _) ->
+          Alcotest.(check string)
+            (Printf.sprintf "governed TD, %d workers = NAIVE" workers)
+            reference (csv r);
+          Alcotest.(check bool)
+            (Printf.sprintf
+               "%d workers: peak %d >= %d held + %d x %d rows x %d bytes"
+               workers stats.Engine.peak_bytes held workers rows record)
+            true
+            (stats.Engine.peak_bytes >= held + (workers * rows * record))
+      | _ -> Alcotest.failf "governed TD, %d workers: must complete" workers);
+      (* One byte short of that, the booking is refused before any
+         cuboid is grouped. *)
+      match
+        Engine.run_safe ~config ~workers
+          ~max_bytes:(held + (workers * rows * record) - 1)
+          p Engine.Td
+      with
+      | Engine.Partial (Context.Over_budget, r, _) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%d workers: refused before grouping" workers)
+            0 (Cube_result.total_cells r)
+      | _ ->
+          Alcotest.failf "governed TD, %d workers: must stop over budget"
+            workers)
+    [ 1; 2 ]
 
 (* --- allocation pins --------------------------------------------------------- *)
 
@@ -1795,6 +1894,27 @@ let test_governed_spill_treebank () =
             ~prepared:p algorithm workers)
         [ 1; 2 ])
     spill_algorithms
+
+(* [Governor.sort_record_cost] covers what one record of TD's sort array
+   really occupies, its array slot included: a packed key, and a wide key
+   of 7 present axes (63 bits). *)
+let test_sort_record_cost_covers_record () =
+  List.iter
+    (fun (name, sizes, packed) ->
+      let shape = shape_of_sizes sizes (Array.map (fun _ -> true) sizes) in
+      let ids = Array.map (fun n -> n - 1) sizes in
+      let record = (Group_key.of_axis_ids shape ids, Array.length sizes) in
+      let bytes = 8 * (Obj.reachable_words (Obj.repr record) + 1) in
+      let cost = Governor.sort_record_cost shape in
+      Alcotest.(check bool) (name ^ ": key form") packed
+        shape.Group_key.packed;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: cost %d >= %d bytes" name cost bytes)
+        true (cost >= bytes))
+    [
+      ("packed", [| 300; 5000 |], true);
+      ("wide, 7 axes", Array.make 7 512, false);
+    ]
 
 let test_over_budget_below_witness () =
   (* 64 bytes cannot even hold the witness table: every algorithm family
@@ -2730,12 +2850,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_key_roundtrip;
           Alcotest.test_case "seen compaction" `Quick test_seen_compaction;
         ] );
-      ( "sort record",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_sort_record_roundtrip;
-          Alcotest.test_case "grouping order" `Quick
-            test_sort_record_groups_adjacent;
-        ] );
       ( "figure 1 semantics",
         [
           Alcotest.test_case "group by year" `Quick test_naive_group_by_year;
@@ -2760,6 +2874,8 @@ let () =
           Alcotest.test_case "instrumentation" `Quick
             test_instrumentation_sanity;
           Alcotest.test_case "sum measure" `Quick test_sum_measure;
+          Alcotest.test_case "sum adds in table order" `Quick
+            test_sum_in_table_order;
         ] );
       ( "where filters",
         [
@@ -2868,6 +2984,8 @@ let () =
             test_governed_spill_figure1;
           Alcotest.test_case "spill boundary (treebank)" `Quick
             test_governed_spill_treebank;
+          Alcotest.test_case "sort record cost covers a record" `Quick
+            test_sort_record_cost_covers_record;
           Alcotest.test_case "budget below the witness table" `Quick
             test_over_budget_below_witness;
           Alcotest.test_case "pool drains on every exit path" `Quick
