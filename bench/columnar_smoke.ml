@@ -14,7 +14,7 @@
    `x3 cube --metrics` emits) whose meta block carries the full A/B table
    and gate verdicts, and whose registry snapshot is the instrumented
    radix TD run — including the new cube.grouping_strategy.* counters and
-   profile.radix_scratch_bytes_* gauges.  Exits non-zero if any identity
+   the profile.radix_scratch_bytes_sum gauge.  Exits non-zero if any identity
    check or gate fails, so `dune runtest` gates on all of it. *)
 
 module Engine = X3_core.Engine

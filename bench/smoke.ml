@@ -20,9 +20,9 @@
    enabled tracing more than 10% on the grouping workload, or — on
    hardware with at least 4 cores — if 4 workers fail to reach a 2x
    COUNTER speedup, so `dune runtest` gates on all of it.  COUNTER is
-   the gated family because it scales best at paper scale; NAIVE stays
-   in the sweep for the identity check but runs serially at any worker
-   count.  The three
+   the gated family because it is the one that runs across domains;
+   NAIVE, BUC and TD stay in the sweep for the identity check but run
+   serially at any worker count.  The three
    overhead gates read medians of interleaved per-round ratios (see
    [Harness.interleaved]). *)
 

@@ -157,8 +157,8 @@ let config_with_radix_bits radix_bits =
   { Engine.default_config with Engine.radix_bits }
 
 let run_cube query_path doc algorithm_name use_schema workers radix_bits
-    deadline retries max_bytes max_concurrent max_input_bytes max_groups
-    format trace_file metrics_file =
+    deadline retries max_bytes max_input_bytes max_groups format trace_file
+    metrics_file =
   if trace_file <> None then Trace.enable ();
   let ph = { phase_list = [] } in
   let spec, prepared, doc_path, inline_dtd =
@@ -167,23 +167,14 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
   let algorithm = parse_algorithm algorithm_name in
   let lattice = Engine.lattice prepared in
   let props = props_for prepared spec ~use_schema inline_dtd in
-  (* A single CLI query is its own admission population: --max-concurrent 0
-     sheds it outright, anything else admits it — the flag exists so the
-     same contract holds when the binary fronts a query queue. *)
-  let admission =
-    Option.map
-      (fun n ->
-        X3_core.Governor.Admission.create ~max_in_flight:n ~max_waiting:0 ())
-      max_concurrent
-  in
   let run_stats = Engine.fresh_run_stats () in
   let t0 = Unix.gettimeofday () in
   let outcome =
     timed ph "compute" (fun () ->
         Engine.run_safe ?props
           ~config:(config_with_radix_bits radix_bits)
-          ~workers ?deadline ~retries ?max_bytes ?admission
-          ~admission_timeout:0. ~stats:run_stats prepared algorithm)
+          ~workers ?deadline ~retries ?max_bytes ~stats:run_stats prepared
+          algorithm)
   in
   let dt = Unix.gettimeofday () -. t0 in
   let print_result result instr =
@@ -233,13 +224,9 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
   match outcome with
   | Engine.Complete (result, instr) -> finish ~label:"complete" (Some (result, instr))
   | Engine.Partial (reason, result, instr) ->
-      let reason_name =
-        match reason with
-        | X3_core.Context.Deadline_exceeded -> "deadline_exceeded"
-        | X3_core.Context.Cancelled -> "cancelled"
-        | X3_core.Context.Over_budget -> "over_budget"
-      in
-      finish ~label:("partial:" ^ reason_name) (Some (result, instr));
+      finish
+        ~label:("partial:" ^ X3_core.Context.reason_name reason)
+        (Some (result, instr));
       (match reason with
       | X3_core.Context.Deadline_exceeded ->
           prerr_endline "x3: deadline exceeded — the cube above is partial";
@@ -259,12 +246,6 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
       finish ~label:"failed:io_fault" None;
       prerr_endline ("x3: aborted by I/O faults: " ^ msg);
       exit exit_fault
-  | Engine.Rejected rejection ->
-      finish ~label:"rejected" None;
-      prerr_endline
-        (Format.asprintf "x3: query rejected: %a"
-           X3_core.Governor.Admission.pp_rejection rejection);
-      exit exit_over_budget
 
 (* --- explain ------------------------------------------------------------- *)
 
@@ -324,11 +305,6 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
     | Engine.Failed (Engine.Io_fault msg) ->
         prerr_endline ("x3: aborted by I/O faults: " ^ msg);
         exit exit_fault
-    | Engine.Rejected rejection ->
-        prerr_endline
-          (Format.asprintf "x3: query rejected: %a"
-             X3_core.Governor.Admission.pp_rejection rejection);
-        exit exit_over_budget
   in
   let rings = Trace.dump () in
   (* Join the trace back into a per-cuboid cost table. *)
@@ -444,21 +420,29 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
       Printf.printf "  %-12s %9.3f ms\n" name (seconds *. 1000.))
     (phases ph);
   Printf.printf "\nper-cuboid costs:\n";
-  Printf.printf "  %-4s %9s %-6s %9s %-18s %-16s %s\n" "id" "cells" "sorts"
-    "ms" "provenance" "grouping" "pattern";
+  let order = Lattice.by_degree lattice in
+  (* The provenance column is as wide as its longest value, so every
+     row's later columns line up under the header. *)
+  let prov_width =
+    Array.fold_left
+      (fun w cid -> max w (String.length (report cid).cr_provenance))
+      (String.length "provenance") order
+  in
+  Printf.printf "  %-4s %9s %-6s %9s %-*s %-16s %s\n" "id" "cells" "sorts"
+    "ms" prov_width "provenance" "grouping" "pattern";
   Array.iter
     (fun cid ->
       let r = report cid in
       let label =
         if r.cr_label <> "" then r.cr_label else Engine.cuboid_label prepared cid
       in
-      Printf.printf "  %-4d %9d %-6d %9s %-18s %-16s %s\n" cid
+      Printf.printf "  %-4d %9d %-6d %9s %-*s %-16s %s\n" cid
         (if r.cr_cells > 0 then r.cr_cells
          else X3_core.Cube_result.cuboid_size result cid)
         r.cr_sorts
         (match r.cr_ms with Some ms -> Printf.sprintf "%.3f" ms | None -> "-")
-        r.cr_provenance (planned_strategy cid) label)
-    (Lattice.by_degree lattice);
+        prov_width r.cr_provenance (planned_strategy cid) label)
+    order;
   let io = run_stats.Engine.io in
   let pool_lookups = io.X3_storage.Stats.pool_hits + io.X3_storage.Stats.pool_misses in
   let hit_rate =
@@ -474,13 +458,10 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
     "  peak counters %d (largest worker %d)   pool hit rate %.1f%% (%d lookups)\n"
     instr.X3_core.Instrument.peak_counters
     instr.X3_core.Instrument.peak_counters_worker_max hit_rate pool_lookups;
-  Printf.printf
-    "  groupings radix %d / hash %d   radix scratch peak %d bytes (largest \
-     worker %d)\n"
+  Printf.printf "  groupings radix %d / hash %d   radix scratch peak %d bytes\n"
     instr.X3_core.Instrument.radix_groupings
     instr.X3_core.Instrument.hash_groupings
-    instr.X3_core.Instrument.radix_scratch_bytes
-    instr.X3_core.Instrument.radix_scratch_bytes_worker_max;
+    instr.X3_core.Instrument.radix_scratch_bytes;
   Printf.printf "  bytes reserved peak %d   attempts %d\n"
     run_stats.Engine.peak_bytes run_stats.Engine.attempts;
   Option.iter write_trace_file trace_file;
@@ -863,9 +844,10 @@ let cube_cmd =
       value & opt int 1
       & info [ "workers"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for the cube computation (default 1 = \
-             sequential; 0 = one per hardware core). Results are \
-             deterministic for a fixed worker count.")
+            "Worker domains for COUNTER's cube computation (default 1 = \
+             sequential; 0 = one per hardware core). Every other algorithm \
+             runs sequentially at any count. Results are deterministic for \
+             a fixed worker count.")
   in
   let deadline =
     Arg.(
@@ -895,16 +877,6 @@ let cube_cmd =
              below its floor, or one that cannot hold another \
              algorithm's working set, prints the partial cube and exits \
              with code 5.")
-  in
-  let max_concurrent =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-concurrent" ] ~docv:"N"
-          ~doc:
-            "Admission-control cap on in-flight cube queries; queries \
-             beyond it are rejected with exit code 5 instead of grinding \
-             ($(b,0) sheds every query — the off switch).")
   in
   let max_input_bytes =
     Arg.(
@@ -963,8 +935,7 @@ let cube_cmd =
       `I
         ( "5",
           "resource-governed: the byte budget was exhausted (a partial \
-           cube is printed), the document exceeded --max-input-bytes, or \
-           admission control rejected the query." );
+           cube is printed) or the document exceeded --max-input-bytes." );
     ]
   in
   Cmd.v
@@ -972,8 +943,7 @@ let cube_cmd =
     Term.(
       const run_cube $ query_arg $ doc_arg $ algorithm $ use_schema
       $ workers $ radix_bits_arg $ deadline $ retries $ max_bytes
-      $ max_concurrent $ max_input_bytes $ max_groups $ format $ trace
-      $ metrics)
+      $ max_input_bytes $ max_groups $ format $ trace $ metrics)
 
 let explain_cmd =
   let algorithm =
@@ -994,7 +964,9 @@ let explain_cmd =
     Arg.(
       value & opt int 1
       & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:"Worker domains (default 1; 0 = one per hardware core).")
+          ~doc:
+            "Worker domains for COUNTER (default 1; 0 = one per hardware \
+             core); every other algorithm runs sequentially.")
   in
   let trace =
     Arg.(
@@ -1163,7 +1135,9 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:"Worker domains per cube computation.")
+          ~doc:
+            "Worker domains per COUNTER cube computation; every other \
+             algorithm runs sequentially.")
   in
   let max_input_bytes =
     Arg.(

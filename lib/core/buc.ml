@@ -7,18 +7,15 @@ module Quicksort = X3_storage.Quicksort
 
 type variant = [ `Plain | `Opt | `Custom of X3_lattice.Properties.t ]
 
-(* The recursion's per-worker state: the current restriction (states/ids)
-   is mutated in place down the recursion, so every worker needs its own
-   copy. Worker 0 counts into the context's instrument, the others into
-   private ones merged afterwards. The rows themselves are indices into
-   the shared immutable columns — partitions copy and reorder 8-byte ints,
-   never boxed rows. [stamp] is the [Dedup] mark: a fact's rows form one
-   fact block, so each cell's aggregation bumps [gen] and counts a block
-   once, when its stamp is not yet the current generation. *)
+(* The recursion's state: the current restriction (states/ids) is
+   mutated in place down the recursion. The rows themselves are indices
+   into the shared immutable columns — partitions copy and reorder 8-byte
+   ints, never boxed rows. [stamp] is the [Dedup] mark: a fact's rows form
+   one fact block, so each cell's aggregation bumps [gen] and counts a
+   block once, when its stamp is not yet the current generation. *)
 type env = {
   states : State.t array;
   ids : int array;  (* current partition's dictionary id per present axis *)
-  instr : Instrument.t;
   stamp : int array;  (* per fact block; empty when no cuboid deduplicates *)
   mutable gen : int;
 }
@@ -28,6 +25,7 @@ let compute ~variant (ctx : Context.t) =
   let axes = Lattice.axes lattice in
   let k = Array.length axes in
   let result = Cube_result.create ~table:ctx.table lattice in
+  let instr = ctx.instr in
   try
     let cols = Context.cols ctx in
     let bm = Context.block_measures ctx cols in
@@ -99,8 +97,8 @@ let compute ~variant (ctx : Context.t) =
               end
             end
           done;
-          env.instr.Instrument.dedup_tracked <-
-            env.instr.Instrument.dedup_tracked + !tracked
+          instr.Instrument.dedup_tracked <-
+            instr.Instrument.dedup_tracked + !tracked
     in
     (* The cuboid of the current state vector, by a mixed-radix code:
        axis [ai]'s digit is its mask when present and [removed.(ai)]
@@ -142,11 +140,8 @@ let compute ~variant (ctx : Context.t) =
     for cid = 0 to Lattice.size lattice - 1 do
       cid_of_code.(code_of (Lattice.cuboid lattice cid)) <- cid
     done;
-    (* Byte accounting runs only on the domain owning the shared context —
-       workers' recursion is unaccounted (their branches are bounded by the
-       index array the calling domain already booked). Result cells are
-       booked at refine boundaries; partition sub-arrays transiently per
-       branch. *)
+    (* Result cells are booked at refine boundaries; partition sub-arrays
+       transiently per branch. *)
     let governed = not (Governor.is_unbounded (Context.account ctx)) in
     let booked_cells = ref 0 in
     let book_result () =
@@ -159,19 +154,16 @@ let compute ~variant (ctx : Context.t) =
       end
     in
     let rec refine env part lo hi next =
-      (* Stop check at partition boundaries — but only on the domain that
-         owns the shared context (workers carry a private [instr]); a stop
-         abandons the recursion with already-emitted cells intact. *)
-      if env.instr == ctx.instr then begin
-        Context.check ctx;
-        book_result ()
-      end;
+      (* Stop check at partition boundaries; a stop abandons the recursion
+         with already-emitted cells intact. *)
+      Context.check ctx;
+      book_result ();
       (* Empty restrictions produce no groups (a group exists only if some
          fact is in it), matching the reference semantics. *)
       let code = if hi >= lo then code_of env.states else -1 in
       if code >= 0 then begin
         let cid = cid_of_code.(code) in
-        env.instr.Instrument.keys_built <- env.instr.Instrument.keys_built + 1;
+        instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
         aggregate_into env cid
           (Group_key.of_axis_ids ctx.shapes.(cid) env.ids)
           lo hi part
@@ -209,9 +201,7 @@ let compute ~variant (ctx : Context.t) =
         (* The sub-array is live for the whole branch (and under it, the
            deeper sub-arrays of the recursion): book its words, releasing
            on the way back up. *)
-        let sub_bytes =
-          if governed && env.instr == ctx.instr then 8 * (n + 2) else 0
-        in
+        let sub_bytes = if governed then 8 * (n + 2) else 0 in
         Context.reserve ctx sub_bytes;
         Fun.protect ~finally:(fun () -> Context.release ctx sub_bytes)
         @@ fun () ->
@@ -220,23 +210,25 @@ let compute ~variant (ctx : Context.t) =
            family) — but only while the dictionary is at most 4x the
            partition, or clearing and scanning its histogram would dwarf
            the sort; otherwise quicksort. Dictionary ids compare as plain
-           ints either way — no string walks. *)
-        env.instr.Instrument.sort_ops <- env.instr.Instrument.sort_ops + 1;
-        env.instr.Instrument.rows_sorted <-
-          env.instr.Instrument.rows_sorted + n;
+           ints either way — no string walks. The instrument is read
+           through [ctx], which this closure holds anyway, so the closure
+           built per branch gains no slot. *)
+        let instr = ctx.instr in
+        instr.Instrument.sort_ops <- instr.Instrument.sort_ops + 1;
+        instr.Instrument.rows_sorted <- instr.Instrument.rows_sorted + n;
         let size = dict_sizes.(ai) in
         if
           ctx.radix_bits > 0
           && Group_key.bits_for size <= Radix.counting_sort_bits_cap
           && size <= 4 * n
         then begin
-          env.instr.Instrument.radix_groupings <-
-            env.instr.Instrument.radix_groupings + 1;
+          instr.Instrument.radix_groupings <-
+            instr.Instrument.radix_groupings + 1;
           Radix.counting_sort ~id:(fun r -> cell_id r ai) ~size sub
         end
         else begin
-          env.instr.Instrument.hash_groupings <-
-            env.instr.Instrument.hash_groupings + 1;
+          instr.Instrument.hash_groupings <-
+            instr.Instrument.hash_groupings + 1;
           Quicksort.sort
             ~compare:(fun a b -> Int.compare (cell_id a ai) (cell_id b ai))
             sub
@@ -256,66 +248,32 @@ let compute ~variant (ctx : Context.t) =
         env.states.(ai) <- State.Removed
       end
     in
-    (* Each worker's block stamps are resident for the whole run: book
-       them all here, on the calling domain, before any is allocated. *)
+    (* The block stamps are resident for the whole run. *)
     let nstamps =
       match variant with
       | `Opt -> 0
       | `Plain | `Custom _ -> Columnar.blocks cols
     in
-    let fresh_env ~instr =
-      {
-        states = Array.make k State.Removed;
-        ids = Array.make k 0;
-        instr;
-        stamp = Array.make nstamps 0;
-        gen = 0;
-      }
-    in
-    let root = Array.init nrows Fun.id in
     (* The base witness set is the full row-index range; the recursion
        partitions index arrays in memory, as BUC does when the input fits
        (our scaled inputs do; the I/O cost of the initial columnarising
        read is counted by [Context.cols]). The root index array is
        resident for the whole recursion. *)
+    let root = Array.init nrows Fun.id in
     if governed then
-      Context.reserve ctx
-        ((8 * (nrows + 2)) + (ctx.workers * 8 * (nstamps + 1)));
-    (* The apex (everything Removed) belongs to no branch; [next = k]
-       emits just it, on the calling domain, in worker 0's env. *)
-    let env0 = fresh_env ~instr:ctx.instr in
-    refine env0 root 0 (nrows - 1) k;
-    (* The recursion splits at its first level. Branch (ai, mask) emits
-       exactly the cuboids whose first present axis is [ai] with state
-       [mask] (axes below [ai] stay Removed inside the branch), so distinct
-       tasks write to disjoint cuboids — and Cube_result preallocates one
-       table per cuboid, so workers aggregate straight into the shared
-       result with no partial-merge step. Worker 0 runs on the calling
-       domain with the context's instrument, so its recursion polls for
-       stops and books bytes; the columns and block measures are immutable
-       and shared. *)
-    let tasks =
-      Array.of_list
-        (List.concat_map
-           (fun ai ->
-             List.map (fun mask -> (ai, mask)) (Axis.states axes.(ai)))
-           (List.init k Fun.id))
+      Context.reserve ctx ((8 * (nrows + 2)) + (8 * (nstamps + 1)));
+    (* The root emits the apex (everything Removed), then every branch
+       (ai, mask) in axis order; branch (ai, mask) emits exactly the
+       cuboids whose first present axis is [ai] with state [mask]. *)
+    let env =
+      {
+        states = Array.make k State.Removed;
+        ids = Array.make k 0;
+        stamp = Array.make nstamps 0;
+        gen = 0;
+      }
     in
-    let states =
-      Parallel.run ~workers:ctx.workers ~tasks:(Array.length tasks)
-        ~init:(fun w ->
-          if w = 0 then env0 else fresh_env ~instr:(Instrument.create ()))
-        ~body:(fun env t ->
-          let ai, mask = tasks.(t) in
-          X3_obs.Trace.with_span "buc.branch"
-            ~attrs:[ ("axis", X3_obs.Trace.Int ai) ]
-            (fun () -> branch env root 0 (nrows - 1) ai mask))
-    in
-    Array.iter
-      (fun env ->
-        if env.instr != ctx.instr then
-          Instrument.merge ~into:ctx.instr env.instr)
-      states;
+    refine env root 0 (nrows - 1) 0;
     book_result ();
     result
   with Context.Stop _ -> result

@@ -9,10 +9,11 @@
     a fact's rows can land in several value partitions and appear several
     times within one partition, so plain BUC deduplicates fact ids when
     aggregating. A fact's rows form one fact block, so the dedup needs no
-    per-cell set: each worker owns an [int] stamp per fact block (booked
-    with the context's governor) and each cell bumps a generation — a
-    block counts once, when its stamp is behind. The aggregation loop
-    allocates nothing per row.
+    per-cell set: the run owns an [int] stamp per fact block (booked with
+    the context's governor) and each cell bumps a generation — a block
+    counts once, when its stamp is behind. The aggregation loop allocates
+    nothing per row. The recursion runs on the calling domain whatever the
+    context's worker count.
 
     Variants:
     - [`Plain] (BUC): correct always; tracks fact ids.

@@ -157,7 +157,7 @@ let correct_under algorithm ~disjoint ~coverage =
   | Tdoptall -> disjoint && coverage
 
 let workers_used algorithm workers =
-  match algorithm with Naive -> 1 | _ -> Parallel.resolve workers
+  match algorithm with Counter -> Parallel.resolve workers | _ -> 1
 
 type config = { counter_budget : int; radix_bits : int }
 
@@ -469,8 +469,6 @@ type outcome =
   | Complete of Cube_result.t * Instrument.t
   | Partial of Context.stop_reason * Cube_result.t * Instrument.t
   | Failed of error
-  | Rejected of Governor.Admission.rejection
-      (** shed at the admission door — the query never started *)
 
 (* Which exceptions a retry can plausibly absorb: transient I/O errors.
    Corruption is not one of them — the bytes on media are wrong and will
@@ -508,8 +506,7 @@ let substrate_snapshot pool =
   s
 
 let run_safe ?props ?config ?(workers = 1) ?deadline ?cancel ?(retries = 2)
-    ?(backoff = 0.01) ?governor ?max_bytes ?admission ?admission_timeout
-    ?stats prepared algorithm =
+    ?(backoff = 0.01) ?governor ?max_bytes ?stats prepared algorithm =
   if retries < 0 then invalid_arg "Engine.run_safe: negative retries";
   (* One absolute deadline across all attempts — retrying must not extend
      the caller's budget. *)
@@ -609,17 +606,7 @@ let run_safe ?props ?config ?(workers = 1) ?deadline ?cancel ?(retries = 2)
     | None -> None
     | Some _ -> Some (substrate_snapshot (Witness.pool prepared.table))
   in
-  let outcome =
-    match admission with
-    | None -> attempt 0
-    | Some door -> (
-        match Governor.Admission.admit ?max_wait:admission_timeout door with
-        | Error rejection -> Rejected rejection
-        | Ok () ->
-            Fun.protect
-              ~finally:(fun () -> Governor.Admission.release door)
-              (fun () -> attempt 0))
-  in
+  let outcome = attempt 0 in
   (match (stats, io_before) with
   | Some st, Some before ->
       let after = substrate_snapshot (Witness.pool prepared.table) in

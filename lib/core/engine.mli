@@ -73,9 +73,10 @@ val algorithm_of_string : string -> algorithm option
 
 val workers_used : algorithm -> int -> int
 (** [workers_used algorithm workers] is how many domains [algorithm] runs
-    on when asked for [workers]: 1 for NAIVE, which is serial at any
-    worker count, and [Parallel.resolve workers] for every other family.
-    The engine, its trace spans and the CLI's reports all use it. *)
+    on when asked for [workers]: [Parallel.resolve workers] for COUNTER,
+    the one family that splits its work across domains, and 1 for every
+    other family, which runs serially at any worker count. The engine, its
+    trace spans and the CLI's reports all use it. *)
 
 val correct_under :
   algorithm -> disjoint:bool -> coverage:bool -> bool
@@ -102,12 +103,13 @@ val run :
 (** [props] feeds the custom variants (BUCCUST/TDCUST); it defaults to "no
     knowledge", making them degrade to BUC/TD. [workers] (default 1;
     {!Parallel.auto_workers} = hardware count) is the domain count for
-    COUNTER, BUC and TD, which run one partition/merge plan at every
-    worker count (1 runs it inline on the calling domain): results are
+    COUNTER, which runs one partition/merge plan over fact blocks at every
+    worker count (1 runs it inline on the calling domain): its results are
     deterministic for a fixed worker count, and identical across worker
     counts for COUNT (exact integer accumulation; float SUM/AVG can differ
-    in the last bits of the addition order). NAIVE ignores [workers] and
-    always runs serially — see {!workers_used}. *)
+    in the last bits of the addition order). NAIVE, BUC and TD ignore
+    [workers] and always run serially on the calling domain — see
+    {!workers_used}. *)
 
 (** {1 Ingest deltas}
 
@@ -270,8 +272,6 @@ type outcome =
           byte budget (past COUNTER's spill floor); the result holds every
           cell completed before the stop *)
   | Failed of error
-  | Rejected of Governor.Admission.rejection
-      (** shed at the admission door — the query never started *)
 
 type run_stats = {
   io : X3_storage.Stats.t;
@@ -304,8 +304,6 @@ val run_safe :
   ?backoff:float ->
   ?governor:Governor.t ->
   ?max_bytes:int ->
-  ?admission:Governor.Admission.t ->
-  ?admission_timeout:float ->
   ?stats:run_stats ->
   prepared ->
   algorithm ->
@@ -325,9 +323,4 @@ val run_safe :
     spill path (counter eviction) and only past its floor yields
     [Partial (Over_budget, ...)]; TD books its radix scratch and sort
     arrays up front and yields the partial as soon as they do not fit.
-
-    [admission] gates the whole call through the shared admission door:
-    the query waits up to [admission_timeout] seconds (default: forever)
-    for an in-flight slot while the wait queue has room, and otherwise
-    returns [Rejected] without running. The slot is held across all retry
-    attempts and always released. *)
+    [workers] is as for {!run}. *)

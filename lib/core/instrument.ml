@@ -14,7 +14,6 @@ type t = {
   mutable radix_groupings : int;
   mutable hash_groupings : int;
   mutable radix_scratch_bytes : int;
-  mutable radix_scratch_bytes_worker_max : int;
 }
 
 let create () =
@@ -34,17 +33,7 @@ let create () =
     radix_groupings = 0;
     hash_groupings = 0;
     radix_scratch_bytes = 0;
-    radix_scratch_bytes_worker_max = 0;
   }
-
-(* Workers run concurrently, so their peaks coexist: the session peak is
-   the sum of per-worker peaks (an upper bound on the true instant), while
-   the largest single worker's peak survives separately so a report can
-   show the per-worker footprint next to the session bound. One helper for
-   every (sum, worker-max) peak pair — counters and radix scratch bytes
-   alike — so a new peak counter cannot accidentally sum its worker-max. *)
-let merge_peak ~sum ~worker_max (t_sum, t_worker_max) =
-  (sum + t_sum, max worker_max (max t_worker_max t_sum))
 
 let merge ~into t =
   into.table_scans <- into.table_scans + t.table_scans;
@@ -52,26 +41,12 @@ let merge ~into t =
   into.sort_ops <- into.sort_ops + t.sort_ops;
   into.rows_sorted <- into.rows_sorted + t.rows_sorted;
   into.passes <- into.passes + t.passes;
-  let pc_sum, pc_max =
-    merge_peak ~sum:into.peak_counters ~worker_max:into.peak_counters_worker_max
-      (t.peak_counters, t.peak_counters_worker_max)
-  in
-  into.peak_counters <- pc_sum;
-  into.peak_counters_worker_max <- pc_max;
-  let rs_sum, rs_max =
-    merge_peak ~sum:into.radix_scratch_bytes
-      ~worker_max:into.radix_scratch_bytes_worker_max
-      (t.radix_scratch_bytes, t.radix_scratch_bytes_worker_max)
-  in
-  into.radix_scratch_bytes <- rs_sum;
-  into.radix_scratch_bytes_worker_max <- rs_max;
   into.rollups <- into.rollups + t.rollups;
   into.base_computations <- into.base_computations + t.base_computations;
   into.dedup_tracked <- into.dedup_tracked + t.dedup_tracked;
   into.keys_built <- into.keys_built + t.keys_built;
   into.radix_groupings <- into.radix_groupings + t.radix_groupings;
-  into.hash_groupings <- into.hash_groupings + t.hash_groupings;
-  into.dict_size <- max into.dict_size t.dict_size
+  into.hash_groupings <- into.hash_groupings + t.hash_groupings
 
 let bump_radix_scratch t bytes =
   if bytes > t.radix_scratch_bytes then t.radix_scratch_bytes <- bytes

@@ -16,9 +16,9 @@ type t = {
   mutable passes : int;  (** COUNTER memory passes *)
   mutable peak_counters : int;  (** max simultaneously-live group counters *)
   mutable peak_counters_worker_max : int;
-      (** after a parallel merge: the largest single worker's peak (while
-          [peak_counters] holds the sum of per-worker peaks); [0] until a
-          merge happens *)
+      (** COUNTER at more than one worker: the largest single worker's
+          peak (while [peak_counters] holds the sum of per-worker peaks);
+          [0] otherwise *)
   mutable rollups : int;  (** cuboids computed from a finer cuboid's cells *)
   mutable base_computations : int;  (** cuboids computed from base data *)
   mutable dedup_tracked : int;  (** fact ids tracked for duplicate removal *)
@@ -31,21 +31,14 @@ type t = {
   mutable radix_scratch_bytes : int;
       (** peak bytes of radix scratch (slot arrays, partition buffers) live
           at once *)
-  mutable radix_scratch_bytes_worker_max : int;
-      (** after a parallel merge: the largest single worker's scratch peak
-          (while [radix_scratch_bytes] holds the sum); [0] until a merge *)
 }
 
 val create : unit -> t
 
 val merge : into:t -> t -> unit
-(** Fold one worker's counters into the session counters: everything sums
-    except [dict_size] (a property of the table, merged by [max]). The two
-    peak pairs — [(peak_counters, peak_counters_worker_max)] and
-    [(radix_scratch_bytes, radix_scratch_bytes_worker_max)] — merge
-    alike: the peak sums (concurrent workers' peaks coexist, so the sum is
-    the session's simultaneous bound) while the worker-max keeps the
-    largest single contribution so reports can show both. *)
+(** Fold one COUNTER worker's counters into the session counters: the
+    additive counters sum. Peaks, [dict_size] and radix scratch are set on
+    the session counters directly, never on a worker's. *)
 
 val bump_radix_scratch : t -> int -> unit
 (** Record a radix-scratch high-water mark: raises [radix_scratch_bytes]

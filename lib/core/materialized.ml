@@ -28,8 +28,7 @@ let empty (ctx : Context.t) cuboid =
    account is unbounded, so nothing is booked. *)
 let materialize (ctx : Context.t) ~props ~cuboid =
   let t = empty ctx cuboid in
-  Topdown.compute_from_base ctx ~instr:ctx.instr ~polls:true
-    ~mode:(Topdown.custom_mode props cuboid)
+  Topdown.compute_from_base ctx ~mode:(Topdown.custom_mode props cuboid)
     cuboid t.cells;
   t
 

@@ -1,4 +1,4 @@
-(* Domain-based worker pool for the cube algorithms.
+(* Domain-based worker pool for COUNTER's partition/merge plan.
 
    The unit of parallelism is deliberately coarse and static: [run]
    partitions task indices into contiguous per-worker ranges rather than
@@ -6,9 +6,8 @@
    deterministic — worker [w] always processes the same tasks in the same
    order, so per-worker partial aggregates merge in a fixed order and the
    exported cube is byte-identical at every worker count (see the
-   determinism cross-check in the tests). Fact blocks and first-level BUC
-   partitions are numerous and similarly sized, so the load-balance cost of
-   static ranges is small. *)
+   determinism cross-check in the tests). Fact blocks are numerous and
+   similarly sized, so the load-balance cost of static ranges is small. *)
 
 let auto_workers = 0
 

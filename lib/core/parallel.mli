@@ -1,4 +1,4 @@
-(** Deterministic domain-parallel execution for the cube algorithms.
+(** Deterministic domain-parallel execution for COUNTER.
 
     The parallel plan is the classic partition/merge of Gray et al.'s
     relational cube work: partition the input into per-worker slices, give
@@ -13,13 +13,12 @@
     function of [(workers, tasks)], which is what makes runs byte-identical
     at every worker count.
 
-    COUNTER, BUC and TD run this plan at every worker count; there is no
-    separate sequential implementation. One worker is the only sequential
-    path: {!run} then runs everything inline on the calling domain. Worker
-    0 always runs on the calling domain, so the algorithms give it the
-    duties only that domain may carry: polling for stops and, in BUC's
-    recursion, booking bytes against the context. NAIVE, the semantic
-    oracle, does not use this module: it is serial at any worker
+    COUNTER runs this plan over its fact blocks at every worker count;
+    there is no separate sequential implementation. One worker is the
+    only sequential path: {!run} then runs everything inline on the
+    calling domain. Worker 0 always runs on the calling domain, so COUNTER
+    gives it the duty only that domain may carry: polling for stops. The
+    other families do not use this module: they are serial at any worker
     count. *)
 
 val auto_workers : int

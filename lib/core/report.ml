@@ -28,9 +28,7 @@ let add_instr m (i : Instrument.t) =
   set m "cube.dict_size" i.Instrument.dict_size;
   set m "profile.peak_counters_sum" i.Instrument.peak_counters;
   set m "profile.peak_counters_worker_max" i.Instrument.peak_counters_worker_max;
-  set m "profile.radix_scratch_bytes_sum" i.Instrument.radix_scratch_bytes;
-  set m "profile.radix_scratch_bytes_worker_max"
-    i.Instrument.radix_scratch_bytes_worker_max
+  set m "profile.radix_scratch_bytes_sum" i.Instrument.radix_scratch_bytes
 
 let add_io m (s : Stats.t) =
   count m "io.page_reads" s.Stats.page_reads;

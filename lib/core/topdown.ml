@@ -48,16 +48,12 @@ let cell_in into key =
    exactly as the sorted sweep's consecutive-fact skip does, and in the
    same row order); the hash fallback keeps the paper's sort — collect
    (key, row) records in one array, quicksort them by key then row (§4's
-   in-memory sort), sweep. The caller chooses which counters it bumps and
-   whether to poll for stops, so the same code serves the calling domain's
-   lane, the helper lanes and a serve session's base views. The columns
-   and block measures come from the context's caches, which a fan-out
-   fills on the calling domain before any helper starts. *)
-let compute_from_base (ctx : Context.t) ~instr ~polls ~(mode : mode) cid into
-    =
-  let checkpoint =
-    if polls then fun () -> Context.checkpoint ctx else fun () -> ()
-  in
+   in-memory sort), sweep. It counts into the context's instrument and
+   polls for stops every row, both for [compute] and for a serve
+   session's base views. *)
+let compute_from_base (ctx : Context.t) ~(mode : mode) cid into =
+  let instr = ctx.instr in
+  let checkpoint () = Context.checkpoint ctx in
   let cols = Context.cols ctx in
   let bm = Context.block_measures ctx cols in
   let p = Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid) in
@@ -135,8 +131,8 @@ let compute_from_base (ctx : Context.t) ~instr ~polls ~(mode : mode) cid into
       instr.Instrument.sort_ops <- instr.Instrument.sort_ops + 1;
       let scratch = Group_key.make_scratch p.Radix.p_shape in
       (* A cuboid never has more records than the table has rows, so one
-         row-sized array holds them all; the governor booked it before
-         fan-out. A record is the row's key and the row itself. *)
+         row-sized array holds them all; [compute] books it before the
+         base steps. A record is the row's key and the row itself. *)
       let records = Array.make rows (Group_key.Packed 0, 0) in
       let fed = ref 0 in
       for r = 0 to rows - 1 do
@@ -207,8 +203,7 @@ let compute ~variant (ctx : Context.t) =
   let result = Cube_result.create ~table:ctx.table lattice in
   let order = Lattice.by_degree lattice in
   (* Every cuboid's provenance is a pure function of variant, lattice and
-     properties — decided up front so the base computations can fan out
-     and the roll-ups replay afterwards. *)
+     properties, decided up front. *)
   let plan cid =
     match variant with
     | `Plain -> `Base `Dedup
@@ -243,46 +238,28 @@ let compute ~variant (ctx : Context.t) =
     end
   in
   (try
-     (* Base computations write to disjoint cuboids (one task = one
-        cuboid), so workers aggregate into the shared result directly.
-        Worker 0 runs on the calling domain: it counts into the context's
-        instrument and polls for stops between its cuboids and inside their
-        scans, so a stop keeps every fully computed cuboid. Every other
-        worker counts into a private instrument and never polls. The
-        columns and block measures are immutable and shared; both are built
-        (and booked) here, so the helpers only read the context's caches.
-        Roll-ups run afterwards on the calling domain in coarsening order,
-        since a roll-up may read a cuboid that another roll-up produced. *)
+     (* The base steps run first, then the roll-ups, each in coarsening
+        order: a roll-up reads a finer cuboid, which is then complete. A
+        stop between or inside cuboids keeps every fully computed one.
+        The columns and block measures are built (and booked) before the
+        base steps' transient memory: one base computation runs at a
+        time, so the largest radix scratch of any base cuboid bounds the
+        scratch, and [rows] records of the costliest hash-tier key shape
+        bound the sort array. *)
      Context.check ctx;
      let cols = Context.cols ctx in
      ignore (Context.block_measures ctx cols : float array);
      let rows = Columnar.rows cols in
-     let base =
-       Array.of_list
-         (List.filteri
-            (fun i _ -> match plans.(i) with `Base _ -> true | _ -> false)
-            (Array.to_list order))
-     in
-     let base_modes =
-       Array.of_list
-         (List.filter_map
-            (function `Base mode -> Some mode | `Rollup _ -> None)
-            (Array.to_list plans))
-     in
-     (* Every lane's transient memory is booked here on the calling domain
-        before fan-out, since helper workers never touch the account. Each
-        lane runs one base computation at a time, so [workers ×
-        max-per-cuboid] bounds the radix scratch, and [workers × rows]
-        records of the costliest hash-tier key shape bound the sort
-        arrays. *)
      let base_plans =
-       Array.map
-         (fun cid -> Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid))
-         base
+       Array.to_list order
+       |> List.filteri (fun i _ ->
+              match plans.(i) with `Base _ -> true | `Rollup _ -> false)
+       |> List.map (fun cid ->
+              Radix.plan ~radix_bits:ctx.radix_bits ctx.shapes.(cid))
      in
      let sort_bytes =
-       ctx.workers * rows
-       * Array.fold_left
+       rows
+       * List.fold_left
            (fun m p ->
              match p.Radix.p_strategy with
              | Radix.Hash -> max m (Governor.sort_record_cost p.Radix.p_shape)
@@ -290,29 +267,22 @@ let compute ~variant (ctx : Context.t) =
            0 base_plans
      in
      let scratch_bytes =
-       ctx.workers
-       * Array.fold_left
-           (fun m p -> max m (base_scratch_bytes ~rows p))
-           0 base_plans
+       List.fold_left (fun m p -> max m (base_scratch_bytes ~rows p)) 0 base_plans
      in
      Context.reserve ctx (sort_bytes + scratch_bytes);
      Instrument.bump_radix_scratch ctx.instr scratch_bytes;
-     let instrs =
-       Fun.protect
-         ~finally:(fun () -> Context.release ctx (sort_bytes + scratch_bytes))
-       @@ fun () ->
-       Parallel.run ~workers:ctx.workers ~tasks:(Array.length base)
-         ~init:(fun w -> if w = 0 then ctx.instr else Instrument.create ())
-         ~body:(fun instr t ->
-           let polls = instr == ctx.instr in
-           if polls then Context.check ctx;
-           compute_from_base ctx ~instr ~polls ~mode:base_modes.(t) base.(t)
-             (Cube_result.cuboid_table result base.(t)))
-     in
-     Array.iter
-       (fun instr ->
-         if instr != ctx.instr then Instrument.merge ~into:ctx.instr instr)
-       instrs;
+     Fun.protect
+       ~finally:(fun () -> Context.release ctx (sort_bytes + scratch_bytes))
+       (fun () ->
+         Array.iteri
+           (fun i cid ->
+             match plans.(i) with
+             | `Base mode ->
+                 Context.check ctx;
+                 compute_from_base ctx ~mode cid
+                   (Cube_result.cuboid_table result cid)
+             | `Rollup _ -> ())
+           order);
      book_result ();
      Array.iteri
        (fun i cid ->

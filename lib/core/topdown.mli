@@ -10,7 +10,8 @@
     row whose fact id repeats the previous row's — the "we need to keep
     track of the identities" cost, one sort per cuboid: the exponential
     number of sorts of §4.1 — and every mode adds a group's measures in
-    table order.
+    table order. Every cuboid is computed on the calling domain, one at a
+    time, whatever the context's worker count.
 
     Variants:
     - [`Plain] (TD): correct always; sorts with fact ids, dedups.
@@ -42,18 +43,11 @@ val custom_mode : X3_lattice.Properties.t -> int -> mode
     [`Dedup]. *)
 
 val compute_from_base :
-  Context.t ->
-  instr:Instrument.t ->
-  polls:bool ->
-  mode:mode ->
-  int ->
-  Aggregate.cell Group_key.Tbl.t ->
-  unit
+  Context.t -> mode:mode -> int -> Aggregate.cell Group_key.Tbl.t -> unit
 (** One cuboid from the context's columns into its cell table: radix
     Direct/Partitioned where the cuboid's key shape allows, else one
     in-memory array of (key, row) records, quicksorted and swept. Counts
-    into [instr]; checkpoints every row when [polls] (calling domain
-    only). *)
+    into the context's instrument and checkpoints every row. *)
 
 val rollup :
   Context.t ->

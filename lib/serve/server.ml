@@ -746,11 +746,6 @@ let handle_cube t ~rid ~scope ~info ~query ~doc ~algorithm ~format ~no_cache
                       fail "corrupt" "%s" msg
                   | Engine.Failed (Engine.Io_fault msg) ->
                       fail "io_fault" "%s" msg
-                  | Engine.Rejected rejection ->
-                      Metrics.inc t.m_rejected;
-                      fail "rejected" "%s"
-                        (Format.asprintf "%a" Governor.Admission.pp_rejection
-                           rejection)
                 end
                 else begin
                   let skey = session_key ~doc_path ~query in

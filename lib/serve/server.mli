@@ -36,7 +36,7 @@ type config = {
   max_in_flight : int;  (** admission door width *)
   max_waiting : int;
   admission_timeout : float option;  (** [None] = wait forever *)
-  workers : int;  (** worker domains per cube computation *)
+  workers : int;  (** worker domains per COUNTER cube computation *)
   max_input_bytes : int option;  (** refuse larger XML documents *)
   max_frame_bytes : int;  (** wire-frame payload cap *)
   io_deadline : float option;

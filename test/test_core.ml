@@ -1314,11 +1314,11 @@ let test_parallel_counter_tiny_budget () =
         (Export.csv_string ~func:Aggregate.Count result))
     [ 2; 4 ]
 
-(* One worker runs the partition/merge plan inline, so worker 0 must
-   still poll for stops inside the fan-out. The cancel hook fires on its
-   k-th poll, with k just past every poll that precedes the fan-out (the
-   column build polls once per 64 rows, then one pass, apex or cuboid
-   check) — only polls made by worker 0 can reach it. *)
+(* One worker runs COUNTER's partition/merge plan inline, and BUC and TD
+   always run on the calling domain, so each must still poll for stops
+   inside its main loop. The cancel hook fires on its k-th poll, with k
+   just past every poll that precedes that loop (the column build polls
+   once per 64 rows, then one pass, apex or cuboid check). *)
 let test_one_worker_stops_mid_fan_out () =
   let config = { X3_workload.Treebank.default with num_trees = 200; axes = 3 } in
   let p =
@@ -1560,9 +1560,11 @@ let test_wide_layout_whole_cube () =
       (X3_lattice.Lattice.children lattice coarser)
   done;
   (* Governed TD at [radix_bits = 0] sorts every cuboid. Its peak booking
-     must cover the table, its columns and block measures, and per worker
-     one row-sized sort array of the costliest record: a real (key, row)
-     record of each shape, measured, plus its array slot. *)
+     must cover the table, its columns and block measures, and one
+     row-sized sort array of the costliest record: a real (key, row)
+     record of each shape, measured, plus its array slot. TD runs on the
+     calling domain at any worker count, so two workers book exactly what
+     one does. *)
   let table = Engine.table p in
   let cols = Context.cols ctx in
   let rows = Witness.Columnar.rows cols in
@@ -1580,39 +1582,44 @@ let test_wide_layout_whole_cube () =
   in
   let record = Array.fold_left (fun m s -> max m (record_bytes s)) 0 shapes in
   let config = { Engine.default_config with Engine.radix_bits = 0 } in
-  List.iter
-    (fun workers ->
-      let stats = Engine.fresh_run_stats () in
-      (match
-         Engine.run_safe ~config ~workers ~governor:(Governor.create ())
-           ~stats p Engine.Td
-       with
-      | Engine.Complete (r, _) ->
-          Alcotest.(check string)
-            (Printf.sprintf "governed TD, %d workers = NAIVE" workers)
-            reference (csv r);
-          Alcotest.(check bool)
-            (Printf.sprintf
-               "%d workers: peak %d >= %d held + %d x %d rows x %d bytes"
-               workers stats.Engine.peak_bytes held workers rows record)
-            true
-            (stats.Engine.peak_bytes >= held + (workers * rows * record))
-      | _ -> Alcotest.failf "governed TD, %d workers: must complete" workers);
-      (* One byte short of that, the booking is refused before any
-         cuboid is grouped. *)
-      match
-        Engine.run_safe ~config ~workers
-          ~max_bytes:(held + (workers * rows * record) - 1)
-          p Engine.Td
-      with
-      | Engine.Partial (Context.Over_budget, r, _) ->
-          Alcotest.(check int)
-            (Printf.sprintf "%d workers: refused before grouping" workers)
-            0 (Cube_result.total_cells r)
-      | _ ->
-          Alcotest.failf "governed TD, %d workers: must stop over budget"
-            workers)
-    [ 1; 2 ]
+  let peaks =
+    List.map
+      (fun workers ->
+        let stats = Engine.fresh_run_stats () in
+        (match
+           Engine.run_safe ~config ~workers ~governor:(Governor.create ())
+             ~stats p Engine.Td
+         with
+        | Engine.Complete (r, _) ->
+            Alcotest.(check string)
+              (Printf.sprintf "governed TD, %d workers = NAIVE" workers)
+              reference (csv r);
+            Alcotest.(check bool)
+              (Printf.sprintf "%d workers: peak %d >= %d held + %d rows x %d bytes"
+                 workers stats.Engine.peak_bytes held rows record)
+              true
+              (stats.Engine.peak_bytes >= held + (rows * record))
+        | _ -> Alcotest.failf "governed TD, %d workers: must complete" workers);
+        (* One byte short of that, the booking is refused before any
+           cuboid is grouped. *)
+        (match
+           Engine.run_safe ~config ~workers
+             ~max_bytes:(held + (rows * record) - 1)
+             p Engine.Td
+         with
+        | Engine.Partial (Context.Over_budget, r, _) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%d workers: refused before grouping" workers)
+              0 (Cube_result.total_cells r)
+        | _ ->
+            Alcotest.failf "governed TD, %d workers: must stop over budget"
+              workers);
+        stats.Engine.peak_bytes)
+      [ 1; 2 ]
+  in
+  Alcotest.(check int)
+    "governed TD books the same peak at 1 and 2 workers" (List.nth peaks 0)
+    (List.nth peaks 1)
 
 (* --- allocation pins --------------------------------------------------------- *)
 

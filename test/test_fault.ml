@@ -473,8 +473,7 @@ let test_engine_retry backend workers () =
       Alcotest.(check int) "cube identical after retried fault" expected
         (Cube_result.total_cells r)
   | Engine.Partial _ -> Alcotest.fail "unexpected partial result"
-  | Engine.Failed _ -> Alcotest.fail "retry should have absorbed the fault"
-  | Engine.Rejected _ -> Alcotest.fail "no admission door was installed");
+  | Engine.Failed _ -> Alcotest.fail "retry should have absorbed the fault");
   Alcotest.(check bool) "the fault really fired" true
     (Fault.injected_faults plan > 0);
   Fault.clear disk;

@@ -18,7 +18,6 @@ module Compile = X3_ql.Compile
 module Lattice = X3_lattice.Lattice
 module Axis = X3_pattern.Axis
 module Relax = X3_pattern.Relax
-module Engine = X3_core.Engine
 module Governor = X3_core.Governor
 
 (* Counters behind the one-line summary printed after the run. *)
@@ -377,27 +376,6 @@ let test_admission_release_unbalanced () =
     (Invalid_argument "Admission.release: nothing in flight") (fun () ->
       Governor.Admission.release door)
 
-let test_engine_rejected () =
-  (* A zero-capacity door load-sheds the whole query: run_safe returns the
-     typed Rejected outcome without ever touching the storage layer. *)
-  let spec =
-    Engine.count_spec ~fact_path:Fixtures.fact_path
-      ~axes:(Fixtures.query1_axes ())
-  in
-  let prepared =
-    Engine.prepare ~pool:(Fixtures.small_pool ())
-      ~store:(Fixtures.figure1_store ()) spec
-  in
-  let door = Governor.Admission.create ~max_in_flight:0 ~max_waiting:0 () in
-  match
-    Engine.run_safe ~admission:door ~admission_timeout:0. prepared Engine.Naive
-  with
-  | Engine.Rejected (Governor.Admission.Saturated _) ->
-      saw_admission_rejection ();
-      Alcotest.(check int) "shed counted" 1
-        (Governor.Admission.rejected_total door)
-  | _ -> Alcotest.fail "expected Rejected through a zero-capacity door"
-
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
@@ -441,7 +419,6 @@ let () =
           quick "waiters admitted in FIFO order" `Quick test_admission_fifo;
           quick "unbalanced release is a bug" `Quick
             test_admission_release_unbalanced;
-          quick "engine returns typed Rejected" `Quick test_engine_rejected;
         ] );
     ]
   in

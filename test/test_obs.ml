@@ -1,8 +1,8 @@
 (* The observability layer: the shared JSON encoder, per-domain trace
-   rings (overflow, span nesting over real engine runs), the metrics
-   registry's determinism contract (cube.* byte-identical at 1 vs 2
-   workers for the partition/merge algorithms), the Instrument.merge
-   peak-counter semantics, and the Prometheus / Chrome-trace exporters. *)
+   rings (overflow, span nesting over real engine runs, which families
+   open worker spans), the metrics registry's determinism contract
+   (cube.* byte-identical at 1 vs 2 workers), Instrument.merge, and the
+   Prometheus / Chrome-trace exporters. *)
 
 open Fixtures
 module Json = X3_obs.Json
@@ -185,26 +185,49 @@ let test_span_nesting () =
       List.iter check_well_formed rings)
     Engine.[ (Counter, 1); (Counter, 2); (Td, 1); (Td, 2) ]
 
-(* NAIVE is serial whatever it is asked for: a two-worker request runs on
-   the calling domain alone, opens no [worker] span, and its compute span
-   reports the one worker that ran. *)
-let test_naive_runs_serially () =
-  let rings = traced_run ~workers:2 Engine.Naive in
+(* The events of a two-worker traced run on the domains that emitted any,
+   and the worker count its [cube.compute] span reports. *)
+let two_worker_run algorithm =
+  let name = Engine.algorithm_to_string algorithm in
+  let rings = traced_run ~workers:2 algorithm in
   let active = List.filter (fun r -> r.Trace.events <> []) rings in
-  Alcotest.(check int) "events from exactly one domain" 1 (List.length active);
   let events = List.concat_map (fun r -> r.Trace.events) active in
-  Alcotest.(check bool)
-    "no worker span" false
-    (List.exists (fun e -> e.Trace.name = "worker") events);
   match
     List.find_opt
       (fun e -> e.Trace.name = "cube.compute" && e.Trace.phase = Trace.Begin)
       events
   with
-  | Some e ->
-      Alcotest.(check int) "cube.compute reports one worker" 1
-        (attr_int e "workers")
-  | None -> Alcotest.fail "no cube.compute span"
+  | Some e -> (active, events, attr_int e "workers")
+  | None -> Alcotest.failf "%s: no cube.compute span" name
+
+(* Every family but COUNTER is serial whatever it is asked for: a
+   two-worker request runs on the calling domain alone, opens no [worker]
+   span, and its compute span reports the one worker that ran. *)
+let check_runs_serially algorithm =
+  let name = Engine.algorithm_to_string algorithm in
+  let active, events, workers = two_worker_run algorithm in
+  Alcotest.(check int)
+    (name ^ ": events from exactly one domain")
+    1 (List.length active);
+  Alcotest.(check bool)
+    (name ^ ": no worker span")
+    false
+    (List.exists (fun e -> e.Trace.name = "worker") events);
+  Alcotest.(check int) (name ^ ": cube.compute reports one worker") 1 workers
+
+let test_naive_runs_serially () = check_runs_serially Engine.Naive
+
+let test_td_buc_run_serially () =
+  List.iter check_runs_serially Engine.[ Td; Tdcust; Buc; Buccust ]
+
+(* COUNTER is the one family that fans out: at two workers it opens
+   [worker] spans and its compute span reports both. *)
+let test_counter_fans_out () =
+  let _, events, workers = two_worker_run Engine.Counter in
+  Alcotest.(check bool)
+    "worker spans" true
+    (List.exists (fun e -> e.Trace.name = "worker") events);
+  Alcotest.(check int) "cube.compute reports two workers" 2 workers
 
 let test_disabled_tracing_is_silent () =
   Trace.reset ();
@@ -225,8 +248,8 @@ let cube_metrics ~store ~spec ~workers algorithm =
     (Metrics.snapshot m)
 
 (* The determinism contract from the report layer: cube.* is identical for
-   a fixed (query, algorithm) at any worker count for the partition/merge
-   algorithms — worker-shaped values live under profile.* instead. Checked
+   a fixed (query, algorithm) at any worker count, COUNTER's partition/merge
+   plan included — worker-shaped values live under profile.* instead. Checked
    as bytes of the shared metrics document, the same comparison the bench
    harness relies on. *)
 let check_cube_determinism ~store ~spec =
@@ -253,28 +276,25 @@ let test_cube_metrics_deterministic_treebank () =
     ~store:(X3_xdb.Store.of_document (Treebank.generate config))
     ~spec:(Treebank.spec config)
 
-(* --- Instrument.merge peak counters -------------------------------------- *)
+(* --- Instrument.merge ------------------------------------------------------ *)
 
-let test_merge_peak_counters () =
+(* A COUNTER worker counts only the keys it builds; the session's peaks,
+   dictionary size and radix scratch are set on the session counters
+   directly, and merging leaves them as they are. *)
+let test_merge_sums_worker_counters () =
   let into = Instrument.create () in
+  into.Instrument.keys_built <- 3;
+  into.Instrument.peak_counters <- 40;
+  into.Instrument.dict_size <- 9;
   let w1 = Instrument.create () and w2 = Instrument.create () in
-  w1.Instrument.peak_counters <- 70;
-  w2.Instrument.peak_counters <- 50;
+  w1.Instrument.keys_built <- 70;
+  w2.Instrument.keys_built <- 50;
   Instrument.merge ~into w1;
   Instrument.merge ~into w2;
-  Alcotest.(check int)
-    "peak_counters sums coexisting per-worker peaks" 120
+  Alcotest.(check int) "keys_built sums" 123 into.Instrument.keys_built;
+  Alcotest.(check int) "peak_counters untouched" 40
     into.Instrument.peak_counters;
-  Alcotest.(check int)
-    "peak_counters_worker_max keeps the largest single worker" 70
-    into.Instrument.peak_counters_worker_max
-
-let test_merge_peak_zero_before_merge () =
-  let t = Instrument.create () in
-  t.Instrument.peak_counters <- 9;
-  Alcotest.(check int)
-    "worker max stays 0 on an unmerged (sequential) run" 0
-    t.Instrument.peak_counters_worker_max
+  Alcotest.(check int) "dict_size untouched" 9 into.Instrument.dict_size
 
 (* --- exporters ------------------------------------------------------------ *)
 
@@ -494,6 +514,10 @@ let () =
             test_span_nesting;
           Alcotest.test_case "NAIVE at 2 workers runs on one domain" `Quick
             test_naive_runs_serially;
+          Alcotest.test_case "TD and BUC at 2 workers run on one domain"
+            `Quick test_td_buc_run_serially;
+          Alcotest.test_case "COUNTER at 2 workers opens worker spans" `Quick
+            test_counter_fans_out;
           Alcotest.test_case "disabled tracing is silent" `Quick
             test_disabled_tracing_is_silent;
           Alcotest.test_case "scopes disjoint across threads" `Quick
@@ -505,10 +529,8 @@ let () =
             test_cube_metrics_deterministic_figure1;
           Alcotest.test_case "cube.* deterministic on treebank" `Quick
             test_cube_metrics_deterministic_treebank;
-          Alcotest.test_case "merge sums peaks, keeps worker max" `Quick
-            test_merge_peak_counters;
-          Alcotest.test_case "worker max is 0 before any merge" `Quick
-            test_merge_peak_zero_before_merge;
+          Alcotest.test_case "merge sums worker counters" `Quick
+            test_merge_sums_worker_counters;
         ] );
       ( "export",
         [
