@@ -2,10 +2,10 @@
    through every family (NAIVE, COUNTER, BUC, TD) twice — once with the
    radix grouping tiers enabled (the default config) and once with
    radix_bits = 0, which forces every cuboid onto the legacy
-   hash/sort path over the same columnar scan.  Checks that the
-   two paths and the 1/2/4-worker radix runs all export byte-identical
-   cubes, and gates two claims of the columnar refactor on the TD family
-   (where the radix kernel replaces the sort outright):
+   hash/sort path over the same columnar scan.  Checks that the two
+   paths export byte-identical cubes, and gates two claims of the
+   columnar refactor on the TD family (where the radix kernel replaces
+   the sort outright):
 
    - grouping throughput: the radix path must be >= 1.5x the hash path;
    - allocation: the radix path must allocate >= 30% fewer minor words.
@@ -42,7 +42,7 @@ type ab = {
   ab_hash_seconds : float;
   ab_radix_minor_words : float;
   ab_hash_minor_words : float;
-  ab_identical : bool;  (** radix 1/2/4 workers + hash all byte-identical *)
+  ab_identical : bool;  (** radix and hash runs byte-identical *)
 }
 
 let speedup ab = ab.ab_hash_seconds /. ab.ab_radix_seconds
@@ -95,14 +95,9 @@ let () =
             (fst (Engine.run ~config:hash_config prepared algorithm))
         in
         let identical =
-          List.for_all
-            (fun workers ->
-              String.equal reference
-                (Export.csv_string ~func:Aggregate.Count
-                   (fst
-                      (Engine.run ~config:radix_config ~workers prepared
-                         algorithm))))
-            [ 1; 2; 4 ]
+          String.equal reference
+            (Export.csv_string ~func:Aggregate.Count
+               (fst (Engine.run ~config:radix_config prepared algorithm)))
         in
         let radix_seconds, radix_minor =
           measure ~prepared ~config:radix_config algorithm
@@ -164,7 +159,6 @@ let () =
         Json.Str
           (Printf.sprintf "dense treebank trees=%d axes=%d" trees axes) );
       ("algorithm", Json.Str "TD");
-      ("workers", Json.Int 1);
       ("radix_bits", Json.Int radix_config.Engine.radix_bits);
       ("ab", Json.Arr (List.map ab_json results));
       ( "gates",
@@ -178,7 +172,7 @@ let () =
     ]
   in
   let metrics =
-    Report.build ~instr ~result ~workers:1
+    Report.build ~instr ~result
       ~phases:[ ("compute", compute_seconds) ]
       ~algorithm:"TD" ()
   in

@@ -12,7 +12,7 @@
      full recompute of the grafted document;
    - identity (gated always): after all deltas the session's views must
      export byte-identically to a cold rebuild of the grafted document,
-     across all four algorithm families at 1 and 2 workers.
+     across all four algorithm families.
 
    Writes BENCH_PR9.json, an x3-metrics/1 document whose meta block
    carries the timings and gate verdicts and whose registry snapshot is
@@ -132,7 +132,7 @@ let () =
   let per_fact = !delta_best /. float_of_int delta_facts in
 
   (* Full recompute, best of 3: what a fallback costs — re-prepare the
-     grafted document and recompute the cube (COUNTER, 1 worker). *)
+     grafted document and recompute the cube (COUNTER). *)
   let full_best = ref infinity in
   for _ = 1 to 3 do
     Gc.full_major ();
@@ -142,7 +142,7 @@ let () =
         ~store:(X3_xdb.Store.of_document grafted)
         spec
     in
-    ignore (Engine.run ~workers:1 prepared Engine.Counter);
+    ignore (Engine.run prepared Engine.Counter);
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !full_best then full_best := dt
   done;
@@ -153,7 +153,7 @@ let () =
     delta_facts !delta_best per_fact !full_best speedup speed_gate;
 
   (* Identity, gated always: the delta-maintained views vs a cold
-     rebuild of the grafted document, every family at 1 and 2 workers. *)
+     rebuild of the grafted document, every family. *)
   let cold_prepared =
     Engine.prepare ~pool:(pool ())
       ~store:(X3_xdb.Store.of_document grafted)
@@ -163,22 +163,16 @@ let () =
   let instr_ref = ref None in
   List.iter
     (fun alg ->
-      List.iter
-        (fun workers ->
-          let cold, instr = Engine.run ~workers cold_prepared alg in
-          if alg = Engine.Counter && workers = 1 then instr_ref := Some instr;
-          let cold_csv = Export.csv_string ~func:spec.Engine.func cold in
-          let same = String.equal cold_csv delta_csv in
-          if not same then begin
-            identical := false;
-            Printf.eprintf
-              "ingest-smoke: delta cube diverged from %s at %d workers\n"
-              (Engine.algorithm_to_string alg)
-              workers
-          end)
-        [ 1; 2 ])
+      let cold, instr = Engine.run cold_prepared alg in
+      if alg = Engine.Counter then instr_ref := Some instr;
+      let cold_csv = Export.csv_string ~func:spec.Engine.func cold in
+      if not (String.equal cold_csv delta_csv) then begin
+        identical := false;
+        Printf.eprintf "ingest-smoke: delta cube diverged from %s\n"
+          (Engine.algorithm_to_string alg)
+      end)
     families;
-  Printf.printf "    identity: %s (4 families x {1,2} workers)\n"
+  Printf.printf "    identity: %s (4 families)\n"
     (if !identical then "byte-identical" else "DIVERGED");
 
   let meta =
@@ -207,7 +201,7 @@ let () =
   let metrics =
     Report.build
       ~instr:(Option.get !instr_ref)
-      ~result ~workers:1
+      ~result
       ~phases:
         [ ("delta", !delta_best); ("full_recompute", !full_best) ]
       ~algorithm:"COUNTER" ()

@@ -1,7 +1,7 @@
 (* The PR smoke benchmark: a tiny treebank workload through every
    unconditionally-correct algorithm family (COUNTER, BUC/BUCCUST,
-   TD/TDCUST) checked cell-for-cell against NAIVE, a worker-count scaling
-   sweep over the domain-parallel engine, and the V0-vs-V1 page checksum
+   TD/TDCUST) checked cell-for-cell against NAIVE, one timed run per
+   family on a larger input, and the V0-vs-V1 page checksum
    overhead comparison, and the PR 4 resource-governor overhead
    comparison (governed vs ungoverned grouping with a non-binding
    budget, plus per-run `Gc.quick_stat` peak-heap records), and the PR 5
@@ -12,17 +12,13 @@
    argv.(1)..argv.(4)); BENCH_PR5.json is an x3-metrics/1 document —
    the same schema `x3 cube --metrics` emits — carrying the per-phase
    latency breakdown of one instrumented grouping run.  Exits non-zero
-   if any algorithm disagrees with NAIVE, if any parallel run's cube is
-   not byte-identical to the sequential one, if any run allocates a
-   disk page, if checksummed pages slow the grouping workload by more than
-   15%, if the governed path slows grouping by more than 20% when the
-   budget is not binding, if disabled tracing costs more than 2% or
-   enabled tracing more than 10% on the grouping workload, or — on
-   hardware with at least 4 cores — if 4 workers fail to reach a 2x
-   COUNTER speedup, so `dune runtest` gates on all of it.  COUNTER is
-   the gated family because it is the one that runs across domains;
-   NAIVE, BUC and TD stay in the sweep for the identity check but run
-   serially at any worker count.  The three
+   if any algorithm disagrees with NAIVE, if any timed family run's cube
+   is not byte-identical to NAIVE's, if any run allocates a disk page, if
+   checksummed pages slow the grouping workload by more than 15%, if the
+   governed path slows grouping by more than 20% when the budget is not
+   binding, or if disabled tracing costs more than 2% or enabled tracing
+   more than 10% on the grouping workload, so `dune runtest` gates on all
+   of it.  The three
    overhead gates read medians of interleaved per-round ratios (see
    [Harness.interleaved]). *)
 
@@ -30,7 +26,6 @@ module Engine = X3_core.Engine
 module Instrument = X3_core.Instrument
 module Export = X3_core.Export
 module Aggregate = X3_core.Aggregate
-module Parallel = X3_core.Parallel
 module Buffer_pool = X3_storage.Buffer_pool
 module Disk = X3_storage.Disk
 module Treebank = X3_workload.Treebank
@@ -43,25 +38,21 @@ module Report = X3_core.Report
 let trees = 200
 let axes = 3
 
-(* The scaling sweep uses a larger input so per-run times are dominated by
-   cube work rather than fixed costs. *)
+(* The timed family runs use a larger input so per-run times are
+   dominated by cube work rather than fixed costs. *)
 let sweep_trees = 400
-let sweep_workers = [ 1; 2; 4 ]
 let sweep_algorithms = Engine.[ Naive; Counter; Buc; Td ]
 
-type parallel_run = {
-  pr_algorithm : Engine.algorithm;
-  pr_workers : int;
-  pr_seconds : float;
-  pr_identical : bool;  (** export byte-identical to sequential NAIVE *)
-  pr_leaked_pages : int;  (** pages the run allocated on the table's disk *)
-  pr_top_heap_words : int;
-      (** [Gc.quick_stat] peak heap observed after the run. On OCaml 5
-          this is the calling domain's view of the high-water mark, so
-          it is only approximately monotone across a parallel sweep. *)
+type family_run = {
+  fr_algorithm : Engine.algorithm;
+  fr_seconds : float;
+  fr_identical : bool;  (** export byte-identical to NAIVE's *)
+  fr_leaked_pages : int;  (** pages the run allocated on the table's disk *)
+  fr_top_heap_words : int;
+      (** [Gc.quick_stat] peak heap observed after the run *)
 }
 
-let parallel_sweep ~store ~spec ~config =
+let family_runs ~store ~spec ~config =
   let pool =
     Buffer_pool.create ~capacity_pages:65536
       (Disk.in_memory ~page_size:8192 ())
@@ -72,26 +63,22 @@ let parallel_sweep ~store ~spec ~config =
     Export.csv_string ~func:Aggregate.Count
       (fst (Engine.run ~config prepared Engine.Naive))
   in
-  List.concat_map
+  List.map
     (fun algorithm ->
-      List.map
-        (fun workers ->
-          let pages_before = Disk.page_count disk in
-          Gc.full_major ();
-          let t0 = Unix.gettimeofday () in
-          let result, _ = Engine.run ~config ~workers prepared algorithm in
-          let pr_seconds = Unix.gettimeofday () -. t0 in
-          {
-            pr_algorithm = algorithm;
-            pr_workers = workers;
-            pr_seconds;
-            pr_identical =
-              String.equal reference
-                (Export.csv_string ~func:Aggregate.Count result);
-            pr_leaked_pages = Disk.page_count disk - pages_before;
-            pr_top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-          })
-        sweep_workers)
+      let pages_before = Disk.page_count disk in
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      let result, _ = Engine.run ~config prepared algorithm in
+      let fr_seconds = Unix.gettimeofday () -. t0 in
+      {
+        fr_algorithm = algorithm;
+        fr_seconds;
+        fr_identical =
+          String.equal reference
+            (Export.csv_string ~func:Aggregate.Count result);
+        fr_leaked_pages = Disk.page_count disk - pages_before;
+        fr_top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
+      })
     sweep_algorithms
 
 (* --- checksum overhead (PR 3) ------------------------------------------- *)
@@ -177,42 +164,27 @@ let () =
         o.Harness.instr.Instrument.dict_size
         (if o.Harness.correct then "ok" else "WRONG"))
     outcomes;
-  (* --- worker scaling sweep ------------------------------------------- *)
-  let cores = Parallel.recommended () in
+  (* --- one timed run per family ----------------------------------------- *)
   let sweep_config = { Treebank.default with num_trees = sweep_trees; axes } in
   let sweep_store =
     X3_xdb.Store.of_document (Treebank.generate sweep_config)
   in
   let runs =
-    parallel_sweep ~store:sweep_store ~spec:(Treebank.spec sweep_config)
+    family_runs ~store:sweep_store ~spec:(Treebank.spec sweep_config)
       ~config:{ Engine.default_config with counter_budget = 40 * sweep_trees }
   in
-  let seconds_of algorithm workers =
-    match
-      List.find_opt
-        (fun r -> r.pr_algorithm = algorithm && r.pr_workers = workers)
-        runs
-    with
-    | Some r -> r.pr_seconds
-    | None -> nan
-  in
-  let counter_speedup_4w =
-    seconds_of Engine.Counter 1 /. seconds_of Engine.Counter 4
-  in
-  Printf.printf "  worker scaling (treebank trees=%d axes=%d, %d cores):\n"
-    sweep_trees axes cores;
+  Printf.printf "  family runs (treebank trees=%d axes=%d):\n" sweep_trees axes;
   List.iter
     (fun r ->
-      Printf.printf "    %-9s workers=%d  %8.4fs  %s%s\n"
-        (Engine.algorithm_to_string r.pr_algorithm)
-        r.pr_workers r.pr_seconds
-        (if r.pr_identical then "identical" else "DIVERGED")
-        (if r.pr_leaked_pages = 0 then ""
-         else Printf.sprintf "  LEAKED %d pages" r.pr_leaked_pages))
+      Printf.printf "    %-9s %8.4fs  %s%s\n"
+        (Engine.algorithm_to_string r.fr_algorithm)
+        r.fr_seconds
+        (if r.fr_identical then "identical" else "DIVERGED")
+        (if r.fr_leaked_pages = 0 then ""
+         else Printf.sprintf "  LEAKED %d pages" r.fr_leaked_pages))
     runs;
-  Printf.printf "    COUNTER speedup at 4 workers: %.2fx\n" counter_speedup_4w;
-  let all_identical = List.for_all (fun r -> r.pr_identical) runs in
-  let no_leaks = List.for_all (fun r -> r.pr_leaked_pages = 0) runs in
+  let all_identical = List.for_all (fun r -> r.fr_identical) runs in
+  let no_leaks = List.for_all (fun r -> r.fr_leaked_pages = 0) runs in
   (* --- checksum overhead ------------------------------------------------ *)
   let v0_rate = page_io_rate ~format:Disk.V0 in
   let v1_rate = page_io_rate ~format:Disk.V1 in
@@ -329,7 +301,7 @@ let () =
     Json.Obj
       [
         ( "bench",
-          Json.Str "PR2: domain-parallel cube engine over packed keys" );
+          Json.Str "PR2: every cube family against NAIVE over packed keys" );
         ( "smoke",
           Json.Obj
             [
@@ -359,15 +331,14 @@ let () =
                          ])
                      outcomes) );
             ] );
-        ( "parallel",
+        ( "families",
           Json.Obj
             [
               ( "workload",
                 Json.Str
                   (Printf.sprintf "treebank trees=%d axes=%d" sweep_trees
                      axes) );
-              ("cores", Json.Int cores);
-              ("reference", Json.Str "sequential NAIVE export");
+              ("reference", Json.Str "NAIVE export");
               ( "runs",
                 Json.Arr
                   (List.map
@@ -376,14 +347,12 @@ let () =
                          [
                            ( "name",
                              Json.Str
-                               (Engine.algorithm_to_string r.pr_algorithm) );
-                           ("workers", Json.Int r.pr_workers);
-                           ("seconds", Json.Float r.pr_seconds);
-                           ("identical", Json.Bool r.pr_identical);
-                           ("leaked_pages", Json.Int r.pr_leaked_pages);
+                               (Engine.algorithm_to_string r.fr_algorithm) );
+                           ("seconds", Json.Float r.fr_seconds);
+                           ("identical", Json.Bool r.fr_identical);
+                           ("leaked_pages", Json.Int r.fr_leaked_pages);
                          ])
                      runs) );
-              ("counter_speedup_4_workers", Json.Float counter_speedup_4w);
             ] );
       ]
   in
@@ -447,7 +416,7 @@ let () =
                    (the calling domain's heap high-water mark at that \
                    point)" );
               ("after_grouping", Json.Int top_heap_after_grouping);
-              ( "parallel_runs",
+              ( "family_runs",
                 Json.Arr
                   (List.map
                      (fun r ->
@@ -455,9 +424,8 @@ let () =
                          [
                            ( "name",
                              Json.Str
-                               (Engine.algorithm_to_string r.pr_algorithm) );
-                           ("workers", Json.Int r.pr_workers);
-                           ("top_heap_words", Json.Int r.pr_top_heap_words);
+                               (Engine.algorithm_to_string r.fr_algorithm) );
+                           ("top_heap_words", Json.Int r.fr_top_heap_words);
                          ])
                      runs) );
             ] );
@@ -467,7 +435,6 @@ let () =
   Printf.printf "  wrote %s\n" out_path4;
   let pr5_metrics =
     Report.build ~instr:pr5_instr ~result:pr5_result ~run:pr5_stats
-      ~workers:1
       ~phases:
         [ ("materialise", mat_seconds); ("compute", compute_seconds) ]
       ~algorithm:"COUNTER" ()
@@ -477,7 +444,6 @@ let () =
       ("bench", Json.Str "PR5: query-scoped tracing and unified metrics");
       ("workload", Json.Str grouping_workload);
       ("algorithm", Json.Str "COUNTER");
-      ("workers", Json.Int 1);
       ( "tracing_overhead",
         Json.Obj
           [
@@ -501,7 +467,7 @@ let () =
     fail := true
   end;
   if not all_identical then begin
-    prerr_endline "smoke: a parallel run diverged from the sequential cube";
+    prerr_endline "smoke: a family run diverged from NAIVE's cube";
     fail := true
   end;
   if not no_leaks then begin
@@ -533,15 +499,6 @@ let () =
       "smoke: enabled tracing costs %.1f%% (> 10%%) on the grouping \
        workload\n"
       (100. *. traced_on_overhead);
-    fail := true
-  end;
-  (* The speedup gate only makes a claim the hardware can support: on a
-     box with fewer than 4 cores, 4 domains cannot run concurrently and
-     the sweep degenerates to a determinism/overhead check. *)
-  if cores >= 4 && not (counter_speedup_4w >= 2.0) then begin
-    Printf.eprintf
-      "smoke: COUNTER speedup at 4 workers is %.2fx (< 2x) on %d cores\n"
-      counter_speedup_4w cores;
     fail := true
   end;
   if !fail then exit 1

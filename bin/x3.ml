@@ -145,19 +145,16 @@ let prepare_phased ?max_input_bytes ph query_path doc_override =
 let write_trace_file path =
   Json.to_file path (X3_obs.Export.chrome_trace (Trace.dump ()))
 
-let write_metrics_file path ~meta ?instr ?result ~run ~workers ~phases
-    ~algorithm () =
-  let m =
-    X3_core.Report.build ?instr ?result ~run ~workers ~phases ~algorithm ()
-  in
+let write_metrics_file path ~meta ?instr ?result ~run ~phases ~algorithm () =
+  let m = X3_core.Report.build ?instr ?result ~run ~phases ~algorithm () in
   Json.to_file path
     (X3_obs.Export.metrics_json ~meta (X3_obs.Metrics.snapshot m))
 
 let config_with_radix_bits radix_bits =
   { Engine.default_config with Engine.radix_bits }
 
-let run_cube query_path doc algorithm_name use_schema workers radix_bits
-    deadline retries max_bytes max_input_bytes max_groups format trace_file
+let run_cube query_path doc algorithm_name use_schema radix_bits deadline
+    retries max_bytes max_input_bytes max_groups format trace_file
     metrics_file =
   if trace_file <> None then Trace.enable ();
   let ph = { phase_list = [] } in
@@ -173,8 +170,7 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
     timed ph "compute" (fun () ->
         Engine.run_safe ?props
           ~config:(config_with_radix_bits radix_bits)
-          ~workers ?deadline ~retries ?max_bytes ~stats:run_stats prepared
-          algorithm)
+          ?deadline ~retries ?max_bytes ~stats:run_stats prepared algorithm)
   in
   let dt = Unix.gettimeofday () -. t0 in
   let print_result result instr =
@@ -208,14 +204,12 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
             ("query", Json.Str query_path);
             ("document", Json.Str doc_path);
             ("algorithm", Json.Str (Engine.algorithm_to_string algorithm));
-            ("workers", Json.Int (Engine.workers_used algorithm workers));
             ("outcome", Json.Str label);
           ]
         in
         let instr = Option.map snd result_instr in
         let result = Option.map fst result_instr in
         write_metrics_file path ~meta ?instr ?result ~run:run_stats
-          ~workers:(Engine.workers_used algorithm workers)
           ~phases:(phases ph)
           ~algorithm:(Engine.algorithm_to_string algorithm)
           ())
@@ -270,8 +264,8 @@ type cuboid_report = {
   mutable cr_provenance : string;
 }
 
-let run_explain query_path doc algorithm_name use_schema workers radix_bits
-    trace_file metrics_file =
+let run_explain query_path doc algorithm_name use_schema radix_bits trace_file
+    metrics_file =
   (* explain is the traced view by definition: tracing is always on, and
      the per-cuboid table below is assembled from the run's own events. *)
   Trace.enable ();
@@ -286,7 +280,7 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
     timed ph "compute" (fun () ->
         Engine.run_safe ?props
           ~config:(config_with_radix_bits radix_bits)
-          ~workers ~stats:run_stats prepared algorithm)
+          ~stats:run_stats prepared algorithm)
   in
   let result, instr =
     match outcome with
@@ -411,9 +405,7 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
   (* The report. *)
   Printf.printf "query:     %s\n" query_path;
   Printf.printf "document:  %s\n" doc_path;
-  Printf.printf "algorithm: %s   workers: %d\n\n"
-    (Engine.algorithm_to_string algorithm)
-    (Engine.workers_used algorithm workers);
+  Printf.printf "algorithm: %s\n\n" (Engine.algorithm_to_string algorithm);
   Printf.printf "phase breakdown:\n";
   List.iter
     (fun (name, seconds) ->
@@ -454,10 +446,8 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
     (X3_core.Cube_result.total_cells result)
     instr.X3_core.Instrument.table_scans instr.X3_core.Instrument.sort_ops
     instr.X3_core.Instrument.rollups instr.X3_core.Instrument.keys_built;
-  Printf.printf
-    "  peak counters %d (largest worker %d)   pool hit rate %.1f%% (%d lookups)\n"
-    instr.X3_core.Instrument.peak_counters
-    instr.X3_core.Instrument.peak_counters_worker_max hit_rate pool_lookups;
+  Printf.printf "  peak counters %d   pool hit rate %.1f%% (%d lookups)\n"
+    instr.X3_core.Instrument.peak_counters hit_rate pool_lookups;
   Printf.printf "  groupings radix %d / hash %d   radix scratch peak %d bytes\n"
     instr.X3_core.Instrument.radix_groupings
     instr.X3_core.Instrument.hash_groupings
@@ -472,12 +462,10 @@ let run_explain query_path doc algorithm_name use_schema workers radix_bits
           ("query", Json.Str query_path);
           ("document", Json.Str doc_path);
           ("algorithm", Json.Str (Engine.algorithm_to_string algorithm));
-          ("workers", Json.Int (Engine.workers_used algorithm workers));
           ("outcome", Json.Str "explain");
         ]
       in
       write_metrics_file path ~meta ~instr ~result ~run:run_stats
-        ~workers:(Engine.workers_used algorithm workers)
         ~phases:(phases ph)
         ~algorithm:(Engine.algorithm_to_string algorithm)
         ())
@@ -677,7 +665,7 @@ let serve_client_cube address ~query ~deadline_ms ~retries =
       exit 1
 
 let run_serve socket port cache_bytes max_concurrent max_waiting
-    admission_timeout workers max_input_bytes max_frame_bytes io_deadline
+    admission_timeout max_input_bytes max_frame_bytes io_deadline
     drain_deadline snapshot wal access_log access_log_max_bytes prom_port
     slow_ms trace_dir trace_cap stats shutdown query deadline_ms retries =
   let address = serve_address socket port in
@@ -707,7 +695,6 @@ let run_serve socket port cache_bytes max_concurrent max_waiting
             max_in_flight = max_concurrent;
             max_waiting;
             admission_timeout;
-            workers;
             max_input_bytes;
             max_frame_bytes;
             io_deadline = (if io_deadline <= 0. then None else Some io_deadline);
@@ -839,16 +826,6 @@ let cube_cmd =
             "Give the customised variants schema knowledge (from the \
              document's DTD, or observed from the instance).")
   in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for COUNTER's cube computation (default 1 = \
-             sequential; 0 = one per hardware core). Every other algorithm \
-             runs sequentially at any count. Results are deterministic for \
-             a fixed worker count.")
-  in
   let deadline =
     Arg.(
       value
@@ -906,9 +883,9 @@ let cube_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write a Chrome trace_event JSON of the run (load it in \
-             chrome://tracing or ui.perfetto.dev): one track per worker \
-             domain, spans for parse/compile/materialise/per-cuboid \
-             compute/export plus governor and admission events.")
+             chrome://tracing or ui.perfetto.dev): spans for \
+             parse/compile/materialise/per-cuboid compute/export plus \
+             governor and admission events.")
   in
   let metrics =
     Arg.(
@@ -942,7 +919,7 @@ let cube_cmd =
     (Cmd.info "cube" ~doc:"Run an X^3 query and print the cube" ~man)
     Term.(
       const run_cube $ query_arg $ doc_arg $ algorithm $ use_schema
-      $ workers $ radix_bits_arg $ deadline $ retries $ max_bytes
+      $ radix_bits_arg $ deadline $ retries $ max_bytes
       $ max_input_bytes $ max_groups $ format $ trace $ metrics)
 
 let explain_cmd =
@@ -959,14 +936,6 @@ let explain_cmd =
       value & flag
       & info [ "schema" ]
           ~doc:"Give the customised variants schema knowledge.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for COUNTER (default 1; 0 = one per hardware \
-             core); every other algorithm runs sequentially.")
   in
   let trace =
     Arg.(
@@ -990,7 +959,7 @@ let explain_cmd =
           pool hit rate, peak counters, bytes reserved)")
     Term.(
       const run_explain $ query_arg $ doc_arg $ algorithm $ use_schema
-      $ workers $ radix_bits_arg $ trace $ metrics)
+      $ radix_bits_arg $ trace $ metrics)
 
 let lattice_cmd =
   let dot =
@@ -1130,14 +1099,6 @@ let serve_cmd =
       & opt (some float) None
       & info [ "admission-timeout" ] ~docv:"SECONDS"
           ~doc:"Patience of a waiting request (default: wait forever).")
-  in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains per COUNTER cube computation; every other \
-             algorithm runs sequentially.")
   in
   let max_input_bytes =
     Arg.(
@@ -1304,7 +1265,7 @@ let serve_cmd =
           observed coverage properties prove the rollup sound")
     Term.(
       const run_serve $ socket $ port $ cache_bytes $ max_concurrent
-      $ max_waiting $ admission_timeout $ workers $ max_input_bytes
+      $ max_waiting $ admission_timeout $ max_input_bytes
       $ max_frame_bytes $ io_deadline $ drain_deadline $ snapshot $ wal
       $ access_log $ access_log_max_bytes $ prom_port $ slow_ms $ trace_dir
       $ trace_cap $ stats $ shutdown $ query $ deadline_ms $ retries)

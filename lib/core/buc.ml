@@ -209,8 +209,11 @@ let compute ~variant (ctx : Context.t) =
            O(n + size) counting sort on the ids (the radix tier of this
            family) — but only while the dictionary is at most 4x the
            partition, or clearing and scanning its histogram would dwarf
-           the sort; otherwise quicksort. Dictionary ids compare as plain
-           ints either way — no string walks. The instrument is read
+           the sort; otherwise quicksort, which is not stable, so it
+           breaks ties on the row index. Either way a run's rows stay in
+           table order, so every cell adds its measures in table order,
+           as NAIVE does. Dictionary ids compare as plain ints — no
+           string walks. The instrument is read
            through [ctx], which this closure holds anyway, so the closure
            built per branch gains no slot. *)
         let instr = ctx.instr in
@@ -230,7 +233,9 @@ let compute ~variant (ctx : Context.t) =
           instr.Instrument.hash_groupings <-
             instr.Instrument.hash_groupings + 1;
           Quicksort.sort
-            ~compare:(fun a b -> Int.compare (cell_id a ai) (cell_id b ai))
+            ~compare:(fun a b ->
+              let c = Int.compare (cell_id a ai) (cell_id b ai) in
+              if c <> 0 then c else Int.compare a b)
             sub
         end;
         env.states.(ai) <- State.Present mask;

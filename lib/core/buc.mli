@@ -12,8 +12,7 @@
     per-cell set: the run owns an [int] stamp per fact block (booked with
     the context's governor) and each cell bumps a generation — a block
     counts once, when its stamp is behind. The aggregation loop allocates
-    nothing per row. The recursion runs on the calling domain whatever the
-    context's worker count.
+    nothing per row. The recursion runs on the calling domain.
 
     Variants:
     - [`Plain] (BUC): correct always; tracks fact ids.

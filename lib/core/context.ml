@@ -31,7 +31,6 @@ type t = {
   measure : int -> float;
   instr : Instrument.t;
   counter_budget : int;
-  workers : int;
   radix_bits : int;
   account : Governor.account;
   control : control;
@@ -39,7 +38,7 @@ type t = {
   mutable block_measures_cache : float array option;
 }
 
-let create ?(counter_budget = 1_000_000) ?(workers = 1)
+let create ?(counter_budget = 1_000_000)
     ?(radix_bits = Radix.default_radix_bits) ?(account = Governor.unbounded)
     ~table ~lattice ~measure () =
   let instr = Instrument.create () in
@@ -60,7 +59,6 @@ let create ?(counter_budget = 1_000_000) ?(workers = 1)
     measure;
     instr;
     counter_budget;
-    workers = Parallel.resolve workers;
     radix_bits;
     account;
     control =
@@ -76,8 +74,6 @@ let create ?(counter_budget = 1_000_000) ?(workers = 1)
     cols_cache = None;
     block_measures_cache = None;
   }
-
-let workers t = t.workers
 
 let set_deadline_at t time = t.control.deadline <- Some time
 let set_cancel_hook t hook = t.control.cancel_hook <- Some hook
@@ -193,8 +189,7 @@ let block_measures t cols =
   | Some m -> m
   | None ->
       (* [t.measure] may memoise into a private Hashtbl (Engine.measure_fn),
-         so force it sequentially, once per fact block; the array is then
-         read-only and domain-safe. *)
+         so force it once per fact block; the array is then read-only. *)
       let blocks = Witness.Columnar.blocks cols in
       reserve t ((8 * blocks) + 16);
       let m =

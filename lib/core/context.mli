@@ -21,9 +21,6 @@ type t = {
   counter_budget : int;
       (** max simultaneously-live group counters for COUNTER — the paper's
           "fits in memory" knob *)
-  workers : int;
-      (** resolved domain count for COUNTER's partition/merge plan; 1
-          runs it inline on the calling domain *)
   radix_bits : int;
       (** grouping-strategy threshold: cuboids whose compact key domain
           fits this many bits group through a radix kernel; 0 disables the
@@ -36,7 +33,6 @@ type t = {
 
 val create :
   ?counter_budget:int ->
-  ?workers:int ->
   ?radix_bits:int ->
   ?account:Governor.account ->
   table:X3_pattern.Witness.t ->
@@ -44,19 +40,11 @@ val create :
   measure:(int -> float) ->
   unit ->
   t
-(** [counter_budget] defaults to 1_000_000 counters. [workers]
-    defaults to 1 — one COUNTER partition/merge worker, running on the
-    calling domain; {!Parallel.auto_workers} (0) resolves to
-    [Domain.recommended_domain_count]. Only COUNTER reads it: every other
-    family runs on the calling domain, and the engine creates their
-    contexts with 1. [radix_bits] defaults
-    to {!Radix.default_radix_bits}. [account] defaults to
+(** [counter_budget] defaults to 1_000_000 counters. [radix_bits]
+    defaults to {!Radix.default_radix_bits}. [account] defaults to
     {!Governor.unbounded}; a governed account immediately books the
     witness table's resident footprint ({!X3_pattern.Witness.approx_bytes})
     — if even that fails, the first {!check} stops with [Over_budget]. *)
-
-val workers : t -> int
-(** The resolved worker count (always >= 1). *)
 
 (** {1 Cancellation and deadlines}
 
@@ -159,11 +147,10 @@ val cols : t -> X3_pattern.Witness.Columnar.t
     Counts as one table scan. *)
 
 val block_measures : t -> X3_pattern.Witness.Columnar.t -> float array
-(** Measure per fact block, forced sequentially on first use (the measure
-    function may memoise and must not run concurrently) — the
-    domain-safe replacement for calling [measure] per row that COUNTER's
-    workers share. After {!note_append} the array may be longer than the
-    block count. *)
+(** Measure per fact block, forced once on first use (the measure
+    function may memoise and must not run concurrently) — what the
+    grouping kernels read instead of calling [measure] per row. After
+    {!note_append} the array may be longer than the block count. *)
 
 val note_append : t -> X3_pattern.Witness.row list -> unit
 (** The ingest path appended [rows] (fresh facts, already interned into

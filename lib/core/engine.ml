@@ -156,16 +156,13 @@ let correct_under algorithm ~disjoint ~coverage =
   | Bucopt | Tdopt -> disjoint
   | Tdoptall -> disjoint && coverage
 
-let workers_used algorithm workers =
-  match algorithm with Counter -> Parallel.resolve workers | _ -> 1
-
 type config = { counter_budget : int; radix_bits : int }
 
 let default_config =
   { counter_budget = 1_000_000; radix_bits = Radix.default_radix_bits }
 
-let make_context ?(config = default_config) ?(workers = 1) ?account prepared =
-  Context.create ~counter_budget:config.counter_budget ~workers
+let make_context ?(config = default_config) ?account prepared =
+  Context.create ~counter_budget:config.counter_budget
     ~radix_bits:config.radix_bits
     ?account ~table:prepared.table ~lattice:prepared.lattice
     ~measure:prepared.measure ()
@@ -208,17 +205,11 @@ let trace_cuboid_cells prepared result =
             ])
       (Lattice.by_degree prepared.lattice)
 
-let run ?props ?config ?(workers = 1) prepared algorithm =
-  let ctx =
-    make_context ?config ~workers:(workers_used algorithm workers) prepared
-  in
+let run ?props ?config prepared algorithm =
+  let ctx = make_context ?config prepared in
   let result =
     Trace.with_span "cube.compute"
-      ~attrs:
-        [
-          ("algorithm", Trace.Str (algorithm_to_string algorithm));
-          ("workers", Trace.Int (Context.workers ctx));
-        ]
+      ~attrs:[ ("algorithm", Trace.Str (algorithm_to_string algorithm)) ]
       (fun () -> dispatch ?props prepared ctx algorithm)
   in
   trace_cuboid_cells prepared result;
@@ -446,8 +437,7 @@ module Session = struct
   (* One request's whole envelope: the deadline armed as in
      [with_deadline], plus the request's trace scope attached to the
      context and bound to the calling thread for the duration — every
-     probe the compute emits (including worker domains, which re-bind the
-     scope at spawn) lands in the request's own capture. *)
+     probe the compute emits lands in the request's own capture. *)
   let with_request t ?scope ?deadline_at f =
     Context.set_trace_scope t.s_ctx scope;
     Fun.protect
@@ -505,7 +495,7 @@ let substrate_snapshot pool =
   Stats.add s (X3_storage.Disk.stats (Buffer_pool.disk pool));
   s
 
-let run_safe ?props ?config ?(workers = 1) ?deadline ?cancel ?(retries = 2)
+let run_safe ?props ?config ?workers:_ ?deadline ?cancel ?(retries = 2)
     ?(backoff = 0.01) ?governor ?max_bytes ?stats prepared algorithm =
   if retries < 0 then invalid_arg "Engine.run_safe: negative retries";
   (* One absolute deadline across all attempts — retrying must not extend
@@ -534,10 +524,7 @@ let run_safe ?props ?config ?(workers = 1) ?deadline ?cancel ?(retries = 2)
       Option.iter Governor.close account;
       outcome
     in
-    let ctx =
-      make_context ?config ~workers:(workers_used algorithm workers) ?account
-        prepared
-    in
+    let ctx = make_context ?config ?account prepared in
     Option.iter (Context.set_deadline_at ctx) deadline_at;
     Option.iter (Context.set_cancel_hook ctx) cancel;
     let compute () =
@@ -545,7 +532,6 @@ let run_safe ?props ?config ?(workers = 1) ?deadline ?cancel ?(retries = 2)
         ~attrs:
           [
             ("algorithm", Trace.Str (algorithm_to_string algorithm));
-            ("workers", Trace.Int (Context.workers ctx));
             ("attempt", Trace.Int n);
           ]
         (fun () -> dispatch ?props prepared ctx algorithm)

@@ -71,13 +71,6 @@ val algorithm_to_string : algorithm -> string
 
 val algorithm_of_string : string -> algorithm option
 
-val workers_used : algorithm -> int -> int
-(** [workers_used algorithm workers] is how many domains [algorithm] runs
-    on when asked for [workers]: [Parallel.resolve workers] for COUNTER,
-    the one family that splits its work across domains, and 1 for every
-    other family, which runs serially at any worker count. The engine, its
-    trace spans and the CLI's reports all use it. *)
-
 val correct_under :
   algorithm -> disjoint:bool -> coverage:bool -> bool
 (** §3's correctness conditions: BUCOPT and TDOPT need disjointness,
@@ -96,20 +89,14 @@ val default_config : config
 val run :
   ?props:X3_lattice.Properties.t ->
   ?config:config ->
-  ?workers:int ->
   prepared ->
   algorithm ->
   Cube_result.t * Instrument.t
 (** [props] feeds the custom variants (BUCCUST/TDCUST); it defaults to "no
-    knowledge", making them degrade to BUC/TD. [workers] (default 1;
-    {!Parallel.auto_workers} = hardware count) is the domain count for
-    COUNTER, which runs one partition/merge plan over fact blocks at every
-    worker count (1 runs it inline on the calling domain): its results are
-    deterministic for a fixed worker count, and identical across worker
-    counts for COUNT (exact integer accumulation; float SUM/AVG can differ
-    in the last bits of the addition order). NAIVE, BUC and TD ignore
-    [workers] and always run serially on the calling domain — see
-    {!workers_used}. *)
+    knowledge", making them degrade to BUC/TD. Every family runs on the
+    calling domain and adds a group's base-data measures in table order,
+    so a float SUM/AVG cell computed from base data carries NAIVE's bits;
+    a TDOPTALL/TDCUST roll-up adds the finer cells' totals instead. *)
 
 (** {1 Ingest deltas}
 
@@ -242,10 +229,10 @@ module Session : sig
       the session context's deadline at the absolute time [deadline_at]
       (none = unbounded), attach [scope] to the context
       ({!Context.set_trace_scope}) and bind it to the calling thread, so
-      every probe this request's compute emits — worker domains included
-      — lands in the request's own capture. Afterwards the deadline is
-      disarmed, the stop state cleared and the scope detached, so the
-      long-lived session can serve its next request. [Error reason] when
+      every probe this request's compute emits lands in the request's own
+      capture. Afterwards the deadline is disarmed, the stop state cleared
+      and the scope detached, so the long-lived session can serve its next
+      request. [Error reason] when
       the run stopped (deadline, cancel hook, byte budget); views
       completed before the stop remain valid. *)
 end
@@ -323,4 +310,7 @@ val run_safe :
     spill path (counter eviction) and only past its floor yields
     [Partial (Over_budget, ...)]; TD books its radix scratch and sort
     arrays up front and yields the partial as soon as they do not fit.
-    [workers] is as for {!run}. *)
+
+    [workers] is ignored: every family runs on the calling domain. It is
+    accepted only because the frozen end-to-end bench ([e2e/]) still
+    passes it, and goes when that bench drops its worker rows. *)

@@ -1,7 +1,7 @@
 (* Byte-budgeted execution and admission control.
 
-   The pool and the accounts are plain atomics so worker domains can
-   reserve concurrently; admission is a mutex-protected FIFO waiter queue
+   The pool and the accounts are plain atomics so concurrent requests can
+   reserve from one pool; admission is a mutex-protected FIFO waiter queue
    over a Condition — waiters block (zero CPU between wakeups) instead of
    polling, which matters once a resident daemon parks many of them.
    stdlib Condition has no timed wait, so deadlines are enforced by one

@@ -16,7 +16,7 @@
     reservation is paired with a release, so a long-running session's
     pool usage tracks live structures, not history. The unit costs below
     are the documented cost model — deliberately simple integers so that
-    budget arithmetic is deterministic across runs and worker counts.
+    budget arithmetic is deterministic across runs.
 
     {!Admission} is the load-shedding front door: a bounded number of
     queries run at once, a bounded number wait, and everything beyond

@@ -5,7 +5,6 @@ type t = {
   mutable rows_sorted : int;
   mutable passes : int;
   mutable peak_counters : int;
-  mutable peak_counters_worker_max : int;
   mutable rollups : int;
   mutable base_computations : int;
   mutable dedup_tracked : int;
@@ -24,7 +23,6 @@ let create () =
     rows_sorted = 0;
     passes = 0;
     peak_counters = 0;
-    peak_counters_worker_max = 0;
     rollups = 0;
     base_computations = 0;
     dedup_tracked = 0;
@@ -34,19 +32,6 @@ let create () =
     hash_groupings = 0;
     radix_scratch_bytes = 0;
   }
-
-let merge ~into t =
-  into.table_scans <- into.table_scans + t.table_scans;
-  into.rows_scanned <- into.rows_scanned + t.rows_scanned;
-  into.sort_ops <- into.sort_ops + t.sort_ops;
-  into.rows_sorted <- into.rows_sorted + t.rows_sorted;
-  into.passes <- into.passes + t.passes;
-  into.rollups <- into.rollups + t.rollups;
-  into.base_computations <- into.base_computations + t.base_computations;
-  into.dedup_tracked <- into.dedup_tracked + t.dedup_tracked;
-  into.keys_built <- into.keys_built + t.keys_built;
-  into.radix_groupings <- into.radix_groupings + t.radix_groupings;
-  into.hash_groupings <- into.hash_groupings + t.hash_groupings
 
 let bump_radix_scratch t bytes =
   if bytes > t.radix_scratch_bytes then t.radix_scratch_bytes <- bytes
@@ -60,6 +45,4 @@ let pp ppf t =
     t.dict_size;
   if t.radix_groupings > 0 || t.hash_groupings > 0 then
     Format.fprintf ppf "@ @[<h>grouping=radix:%d/hash:%d scratch=%dB@]"
-      t.radix_groupings t.hash_groupings t.radix_scratch_bytes;
-  if t.peak_counters_worker_max > 0 then
-    Format.fprintf ppf "@ @[<h>peak-per-worker=%d@]" t.peak_counters_worker_max
+      t.radix_groupings t.hash_groupings t.radix_scratch_bytes

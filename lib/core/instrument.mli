@@ -15,10 +15,6 @@ type t = {
   mutable rows_sorted : int;
   mutable passes : int;  (** COUNTER memory passes *)
   mutable peak_counters : int;  (** max simultaneously-live group counters *)
-  mutable peak_counters_worker_max : int;
-      (** COUNTER at more than one worker: the largest single worker's
-          peak (while [peak_counters] holds the sum of per-worker peaks);
-          [0] otherwise *)
   mutable rollups : int;  (** cuboids computed from a finer cuboid's cells *)
   mutable base_computations : int;  (** cuboids computed from base data *)
   mutable dedup_tracked : int;  (** fact ids tracked for duplicate removal *)
@@ -34,11 +30,6 @@ type t = {
 }
 
 val create : unit -> t
-
-val merge : into:t -> t -> unit
-(** Fold one COUNTER worker's counters into the session counters: the
-    additive counters sum. Peaks, [dict_size] and radix scratch are set on
-    the session counters directly, never on a worker's. *)
 
 val bump_radix_scratch : t -> int -> unit
 (** Record a radix-scratch high-water mark: raises [radix_scratch_bytes]

@@ -4,11 +4,11 @@ module Columnar = X3_pattern.Witness.Columnar
 (* NAIVE over the columnar view: one instrumented scan builds the columns,
    then every cuboid takes one tight pass over the rows, on the calling
    domain. NAIVE is the semantic oracle every other family is checked
-   against, so it stays serial at any requested worker count. The
-   grouping strategy per cuboid comes from [Radix.plan] — a pure function
-   of (shape, radix_bits). Dedup marks are fact-block indices: a
-   fact's rows are contiguous, so a per-slot stamp removes within-fact
-   duplicates exactly as the per-block [Group_key.Seen] did. *)
+   against. The grouping strategy per cuboid comes from [Radix.plan] — a
+   pure function of (shape, radix_bits). Dedup marks are fact-block
+   indices: a fact's rows are contiguous, so a per-slot stamp removes
+   within-fact duplicates exactly as the per-block [Group_key.Seen]
+   did. *)
 
 let note_strategies (instr : Instrument.t) plans =
   Array.iter

@@ -14,7 +14,7 @@
                     [Group_key.Tbl] path.
 
    The choice is a pure function of (shape, radix_bits), so a run's
-   strategies are identical at any worker count. *)
+   strategies are identical on every run. *)
 
 module State = X3_lattice.State
 module Columnar = X3_pattern.Witness.Columnar
@@ -299,8 +299,7 @@ let partitioned p ~rows ~key ~fact ~measure ~dedup ~emit =
 (* --- stable counting sort on dictionary ids ------------------------------ *)
 (* BUC's partition step: when an axis's dictionary is small, a stable
    counting sort of the row indices replaces the comparison sort — O(n)
-   and, being stable, a permutation that is a pure function of the input
-   order at any worker count. *)
+   and, being stable, keeps equal ids in input order. *)
 
 let counting_sort_bits_cap = direct_bits_cap
 

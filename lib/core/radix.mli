@@ -10,8 +10,8 @@
     [Group_key.Packed] key, so results need no re-keying.
 
     Strategy selection is a pure function of (shape, radix_bits) — never
-    of budgets or worker counts — so a run's strategies, and therefore its
-    [cube.*] counters, are identical at any parallelism. *)
+    of budgets — so a run's strategies, and therefore its [cube.*]
+    counters, are identical on every run. *)
 
 type strategy = Direct | Partitioned | Hash
 

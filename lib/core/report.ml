@@ -4,9 +4,9 @@ module Stats = X3_storage.Stats
 (* Name scheme — the partition matters for determinism tests and bench
    gates, not just taste:
    - cube.*     algorithm-semantic counters, identical for a fixed
-                (query, algorithm, budget) at any worker count;
-   - profile.*  concurrency-shaped values (peaks, workers, attempts) that
-                legitimately vary with the worker count;
+                (query, algorithm, budget) on every run;
+   - profile.*  resource-shaped values (peaks, attempts) that vary with
+                the budget and the retries a run needed;
    - io.*       substrate counters (pool + disk);
    - latency.*  wall-clock histograms — never deterministic. *)
 
@@ -27,7 +27,6 @@ let add_instr m (i : Instrument.t) =
   count m "cube.grouping_strategy.hash" i.Instrument.hash_groupings;
   set m "cube.dict_size" i.Instrument.dict_size;
   set m "profile.peak_counters_sum" i.Instrument.peak_counters;
-  set m "profile.peak_counters_worker_max" i.Instrument.peak_counters_worker_max;
   set m "profile.radix_scratch_bytes_sum" i.Instrument.radix_scratch_bytes
 
 let add_io m (s : Stats.t) =
@@ -57,13 +56,12 @@ let observe_algorithm m algorithm seconds =
     (Metrics.histogram m ("latency.algorithm." ^ algorithm))
     seconds
 
-let build ?instr ?io ?result ?run ?workers ?(phases = []) ?algorithm () =
+let build ?instr ?io ?result ?run ?(phases = []) ?algorithm () =
   let m = Metrics.create () in
   Option.iter (add_instr m) instr;
   Option.iter (add_io m) io;
   Option.iter (add_result m) result;
   Option.iter (add_run m) run;
-  Option.iter (fun w -> set m "profile.workers" w) workers;
   List.iter (fun (name, seconds) -> observe_phase m name seconds) phases;
   Option.iter
     (fun a ->

@@ -6,10 +6,9 @@
     named metrics at snapshot time. The names partition by determinism:
 
     - [cube.*] — algorithm-semantic counters plus [cube.cells]/[cube.cuboids]:
-      identical for a fixed (query, algorithm, budget) at any worker count
-      for the partition/merge algorithms (NAIVE, COUNTER);
-    - [profile.*] — concurrency-shaped values (counter peaks, worker max,
-      peak bytes, workers, attempts) that legitimately vary with workers;
+      identical for a fixed (query, algorithm, budget) on every run;
+    - [profile.*] — resource-shaped values (counter peaks, radix scratch,
+      peak bytes, attempts) that vary with the budget and retries;
     - [io.*] — substrate pool + disk counters;
     - [latency.*] — wall-clock histograms (seconds), one per phase and one
       per algorithm family. *)
@@ -32,7 +31,6 @@ val build :
   ?io:X3_storage.Stats.t ->
   ?result:Cube_result.t ->
   ?run:Engine.run_stats ->
-  ?workers:int ->
   ?phases:(string * float) list ->
   ?algorithm:string ->
   unit ->

@@ -11,7 +11,7 @@
     track of the identities" cost, one sort per cuboid: the exponential
     number of sorts of §4.1 — and every mode adds a group's measures in
     table order. Every cuboid is computed on the calling domain, one at a
-    time, whatever the context's worker count.
+    time.
 
     Variants:
     - [`Plain] (TD): correct always; sorts with fact ids, dedups.

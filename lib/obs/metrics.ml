@@ -1,7 +1,7 @@
 (* A named-metric registry over atomics.
 
    Creation (get-or-create by name) takes the registry mutex; every update
-   afterwards is lock-free, so worker domains can bump shared counters.
+   afterwards is lock-free, so concurrent requests can bump shared counters.
    Histogram sums are accumulated with a CAS loop over a boxed float —
    observations are rare (per phase, per run), so contention is nil. *)
 

@@ -3,9 +3,9 @@
 
     One registry describes one query (or one bench run). Metric handles
     are interned by name — looking one up twice returns the same atomic —
-    and every update after creation is lock-free, so worker domains may
-    bump shared counters. {!snapshot} is deterministic: entries sorted by
-    name, values read once. *)
+    and every update after creation is lock-free, so concurrent serve
+    requests may bump shared counters. {!snapshot} is deterministic:
+    entries sorted by name, values read once. *)
 
 type t
 

@@ -7,8 +7,8 @@
      rings and span ids, and a probe routes to whichever scope the calling
      thread is bound to ({!with_scope}) — N server connections each bind
      their own scope and capture disjoint span trees;
-   - on must be cheap from worker domains: each writer thread gets its own
-     ring inside its scope, and the (thread -> ring) resolution is cached
+   - on must be cheap from every writer thread: each gets its own ring
+     inside its scope, and the (thread -> ring) resolution is cached
      per domain behind a generation check, so the steady-state hot path is
      one atomic load, one DLS read and one thread-id compare;
    - overflow must be survivable: a full ring drops its oldest event and
@@ -22,8 +22,9 @@
    active writes nowhere — isolation by construction, not by filtering.
 
    Rings are read by {!dump}/{!scope_dump} after the scope's writers have
-   finished (the engine's parallel paths join every worker domain before
-   returning), so reads never race writes. *)
+   finished (the engine computes on the calling thread, so a request's
+   compute has returned before its scope is dumped), so reads never race
+   writes. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 type attr = string * value
@@ -58,8 +59,8 @@ type scope = {
   sc_id : string;
   mutable sc_ring : int;
   sc_span_ids : int Atomic.t;
-  (* writer thread id -> its ring; a handful of entries (the binding
-     thread plus worker domains), so an assoc list beats a table *)
+  (* writer thread id -> its ring; a handful of entries (the threads
+     bound to the scope), so an assoc list beats a table *)
   mutable sc_writers : (int * rb) list;
 }
 
@@ -115,16 +116,6 @@ let with_scope scope f =
 
 let with_scope_opt scope f =
   match scope with None -> f () | Some s -> with_scope s f
-
-let current_scope () =
-  if not (enabled ()) then None
-  else begin
-    let tid = self_tid () in
-    Mutex.lock lock;
-    let s = Hashtbl.find_opt bindings tid in
-    Mutex.unlock lock;
-    s
-  end
 
 (* --- writer resolution --------------------------------------------------- *)
 

@@ -11,11 +11,10 @@
     scope with {!with_scope}; every probe it emits while bound lands in
     that scope, so N concurrent server requests — each bound to its own
     scope on its own connection thread — capture disjoint span trees with
-    no cross-request leakage. Worker domains spawned inside a bound
-    region are re-bound explicitly (the engine's {!X3_core.Parallel}
-    captures {!current_scope} at fork), and each writer appends to its
-    own fixed-size ring: no locks on the steady-state hot path, and a
-    full ring drops its oldest event and counts the drop.
+    no cross-request leakage. The engine computes on the calling thread,
+    so one binding covers a request's whole compute. Each writer appends
+    to its own fixed-size ring: no locks on the steady-state hot path,
+    and a full ring drops its oldest event and counts the drop.
 
     The pre-scope API ({!enable}/{!disable}/{!reset}/{!dump}) drives a
     distinguished {e global} scope: threads bound to no scope write there
@@ -23,8 +22,8 @@
     to no scope while only request scopes are active writes nowhere.
 
     {!dump}/{!scope_dump} must only be called when no writer is mid-write
-    — the engine's parallel paths join every worker before returning, so
-    dumping after a request (or between queries) is safe. *)
+    — the engine computes on the calling thread, so dumping after a
+    request (or between queries) is safe. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 type attr = string * value
@@ -68,12 +67,7 @@ val with_scope : scope -> (unit -> 'a) -> 'a
     binding is restored) and is exception-safe. *)
 
 val with_scope_opt : scope option -> (unit -> 'a) -> 'a
-(** [with_scope] when [Some]; just the thunk when [None] — the shape
-    worker-spawn sites use to propagate {!current_scope}. *)
-
-val current_scope : unit -> scope option
-(** The calling thread's binding, if any — capture it before spawning a
-    worker domain and re-bind inside with {!with_scope_opt}. *)
+(** [with_scope] when [Some]; just the thunk when [None]. *)
 
 type ring = {
   ring_domain : int;
@@ -83,8 +77,8 @@ type ring = {
 
 val scope_dump : scope -> ring list
 (** Snapshot the scope's rings, sorted by domain id. Caller must ensure
-    none of the scope's writers is concurrently writing (join workers,
-    finish the request first). *)
+    none of the scope's writers is concurrently writing (finish the
+    request first). *)
 
 (** {1 The global scope}
 
@@ -132,5 +126,4 @@ val complete : ?attrs:attr list -> start:float -> string -> unit
 
 val dump : unit -> ring list
 (** Snapshot the global scope's rings, sorted by domain id. Caller must
-    ensure no worker domain is concurrently writing (join workers
-    first). *)
+    ensure no thread is concurrently writing to it. *)

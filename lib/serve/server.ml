@@ -21,7 +21,6 @@ type config = {
   max_in_flight : int;
   max_waiting : int;
   admission_timeout : float option;
-  workers : int;
   max_input_bytes : int option;
   max_frame_bytes : int;
   io_deadline : float option;
@@ -44,7 +43,6 @@ let default_config address =
     max_in_flight = 4;
     max_waiting = 16;
     admission_timeout = None;
-    workers = 1;
     max_input_bytes = None;
     max_frame_bytes = Protocol.default_max_frame_bytes;
     io_deadline = Some 30.0;
@@ -725,7 +723,7 @@ let handle_cube t ~rid ~scope ~info ~query ~doc ~algorithm ~format ~no_cache
                     Option.map (fun at -> at -. Unix.gettimeofday ()) deadline_at
                   in
                   match
-                    Engine.run_safe ~workers:t.cfg.workers ?deadline ?retries
+                    Engine.run_safe ?deadline ?retries
                       ~cancel:(fun () -> Atomic.get t.shutdown_cancel)
                       (Engine.Session.prepared session)
                       alg
@@ -1332,8 +1330,8 @@ let serve_connection t sync st fd =
         in
         let seconds = Unix.gettimeofday () -. t0 in
         observe_request_latency t ~info ~response seconds;
-        (* The scope is unbound and every worker joined by now, so the
-           dump reads quiescent rings. *)
+        (* The scope is unbound and the compute has returned by now, so
+           the dump reads quiescent rings. *)
         (match (scope, t.cfg.slow_ms) with
         | Some scope, Some ms when seconds *. 1000. >= ms ->
             capture_slow t ~rid ~scope ~seconds

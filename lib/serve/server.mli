@@ -36,7 +36,6 @@ type config = {
   max_in_flight : int;  (** admission door width *)
   max_waiting : int;
   admission_timeout : float option;  (** [None] = wait forever *)
-  workers : int;  (** worker domains per COUNTER cube computation *)
   max_input_bytes : int option;  (** refuse larger XML documents *)
   max_frame_bytes : int;  (** wire-frame payload cap *)
   io_deadline : float option;
@@ -81,7 +80,7 @@ type config = {
 
 val default_config : address -> config
 (** 64 MiB cache, 4 in flight, 16 waiting, no admission timeout,
-    1 worker, no input cap, {!Protocol.default_max_frame_bytes},
+    no input cap, {!Protocol.default_max_frame_bytes},
     30 s io deadline, 5 s drain deadline, no snapshot, no WAL, no
     faults, no access log, no scrape endpoint, no slow-query capture
     (16 MiB access-log cap and 32-capture spool when enabled). *)

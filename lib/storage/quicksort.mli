@@ -5,8 +5,9 @@
     partitioning (group-key inputs carry long runs of equal keys, on which
     two-way quicksort degrades quadratically), insertion sort below a small
     cutoff, and recursion on the smaller side only, so the stack stays
-    logarithmic even on adversarial inputs. Not stable — none of the cube
-    algorithms require stability. *)
+    logarithmic even on adversarial inputs. Not stable: a caller that needs
+    equal keys in input order breaks ties itself (BUC and TD compare the
+    row index last). *)
 
 val sort : compare:('a -> 'a -> int) -> 'a array -> unit
 

@@ -329,8 +329,68 @@ let test_sum_measure () =
    including the modes that keep no fact id (TDOPT, TDOPTALL, TDCUST's
    representative cuboids), whose sort order within a group is the
    row's alone. *)
+(* Every [SUM] cell of [result] carries the bits of NAIVE's. *)
+let check_sum_bits ~name ~naive lattice result =
+  for cid = 0 to X3_lattice.Lattice.size lattice - 1 do
+    let cells = Cube_result.cuboid_table result cid in
+    Alcotest.(check int) (name ^ ": cells")
+      (Cube_result.cuboid_size naive cid)
+      (Group_key.Tbl.length cells);
+    Cube_result.iter_cuboid naive cid (fun key cell ->
+        Alcotest.(check int64)
+          (Printf.sprintf "%s: cuboid %d total = NAIVE's bits" name cid)
+          (Int64.bits_of_float cell.Aggregate.total)
+          (match Group_key.Tbl.find_opt cells key with
+          | Some c -> Int64.bits_of_float c.Aggregate.total
+          | None -> Int64.bits_of_float nan))
+  done
+
+let sum_spec axes =
+  {
+    Engine.fact_path = [ step d "r" ];
+    axes =
+      Array.of_list
+        (List.map
+           (fun tag ->
+             X3_pattern.Axis.make_exn ~name:("$" ^ tag) ~steps:[ step c tag ]
+               ~allowed:[ Relax.Lnd ])
+           axes);
+    func = Aggregate.Sum;
+    measure_path = Some [ step c "price" ];
+    filters = [];
+  }
+
+(* A seeded 6,000-fact table over three axes with dictionaries of 40, 7
+   and 300 values, whose prices mix +-1e16 with small values: a group's
+   total depends on the order its measures are added in, and its facts
+   land in many partitions (BUC) and passes (COUNTER). *)
+let sum_order_doc () =
+  let rng = Random.State.make [| 6000 |] in
+  let b = Buffer.create (6000 * 96) in
+  Buffer.add_string b "<db>";
+  for _ = 1 to 6000 do
+    let price =
+      match Random.State.int rng 4 with
+      | 0 -> 1e16
+      | 1 -> -1e16
+      | _ -> Random.State.float rng 100.
+    in
+    Printf.bprintf b
+      "<r><a>a%d</a><b>b%d</b><c>c%d</c><price>%.17g</price></r>"
+      (Random.State.int rng 40) (Random.State.int rng 7)
+      (Random.State.int rng 300) price
+  done;
+  Buffer.add_string b "</db>";
+  parse_ok (Buffer.contents b)
+
+(* Every family adds a group's measures in table order, as NAIVE does, so
+   every SUM cell it computes from base data carries NAIVE's bits — at
+   both grouping tiers, and for COUNTER also under a budget that spreads
+   the cube over several passes. A cuboid that TDOPTALL or TDCUST rolls
+   up from a finer one adds the finer cells' totals instead, so those two
+   are held to NAIVE's bits only on the one-group table. *)
 let test_sum_in_table_order () =
-  let doc =
+  let tiny =
     parse_ok
       {|<db>
          <r><a>x</a><price>1e16</price></r>
@@ -338,28 +398,43 @@ let test_sum_in_table_order () =
          <r><a>x</a><price>1</price></r>
        </db>|}
   in
-  let axes =
-    [|
-      X3_pattern.Axis.make_exn ~name:"$a" ~steps:[ step c "a" ]
-        ~allowed:[ Relax.Lnd ];
-    |]
+  let check_doc ~label ~budget ~algorithms doc axes =
+    let p =
+      Engine.prepare ~pool:(small_pool ())
+        ~store:(X3_xdb.Store.of_document doc) (sum_spec axes)
+    in
+    let lattice = lattice_of p in
+    let props = X3_lattice.Properties.observe (Engine.table p) lattice in
+    let naive, _ = Engine.run p Engine.Naive in
+    List.iter
+      (fun radix_bits ->
+        let config = { Engine.default_config with Engine.radix_bits } in
+        List.iter
+          (fun algorithm ->
+            let result, _ = Engine.run ~config ~props p algorithm in
+            check_sum_bits
+              ~name:
+                (Printf.sprintf "%s %s, radix_bits %d" label
+                   (Engine.algorithm_to_string algorithm)
+                   radix_bits)
+              ~naive lattice result)
+          algorithms;
+        let config = { config with Engine.counter_budget = budget } in
+        let result, instr = Engine.run ~config p Engine.Counter in
+        let name =
+          Printf.sprintf "%s COUNTER, budget %d, radix_bits %d" label budget
+            radix_bits
+        in
+        Alcotest.(check bool) (name ^ ": several passes") true
+          (instr.Instrument.passes > 1);
+        check_sum_bits ~name ~naive lattice result)
+      [ 0; 20 ];
+    (naive, lattice)
   in
-  let spec =
-    {
-      Engine.fact_path = [ step d "r" ];
-      axes;
-      func = Aggregate.Sum;
-      measure_path = Some [ step c "price" ];
-      filters = [];
-    }
+  let naive, lattice =
+    check_doc ~label:"tiny" ~budget:1 ~algorithms:Engine.all_algorithms tiny
+      [ "a" ]
   in
-  let p =
-    Engine.prepare ~pool:(small_pool ())
-      ~store:(X3_xdb.Store.of_document doc) spec
-  in
-  let lattice = lattice_of p in
-  let props = X3_lattice.Properties.observe (Engine.table p) lattice in
-  let naive, _ = Engine.run p Engine.Naive in
   Alcotest.(check (float 0.)) "NAIVE sums in table order" 1.
     (match
        Cube_result.find naive ~cuboid:(X3_lattice.Lattice.rigid_id lattice)
@@ -367,33 +442,11 @@ let test_sum_in_table_order () =
      with
     | Some cell -> cell.Aggregate.total
     | None -> nan);
-  List.iter
-    (fun radix_bits ->
-      let config = { Engine.default_config with Engine.radix_bits } in
-      List.iter
-        (fun algorithm ->
-          let name =
-            Printf.sprintf "%s, radix_bits %d"
-              (Engine.algorithm_to_string algorithm)
-              radix_bits
-          in
-          let result, _ = Engine.run ~config ~props p algorithm in
-          for cid = 0 to X3_lattice.Lattice.size lattice - 1 do
-            let cells = Cube_result.cuboid_table result cid in
-            Alcotest.(check int) (name ^ ": cells")
-              (Cube_result.cuboid_size naive cid)
-              (Group_key.Tbl.length cells);
-            Cube_result.iter_cuboid naive cid (fun key cell ->
-                Alcotest.(check int64)
-                  (Printf.sprintf "%s: cuboid %d total = NAIVE's bits" name
-                     cid)
-                  (Int64.bits_of_float cell.Aggregate.total)
-                  (match Group_key.Tbl.find_opt cells key with
-                  | Some c -> Int64.bits_of_float c.Aggregate.total
-                  | None -> Int64.bits_of_float nan))
-          done)
-        Engine.[ Naive; Td; Tdopt; Tdoptall; Tdcust ])
-    [ 0; 20 ]
+  ignore
+    (check_doc ~label:"seeded" ~budget:5000
+       ~algorithms:Engine.[ Naive; Counter; Buc; Bucopt; Buccust; Td; Tdopt ]
+       (sum_order_doc ())
+       [ "a"; "b"; "c" ])
 
 (* --- WHERE-clause semantics (Engine.filter_holds) ------------------------- *)
 
@@ -1115,14 +1168,13 @@ let random_axes () =
    three [e] children over the same three values), run at a drawn radix
    tier — the hash path (0), a 4-bit tier where BUC counting-sorts and
    the group kernels split between direct slots and hashing, and the
-   default — and a drawn worker count, so BUC's block-stamp dedup meets
-   counting sort, quicksort and parallel envs. *)
+   default — so BUC's block-stamp dedup meets counting sort and
+   quicksort. *)
 let gen_random_case_3 =
   let open QCheck2.Gen in
-  triple
+  pair
     (gen_random_facts (fun child -> list_size (int_bound 3) (child "e")))
     (oneofl [ 0; 4; Radix.default_radix_bits ])
-    (oneofl [ 1; 2 ])
 
 let random_axes_3 () =
   Array.append (random_axes ())
@@ -1133,7 +1185,7 @@ let random_axes_3 () =
 
 let prop_algorithms_agree =
   QCheck2.Test.make ~name:"correct algorithms = naive on random data"
-    ~count:60 gen_random_case_3 (fun (doc, radix_bits, workers) ->
+    ~count:60 gen_random_case_3 (fun (doc, radix_bits) ->
       let store = X3_xdb.Store.of_document doc in
       let spec =
         Engine.count_spec ~fact_path:[ step d "r" ] ~axes:(random_axes_3 ())
@@ -1144,7 +1196,7 @@ let prop_algorithms_agree =
       let config = { Engine.default_config with Engine.radix_bits } in
       List.for_all
         (fun algorithm ->
-          let result, _ = Engine.run ~props ~config ~workers p algorithm in
+          let result, _ = Engine.run ~props ~config p algorithm in
           Cube_result.equal ~func:Aggregate.Count reference result)
         correct_algorithms)
 
@@ -1273,53 +1325,43 @@ let prop_counter_budget_independent =
       let result, _ = Engine.run ~config p Engine.Counter in
       Cube_result.equal ~func:Aggregate.Count reference result)
 
-(* --- domain-parallel execution -------------------------------------------- *)
+(* --- serial execution ---------------------------------------------------- *)
 
-let parallel_algorithms = Engine.[ Naive; Counter; Buc; Buccust; Td; Tdcust ]
+let serial_algorithms = Engine.[ Naive; Counter; Buc; Buccust; Td; Tdcust ]
 
-let test_parallel_determinism () =
+let test_families_match_naive () =
   let p = prepared () in
   let reference =
     Export.csv_string ~func:Aggregate.Count (fst (Engine.run p Engine.Naive))
   in
   List.iter
     (fun algorithm ->
-      List.iter
-        (fun workers ->
-          let result, _ = Engine.run ~workers p algorithm in
-          Alcotest.(check string)
-            (Printf.sprintf "%s at %d workers = sequential NAIVE"
-               (Engine.algorithm_to_string algorithm)
-               workers)
-            reference
-            (Export.csv_string ~func:Aggregate.Count result))
-        [ 1; 2; 4 ])
-    parallel_algorithms
+      let result, _ = Engine.run p algorithm in
+      Alcotest.(check string)
+        (Printf.sprintf "%s = sequential NAIVE"
+           (Engine.algorithm_to_string algorithm))
+        reference
+        (Export.csv_string ~func:Aggregate.Count result))
+    serial_algorithms
 
-let test_parallel_counter_tiny_budget () =
-  (* A budget that forces several passes, split across workers: eviction
-     happens worker-locally, yet the merged cube must not change. *)
+let test_counter_several_passes () =
+  (* A budget that forces several passes: eviction discards partials,
+     yet the cube must not change. *)
   let p = prepared () in
   let reference =
     Export.csv_string ~func:Aggregate.Count (fst (Engine.run p Engine.Naive))
   in
   let config = { Engine.default_config with counter_budget = 3 } in
-  List.iter
-    (fun workers ->
-      let result, instr = Engine.run ~config ~workers p Engine.Counter in
-      Alcotest.(check bool) "several passes" true (instr.Instrument.passes > 1);
-      Alcotest.(check string)
-        (Printf.sprintf "counter at %d workers, budget 3" workers)
-        reference
-        (Export.csv_string ~func:Aggregate.Count result))
-    [ 2; 4 ]
+  let result, instr = Engine.run ~config p Engine.Counter in
+  Alcotest.(check bool) "several passes" true (instr.Instrument.passes > 1);
+  Alcotest.(check string) "counter, budget 3" reference
+    (Export.csv_string ~func:Aggregate.Count result)
 
-(* One worker runs COUNTER's partition/merge plan inline, and BUC and TD
-   always run on the calling domain, so each must still poll for stops
+(* Every family runs on the calling domain, so each must poll for stops
    inside its main loop. The cancel hook fires on its k-th poll, with k
    just past every poll that precedes that loop (the column build polls
    once per 64 rows, then one pass, apex or cuboid check). *)
-let test_one_worker_stops_mid_fan_out () =
+let test_stops_inside_main_loop () =
   let config = { X3_workload.Treebank.default with num_trees = 200; axes = 3 } in
   let p =
     Engine.prepare ~pool:(small_pool ())
@@ -1339,7 +1381,7 @@ let test_one_worker_stops_mid_fan_out () =
         (lines (fst (Engine.run p algorithm)));
       let polls = ref 0 in
       match
-        Engine.run_safe ~workers:1
+        Engine.run_safe
           ~cancel:(fun () ->
             incr polls;
             !polls >= k)
@@ -1353,16 +1395,12 @@ let test_one_worker_stops_mid_fan_out () =
       | _ -> Alcotest.failf "%s: expected a cancelled partial" name)
     Engine.[ Counter; Buc; Td ]
 
-let test_parallel_resolve () =
-  Alcotest.(check bool) "auto resolves to hardware count >= 1" true
-    (Parallel.resolve Parallel.auto_workers >= 1);
-  Alcotest.(check int) "positive counts pass through" 3 (Parallel.resolve 3)
-
-let prop_parallel_matches_sequential =
+(* Two runs of one family over one table export the same bytes: no run
+   leaves state behind that changes the next. *)
+let prop_repeated_runs_identical =
   QCheck2.Test.make ~name:"parallel runs byte-identical to sequential"
-    ~count:25
-    QCheck2.Gen.(pair gen_random_case (int_range 2 5))
-    (fun (doc, workers) ->
+    ~count:25 gen_random_case
+    (fun doc ->
       let store = X3_xdb.Store.of_document doc in
       let spec =
         Engine.count_spec ~fact_path:[ step d "r" ] ~axes:(random_axes ())
@@ -1374,20 +1412,19 @@ let prop_parallel_matches_sequential =
             Export.csv_string ~func:Aggregate.Count
               (fst (Engine.run p algorithm))
           in
-          let par =
+          let again =
             Export.csv_string ~func:Aggregate.Count
-              (fst (Engine.run ~workers p algorithm))
+              (fst (Engine.run p algorithm))
           in
-          String.equal seq par)
-        parallel_algorithms)
+          String.equal seq again)
+        serial_algorithms)
 
 (* --- radix vs hash grouping identity --------------------------------------- *)
 
 (* The grouping strategy is an execution detail: for every family, the
    radix kernels (default config) and the hash path (radix_bits = 0) must
-   produce byte-identical exports, sequentially and under domain
-   parallelism — and the strategy counters must show both paths really
-   ran. *)
+   produce byte-identical exports — and the strategy counters must show
+   both paths really ran. *)
 let check_radix_hash_identity label p =
   let hash_config = { Engine.default_config with Engine.radix_bits = 0 } in
   List.iter
@@ -1399,26 +1436,20 @@ let check_radix_hash_identity label p =
       in
       List.iter
         (fun (cname, config) ->
-          List.iter
-            (fun workers ->
-              let result, instr = Engine.run ~config ~workers p algorithm in
-              (if config.Engine.radix_bits = 0 then
-                 Alcotest.(check int)
-                   (Printf.sprintf "%s %s/%dw: no radix groupings at bits 0"
-                      label name workers)
-                   0 instr.Instrument.radix_groupings
-               else
-                 Alcotest.(check bool)
-                   (Printf.sprintf "%s %s/%dw: radix kernels engaged" label
-                      name workers)
-                   true
-                   (instr.Instrument.radix_groupings > 0));
-              Alcotest.(check string)
-                (Printf.sprintf "%s %s: %s grouping at %d workers" label name
-                   cname workers)
-                reference
-                (Export.csv_string ~func:Aggregate.Count result))
-            [ 1; 2 ])
+          let result, instr = Engine.run ~config p algorithm in
+          (if config.Engine.radix_bits = 0 then
+             Alcotest.(check int)
+               (Printf.sprintf "%s %s: no radix groupings at bits 0" label name)
+               0 instr.Instrument.radix_groupings
+           else
+             Alcotest.(check bool)
+               (Printf.sprintf "%s %s: radix kernels engaged" label name)
+               true
+               (instr.Instrument.radix_groupings > 0));
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: %s grouping" label name cname)
+            reference
+            (Export.csv_string ~func:Aggregate.Count result))
         [ ("radix", Engine.default_config); ("hash", hash_config) ])
     Engine.[ Naive; Counter; Buc; Td ]
 
@@ -1477,7 +1508,7 @@ let test_radix_hash_identity_treebank () =
 (* A sparse treebank whose axis widths sum past 62 bits (63 at 7 axes
    and 700 trees): 284 of its 288 cuboids still pack on their own present
    axes, the 4 finest are wide. Every
-   family, at either grouping tier and worker count, must export what
+   family, at either grouping tier, must export what
    NAIVE does, and projecting a key along any lattice edge must give the
    key built directly at the coarser cuboid. *)
 let test_wide_layout_whole_cube () =
@@ -1526,15 +1557,12 @@ let test_wide_layout_whole_cube () =
       let config = { Engine.default_config with Engine.radix_bits } in
       List.iter
         (fun algorithm ->
-          List.iter
-            (fun workers ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s, radix_bits %d, %d workers = NAIVE"
-                   (Engine.algorithm_to_string algorithm)
-                   radix_bits workers)
-                reference
-                (csv (fst (Engine.run ~config ~workers p algorithm))))
-            [ 1; 2 ])
+          Alcotest.(check string)
+            (Printf.sprintf "%s, radix_bits %d = NAIVE"
+               (Engine.algorithm_to_string algorithm)
+               radix_bits)
+            reference
+            (csv (fst (Engine.run ~config p algorithm))))
         Engine.[ Counter; Buc; Td; Tdcust ])
     [ 0; Radix.default_radix_bits ];
   let lattice = Engine.lattice p in
@@ -1562,9 +1590,7 @@ let test_wide_layout_whole_cube () =
   (* Governed TD at [radix_bits = 0] sorts every cuboid. Its peak booking
      must cover the table, its columns and block measures, and one
      row-sized sort array of the costliest record: a real (key, row)
-     record of each shape, measured, plus its array slot. TD runs on the
-     calling domain at any worker count, so two workers book exactly what
-     one does. *)
+     record of each shape, measured, plus its array slot. *)
   let table = Engine.table p in
   let cols = Context.cols ctx in
   let rows = Witness.Columnar.rows cols in
@@ -1582,44 +1608,27 @@ let test_wide_layout_whole_cube () =
   in
   let record = Array.fold_left (fun m s -> max m (record_bytes s)) 0 shapes in
   let config = { Engine.default_config with Engine.radix_bits = 0 } in
-  let peaks =
-    List.map
-      (fun workers ->
-        let stats = Engine.fresh_run_stats () in
-        (match
-           Engine.run_safe ~config ~workers ~governor:(Governor.create ())
-             ~stats p Engine.Td
-         with
-        | Engine.Complete (r, _) ->
-            Alcotest.(check string)
-              (Printf.sprintf "governed TD, %d workers = NAIVE" workers)
-              reference (csv r);
-            Alcotest.(check bool)
-              (Printf.sprintf "%d workers: peak %d >= %d held + %d rows x %d bytes"
-                 workers stats.Engine.peak_bytes held rows record)
-              true
-              (stats.Engine.peak_bytes >= held + (rows * record))
-        | _ -> Alcotest.failf "governed TD, %d workers: must complete" workers);
-        (* One byte short of that, the booking is refused before any
-           cuboid is grouped. *)
-        (match
-           Engine.run_safe ~config ~workers
-             ~max_bytes:(held + (rows * record) - 1)
-             p Engine.Td
-         with
-        | Engine.Partial (Context.Over_budget, r, _) ->
-            Alcotest.(check int)
-              (Printf.sprintf "%d workers: refused before grouping" workers)
-              0 (Cube_result.total_cells r)
-        | _ ->
-            Alcotest.failf "governed TD, %d workers: must stop over budget"
-              workers);
-        stats.Engine.peak_bytes)
-      [ 1; 2 ]
-  in
-  Alcotest.(check int)
-    "governed TD books the same peak at 1 and 2 workers" (List.nth peaks 0)
-    (List.nth peaks 1)
+  let stats = Engine.fresh_run_stats () in
+  (match
+     Engine.run_safe ~config ~governor:(Governor.create ()) ~stats p Engine.Td
+   with
+  | Engine.Complete (r, _) ->
+      Alcotest.(check string) "governed TD = NAIVE" reference (csv r);
+      Alcotest.(check bool)
+        (Printf.sprintf "peak %d >= %d held + %d rows x %d bytes"
+           stats.Engine.peak_bytes held rows record)
+        true
+        (stats.Engine.peak_bytes >= held + (rows * record))
+  | _ -> Alcotest.fail "governed TD: must complete");
+  (* One byte short of that, the booking is refused before any cuboid is
+     grouped. *)
+  match
+    Engine.run_safe ~config ~max_bytes:(held + (rows * record) - 1) p Engine.Td
+  with
+  | Engine.Partial (Context.Over_budget, r, _) ->
+      Alcotest.(check int) "refused before grouping" 0
+        (Cube_result.total_cells r)
+  | _ -> Alcotest.fail "governed TD: must stop over budget"
 
 (* --- allocation pins --------------------------------------------------------- *)
 
@@ -1667,7 +1676,7 @@ let test_radix_row_path_allocation_free () =
     (Printf.sprintf "10^4 key/first_on_removed calls: %.0f words <= 64" words)
     true (words <= 64.)
 
-(* BUC's [Dedup] aggregation marks fact blocks in a per-worker stamp array
+(* BUC's [Dedup] aggregation marks fact blocks in a per-run stamp array
    instead of filling a fresh hash set per cell. What remains are the
    partition index arrays, keys and cells: about 160 words per witness
    row on this dense table with repeated bindings. A fresh hash set per
@@ -1805,18 +1814,18 @@ let test_counter_eviction_tie_deterministic () =
    completing budget. At that budget the run completes through the spill
    paths byte-identical to the unbudgeted cube; one byte below, it returns
    the typed Over_budget partial. *)
-let check_spill_boundary ~name ~prepared:p algorithm workers =
-  let reference, _ = Engine.run ~workers p algorithm in
+let check_spill_boundary ~name ~prepared:p algorithm =
+  let reference, _ = Engine.run p algorithm in
   let ref_csv = csv reference in
   let gov = Governor.create () in
-  (match Engine.run_safe ~workers ~governor:gov p algorithm with
+  (match Engine.run_safe ~governor:gov p algorithm with
   | Engine.Complete (r, _) ->
       Alcotest.(check string)
         (name ^ ": governed run on an unlimited pool is byte-identical")
         ref_csv (csv r)
   | _ -> Alcotest.failf "%s: unlimited governed run must complete" name);
   let completes b =
-    match Engine.run_safe ~workers ~max_bytes:b p algorithm with
+    match Engine.run_safe ~max_bytes:b p algorithm with
     | Engine.Complete (r, _) -> Some r
     | Engine.Partial (Context.Over_budget, partial, _) ->
         Alcotest.(check bool)
@@ -1855,7 +1864,7 @@ let check_spill_boundary ~name ~prepared:p algorithm workers =
            !hi)
         ref_csv (csv r)
   | None -> Alcotest.failf "%s: the boundary budget must complete" name);
-  match Engine.run_safe ~workers ~max_bytes:!lo p algorithm with
+  match Engine.run_safe ~max_bytes:!lo p algorithm with
   | Engine.Partial (Context.Over_budget, _, _) -> ()
   | _ ->
       Alcotest.failf "%s: %d bytes (below the floor) must be Over_budget"
@@ -1867,20 +1876,14 @@ let test_governed_spill_figure1 () =
   let p = prepared () in
   List.iter
     (fun algorithm ->
-      List.iter
-        (fun workers ->
-          check_spill_boundary
-            ~name:
-              (Printf.sprintf "%s/%dw"
-                 (Engine.algorithm_to_string algorithm)
-                 workers)
-            ~prepared:p algorithm workers)
-        [ 1; 2 ])
+      check_spill_boundary
+        ~name:(Engine.algorithm_to_string algorithm)
+        ~prepared:p algorithm)
     spill_algorithms
 
 let test_governed_spill_treebank () =
   (* Enough rows that the squeezed budget genuinely drives the spill
-     machinery: parallel COUNTER's byte-derived pass budget forces
+     machinery: COUNTER's byte-derived pass budget forces
      eviction, and TD's up-front booking of its radix scratch meets the
      budget. *)
   let config = { X3_workload.Treebank.default with num_trees = 30; axes = 2 } in
@@ -1891,15 +1894,9 @@ let test_governed_spill_treebank () =
   in
   List.iter
     (fun algorithm ->
-      List.iter
-        (fun workers ->
-          check_spill_boundary
-            ~name:
-              (Printf.sprintf "treebank %s/%dw"
-                 (Engine.algorithm_to_string algorithm)
-                 workers)
-            ~prepared:p algorithm workers)
-        [ 1; 2 ])
+      check_spill_boundary
+        ~name:("treebank " ^ Engine.algorithm_to_string algorithm)
+        ~prepared:p algorithm)
     spill_algorithms
 
 (* [Governor.sort_record_cost] covers what one record of TD's sort array
@@ -1925,20 +1922,15 @@ let test_sort_record_cost_covers_record () =
 
 let test_over_budget_below_witness () =
   (* 64 bytes cannot even hold the witness table: every algorithm family
-     must stop at its first check with the typed reason, at any worker
-     count. *)
+     must stop at its first check with the typed reason. *)
   let p = prepared () in
   List.iter
     (fun algorithm ->
-      List.iter
-        (fun workers ->
-          match Engine.run_safe ~workers ~max_bytes:64 p algorithm with
-          | Engine.Partial (Context.Over_budget, _, _) -> ()
-          | _ ->
-              Alcotest.failf "%s/%d workers: expected Over_budget partial"
-                (Engine.algorithm_to_string algorithm)
-                workers)
-        [ 1; 2 ])
+      match Engine.run_safe ~max_bytes:64 p algorithm with
+      | Engine.Partial (Context.Over_budget, _, _) -> ()
+      | _ ->
+          Alcotest.failf "%s: expected Over_budget partial"
+            (Engine.algorithm_to_string algorithm))
     Engine.[ Naive; Counter; Buc; Td ]
 
 let test_governor_pool_drained () =
@@ -2003,7 +1995,7 @@ let serve_views session =
 
 (* Ingest [frags] into a session over [doc] with every cuboid's view
    obtained as [serve_views] does, then compare the views with a cold run of the grafted
-   document under four algorithm families at 1 and 2 workers, and the
+   document under four algorithm families, and the
    refreshed properties with a cold observe. A typed refusal is followed
    the way the daemon follows it — a cold rebuild of the document grafted
    so far — and counted in [refused]. Mismatches are reported on stderr;
@@ -2057,14 +2049,10 @@ let delta_vs_cold ?(refused = ref 0) ~name ~doc ~frags ~spec () =
       let views_match =
         List.for_all
           (fun alg ->
-            List.for_all
-              (fun workers ->
-                let cold, _ = Engine.run ~workers cold_prepared alg in
-                String.equal (csv cold) delta_csv
-                || report "delta <> cold rebuild (%s, %d workers)"
-                     (Engine.algorithm_to_string alg)
-                     workers)
-              [ 1; 2 ])
+            let cold, _ = Engine.run cold_prepared alg in
+            String.equal (csv cold) delta_csv
+            || report "delta <> cold rebuild (%s)"
+                 (Engine.algorithm_to_string alg))
           Engine.[ Naive; Counter; Buc; Td ]
       in
       (* The refreshed properties gate future rollup decisions, so drift
@@ -2924,10 +2912,10 @@ let () =
         ] );
       ( "ingest deltas",
         [
-          Alcotest.test_case "figure-1: delta == cold rebuild, 4 families x 2 \
-                              worker counts" `Quick test_delta_identity_figure1;
-          Alcotest.test_case "treebank: delta == cold rebuild, 4 families x 2 \
-                              worker counts" `Quick test_delta_identity_treebank;
+          Alcotest.test_case "figure-1: delta == cold rebuild, 4 families"
+            `Quick test_delta_identity_figure1;
+          Alcotest.test_case "treebank: delta == cold rebuild, 4 families"
+            `Quick test_delta_identity_treebank;
           Alcotest.test_case "layout overflow refused, nothing mutated" `Quick
             test_delta_layout_overflow_refused;
           Alcotest.test_case "fragment classification" `Quick
@@ -2954,12 +2942,11 @@ let () =
       ( "parallel",
         [
           Alcotest.test_case "1/2/4 workers = sequential" `Quick
-            test_parallel_determinism;
+            test_families_match_naive;
           Alcotest.test_case "counter under worker-split budget" `Quick
-            test_parallel_counter_tiny_budget;
-          Alcotest.test_case "worker resolution" `Quick test_parallel_resolve;
+            test_counter_several_passes;
           Alcotest.test_case "one worker stops mid-fan-out" `Quick
-            test_one_worker_stops_mid_fan_out;
+            test_stops_inside_main_loop;
         ] );
       ( "radix grouping",
         [
@@ -3008,7 +2995,7 @@ let () =
             prop_algorithms_agree;
             prop_optimised_correct_when_licensed;
             prop_counter_budget_independent;
-            prop_parallel_matches_sequential;
+            prop_repeated_runs_identical;
             prop_sp_algorithms_agree;
             prop_sp_monotone_match_sets;
             prop_export_matches_legacy_order;

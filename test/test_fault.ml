@@ -11,7 +11,7 @@
    - engine: Engine.run_safe turns injected faults into typed outcomes —
      transient faults are absorbed by retry, corruption and exhausted
      retries fail with the right error, deadlines and cancellation produce
-     Partial results in all four algorithm families, across worker counts. *)
+     Partial results in all four algorithm families. *)
 
 open X3_storage
 module Engine = X3_core.Engine
@@ -458,9 +458,9 @@ let make_prepared backend =
   in
   (Engine.prepare ~pool ~store:(Fixtures.figure1_store ()) spec, disk, pool)
 
-let test_engine_retry backend workers () =
+let test_engine_retry backend () =
   let prepared, disk, pool = make_prepared backend in
-  let clean, _ = Engine.run ~workers prepared Engine.Naive in
+  let clean, _ = Engine.run prepared Engine.Naive in
   let expected = Cube_result.total_cells clean in
   Alcotest.(check bool) "clean run has cells" true (expected > 0);
   Buffer_pool.drop_cache pool;
@@ -468,7 +468,7 @@ let test_engine_retry backend workers () =
      the very first read — the retry's reads all come after it. *)
   let plan = Fault.fail_nth_read 1 in
   Fault.install plan disk;
-  (match Engine.run_safe ~workers ~retries:2 ~backoff:0.001 prepared Engine.Naive with
+  (match Engine.run_safe ~retries:2 ~backoff:0.001 prepared Engine.Naive with
   | Engine.Complete (r, _) ->
       Alcotest.(check int) "cube identical after retried fault" expected
         (Cube_result.total_cells r)
@@ -542,18 +542,15 @@ let test_engine_deadline () =
   let prepared, disk, _ = make_prepared `Memory in
   List.iter
     (fun alg ->
-      List.iter
-        (fun workers ->
-          (* A deadline already in the past: the first stop check fires. *)
-          match Engine.run_safe ~workers ~deadline:(-1.0) prepared alg with
-          | Engine.Partial (Context.Deadline_exceeded, _, _) -> ()
-          | Engine.Complete _ ->
-              Alcotest.failf "%s/%d workers: completed past its deadline"
-                (Engine.algorithm_to_string alg) workers
-          | _ ->
-              Alcotest.failf "%s/%d workers: expected deadline partial"
-                (Engine.algorithm_to_string alg) workers)
-        [ 1; 2 ])
+      (* A deadline already in the past: the first stop check fires. *)
+      match Engine.run_safe ~deadline:(-1.0) prepared alg with
+      | Engine.Partial (Context.Deadline_exceeded, _, _) -> ()
+      | Engine.Complete _ ->
+          Alcotest.failf "%s: completed past its deadline"
+            (Engine.algorithm_to_string alg)
+      | _ ->
+          Alcotest.failf "%s: expected deadline partial"
+            (Engine.algorithm_to_string alg))
     stop_algorithms;
   Disk.close disk
 
@@ -561,16 +558,11 @@ let test_engine_cancel () =
   let prepared, disk, _ = make_prepared `Memory in
   List.iter
     (fun alg ->
-      List.iter
-        (fun workers ->
-          match
-            Engine.run_safe ~workers ~cancel:(fun () -> true) prepared alg
-          with
-          | Engine.Partial (Context.Cancelled, _, _) -> ()
-          | _ ->
-              Alcotest.failf "%s/%d workers: expected cancelled partial"
-                (Engine.algorithm_to_string alg) workers)
-        [ 1; 2 ])
+      match Engine.run_safe ~cancel:(fun () -> true) prepared alg with
+      | Engine.Partial (Context.Cancelled, _, _) -> ()
+      | _ ->
+          Alcotest.failf "%s: expected cancelled partial"
+            (Engine.algorithm_to_string alg))
     stop_algorithms;
   Disk.close disk
 
@@ -642,14 +634,10 @@ let () =
         ] );
       ( "engine degradation",
         [
-          quick "transient fault absorbed by retry (memory, 1 worker)" `Quick
-            (test_engine_retry `Memory 1);
-          quick "transient fault absorbed by retry (memory, 2 workers)" `Quick
-            (test_engine_retry `Memory 2);
-          quick "transient fault absorbed by retry (file, 1 worker)" `Quick
-            (test_engine_retry `File 1);
-          quick "transient fault absorbed by retry (file, 2 workers)" `Quick
-            (test_engine_retry `File 2);
+          quick "transient fault absorbed by retry (memory)" `Quick
+            (test_engine_retry `Memory);
+          quick "transient fault absorbed by retry (file)" `Quick
+            (test_engine_retry `File);
           quick "persistent faults exhaust retries" `Quick
             test_engine_fault_exhausts_retries;
           quick "retry backoff clamped to the deadline" `Quick

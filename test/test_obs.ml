@@ -1,8 +1,9 @@
 (* The observability layer: the shared JSON encoder, per-domain trace
-   rings (overflow, span nesting over real engine runs, which families
-   open worker spans), the metrics registry's determinism contract
-   (cube.* byte-identical at 1 vs 2 workers), Instrument.merge, and the
-   Prometheus / Chrome-trace exporters. *)
+   rings (overflow, span nesting over real engine runs, every family
+   tracing on one domain, a worker count asked of [Engine.run_safe]
+   included), the metrics registry's determinism contract
+   (cube.* byte-identical across repeated runs), and the Prometheus /
+   Chrome-trace exporters. *)
 
 open Fixtures
 module Json = X3_obs.Json
@@ -10,7 +11,6 @@ module Trace = X3_obs.Trace
 module Metrics = X3_obs.Metrics
 module Obs_export = X3_obs.Export
 module Engine = X3_core.Engine
-module Instrument = X3_core.Instrument
 module Report = X3_core.Report
 module Treebank = X3_workload.Treebank
 
@@ -162,14 +162,16 @@ let check_well_formed ring =
     [] !stack
 
 (* The configured ring size is sticky across [enable] calls, so always
-   state it — the overflow test above shrank it to 4. *)
-let traced_run ~workers algorithm =
+   state it — the overflow test above shrank it to 4. [run] computes the
+   cube of the prepared query; [Engine.run] unless a test says otherwise. *)
+let traced_run ?(run = fun p algorithm -> ignore (Engine.run p algorithm))
+    algorithm =
   Trace.enable ~ring_size:65536 ();
   let p =
     Engine.prepare ~pool:(small_pool ()) ~store:(figure1_store ())
       (Engine.count_spec ~fact_path ~axes:(query1_axes ()))
   in
-  ignore (Engine.run ~workers p algorithm);
+  run p algorithm;
   let rings = Trace.dump () in
   Trace.disable ();
   Trace.reset ();
@@ -177,35 +179,43 @@ let traced_run ~workers algorithm =
 
 let test_span_nesting () =
   List.iter
-    (fun (algorithm, workers) ->
-      let rings = traced_run ~workers algorithm in
+    (fun algorithm ->
+      let rings = traced_run algorithm in
       Alcotest.(check bool)
         "the run produced trace events" true
         (List.exists (fun r -> r.Trace.events <> []) rings);
       List.iter check_well_formed rings)
-    Engine.[ (Counter, 1); (Counter, 2); (Td, 1); (Td, 2) ]
+    Engine.[ Counter; Td ]
 
-(* The events of a two-worker traced run on the domains that emitted any,
-   and the worker count its [cube.compute] span reports. *)
-let two_worker_run algorithm =
-  let name = Engine.algorithm_to_string algorithm in
-  let rings = traced_run ~workers:2 algorithm in
-  let active = List.filter (fun r -> r.Trace.events <> []) rings in
-  let events = List.concat_map (fun r -> r.Trace.events) active in
-  match
-    List.find_opt
-      (fun e -> e.Trace.name = "cube.compute" && e.Trace.phase = Trace.Begin)
-      events
-  with
-  | Some e -> (active, events, attr_int e "workers")
-  | None -> Alcotest.failf "%s: no cube.compute span" name
+(* Every family computes on the calling domain: a traced run's events,
+   its [cube.compute] span among them, come from exactly one domain. *)
+let test_every_family_runs_serially () =
+  List.iter
+    (fun algorithm ->
+      let name = Engine.algorithm_to_string algorithm in
+      let active =
+        List.filter (fun r -> r.Trace.events <> []) (traced_run algorithm)
+      in
+      let events = List.concat_map (fun r -> r.Trace.events) active in
+      Alcotest.(check int)
+        (name ^ ": events from exactly one domain")
+        1 (List.length active);
+      Alcotest.(check bool)
+        (name ^ ": a cube.compute span")
+        true
+        (List.exists (fun e -> e.Trace.name = "cube.compute") events))
+    Engine.all_algorithms
 
-(* Every family but COUNTER is serial whatever it is asked for: a
+(* [Engine.run_safe] still takes a worker count but ignores it: a
    two-worker request runs on the calling domain alone, opens no [worker]
-   span, and its compute span reports the one worker that ran. *)
-let check_runs_serially algorithm =
+   span, and its [cube.compute] span carries no worker attribute. *)
+let check_two_worker_request_runs_serially algorithm =
   let name = Engine.algorithm_to_string algorithm in
-  let active, events, workers = two_worker_run algorithm in
+  let run p algorithm = ignore (Engine.run_safe ~workers:2 p algorithm) in
+  let active =
+    List.filter (fun r -> r.Trace.events <> []) (traced_run ~run algorithm)
+  in
+  let events = List.concat_map (fun r -> r.Trace.events) active in
   Alcotest.(check int)
     (name ^ ": events from exactly one domain")
     1 (List.length active);
@@ -213,21 +223,24 @@ let check_runs_serially algorithm =
     (name ^ ": no worker span")
     false
     (List.exists (fun e -> e.Trace.name = "worker") events);
-  Alcotest.(check int) (name ^ ": cube.compute reports one worker") 1 workers
+  match
+    List.find_opt
+      (fun e -> e.Trace.name = "cube.compute" && e.Trace.phase = Trace.Begin)
+      events
+  with
+  | Some e ->
+      Alcotest.(check bool)
+        (name ^ ": cube.compute has no workers attribute")
+        false
+        (List.mem_assoc "workers" e.Trace.attrs)
+  | None -> Alcotest.failf "%s: no cube.compute span" name
 
-let test_naive_runs_serially () = check_runs_serially Engine.Naive
+let test_naive_runs_serially () =
+  check_two_worker_request_runs_serially Engine.Naive
 
 let test_td_buc_run_serially () =
-  List.iter check_runs_serially Engine.[ Td; Tdcust; Buc; Buccust ]
-
-(* COUNTER is the one family that fans out: at two workers it opens
-   [worker] spans and its compute span reports both. *)
-let test_counter_fans_out () =
-  let _, events, workers = two_worker_run Engine.Counter in
-  Alcotest.(check bool)
-    "worker spans" true
-    (List.exists (fun e -> e.Trace.name = "worker") events);
-  Alcotest.(check int) "cube.compute reports two workers" 2 workers
+  List.iter check_two_worker_request_runs_serially
+    Engine.[ Td; Tdcust; Buc; Buccust ]
 
 let test_disabled_tracing_is_silent () =
   Trace.reset ();
@@ -239,32 +252,30 @@ let test_disabled_tracing_is_silent () =
 
 (* --- metrics determinism ------------------------------------------------- *)
 
-let cube_metrics ~store ~spec ~workers algorithm =
+let cube_metrics ~store ~spec algorithm =
   let p = Engine.prepare ~pool:(small_pool ()) ~store spec in
-  let result, instr = Engine.run ~workers p algorithm in
-  let m = Report.build ~instr ~result ~workers () in
+  let result, instr = Engine.run p algorithm in
+  let m = Report.build ~instr ~result () in
   List.filter
     (fun (name, _) -> String.starts_with ~prefix:"cube." name)
     (Metrics.snapshot m)
 
 (* The determinism contract from the report layer: cube.* is identical for
-   a fixed (query, algorithm) at any worker count, COUNTER's partition/merge
-   plan included — worker-shaped values live under profile.* instead. Checked
-   as bytes of the shared metrics document, the same comparison the bench
-   harness relies on. *)
+   a fixed (query, algorithm) on every run — resource-shaped values live
+   under profile.* instead. Checked as bytes of the shared metrics
+   document, the same comparison the bench harness relies on. *)
 let check_cube_determinism ~store ~spec =
   List.iter
     (fun algorithm ->
-      let doc workers =
+      let doc () =
         Json.to_string
-          (Obs_export.metrics_json
-             (cube_metrics ~store ~spec ~workers algorithm))
+          (Obs_export.metrics_json (cube_metrics ~store ~spec algorithm))
       in
       Alcotest.(check string)
-        (Printf.sprintf "cube.* for %s at 1 vs 2 workers"
+        (Printf.sprintf "cube.* for %s on two runs"
            (Engine.algorithm_to_string algorithm))
-        (doc 1) (doc 2))
-    Engine.[ Naive; Counter ]
+        (doc ()) (doc ()))
+    Engine.all_algorithms
 
 let test_cube_metrics_deterministic_figure1 () =
   check_cube_determinism ~store:(figure1_store ())
@@ -276,32 +287,12 @@ let test_cube_metrics_deterministic_treebank () =
     ~store:(X3_xdb.Store.of_document (Treebank.generate config))
     ~spec:(Treebank.spec config)
 
-(* --- Instrument.merge ------------------------------------------------------ *)
-
-(* A COUNTER worker counts only the keys it builds; the session's peaks,
-   dictionary size and radix scratch are set on the session counters
-   directly, and merging leaves them as they are. *)
-let test_merge_sums_worker_counters () =
-  let into = Instrument.create () in
-  into.Instrument.keys_built <- 3;
-  into.Instrument.peak_counters <- 40;
-  into.Instrument.dict_size <- 9;
-  let w1 = Instrument.create () and w2 = Instrument.create () in
-  w1.Instrument.keys_built <- 70;
-  w2.Instrument.keys_built <- 50;
-  Instrument.merge ~into w1;
-  Instrument.merge ~into w2;
-  Alcotest.(check int) "keys_built sums" 123 into.Instrument.keys_built;
-  Alcotest.(check int) "peak_counters untouched" 40
-    into.Instrument.peak_counters;
-  Alcotest.(check int) "dict_size untouched" 9 into.Instrument.dict_size
-
 (* --- exporters ------------------------------------------------------------ *)
 
 let test_prometheus_exposition () =
   let m = Metrics.create () in
   Metrics.inc ~by:3 (Metrics.counter m "cube.table_scans");
-  Metrics.set (Metrics.gauge m "profile.workers") 2;
+  Metrics.set (Metrics.gauge m "profile.peak_bytes") 2;
   let h = Metrics.histogram ~buckets:[| 0.1; 1.0 |] m "latency.phase.parse" in
   Metrics.observe h 0.05;
   Metrics.observe h 0.5;
@@ -316,8 +307,8 @@ let test_prometheus_exposition () =
     [
       "# TYPE x3_cube_table_scans counter";
       "x3_cube_table_scans 3";
-      "# TYPE x3_profile_workers gauge";
-      "x3_profile_workers 2";
+      "# TYPE x3_profile_peak_bytes gauge";
+      "x3_profile_peak_bytes 2";
       "# TYPE x3_latency_phase_parse histogram";
       "x3_latency_phase_parse_bucket{le=\"0.1\"} 1";
       "x3_latency_phase_parse_bucket{le=\"1.0\"} 2";
@@ -327,10 +318,8 @@ let test_prometheus_exposition () =
     ]
 
 let test_chrome_trace_structure () =
-  let rings = traced_run ~workers:2 Engine.Counter in
-  Alcotest.(check bool)
-    "a 2-worker run uses more than one domain" true
-    (List.length rings > 1);
+  let rings = traced_run Engine.Counter in
+  Alcotest.(check bool) "the run traced a ring" true (rings <> []);
   let doc = Obs_export.chrome_trace rings in
   let events =
     match doc with
@@ -516,8 +505,8 @@ let () =
             test_naive_runs_serially;
           Alcotest.test_case "TD and BUC at 2 workers run on one domain"
             `Quick test_td_buc_run_serially;
-          Alcotest.test_case "COUNTER at 2 workers opens worker spans" `Quick
-            test_counter_fans_out;
+          Alcotest.test_case "every family runs on one domain" `Quick
+            test_every_family_runs_serially;
           Alcotest.test_case "disabled tracing is silent" `Quick
             test_disabled_tracing_is_silent;
           Alcotest.test_case "scopes disjoint across threads" `Quick
@@ -529,8 +518,6 @@ let () =
             test_cube_metrics_deterministic_figure1;
           Alcotest.test_case "cube.* deterministic on treebank" `Quick
             test_cube_metrics_deterministic_treebank;
-          Alcotest.test_case "merge sums worker counters" `Quick
-            test_merge_sums_worker_counters;
         ] );
       ( "export",
         [

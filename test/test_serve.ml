@@ -142,7 +142,7 @@ let cold_export ~doc_path ~query =
   in
   let store = X3_xdb.Store.of_document doc in
   let prepared = Engine.prepare ~pool ~store compiled.Compile.spec in
-  let result, _instr = Engine.run ~workers:1 prepared Engine.Counter in
+  let result, _instr = Engine.run prepared Engine.Counter in
   Export.csv_string ~func:compiled.Compile.spec.Engine.func result
 
 (* --- byte identity under concurrency ------------------------------------- *)
