@@ -87,17 +87,32 @@ let cube_exn conn ~doc ~no_cache =
   | Ok _ -> die "serve-smoke: unexpected response to cube"
   | Error msg -> die "serve-smoke: transport error: %s" msg
 
-(* Best-of-N wall time of one request shape, measured at the client —
-   the daemon's whole round trip, not just the compute. *)
+(* Wall time of one request, measured at the client — the daemon's
+   whole round trip, not just the compute. *)
+let time_request conn ~doc ~no_cache =
+  let t0 = Unix.gettimeofday () in
+  ignore (cube_exn conn ~doc ~no_cache : string * Protocol.provenance);
+  Unix.gettimeofday () -. t0
+
+(* Best-of-N wall time of one request shape. *)
 let measure conn ~doc ~no_cache =
   let best = ref infinity in
   for _ = 1 to rounds do
-    let t0 = Unix.gettimeofday () in
-    ignore (cube_exn conn ~doc ~no_cache : string * Protocol.provenance);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
+    best := Float.min !best (time_request conn ~doc ~no_cache)
   done;
   !best
+
+(* Best-of-N of the cold and the warm shape, their rounds alternated: the
+   machine's speed drifts by tens of percent within a run, and a drift
+   between two back-to-back batches would land on one side of the ratio
+   only. *)
+let measure_cold_warm conn ~doc =
+  let cold = ref infinity and warm = ref infinity in
+  for _ = 1 to rounds do
+    cold := Float.min !cold (time_request conn ~doc ~no_cache:true);
+    warm := Float.min !warm (time_request conn ~doc ~no_cache:false)
+  done;
+  (!cold, !warm)
 
 type daemon = {
   d_server : Server.t;
@@ -178,16 +193,15 @@ let () =
     "  serve warm-vs-cold (dense treebank trees=%d axes=%d, %d rounds \
      each):\n"
     trees axes rounds;
-  (* Cold reference first: the no_cache path neither reads nor writes the
-     cache, so the warm measurements below are not polluted. *)
+  (* The no_cache path neither reads nor writes the cache, so cold
+     requests do not pollute the warm measurements they alternate with. *)
   let cold_payload, _ = cube_exn conn ~doc:doc_path ~no_cache:true in
-  let cold_seconds = measure conn ~doc:doc_path ~no_cache:true in
   (* First warm-path pass populates the cache and must exercise rollups:
      the dense treebank is disjoint, so TDCUST's rule admits every
      covered chain. *)
   let warm1_payload, warm1_prov = cube_exn conn ~doc:doc_path ~no_cache:false in
   (* Warm repeats: everything answered from resident cuboid views. *)
-  let warm_seconds = measure conn ~doc:doc_path ~no_cache:false in
+  let cold_seconds, warm_seconds = measure_cold_warm conn ~doc:doc_path in
   let warm2_payload, warm2_prov = cube_exn conn ~doc:doc_path ~no_cache:false in
   let speedup = cold_seconds /. warm_seconds in
   let identical =
@@ -240,23 +254,27 @@ let () =
   (* Best-of-3 on each lifecycle: creation plus first answer, cold
      (compute on the first request) vs warm-restarted (compute during
      restore, then serve cached).  Both lifecycles do the same work, so
-     the ratio sits near 1 and needs the noise damped.  Each restarted
-     daemon drains and rewrites the same index on its way out. *)
-  let three f = [ f (); f (); f () ] in
+     the ratio sits near 1 and needs the noise damped: the lifecycles
+     alternate, so a drift in machine speed lands on both.  Each
+     restarted daemon drains and rewrites the same index on its way
+     out. *)
+  let lifecycles =
+    List.init 3 (fun _ ->
+        let cold = time_first_answer ~doc:doc_path () in
+        let warm =
+          time_first_answer
+            ~tune:(fun c -> { c with Server.snapshot_path = Some snap_path })
+            ~doc:doc_path ()
+        in
+        (cold, warm))
+  in
   let fastest runs =
     List.fold_left
       (fun ((ta, _, _) as a) ((tb, _, _) as b) -> if tb < ta then b else a)
       (List.hd runs) runs
   in
-  let cold_rebuild, rebuild_payload, _ =
-    fastest (three (fun () -> time_first_answer ~doc:doc_path ()))
-  in
-  let restarts =
-    three (fun () ->
-        time_first_answer
-          ~tune:(fun c -> { c with Server.snapshot_path = Some snap_path })
-          ~doc:doc_path ())
-  in
+  let cold_rebuild, rebuild_payload, _ = fastest (List.map fst lifecycles) in
+  let restarts = List.map snd lifecycles in
   let warm_restart, _, restart_prov = fastest restarts in
   let restart_overhead = warm_restart /. cold_rebuild in
   let restart_identical =

@@ -32,22 +32,32 @@ let compare_values a b =
   | Some x, Some y -> Float.compare x y
   | _ -> String.compare a b
 
-let filter_holds store filter ~fact =
-  (* Existential semantics: some binding of the path satisfies the
-     predicate. The throwaway axis reuses the exact path machinery of the
-     grouping axes (relaxation-free). *)
-  let axis = Axis.make_exn ~name:"$where" ~steps:filter.filter_path ~allowed:[] in
-  List.exists
-    (fun (node, _) ->
-      let c = compare_values (Store.string_value store node) filter.operand in
-      match filter.op with
-      | Eq -> c = 0
-      | Neq -> c <> 0
-      | Lt -> c < 0
-      | Le -> c <= 0
-      | Gt -> c > 0
-      | Ge -> c >= 0)
-    (Eval.axis_bindings store axis ~fact)
+(* A WHERE predicate compiled against one store. Existential semantics:
+   some binding of the path satisfies the predicate. The path is a
+   relaxation-free axis, so it matches exactly as the grouping paths do. *)
+let compile_filter store filter =
+  let m =
+    Eval.compile store
+      (Axis.make_exn ~name:"$where" ~steps:filter.filter_path ~allowed:[])
+  in
+  let holds node =
+    let c = compare_values (Store.string_value store node) filter.operand in
+    match filter.op with
+    | Eq -> c = 0
+    | Neq -> c <> 0
+    | Lt -> c < 0
+    | Le -> c <= 0
+    | Gt -> c > 0
+    | Ge -> c >= 0
+  in
+  fun ~fact -> Option.is_some (Eval.find m ~fact holds)
+
+let filter_holds store filter ~fact = compile_filter store filter ~fact
+
+(* The conjunction of the filters, each compiled once. *)
+let filters_hold store filters =
+  let compiled = List.map (compile_filter store) filters in
+  fun fact -> List.for_all (fun holds -> holds ~fact) compiled
 
 let fact_tag spec =
   match List.rev spec.fact_path with
@@ -62,28 +72,30 @@ type prepared = {
 }
 
 (* The measure of one fact: the first matching descendant's numeric value.
-   Uses a relaxation-free throwaway axis so the path semantics match the
-   grouping paths exactly. *)
+   The path is a relaxation-free axis, compiled once, so it matches
+   exactly as the grouping paths do. *)
 let measure_fn store spec =
   match spec.measure_path with
   | None -> fun _ -> 1.0
   | Some steps ->
-      let axis = Axis.make_exn ~name:"$measure" ~steps ~allowed:[] in
+      let m =
+        Eval.compile store (Axis.make_exn ~name:"$measure" ~steps ~allowed:[])
+      in
       let table : (int, float) Hashtbl.t = Hashtbl.create 1024 in
       fun fact ->
         (match Hashtbl.find_opt table fact with
         | Some v -> v
         | None ->
             let v =
-              match Eval.axis_bindings store axis ~fact with
-              | (node, _) :: _ -> (
+              match Eval.find m ~fact (fun _ -> true) with
+              | Some node -> (
                   match
                     float_of_string_opt
                       (String.trim (Store.string_value store node))
                   with
                   | Some f -> f
                   | None -> 0.)
-              | [] -> 0.
+              | None -> 0.
             in
             Hashtbl.replace table fact v;
             v)
@@ -96,10 +108,7 @@ let prepare ~pool ~store spec =
       let keep =
         match spec.filters with
         | [] -> None
-        | filters ->
-            Some
-              (fun fact ->
-                List.for_all (fun f -> filter_holds store f ~fact) filters)
+        | filters -> Some (filters_hold store filters)
       in
       let table =
         Eval.build_table ?keep pool store ~fact_path:spec.fact_path
@@ -264,12 +273,8 @@ let stage_fragment spec ~fragment ~fact_id =
       let stage () =
         let ministore = Store.of_document (Tree.document fragment) in
         let fact = Store.root ministore in
-        if
-          not
-            (List.for_all
-               (fun f -> filter_holds ministore f ~fact)
-               spec.filters)
-        then Staged [] (* the document grows; the witness table does not *)
+        if not (filters_hold ministore spec.filters fact) then
+          Staged [] (* the document grows; the witness table does not *)
         else
           Staged
             (List.map

@@ -6,6 +6,9 @@ type fact_path = Axis.step list
 let facts store path =
   match path with
   | [] -> invalid_arg "Eval.facts: empty fact path"
+  | [ { Axis.axis = Sj.Descendant; tag } ] ->
+      (* [//t] selects every [t] node: the tag index is the answer. *)
+      Array.to_list (Store.nodes_with_tag store tag)
   | steps ->
       let twig_path =
         List.map
@@ -22,111 +25,188 @@ let facts store path =
           end);
       List.sort Int.compare !acc
 
-(* Children (resp. strict descendants) of [node] with a given tag. *)
-let related store ~relation ~node ~tag =
-  match relation with
-  | Sj.Child ->
-      List.filter
-        (fun c -> String.equal (Store.tag store c) tag)
-        (Store.children store node)
-  | Sj.Descendant -> Store.nodes_with_tag_under store tag ~under:node
+(* --- the compiled matcher -------------------------------------------------
 
-let effective_relation ~pc_ad step =
-  if pc_ad then Sj.Descendant else step.Axis.axis
+   A chain for steps [0..i] ends at node [v] when [v] has step [i]'s tag
+   and hangs off the end of a chain for steps [0..i-1] (the fact itself
+   for [i = 0]) by step [i]'s edge. The functions below check it from the
+   candidate up: a child edge is one [parent] hop; a descendant edge
+   tries each ancestor strictly below the fact, then the fact. Every
+   ancestor of a candidate with an id above the fact's lies inside the
+   fact, so the walks stop there. They are top-level and take plain ints,
+   so a check allocates nothing. *)
 
-(* Does a chain matching [steps] (with PC edges generalised when [pc_ad])
-   exist from [node], ending at a node satisfying [accept]? *)
-let rec chain_exists store ~pc_ad ~node steps ~accept =
-  match steps with
-  | [] -> accept node
-  | step :: rest ->
-      let relation = effective_relation ~pc_ad step in
-      List.exists
-        (fun next -> chain_exists store ~pc_ad ~node:next rest ~accept)
-        (related store ~relation ~node ~tag:step.Axis.tag)
+type matcher = {
+  store : Store.t;
+  tags : int array;  (* step tag ids; -1, no node's, when absent *)
+  child : bool array;  (* the step's edge before relaxation is [/] *)
+  leaf_index : Store.node array;  (* the candidates *)
+  mutable cursor : int;  (* where the last fact's candidates started *)
+  parent_index : Store.node array;  (* nodes with the leaf parent's tag *)
+  pc_ad : bool array;  (* per structural state *)
+  sp : bool array;
+  full : int;
+}
 
-let matches_at_state store axis ~fact ~binding ~state =
-  let pc_ad = Axis.mask_applies axis ~mask:state Relax.Pc_ad in
-  let sp = Axis.mask_applies axis ~mask:state Relax.Sp in
-  let steps = axis.Axis.steps in
-  if not sp then
-    chain_exists store ~pc_ad ~node:fact steps ~accept:(Int.equal binding)
+let compile store axis =
+  let steps = Array.of_list axis.Axis.steps in
+  let k = Array.length steps in
+  let index i = Store.nodes_with_tag store steps.(i).Axis.tag in
+  let states = Axis.state_count axis in
+  let applies kind =
+    Array.init states (fun mask -> Axis.mask_applies axis ~mask kind)
+  in
+  {
+    store;
+    tags =
+      Array.map
+        (fun (s : Axis.step) ->
+          Option.value (Store.id_of_tag store s.Axis.tag) ~default:(-1))
+        steps;
+    child = Array.map (fun (s : Axis.step) -> s.Axis.axis = Sj.Child) steps;
+    leaf_index = index (k - 1);
+    cursor = 0;
+    parent_index = (if k >= 2 then index (k - 2) else [||]);
+    pc_ad = applies Relax.Pc_ad;
+    sp = applies Relax.Sp;
+    full = Axis.full_mask axis;
+  }
+
+(* Does a chain for steps [0..i] end at [v]? [v] has step [i]'s tag. *)
+let rec chain m ~pc_ad ~fact i v =
+  let p = Store.parent_id m.store v in
+  if m.child.(i) && not pc_ad then ends_at m ~pc_ad ~fact (i - 1) p
+  else i = 0 || ends_above m ~pc_ad ~fact (i - 1) p
+
+(* Does a chain for steps [0..i] end at [a]? For [i < 0], is [a] the fact? *)
+and ends_at m ~pc_ad ~fact i a =
+  if i < 0 then a = fact
+  else
+    a > fact
+    && Store.tag_id m.store a = m.tags.(i)
+    && chain m ~pc_ad ~fact i a
+
+(* ... at [a] or at one of its ancestors? *)
+and ends_above m ~pc_ad ~fact i a =
+  a >= fact
+  && (ends_at m ~pc_ad ~fact i a
+     || ends_above m ~pc_ad ~fact i (Store.parent_id m.store a))
+
+let rec child_tagged m ~tag c ~fin =
+  c <= fin
+  && (Store.tag_id m.store c = tag
+     || child_tagged m ~tag (Store.subtree_end m.store c + 1) ~fin)
+
+(* Does some child ([/], unrelaxed) or descendant of [g] carry the leaf
+   parent's tag? *)
+let holds_parent m ~pc_ad g =
+  let j = Array.length m.tags - 2 in
+  let fin = Store.subtree_end m.store g in
+  if m.child.(j) && not pc_ad then child_tagged m ~tag:m.tags.(j) (g + 1) ~fin
   else begin
-    (* SP: the leaf hangs off the grandparent with a descendant edge; the
-       rest of the path — including the leaf's former parent — must still
-       match. For [b/author/name], SP yields [b[./author][.//name]]. *)
-    match List.rev steps with
-    | [] | [ _ ] -> invalid_arg "Eval.matches_at_state: SP on a unary path"
-    | leaf :: parent :: prefix_rev ->
-        let prefix = List.rev prefix_rev in
-        if not (String.equal (Store.tag store binding) leaf.Axis.tag) then
-          false
-        else
-          chain_exists store ~pc_ad ~node:fact prefix
-            ~accept:(fun grandparent ->
-              (* (a) the promoted leaf is a strict descendant of the
-                 grandparent; (b) the former parent still matches there. *)
-              grandparent < binding
-              && Store.subtree_end store binding
-                 <= Store.subtree_end store grandparent
-              && related store
-                   ~relation:(effective_relation ~pc_ad parent)
-                   ~node:grandparent ~tag:parent.Axis.tag
-                 <> [])
+    let i = Store.first_after m.parent_index g ~from:0 in
+    i < Array.length m.parent_index && m.parent_index.(i) <= fin
   end
 
-let axis_bindings store axis ~fact =
-  let leaf_tag =
-    match List.rev axis.Axis.steps with
-    | leaf :: _ -> leaf.Axis.tag
-    | [] -> assert false
-  in
-  let candidates = Store.nodes_with_tag_under store leaf_tag ~under:fact in
-  let full = Axis.full_mask axis in
-  List.filter_map
-    (fun binding ->
-      let validity =
-        List.fold_left
-          (fun acc state ->
-            if matches_at_state store axis ~fact ~binding ~state then
-              acc lor (1 lsl state)
-            else acc)
-          0 (Axis.states axis)
-      in
-      if validity land (1 lsl full) <> 0 then Some (binding, validity)
-      else None)
-    candidates
+(* SP: the leaf hangs off its grandparent [g] with a descendant edge; [g]
+   ends the chain of the steps above the leaf's former parent, and that
+   parent still matches below [g]. For [b/author/name], SP yields
+   [b[./author][.//name]]. *)
+let rec sp_grandparent m ~pc_ad ~fact g =
+  g >= fact
+  && ((ends_at m ~pc_ad ~fact (Array.length m.tags - 3) g
+      && holds_parent m ~pc_ad g)
+     || sp_grandparent m ~pc_ad ~fact (Store.parent_id m.store g))
 
-let rows_for_fact store axes ~fact =
-  let per_axis =
-    Array.map
-      (fun axis ->
-        match axis_bindings store axis ~fact with
-        | [] -> [ { Witness.Staged.value = None; validity = 0; first = true } ]
-        | bindings ->
-            List.mapi
-              (fun i (node, validity) ->
-                { Witness.Staged.value = Some (Store.string_value store node);
-                  validity;
-                  first = i = 0 })
-              bindings)
-      axes
+let matches m ~fact ~binding state =
+  let pc_ad = m.pc_ad.(state) in
+  if m.sp.(state) then
+    sp_grandparent m ~pc_ad ~fact (Store.parent_id m.store binding)
+  else chain m ~pc_ad ~fact (Array.length m.tags - 1) binding
+
+let validity m ~fact ~binding =
+  if not (matches m ~fact ~binding m.full) then 0
+  else begin
+    let v = ref (1 lsl m.full) in
+    for state = 0 to m.full - 1 do
+      if matches m ~fact ~binding state then v := !v lor (1 lsl state)
+    done;
+    !v
+  end
+
+(* The position of [fact]'s first candidate. Facts mostly arrive in
+   document order, so the search starts where the last one's did. *)
+let first_candidate m ~fact =
+  let index = m.leaf_index in
+  let from =
+    if m.cursor > 0 && index.(m.cursor - 1) > fact then 0 else m.cursor
   in
-  (* Cartesian product, rightmost axis varying fastest. *)
-  let rec product i =
-    if i >= Array.length per_axis then [ [] ]
+  let i = Store.first_after index fact ~from in
+  m.cursor <- i;
+  i
+
+let bindings m ~fact =
+  let index = m.leaf_index and fin = Store.subtree_end m.store fact in
+  let rec go i acc =
+    if i >= Array.length index || index.(i) > fin then List.rev acc
     else begin
-      let rest = product (i + 1) in
-      List.concat_map
-        (fun cell -> List.map (fun tail -> cell :: tail) rest)
-        per_axis.(i)
+      let binding = index.(i) in
+      match validity m ~fact ~binding with
+      | 0 -> go (i + 1) acc
+      | v -> go (i + 1) ((binding, v) :: acc)
     end
   in
-  List.map
-    (fun cells -> { Witness.Staged.fact; cells = Array.of_list cells })
-    (product 0)
+  go (first_candidate m ~fact) []
+
+let find m ~fact p =
+  let index = m.leaf_index and fin = Store.subtree_end m.store fact in
+  let rec go i =
+    if i >= Array.length index || index.(i) > fin then None
+    else begin
+      let binding = index.(i) in
+      if validity m ~fact ~binding <> 0 && p binding then Some binding
+      else go (i + 1)
+    end
+  in
+  go (first_candidate m ~fact)
+
+let axis_bindings store axis ~fact = bindings (compile store axis) ~fact
+
+let none_cell = { Witness.Staged.value = None; validity = 0; first = true }
+
+(* One axis's cells for a fact: a [None] cell when it has no binding. *)
+let cells m ~fact =
+  match bindings m ~fact with
+  | [] -> [| none_cell |]
+  | bindings ->
+      Array.of_list
+        (List.mapi
+           (fun i (node, validity) ->
+             { Witness.Staged.value = Some (Store.string_value m.store node);
+               validity;
+               first = i = 0 })
+           bindings)
+
+(* The cartesian product of the axes' cells, rightmost axis varying
+   fastest. *)
+let rows matchers ~fact =
+  let per_axis = Array.map (fun m -> cells m ~fact) matchers in
+  let k = Array.length per_axis in
+  let n = Array.fold_left (fun acc c -> acc * Array.length c) 1 per_axis in
+  List.init n (fun r ->
+      let cells = Array.make k none_cell and r = ref r in
+      for i = k - 1 downto 0 do
+        let c = per_axis.(i) in
+        cells.(i) <- c.(!r mod Array.length c);
+        r := !r / Array.length c
+      done;
+      { Witness.Staged.fact; cells })
+
+let rows_for_fact store axes ~fact =
+  rows (Array.map (compile store) axes) ~fact
 
 let build_table ?keep pool store ~fact_path ~axes =
+  let matchers = Array.map (compile store) axes in
   let fact_list = facts store fact_path in
   let fact_list =
     match keep with
@@ -135,7 +215,6 @@ let build_table ?keep pool store ~fact_path ~axes =
   in
   let rows =
     List.to_seq fact_list
-    |> Seq.concat_map (fun fact ->
-           List.to_seq (rows_for_fact store axes ~fact))
+    |> Seq.concat_map (fun fact -> List.to_seq (rows matchers ~fact))
   in
   Witness.materialize pool ~axes rows

@@ -9,7 +9,9 @@ type frame = {
 type t = {
   disk : Disk.t;
   capacity : int;
-  frames : frame array;  (** grown lazily up to [capacity] *)
+  mutable frames : frame array;
+      (** [used] initialised frames, the array doubled as they fill up to
+          [capacity]: a pool costs what it holds, not what it may hold *)
   mutable used : int;  (** frames currently initialised *)
   table : (int, int) Hashtbl.t;  (** page id -> frame index *)
   mutable hand : int;  (** clock hand over [frames] *)
@@ -21,15 +23,7 @@ let create ?(capacity_pages = 65536) disk =
   {
     disk;
     capacity = capacity_pages;
-    frames =
-      Array.init capacity_pages (fun _ ->
-          {
-            buf = Bytes.empty;
-            page = -1;
-            dirty = false;
-            referenced = false;
-            pins = 0;
-          });
+    frames = [||];
     used = 0;
     table = Hashtbl.create (min 4096 (2 * capacity_pages));
     hand = 0;
@@ -65,6 +59,11 @@ let victim t =
         pins = 0;
       }
     in
+    if idx = Array.length t.frames then begin
+      let grown = Array.make (min t.capacity (max 16 (2 * idx))) frame in
+      Array.blit t.frames 0 grown 0 idx;
+      t.frames <- grown
+    end;
     t.frames.(idx) <- frame;
     idx
   end

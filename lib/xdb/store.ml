@@ -286,9 +286,12 @@ let subtree_end t id =
   check t id;
   t.fins.(id)
 
-let parent t id =
+let parent_id t id =
   check t id;
-  let p = t.parents.(id) in
+  t.parents.(id)
+
+let parent t id =
+  let p = parent_id t id in
   if p < 0 then None else Some p
 
 let iter_children t id f =
@@ -309,18 +312,34 @@ let text t id =
   check t id;
   t.texts.(id)
 
+(* The first Text node in [v, hi], or [hi + 1]. *)
+let rec next_text t v hi =
+  if v > hi then v
+  else
+    match t.kinds.(v) with
+    | Text -> v
+    | Element | Attribute -> next_text t (v + 1) hi
+
 let string_value t id =
   check t id;
   match t.kinds.(id) with
   | Attribute | Text -> t.texts.(id)
   | Element ->
-      let buf = Buffer.create 16 in
-      for v = id + 1 to t.fins.(id) do
-        match t.kinds.(v) with
-        | Text -> Buffer.add_string buf t.texts.(v)
-        | Element | Attribute -> ()
-      done;
-      Buffer.contents buf
+      let fin = t.fins.(id) in
+      let first = next_text t (id + 1) fin in
+      if first > fin then ""
+      else if next_text t (first + 1) fin > fin then
+        (* one text node, the common [<d>v</d>], is its own value *)
+        t.texts.(first)
+      else begin
+        let buf = Buffer.create 16 in
+        for v = first to fin do
+          match t.kinds.(v) with
+          | Text -> Buffer.add_string buf t.texts.(v)
+          | Element | Attribute -> ()
+        done;
+        Buffer.contents buf
+      end
 
 let is_ancestor t ~anc ~desc =
   check t anc;
@@ -337,27 +356,23 @@ let tags t = Array.to_list t.tag_names
 let nodes_with_tag t name =
   match id_of_tag t name with Some tid -> t.index.(tid) | None -> [||]
 
-let nodes_with_tag_under t name ~under =
-  check t under;
-  match id_of_tag t name with
-  | None -> []
-  | Some tid ->
-      let index = t.index.(tid) in
-      let fin = t.fins.(under) in
-      (* First index whose node id exceeds [under]. *)
-      let rec lower lo hi =
-        if lo >= hi then lo
-        else begin
-          let mid = (lo + hi) / 2 in
-          if index.(mid) <= under then lower (mid + 1) hi else lower lo mid
-        end
-      in
-      let start = lower 0 (Array.length index) in
-      let rec collect i acc =
-        if i >= Array.length index || index.(i) > fin then List.rev acc
-        else collect (i + 1) (index.(i) :: acc)
-      in
-      collect start []
+(* The first position in [lo, hi) whose node exceeds [node]. *)
+let rec lower_bound index node lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) / 2 in
+    if index.(mid) <= node then lower_bound index node (mid + 1) hi
+    else lower_bound index node lo mid
+  end
+
+(* Gallop from [lo] with doubling steps, then search the last step. *)
+let rec gallop index node lo step =
+  let hi = lo + step in
+  if hi >= Array.length index || index.(hi) > node then
+    lower_bound index node lo (min hi (Array.length index))
+  else gallop index node (hi + 1) (2 * step)
+
+let first_after index node ~from = gallop index node from 1
 
 let pp_summary ppf t =
   let elements = ref 0 and attributes = ref 0 and texts = ref 0 in

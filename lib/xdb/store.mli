@@ -56,6 +56,10 @@ val label : t -> node -> Label.t
 val level : t -> node -> int
 val subtree_end : t -> node -> node
 val parent : t -> node -> node option
+
+val parent_id : t -> node -> node
+(** {!parent} without the option: [-1] for the root. *)
+
 val iter_children : t -> node -> (node -> unit) -> unit
 val children : t -> node -> node list
 
@@ -79,9 +83,14 @@ val nodes_with_tag : t -> string -> node array
 (** All nodes with the given tag, ascending (= document order). Shares the
     index array: callers must not mutate it. *)
 
-val nodes_with_tag_under : t -> string -> under:node -> node list
-(** The nodes with the given tag strictly inside the subtree of [under],
-    ascending — a binary search on the tag index, so the cost is
-    [O(log n + answers)]. *)
+val first_after : node array -> node -> from:int -> int
+(** The position of the first node greater than the given one in an
+    ascending node array such as {!nodes_with_tag}'s; the array's length
+    when there is none. Every node before position [from] must be at most
+    the given one: the search gallops forward from there, so a caller
+    that visits nodes in document order pays for the distance between
+    answers, not for the array. The nodes of a tag strictly inside [v]'s
+    subtree start at [first_after index v ~from:0] and run while
+    [<= subtree_end v]. *)
 
 val pp_summary : Format.formatter -> t -> unit

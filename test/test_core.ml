@@ -1398,7 +1398,7 @@ let test_stops_inside_main_loop () =
 (* Two runs of one family over one table export the same bytes: no run
    leaves state behind that changes the next. *)
 let prop_repeated_runs_identical =
-  QCheck2.Test.make ~name:"parallel runs byte-identical to sequential"
+  QCheck2.Test.make ~name:"repeated runs byte-identical"
     ~count:25 gen_random_case
     (fun doc ->
       let store = X3_xdb.Store.of_document doc in
@@ -1674,6 +1674,38 @@ let test_radix_row_path_allocation_free () =
   Alcotest.(check bool) "some rows qualify" true (!hits > 0);
   Alcotest.(check bool)
     (Printf.sprintf "10^4 key/first_on_removed calls: %.0f words <= 64" words)
+    true (words <= 64.)
+
+(* The witness evaluator checks every candidate binding at every
+   structural state of its axis, once per fact: the check must allocate
+   nothing. Query 1's [$n] has four states (PC-AD and SP), and its
+   candidates include Bob's nested name, which fails the rigid state. *)
+let test_eval_check_allocation_free () =
+  let store = figure1_store () in
+  let m = Eval.compile store (axis_n ()) in
+  let pairs =
+    List.concat_map
+      (fun fact ->
+        List.map
+          (fun binding -> (fact, binding))
+          (List.filter
+             (fun v -> X3_xdb.Store.is_ancestor store ~anc:fact ~desc:v)
+             (Array.to_list (X3_xdb.Store.nodes_with_tag store "name"))))
+      (Eval.facts store fact_path)
+  in
+  let facts = Array.of_list (List.map fst pairs)
+  and bindings = Array.of_list (List.map snd pairs) in
+  let n = Array.length facts and valid = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let j = i mod n in
+    if Eval.validity m ~fact:facts.(j) ~binding:bindings.(j) <> 0 then
+      incr valid
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some candidates match" true (!valid > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "10^4 candidate checks: %.0f words <= 64" words)
     true (words <= 64.)
 
 (* BUC's [Dedup] aggregation marks fact blocks in a per-run stamp array
@@ -2228,6 +2260,73 @@ let test_delta_layout_overflow_refused () =
       | Error fb ->
           Alcotest.failf "wrong fallback: %s" (Engine.fallback_reason_name fb))
   | _ -> Alcotest.fail "fragment should stage"
+
+(* Staging evaluates one fragment against a store of just that fragment;
+   it must give the rows a cold [prepare] of the same one-fact document
+   gives, WHERE clause included. The fragments are the facts of
+   [gen_random_case] (PC-AD axes) and [gen_sp_case] (SP axes). *)
+let gen_stage_case =
+  let open QCheck2.Gen in
+  let first_fact doc =
+    match doc.Tree.root.Tree.children with
+    | Tree.Element e :: _ -> e
+    | _ -> assert false
+  in
+  triple
+    (oneof
+       [
+         map
+           (fun doc -> (first_fact doc, random_axes (), [ step c "b" ]))
+           gen_random_case;
+         map
+           (fun doc -> (first_fact doc, sp_axes (), [ step d "leaf" ]))
+           gen_sp_case;
+       ])
+    bool (oneofl [ "u"; "v" ])
+
+let prop_stage_equals_build =
+  QCheck2.Test.make ~name:"stage_fragment rows = build_table rows" ~count:150
+    gen_stage_case (fun ((fragment, axes, filter_path), filtered, operand) ->
+      let filters =
+        if filtered then [ { Engine.filter_path; op = Engine.Eq; operand } ]
+        else []
+      in
+      let spec =
+        { (Engine.count_spec ~fact_path:[ step d "r" ] ~axes) with filters }
+      in
+      let store = X3_xdb.Store.of_document (Tree.document fragment) in
+      let table =
+        Engine.table (Engine.prepare ~pool:(small_pool ()) ~store spec)
+      in
+      let built =
+        List.map
+          (fun (row : Witness.row) ->
+            ( row.Witness.fact,
+              Array.to_list
+                (Array.mapi
+                   (fun ai (c : Witness.cell) ->
+                     ( Witness.cell_value table ~axis_index:ai c,
+                       c.validity,
+                       c.first ))
+                   row.Witness.cells) ))
+          (Witness.to_list table)
+      in
+      match
+        Engine.stage_fragment spec ~fragment
+          ~fact_id:(X3_xdb.Store.root store)
+      with
+      | Engine.Staged staged ->
+          built
+          = List.map
+              (fun (r : Witness.Staged.row) ->
+                ( r.Witness.Staged.fact,
+                  Array.to_list
+                    (Array.map
+                       (fun (c : Witness.Staged.cell) ->
+                         (c.Witness.Staged.value, c.validity, c.first))
+                       r.Witness.Staged.cells) ))
+              staged
+      | Engine.Not_a_fact | Engine.Unsupported _ -> false)
 
 let test_stage_fragment_classification () =
   let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
@@ -2923,7 +3022,7 @@ let () =
           Alcotest.test_case "block measures follow appends" `Quick
             test_delta_extends_block_measures;
         ]
-        @ qcheck [ prop_delta_vs_cold ] );
+        @ qcheck [ prop_delta_vs_cold; prop_stage_equals_build ] );
       ( "export",
         [
           Alcotest.test_case "csv" `Quick test_export_csv;
@@ -2939,13 +3038,13 @@ let () =
             test_pivot_rejects_same_axis;
           Alcotest.test_case "marginals" `Quick test_pivot_marginals_consistent;
         ] );
-      ( "parallel",
+      ( "serial families",
         [
-          Alcotest.test_case "1/2/4 workers = sequential" `Quick
+          Alcotest.test_case "every family = NAIVE" `Quick
             test_families_match_naive;
-          Alcotest.test_case "counter under worker-split budget" `Quick
+          Alcotest.test_case "counter over several passes" `Quick
             test_counter_several_passes;
-          Alcotest.test_case "one worker stops mid-fan-out" `Quick
+          Alcotest.test_case "stops inside the main loop" `Quick
             test_stops_inside_main_loop;
         ] );
       ( "radix grouping",
@@ -2963,6 +3062,8 @@ let () =
         [
           Alcotest.test_case "radix row path allocates nothing" `Quick
             test_radix_row_path_allocation_free;
+          Alcotest.test_case "eval candidate check allocates nothing" `Quick
+            test_eval_check_allocation_free;
           Alcotest.test_case "BUC dedup words per row bounded" `Quick
             test_buc_dedup_allocation_bound;
         ] );

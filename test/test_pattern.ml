@@ -284,15 +284,16 @@ let prop_staged_roundtrip =
 
 (* --- brute-force reference ------------------------------------------------
 
-   [Eval] walks each fact subtree with the tag index; the reference below
-   restates the matching rules of §2.2 ([Relax]) with nothing but
-   quadratic [Store.is_ancestor]/[Store.is_parent] searches over whole
-   tag lists. Every node with the axis's leaf tag under a fact is a
-   candidate; at each structural state a candidate matches when a chain of
-   the axis's steps reaches it from the fact. PC-AD turns every step into
-   a descendant step; SP re-attaches the leaf under its grandparent with a
-   descendant edge, and the leaf's former parent must still match below
-   that grandparent. *)
+   [Eval] checks each candidate bottom-up, from the leaf through its
+   ancestors to the fact; the reference below restates the matching rules
+   of §2.2 ([Relax]) with nothing but quadratic
+   [Store.is_ancestor]/[Store.is_parent] searches over whole tag lists,
+   top-down from the fact. Every node with the axis's leaf tag under a
+   fact is a candidate; at each structural state a candidate matches when
+   a chain of the axis's steps reaches it from the fact. PC-AD turns every
+   step into a descendant step; SP re-attaches the leaf under its
+   grandparent with a descendant edge, and the leaf's former parent must
+   still match below that grandparent. *)
 
 module Brute = struct
   module Store = X3_xdb.Store
@@ -404,12 +405,29 @@ let test_reference_table_figure1 () =
     = Brute.rows store ~axes:(query1_axes ()) (Eval.facts store fact_path))
 
 (* Facts [r] holding small trees over [p], [mid], [other] and nested
-   [r]s, with valued [q] leaves: enough shapes that every structural state
-   of the axes below matches a different binding set. *)
+   [r]s, with [q] leaves: enough shapes that every structural state of
+   the axes below matches a different binding set. A [q] holds one text
+   value, mixed content (text around an element), nothing at all, or a
+   value plus an [@k] attribute. *)
 let gen_relax_doc =
   let module Tree = X3_xml.Tree in
   let open QCheck2.Gen in
-  let leaf = map (fun v -> Tree.elem "q" [ Tree.text v ]) (oneofl [ "1"; "2" ]) in
+  let value = oneofl [ "1"; "2" ] in
+  let leaf =
+    oneof
+      [
+        map (fun v -> Tree.elem "q" [ Tree.text v ]) value;
+        map2
+          (fun v w ->
+            Tree.elem "q"
+              [ Tree.text v; Tree.elem "b" [ Tree.text w ]; Tree.text "x" ])
+          value value;
+        pure (Tree.elem "q" []);
+        map2
+          (fun v k -> Tree.elem ~attrs:[ ("k", k) ] "q" [ Tree.text v ])
+          value value;
+      ]
+  in
   let rec node depth =
     if depth = 0 then leaf
     else
@@ -440,14 +458,60 @@ let relax_axes () =
       ~allowed:[ Relax.Sp; Relax.Pc_ad ];
   |]
 
+(* [relax_axes] plus descendant steps inside a path and [@k] leaves;
+   several axes share the leaf [q] or [@k]. *)
+let eval_axis_pool () =
+  Array.append (relax_axes ())
+    [|
+      Axis.make_exn ~name:"$d"
+        ~steps:[ step c "p"; step d "q" ]
+        ~allowed:[ Relax.Lnd; Relax.Sp; Relax.Pc_ad ];
+      Axis.make_exn ~name:"$k"
+        ~steps:[ step c "p"; step c "q"; step c "@k" ]
+        ~allowed:[ Relax.Sp; Relax.Pc_ad ];
+      Axis.make_exn ~name:"$j"
+        ~steps:[ step d "mid"; step c "q"; step c "@k" ]
+        ~allowed:[ Relax.Lnd; Relax.Pc_ad ];
+      Axis.make_exn ~name:"$x"
+        ~steps:[ step c "p"; step d "mid"; step c "q" ]
+        ~allowed:[ Relax.Sp; Relax.Pc_ad ];
+    |]
+
+(* A document and two or three distinct axes of the pool. *)
+let gen_eval_case =
+  let open QCheck2.Gen in
+  let pool = Array.length (eval_axis_pool ()) in
+  pair gen_relax_doc
+    (let* n = int_range 2 3 in
+     map
+       (fun order -> List.filteri (fun i _ -> i < n) order)
+       (shuffle_l (List.init pool Fun.id)))
+
 let prop_eval_equals_reference =
-  QCheck2.Test.make ~name:"eval = brute-force reference" ~count:100
-    gen_relax_doc (fun doc ->
+  QCheck2.Test.make ~name:"eval = brute-force reference" ~count:150
+    gen_eval_case (fun (doc, picks) ->
       let store = X3_xdb.Store.of_document doc in
-      let axes = relax_axes () and fact_path = [ step d "r" ] in
+      let pool = eval_axis_pool () in
+      let axes = Array.of_list (List.map (fun i -> pool.(i)) picks) in
+      let fact_path = [ step d "r" ] in
       let table = Eval.build_table (small_pool ()) store ~fact_path ~axes in
       decoded_rows table
       = Brute.rows store ~axes (Eval.facts store fact_path))
+
+(* A one-step [//t] fact path reads the tag index; it must select what
+   the twig join selects, nested facts and the root included. *)
+let prop_facts_equal_twig_join =
+  QCheck2.Test.make ~name:"one-step fact path = twig join" ~count:100
+    gen_relax_doc (fun doc ->
+      let store = X3_xdb.Store.of_document doc in
+      List.for_all
+        (fun tag ->
+          let twig = ref [] in
+          X3_xdb.Twig_join.path_solutions store
+            [ { X3_xdb.Twig_join.axis = d; tag } ]
+            (fun s -> twig := s.(Array.length s - 1) :: !twig);
+          Eval.facts store [ step d tag ] = List.sort_uniq Int.compare !twig)
+        [ "db"; "r"; "p"; "q"; "@k"; "#text"; "absent" ])
 
 (* --- columnar view ------------------------------------------------------- *)
 
@@ -692,6 +756,7 @@ let () =
           [
             prop_staged_roundtrip;
             prop_eval_equals_reference;
+            prop_facts_equal_twig_join;
             prop_columnar_equals_rows;
             prop_columnar_extend;
           ] );

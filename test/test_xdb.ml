@@ -460,6 +460,49 @@ let prop_of_string_mixed =
     QCheck2.Gen.(pair gen_mixed_doc (list_size (int_bound 3) gen_mixed_element))
     (fun ((src, _), graft) -> loads_agree ~graft:(List.map snd graft) src)
 
+(* [Store.string_value] returns a lone text node's string as is and
+   concatenates otherwise; both must give the general definition, the
+   concatenation of every descendant text node, which for elements is
+   also [Tree.string_value] of the same element in pre-order. *)
+let prop_string_value_general =
+  QCheck2.Test.make ~name:"string value = concatenated descendant texts"
+    ~count:300 ~print:fst gen_mixed_element (fun (_, root) ->
+      let store = Store.of_document (Tree.document root) in
+      let general v =
+        match Store.kind store v with
+        | Store.Attribute | Store.Text -> Store.text store v
+        | Store.Element ->
+            String.concat ""
+              (List.filter_map
+                 (fun u ->
+                   if Store.kind store u = Store.Text then
+                     Some (Store.text store u)
+                   else None)
+                 (List.init
+                    (Store.subtree_end store v - v)
+                    (fun i -> v + 1 + i)))
+      in
+      let elements =
+        List.rev
+          (Tree.fold
+             (fun acc node ->
+               match node with Tree.Element e -> e :: acc | _ -> acc)
+             [] (Tree.Element root))
+      in
+      let store_elements =
+        List.filter
+          (fun v -> Store.kind store v = Store.Element)
+          (Array.to_list (Store.document_order store))
+      in
+      List.for_all
+        (fun v -> String.equal (Store.string_value store v) (general v))
+        (Array.to_list (Store.document_order store))
+      && List.length elements = List.length store_elements
+      && List.for_all2
+           (fun e v ->
+             String.equal (Tree.string_value e) (Store.string_value store v))
+           elements store_elements)
+
 (* Documents from the workload generators, serialized flat or indented
    (whitespace-only text), with some of their own facts grafted back. *)
 let gen_workload_src =
@@ -526,7 +569,12 @@ let () =
         ] );
       ( "loading",
         qcheck
-          [ prop_dom_sink_exact; prop_of_string_mixed; prop_of_string_workloads ]
+          [
+            prop_dom_sink_exact;
+            prop_of_string_mixed;
+            prop_of_string_workloads;
+            prop_string_value_general;
+          ]
       );
       ( "structural join",
         [
