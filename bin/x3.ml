@@ -22,11 +22,21 @@ module Properties = X3_lattice.Properties
 module Trace = X3_obs.Trace
 module Json = X3_obs.Json
 
+(* A file's bytes; [x3: PATH: REASON] and exit 1 when it cannot be read. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | src -> src
+  | exception Sys_error msg ->
+      (* [open] prefixes the path itself; a failed read does not *)
+      let prefix = path ^ ": " in
+      let reason =
+        if String.starts_with ~prefix msg then
+          String.sub msg (String.length prefix)
+            (String.length msg - String.length prefix)
+        else msg
+      in
+      prerr_endline (Printf.sprintf "x3: %s: %s" path reason);
+      exit 1
 
 let or_die = function
   | Ok v -> v

@@ -241,8 +241,8 @@ type staged_fragment =
 
 (* Evaluate the cube pattern over an ingested fragment alone, without the
    host document. Sound exactly when the fragment subtree is the fact's
-   whole match context: a single-step fact path whose unique match is the
-   fragment root (grouping axes, filters and SP relaxations all evaluate
+   whole match context: a single-step [//t] fact path whose unique match
+   is the fragment root (grouping axes, filters and SP relaxations all evaluate
    strictly below the fact node, so a store of just the fragment sees the
    same bindings the grafted document would). Anything else — multi-step
    fact paths, fact tags nested inside the fragment — is refused with a
@@ -283,8 +283,10 @@ let stage_fragment spec ~fragment ~fact_id =
       in
       match (step.Axis.axis, root_is_fact, nested_facts) with
       | _, false, 0 -> Not_a_fact
-      | Sj.Child, false, _ -> Not_a_fact (* nested tags are not root children *)
-      | Sj.Child, true, _ -> stage ()
+      | Sj.Child, _, _ ->
+          (* [/t] selects the document element; a grafted fragment is one
+             of its children, never the element itself *)
+          Not_a_fact
       | Sj.Descendant, true, 0 -> stage ()
       | Sj.Descendant, _, _ ->
           Unsupported "fact nodes nested inside the fragment")

@@ -130,10 +130,11 @@ val stage_fragment :
   spec -> fragment:X3_xml.Tree.element -> fact_id:int -> staged_fragment
 (** Evaluate the cube pattern over [fragment] alone. Sound exactly when
     the fragment subtree is the fact's whole match context: a single-step
-    fact path whose unique match is the fragment root (grouping axes,
-    WHERE filters and SP relaxations all evaluate strictly below the
-    fact node). The staged rows carry [fact_id]
-    (see {!synthetic_fact_id}). *)
+    [//t] fact path whose unique match is the fragment root (grouping
+    axes, WHERE filters and SP relaxations all evaluate strictly below
+    the fact node). A single-step [/t] path selects only the document
+    element, which a grafted fragment never is, so it is [Not_a_fact].
+    The staged rows carry [fact_id] (see {!synthetic_fact_id}). *)
 
 type delta_fallback =
   | Layout_overflow of string

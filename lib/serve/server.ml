@@ -60,13 +60,16 @@ let default_config address =
 
 let build_version = "0.1.0"
 
-(* One cache holds both granularities: a [Doc] is a prepared query's
-   session (document + witness table + layout, charged at its resident
-   table bytes) and a [View] is one cuboid's cells (charged per group via
-   [Materialized.approx_bytes]). Evicting a document takes its views with
-   it — they reference its dictionaries, and serving them without their
-   session would silently decouple cache content from cache accounting. *)
-type cached = Doc of doc_entry | View of Materialized.t
+(* One cache holds three kinds of entry: a [Doc] is a prepared query's
+   session (witness table + layout, charged at its resident table
+   bytes), a [View] is one cuboid's cells (charged per group via
+   [Materialized.approx_bytes]) and a [Store] is one document's parsed
+   node store (charged at [Store.approx_bytes]), which session misses
+   prepare over. Evicting a document takes its views with it — they
+   reference its dictionaries, and serving them without their session
+   would silently decouple cache content from cache accounting. Evicting
+   a store takes nothing: no entry depends on it. *)
+type cached = Doc of doc_entry | View of Materialized.t | Store of store_entry
 
 and doc_entry = {
   de_key : string;
@@ -76,6 +79,11 @@ and doc_entry = {
   mutable de_views : string list;  (* cache keys of this doc's views *)
   mutable de_wal_lsn : int;
       (* ingest-WAL high-water already folded into this session *)
+}
+
+and store_entry = {
+  se_store : X3_xdb.Store.t;
+  se_wal_lsn : int;  (* every fragment up to this LSN is grafted in *)
 }
 
 (* Per-connection state, registered so shutdown can tell idle
@@ -326,7 +334,7 @@ let create cfg =
             | Some cache ->
                 List.iter (fun vk -> Cuboid_cache.remove cache vk) d.de_views
             | None -> ())
-        | View _ -> ()
+        | View _ | Store _ -> ()
       in
       let m_evict_walk =
         Metrics.histogram registry "serve.latency.cache_evict_walk"
@@ -472,6 +480,7 @@ let session_key ~doc_path ~query =
 
 let view_key skey cid = Printf.sprintf "view:%s:%d" skey cid
 let doc_key skey = "doc:" ^ skey
+let store_key doc_path = "store:" ^ doc_path
 
 exception Reply of Protocol.response
 
@@ -496,12 +505,13 @@ let read_document t doc_path =
   | src -> src
   | exception Sys_error msg -> fail "bad_document" "%s" msg
 
-(* The query-independent half of a session load: scan [src] (the bytes
-   of [doc_path]) straight into a store, with every ingested fragment
-   appended to the root in LSN order — the cold path's view of every
-   durably ingested fact. The store is immutable, so any number of
-   sessions may be prepared over it. *)
-let load_store t ~doc_path src =
+(* The query-independent half of a session load: scan [doc_path]'s bytes
+   straight into a store, with every ingested fragment appended to the
+   root in LSN order — the cold path's view of every durably ingested
+   fact. The store is immutable, so any number of sessions may be
+   prepared over it. *)
+let load_store t ~doc_path =
+  let src = read_document t doc_path in
   let graft =
     match Hashtbl.find_opt t.wal_frags doc_path with
     | Some d -> List.of_seq (Seq.map snd (Queue.to_seq d.frags))
@@ -514,14 +524,8 @@ let load_store t ~doc_path src =
       Metrics.inc t.m_docs_loaded;
       store
 
-(* A session over [store], or over a fresh load of [doc_path] with every
-   durable fragment grafted in. *)
-let load_session ?store t ~doc_path ~spec =
-  let store =
-    match store with
-    | Some store -> store
-    | None -> load_store t ~doc_path (read_document t doc_path)
-  in
+(* A session over [store]. *)
+let prepare_session t store spec =
   let prepared = Engine.prepare ~pool:(make_pool ()) ~store spec in
   let session = Engine.Session.create prepared in
   (* Every session cooperates with drain: once the drain deadline passes,
@@ -532,35 +536,96 @@ let load_session ?store t ~doc_path ~spec =
     (fun () -> Atomic.get t.shutdown_cancel);
   session
 
-(* The resident session for (doc, query): served from the cache when
-   possible, loaded (over [store] when given) and offered to the cache
-   otherwise. Runs under the compute lock. *)
-let acquire_session ?store t ~skey ~doc_path ~query ~spec =
-  let dkey = doc_key skey in
-  let fresh () =
-    let session = load_session ?store t ~doc_path ~spec in
+(* Load [doc_path] with every durable fragment grafted in and offer the
+   store to the cache, replacing any older one. *)
+let fresh_store t ~doc_path =
+  let se =
     {
-      de_key = skey;
-      de_session = session;
-      de_query = query;
-      de_doc_path = doc_path;
-      de_views = [];
-      (* every durable fragment was just grafted into the document *)
-      de_wal_lsn = doc_high_water t.wal_frags doc_path;
+      se_store = load_store t ~doc_path;
+      se_wal_lsn = doc_high_water t.wal_frags doc_path;
     }
   in
+  ignore
+    (Cuboid_cache.insert t.cache ~key:(store_key doc_path)
+       ~bytes:(X3_xdb.Store.approx_bytes se.se_store)
+       (Store se)
+      : bool);
+  se
+
+(* Stage one durable fragment for [session]'s query and fold it into the
+   session's witness table and [views] — the one path both an ingest
+   into a resident session and a session miss over an older store take.
+   [`Refused] leaves the session untouched; its caller rebuilds from a
+   grafted load, which is always exact. *)
+let fold_fragment session ~views ~lsn ~fragment =
+  let spec = Engine.spec_of (Engine.Session.prepared session) in
+  match
+    Engine.stage_fragment spec ~fragment
+      ~fact_id:(Engine.synthetic_fact_id ~lsn)
+  with
+  | Engine.Not_a_fact -> `Skipped
+  | Engine.Unsupported reason -> `Refused (Engine.Fragment_unsupported reason)
+  | Engine.Staged staged -> (
+      match Engine.Session.apply_delta session staged ~views with
+      | Ok (_rows, patched) -> `Folded patched
+      | Error fb -> `Refused fb)
+
+(* A session over the cached store of [doc_path] (loaded and cached on a
+   miss), with every fragment logged after that store was built folded
+   in, oldest first. If the fold refuses one, the document is loaded
+   afresh with every fragment grafted, that store replaces the cached
+   one, and the session is prepared over it instead. *)
+let load_session t ~doc_path ~spec =
+  let se =
+    match Cuboid_cache.find t.cache (store_key doc_path) with
+    | Some (Store se) -> se
+    | Some (Doc _ | View _) | None -> fresh_store t ~doc_path
+  in
+  let session = prepare_session t se.se_store spec in
+  let later =
+    match Hashtbl.find_opt t.wal_frags doc_path with
+    | Some d ->
+        Seq.filter (fun (lsn, _) -> lsn > se.se_wal_lsn) (Queue.to_seq d.frags)
+    | None -> Seq.empty
+  in
+  match
+    Seq.find_map
+      (fun (lsn, fragment) ->
+        match fold_fragment session ~views:[] ~lsn ~fragment with
+        | `Skipped | `Folded _ -> None
+        | `Refused fb -> Some fb)
+      later
+  with
+  | None -> session
+  | Some fb ->
+      Metrics.inc
+        (Metrics.counter t.registry
+           (Metrics.labeled "serve.docs.fold_refused"
+              [ ("reason", Engine.fallback_reason_name fb) ]));
+      prepare_session t (fresh_store t ~doc_path).se_store spec
+
+(* The resident session for (doc, query): served from the cache when
+   possible, loaded and offered to the cache otherwise. Runs under the
+   compute lock. *)
+let acquire_session t ~skey ~doc_path ~query ~spec =
+  let dkey = doc_key skey in
   match Cuboid_cache.find t.cache dkey with
   | Some (Doc d) ->
       Metrics.inc t.m_cache_hits;
       d
-  | Some (View _) ->
-      (* Impossible by key construction; treat as a miss. *)
-      Cuboid_cache.remove t.cache dkey;
+  | Some (View _ | Store _) | None ->
       Metrics.inc t.m_cache_misses;
-      fresh ()
-  | None ->
-      Metrics.inc t.m_cache_misses;
-      let entry = fresh () in
+      let entry =
+        {
+          de_key = skey;
+          de_session = load_session t ~doc_path ~spec;
+          de_query = query;
+          de_doc_path = doc_path;
+          de_views = [];
+          (* every durable fragment was just grafted or folded in *)
+          de_wal_lsn = doc_high_water t.wal_frags doc_path;
+        }
+      in
       let bytes = Engine.Session.table_bytes entry.de_session in
       (* [false] = too big for the whole budget: serve this request from
          the transient session and cache nothing — degraded, not an
@@ -593,7 +658,7 @@ let serve_cuboids t entry =
             Metrics.inc t.m_cuboids_cached;
             incr cached;
             v
-        | Some (Doc _) | None ->
+        | Some (Doc _ | Store _) | None ->
             Metrics.inc t.m_cache_misses;
             (* Nearest finer view first: the most recently obtained views
                are the highest-degree (most relaxed) ones that are still
@@ -718,7 +783,9 @@ let handle_cube t ~rid ~scope ~info ~query ~doc ~algorithm ~format ~no_cache
                         | Some a -> a
                         | None -> fail "bad_algorithm" "unknown algorithm %s" name)
                   in
-                  let session = load_session t ~doc_path ~spec in
+                  let session =
+                    prepare_session t (load_store t ~doc_path) spec
+                  in
                   let deadline =
                     Option.map (fun at -> at -. Unix.gettimeofday ()) deadline_at
                   in
@@ -817,45 +884,35 @@ let rebook_entry t d views =
         then d.de_views <- vk :: d.de_views)
       views
 
-(* Fold one durable fragment into one resident session: stage it against
-   the fragment alone, append to the witness table, patch every cached
-   view cell-by-cell. Runs under the compute lock. *)
+(* Fold one durable fragment into one resident session: append it to
+   the witness table and patch every cached view cell-by-cell. Runs under
+   the compute lock. *)
 let patch_entry t d ~lsn ~fragment =
   if lsn <= d.de_wal_lsn then `Patched 0 (* already folded in *)
   else begin
-    let session = d.de_session in
-    let spec = Engine.spec_of (Engine.Session.prepared session) in
+    let views =
+      List.filter_map
+        (fun vk ->
+          match Cuboid_cache.find t.cache vk with
+          | Some (View v) -> Some (vk, v)
+          | Some (Doc _ | Store _) | None -> None)
+        d.de_views
+    in
     match
-      Engine.stage_fragment spec ~fragment
-        ~fact_id:(Engine.synthetic_fact_id ~lsn)
+      fold_fragment d.de_session ~views:(List.map snd views) ~lsn ~fragment
     with
-    | Engine.Not_a_fact ->
+    | `Skipped ->
         d.de_wal_lsn <- lsn;
         `Patched 0
-    | Engine.Unsupported reason ->
-        ingest_fallback t d "fragment_unsupported" reason;
+    | `Folded patched ->
+        d.de_wal_lsn <- lsn;
+        rebook_entry t d views;
+        `Patched patched
+    | `Refused fb ->
+        ingest_fallback t d
+          (Engine.fallback_reason_name fb)
+          (Format.asprintf "%a" Engine.pp_fallback fb);
         `Fallback
-    | Engine.Staged staged -> (
-        let views =
-          List.filter_map
-            (fun vk ->
-              match Cuboid_cache.find t.cache vk with
-              | Some (View v) -> Some (vk, v)
-              | Some (Doc _) | None -> None)
-            d.de_views
-        in
-        match
-          Engine.Session.apply_delta session staged ~views:(List.map snd views)
-        with
-        | Error fb ->
-            ingest_fallback t d
-              (Engine.fallback_reason_name fb)
-              (Format.asprintf "%a" Engine.pp_fallback fb);
-            `Fallback
-        | Ok (_rows, patched) ->
-            d.de_wal_lsn <- lsn;
-            rebook_entry t d views;
-            `Patched patched)
   end
 
 let handle_ingest t ~doc ~fragment =
@@ -900,7 +957,7 @@ let handle_ingest t ~doc ~fragment =
                   incr sessions;
                   cells := !cells + n
               | `Fallback -> incr fallbacks)
-          | Doc _ | View _ -> ())
+          | Doc _ | View _ | Store _ -> ())
         (Cuboid_cache.snapshot t.cache);
       Metrics.inc ~by:!cells t.m_ingest_cells;
       Protocol.Ingest_ok
@@ -1010,7 +1067,7 @@ let persist_snapshot t =
                     Warm_store.ws_query = d.de_query;
                     ws_doc_path = d.de_doc_path;
                   }
-            | View _ -> None)
+            | View _ | Store _ -> None)
           (locked t.compute_lock (fun () -> Cuboid_cache.snapshot t.cache))
       in
       match Warm_store.save ~path entries with
@@ -1020,13 +1077,12 @@ let persist_snapshot t =
           Printf.eprintf "x3 serve: cache snapshot not saved: %s\n%!" msg)
 
 (* Restore at startup: verify-on-load, then group the snapshot's entries
-   by document. Per group the document is read and parsed once, with
-   every durable WAL fragment grafted in — the cold path's load. Per
-   entry the query is re-compiled, its session prepared over that shared
-   store and offered to the cache, and its cube served into the cache,
-   exactly as a cube request runs; the store is dropped when its group
-   finishes. Nothing is deserialised, so nothing can drift from the
-   bytes on disk. Any failure — checksum, unknown version, missing or
+   by document. Per entry the query is re-compiled and served into the
+   cache exactly as a cube request runs: its session is prepared over the
+   document's cached store, which the group's first entry loads with
+   every durable WAL fragment grafted in — the cold path's load — and
+   later entries share. Nothing is deserialised, so nothing can drift
+   from the bytes on disk. Any failure — checksum, unknown version, missing or
    unreadable document, a query that no longer compiles — is a cold
    start for that entry (or the whole cache), never an error. Each
    fallback records {e why} on a per-reason counter
@@ -1059,14 +1115,6 @@ let group_by_doc entries =
     !order
 
 let restore_group t (doc_path, queries) =
-  (* Forced by the first entry whose query compiles; a failure is
-     memoized by [Lazy] and re-raised for every later entry. *)
-  let store =
-    lazy
-      (try load_store t ~doc_path (read_document t doc_path)
-       with Reply (Protocol.Failed { message; _ }) ->
-         restore_fail "doc_load_failed" "%s" message)
-  in
   List.iter
     (fun query ->
       let skey = session_key ~doc_path ~query in
@@ -1076,10 +1124,7 @@ let restore_group t (doc_path, queries) =
           | Ok c -> c.X3_ql.Compile.spec
           | Error msg -> restore_fail "recompile_failed" "%s" msg
         in
-        let entry =
-          acquire_session ~store:(Lazy.force store) t ~skey ~doc_path ~query
-            ~spec
-        in
+        let entry = acquire_session t ~skey ~doc_path ~query ~spec in
         if Cuboid_cache.mem t.cache (doc_key skey) then begin
           Metrics.inc t.m_restored_docs;
           ignore (serve_cuboids t entry);
@@ -1093,6 +1138,8 @@ let restore_group t (doc_path, queries) =
           note_restore_failure t ~what:doc_path
             (match e with
             | Restore_failure (reason, detail) -> (reason, detail)
+            | Reply (Protocol.Failed { message; _ }) ->
+                ("doc_load_failed", message)
             | e -> ("doc_load_failed", Printexc.to_string e)))
     queries
 

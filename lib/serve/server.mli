@@ -1,8 +1,8 @@
 (** The resident [x3 serve] daemon.
 
-    A long-lived process keeping prepared queries (document, witness
-    table, columnar layout) and computed cuboid views in a byte-budgeted
-    LRU cache ({!Cuboid_cache}) charged to a dedicated
+    A long-lived process keeping parsed documents, prepared queries
+    (witness table, columnar layout) and computed cuboid views in a
+    byte-budgeted LRU cache ({!Cuboid_cache}) charged to a dedicated
     {!X3_core.Governor} account. A requested cuboid is answered, in
     order of preference: directly from the cache; by rolling up a
     cached/finer materialised view when the observed coverage properties
@@ -32,7 +32,8 @@ type address = Unix_sock of string | Tcp of string * int
 
 type config = {
   address : address;
-  cache_bytes : int;  (** LRU budget for documents + cuboid views *)
+  cache_bytes : int;
+      (** LRU budget for document stores, sessions and cuboid views *)
   max_in_flight : int;  (** admission door width *)
   max_waiting : int;
   admission_timeout : float option;  (** [None] = wait forever *)
@@ -55,7 +56,9 @@ type config = {
           ({!X3_storage.Wal}); [None] disables the [ingest] verb. On
           startup the log is recovered (torn tail truncated) and its
           fragments are grafted into every later document load, so an
-          ingest survives any crash after its [Ingest_ok]. *)
+          ingest survives any crash after its [Ingest_ok]. A session
+          prepared over a cached store folds in the fragments logged
+          after the store was built instead. *)
   fault : Net_fault.t option;
       (** deterministic socket-fault plan installed on every accepted
           connection's reads/writes and on accept itself — tests only *)
@@ -95,10 +98,10 @@ val create : config -> (t, string) result
 (** Bind and listen (unlinking a stale unix-socket path); [Error] on
     bind/listen failure. SIGPIPE is ignored process-wide — a client
     dying mid-response must not kill the daemon. With [snapshot_path]
-    set, attempts a warm restore before returning: every document the
-    snapshot lists is parsed once, with every durable ingest grafted in,
-    and each of its queries is prepared over that store and served into
-    the cache as a cube request would be; anything that fails
+    set, attempts a warm restore before returning: each query the
+    snapshot lists is served into the cache as a cube request would be,
+    its session prepared over its document's cached store, which is
+    parsed once, with every durable ingest grafted in; anything that fails
     cold-starts with a note to stderr. *)
 
 val registry : t -> X3_obs.Metrics.t

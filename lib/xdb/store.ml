@@ -374,6 +374,27 @@ let rec gallop index node lo step =
 
 let first_after index node ~from = gallop index node from 1
 
+(* Words, headers included, of what the store holds: one block per
+   column and per tag's index, every non-empty text, the tag names and
+   the tag table's buckets and cells. Element texts share one static
+   [""], which costs nothing. *)
+let approx_bytes t =
+  let block len = len + 1 in
+  let str s = if s = "" then 0 else block ((String.length s / 8) + 1) in
+  let n = node_count t and tags = Array.length t.tag_names in
+  let texts = Array.fold_left (fun acc s -> acc + str s) 0 t.texts in
+  let names = Array.fold_left (fun acc s -> acc + str s) 0 t.tag_names in
+  let words =
+    block 9 (* the record *)
+    + (6 * block n) + texts
+    + block tags + names
+    + block 4 (* the table's record *)
+    + block (Hashtbl.stats t.tag_table).Hashtbl.num_buckets
+    + (tags * block 3)
+    + block tags + n + tags (* the index's spine and its arrays *)
+  in
+  words * (Sys.word_size / 8)
+
 let pp_summary ppf t =
   let elements = ref 0 and attributes = ref 0 and texts = ref 0 in
   Array.iter

@@ -93,4 +93,9 @@ val first_after : node array -> node -> from:int -> int
     subtree start at [first_after index v ~from:0] and run while
     [<= subtree_end v]. *)
 
+val approx_bytes : t -> int
+(** Resident bytes of the store's columns, texts, tag dictionary and tag
+    index, from their lengths — what a cache charges for keeping the
+    store loaded. Within a few percent of [Obj.reachable_words]. *)
+
 val pp_summary : Format.formatter -> t -> unit

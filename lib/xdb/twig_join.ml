@@ -29,18 +29,13 @@ let path_solutions store path emit =
       let streams =
         Array.map (fun s -> Store.nodes_with_tag store s.tag) steps
       in
-      (* A Child first step means "child of the store root". *)
-      let streams =
-        Array.mapi
-          (fun i nodes ->
-            if i = 0 && steps.(0).axis = Structural_join.Child then
-              Array.of_seq
-                (Seq.filter
-                   (fun n -> Store.level store n = 1)
-                   (Array.to_seq nodes))
-            else nodes)
-          streams
-      in
+      (* A Child first step matches the document element, as XPath's
+         [/a] does: the store root, when it has the step's tag. *)
+      if steps.(0).axis = Structural_join.Child then
+        streams.(0) <-
+          (if Array.length streams.(0) > 0 && streams.(0).(0) = Store.root store
+           then [| Store.root store |]
+           else [||]);
       let cursors = Array.make k 0 in
       let stacks = Array.init k (fun _ -> stack_create ()) in
       let exhausted i = cursors.(i) >= Array.length streams.(i) in
@@ -132,7 +127,7 @@ let naive_path_solutions store path =
   | first :: rest ->
       let roots =
         match first.axis with
-        | Structural_join.Child -> Store.children store (Store.root store)
+        | Structural_join.Child -> [ Store.root store ]
         | Structural_join.Descendant ->
             Array.to_list (Store.document_order store)
       in

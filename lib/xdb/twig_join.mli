@@ -9,8 +9,9 @@
 type step = { axis : Structural_join.axis; tag : string }
 
 type path = step list
-(** First step's axis is interpreted from the document root: [Descendant]
-    for [//a], [Child] for [/a]. Must be non-empty. *)
+(** First step's axis is interpreted from the document, as in XPath:
+    [Descendant] for [//a] (any [a] node), [Child] for [/a] (the document
+    element, when it is an [a]). Must be non-empty. *)
 
 val path_solutions :
   Store.t -> path -> (Store.node array -> unit) -> unit

@@ -2338,7 +2338,7 @@ let test_stage_fragment_classification () =
    with
   | Engine.Not_a_fact -> ()
   | _ -> Alcotest.fail "a non-fact fragment must classify Not_a_fact");
-  match
+  (match
     Engine.stage_fragment spec
       ~fragment:
         (frag_of_source
@@ -2350,7 +2350,25 @@ let test_stage_fragment_classification () =
   | Engine.Unsupported _ -> ()
   | _ ->
       Alcotest.fail
-        "a fragment nesting further facts must be refused (descendant path)"
+        "a fragment nesting further facts must be refused (descendant path)");
+  (* [/publication] selects the document element, which a grafted
+     fragment never is; [/database/publication] names the fragment, but
+     a fragment alone cannot prove its parent. *)
+  let pub = frag_of_source {|<publication id="8"><year>2003</year></publication>|} in
+  let absolute steps =
+    Engine.count_spec
+      ~fact_path:(List.map (fun tag -> step X3_xdb.Structural_join.Child tag) steps)
+      ~axes:(query1_axes ())
+  in
+  (match Engine.stage_fragment (absolute [ "publication" ]) ~fragment:pub ~fact_id:1 with
+  | Engine.Not_a_fact -> ()
+  | _ -> Alcotest.fail "a fragment is never the document element");
+  match
+    Engine.stage_fragment (absolute [ "database"; "publication" ]) ~fragment:pub
+      ~fact_id:1
+  with
+  | Engine.Unsupported _ -> ()
+  | _ -> Alcotest.fail "a multi-step fact path must be refused"
 
 (* --- views equal NAIVE's cuboids ------------------------------------------ *)
 

@@ -78,13 +78,15 @@ let metric_value stats name =
       | None -> None)
   | None -> None
 
-let stats_metric conn name =
+let stats_doc conn =
   match Server.Client.request conn Protocol.Stats with
-  | Ok (Protocol.Stats_ok doc) -> (
-      match metric_value doc name with
-      | Some v -> v
-      | None -> Alcotest.failf "stats document missing %s" name)
+  | Ok (Protocol.Stats_ok doc) -> doc
   | Ok _ | Error _ -> Alcotest.fail "STATS verb failed"
+
+let stats_metric conn name =
+  match metric_value (stats_doc conn) name with
+  | Some v -> v
+  | None -> Alcotest.failf "stats document missing %s" name
 
 (* --- data on disk -------------------------------------------------------- *)
 
@@ -123,34 +125,59 @@ let treebank_query =
 X^3 $s by $d1 (LND, PC-AD), $d2 (LND, PC-AD), $d3 (LND)
 return COUNT($s).|}
 
-(* The reference: a cold, cache-free, in-process [Engine.run] over the
-   same query text the daemon compiles. *)
-let cold_export ~doc_path ~query =
-  let compiled =
-    match Compile.parse_and_compile query with
-    | Ok c -> c
-    | Error msg -> Alcotest.failf "compile: %s" msg
-  in
+let compile_exn query =
+  match Compile.parse_and_compile query with
+  | Ok c -> c
+  | Error msg -> Alcotest.failf "compile: %s" msg
+
+let parse_fragment_exn src =
+  match X3_xml.Parser.parse src with
+  | Ok d -> d.X3_xml.Tree.root
+  | Error e -> Alcotest.failf "fragment: %a" X3_xml.Parser.pp_error e
+
+let make_pool () =
+  X3_storage.Buffer_pool.create ~capacity_pages:65536
+    (X3_storage.Disk.in_memory ~page_size:8192 ())
+
+(* The document at [doc_path] with [fragments] appended to its root in
+   order — what a daemon whose WAL holds them must answer over. *)
+let grafted_store ~doc_path fragments =
   let doc =
     match X3_xml.Parser.parse_file_with_dtd doc_path with
     | Ok (doc, _dtd) -> doc
     | Error e -> Alcotest.failf "parse: %a" X3_xml.Parser.pp_error e
   in
-  let pool =
-    X3_storage.Buffer_pool.create ~capacity_pages:65536
-      (X3_storage.Disk.in_memory ~page_size:8192 ())
-  in
-  let store = X3_xdb.Store.of_document doc in
-  let prepared = Engine.prepare ~pool ~store compiled.Compile.spec in
+  let root = doc.X3_xml.Tree.root in
+  X3_xdb.Store.of_document
+    {
+      doc with
+      X3_xml.Tree.root =
+        {
+          root with
+          X3_xml.Tree.children =
+            root.X3_xml.Tree.children
+            @ List.map
+                (fun f -> X3_xml.Tree.Element (parse_fragment_exn f))
+                fragments;
+        };
+    }
+
+(* The reference: a cold, cache-free, in-process [Engine.run] over the
+   same query text the daemon compiles, on the document with [fragments]
+   grafted in. *)
+let cold_export ?(fragments = []) ~doc_path ~query () =
+  let spec = (compile_exn query).Compile.spec in
+  let store = grafted_store ~doc_path fragments in
+  let prepared = Engine.prepare ~pool:(make_pool ()) ~store spec in
   let result, _instr = Engine.run prepared Engine.Counter in
-  Export.csv_string ~func:compiled.Compile.spec.Engine.func result
+  Export.csv_string ~func:spec.Engine.func result
 
 (* --- byte identity under concurrency ------------------------------------- *)
 
 let test_concurrent_byte_identity () =
   with_figure1 @@ fun doc_path ->
   with_server @@ fun h ->
-  let expected = cold_export ~doc_path ~query:figure1_query in
+  let expected = cold_export ~doc_path ~query:figure1_query () in
   let n_clients = 4 and per_client = 2 in
   let payloads = Array.make (n_clients * per_client) "" in
   let errors = ref [] in
@@ -209,11 +236,7 @@ let refusals_of_first_request ~doc_path query =
   with_server @@ fun h ->
   with_client h @@ fun conn ->
   let _, prov = cube_exn conn ~doc:doc_path query in
-  let stats =
-    match Server.Client.request conn Protocol.Stats with
-    | Ok (Protocol.Stats_ok doc) -> doc
-    | Ok _ | Error _ -> Alcotest.fail "STATS verb failed"
-  in
+  let stats = stats_doc conn in
   let refused reason =
     metric_value stats
       (X3_obs.Metrics.labeled "serve.cuboids.rollup_refused"
@@ -256,7 +279,7 @@ let test_rollup_matches_base_treebank () =
   with_treebank @@ fun doc_path ->
   with_server @@ fun h ->
   with_client h @@ fun conn ->
-  let expected = cold_export ~doc_path ~query:treebank_query in
+  let expected = cold_export ~doc_path ~query:treebank_query () in
   let warm, prov = cube_exn conn ~doc:doc_path treebank_query in
   Alcotest.(check string)
     "uncovered/non-disjoint treebank served byte-identical" expected warm;
@@ -278,7 +301,7 @@ let test_eviction_stays_within_budget () =
   with_server ~tune:(fun c -> { c with Server.cache_bytes = budget })
   @@ fun h ->
   with_client h @@ fun conn ->
-  let expected = cold_export ~doc_path ~query:figure1_query in
+  let expected = cold_export ~doc_path ~query:figure1_query () in
   for i = 1 to 3 do
     let payload, _ = cube_exn conn ~doc:doc_path figure1_query in
     Alcotest.(check string)
@@ -335,7 +358,7 @@ let test_dead_client_does_not_wedge () =
       | Ok Protocol.Pong -> ()
       | Ok _ | Error _ -> Alcotest.fail "daemon wedged after dead clients");
   (* And still serve full cube requests, byte-identically. *)
-  let expected = cold_export ~doc_path ~query:figure1_query in
+  let expected = cold_export ~doc_path ~query:figure1_query () in
   with_client h (fun conn ->
       let payload, _ = cube_exn conn ~doc:doc_path figure1_query in
       Alcotest.(check string) "cube after dead clients" expected payload)
@@ -505,6 +528,350 @@ let test_ingest_rejects_bad_fragment () =
      next good ingest still gets the first sequence number. *)
   let lsn, _, _, _ = ingest_exn conn ~doc:doc_path pub_fragment in
   Alcotest.(check int) "log untouched by refusal" 1 lsn
+
+(* --- resident stores: session misses fold the WAL tail ------------------- *)
+
+let figure1_queries =
+  [
+    figure1_query;
+    {|for $b in doc("book.xml")//publication,
+    $n in $b/author/name,
+    $y in $b/year
+X^3 $b/@id by $n (LND), $y (LND)
+return COUNT($b).|};
+    {|for $b in doc("book.xml")//publication,
+    $p in $b//publisher/@id
+X^3 $b/@id by $p (LND, PC-AD)
+return COUNT($b).|};
+  ]
+
+let treebank_queries =
+  [
+    treebank_query;
+    {|for $s in doc("bank.xml")//s,
+    $d1 in $s/w1/d1,
+    $d3 in $s/w3/d3
+X^3 $s by $d1 (LND, PC-AD), $d3 (LND)
+return COUNT($s).|};
+    {|for $s in doc("bank.xml")//s,
+    $d2 in $s/w2/d2
+X^3 $s by $d2 (LND, PC-AD)
+return COUNT($s).|};
+  ]
+
+(* [n] facts of [with_treebank]'s document, each under a fresh id: their
+   axis values are already in every dictionary. *)
+let treebank_clones n =
+  let doc = X3_workload.Treebank.generate treebank_config in
+  let facts =
+    Array.of_list (X3_xml.Tree.child_elements doc.X3_xml.Tree.root)
+  in
+  List.init n (fun i ->
+      let e = facts.(i * 7 mod Array.length facts) in
+      X3_xml.Serialize.node_to_string
+        (X3_xml.Tree.Element
+           {
+             e with
+             X3_xml.Tree.attributes =
+               [
+                 {
+                   X3_xml.Tree.attr_name = "id";
+                   attr_value = string_of_int (1000 + i);
+                 };
+               ];
+           }))
+
+let fold_refused conn reason =
+  metric_value (stats_doc conn)
+    (X3_obs.Metrics.labeled "serve.docs.fold_refused" [ ("reason", reason) ])
+  |> Option.value ~default:0
+
+(* Ingests and cube requests over two documents and six queries, in a
+   seeded random order, under a cache too small to keep every session:
+   whatever mix of resident patches, misses folded over a cached store
+   and reloads answers a request, it equals a cold export over the
+   document with every logged fragment grafted. *)
+let test_random_ingests_match_cold_graft () =
+  with_figure1 @@ fun fig_path ->
+  with_treebank @@ fun tb_path ->
+  let docs =
+    [|
+      ( fig_path,
+        Array.of_list figure1_queries,
+        [| pub_fragment; zoe_fragment |] );
+      ( tb_path,
+        Array.of_list treebank_queries,
+        Array.of_list (treebank_clones 12) );
+    |]
+  in
+  List.iter
+    (fun seed ->
+      with_wal @@ fun wal ->
+      with_server
+        ~tune:(fun c ->
+          { c with Server.wal_path = Some wal; cache_bytes = 160 * 1024 })
+      @@ fun h ->
+      with_client h @@ fun conn ->
+      let rng = Random.State.make [| seed |] in
+      let logged = Array.make (Array.length docs) [] in
+      let misses = ref 0 in
+      for op = 1 to 60 do
+        let d = Random.State.int rng (Array.length docs) in
+        let doc_path, queries, fragments = docs.(d) in
+        if Random.State.int rng 3 = 0 then begin
+          let fragment =
+            fragments.(Random.State.int rng (Array.length fragments))
+          in
+          ignore (ingest_exn conn ~doc:doc_path fragment);
+          logged.(d) <- fragment :: logged.(d)
+        end
+        else begin
+          let query = queries.(Random.State.int rng (Array.length queries)) in
+          let got, prov = cube_exn conn ~doc:doc_path query in
+          if prov.Protocol.p_cached = 0 then incr misses;
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d op %d == cold graft" seed op)
+            (cold_export ~fragments:(List.rev logged.(d)) ~doc_path ~query ())
+            got
+        end
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: the budget evicted" seed)
+        true
+        (stats_metric conn "serve.cache.evictions" > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: misses shared stores" seed)
+        true
+        (stats_metric conn "serve.docs.loaded" < !misses))
+    [ 1; 2; 3 ]
+
+(* With the stores resident, every session miss prepares over its
+   document's one store and folds in what was logged since: each
+   document is loaded once, whatever the ingests. *)
+let test_store_loaded_once_while_resident () =
+  with_figure1 @@ fun fig_path ->
+  with_treebank @@ fun tb_path ->
+  with_wal @@ fun wal ->
+  with_server ~tune:(fun c -> { c with Server.wal_path = Some wal })
+  @@ fun h ->
+  with_client h @@ fun conn ->
+  let clones = Array.of_list (treebank_clones 6) in
+  let run ~doc_path ~queries ~fragment =
+    let logged = ref [] in
+    List.iteri
+      (fun i query ->
+        for _ = 0 to i do
+          let f = fragment i in
+          ignore (ingest_exn conn ~doc:doc_path f);
+          logged := f :: !logged
+        done;
+        let got, prov = cube_exn conn ~doc:doc_path query in
+        Alcotest.(check int) "a session miss" 0 prov.Protocol.p_cached;
+        Alcotest.(check string) "folded miss == cold graft"
+          (cold_export ~fragments:(List.rev !logged) ~doc_path ~query ())
+          got)
+      queries
+  in
+  run ~doc_path:fig_path ~queries:figure1_queries ~fragment:(fun _ ->
+      pub_fragment);
+  run ~doc_path:tb_path ~queries:treebank_queries ~fragment:(fun i ->
+      clones.(i));
+  Alcotest.(check int) "one load per document" 2
+    (stats_metric conn "serve.docs.loaded");
+  List.iter
+    (fun reason ->
+      Alcotest.(check int) ("no " ^ reason ^ " refusal") 0
+        (fold_refused conn reason))
+    [ "layout_overflow"; "measure_unsupported"; "fragment_unsupported" ]
+
+let figure1_sum_query =
+  {|for $b in doc("book.xml")//publication,
+    $n in $b/author/name
+X^3 $b/@id by $n (LND)
+return SUM($b/year).|}
+
+(* A fact nested inside the fragment's fact: staging it alone cannot
+   prove it sees the grafted document's bindings. *)
+let nested_fragment =
+  {|<publication id="92"><publication id="93"><year>2003</year></publication><year>2004</year></publication>|}
+
+(* A session miss whose fold is refused loads the document afresh with
+   every fragment grafted, counts the refusal by reason, and replaces
+   the cached store: the next miss over that document folds nothing and
+   loads nothing. *)
+let test_fold_refusal_reloads () =
+  let case ~reason ~query ~fragment =
+    with_figure1 @@ fun doc_path ->
+    with_wal @@ fun wal ->
+    with_server ~tune:(fun c -> { c with Server.wal_path = Some wal })
+    @@ fun h ->
+    with_client h @@ fun conn ->
+    let _ = cube_exn conn ~doc:doc_path query in
+    (* the resident session refuses the patch too, and is flushed *)
+    let _, _, _, fallbacks = ingest_exn conn ~doc:doc_path fragment in
+    Alcotest.(check int) (reason ^ ": resident session flushed") 1 fallbacks;
+    let got, _ = cube_exn conn ~doc:doc_path query in
+    Alcotest.(check string) (reason ^ ": reload == cold graft")
+      (cold_export ~fragments:[ fragment ] ~doc_path ~query ())
+      got;
+    Alcotest.(check int) (reason ^ ": counted") 1 (fold_refused conn reason);
+    Alcotest.(check int) (reason ^ ": reloaded") 2
+      (stats_metric conn "serve.docs.loaded");
+    let other = List.nth figure1_queries 1 in
+    let got, _ = cube_exn conn ~doc:doc_path other in
+    Alcotest.(check string) (reason ^ ": next miss == cold graft")
+      (cold_export ~fragments:[ fragment ] ~doc_path ~query:other ())
+      got;
+    Alcotest.(check int) (reason ^ ": the new store is shared") 2
+      (stats_metric conn "serve.docs.loaded")
+  in
+  case ~reason:"measure_unsupported" ~query:figure1_sum_query
+    ~fragment:pub_fragment;
+  case ~reason:"layout_overflow" ~query:figure1_query ~fragment:zoe_fragment;
+  case ~reason:"fragment_unsupported" ~query:figure1_query
+    ~fragment:nested_fragment
+
+(* An absolute fact path names the document element's children by name:
+   [/bank/s] answers as [//s] does, before and after an ingest (which a
+   multi-step fact path cannot fold, so its miss reloads). *)
+let test_absolute_fact_path_ingest () =
+  with_treebank @@ fun doc_path ->
+  with_wal @@ fun wal ->
+  with_server ~tune:(fun c -> { c with Server.wal_path = Some wal })
+  @@ fun h ->
+  with_client h @@ fun conn ->
+  let absolute =
+    {|for $s in doc("bank.xml")/bank/s,
+    $d1 in $s/w1/d1,
+    $d2 in $s/w2/d2,
+    $d3 in $s/w3/d3
+X^3 $s by $d1 (LND, PC-AD), $d2 (LND, PC-AD), $d3 (LND)
+return COUNT($s).|}
+  in
+  let same label =
+    let want, _ = cube_exn ~no_cache:true conn ~doc:doc_path treebank_query in
+    let got, _ = cube_exn conn ~doc:doc_path absolute in
+    Alcotest.(check string) label want got
+  in
+  same "/bank/s == //s";
+  let fragment = List.hd (treebank_clones 1) in
+  ignore (ingest_exn conn ~doc:doc_path fragment);
+  same "/bank/s == //s after an ingest";
+  Alcotest.(check string) "/bank/s == cold graft"
+    (cold_export ~fragments:[ fragment ] ~doc_path ~query:absolute ())
+    (fst (cube_exn conn ~doc:doc_path absolute))
+
+(* The fold refreshes a session's observed properties by restriction: a
+   session over the bare document with fragments folded in must refuse
+   every roll-up a session over the cold-grafted document refuses. The
+   fragments break what the bare document has: a repeated value (not
+   disjoint), missing axes and a nested binding (not covered). *)
+let test_folded_session_admits_no_extra_rollup () =
+  let config =
+    { treebank_config with X3_workload.Treebank.coverage = true; disjoint = true; num_trees = 60 }
+  in
+  let doc = X3_workload.Treebank.generate config in
+  write_temp_doc ~prefix:"x3bank" (X3_xml.Serialize.to_string doc)
+  @@ fun doc_path ->
+  let fragments =
+    [
+      {|<s id="900"><w1><d1>v1</d1><d1>v2</d1></w1><w2><d2>v3</d2></w2><w3><d3>v4</d3></w3></s>|};
+      {|<s id="901"><w1><d1>v1</d1></w1></s>|};
+      {|<s id="902"><w1><nx><d1>v5</d1></nx></w1><w2><d2>v3</d2></w2><w3><d3>v4</d3></w3></s>|};
+    ]
+  in
+  let spec = (compile_exn treebank_query).Compile.spec in
+  let session store =
+    Engine.Session.create (Engine.prepare ~pool:(make_pool ()) ~store spec)
+  in
+  let bare = session (grafted_store ~doc_path []) in
+  let folded = session (grafted_store ~doc_path []) in
+  List.iteri
+    (fun i f ->
+      let lsn = i + 1 in
+      match
+        Engine.stage_fragment spec ~fragment:(parse_fragment_exn f)
+          ~fact_id:(Engine.synthetic_fact_id ~lsn)
+      with
+      | Engine.Staged staged -> (
+          match Engine.Session.apply_delta folded staged ~views:[] with
+          | Ok _ -> ()
+          | Error fb -> Alcotest.failf "fold refused: %a" Engine.pp_fallback fb)
+      | Engine.Not_a_fact | Engine.Unsupported _ ->
+          Alcotest.fail "fragment not staged")
+    fragments;
+  let cold = session (grafted_store ~doc_path fragments) in
+  let lattice = Engine.lattice (Engine.Session.prepared cold) in
+  let n = X3_lattice.Lattice.size lattice in
+  let refuses s ~finer ~coarser =
+    X3_lattice.Properties.rollup_refusal (Engine.Session.props s) lattice
+      ~finer ~coarser
+    <> None
+  in
+  let newly_refused = ref 0 in
+  for finer = 0 to n - 1 do
+    for coarser = 0 to n - 1 do
+      if refuses cold ~finer ~coarser then begin
+        if not (refuses folded ~finer ~coarser) then
+          Alcotest.failf "folded session admits %d -> %d, cold refuses it"
+            finer coarser;
+        if not (refuses bare ~finer ~coarser) then incr newly_refused
+      end
+    done
+  done;
+  Alcotest.(check bool) "the fragments take roll-ups away" true
+    (!newly_refused > 0)
+
+(* The cold reference stays cold: each [no_cache] request loads its own
+   store and reads or writes no cache entry. *)
+let test_no_cache_touches_no_entry () =
+  with_figure1 @@ fun doc_path ->
+  let snap = Filename.temp_file "x3snap" ".bin" in
+  Sys.remove snap;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+  @@ fun () ->
+  let a = List.nth figure1_queries 0 and b = List.nth figure1_queries 1 in
+  let h =
+    start_server ~tune:(fun c -> { c with Server.snapshot_path = Some snap }) ()
+  in
+  Fun.protect ~finally:(fun () -> stop_server h) (fun () ->
+      with_client h @@ fun conn ->
+      ignore (cube_exn conn ~doc:doc_path a);
+      ignore (cube_exn conn ~doc:doc_path b);
+      let cache_state () =
+        List.map
+          (fun m -> (m, stats_metric conn m))
+          [
+            "serve.cache.entries";
+            "serve.cache.resident_bytes";
+            "serve.cache.hits";
+            "serve.cache.misses";
+            "serve.cache.evictions";
+          ]
+      in
+      let before = cache_state () in
+      List.iteri
+        (fun i query ->
+          let loaded = stats_metric conn "serve.docs.loaded" in
+          let got, _ = cube_exn ~no_cache:true conn ~doc:doc_path query in
+          Alcotest.(check string) "no_cache == cold"
+            (cold_export ~doc_path ~query ())
+            got;
+          Alcotest.(check int)
+            (Printf.sprintf "no_cache request %d loads its own store" i)
+            (loaded + 1)
+            (stats_metric conn "serve.docs.loaded"))
+        (a :: figure1_queries);
+      Alcotest.(check (list (pair string int)))
+        "no cache entry read or written" before (cache_state ()));
+  (* The drained snapshot lists the sessions in the recency order the
+     two cached requests left: no_cache bumped neither. *)
+  match X3_serve.Warm_store.load ~path:snap with
+  | Ok entries ->
+      Alcotest.(check (list string)) "LRU order untouched" [ a; b ]
+        (List.map (fun e -> e.X3_serve.Warm_store.ws_query) entries)
+  | Error msg -> Alcotest.failf "snapshot load: %s" msg
 
 (* --- request-scoped observability ---------------------------------------- *)
 
@@ -820,5 +1187,20 @@ let () =
             test_ingest_fallback_flushes_session;
           Alcotest.test_case "malformed fragments never reach the log" `Quick
             test_ingest_rejects_bad_fragment;
+        ] );
+      ( "stores",
+        [
+          Alcotest.test_case "random ingests and misses == cold graft"
+            `Quick test_random_ingests_match_cold_graft;
+          Alcotest.test_case "a resident store is loaded once" `Quick
+            test_store_loaded_once_while_resident;
+          Alcotest.test_case "a refused fold reloads the document" `Quick
+            test_fold_refusal_reloads;
+          Alcotest.test_case "absolute fact paths take ingests exactly"
+            `Quick test_absolute_fact_path_ingest;
+          Alcotest.test_case "a folded session admits no extra rollup"
+            `Quick test_folded_session_admits_no_extra_rollup;
+          Alcotest.test_case "no_cache touches no cache entry" `Quick
+            test_no_cache_touches_no_entry;
         ] );
     ]

@@ -215,6 +215,66 @@ let test_pathstack_vs_naive () =
         (List.sort compare !fast))
     paths
 
+(* An absolute path starts at the document element, as XPath's does:
+   on a [bank]-rooted treebank [/bank/s] is every [s] that [//s] names,
+   and [/s] names nothing, since [s] is not the document element. *)
+let test_pathstack_absolute () =
+  let bank =
+    Store.of_document
+      (X3_workload.Treebank.generate
+         { X3_workload.Treebank.default with num_trees = 30 })
+  in
+  let lasts path =
+    let acc = ref [] in
+    Twig_join.path_solutions bank path (fun s ->
+        acc := s.(Array.length s - 1) :: !acc);
+    List.sort_uniq compare !acc
+  in
+  let naive_lasts path =
+    List.sort_uniq compare
+      (List.map
+         (fun s -> s.(Array.length s - 1))
+         (Twig_join.naive_path_solutions bank path))
+  in
+  let all_s = Array.to_list (Store.nodes_with_tag bank "s") in
+  let absolute =
+    [ { Twig_join.axis = c; tag = "bank" }; { axis = c; tag = "s" } ]
+  in
+  let misplaced = [ { Twig_join.axis = c; tag = "s" } ] in
+  Alcotest.(check int) "the treebank has facts" 30 (List.length all_s);
+  Alcotest.(check (list int)) "/bank/s = //s" all_s (lasts absolute);
+  Alcotest.(check (list int))
+    "naive /bank/s = //s" all_s (naive_lasts absolute);
+  Alcotest.(check (list int)) "/s selects nothing" [] (lasts misplaced);
+  Alcotest.(check (list int))
+    "naive /s selects nothing" [] (naive_lasts misplaced);
+  Alcotest.(check (list int))
+    "/bank is the root" [ Store.root bank ]
+    (lasts [ { Twig_join.axis = c; tag = "bank" } ])
+
+(* [approx_bytes] is what the serve cache charges for a resident store:
+   it must track the heap the store really holds. *)
+let test_approx_bytes_tracks_heap () =
+  let check name doc =
+    match Store.of_string (Serialize.to_string doc) with
+    | Error e -> Alcotest.failf "%s: %a" name Parser.pp_error e
+    | Ok st ->
+        let heap = Obj.reachable_words (Obj.repr st) * (Sys.word_size / 8) in
+        let approx = Store.approx_bytes st in
+        let err =
+          Float.abs (float_of_int (approx - heap)) /. float_of_int heap
+        in
+        if err > 0.10 then
+          Alcotest.failf "%s: approx_bytes %d vs reachable %d bytes (%.1f%%)"
+            name approx heap (100. *. err)
+  in
+  check "treebank"
+    (X3_workload.Treebank.generate
+       { X3_workload.Treebank.default with num_trees = 2000 });
+  check "dblp"
+    (X3_workload.Dblp.generate
+       { X3_workload.Dblp.seed = 7; num_articles = 2000 })
+
 (* --- property tests over random trees --------------------------------- *)
 
 let gen_store =
@@ -566,6 +626,8 @@ let () =
           Alcotest.test_case "forest" `Quick test_store_forest;
           Alcotest.test_case "of_file = parse_file_with_dtd" `Quick
             test_of_file_matches;
+          Alcotest.test_case "approx_bytes tracks the heap" `Quick
+            test_approx_bytes_tracks_heap;
         ] );
       ( "loading",
         qcheck
@@ -590,6 +652,8 @@ let () =
           Alcotest.test_case "pathstack three steps" `Quick
             test_pathstack_three_steps;
           Alcotest.test_case "pathstack vs naive" `Quick test_pathstack_vs_naive;
+          Alcotest.test_case "absolute paths start at the document element"
+            `Quick test_pathstack_absolute;
         ] );
       ( "properties",
         qcheck
