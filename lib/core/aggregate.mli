@@ -35,4 +35,12 @@ val equal_value : func -> cell -> cell -> bool
 (** Compare the answers of two cells under [func] with a small relative
     tolerance for float accumulation order. *)
 
+val float_repr : float -> string
+(** The spelling every printer (CSV, JSON, table, pivot) gives a value:
+    an integral value below 1e15 as an integer ([-0] for negative zero),
+    any other finite value in the first of [%.15g], [%.16g] and [%.17g]
+    that reads back to the same bits, [nan] and the infinities as [%g]
+    prints them. *)
+
 val pp : func -> Format.formatter -> cell -> unit
+(** [FUNC=value], the value as {!float_repr} spells it. *)

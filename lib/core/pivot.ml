@@ -106,10 +106,7 @@ let make ~func ~row_axis ?(row_state = 0) ~col_axis ?(col_state = 0) result =
 
 let cell_to_string = function
   | None -> "."
-  | Some v ->
-      if Float.is_integer v && Float.abs v < 1e15 then
-        Printf.sprintf "%.0f" v
-      else Printf.sprintf "%g" v
+  | Some v -> Aggregate.float_repr v
 
 let pp ppf t =
   let label_width =
