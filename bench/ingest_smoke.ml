@@ -126,8 +126,9 @@ let () =
   done;
   let session, views = Option.get !final in
   let delta_csv =
-    Export.csv_string ~func:spec.Engine.func
-      (Engine.Session.result_of_views session views)
+    Export.views_csv_string ~func:spec.Engine.func
+      (Engine.lattice (Engine.Session.prepared session))
+      (Array.of_list views)
   in
   let per_fact = !delta_best /. float_of_int delta_facts in
 
@@ -160,11 +161,11 @@ let () =
       spec
   in
   let identical = ref true in
-  let instr_ref = ref None in
+  let counter_run = ref None in
   List.iter
     (fun alg ->
       let cold, instr = Engine.run cold_prepared alg in
-      if alg = Engine.Counter then instr_ref := Some instr;
+      if alg = Engine.Counter then counter_run := Some (cold, instr);
       let cold_csv = Export.csv_string ~func:spec.Engine.func cold in
       if not (String.equal cold_csv delta_csv) then begin
         identical := false;
@@ -197,11 +198,10 @@ let () =
           ] );
     ]
   in
-  let result = Engine.Session.result_of_views session views in
+  (* the cold COUNTER cube: byte-identical to the views, gated above *)
+  let result, instr = Option.get !counter_run in
   let metrics =
-    Report.build
-      ~instr:(Option.get !instr_ref)
-      ~result
+    Report.build ~instr ~result
       ~phases:
         [ ("delta", !delta_best); ("full_recompute", !full_best) ]
       ~algorithm:"COUNTER" ()

@@ -31,6 +31,14 @@
      (every subsequent request is warm), which phase 1 above
      already gates at 5x.
 
+   Phase 1 also gates the fully cached repeat: [repeats] requests of the
+   same query print from the views' stored order, so
+   [serve.views.sorted] must not move, and the process's minor words
+   per exported cell must stay at or below [words_per_cell_gate] — half
+   the 58.8 words a cell the same loop allocated when every request
+   copied its views into a fresh cube and sorted it again (client and
+   daemon share the process, so both sides are counted).
+
    Both files are x3-metrics/1 documents whose meta blocks carry the
    latency tables and gate verdicts.  Exits non-zero if any gate fails,
    so `dune runtest` gates on all of it. *)
@@ -53,6 +61,8 @@ let loris_gate = 2.0
    computes on its first request, only before serving instead of during. *)
 let restart_overhead_gate = 1.5
 let io_deadline = 1.0
+let repeats = 200
+let words_per_cell_gate = 29.4
 
 (* Matches the generated workload: axes [$dj in $s/wj/dj], structural
    relaxations on the first two axes. *)
@@ -214,6 +224,34 @@ let () =
     cold_seconds warm_seconds speedup latency_gate warm1_prov.Protocol.p_base
     warm1_prov.Protocol.p_rollup warm2_prov.Protocol.p_cached
     (if identical then "identical" else "DIVERGED");
+  (* --- a fully cached repeat prints from the stored order ----------------- *)
+  let views_sorted () =
+    match
+      List.assoc_opt "serve.views.sorted"
+        (Obs_metrics.snapshot (Server.registry daemon.d_server))
+    with
+    | Some (Obs_metrics.Counter n) -> n
+    | _ -> 0
+  in
+  let cells =
+    List.length (String.split_on_char '\n' (String.trim warm2_payload)) - 1
+  in
+  let sorted_before = views_sorted () in
+  let words_before = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to repeats do
+    ignore (cube_exn conn ~doc:doc_path ~no_cache:false : string * Protocol.provenance)
+  done;
+  let repeat_seconds = (Unix.gettimeofday () -. t0) /. float_of_int repeats in
+  let words_per_cell =
+    (Gc.minor_words () -. words_before) /. float_of_int (repeats * cells)
+  in
+  let repeat_sorts = views_sorted () - sorted_before in
+  Printf.printf
+    "    %d cached repeats of %d cells: %6.1f us/request   %5.1f minor words/cell \
+     (gate %.1f)   views sorted %d (gate 0)\n"
+    repeats cells (repeat_seconds *. 1e6) words_per_cell words_per_cell_gate
+    repeat_sorts;
   (* --- slow-client defense: a loris beside a healthy client ------------- *)
   let loris = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect loris (Unix.ADDR_UNIX daemon.d_sock);
@@ -321,11 +359,21 @@ let () =
             ("rollup", Json.Int warm2_prov.Protocol.p_rollup);
             ("cached", Json.Int warm2_prov.Protocol.p_cached);
           ] );
+      ( "cached_repeat",
+        Json.Obj
+          [
+            ("requests", Json.Int repeats);
+            ("cells", Json.Int cells);
+            ("seconds_per_request", Json.Float repeat_seconds);
+            ("minor_words_per_cell", Json.Float words_per_cell);
+            ("views_sorted", Json.Int repeat_sorts);
+          ] );
       ( "gates",
         Json.Obj
           [
             ("warm_speedup", Json.Float speedup);
             ("warm_speedup_gate", Json.Float latency_gate);
+            ("words_per_cell_gate", Json.Float words_per_cell_gate);
           ] );
     ]
   in
@@ -382,6 +430,19 @@ let () =
   if warm2_prov.Protocol.p_base > 0 || warm2_prov.Protocol.p_rollup > 0
   then begin
     prerr_endline "serve-smoke: the warm repeat was not fully cache-served";
+    fail := true
+  end;
+  if repeat_sorts <> 0 then begin
+    Printf.eprintf
+      "serve-smoke: %d fully cached repeats sorted %d views (> 0)\n" repeats
+      repeat_sorts;
+    fail := true
+  end;
+  if words_per_cell > words_per_cell_gate then begin
+    Printf.eprintf
+      "serve-smoke: a cached repeat allocated %.1f minor words per cell (> \
+       %.1f)\n"
+      words_per_cell words_per_cell_gate;
     fail := true
   end;
   if speedup < latency_gate then begin

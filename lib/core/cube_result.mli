@@ -51,9 +51,8 @@ val find : t -> cuboid:int -> key:string list -> Aggregate.cell option
 
 val cuboid_cells : t -> int -> (string array * Aggregate.cell) list
 (** Groups of one cuboid with their present-axis values (axis order), in
-    the historical order: value by value, shorter-by-low-length-byte
-    first, then by the rest of the length, then bytewise. Dictionary ids
-    are decoded here, once per group. *)
+    export order ({!Group_key.sorted}). Dictionary ids are decoded here,
+    once per group. *)
 
 val equal : func:Aggregate.func -> t -> t -> bool
 (** Same groups with the same aggregate values in every cuboid. Keys are

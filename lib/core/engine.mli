@@ -210,9 +210,11 @@ module Session : sig
       admits it; [Error] names the property that fails. *)
 
   val result_of_views : t -> Materialized.t list -> Cube_result.t
-  (** Assemble a cube result from per-cuboid views (one per lattice
-      cuboid for a full cube; exports are then byte-identical to a cold
-      {!run} for COUNT). *)
+  (** A cube result holding the views' cells (one view per lattice cuboid
+      for a full cube). The daemon does not call it: it prints its views
+      directly ({!Export.views_csv_string}). It is kept only because the
+      frozen end-to-end bench ([e2e/]) replays a request through it, and
+      goes when that bench exports from views. *)
 
   val table_bytes : t -> int
   (** Resident footprint of the witness table

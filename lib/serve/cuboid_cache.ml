@@ -3,7 +3,7 @@ module Governor = X3_core.Governor
 type 'a entry = {
   e_key : string;
   e_value : 'a;
-  e_bytes : int;
+  mutable e_bytes : int;
   mutable e_stamp : int;  (* LRU clock: larger = more recently used *)
 }
 
@@ -52,7 +52,9 @@ let find t key =
           t.misses <- t.misses + 1;
           None)
 
-let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
+let peek t key =
+  locked t (fun () ->
+      Option.map (fun e -> e.e_value) (Hashtbl.find_opt t.table key))
 
 (* Detach one entry under the lock, releasing its bytes; the [on_evict]
    callback is deferred to after unlock so it may re-enter the cache
@@ -60,7 +62,6 @@ let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
 let detach t e =
   Hashtbl.remove t.table e.e_key;
   Governor.release t.account e.e_bytes;
-  t.evictions <- t.evictions + 1;
   fun () -> t.on_evict e.e_key e.e_value
 
 let lru t =
@@ -71,49 +72,76 @@ let lru t =
       | _ -> Some e)
     t.table None
 
+(* Reserve [bytes] under the lock, detaching least-recently-used victims
+   until the reservation fits. [false] when no victim is left, or when the
+   victim is [self] — an entry being re-booked in place that is itself
+   the least recently used gives itself up rather than a fresher one.
+   Only here are evictions counted. A reservation that needs victims is
+   the walk worth timing: each round scans the whole table for the LRU
+   victim, so a hot cache under churn pays O(entries) per freed entry. *)
+let make_room t ?self ~bytes deferred =
+  if Governor.reserve t.account bytes then true
+  else begin
+    let t0 = Unix.gettimeofday () in
+    let victims = ref 0 in
+    let rec go () =
+      if Governor.reserve t.account bytes then true
+      else
+        match lru t with
+        | None -> false
+        | Some victim ->
+            deferred := detach t victim :: !deferred;
+            t.evictions <- t.evictions + 1;
+            incr victims;
+            if Option.fold ~none:false ~some:(( == ) victim) self then false
+            else go ()
+    in
+    let fits = go () in
+    let seconds = Unix.gettimeofday () -. t0 and victims = !victims in
+    if victims > 0 then
+      deferred := (fun () -> t.observe_walk ~seconds ~victims) :: !deferred;
+    fits
+  end
+
+(* Run the deferred callbacks, oldest first, outside the lock. *)
+let settle deferred = List.iter (fun f -> f ()) (List.rev deferred)
+
 let insert t ~key ~bytes value =
   let deferred = ref [] in
-  let victims = ref 0 in
-  let walk_seconds = ref 0. in
   let stored =
     locked t (fun () ->
         (match Hashtbl.find_opt t.table key with
         | Some old -> deferred := detach t old :: !deferred
         | None -> ());
-        let rec make_room () =
-          if Governor.reserve t.account bytes then true
-          else
-            match lru t with
-            | Some victim ->
-                deferred := detach t victim :: !deferred;
-                incr victims;
-                make_room ()
-            | None -> false
-        in
-        let fits =
-          if Governor.reserve t.account bytes then true
-          else begin
-            (* A reservation that needs evictions is the walk worth
-               timing: each round scans the whole table for the LRU
-               victim, so a hot cache under churn pays O(entries) per
-               freed entry. *)
-            let t0 = Unix.gettimeofday () in
-            let fits = make_room () in
-            walk_seconds := Unix.gettimeofday () -. t0;
-            fits
-          end
-        in
-        if fits then begin
-          Hashtbl.replace t.table key
-            { e_key = key; e_value = value; e_bytes = bytes; e_stamp = tick t };
-          true
-        end
-        else false)
+        make_room t ~bytes deferred
+        && begin
+             Hashtbl.replace t.table key
+               { e_key = key; e_value = value; e_bytes = bytes; e_stamp = tick t };
+             true
+           end)
   in
-  List.iter (fun f -> f ()) (List.rev !deferred);
-  if !victims > 0 then
-    t.observe_walk ~seconds:!walk_seconds ~victims:!victims;
+  settle !deferred;
   stored
+
+let recharge t ~key ~bytes =
+  let deferred = ref [] in
+  let kept =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.table key with
+        | None -> false
+        | Some e ->
+            Governor.release t.account e.e_bytes;
+            e.e_bytes <- 0;
+            (* [e] is in the table, so the walk ends at it at the
+               latest: it fits, or it was the last victim *)
+            make_room t ~self:e ~bytes deferred
+            && begin
+                 e.e_bytes <- bytes;
+                 true
+               end)
+  in
+  settle !deferred;
+  kept
 
 let remove t key =
   let deferred =

@@ -32,8 +32,10 @@ val create :
 val find : 'a t -> string -> 'a option
 (** Bumps the entry's recency on hit; counts a hit or a miss. *)
 
-val mem : 'a t -> string -> bool
-(** No recency bump, no hit/miss accounting — an existence probe. *)
+val peek : 'a t -> string -> 'a option
+(** The entry's value with no recency bump and no hit/miss accounting —
+    an existence probe, or a read that is not a cache use (an ingest
+    patching the views it holds). *)
 
 val insert : 'a t -> key:string -> bytes:int -> 'a -> bool
 (** Reserve [bytes] (evicting LRU entries as needed) and store the value;
@@ -41,9 +43,17 @@ val insert : 'a t -> key:string -> bytes:int -> 'a -> bool
     [false] when the value cannot fit even in an empty cache — the entry
     is simply not cached, which is degraded service, not an error. *)
 
+val recharge : 'a t -> key:string -> bytes:int -> bool
+(** Re-book a resident entry at [bytes] in place: it keeps its value and
+    its recency. A grown entry that no longer fits evicts LRU entries as
+    {!insert} does; when it is itself the least recently used, it is
+    evicted instead and [recharge] returns [false]. [false] too when the
+    key is absent. *)
+
 val remove : 'a t -> string -> unit
 (** Drop one entry (releasing its bytes, firing [on_evict]); no-op when
-    absent. Counted as an eviction. *)
+    absent. Not an eviction: {!evictions} counts only the entries an
+    {!insert} or {!recharge} gave up to the budget. *)
 
 val snapshot : 'a t -> (string * 'a * int) list
 (** Every resident entry as [(key, value, bytes)], least recently used
@@ -56,3 +66,4 @@ val resident_bytes : 'a t -> int
 val hits : 'a t -> int
 val misses : 'a t -> int
 val evictions : 'a t -> int
+(** Budget victims so far. *)

@@ -1368,6 +1368,41 @@ let test_cache_snapshot_preserves_lru_order () =
     "snapshot is LRU-oldest first" [ "b"; "c"; "a" ]
     (List.map (fun (k, _, _) -> k) (Cuboid_cache.snapshot cache))
 
+(* [recharge] re-books an entry in place: it keeps its recency, and only
+   the entries the budget gives up are evictions — an older one, or the
+   re-booked entry itself when it is the least recently used. [remove]
+   is no eviction. *)
+let test_cache_recharge_in_place () =
+  let account =
+    Governor.open_account (Some (Governor.create ~max_bytes:40 ()))
+  in
+  let cache = Cuboid_cache.create ~account () in
+  let order () = List.map (fun (k, _, b) -> (k, b)) (Cuboid_cache.snapshot cache) in
+  List.iter
+    (fun k -> ignore (Cuboid_cache.insert cache ~key:k ~bytes:10 k : bool))
+    [ "a"; "b"; "c" ];
+  Alcotest.(check bool) "a grown entry that fits" true
+    (Cuboid_cache.recharge cache ~key:"a" ~bytes:15);
+  Alcotest.(check (list (pair string int)))
+    "keeps its place" [ ("a", 15); ("b", 10); ("c", 10) ] (order ());
+  Alcotest.(check int) "no eviction" 0 (Cuboid_cache.evictions cache);
+  Alcotest.(check bool) "a grown entry that needs room" true
+    (Cuboid_cache.recharge cache ~key:"c" ~bytes:25);
+  Alcotest.(check (list (pair string int)))
+    "the LRU entry made room" [ ("b", 10); ("c", 25) ] (order ());
+  Alcotest.(check int) "one budget victim" 1 (Cuboid_cache.evictions cache);
+  Alcotest.(check bool) "the LRU entry outgrowing the budget" false
+    (Cuboid_cache.recharge cache ~key:"b" ~bytes:30);
+  Alcotest.(check (list (pair string int)))
+    "gave itself up" [ ("c", 25) ] (order ());
+  Alcotest.(check int) "itself a budget victim" 2 (Cuboid_cache.evictions cache);
+  Alcotest.(check int) "its bytes released" 25 (Cuboid_cache.resident_bytes cache);
+  Alcotest.(check bool) "an absent key" false
+    (Cuboid_cache.recharge cache ~key:"b" ~bytes:1);
+  Cuboid_cache.remove cache "c";
+  Alcotest.(check int) "remove is no eviction" 2 (Cuboid_cache.evictions cache);
+  Alcotest.(check int) "empty" 0 (Cuboid_cache.resident_bytes cache)
+
 let () =
   Alcotest.run "x3 serve faults"
     [
@@ -1379,6 +1414,8 @@ let () =
             `Quick test_warm_store_roundtrip_and_rejects_garbage;
           Alcotest.test_case "cache snapshot preserves LRU order" `Quick
             test_cache_snapshot_preserves_lru_order;
+          Alcotest.test_case "recharge re-books in place" `Quick
+            test_cache_recharge_in_place;
         ] );
       ( "network-faults",
         [
