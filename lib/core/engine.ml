@@ -488,11 +488,6 @@ let classify = function
   | Fault.Crashed -> Some (`Fatal (Io_fault "disk crashed mid-run"))
   | Fault.Injected { cls = _; page } ->
       Some (`Transient (Printf.sprintf "injected I/O error on page %d" page))
-  | Disk.Short_read { page; got; want } ->
-      Some
-        (`Transient
-          (Printf.sprintf "short read on page %d (%d of %d bytes)" page got
-             want))
   | Sys_error msg -> Some (`Transient msg)
   | _ -> None
 

@@ -529,7 +529,10 @@ let load_store t ~doc_path =
 (* A session over [store]. *)
 let prepare_session t store spec =
   let prepared = Engine.prepare ~pool:(make_pool ()) ~store spec in
-  let session = Engine.Session.create prepared in
+  (* Session creation builds the columns and observes the properties. *)
+  let session =
+    Trace.with_span "serve.observe" (fun () -> Engine.Session.create prepared)
+  in
   (* Every session cooperates with drain: once the drain deadline passes,
      the next checkpoint in any compute on this session stops it with a
      typed Cancelled. *)
@@ -560,6 +563,7 @@ let fresh_store t ~doc_path =
    [`Refused] leaves the session untouched; its caller rebuilds from a
    grafted load, which is always exact. *)
 let fold_fragment session ~views ~lsn ~fragment =
+  Trace.with_span "serve.fold" @@ fun () ->
   let spec = Engine.spec_of (Engine.Session.prepared session) in
   match
     Engine.stage_fragment spec ~fragment

@@ -140,8 +140,6 @@ let with_page_mut t id f =
 
 let flush t =
   Hashtbl.iter (fun _ idx -> write_back t t.frames.(idx)) t.table;
-  (* "Flushed" must mean durable: writes alone can still sit in the OS page
-     cache on the file backend. *)
   Disk.sync t.disk
 
 let drop_cache t =

@@ -34,8 +34,8 @@ val with_page_mut : t -> int -> (bytes -> 'a) -> 'a
     back (checksummed, on a V1 disk) once the window closes. *)
 
 val flush : t -> unit
-(** Write every dirty frame back to disk (kept resident), then {!Disk.sync}
-    so "flushed" pages survive a crash on the file backend. *)
+(** Write every dirty frame back to disk (kept resident), then
+    {!Disk.sync}, the page interface's durability barrier. *)
 
 val drop_cache : t -> unit
 (** Flush, then forget every frame — the paper's "cold cache" reset between

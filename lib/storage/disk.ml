@@ -25,71 +25,45 @@ let magic = "X3PG"
 let version = 1
 
 exception Corruption of { page : int; reason : string }
-exception Short_read of { page : int; got : int; want : int }
 
 type event = Read of int | Write of int | Sync | Allocate
-type verdict = Proceed | Torn of int
+type verdict = File_io.verdict = Proceed | Torn of int
 
 let () =
   Printexc.register_printer (function
     | Corruption { page; reason } ->
         Some (Printf.sprintf "Disk.Corruption(page %d: %s)" page reason)
-    | Short_read { page; got; want } ->
-        Some
-          (Printf.sprintf "Disk.Short_read(page %d: %d of %d bytes)" page got
-             want)
     | _ -> None)
-
-type backend =
-  | Memory of bytes array ref
-  | File of { fd : Unix.file_descr; path : string; temp : bool }
 
 type t = {
   page_size : int;  (** payload bytes callers see *)
-  physical : int;  (** on-media page size: payload + header on V1 *)
+  physical : int;  (** stored page size: payload + header on V1 *)
   format : format;
   mutable lsn : int;  (** monotonic write counter, stamped into V1 headers *)
   mutable pages : int;  (** pages allocated so far *)
-  backend : backend;
+  mutable store : bytes array;  (** physical pages; grows by doubling *)
   stats : Stats.t;
   mutable closed : bool;
   mutable injector : (event -> verdict) option;
   scratch : bytes;  (** staging buffer for one physical page *)
 }
 
-let physical_of format page_size =
-  match format with V0 -> page_size | V1 -> page_size + header_bytes
-
-let make ?(page_size = default_page_size) ?(format = V1) ~pages backend =
-  let physical = physical_of format page_size in
+let in_memory ?(page_size = default_page_size) ?(format = V1) () =
+  let physical =
+    match format with V0 -> page_size | V1 -> page_size + header_bytes
+  in
   {
     page_size;
     physical;
     format;
     lsn = 0;
-    pages;
-    backend;
+    pages = 0;
+    store = [||];
     stats = Stats.create ();
     closed = false;
     injector = None;
     scratch = Bytes.make physical '\000';
   }
-
-let in_memory ?page_size ?format () =
-  make ?page_size ?format ~pages:0 (Memory (ref [||]))
-
-let on_file ?page_size ?format ?(temp = true) path =
-  let fd = Unix.openfile path [ Unix.O_RDWR; O_CREAT; O_TRUNC ] 0o600 in
-  make ?page_size ?format ~pages:0 (File { fd; path; temp })
-
-let reopen ?(page_size = default_page_size) ?(format = V1) path =
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
-  let size = (Unix.fstat fd).Unix.st_size in
-  let physical = physical_of format page_size in
-  (* Round up: a file truncated mid-page still addresses its torn last
-     page, whose read then raises [Short_read] rather than vanishing. *)
-  let pages = (size + physical - 1) / physical in
-  make ~page_size ~format ~pages (File { fd; path; temp = false })
 
 let page_size t = t.page_size
 let physical_page_size t = t.physical
@@ -106,56 +80,19 @@ let check_id t id =
   if id < 0 || id >= t.pages then
     invalid_arg (Printf.sprintf "Disk: page %d out of range [0, %d)" id t.pages)
 
-let really_write fd buf len =
-  let rec go off =
-    if off < len then begin
-      let n = Unix.write fd buf off (len - off) in
-      go (off + n)
-    end
-  in
-  go 0
-
-let seek_page fd t id =
-  ignore
-    (Unix.LargeFile.lseek fd (Int64.of_int (id * t.physical)) Unix.SEEK_SET)
-
 let allocate t =
   check_open t;
   (match fire t Allocate with Proceed | Torn _ -> ());
   t.stats.pages_allocated <- t.stats.pages_allocated + 1;
   let id = t.pages in
   t.pages <- t.pages + 1;
-  (match t.backend with
-  | Memory store ->
-      let old = !store in
-      if id >= Array.length old then begin
-        let grown = Array.make (max 64 (2 * Array.length old)) Bytes.empty in
-        Array.blit old 0 grown 0 (Array.length old);
-        store := grown
-      end;
-      !store.(id) <- Bytes.make t.physical '\000'
-  | File { fd; _ } ->
-      (* Extend the file so positioned reads of fresh pages succeed. *)
-      ignore
-        (Unix.LargeFile.lseek fd
-           (Int64.of_int (((id + 1) * t.physical) - 1))
-           Unix.SEEK_SET);
-      ignore (Unix.write fd (Bytes.make 1 '\000') 0 1));
+  if id >= Array.length t.store then begin
+    let grown = Array.make (max 64 (2 * Array.length t.store)) Bytes.empty in
+    Array.blit t.store 0 grown 0 (Array.length t.store);
+    t.store <- grown
+  end;
+  t.store.(id) <- Bytes.make t.physical '\000';
   id
-
-(* [allocate] materialises every page up to the end of its id's extent, so a
-   short read of any valid page means the backing file was truncated or
-   corrupted — zero-filling would silently return a blank page where real
-   data should be. *)
-let really_read fd ~page buf len =
-  let rec go off =
-    if off < len then begin
-      let n = Unix.read fd buf off (len - off) in
-      if n = 0 then raise (Short_read { page; got = off; want = len })
-      else go (off + n)
-    end
-  in
-  go 0
 
 (* --- V1 header codec --------------------------------------------------- *)
 
@@ -230,19 +167,7 @@ let decode_header t ~page buf =
     Bytes.blit t.scratch header_bytes buf 0 t.page_size
   end
 
-let read_physical t id =
-  match t.backend with
-  | Memory store -> Bytes.blit !store.(id) 0 t.scratch 0 t.physical
-  | File { fd; _ } ->
-      seek_page fd t id;
-      really_read fd ~page:id t.scratch t.physical
-
-let write_physical t id len =
-  match t.backend with
-  | Memory store -> Bytes.blit t.scratch 0 !store.(id) 0 len
-  | File { fd; _ } ->
-      seek_page fd t id;
-      really_write fd t.scratch len
+let read_physical t id = Bytes.blit t.store.(id) 0 t.scratch 0 t.physical
 
 let read_into t id buf =
   check_open t;
@@ -252,12 +177,7 @@ let read_into t id buf =
   (match fire t (Read id) with Proceed | Torn _ -> ());
   t.stats.page_reads <- t.stats.page_reads + 1;
   match t.format with
-  | V0 -> (
-      match t.backend with
-      | Memory store -> Bytes.blit !store.(id) 0 buf 0 t.page_size
-      | File { fd; _ } ->
-          seek_page fd t id;
-          really_read fd ~page:id buf t.page_size)
+  | V0 -> Bytes.blit t.store.(id) 0 buf 0 t.page_size
   | V1 ->
       read_physical t id;
       decode_header t ~page:id buf
@@ -270,17 +190,13 @@ let write t id buf =
   let verdict = fire t (Write id) in
   t.stats.page_writes <- t.stats.page_writes + 1;
   match t.format with
-  | V0 -> (
+  | V0 ->
       let len =
         match verdict with
         | Proceed -> t.page_size
         | Torn n -> max 0 (min n t.page_size)
       in
-      match t.backend with
-      | Memory store -> Bytes.blit buf 0 !store.(id) 0 len
-      | File { fd; _ } ->
-          seek_page fd t id;
-          really_write fd (Bytes.sub buf 0 len) len)
+      Bytes.blit buf 0 t.store.(id) 0 len
   | V1 ->
       Bytes.blit buf 0 t.scratch header_bytes t.page_size;
       encode_header t;
@@ -289,7 +205,7 @@ let write t id buf =
         | Proceed -> t.physical
         | Torn n -> max 0 (min n t.physical)
       in
-      write_physical t id len
+      Bytes.blit t.scratch 0 t.store.(id) 0 len
 
 let page_lsn t id =
   check_open t;
@@ -303,40 +219,10 @@ let page_lsn t id =
 let sync t =
   check_open t;
   (match fire t Sync with Proceed | Torn _ -> ());
-  t.stats.syncs <- t.stats.syncs + 1;
-  match t.backend with
-  | Memory _ -> ()
-  | File { fd; _ } -> Unix.fsync fd
+  t.stats.syncs <- t.stats.syncs + 1
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    match t.backend with
-    | Memory store -> store := [||]
-    | File { fd; path; temp } ->
-        Unix.close fd;
-        if temp then try Sys.remove path with Sys_error _ -> ()
+    t.store <- [||]
   end
-
-(* --- directory durability ----------------------------------------------- *)
-
-(* A rename is only durable once the parent directory's entry table is on
-   media; fsyncing the renamed file alone leaves the {e name} at the mercy
-   of power loss. The hook is the fault-injection seam: tests install one
-   to observe or fail the directory sync (it runs before the syscall and
-   its exceptions propagate). *)
-
-let dir_sync_hook : (string -> unit) option ref = ref None
-let set_dir_sync_hook h = dir_sync_hook := h
-
-let sync_dir path =
-  (match !dir_sync_hook with None -> () | Some f -> f path);
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          (* Some filesystems refuse fsync on a directory fd (EINVAL);
-             there is nothing further to do there. *)
-          try Unix.fsync fd with Unix.Unix_error _ -> ())

@@ -1,19 +1,18 @@
-(** The disk layer: a flat, growable array of fixed-size pages.
+(** The disk layer beneath witness tables: a flat, growable array of
+    fixed-size pages kept in memory.
 
-    Two backends share one interface. [in_memory] keeps pages in an OCaml
-    array — deterministic, fast, what every witness table's pool uses.
-    [on_file] keeps them in a real file accessed with [pread]/[pwrite]-style
-    positioned I/O — the WAL's log. Either way, {!Stats.t} counts page
-    transfers; every table access is expected to go through
-    {!Buffer_pool}, which is what turns the paper's 512 MB / 8 KB page
-    configuration into a knob. Pages are only ever allocated, never
-    freed: nothing in the engine keeps temporary pages.
+    {!Stats.t} counts page transfers; every table access is expected to
+    go through {!Buffer_pool}, which is what turns the paper's 512 MB /
+    8 KB page configuration into a knob. Pages are only ever allocated,
+    never freed: nothing in the engine keeps temporary pages. Files —
+    the ingest WAL and the warm snapshot — do not use pages; they write
+    through {!File_io}.
 
-    {b Page format.} {!V1} (the default) prefixes every on-media page with a
-    16-byte header — magic, format version, an LSN stamp (the disk's write
-    counter) and a CRC-32 over header and payload — verified on every
-    {!read_into}: a torn write or flipped bit raises {!Corruption} instead
-    of being decoded into garbage records. The header is invisible to
+    {b Page format.} {!V1} (the default) prefixes every page with a
+    16-byte header — magic, format version, an LSN stamp (the disk's
+    write counter) and a CRC-32 over header and payload — verified on
+    every {!read_into}: a torn write raises {!Corruption} instead of
+    being decoded into garbage records. The header is invisible to
     callers ([page_size] is the payload size). {!V0} is the seed's
     headerless format; it is the reference of [bench/smoke]'s
     checksum-overhead gate and nothing in the engine writes it.
@@ -21,7 +20,7 @@
     {b Fault injection.} {!set_injector} installs a hook consulted at the
     start of every read, write, sync and allocation; the hook may raise (an
     injected I/O error) or ask for a {e torn} write (only the first [n]
-    bytes of the physical page reach the media). See {!Fault} for
+    bytes of the physical page are written). See {!Fault} for
     deterministic schedules built on this. *)
 
 type t
@@ -37,20 +36,15 @@ val header_bytes : int
 
 exception Corruption of { page : int; reason : string }
 (** A {!V1} page failed verification: bad magic, unknown version, or CRC
-    mismatch — the page was torn mid-write or rotted on media. *)
-
-exception Short_read of { page : int; got : int; want : int }
-(** The file backend returned fewer bytes than a full page — the backing
-    file was truncated; zero-filling would silently fabricate a blank
-    page. *)
+    mismatch — the page was torn mid-write. *)
 
 (** {1 Fault-injection hook} *)
 
 type event = Read of int | Write of int | Sync | Allocate
-(** One disk operation, fired {e before} any media access; [Read]/[Write]
-    carry the page id. *)
+(** One disk operation, fired {e before} the page is touched;
+    [Read]/[Write] carry the page id. *)
 
-type verdict = Proceed | Torn of int
+type verdict = File_io.verdict = Proceed | Torn of int
 (** The injector's answer: [Torn n] (meaningful on writes) truncates the
     physical write to its first [n] bytes — a torn write the {!V1} checksum
     must catch on the next read. Raising from the hook injects an error. *)
@@ -59,21 +53,10 @@ val set_injector : t -> (event -> verdict) option -> unit
 
 val in_memory : ?page_size:int -> ?format:format -> unit -> t
 
-val on_file : ?page_size:int -> ?format:format -> ?temp:bool -> string -> t
-(** [on_file path] creates or truncates [path]. With [temp] (the default)
-    the file is removed on {!close}; pass [~temp:false] for a persistent
-    store that {!reopen} can later see. *)
-
-val reopen : ?page_size:int -> ?format:format -> string -> t
-(** Open an existing page file without truncating — what recovery does
-    after a crash. The page count is taken from the file size (rounded up,
-    so a file truncated mid-page still addresses its torn last page and
-    reading it raises {!Short_read}). The file is kept on {!close}. *)
-
 val page_size : t -> int
 
 val physical_page_size : t -> int
-(** On-media bytes per page: [page_size] plus the {!V1} header. *)
+(** Bytes per stored page: [page_size] plus the {!V1} header. *)
 
 val page_count : t -> int
 (** Every page ever allocated. *)
@@ -84,9 +67,8 @@ val allocate : t -> int
 val read_into : t -> int -> bytes -> unit
 (** [read_into t id buf] fills [buf] (of length [page_size t]) with page
     [id]'s payload. Raises [Invalid_argument] on bad ids or buffer
-    sizes, {!Short_read} when the file backend comes up short, and — on
-    {!V1} — {!Corruption} when the page fails checksum verification. A
-    never-written page reads as all zeroes. *)
+    sizes and — on {!V1} — {!Corruption} when the page fails checksum
+    verification. A never-written page reads as all zeroes. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t id buf] stores [buf] as page [id]'s payload, stamping and
@@ -97,25 +79,8 @@ val page_lsn : t -> int -> int
     (0 for unwritten pages and on {!V0}). Does not verify the checksum. *)
 
 val sync : t -> unit
-(** Durability barrier: [fsync] on the file backend, a no-op on the memory
-    backend. Counted in {!Stats.t}[.syncs] either way. *)
+(** The durability barrier of the page interface: nothing to flush in
+    memory, but counted in {!Stats.t}[.syncs] and seen by the injector. *)
 
 val stats : t -> Stats.t
 val close : t -> unit
-
-(** {1 Directory durability}
-
-    A rename (or file creation) is only durable once the parent
-    directory itself is fsynced — the file's own fsync does not cover
-    its {e name}. [Snapshot_store.save_file] syncs after its rename and
-    [Wal.open_file] after creating a new log. *)
-
-val sync_dir : string -> unit
-(** Open [path] (a directory) read-only and fsync it; soft-fails on
-    filesystems that refuse directory fsync. Consults the
-    {!set_dir_sync_hook} seam first. *)
-
-val set_dir_sync_hook : (string -> unit) option -> unit
-(** Install (or clear, with [None]) the fault-injection seam: the hook
-    runs before each directory fsync and its exceptions propagate to the
-    caller of {!sync_dir}. *)

@@ -1,26 +1,31 @@
-(** Deterministic, seedable fault injection over a {!Disk} backend.
+(** Deterministic, seedable fault injection over a {!Disk} or the
+    {!File_io} seam.
 
-    A plan wraps any disk (memory or file) through {!Disk.set_injector} and
-    decides, per operation, whether to let it proceed, fail it, tear it, or
-    declare the process crashed. Plans carry their own operation counters,
-    so the same plan over the same workload injects the same faults —
-    a fault schedule is an input, not an environment.
+    A plan wraps a disk ({!install}, through {!Disk.set_injector}) or
+    every file write, fsync, rename and directory fsync of the WAL and
+    the snapshot store ({!install_files}, through
+    {!File_io.set_injector}). Per operation it decides whether to let it
+    proceed, fail it, tear it, or declare the process crashed. Plans
+    carry their own operation counters, so the same plan over the same
+    workload injects the same faults — a fault schedule is an input, not
+    an environment.
 
-    The crash model: {!crash_after_writes}[ n] lets the first [n] writes
-    through, drops (or half-applies, with [~torn:true]) the next one, and
-    makes every subsequent operation raise {!Crashed}. The media image at
-    that point is exactly what a recovery path reopening the store sees;
-    {!clear} removes the injector, playing the part of the restart. *)
+    The crash model: {!crash_after}[ n] lets the first [n] operations
+    through and crashes on the next. A crashing write is dropped, or with
+    [~torn:k] keeps its first [k] bytes; every operation after it raises
+    {!Crashed}. The media image at that point is exactly what a recovery
+    path reopening the store sees; {!clear} / {!clear_files} remove the
+    injector, playing the part of the restart. *)
 
-type error_class = Read_error | Write_error | Sync_error | Enospc | Short_read
+type error_class = Read_error | Write_error | Sync_error | Enospc
 
 exception Injected of { cls : error_class; page : int }
-(** A transient injected I/O error ([page] is [-1] for sync/allocate).
-    [Short_read]-class faults raise {!Disk.Short_read} instead, matching
-    what a really-truncated file produces. *)
+(** A transient injected I/O error ([page] is [-1] for sync, allocate
+    and every file-seam operation). *)
 
 exception Crashed
-(** Raised by every operation after the crash point fires. *)
+(** Raised by the crash point (unless it tears a write) and by every
+    operation after it. *)
 
 type t
 
@@ -31,19 +36,20 @@ val fail_nth_read : int -> t
     reads before and after proceed — a transient error a retry absorbs. *)
 
 val fail_nth_write : int -> t
+
 val fail_nth_sync : int -> t
+(** Counts disk syncs, file fsyncs and directory fsyncs alike. *)
 
 val enospc_on_allocate : int -> t
 (** The [n]th allocation fails — out of space. *)
 
-val short_read_nth : int -> t
-(** The [n]th read raises {!Disk.Short_read}, as a truncated file would. *)
-
-val crash_after_writes : ?torn:bool -> int -> t
-(** Let [n] writes through; the next write is dropped ([torn:false], the
-    default) or half-written ([torn:true] — the torn page fails checksum
-    verification on the next read), and every operation after it raises
-    {!Crashed}. [n = 0] crashes on the very first write. *)
+val crash_after : ?torn:int -> int -> t
+(** Let [n] operations of any kind through; the next one is the crash.
+    A crashing write is dropped, or with [~torn:k] keeps its first [k]
+    bytes (a torn page fails checksum verification on the next read);
+    any other crashing operation does not happen. Every operation after
+    the crash raises {!Crashed}. [n = 0] crashes on the very first
+    operation. *)
 
 val seeded : seed:int -> rate:float -> error_class list -> t
 (** Pseudo-random transient faults: every operation matching one of the
@@ -61,6 +67,11 @@ val install : t -> Disk.t -> unit
 val clear : Disk.t -> unit
 (** Remove any injector — the "restart" before recovery. *)
 
+val install_files : t -> unit
+(** Start injecting on the {!File_io} seam (process-wide). *)
+
+val clear_files : unit -> unit
+
 (** {1 Observation} *)
 
 val crashed : t -> bool
@@ -68,6 +79,3 @@ val crashed : t -> bool
 
 val injected_faults : t -> int
 (** Transient faults injected so far (crash aborts not included). *)
-
-val writes_seen : t -> int
-(** Writes observed by this plan — what a crash sweep enumerates over. *)

@@ -64,16 +64,12 @@ let save_file path records =
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
-        let rec write off =
-          if off < Bytes.length data then
-            write (off + Unix.write fd data off (Bytes.length data - off))
-        in
-        write 0;
-        Unix.fsync fd);
-    Sys.rename tmp path;
+        File_io.write fd ~at:0 (Bytes.unsafe_to_string data);
+        File_io.fsync fd);
+    File_io.rename tmp path;
     (* The rename is only durable once the parent directory's entry table
        is on media — fsyncing the file alone does not cover its name. *)
-    Disk.sync_dir (Filename.dirname path)
+    File_io.sync_dir (Filename.dirname path)
   with
   | () -> Ok ()
   | exception e ->

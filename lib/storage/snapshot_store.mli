@@ -23,7 +23,7 @@ v}
 val save_file : string -> string list -> (unit, string) result
 (** Write [records] to [path ^ ".tmp"] (truncating any leftover), fsync
     it, rename it over [path], then fsync [path]'s directory
-    ({!Disk.sync_dir}) so the new name survives power loss. [path] is
+    ({!File_io.sync_dir}) so the new name survives power loss. [path] is
     only ever replaced by the rename, so a crash mid-save leaves the
     previous file or the new one, never a torn mix. Any failure removes
     the tmp file and is an [Error]; an [Error] from the directory fsync

@@ -1,19 +1,25 @@
-(** Write-ahead ingest log: checksummed, LSN-stamped records with group
-    commit and torn-tail truncation on recovery.
+(** Write-ahead ingest log: one append-only file of checksummed,
+    LSN-stamped records, with group commit and torn-tail truncation on
+    recovery.
 
-    The log owns its {!Disk} (nothing else may allocate from it) and lays
-    a record stream over sequential pages. [append] only buffers; [commit]
-    writes every buffered record and issues {e one} [Disk.sync] — fsync
-    batching, the group-commit contract. Each batch is padded to a page
-    boundary so a synced page is never rewritten: a torn write can only
-    hit bytes that were never acknowledged as durable.
+    The file is an 8-byte header (magic ["X3WL"], u32 version 1)
+    followed by records back to back, each
+    [u32 len | u64 lsn | u32 crc | payload] (little-endian; the CRC-32
+    covers the LSN and the payload; LSNs are dense from 1). There is no
+    padding: after [n] commits the file is the header plus the bytes of
+    every committed record.
 
-    Recovery ({!open_disk} / {!open_file}) scans the stream and truncates
-    at the last record that passes its length, CRC-32 and LSN-density
-    checks: a crash mid-commit recovers to the exact state of the last
-    completed commit, never a torn one. Because appends go through the
-    disk layer, the {!Fault} injector covers every WAL write, sync and
-    allocation for crash-at-every-write sweeps.
+    [append] only buffers; [commit] writes the batch at the committed
+    end of the file in one write and fsyncs once — the group-commit
+    contract. A failed commit keeps its batch, so a retry writes the same
+    bytes at the same offset.
+
+    {!open_file} keeps the longest prefix of valid records (length, CRC
+    and LSN density all check), truncates the file there and fsyncs it,
+    so a crash mid-commit recovers to the exact state of the last
+    completed commit, never a torn one, and every record replayed is on
+    disk. Writes and fsyncs go through {!File_io}, where
+    {!Fault} plans can fail, tear or crash them.
 
     Replay idempotence is by LSN: consumers record the highest LSN they
     have applied and {!replay} from there — applying the same prefix
@@ -23,14 +29,17 @@ type t
 
 type record = { lsn : int; payload : string }
 
-val open_disk : Disk.t -> t
-(** Recover a log over a caller-owned disk (tests; the memory backend).
-    The disk must be dedicated to the WAL. {!close} leaves it open. *)
+exception Not_a_log of string
+(** {!open_file} found a file (this path) that does not start with the
+    log header. The file is left untouched. *)
 
-val open_file : ?page_size:int -> string -> t
-(** Create (or reopen and recover) a file-backed log. The file is created
-    if missing, its directory then fsynced ({!Disk.sync_dir}) so the new
-    name is durable, and it is {e not} removed on {!close}. *)
+val open_file : string -> t
+(** Create, or reopen and recover, the log at [path]. A missing file —
+    or one shorter than the header whose bytes are a prefix of it, a log
+    whose creation crashed — gets a fresh header, is fsynced, and its
+    directory is fsynced ({!File_io.sync_dir}) so the name is durable.
+    Any other file must start with the header, or {!Not_a_log} is
+    raised. *)
 
 val close : t -> unit
 
@@ -54,8 +63,8 @@ val replay : t -> after:int -> (record -> unit) -> unit
     warm-restart path: [after] is the snapshot's LSN. *)
 
 val rescan : t -> (record list, string) result
-(** Re-read and re-validate the stream from disk (exercises the codec;
-    [Error] when the on-disk bytes no longer parse cleanly). *)
+(** Re-read and re-validate the file (exercises the codec; [Error] when
+    the bytes on disk no longer parse cleanly to their end). *)
 
 val batches : t -> int
 (** Group-commit batches written so far (this process). *)
@@ -68,9 +77,9 @@ val dropped_bytes : t -> int
 val attach_metrics : t -> X3_obs.Metrics.t -> unit
 (** Wire the log into a metrics registry. From now on [append] bumps
     [wal.appends] and [commit] bumps [wal.commits] / [wal.commit_bytes]
-    (logical batch bytes, before page padding) and observes the
-    [Disk.sync] latency on the [wal.latency.commit_fsync] histogram
-    (seconds). Attaching also records the recovery story once:
-    [wal.recovered_records] is bumped by the records found at open, and
-    a torn-tail truncation bumps [wal.torn_tail_truncations] (plus
-    [wal.torn_bytes_dropped] by the discarded byte count). *)
+    (the bytes the commit wrote) and observes the fsync latency on the
+    [wal.latency.commit_fsync] histogram (seconds). Attaching also
+    records the recovery story once: [wal.recovered_records] is bumped
+    by the records found at open, and a torn-tail truncation bumps
+    [wal.torn_tail_truncations] (plus [wal.torn_bytes_dropped] by the
+    discarded byte count). *)

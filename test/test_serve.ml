@@ -1174,56 +1174,73 @@ let test_concurrent_disjoint_traces () =
   | Error code -> Alcotest.failf "expected not_found, got %s" code
   | Ok _ -> Alcotest.fail "fetched a capture that never existed"
 
-(* A traced, fully cached request: its span tree holds [serve.views]
-   (the cache lookups) and [serve.export] (printing from the stored
-   order) directly under [serve.request]. *)
-let test_cached_request_span_tree () =
-  with_figure1 @@ fun doc_path ->
-  with_temp_dir ~prefix:"x3spool" @@ fun spool ->
-  with_server
-    ~tune:(fun c ->
-      { c with Server.slow_ms = Some 0.; trace_dir = Some spool })
-  @@ fun h ->
-  with_client h @@ fun conn ->
-  ignore (cube_exn conn ~doc:doc_path figure1_query);
-  ignore (cube_rid ~rid:"cached" conn ~doc:doc_path figure1_query);
+(* (name, span id, parent id) of every span the capture [rid] opened. *)
+let captured_spans conn rid =
   let events =
-    match trace_fetch conn (Some "cached") with
+    match trace_fetch conn (Some rid) with
     | Ok doc -> (
         match Json.member "traceEvents" doc with
         | Some (Json.Arr events) -> events
         | _ -> Alcotest.fail "capture has no traceEvents")
     | Error code -> Alcotest.failf "fetching the capture failed: %s" code
   in
-  (* (name, span id, parent id) of every span opened *)
-  let spans =
-    List.filter_map
-      (fun e ->
-        match (Json.string_member "name" e, Json.string_member "ph" e) with
-        | Some name, Some "B" ->
-            let args = Option.value ~default:(Json.Obj []) (Json.member "args" e) in
-            Some
-              ( name,
-                Option.value ~default:0 (Json.int_member "span_id" args),
-                Option.value ~default:0 (Json.int_member "parent_id" args) )
-        | _ -> None)
-      events
-  in
-  let span_id name =
-    match List.find_opt (fun (n, _, _) -> n = name) spans with
+  List.filter_map
+    (fun e ->
+      match (Json.string_member "name" e, Json.string_member "ph" e) with
+      | Some name, Some "B" ->
+          let args = Option.value ~default:(Json.Obj []) (Json.member "args" e) in
+          Some
+            ( name,
+              Option.value ~default:0 (Json.int_member "span_id" args),
+              Option.value ~default:0 (Json.int_member "parent_id" args) )
+      | _ -> None)
+    events
+
+(* Every span in [names] opens directly under the span [parent]. *)
+let check_spans_under spans ~parent names =
+  let id =
+    match List.find_opt (fun (n, _, _) -> n = parent) spans with
     | Some (_, id, _) -> id
-    | None -> Alcotest.failf "no %s span in the capture" name
+    | None -> Alcotest.failf "no %s span in the capture" parent
   in
-  let request = span_id "serve.request" in
   List.iter
     (fun name ->
       match List.find_opt (fun (n, _, _) -> n = name) spans with
-      | Some (_, _, parent) ->
-          Alcotest.(check int) (name ^ " under serve.request") request parent
+      | Some (_, _, p) -> Alcotest.(check int) (name ^ " under " ^ parent) id p
       | None -> Alcotest.failf "no %s span in the capture" name)
+    names
+
+(* A traced, fully cached request: its span tree holds [serve.views]
+   (the cache lookups) and [serve.export] (printing from the stored
+   order) directly under [serve.request]. A session miss over the cached
+   store with one fragment logged after it was built holds
+   [serve.observe] (session creation) and [serve.fold] (that fragment)
+   under [serve.session_load]. *)
+let test_cached_request_span_tree () =
+  with_figure1 @@ fun doc_path ->
+  with_temp_dir ~prefix:"x3spool" @@ fun spool ->
+  with_wal @@ fun wal ->
+  with_server
+    ~tune:(fun c ->
+      {
+        c with
+        Server.slow_ms = Some 0.;
+        trace_dir = Some spool;
+        wal_path = Some wal;
+      })
+  @@ fun h ->
+  with_client h @@ fun conn ->
+  ignore (cube_exn conn ~doc:doc_path figure1_query);
+  ignore (cube_rid ~rid:"cached" conn ~doc:doc_path figure1_query);
+  let spans = captured_spans conn "cached" in
+  check_spans_under spans ~parent:"serve.request"
     [ "serve.views"; "serve.export" ];
   Alcotest.(check bool) "a cached request loads no session" false
-    (List.exists (fun (n, _, _) -> n = "serve.session_load") spans)
+    (List.exists (fun (n, _, _) -> n = "serve.session_load") spans);
+  ignore (ingest_exn conn ~doc:doc_path pub_fragment);
+  ignore (cube_rid ~rid:"miss" conn ~doc:doc_path (List.nth figure1_queries 1));
+  check_spans_under (captured_spans conn "miss") ~parent:"serve.session_load"
+    [ "serve.observe"; "serve.fold" ]
 
 (* --- scrape endpoint ------------------------------------------------------ *)
 

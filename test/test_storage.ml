@@ -17,48 +17,10 @@ let test_disk_roundtrip () =
   Alcotest.(check bytes) "page b zeroed" (Bytes.make 64 '\000') out;
   Alcotest.(check int) "reads counted" 2 (Disk.stats disk).Stats.page_reads
 
-let test_disk_on_file () =
-  let path = Filename.temp_file "x3disk" ".pages" in
-  let disk = Disk.on_file ~page_size:64 path in
-  let ids = List.init 10 (fun _ -> Disk.allocate disk) in
-  List.iteri
-    (fun i id -> Disk.write disk id (Bytes.make 64 (Char.chr (65 + i))))
-    ids;
-  let out = Bytes.make 64 '\000' in
-  List.iteri
-    (fun i id ->
-      Disk.read_into disk id out;
-      Alcotest.(check char) "round trip" (Char.chr (65 + i)) (Bytes.get out 7))
-    ids;
-  Disk.close disk;
-  Alcotest.(check bool) "temp file removed" false (Sys.file_exists path)
-
 let test_disk_bad_id () =
   let disk = Disk.in_memory ~page_size:64 () in
   Alcotest.check_raises "out of range" (Invalid_argument "Disk: page 0 out of range [0, 0)")
     (fun () -> Disk.read_into disk 0 (Bytes.make 64 ' '))
-
-(* --- durability, short reads -------------------------------------------- *)
-
-let test_disk_short_read () =
-  let path = Filename.temp_file "x3disk" ".pages" in
-  let disk = Disk.on_file ~page_size:64 path in
-  let a = Disk.allocate disk in
-  let b = Disk.allocate disk in
-  Disk.write disk a (Bytes.make 64 'a');
-  Disk.write disk b (Bytes.make 64 'b');
-  (* Chop the file mid-way through page b: reading it must raise, not
-     silently zero-fill the missing tail. *)
-  Unix.truncate path 96;
-  let out = Bytes.make 64 ' ' in
-  Disk.read_into disk a out;
-  Alcotest.(check char) "intact page still reads" 'a' (Bytes.get out 0);
-  Alcotest.(check bool) "truncated page raises" true
-    (try
-       Disk.read_into disk b out;
-       false
-     with Disk.Short_read _ -> true);
-  Disk.close disk
 
 let test_disk_sync_counted () =
   let disk = Disk.in_memory ~page_size:64 () in
@@ -67,7 +29,7 @@ let test_disk_sync_counted () =
   Alcotest.(check int) "syncs counted on memory backend" 2
     (Disk.stats disk).Stats.syncs
 
-(* --- versioned pages, corruption, reopen ------------------------------- *)
+(* --- versioned pages ---------------------------------------------------- *)
 
 let test_disk_v0_legacy_format () =
   let disk = Disk.in_memory ~page_size:64 ~format:Disk.V0 () in
@@ -78,22 +40,6 @@ let test_disk_v0_legacy_format () =
   Disk.read_into disk a out;
   Alcotest.(check bytes) "roundtrip" (Bytes.make 64 'v') out;
   Alcotest.(check int) "no lsn on v0" 0 (Disk.page_lsn disk a)
-
-let test_disk_v0_file_reader () =
-  (* A raw headerless page file (the seed format) must read back
-     byte-for-byte under a V0 reopen. *)
-  let path = Filename.temp_file "x3disk" ".pages" in
-  let oc = open_out_bin path in
-  output_string oc (String.make 64 'x');
-  output_string oc (String.make 64 'y');
-  close_out oc;
-  let disk = Disk.reopen ~page_size:64 ~format:Disk.V0 path in
-  Alcotest.(check int) "two raw pages" 2 (Disk.page_count disk);
-  let out = Bytes.make 64 ' ' in
-  Disk.read_into disk 1 out;
-  Alcotest.(check bytes) "headerless payload" (Bytes.make 64 'y') out;
-  Disk.close disk;
-  Sys.remove path
 
 let test_disk_v1_lsn_stamped () =
   let disk = Disk.in_memory ~page_size:64 () in
@@ -107,48 +53,20 @@ let test_disk_v1_lsn_stamped () =
   let l2 = Disk.page_lsn disk a in
   Alcotest.(check bool) "lsn advances across writes" true (l2 > l1 && l1 > 0)
 
+(* A rewrite torn after the header leaves a page whose payload no longer
+   matches its checksum: the read raises instead of decoding it. *)
 let test_disk_corruption_detected () =
-  let path = Filename.temp_file "x3disk" ".pages" in
-  let disk = Disk.on_file ~page_size:64 ~temp:false path in
+  let disk = Disk.in_memory ~page_size:64 () in
   let a = Disk.allocate disk in
   Disk.write disk a (Bytes.make 64 'a');
-  Disk.sync disk;
-  Disk.close disk;
-  (* Flip one payload byte behind the checksum's back. *)
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-  ignore (Unix.lseek fd (Disk.header_bytes + 5) Unix.SEEK_SET);
-  ignore (Unix.write_substring fd "X" 0 1);
-  Unix.close fd;
-  let disk = Disk.reopen ~page_size:64 path in
-  Alcotest.(check bool) "bit rot detected" true
+  Fault.install (Fault.crash_after ~torn:(Disk.header_bytes + 5) 0) disk;
+  Disk.write disk a (Bytes.make 64 'b');
+  Fault.clear disk;
+  Alcotest.(check bool) "torn page detected" true
     (try
        Disk.read_into disk a (Bytes.make 64 ' ');
        false
-     with Disk.Corruption _ -> true);
-  Disk.close disk;
-  Sys.remove path
-
-let test_disk_reopen_persists () =
-  let path = Filename.temp_file "x3disk" ".pages" in
-  let disk = Disk.on_file ~page_size:64 ~temp:false path in
-  let ids = List.init 5 (fun _ -> Disk.allocate disk) in
-  List.iteri
-    (fun i id -> Disk.write disk id (Bytes.make 64 (Char.chr (97 + i))))
-    ids;
-  Disk.sync disk;
-  Disk.close disk;
-  Alcotest.(check bool) "kept on close" true (Sys.file_exists path);
-  let disk = Disk.reopen ~page_size:64 path in
-  Alcotest.(check int) "page count from file size" 5 (Disk.page_count disk);
-  let out = Bytes.make 64 ' ' in
-  List.iteri
-    (fun i id ->
-      Disk.read_into disk id out;
-      Alcotest.(check char) "payload survived reopen" (Char.chr (97 + i))
-        (Bytes.get out 9))
-    ids;
-  Disk.close disk;
-  Sys.remove path
+     with Disk.Corruption _ -> true)
 
 (* --- buffer pool ------------------------------------------------------ *)
 
@@ -205,8 +123,7 @@ let test_pool_more_pages_than_capacity () =
     (Buffer_pool.resident_pages pool <= 3)
 
 let test_pool_flush_syncs () =
-  let path = Filename.temp_file "x3disk" ".pages" in
-  let disk = Disk.on_file ~page_size:64 path in
+  let disk = Disk.in_memory ~page_size:64 () in
   let pool = Buffer_pool.create ~capacity_pages:4 disk in
   let id = Buffer_pool.allocate pool in
   Buffer_pool.with_page_mut pool id (fun b -> Bytes.set b 0 'z');
@@ -258,7 +175,7 @@ let test_pool_torn_page_detected () =
   let a = Buffer_pool.allocate pool in
   Buffer_pool.with_page_mut pool a (fun b -> Bytes.fill b 0 64 'a');
   Buffer_pool.flush pool;
-  let plan = Fault.crash_after_writes ~torn:true 0 in
+  let plan = Fault.crash_after ~torn:(Disk.physical_page_size disk / 2) 0 in
   Fault.install plan disk;
   Buffer_pool.with_page_mut pool a (fun b -> Bytes.fill b 0 64 'b');
   (try Buffer_pool.flush pool with Fault.Crashed -> ());
@@ -436,17 +353,13 @@ let () =
       ( "disk",
         [
           Alcotest.test_case "roundtrip" `Quick test_disk_roundtrip;
-          Alcotest.test_case "on file" `Quick test_disk_on_file;
           Alcotest.test_case "bad id" `Quick test_disk_bad_id;
-          Alcotest.test_case "short read raises" `Quick test_disk_short_read;
           Alcotest.test_case "sync counted" `Quick test_disk_sync_counted;
           Alcotest.test_case "v0 legacy format" `Quick
             test_disk_v0_legacy_format;
-          Alcotest.test_case "v0 file reader" `Quick test_disk_v0_file_reader;
           Alcotest.test_case "v1 lsn stamped" `Quick test_disk_v1_lsn_stamped;
           Alcotest.test_case "corruption detected" `Quick
             test_disk_corruption_detected;
-          Alcotest.test_case "reopen persists" `Quick test_disk_reopen_persists;
         ] );
       ( "buffer pool",
         [

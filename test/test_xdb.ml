@@ -277,17 +277,21 @@ let test_approx_bytes_tracks_heap () =
 
 (* --- property tests over random trees --------------------------------- *)
 
+(* A tree of at most [max 1 n] nodes for size [n]: the root takes one
+   node and its 1-4 children split the rest of the budget, so the
+   quadratic oracles never meet more nodes than the size asks for. *)
 let gen_store =
   let open QCheck2.Gen in
   let tag = oneofl [ "a"; "b"; "c" ] in
   let tree =
     sized @@ fix (fun self n ->
-        if n <= 0 then map (fun t -> Tree.elem t []) tag
+        if n <= 1 then map (fun t -> Tree.elem t []) tag
         else
+          let* k = int_range 1 (min 4 (n - 1)) in
           map2
             (fun t children -> Tree.elem t children)
             tag
-            (list_size (int_bound 4) (self (n / 2))))
+            (list_repeat k (self ((n - 1) / k))))
   in
   map
     (fun t ->
